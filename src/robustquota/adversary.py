@@ -52,100 +52,224 @@ class BadNewsLPResult:
     value: float
     premise_ok: bool            # False => bound valid within the bad-news class only
     iterations: int
+    #: "construction" (certified binding-obedience process), "highs" (sparse
+    #: LP) or "simplex" (dense tableau cross-check)
+    route: str
+    #: value minus the dual objective of dual-feasible multipliers; None where
+    #: none are at hand (the tableau simplex gives none)
+    gap: Optional[float]
     binding: np.ndarray = field(repr=False)  # binding obedience rows at the optimum
     objective: np.ndarray = field(repr=False)
 
     def diagnostics(self) -> dict:
         return {"objective": float(self.value), "iterations": int(self.iterations),
                 "binding": [int(i) for i in self.binding],
-                "premise_ok": self.premise_ok}
+                "premise_ok": self.premise_ok, "route": self.route,
+                "gap": self.gap}
 
 
 def _lp_data(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
              grid: LevelGrid, mu0: float):
+    """Profiles through the last allowed level, the belief-0 stop payoffs c
+    and the obedience right-hand sides b = mu0 (U^phi(1,l_end) - U^phi(1,l))."""
     end = effective_end(m, grid)
     a1, a0, _ = adjusted_profiles(agent, m, "agent", grid)
     p1, p0, _ = adjusted_profiles(principal, m, "principal", grid)
     a1, a0, p1, p0 = a1[:end + 1], a0[:end + 1], p1[:end + 1], p0[:end + 1]
-    stop_idx = stop_rule_at_zero(a0)
-    c = p0[stop_idx]
-    b_ub = mu0 * (a1[-1] - a1)
-    A_ub = np.triu(a0[:, None] - a0[None, :])
-    return end, a1, a0, p1, c, stop_idx, A_ub, b_ub
+    c = p0[stop_rule_at_zero(a0)]
+    b = mu0 * (a1[-1] - a1)
+    return end, a1, a0, p1, p0, c, b
+
+
+def _binding_construction(a0: np.ndarray, b: np.ndarray,
+                          mu0: float) -> Optional[np.ndarray]:
+    """Arrival increments with obedience binding from the top level down.
+
+    The row at level j pins the increment at level j+1; mass accumulates
+    going down until it reaches 1-mu0 (the support start L_low), else the
+    rest lands on level 0.  None when a payoff step is flat or an increment
+    would go negative.
+    """
+    a0l, bl = a0.tolist(), b.tolist()
+    scale = max(1.0, float(np.abs(a0).max()))
+    target = 1.0 - mu0
+    g = np.zeros(len(a0l))
+    A = 0.0   # mass strictly above the current row
+    C = 0.0   # payoff-weighted mass strictly above
+    for j in range(len(a0l) - 2, -1, -1):
+        denom = a0l[j] - a0l[j + 1]
+        if denom <= 1e-15 * scale:
+            return None
+        gnext = (bl[j] - a0l[j] * A + C) / denom
+        if gnext < -1e-9 * scale:
+            return None
+        gnext = max(gnext, 0.0)
+        if A + gnext >= target:
+            g[j + 1] = target - A
+            return g
+        g[j + 1] = gnext
+        A += gnext
+        C += a0l[j + 1] * gnext
+    g[0] = target - A
+    return g
+
+
+def _support_start(g: np.ndarray) -> int:
+    """First level carrying arrival mass (the last level when none does)."""
+    pos = np.nonzero(g > 1e-15)[0]
+    return int(pos[0]) if pos.size else len(g) - 1
+
+
+def _exact_dual(c: np.ndarray, a0: np.ndarray,
+                jbar: int) -> Tuple[np.ndarray, float]:
+    """Multipliers (y, t) of the obedience rows and the mass row that are
+    complementary to a process whose support starts at jbar and whose rows
+    jbar..end bind.
+
+    With the mass-row multiplier t = c[jbar] and y = 0 below jbar, the
+    reduced cost r_k = c_k - t + sum_{j<=k} y_j (a0_j - a0_k) vanishes on
+    every level k > jbar exactly when y_{k-1} solves it, so the multipliers
+    follow by forward substitution with running sums of y and y a0.
+    """
+    cl, a0l = c.tolist(), a0.tolist()
+    y = np.zeros(len(a0l))
+    t = cl[jbar]
+    S = 0.0   # sum of y so far
+    W = 0.0   # sum of y a0 so far
+    for k in range(jbar + 1, len(a0l)):
+        yk = (a0l[k] * S - W - cl[k] + t) / (a0l[k - 1] - a0l[k])
+        y[k - 1] = yk
+        S += yk
+        W += yk * a0l[k - 1]
+    return y, t
+
+
+def _certified_gap(value: float, y: np.ndarray, t: float, c: np.ndarray,
+                   a0: np.ndarray, b: np.ndarray, mu0: float,
+                   p1_end: float) -> Optional[float]:
+    """Primal value minus the dual objective of multipliers (y, t) of the
+    obedience rows and the mass row, or None unless they are dual feasible:
+    y >= 0 and every reduced cost r_k = c_k - t + sum_{j<=k} y_j (a0_j - a0_k)
+    >= 0, each to 1e-9 of the size of the terms it is computed from (payoffs
+    that span e^48 leave rounding noise far above any absolute tolerance)."""
+    ya0 = y * a0
+    r = c - t + np.cumsum(ya0) - a0 * np.cumsum(y)
+    size = (np.abs(c) + abs(t) + np.cumsum(np.abs(ya0))
+            + np.abs(a0) * np.cumsum(np.abs(y)))
+    if y.min() < -1e-9 * np.abs(y).max() or np.any(r < -1e-9 * size):
+        return None
+    return value - float(mu0 * p1_end + (1.0 - mu0) * t - y @ b)
+
+
+def _sparse_lp(c: np.ndarray, a0: np.ndarray, a1: np.ndarray, b: np.ndarray,
+               mu0: float) -> Tuple[np.ndarray, np.ndarray, float, int]:
+    """The bad-news LP in cumulative form, solved by HiGHS.
+
+    Variables g, M_j = sum_{k>=j} g_k and W_j = sum_{k>=j} a0_k g_k turn each
+    obedience row into a0_j M_j - W_j <= b_j, so the model has O(n)
+    nonzeros.  Payoffs are divided by max|a0|, |a1| and the objective by
+    max|c|; both leave the argmin unchanged.  Returns the increments, the
+    multipliers of the obedience rows and of the mass row (M_0 = 1-mu0) in
+    the original units, and the iteration count.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+    n = len(a0)
+    sa = float(max(np.abs(a0).max(), np.abs(a1).max())) or 1.0
+    sc = float(np.abs(c).max()) or 1.0
+    a0s = a0 / sa
+    eye = sparse.identity(n, format="csr")
+    diff = eye - sparse.eye(n, n, k=1, format="csr")   # M_j - M_{j+1}
+    first = sparse.csr_matrix(([1.0], ([0], [0])), shape=(1, n))
+    A_eq = sparse.bmat([[-eye, diff, None],             # M_j - M_{j+1} = g_j
+                        [-sparse.diags(a0s), None, diff],
+                        [None, first, None]], format="csr")  # M_0 = 1 - mu0
+    b_eq = np.zeros(2 * n + 1)
+    b_eq[-1] = 1.0 - mu0
+    A_ub = sparse.hstack([sparse.csr_matrix((n, n)), sparse.diags(a0s), -eye],
+                         format="csr")
+    bounds = np.zeros((3 * n, 2))
+    bounds[:, 1] = np.inf
+    bounds[n:, 0] = -np.inf
+    res = linprog(np.concatenate([c / sc, np.zeros(2 * n)]), A_ub=A_ub,
+                  b_ub=b / sa, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    if res.status == 2:
+        raise InfeasibleLPError(f"infeasible bad-news LP: {res.message}")
+    if not res.success:
+        raise InfeasibleLPError(f"LP solver failed: {res.message}")
+    y = -res.ineqlin.marginals * (sc / sa)
+    t = float(res.eqlin.marginals[-1]) * sc
+    return res.x[:n], y, t, int(res.nit)
 
 
 def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
-                     grid: LevelGrid, mu0: float, solver: str = "auto",
-                     enforce_participation: bool = False) -> BadNewsLPResult:
+                     grid: LevelGrid, mu0: float,
+                     solver: str = "auto") -> BadNewsLPResult:
     """Minimize the principal's value over obedient bad-news processes.
 
     Objective: mu0 V^phi(1, l_end) + sum_j V^phi(0, stop_level(l_j)) g_j over
     arrival increments g >= 0 with total mass 1-mu0, subject to the
     upper-triangular obedience rows.  Quota mechanisms truncate the grid at
     the last allowed level (mass is forced to stop there).
+
+    The default route is certify-first and O(n): it builds the process with
+    binding obedience, checks it is obedient, and proves it optimal with the
+    complementary-slackness dual (dual feasible, relative gap <= 1e-9).
+    Where that proof fails it solves the LP in sparse cumulative form with
+    HiGHS.
+    solver="highs" forces the sparse LP; solver="simplex" solves the dense
+    formulation with the package's tableau simplex, an independent
+    cross-check for small grids.
     """
     if not 0.0 < mu0 < 1.0:
         raise DomainError("worst-case search needs an interior prior")
-    end, a1, a0, p1, c, stop_idx, A_ub, b_ub = _lp_data(agent, principal, m,
-                                                        grid, mu0)
-    premise_ok = principal_prefers_earlier(agent, principal, m, grid)
-    n = end + 1
-    A_eq = [np.ones(n)]
-    b_eq = [1.0 - mu0]
-    rows_ub = [A_ub]
-    rhs_ub = [b_ub]
-    if enforce_participation:
-        outside = float(agent.indirect(mu0, 0.0))
-        rows_ub.append(-a0[stop_idx][None, :])
-        rhs_ub.append(np.array([mu0 * a1[-1] - outside]))
-    A_ub_full = np.vstack(rows_ub)
-    b_ub_full = np.concatenate(rhs_ub)
-
-    if solver == "auto":
-        solver = "highs" if n > 600 else "simplex"
-    if solver == "simplex":
-        res = solve_lp(c, A_ub_full, b_ub_full, A_eq, b_eq)
-        g, iters = res.x, res.n_iter
-    elif solver == "highs":
-        from scipy.optimize import linprog
-        A_hi, b_hi, c_hi = A_ub_full, b_ub_full, c
-        big = max(float(np.abs(A_hi).max()), float(np.abs(c).max()))
-        if big > 1e15:
-            # CARA payoffs on long grids reach ~e^48, past HiGHS's infinity
-            # threshold; row and objective scaling keep the model in range
-            # (accuracy at such ranges is limited either way -- see the
-            # obedience warning below)
-            row_scale = np.maximum.reduce([np.abs(A_hi).max(axis=1),
-                                           np.abs(b_hi), np.ones(len(b_hi))])
-            A_hi = A_hi / row_scale[:, None]
-            b_hi = b_hi / row_scale
-            c_hi = c / max(float(np.abs(c).max()), 1.0)
-        res = linprog(c_hi, A_ub=A_hi, b_ub=b_hi, A_eq=A_eq, b_eq=b_eq,
-                      bounds=(0, None), method="highs")
-        if res.status == 2:
-            raise InfeasibleLPError(f"infeasible bad-news LP: {res.message}")
-        if not res.success:
-            raise InfeasibleLPError(f"LP solver failed: {res.message}")
-        g, iters = res.x, int(res.nit)
-    else:
+    if solver not in ("auto", "highs", "simplex"):
         raise DomainError(f"unknown solver {solver!r}")
+    end, a1, a0, p1, _, c, b = _lp_data(agent, principal, m, grid, mu0)
+    premise_ok = principal_prefers_earlier(agent, principal, m, grid)
+    scale = max(1.0, float(np.abs(a0).max()), float(np.abs(a1).max()))
 
-    g = np.clip(g, 0.0, None)
-    total = g.sum()
-    if total > 0:
-        g *= (1.0 - mu0) / total
+    def finish(g):
+        g = np.clip(g, 0.0, None)
+        total = g.sum()
+        if total > 0:
+            g *= (1.0 - mu0) / total
+        return g, float(mu0 * p1[-1] + c @ g)
+
+    route, iters, gap = solver, 0, None
+    if solver == "auto":
+        route = "highs"
+        g = _binding_construction(a0, b, mu0)
+        if g is not None and \
+                obedience_slacks(g, a1, a0, mu0).min() >= -1e-8 * scale:
+            g, value = finish(g)
+            y, t = _exact_dual(c, a0, _support_start(g))
+            gap = _certified_gap(value, y, t, c, a0, b, mu0, p1[-1])
+            if gap is not None and abs(gap) <= 1e-9 * max(1.0, abs(value)):
+                route = "construction"
+    if route == "highs":
+        g, y, t, iters = _sparse_lp(c, a0, a1, b, mu0)
+        g, value = finish(g)
+        gap = _certified_gap(value, y, t, c, a0, b, mu0, p1[-1])
+    elif route == "simplex":
+        res = solve_lp(c, np.triu(a0[:, None] - a0[None, :]), b,
+                       [np.ones(end + 1)], [1.0 - mu0])
+        g, value = finish(res.x)
+        iters = res.n_iter
+
     G = np.cumsum(g)
     G[-1] = 1.0 - mu0
     bn = BadNewsProcess(grid, G, mu0, end)
-    value = float(mu0 * p1[-1] + c @ g)
     slacks = obedience_slacks(g, a1, a0, mu0)
-    scale = max(1.0, float(np.abs(a0).max()), float(np.abs(a1).max()))
     if float(-slacks.min()) > 1e-6 * scale:
         warnings.warn("LP solution violates obedience beyond tolerance; the "
                       "value is unreliable at this payoff range (consider the "
                       "indifference construction)", RuntimeWarning)
     binding = np.nonzero(np.abs(slacks) <= 1e-7 * scale)[0]
-    return BadNewsLPResult(bn, value, premise_ok, iters, binding, c)
+    return BadNewsLPResult(bn, value, premise_ok, iters, route,
+                           None if gap is None else float(gap), binding, c)
 
 
 def badnews_value(bn: BadNewsProcess, agent: PayoffSpec, principal: PayoffSpec,
@@ -182,42 +306,13 @@ def indifference_G(agent: PayoffSpec, m: Mechanism, grid: LevelGrid,
     end = effective_end(m, grid)
     a1, a0, _ = adjusted_profiles(agent, m, "agent", grid)
     a1, a0 = a1[:end + 1], a0[:end + 1]
-    target = 1.0 - mu0
-    scale = max(1.0, float(np.abs(a0).max()))
-    b = mu0 * (a1[-1] - a1)
-
-    g = np.zeros(end + 1)
-    A = 0.0   # mass strictly above the current row
-    C = 0.0   # payoff-weighted mass strictly above
-    ok = True
-    for j in range(end - 1, -1, -1):
-        denom = a0[j] - a0[j + 1]
-        if denom <= 1e-15 * scale:
-            ok = False
-            break
-        gnext = (b[j] - a0[j] * A + C) / denom
-        if gnext < -1e-9 * scale:
-            ok = False
-            break
-        gnext = max(gnext, 0.0)
-        if A + gnext >= target:
-            g[j + 1] = target - A
-            A = target
-            break
-        g[j + 1] = gnext
-        A += gnext
-        C += a0[j + 1] * gnext
-    if ok and A < target:
-        g[0] = target - A
-
-    if ok:
+    g = _binding_construction(a0, mu0 * (a1[-1] - a1), mu0)
+    if g is not None:
         G = np.cumsum(g)
-        G[-1] = target
+        G[-1] = 1.0 - mu0
         bn = BadNewsProcess(grid, G, mu0, end)
-        rep = obedience_check(bn, agent, m, tol=1e-8)
-        if rep.ok:
-            pos = np.nonzero(g > 1e-15)[0]
-            jbar = int(pos[0]) if pos.size else end
+        if obedience_check(bn, agent, m, tol=1e-8).ok:
+            jbar = _support_start(g)
             return IndifferenceResult(bn, float(grid.points[jbar]), jbar, False)
 
     warnings.warn("indifference construction infeasible; falling back to the "
@@ -227,9 +322,7 @@ def indifference_G(agent: PayoffSpec, m: Mechanism, grid: LevelGrid,
             "indifference construction infeasible and no principal payoff "
             "was given for the LP fallback")
     lp = solve_badnews_lp(agent, principal, m, grid, mu0)
-    g = lp.bn.increments()
-    pos = np.nonzero(g > 1e-15)[0]
-    jbar = int(pos[0]) if pos.size else end
+    jbar = _support_start(lp.bn.increments())
     return IndifferenceResult(lp.bn, float(grid.points[jbar]), jbar, True)
 
 
@@ -267,19 +360,22 @@ def dual_certificate(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
             f"marginal-ratio condition fails at {ratio.witness}")
     ind = indifference_G(agent, m, grid, mu0, principal)
     jbar = ind.lbar_index
-    end, a1, a0, p1, c, stop_idx, _, _ = _lp_data(agent, principal, m, grid,
-                                                  mu0)
-
-    p0 = adjusted_profiles(principal, m, "principal", grid)[1][:end + 1]
+    end, a1, a0, p1, p0, c, gbar = _lp_data(agent, principal, m, grid, mu0)
 
     dU = np.diff(a0)
     if np.any(np.abs(dU) <= 1e-15 * max(1.0, float(np.abs(a0).max()))):
         raise ConditionViolatedError("flat agent bad-state payoff step")
     fwd = np.diff(p0) / dU
-    kappa = float(p0[jbar] / a0[jbar])
     Lambda = np.empty(end + 1)
-    Lambda[:jbar] = kappa
     Lambda[jbar:end] = fwd[jbar:]
+    kappa = None
+    if jbar > 0 or end == 0:
+        # only the constant branch below lbar (or a lone level) reads kappa
+        if a0[jbar] == 0.0:
+            raise ConditionViolatedError(
+                "U^phi(0, lbar) = 0: the constant branch of Lambda* is undefined")
+        kappa = float(p0[jbar] / a0[jbar])
+        Lambda[:jbar] = kappa
     Lambda[end] = Lambda[end - 1] if end > 0 else kappa
 
     scale = max(1.0, float(np.abs(Lambda).max()))
@@ -294,7 +390,6 @@ def dual_certificate(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     lhs = c + W - a0 * M
     t = float(lhs.min())
 
-    gbar = mu0 * (a1[-1] - a1)
     dual_value = float(-(y @ gbar))
     dual_bound = float(mu0 * p1[-1] + (1.0 - mu0) * t + dual_value)
 

@@ -113,7 +113,8 @@ def cmd_worstcase(cfg: RunConfig, args) -> int:
                ["level", "G", "cont_belief", "binding", "mu_hat_U", "mu_hat_V"],
                rows)
     payload = {"value": lp.value, "premise_ok": lp.premise_ok,
-               "lbar": ind.lbar, "used_lp_fallback": ind.used_lp_fallback}
+               "route": lp.route, "lbar": ind.lbar,
+               "used_lp_fallback": ind.used_lp_fallback}
     try:
         cert = dual_certificate(cfg.agent, cfg.principal, cfg.mechanism,
                                 cfg.grid, cfg.mu0)

@@ -1,8 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robustquota import (BudgetExceededError, FixedTaxHardQuota, LevelGrid,
-                         Zero, cara_pair, compute_robust, quadratic_pair)
+from robustquota import (BudgetExceededError, ConditionViolatedError,
+                         FixedTaxHardQuota, InfeasibleLPError, LevelGrid,
+                         Linear, Tabulated, Zero, cara_pair, compute_robust,
+                         quadratic_pair)
 from robustquota.adversary import (badnews_value, dual_certificate,
                                    indifference_G, payoff_gap,
                                    principal_prefers_earlier, solve_badnews_lp,
@@ -115,3 +121,86 @@ def test_payoff_gap_positive_for_laissez_faire():
     grid = LevelGrid(4.0, 201)
     gap = payoff_gap(Zero(), agent, principal, grid, 0.6)
     assert gap.delta > 0.5   # the quadratic externality bites hard
+
+
+def test_default_route_rejects_obedient_but_suboptimal_construction():
+    agent, principal = cara_pair(2.0, 1.4)
+    grid = LevelGrid(2.0, 3)
+    ind = indifference_G(agent, Zero(), grid, 0.3, principal)
+    assert not ind.used_lp_fallback
+    built = badnews_value(ind.bn, agent, principal, Zero())
+    lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.3)
+    ref = solve_badnews_lp(agent, principal, Zero(), grid, 0.3,
+                           solver="simplex")
+    assert lp.route == "highs" and ref.route == "simplex"
+    assert lp.value == pytest.approx(ref.value, rel=1e-9)
+    assert lp.value == pytest.approx(-0.859073, abs=1e-6)
+    assert built == pytest.approx(-0.851499, abs=1e-6)
+    assert abs(lp.gap) <= 1e-9 * max(1.0, abs(lp.value))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["quadratic", "cara"]),
+       params=st.tuples(*[st.floats(0.5, 3.0)] * 3),
+       mech=st.sampled_from(["zero", "linear", "robust"]),
+       beta_tax=st.floats(0.0, 0.2),
+       mu0=st.floats(0.1, 0.9), n=st.integers(3, 60))
+def test_default_route_matches_simplex(family, params, mech, beta_tax, mu0, n):
+    if family == "quadratic":
+        agent, principal = quadratic_pair(params[0], params[1], params[2] - 0.5)
+    else:
+        agent, principal = cara_pair(params[0], params[1])
+    grid = LevelGrid(2.0, n)
+    if mech == "robust":
+        m = compute_robust(agent, principal, mu0, grid).mechanism
+    else:
+        m = Zero() if mech == "zero" else Linear(beta_tax)
+    try:
+        ref = solve_badnews_lp(agent, principal, m, grid, mu0, solver="simplex")
+    except InfeasibleLPError:
+        with pytest.raises(InfeasibleLPError):
+            solve_badnews_lp(agent, principal, m, grid, mu0)
+        return
+    lp = solve_badnews_lp(agent, principal, m, grid, mu0)
+    tol = 1e-9 * max(1.0, abs(lp.value))
+    assert abs(lp.value - ref.value) <= tol
+    assert abs(lp.gap) <= tol
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # LP fallback notice
+        ind = indifference_G(agent, m, grid, mu0, principal)
+    assert lp.value <= badnews_value(ind.bn, agent, principal, m) + tol
+
+
+def test_construction_route_certifies_at_scale():
+    agent, principal = cara_pair(1.0, 3.0)
+    grid = LevelGrid(2.0, 100001)
+    lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.5)
+    assert lp.route == "construction" and lp.iterations == 0
+    assert lp.diagnostics()["route"] == "construction"
+    cert = dual_certificate(agent, principal, Zero(), grid, 0.5)
+    assert abs(cert.gap) <= 1e-9 * max(1.0, abs(cert.primal_value))
+
+
+def test_dual_certificate_at_zero_payoff_level_is_warning_free():
+    # the quadratic agent's bad-state payoff is 0 at level 0, where the
+    # support starts; the constant branch of Lambda* is then never read
+    agent, principal = quadratic_pair(1.0, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = dual_certificate(agent, principal, Zero(), LevelGrid(2.0, 101),
+                                0.4)
+    assert cert.lbar == 0.0
+    assert cert.dual_bound <= cert.primal_value + 1e-9
+
+
+def test_dual_certificate_refuses_zero_payoff_below_support():
+    # shifting U^phi(0, .) by a constant leaves the process unchanged, so the
+    # shift can put U^phi(0, lbar) = 0 where the constant branch needs it
+    grid = LevelGrid(2.0, 21)
+    agent, principal = cara_pair(1.0, 3.0)
+    jbar = indifference_G(agent, Zero(), grid, 0.8, principal).lbar_index
+    assert jbar > 0
+    u0 = agent.u0(grid.points)
+    shifted = Tabulated(grid, tuple(agent.u1(grid.points)), tuple(u0 - u0[jbar]))
+    with pytest.raises(ConditionViolatedError, match="constant branch"):
+        dual_certificate(shifted, principal, Zero(), grid, 0.8)

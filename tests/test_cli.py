@@ -89,6 +89,20 @@ def test_worstcase_outputs(tmp_path):
     assert payload["premise_ok"]
 
 
+@pytest.mark.parametrize("raw, route", [
+    (QUAD, "construction"),
+    ({"payoff": {"agent": {"family": "cara", "gamma": 2.0},
+                 "principal": {"family": "cara", "gamma": 1.4}},
+      "grid": {"l_max": 2.0, "n": 3}, "prior": {"mu0": 0.3}}, "highs"),
+])
+def test_worstcase_records_route(tmp_path, raw, route):
+    out = tmp_path / "o"
+    assert main(["--config", _write(tmp_path, raw), "--out", str(out),
+                 "worstcase"]) == 0
+    payload = json.loads((out / "worstcase_value.json").read_text())
+    assert payload["route"] == route
+
+
 def test_gap_sweep_rows(tmp_path):
     raw = json.loads(json.dumps(QUAD))
     raw["mechanisms"] = [{"type": "zero"},
