@@ -12,7 +12,7 @@ from typing import Callable, List
 
 import numpy as np
 
-from .adaptive import BinaryExperiment, evaluate_adaptive, refine_process, \
+from .adaptive import evaluate_adaptive, random_experiment, refine_process, \
     solve_adaptive_quota
 from .adversary import badnews_value, dual_certificate, indifference_G, \
     solve_badnews_lp, tree_oracle_worst_case
@@ -239,19 +239,13 @@ def criterion_8() -> str:
     rng = np.random.default_rng(2024)
     worst_margin = np.inf
     for k in range(50):
-        p = float(rng.uniform(0.05, 0.95))
-        q = float(rng.uniform(0.05, 0.95))
-        if abs(p - q) < 0.05:
-            q = min(0.95, q + 0.1)
-        levels = tuple(int(l) for l in rng.choice(9, size=rng.integers(1, 4),
-                                                  replace=False))
-        ref = refine_process(tree, BinaryExperiment(p, q, levels))
+        experiment = random_experiment(rng, grid9.n)
+        ref = refine_process(tree, experiment)
         val = evaluate_adaptive(dp, ref, agent, principal)
         margin = val - dp.value
         worst_margin = min(worst_margin, margin)
         assert margin >= -1e-8, \
-            f"refinement {k} (p={p:.3f}, q={q:.3f}, levels={levels}) " \
-            f"value {val} < DP {dp.value}"
+            f"refinement {k} ({experiment}) value {val} < DP {dp.value}"
     return (f"bitwise static ok, DP {dp.value:.6g} >= static "
             f"{static9.guarantee:.6g}, worst refinement margin {worst_margin:.3e}")
 

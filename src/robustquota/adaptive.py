@@ -2,14 +2,14 @@
 fixed tax, and evaluation against agent processes that refine the tree."""
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import AlignmentError, DomainError, NotARefinementError
-from .grid import LevelGrid
 from .payoffs import PayoffSpec
 from .processes import DiscreteLearningProcess
+from .stopping import backward, forward
 
 
 @dataclass(frozen=True)
@@ -39,44 +39,22 @@ def solve_adaptive_quota(tree: DiscreteLearningProcess, agent: PayoffSpec,
     bitwise: same quota level, same tax, same value.
     """
     grid = tree.grid
-    n = grid.n
     mu0 = tree.mu0
     a1 = agent.u1(grid.points)
     a0 = agent.u0(grid.points)
     p1 = principal.u1(grid.points)
     p0 = principal.u0(grid.points)
     outside = float(mu0 * a1[0] + (1.0 - mu0) * a0[0])
+    U = [mu * a1[j] + (1.0 - mu) * a0[j] for j, mu in enumerate(tree.beliefs)]
+    surplus = [(U[j] - outside) + (mu * p1[j] + (1.0 - mu) * p0[j])
+               for j, mu in enumerate(tree.beliefs)]
 
-    def surplus(j):
-        mu = tree.beliefs[j]
-        U = mu * a1[j] + (1.0 - mu) * a0[j]
-        V = mu * p1[j] + (1.0 - mu) * p0[j]
-        return (U - outside) + V
-
-    values = [None] * n
-    stop_set = [None] * n
-    values[n - 1] = surplus(n - 1)
-    stop_set[n - 1] = np.ones(len(tree.beliefs[n - 1]), dtype=bool)
-    for j in range(n - 2, -1, -1):
-        s = surplus(j)
-        cont = tree.kernels[j] @ values[j + 1]
-        stop_set[j] = s > cont + tie_eps
-        values[j] = np.maximum(s, cont)
-    value = float(tree.root_dist @ values[0]) if len(tree.root_dist) > 1 \
-        else float(tree.root_dist[0] * values[0][0])
-
-    # forward pass: lambda = E[U at stopping] - U(mu0, 0)
-    mass = tree.root_dist.copy()
-    exp_u = 0.0
-    for j in range(n):
-        stopped = stop_set[j]
-        if stopped.any():
-            mu = tree.beliefs[j][stopped]
-            exp_u += float((mass[stopped] * (mu * a1[j] + (1.0 - mu) * a0[j])).sum())
-        if j < n - 1:
-            mass = np.where(stopped, 0.0, mass) @ tree.kernels[j]
-    lam = exp_u - outside
-    return AdaptivePolicy(tree, tuple(stop_set), lam, value, mu0, outside)
+    values, stop_set = backward(tree, surplus, tie_eps=tie_eps)
+    value = float(tree.root_dist @ values[0])
+    # lambda = E[U at stopping] - U(mu0, 0)
+    exp_u = sum(float((m[st] * u[st]).sum())
+                for m, st, u in zip(forward(tree, stop_set), stop_set, U))
+    return AdaptivePolicy(tree, stop_set, exp_u - outside, value, mu0, outside)
 
 
 @dataclass(frozen=True)
@@ -99,19 +77,47 @@ class BinaryExperiment:
         return abs(self.p_given_good - self.p_given_bad) > 1e-15
 
 
-def _odds(mu):
-    return mu / (1.0 - mu)
+def random_experiment(rng: np.random.Generator, n: int) -> BinaryExperiment:
+    """Seeded stress-test experiment on an n-level grid: signal accuracies
+    drawn from [0.05, 0.95] at least 0.05 apart (else q is nudged up), on 1
+    to min(4, n) - 1 distinct levels."""
+    p = float(rng.uniform(0.05, 0.95))
+    q = float(rng.uniform(0.05, 0.95))
+    if abs(p - q) < 0.05:
+        q = min(0.95, q + 0.1)
+    levels = rng.choice(n, size=int(rng.integers(1, min(4, n))), replace=False)
+    return BinaryExperiment(p, q, tuple(int(l) for l in levels))
+
+
+def _posterior(b, w, m, p, q):
+    """Beliefs b after w up-signals out of m (P(up | theta=1) = p,
+    P(up | theta=0) = q), by Bayes' rule in odds form.
+
+    Beliefs 0 and 1 stay fixed; a signal history impossible under theta = 0
+    sends the belief to 1, and one impossible under theta = 1 to 0.
+    """
+    den = q ** w * (1 - q) ** (m - w)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        num = b / (1.0 - b) * p ** w * (1 - p) ** (m - w)
+        if den == 0.0:
+            post = np.where(num == 0.0, b, 1.0)
+        else:
+            odds = num / den
+            post = np.where(num == 0.0, 0.0,
+                            np.where(np.isfinite(odds), odds / (1.0 + odds), 1.0))
+    return np.where((b <= 0.0) | (b >= 1.0), b, post)
 
 
 def refine_process(tree: DiscreteLearningProcess,
                    experiment: BinaryExperiment) -> DiscreteLearningProcess:
     """Agent process that observes the planner's tree plus an extra signal.
 
-    Agent nodes at level j are pairs (planner node i, up-signal count w);
-    beliefs combine the planner posterior with the signal likelihood ratio,
-    and kernels reweight the planner's transitions by the agent's sharper
-    belief (Bayes-consistent, so the martingale property is preserved).
-    parent_map records i per agent node for quota alignment.
+    Agent nodes at level j are pairs (planner node i, up-signal count w),
+    numbered i * (m_j + 1) + w; beliefs combine the planner posterior with
+    the signal likelihood ratio, and kernels reweight the planner's
+    transitions by the agent's sharper belief (Bayes-consistent, so the
+    martingale property is preserved).  parent_map records i per agent node
+    for quota alignment.
     """
     if not experiment.informative:
         ident = tuple(np.arange(len(b)) for b in tree.beliefs)
@@ -119,67 +125,41 @@ def refine_process(tree: DiscreteLearningProcess,
                                        tree.root_dist, tree.mu0, ident)
     p, q = experiment.p_given_good, experiment.p_given_bad
     n = tree.grid.n
-    lvls = set(l for l in experiment.levels if 0 <= l < n)
-    m_at = np.cumsum([1 if j in lvls else 0 for j in range(n)])  # signals by level j
+    fires = np.isin(np.arange(n), experiment.levels)
+    m_at = np.cumsum(fires)                 # signals observed by level j
+    # per level: (planner node, up-count) belief table
+    post = [np.stack([_posterior(b, w, m, p, q) for w in range(m + 1)], axis=1)
+            for b, m in zip(tree.beliefs, m_at.tolist())]
+    parent = tuple(np.repeat(np.arange(len(t)), t.shape[1]) for t in post)
 
-    def belief(b, w, m):
-        if b <= 0.0 or b >= 1.0:
-            return b
-        num = _odds(b) * p ** w * (1 - p) ** (m - w)
-        den = q ** w * (1 - q) ** (m - w)
-        if den == 0.0:
-            # this signal history is impossible under theta = 0
-            return b if num == 0.0 else 1.0
-        if num == 0.0:
-            return 0.0
-        odds = num / den
-        return odds / (1.0 + odds) if np.isfinite(odds) else 1.0
-
-    beliefs, parent, sizes = [], [], []
-    for j in range(n):
-        m = int(m_at[j])
-        bj, pj = [], []
-        for i, b in enumerate(tree.beliefs[j]):
-            for w in range(m + 1):
-                bj.append(belief(float(b), w, m))
-                pj.append(i)
-        beliefs.append(np.array(bj))
-        parent.append(np.array(pj, dtype=int))
-        sizes.append(m + 1)
-
-    def node(j, i, w):
-        return i * sizes[j] + w
-
-    # root: split the root distribution if a signal fires at level 0
-    if 0 in lvls:
-        root = np.zeros(len(beliefs[0]))
-        for i, b in enumerate(tree.beliefs[0]):
-            pr_up = b * p + (1 - b) * q
-            root[node(0, i, 1)] = tree.root_dist[i] * pr_up
-            root[node(0, i, 0)] = tree.root_dist[i] * (1 - pr_up)
+    if fires[0]:
+        b = tree.beliefs[0]
+        pr_up = b * p + (1 - b) * q
+        root = np.stack([tree.root_dist * (1 - pr_up),
+                         tree.root_dist * pr_up], axis=1).ravel()
     else:
         root = tree.root_dist.copy()
 
     kernels = []
     for j in range(n - 1):
-        fires = (j + 1) in lvls
-        K = np.zeros((len(beliefs[j]), len(beliefs[j + 1])))
-        base = tree.kernels[j]
-        for i, b in enumerate(tree.beliefs[j]):
-            for w in range(sizes[j]):
-                mu = beliefs[j][node(j, i, w)]
-                for ip in np.nonzero(base[i] > 0)[0]:
-                    bp = float(tree.beliefs[j + 1][ip])
-                    # planner transition probability given each state
-                    k1 = base[i, ip] * (bp / b) if b > 0 else base[i, ip]
-                    k0 = base[i, ip] * ((1 - bp) / (1 - b)) if b < 1 else base[i, ip]
-                    pr1 = mu * k1          # joint with theta = 1
-                    pr0 = (1 - mu) * k0
-                    if fires:
-                        K[node(j, i, w), node(j + 1, ip, w + 1)] += pr1 * p + pr0 * q
-                        K[node(j, i, w), node(j + 1, ip, w)] += pr1 * (1 - p) + pr0 * (1 - q)
-                    else:
-                        K[node(j, i, w), node(j + 1, ip, w)] += pr1 + pr0
+        b, bn, base = tree.beliefs[j][:, None], tree.beliefs[j + 1], tree.kernels[j]
+        # planner transition probability given each state
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k1 = np.where(b > 0, base * (bn / b), base)
+            k0 = np.where(b < 1, base * ((1 - bn) / (1 - b)), base)
+        k1 = np.where(base > 0, k1, 0.0)
+        k0 = np.where(base > 0, k0, 0.0)
+        mu = post[j]
+        K = np.zeros((*mu.shape, *post[j + 1].shape))
+        for w in range(mu.shape[1]):
+            pr1 = mu[:, w, None] * k1            # joint with theta = 1
+            pr0 = (1 - mu[:, w, None]) * k0
+            if fires[j + 1]:
+                K[:, w, :, w + 1] = pr1 * p + pr0 * q
+                K[:, w, :, w] = pr1 * (1 - p) + pr0 * (1 - q)
+            else:
+                K[:, w, :, w] = pr1 + pr0
+        K = K.reshape(mu.size, post[j + 1].size)
         # rows sum to 1 analytically; renormalize away float drift
         rs = K.sum(axis=1)
         if np.any(rs <= 1e-12):
@@ -188,8 +168,8 @@ def refine_process(tree: DiscreteLearningProcess,
         kernels.append(K)
 
     try:
-        return DiscreteLearningProcess(tree.grid, tuple(beliefs), tuple(kernels),
-                                       root, tree.mu0, tuple(parent))
+        return DiscreteLearningProcess(tree.grid, tuple(t.ravel() for t in post),
+                                       tuple(kernels), root, tree.mu0, parent)
     except DomainError as e:
         raise NotARefinementError(f"refinement is not Bayes-consistent: {e}")
 
@@ -216,40 +196,20 @@ def evaluate_adaptive(policy: AdaptivePolicy, agent_proc: DiscreteLearningProces
                 np.any(parent[j] >= len(tree.beliefs[j])):
             raise AlignmentError(f"parent_map at level {j} is inconsistent")
 
-    n = grid.n
     mu0 = agent_proc.mu0
     lam = policy.lambda_adaptive
     a1, a0 = agent.u1(grid.points), agent.u0(grid.points)
     p1, p0 = principal.u1(grid.points), principal.u0(grid.points)
     outside = float(mu0 * a1[0] + (1.0 - mu0) * a0[0])
 
-    def stop_u(j):
-        mu = agent_proc.beliefs[j]
-        return mu * a1[j] + (1.0 - mu) * a0[j] - lam
-
-    values = [None] * n
-    stops = [None] * n
-    forced = [np.asarray(policy.stop_set[j])[parent[j]] for j in range(n)]
-    values[n - 1] = stop_u(n - 1)
-    stops[n - 1] = np.ones(len(agent_proc.beliefs[n - 1]), dtype=bool)
-    for j in range(n - 2, -1, -1):
-        s = stop_u(j)
-        cont = agent_proc.kernels[j] @ values[j + 1]
-        stop = forced[j] | (s > cont + tie_eps)
-        values[j] = np.where(forced[j], s, np.maximum(s, cont))
-        stops[j] = stop
-
-    root_value = float(agent_proc.root_dist @ values[0])
-    if root_value < outside - 1e-9:
+    stop_u = [mu * a1[j] + (1.0 - mu) * a0[j] - lam
+              for j, mu in enumerate(agent_proc.beliefs)]
+    forced = [np.asarray(policy.stop_set[j])[parent[j]] for j in range(grid.n)]
+    values, stops = backward(agent_proc, stop_u, forced, tie_eps)
+    if float(agent_proc.root_dist @ values[0]) < outside - 1e-9:
         return float(mu0 * p1[0] + (1.0 - mu0) * p0[0])
-
-    mass = agent_proc.root_dist.copy()
     total = 0.0
-    for j in range(n):
-        st = stops[j]
-        if st.any():
-            mu = agent_proc.beliefs[j][st]
-            total += float((mass[st] * (mu * p1[j] + (1.0 - mu) * p0[j] + lam)).sum())
-        if j < n - 1:
-            mass = np.where(st, 0.0, mass) @ agent_proc.kernels[j]
+    for j, (mass, st) in enumerate(zip(forward(agent_proc, stops), stops)):
+        mu = agent_proc.beliefs[j][st]
+        total += float((mass[st] * (mu * p1[j] + (1.0 - mu) * p0[j] + lam)).sum())
     return total

@@ -10,6 +10,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import ConditionViolatedError, ConfigError, RobustQuotaError
 from .grid import LevelGrid, belief_grid
 from .processes import binomial_tree, no_learning
 from .robust import compute_joint_robust, compute_robust
-from .adaptive import BinaryExperiment, evaluate_adaptive, refine_process, \
+from .adaptive import evaluate_adaptive, random_experiment, refine_process, \
     solve_adaptive_quota
 
 
@@ -163,19 +164,10 @@ def cmd_adaptive(cfg: RunConfig, args) -> int:
     _write_csv(_outpath(args, "policy.csv"),
                ["node_id", "level", "belief", "stop"], rows)
 
-    seed = cfg.require_seed("adaptive")
-    rng = np.random.default_rng(seed)
-    n = cfg.grid.n
+    rng = np.random.default_rng(cfg.require_seed("adaptive"))
     worst = np.inf
     for _ in range(cfg.n_refinements):
-        p = float(rng.uniform(0.05, 0.95))
-        q = float(rng.uniform(0.05, 0.95))
-        if abs(p - q) < 0.05:
-            q = min(0.95, q + 0.1)
-        levels = tuple(int(l) for l in
-                       rng.choice(n, size=int(rng.integers(1, min(4, n))),
-                                  replace=False))
-        ref = refine_process(tree, BinaryExperiment(p, q, levels))
+        ref = refine_process(tree, random_experiment(rng, cfg.grid.n))
         worst = min(worst, evaluate_adaptive(policy, ref, cfg.agent,
                                              cfg.principal))
     payload = {"value": policy.value, "lambda": policy.lambda_adaptive,
@@ -223,16 +215,9 @@ def main(argv=None) -> int:
             raise ConfigError(f"'{args.command}' requires --config")
         cfg = load_config(args.config)
         if args.grid_n is not None:
-            cfg = RunConfig(cfg.agent, cfg.principal, cfg.mechanism,
-                            LevelGrid(cfg.grid.l_max, args.grid_n), cfg.mu0,
-                            cfg.n_mu, cfg.seed, cfg.ambiguity, cfg.tree,
-                            cfg.mechanisms, cfg.sweep_l_max,
-                            cfg.n_refinements, cfg.tolerances)
+            cfg = replace(cfg, grid=LevelGrid(cfg.grid.l_max, args.grid_n))
         if args.seed is not None:
-            cfg = RunConfig(cfg.agent, cfg.principal, cfg.mechanism, cfg.grid,
-                            cfg.mu0, cfg.n_mu, args.seed, cfg.ambiguity,
-                            cfg.tree, cfg.mechanisms, cfg.sweep_l_max,
-                            cfg.n_refinements, cfg.tolerances)
+            cfg = replace(cfg, seed=args.seed)
         handler = {"check": cmd_check, "robust": cmd_robust,
                    "worstcase": cmd_worstcase, "gap": cmd_gap,
                    "adaptive": cmd_adaptive}[args.command]

@@ -14,8 +14,7 @@ Schema (all nesting literal; unknown keys are rejected):
                       "p_good": float, "p_bad": float},      # optional
       "mechanisms":  [<mechanism>, ...],           # optional (gap tables)
       "sweep":       {"l_max": [float, ...]},      # optional (gap tables)
-      "refinements": {"count": int},               # optional
-      "tolerances":  {<name>: float, ...}          # optional
+      "refinements": {"count": int}                # optional
     }
 
 <payoff> is {"family": "quadratic"|"cara"|"crra"|"tabulated", ...}; <mechanism>
@@ -24,7 +23,7 @@ is {"type": "zero"|"fixed_tax_hard_quota"|"linear"|"exponential"|"tabulated",
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError, DomainError
@@ -33,8 +32,7 @@ from .mechanisms import Mechanism, Zero, mechanism_from_dict
 from .payoffs import PayoffSpec, payoff_from_dict
 
 _TOP_KEYS = {"payoff", "mechanism", "grid", "belief_grid", "prior", "seed",
-             "ambiguity", "tree", "mechanisms", "sweep", "refinements",
-             "tolerances"}
+             "ambiguity", "tree", "mechanisms", "sweep", "refinements"}
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,6 @@ class RunConfig:
     mechanisms: Optional[tuple] = None
     sweep_l_max: Optional[tuple] = None
     n_refinements: int = 50
-    tolerances: dict = field(default_factory=dict)
 
     def require_seed(self, command: str) -> int:
         if self.seed is None:
@@ -141,10 +138,5 @@ def parse_config(raw: dict) -> RunConfig:
         _check_keys(raw["refinements"], {"count"}, "'refinements'")
         n_ref = int(_require(raw["refinements"], "count", "'refinements'"))
 
-    tol = raw.get("tolerances", {})
-    if not isinstance(tol, dict) or not all(isinstance(v, (int, float))
-                                            for v in tol.values()):
-        raise ConfigError("'tolerances' must map names to numbers")
-
     return RunConfig(agent, principal, mech, grid, mu0, n_mu, seed, ambiguity,
-                     tree, mechanisms, sweep, n_ref, dict(tol))
+                     tree, mechanisms, sweep, n_ref)

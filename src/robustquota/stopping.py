@@ -1,5 +1,6 @@
-"""Agent optimal stopping by backward induction, principal evaluation, and
-seeded path simulation."""
+"""The layered-DAG stopping engine (backward induction and forward stopped
+mass), the agent's optimal stopping problem, principal evaluation, and seeded
+path simulation."""
 
 from dataclasses import dataclass, field
 from typing import List, Tuple
@@ -12,13 +13,53 @@ from .payoffs import PayoffSpec
 from .processes import DiscreteLearningProcess
 
 
+def backward(proc: DiscreteLearningProcess, stop_payoff, forced=None,
+             tie_eps: float = 1e-9):
+    """Backward induction over levels 0..end = len(stop_payoff) - 1.
+
+    A node stops when its stop payoff beats the expected value of the next
+    level by more than tie_eps, so ties go to continuing.  `forced` (per
+    level boolean arrays) stops nodes regardless of the comparison and values
+    them at the stop payoff.  The last level is a forced stop.  Returns the
+    per-level tuples (values, stop_set).
+    """
+    end = len(stop_payoff) - 1
+    values = [None] * (end + 1)
+    stop_set = [None] * (end + 1)
+    values[end] = np.array(stop_payoff[end], dtype=float)
+    stop_set[end] = np.ones(len(values[end]), dtype=bool)
+    for j in range(end - 1, -1, -1):
+        s = stop_payoff[j]
+        cont = proc.kernels[j] @ values[j + 1]
+        stop_set[j] = s > cont + tie_eps
+        values[j] = np.maximum(s, cont)
+        if forced is not None:
+            stop_set[j] |= forced[j]
+            values[j] = np.where(forced[j], s, values[j])
+    return tuple(values), tuple(stop_set)
+
+
+def forward(proc: DiscreteLearningProcess, stop_set) -> List[np.ndarray]:
+    """Mass that stops at each node of levels 0..len(stop_set) - 1 (zero at
+    continuing nodes), pushed from the root distribution through the
+    kernels."""
+    stopped = []
+    mass = proc.root_dist
+    for j, st in enumerate(stop_set):
+        stopped.append(np.where(st, mass, 0.0))
+        if j + 1 < len(stop_set):
+            mass = np.where(st, 0.0, mass) @ proc.kernels[j]
+    return stopped
+
+
 @dataclass(frozen=True)
 class StoppingSolution:
     """Backward-induction solution of the agent's problem.
 
     `values`/`stop_set` run over levels 0..end (the last allowed level under
     the mechanism's quota); `joint` is the induced distribution over
-    (stopping belief, stopping level) as parallel arrays.
+    (stopping belief, stopping level) as parallel arrays, with the grid index
+    of each stopping level in `joint_index`.
     """
 
     proc: DiscreteLearningProcess = field(repr=False)
@@ -28,6 +69,7 @@ class StoppingSolution:
     joint_belief: np.ndarray
     joint_level: np.ndarray
     joint_mass: np.ndarray
+    joint_index: np.ndarray
     root_value: float
     outside_option: float
     participation: bool
@@ -54,44 +96,24 @@ def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec, m: Mechanis
 
     stop_payoff = [proc.beliefs[j] * a1[j] + (1.0 - proc.beliefs[j]) * a0[j]
                    for j in range(end + 1)]
-
-    values: List[np.ndarray] = [None] * (end + 1)
-    stop_set: List[np.ndarray] = [None] * (end + 1)
-    values[end] = stop_payoff[end].copy()
-    stop_set[end] = np.ones(len(proc.beliefs[end]), dtype=bool)
-    for j in range(end - 1, -1, -1):
-        cont = proc.kernels[j] @ values[j + 1]
-        stop = stop_payoff[j] > cont + tie_eps
-        values[j] = np.maximum(stop_payoff[j], cont)
-        stop_set[j] = stop
+    values, stop_set = backward(proc, stop_payoff, tie_eps=tie_eps)
 
     root_value = float(proc.root_dist @ values[0])
     outside = float(agent.indirect(proc.mu0, 0.0))
     participation = root_value >= outside - participation_tol
 
-    # forward pass: mass stopped at each (node, level)
-    jb, jl, jm = [], [], []
-    mass = proc.root_dist.copy()
-    for j in range(end + 1):
-        stopped = stop_set[j]
-        if stopped.any():
-            for i in np.nonzero(stopped & (mass > 0))[0]:
-                jb.append(float(proc.beliefs[j][i]))
-                jl.append(float(grid.points[j]))
-                jm.append(float(mass[i]))
-        if j < end:
-            flowing = np.where(stopped, 0.0, mass)
-            mass = flowing @ proc.kernels[j]
-
-    joint_belief = np.array(jb)
-    joint_level = np.array(jl)
-    joint_mass = np.array(jm)
+    # atoms in (level, node) order: the supports of levels 0..end back to back
+    stopped = np.concatenate(forward(proc, stop_set))
+    atoms = np.nonzero(stopped > 0)[0]
+    joint_index = np.repeat(np.arange(end + 1), [len(s) for s in stop_set])[atoms]
+    joint_belief = np.concatenate(proc.beliefs[:end + 1])[atoms]
+    joint_mass = stopped[atoms]
     total = joint_mass.sum()
     if abs(total - 1.0) > 1e-12:
         raise RobustQuotaError(f"joint stopping mass {total} != 1")
 
-    return StoppingSolution(proc, end, tuple(values), tuple(stop_set),
-                            joint_belief, joint_level, joint_mass,
+    return StoppingSolution(proc, end, values, stop_set, joint_belief,
+                            grid.points[joint_index], joint_mass, joint_index,
                             root_value, outside, participation, proc.mu0)
 
 
@@ -106,30 +128,11 @@ def principal_value(sol: StoppingSolution, principal: PayoffSpec, m: Mechanism) 
     if not sol.participation:
         return float(principal.indirect(sol.mu0, 0.0))
     p1, p0, proh = adjusted_profiles(principal, m, "principal", grid)
-    idx = np.array([grid.index_of(l) for l in sol.joint_level], dtype=int)
+    idx = sol.joint_index
     if proh[idx].any():
         raise RobustQuotaError("stopping mass on a prohibited level")
     vals = sol.joint_belief * p1[idx] + (1.0 - sol.joint_belief) * p0[idx]
     return float(vals @ sol.joint_mass)
-
-
-def _deterministic_outcome(proc, sol):
-    """(belief, level) when every path is the same (one-hot kernels, atom root)."""
-    if len(proc.root_dist) != 1:
-        root_one_hot = np.count_nonzero(proc.root_dist > 0) == 1
-        if not root_one_hot:
-            return None
-        node = int(np.argmax(proc.root_dist))
-    else:
-        node = 0
-    for j in range(sol.end + 1):
-        if sol.stop_set[j][node]:
-            return float(proc.beliefs[j][node]), float(proc.grid.points[j])
-        row = proc.kernels[j][node]
-        if np.count_nonzero(row > 0) != 1:
-            return None
-        node = int(np.argmax(row))
-    raise AssertionError("unreachable: forced stop at the end")
 
 
 def simulate(proc: DiscreteLearningProcess, sol: StoppingSolution, n_paths: int,
@@ -142,11 +145,6 @@ def simulate(proc: DiscreteLearningProcess, sol: StoppingSolution, n_paths: int,
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
-    det = _deterministic_outcome(proc, sol)
-    if det is not None:
-        b, l = det
-        return np.array([l]), np.array([b]), np.array([1.0])
-
     root_cdf = np.cumsum(proc.root_dist)
     kernel_cdfs = [np.cumsum(k, axis=1) for k in proc.kernels]
     counts = {}

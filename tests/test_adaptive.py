@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustquota import (AlignmentError, BinaryExperiment, LevelGrid,
                          binomial_tree, cara_pair, compute_robust,
                          evaluate_adaptive, no_learning, quadratic_pair,
-                         refine_process, solve_adaptive_quota)
+                         random_tree, refine_process, solve_adaptive_quota)
 
 AGENT, PRINCIPAL = quadratic_pair(1.0, 1.0, 1.0)
 GRID = LevelGrid(2.0, 9)
@@ -92,3 +94,97 @@ def test_mismatched_grid_rejected():
     other = binomial_tree(0.6, LevelGrid(2.0, 5))
     with pytest.raises(AlignmentError):
         evaluate_adaptive(pol, other, AGENT, PRINCIPAL)
+
+
+_SIGNAL_PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 12),
+       mu0=st.floats(0.05, 0.95), p=_SIGNAL_PROB, q=_SIGNAL_PROB,
+       levels=st.lists(st.integers(0, 11), max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_refinement_projects_onto_tree(seed, n, mu0, p, q, levels):
+    """Random trees hold beliefs 0 and 1, so every edge rule of the Bayes
+    update runs.  Summing the refined level masses over each planner node
+    gives the tree's level masses, and the refined agent never leaves the
+    principal below the DP value."""
+    grid = LevelGrid(2.0, n)
+    tree = random_tree(mu0, grid, seed)
+    ref = refine_process(tree, BinaryExperiment(p, q, tuple(levels)))
+    tree_mass, ref_mass = tree.root_dist, ref.root_dist
+    for j in range(n):
+        if j:
+            tree_mass = tree_mass @ tree.kernels[j - 1]
+            ref_mass = ref_mass @ ref.kernels[j - 1]
+        proj = np.bincount(ref.parent_map[j], weights=ref_mass,
+                           minlength=len(tree_mass))
+        np.testing.assert_allclose(proj, tree_mass, rtol=0, atol=1e-12)
+    pol = solve_adaptive_quota(tree, AGENT, PRINCIPAL)
+    assert evaluate_adaptive(pol, ref, AGENT, PRINCIPAL) >= pol.value - 1e-8
+
+
+def _refine_by_loops(tree, p, q, levels):
+    """Node-by-node reference for refine_process: scalar Bayes updates and
+    one kernel entry per (node, signal count, successor)."""
+    n = tree.grid.n
+    m_at = np.cumsum([j in levels for j in range(n)])
+
+    def belief(b, w, m):
+        if b <= 0.0 or b >= 1.0:
+            return b
+        num = b / (1.0 - b) * p ** w * (1 - p) ** (m - w)
+        den = q ** w * (1 - q) ** (m - w)
+        if den == 0.0:
+            return b if num == 0.0 else 1.0
+        if num == 0.0:
+            return 0.0
+        odds = num / den
+        return odds / (1.0 + odds) if np.isfinite(odds) else 1.0
+
+    beliefs = [np.array([belief(float(b), w, int(m)) for b in bl
+                         for w in range(m + 1)])
+               for bl, m in zip(tree.beliefs, m_at)]
+    root = tree.root_dist.copy()
+    if 0 in levels:
+        pr_up = tree.beliefs[0] * p + (1 - tree.beliefs[0]) * q
+        root = np.ravel([(r * (1 - u), r * u)
+                         for r, u in zip(tree.root_dist, pr_up)])
+    kernels = []
+    for j in range(n - 1):
+        s, sn = m_at[j] + 1, m_at[j + 1] + 1
+        K = np.zeros((len(beliefs[j]), len(beliefs[j + 1])))
+        base = tree.kernels[j]
+        for i, b in enumerate(tree.beliefs[j]):
+            for w in range(s):
+                mu = beliefs[j][i * s + w]
+                for ip in np.nonzero(base[i] > 0)[0]:
+                    bp = float(tree.beliefs[j + 1][ip])
+                    k1 = base[i, ip] * (bp / b) if b > 0 else base[i, ip]
+                    k0 = base[i, ip] * ((1 - bp) / (1 - b)) if b < 1 else base[i, ip]
+                    pr1, pr0 = mu * k1, (1 - mu) * k0
+                    if sn > s:
+                        K[i * s + w, ip * sn + w + 1] = pr1 * p + pr0 * q
+                        K[i * s + w, ip * sn + w] = pr1 * (1 - p) + pr0 * (1 - q)
+                    else:
+                        K[i * s + w, ip * sn + w] = pr1 + pr0
+        kernels.append(K / K.sum(axis=1)[:, None])
+    parent = [np.repeat(np.arange(len(bl)), m + 1)
+              for bl, m in zip(tree.beliefs, m_at)]
+    return beliefs, kernels, root, parent
+
+
+@pytest.mark.parametrize("make_tree", [
+    lambda g: binomial_tree(0.6, g), lambda g: random_tree(0.6, g, 3),
+    lambda g: random_tree(0.3, g, 8), lambda g: no_learning(0.6, g)],
+    ids=["binomial", "random3", "random8", "no_learning"])
+@pytest.mark.parametrize("p,q,levels", [(0.8, 0.3, (0, 3)), (1.0, 0.0, (2,)),
+                                        (0.6, 0.0, (1, 5, 6)),
+                                        (0.3, 0.9, (0,))])
+def test_refinement_matches_loop_reference_bitwise(make_tree, p, q, levels):
+    tree = make_tree(GRID)
+    ref = refine_process(tree, BinaryExperiment(p, q, levels))
+    beliefs, kernels, root, parent = _refine_by_loops(tree, p, q, levels)
+    for got, want in [(ref.beliefs, beliefs), (ref.kernels, kernels),
+                      ((ref.root_dist,), (root,)), (ref.parent_map, parent)]:
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -99,9 +99,12 @@ def test_require_seed():
     assert parse_config(_cfg(seed=7)).require_seed("adaptive") == 7
 
 
-def test_tolerances_must_be_numeric():
-    with pytest.raises(ConfigError, match="tolerances"):
-        parse_config(_cfg(tolerances={"gap": "small"}))
+@pytest.mark.parametrize("value", [{"gap": "small"}, {}],
+                         ids=["non_numeric", "empty"])
+def test_tolerances_key_rejected(value):
+    """The library reads no tolerance override, so the key is unknown."""
+    with pytest.raises(ConfigError, match="unknown key.*tolerances"):
+        parse_config(_cfg(tolerances=value))
 
 
 def test_load_config_bad_json(tmp_path):

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustquota import (CARA, EmptyMechanismError, FixedTaxHardQuota,
-                         LevelGrid, TabulatedMechanism, Zero, agent_value,
-                         cara_pair, full_revelation, no_learning,
+                         LevelGrid, TabulatedMechanism, Zero, adjusted_profiles,
+                         agent_value, cara_pair, compute_robust,
+                         full_revelation, no_learning,
                          one_shot_level, principal_value, quadratic_pair,
                          random_tree, simulate, single_split, solve_stopping)
 from robustquota.adversary import indifference_G
+from robustquota.stopping import backward, forward
 
 
 def test_no_learning_under_robust_mechanism_binds():
@@ -121,3 +123,41 @@ def test_simulate_within_dkw_band():
         emp = mass[levels <= q + 1e-12].sum()
         ex = exact_m[exact_lv <= q + 1e-12].sum()
         assert abs(emp - ex) <= eps
+
+
+def test_backward_forced_stop_takes_stop_payoff():
+    """A forced node stops and is valued at its stop payoff even where
+    continuing pays more, and that value is what earlier levels see."""
+    proc = no_learning(0.5, LevelGrid(1.0, 3))
+    payoff = [np.array([1.0]), np.array([0.0]), np.array([5.0])]
+    values, stop_set = backward(proc, payoff)
+    assert [v[0] for v in values] == [5.0, 5.0, 5.0]
+    assert [s[0] for s in stop_set] == [False, False, True]
+    forced = [np.array([False]), np.array([True]), np.array([True])]
+    values, stop_set = backward(proc, payoff, forced)
+    assert [v[0] for v in values] == [1.0, 0.0, 5.0]
+    assert [s[0] for s in stop_set] == [True, True, True]
+    assert [m[0] for m in forward(proc, stop_set)] == [1.0, 0.0, 0.0]
+
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 15),
+       mu0=st.floats(0.05, 0.95), family=st.sampled_from(["quadratic", "cara"]),
+       robust=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_backward_value_is_forward_expectation(seed, n, mu0, family, robust):
+    """The root value of backward induction is the expected stop payoff
+    under the forward stopping law, up to the near-ties that continue while
+    valued at the stop payoff (at most tie_eps per level)."""
+    agent, principal = quadratic_pair(1.0, 1.0, 1.0) if family == "quadratic" \
+        else cara_pair(1.0, 3.0)
+    grid = LevelGrid(2.0, n)
+    m = compute_robust(agent, principal, mu0, grid).mechanism if robust \
+        else Zero()
+    sol = solve_stopping(random_tree(mu0, grid, seed), agent, m)
+    assert sol.participation
+    idx = sol.joint_index
+    assert np.array_equal(grid.points[idx], sol.joint_level)
+    a1, a0, _ = adjusted_profiles(agent, m, "agent", grid)
+    stop_u = sol.joint_belief * a1[idx] + (1.0 - sol.joint_belief) * a0[idx]
+    scale = max(np.abs(a1[:sol.end + 1]).max(), np.abs(a0[:sol.end + 1]).max())
+    assert abs(sol.root_value - stop_u @ sol.joint_mass) \
+        <= sol.end * 1e-9 + 1e-12 * scale
