@@ -15,7 +15,7 @@ from .badnews import (BadNewsProcess, ObedienceReport, effective_end,
                       obedience_check, obedience_slacks)
 from .checks import (AmbiguitySet, AssumptionReport, RatioReport,
                      check_assumptions, one_shot_level, one_shot_levels,
-                     pseudo_inverse_belief, risk_ratio_condition)
+                     pseudo_inverse_beliefs, risk_ratio_condition)
 from .config import RunConfig, load_config, parse_config
 from .errors import (AlignmentError, BudgetExceededError,
                      ConditionViolatedError, ConfigError,

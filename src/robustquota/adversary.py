@@ -2,14 +2,12 @@
 the dual certificate, a brute-force tree oracle, and payoff gaps."""
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .badnews import (BadNewsProcess, effective_end, obedience_check,
-                      obedience_slacks)
+from .badnews import BadNewsProcess, effective_end, obedience_slacks
 from .checks import one_shot_levels, risk_ratio_condition
 from .errors import (BudgetExceededError, ConditionViolatedError, DomainError,
                      InfeasibleLPError)
@@ -112,6 +110,17 @@ def _binding_construction(a0: np.ndarray, b: np.ndarray,
         C += a0l[j + 1] * gnext
     g[0] = target - A
     return g
+
+
+def _obedient_construction(a1: np.ndarray, a0: np.ndarray, b: np.ndarray,
+                           mu0: float) -> Optional[np.ndarray]:
+    """The binding-obedience increments, or None where the construction
+    fails or breaks obedience by more than 1e-8 of the payoff scale."""
+    g = _binding_construction(a0, b, mu0)
+    scale = max(1.0, float(np.abs(a0).max()), float(np.abs(a1).max()))
+    if g is not None and obedience_slacks(g, a1, a0, mu0).min() >= -1e-8 * scale:
+        return g
+    return None
 
 
 def _support_start(g: np.ndarray) -> int:
@@ -221,7 +230,9 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     HiGHS.
     solver="highs" forces the sparse LP; solver="simplex" solves the dense
     formulation with the package's tableau simplex, an independent
-    cross-check for small grids.
+    cross-check for small grids.  A solution that breaks an obedience row by
+    more than 1e-9 of the row's terms, or a HiGHS solution whose multipliers
+    are not dual feasible, raises ConditionViolatedError.
     """
     if not 0.0 < mu0 < 1.0:
         raise DomainError("worst-case search needs an interior prior")
@@ -241,9 +252,8 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     route, iters, gap = solver, 0, None
     if solver == "auto":
         route = "highs"
-        g = _binding_construction(a0, b, mu0)
-        if g is not None and \
-                obedience_slacks(g, a1, a0, mu0).min() >= -1e-8 * scale:
+        g = _obedient_construction(a1, a0, b, mu0)
+        if g is not None:
             g, value = finish(g)
             y, t = _exact_dual(c, a0, _support_start(g))
             gap = _certified_gap(value, y, t, c, a0, b, mu0, p1[-1])
@@ -253,23 +263,31 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
         g, y, t, iters = _sparse_lp(c, a0, a1, b, mu0)
         g, value = finish(g)
         gap = _certified_gap(value, y, t, c, a0, b, mu0, p1[-1])
+        if gap is None:
+            raise ConditionViolatedError(
+                "HiGHS multipliers are not dual feasible; the LP value is not "
+                "certified at this payoff range")
     elif route == "simplex":
         res = solve_lp(c, np.triu(a0[:, None] - a0[None, :]), b,
                        [np.ones(end + 1)], [1.0 - mu0])
         g, value = finish(res.x)
         iters = res.n_iter
 
-    G = np.cumsum(g)
-    G[-1] = 1.0 - mu0
-    bn = BadNewsProcess(grid, G, mu0, end)
     slacks = obedience_slacks(g, a1, a0, mu0)
-    if float(-slacks.min()) > 1e-6 * scale:
-        warnings.warn("LP solution violates obedience beyond tolerance; the "
-                      "value is unreliable at this payoff range (consider the "
-                      "indifference construction)", RuntimeWarning)
+    # each row to 1e-9 of the size of its terms, as in _certified_gap
+    size = (np.abs(b) + np.cumsum((np.abs(a0) * g)[::-1])[::-1]
+            + np.abs(a0) * np.cumsum(g[::-1])[::-1])
+    bad = slacks < -1e-9 * size
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ConditionViolatedError(
+            f"{route} solution violates obedience at level index {j} by "
+            f"{-slacks[j]:.3g}, beyond 1e-9 of its terms ({size[j]:.3g}); the "
+            "value is not trustworthy at this payoff range")
     binding = np.nonzero(np.abs(slacks) <= 1e-7 * scale)[0]
-    return BadNewsLPResult(bn, value, premise_ok, iters, route,
-                           None if gap is None else float(gap), binding, c)
+    return BadNewsLPResult(BadNewsProcess(grid, g, mu0, end), value, premise_ok,
+                           iters, route, None if gap is None else float(gap),
+                           binding, c)
 
 
 def badnews_value(bn: BadNewsProcess, agent: PayoffSpec, principal: PayoffSpec,
@@ -280,8 +298,7 @@ def badnews_value(bn: BadNewsProcess, agent: PayoffSpec, principal: PayoffSpec,
     p1, p0, _ = adjusted_profiles(principal, m, "principal", grid)
     e = bn.end
     stop_idx = stop_rule_at_zero(a0[:e + 1])
-    g = bn.increments()
-    return float(bn.mu0 * p1[e] + p0[:e + 1][stop_idx] @ g)
+    return float(bn.mu0 * p1[e] + p0[:e + 1][stop_idx] @ bn.g)
 
 
 @dataclass(frozen=True)
@@ -293,37 +310,24 @@ class IndifferenceResult:
 
 
 def indifference_G(agent: PayoffSpec, m: Mechanism, grid: LevelGrid,
-                   mu0: float, principal: Optional[PayoffSpec] = None) -> IndifferenceResult:
+                   mu0: float, principal: PayoffSpec) -> IndifferenceResult:
     """Construct the bad-news process with binding obedience on [L_low, l_max).
 
     Solves the triangular system top-down: the row at level j pins the
     arrival increment at level j+1.  Mass accumulates going down; the level
     where it reaches 1-mu0 is L_low.  Falls back to the LP when increments go
-    negative or the result is disobedient (requires `principal` for values).
+    negative or the result is disobedient.
     """
     if not 0.0 < mu0 < 1.0:
         raise DomainError("construction needs an interior prior")
-    end = effective_end(m, grid)
-    a1, a0, _ = adjusted_profiles(agent, m, "agent", grid)
-    a1, a0 = a1[:end + 1], a0[:end + 1]
-    g = _binding_construction(a0, mu0 * (a1[-1] - a1), mu0)
-    if g is not None:
-        G = np.cumsum(g)
-        G[-1] = 1.0 - mu0
-        bn = BadNewsProcess(grid, G, mu0, end)
-        if obedience_check(bn, agent, m, tol=1e-8).ok:
-            jbar = _support_start(g)
-            return IndifferenceResult(bn, float(grid.points[jbar]), jbar, False)
-
-    warnings.warn("indifference construction infeasible; falling back to the "
-                  "bad-news LP", RuntimeWarning)
-    if principal is None:
-        raise ConditionViolatedError(
-            "indifference construction infeasible and no principal payoff "
-            "was given for the LP fallback")
-    lp = solve_badnews_lp(agent, principal, m, grid, mu0)
-    jbar = _support_start(lp.bn.increments())
-    return IndifferenceResult(lp.bn, float(grid.points[jbar]), jbar, True)
+    end, a1, a0, _, _, _, b = _lp_data(agent, principal, m, grid, mu0)
+    g = _obedient_construction(a1, a0, b, mu0)
+    if g is None:
+        bn = solve_badnews_lp(agent, principal, m, grid, mu0).bn
+    else:
+        bn = BadNewsProcess(grid, g, mu0, end)
+    jbar = _support_start(bn.g)
+    return IndifferenceResult(bn, float(grid.points[jbar]), jbar, g is None)
 
 
 @dataclass(frozen=True)
@@ -358,9 +362,9 @@ def dual_certificate(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     if not ratio.nondecreasing:
         raise ConditionViolatedError(
             f"marginal-ratio condition fails at {ratio.witness}")
-    ind = indifference_G(agent, m, grid, mu0, principal)
-    jbar = ind.lbar_index
     end, a1, a0, p1, p0, c, gbar = _lp_data(agent, principal, m, grid, mu0)
+    lp = solve_badnews_lp(agent, principal, m, grid, mu0)
+    jbar = _support_start(lp.bn.g)
 
     dU = np.diff(a0)
     if np.any(np.abs(dU) <= 1e-15 * max(1.0, float(np.abs(a0).max()))):
@@ -393,12 +397,12 @@ def dual_certificate(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     dual_value = float(-(y @ gbar))
     dual_bound = float(mu0 * p1[-1] + (1.0 - mu0) * t + dual_value)
 
-    lp = solve_badnews_lp(agent, principal, m, grid, mu0)
-    slacks = obedience_slacks(lp.bn.increments(), a1, a0, mu0)
-    carrying = lp.bn.increments() > 1e-12
+    slacks = obedience_slacks(lp.bn.g, a1, a0, mu0)
+    carrying = lp.bn.g > 1e-12
     comp = float(np.abs(slacks[carrying]).max()) if carrying.any() else 0.0
-    return DualCertificate(Lambda, ind.lbar, dual_value, dual_bound,
-                           lp.value, lp.value - dual_bound, gbar, comp)
+    return DualCertificate(Lambda, float(grid.points[jbar]), dual_value,
+                           dual_bound, lp.value, lp.value - dual_bound, gbar,
+                           comp)
 
 
 @dataclass(frozen=True)

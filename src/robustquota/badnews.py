@@ -1,4 +1,4 @@
-"""Bad-news learning processes: conclusive negative signals with CDF G."""
+"""Bad-news learning processes: conclusive negative signals with increments g."""
 
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -14,53 +14,53 @@ from .processes import DiscreteLearningProcess
 
 @dataclass(frozen=True)
 class BadNewsProcess:
-    """Nondecreasing step CDF G on the grid with G(l_max) = 1 - mu0.
+    """Arrival increments g of conclusive bad news on the grid, total 1 - mu0.
 
     Conditional on no arrival by level l the belief drifts up along
-    lambda(l) = mu0 / (1 - G(l)); an arrival drops it to 0.
+    lambda(l) = mu0 / (1 - G(l)), G the cumulative arrival mass; an arrival
+    drops it to 0.
     """
 
     grid: LevelGrid
-    G: np.ndarray          # cumulative arrival mass at each grid point
+    g: np.ndarray          # arrival mass at each reachable grid point
     mu0: float
     #: levels beyond `end` are unreachable (quota-truncated grids); mass is
     #: forced to arrive or survive by grid point `end`
     end: Optional[int] = None
 
     def __post_init__(self):
-        G = np.asarray(self.G, dtype=float)
-        object.__setattr__(self, "G", G)
+        g = np.asarray(self.g, dtype=float)
+        object.__setattr__(self, "g", g)
         end = self.grid.n - 1 if self.end is None else int(self.end)
         object.__setattr__(self, "end", end)
         if not 0.0 < self.mu0 <= 1.0:
             raise DomainError("bad-news process needs a prior in (0, 1]")
-        if G.shape != (end + 1,):
-            raise DomainError("G must have one value per reachable grid point")
-        if np.any(np.diff(G) < -1e-12) or np.any(G < -1e-12):
-            raise DomainError("G must be nondecreasing and nonnegative")
-        if abs(G[-1] - (1.0 - self.mu0)) > 1e-12:
-            raise DomainError(f"G(l_end)={G[-1]} must equal 1-mu0={1.0 - self.mu0}")
+        if g.shape != (end + 1,):
+            raise DomainError("g must have one value per reachable grid point")
+        if np.any(g < -1e-12):
+            raise DomainError("arrival increments must be nonnegative")
+        if abs(g.sum() - (1.0 - self.mu0)) > 1e-12:
+            raise DomainError(f"sum(g)={g.sum()} must equal 1-mu0={1.0 - self.mu0}")
         lam = self.cont_belief()
         if np.any(lam > 1.0 + 1e-10):
             raise DomainError("continuation belief exceeded 1")
         # martingale identity (1-G) * lambda = mu0 holds by construction but
         # is asserted to guard the formula
-        if np.any(np.abs((1.0 - G) * lam - self.mu0) > 1e-10):
+        if np.any(np.abs((1.0 - self.G) * lam - self.mu0) > 1e-10):
             raise DomainError("martingale check failed")
 
-    def increments(self) -> np.ndarray:
-        g = np.diff(self.G, prepend=0.0)
-        return np.clip(g, 0.0, None)
+    @property
+    def G(self) -> np.ndarray:
+        """Cumulative arrival mass at each grid point; G(l_end) = 1 - mu0."""
+        G = np.cumsum(self.g)
+        G[-1] = 1.0 - self.mu0
+        return G
 
     def cont_belief(self) -> np.ndarray:
         """lambda(l_j) = mu0 / (1 - G(l_j)); 1 where all bad mass has arrived."""
         surv = 1.0 - self.G
         lam = np.where(surv > self.mu0 * 1e-15, self.mu0 / np.maximum(surv, 1e-300), 1.0)
         return np.minimum(lam, 1.0)
-
-    def support(self) -> np.ndarray:
-        """Grid levels carrying positive arrival mass."""
-        return self.grid.points[:self.end + 1][self.increments() > 1e-15]
 
     def to_process(self) -> DiscreteLearningProcess:
         """Two-node-per-level compact tree: {bad news (belief 0), surviving}.
@@ -72,7 +72,7 @@ class BadNewsProcess:
         n = self.grid.n
         lam_r = self.cont_belief()
         lam = np.concatenate([lam_r, np.full(n - 1 - self.end, lam_r[-1])])
-        G = np.concatenate([self.G, np.full(n - 1 - self.end, self.G[-1])])
+        G = np.concatenate([self.G, np.full(n - 1 - self.end, 1.0 - self.mu0)])
         surv = 1.0 - G
         beliefs = tuple(np.array([0.0, lam[j]]) for j in range(n))
         kernels = []
@@ -137,7 +137,7 @@ def obedience_check(bn: BadNewsProcess, agent: PayoffSpec, m: Mechanism,
     if bn.end > end:
         raise DomainError("bad-news process extends past the quota")
     e = bn.end
-    slacks = obedience_slacks(bn.increments(), a1[:e + 1], a0[:e + 1], bn.mu0)
+    slacks = obedience_slacks(bn.g, a1[:e + 1], a0[:e + 1], bn.mu0)
     scale = max(1.0, float(np.abs(a0[:e + 1]).max()), float(np.abs(a1[:e + 1]).max()))
     stol = tol * scale
     binding = np.nonzero(np.abs(slacks) <= stol)[0]

@@ -7,39 +7,22 @@ import numpy as np
 
 from .errors import DegenerateDerivativeError, DomainError, EmptyMechanismError
 from .grid import LevelGrid, belief_grid
-from .mechanisms import Mechanism, adjusted_profiles
+from .mechanisms import Mechanism, Zero, adjusted_profiles
 from .payoffs import PayoffSpec
 
 
-def _profiles(p: PayoffSpec, grid: LevelGrid, m: Optional[Mechanism], side: str):
-    if m is None:
-        pts = grid.points
-        return p.u1(pts), p.u0(pts), np.zeros(grid.n, dtype=bool)
-    return adjusted_profiles(p, m, side, grid)
-
-
-def _largest_argmax(vals: np.ndarray) -> int:
-    """Index of the last maximizer (ties broken toward more development)."""
-    return int(vals.shape[-1] - 1 - np.argmax(vals[::-1]))
-
-
 def one_shot_level(p: PayoffSpec, mu: float, grid: LevelGrid,
-                   m: Optional[Mechanism] = None, side: str = "agent") -> float:
+                   m: Mechanism = Zero(), side: str = "agent") -> float:
     """Largest grid maximizer of the (mechanism-adjusted) indirect utility."""
     if not 0.0 <= mu <= 1.0:
         raise DomainError(f"belief {mu} outside [0, 1]")
-    a1, a0, proh = _profiles(p, grid, m, side)
-    allowed = ~proh
-    if not allowed.any():
-        raise EmptyMechanismError("all levels prohibited")
-    vals = mu * a1[allowed] + (1.0 - mu) * a0[allowed]
-    return float(grid.points[allowed][_largest_argmax(vals)])
+    return float(one_shot_levels(p, [mu], grid, m, side)[0])
 
 
 def one_shot_levels(p: PayoffSpec, mus: np.ndarray, grid: LevelGrid,
-                    m: Optional[Mechanism] = None, side: str = "agent") -> np.ndarray:
+                    m: Mechanism = Zero(), side: str = "agent") -> np.ndarray:
     """Vectorized one_shot_level over a belief array."""
-    a1, a0, proh = _profiles(p, grid, m, side)
+    a1, a0, proh = adjusted_profiles(p, m, side, grid)
     allowed = ~proh
     if not allowed.any():
         raise EmptyMechanismError("all levels prohibited")
@@ -52,50 +35,19 @@ def one_shot_levels(p: PayoffSpec, mus: np.ndarray, grid: LevelGrid,
     return pts[idx]
 
 
-def pseudo_inverse_belief(p: PayoffSpec, l: float, grid: LevelGrid,
-                          m: Optional[Mechanism] = None,
-                          n_mu: int = 1001) -> Tuple[float, bool]:
-    """Smallest belief-grid point whose one-shot level reaches l.
+def pseudo_inverse_beliefs(p: PayoffSpec, grid: LevelGrid, m: Mechanism = Zero(),
+                           side: str = "agent", n_mu: int = 1001) -> np.ndarray:
+    """First belief-grid point whose one-shot level reaches each grid level,
+    or 1.0 where no belief does.
 
-    Returns (belief, saturated); saturated=True means no belief achieves l and
-    belief 1 is returned.  At l=0 the grid argmax is clamped and the naive
-    condition is vacuous, so the boundary case asks instead for the smallest
-    belief at which stopping at 0 is not strictly optimal.
+    The scan reads the running maximum of the one-shot levels over the belief
+    grid, so it assumes no monotonicity; `check_assumptions` reports levels
+    that are not monotone in the belief.
     """
-    a1, a0, proh = _profiles(p, grid, m, side="agent")
-    allowed = ~proh
-    if not allowed.any():
-        raise EmptyMechanismError("all levels prohibited")
-    pts = grid.points[allowed]
-    a1, a0 = a1[allowed], a0[allowed]
     mus = belief_grid(n_mu)
-
-    if l <= 0.0:
-        if len(pts) == 1:
-            return 1.0, True
-
-        def cond(mu):
-            vals = mu * a1 + (1.0 - mu) * a0
-            return np.max(vals[1:]) >= vals[0]
-    else:
-        def cond(mu):
-            vals = mu * a1 + (1.0 - mu) * a0
-            return pts[_largest_argmax(vals)] >= l - 1e-12
-
-    if not cond(mus[-1]):
-        return 1.0, True
-    # binary search for the first belief-grid point satisfying the condition,
-    # which is monotone in the belief whenever one-shot levels are
-    lo, hi = 0, len(mus) - 1
-    if cond(mus[0]):
-        return float(mus[0]), False
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if cond(mus[mid]):
-            hi = mid
-        else:
-            lo = mid
-    return float(mus[hi]), False
+    reached = np.maximum.accumulate(one_shot_levels(p, mus, grid, m, side))
+    idx = np.searchsorted(reached, grid.points - 1e-12)
+    return np.where(idx < len(mus), mus[np.minimum(idx, len(mus) - 1)], 1.0)
 
 
 @dataclass(frozen=True)

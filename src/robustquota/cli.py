@@ -17,10 +17,11 @@ import numpy as np
 from .acceptance import run_acceptance
 from .adversary import dual_certificate, indifference_G, payoff_gap, \
     solve_badnews_lp
-from .checks import check_assumptions, one_shot_levels, risk_ratio_condition
+from .checks import check_assumptions, pseudo_inverse_beliefs, \
+    risk_ratio_condition
 from .config import RunConfig, load_config
 from .errors import ConditionViolatedError, ConfigError, RobustQuotaError
-from .grid import LevelGrid, belief_grid
+from .grid import LevelGrid
 from .processes import binomial_tree, no_learning
 from .robust import compute_joint_robust, compute_robust
 from .adaptive import evaluate_adaptive, random_experiment, refine_process, \
@@ -86,16 +87,6 @@ def cmd_robust(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _inverse_beliefs(p, grid, m, side, n_mu):
-    """Smallest belief whose one-shot level reaches each grid point (1.0 where
-    saturated)."""
-    mus = belief_grid(n_mu)
-    lh = one_shot_levels(p, mus, grid, m, side=side)
-    best = np.maximum.accumulate(lh)     # monotone envelope for searchsorted
-    idx = np.searchsorted(best, grid.points - 1e-12)
-    return np.where(idx < len(mus), mus[np.minimum(idx, len(mus) - 1)], 1.0)
-
-
 def cmd_worstcase(cfg: RunConfig, args) -> int:
     lp = solve_badnews_lp(cfg.agent, cfg.principal, cfg.mechanism, cfg.grid,
                           cfg.mu0)
@@ -104,10 +95,10 @@ def cmd_worstcase(cfg: RunConfig, args) -> int:
     e = lp.bn.end
     binding = np.zeros(e + 1, dtype=bool)
     binding[lp.binding] = True
-    mu_u = _inverse_beliefs(cfg.agent, cfg.grid, cfg.mechanism, "agent",
-                            cfg.n_mu)
-    mu_v = _inverse_beliefs(cfg.principal, cfg.grid, cfg.mechanism,
-                            "principal", cfg.n_mu)
+    mu_u = pseudo_inverse_beliefs(cfg.agent, cfg.grid, cfg.mechanism, "agent",
+                                  cfg.n_mu)
+    mu_v = pseudo_inverse_beliefs(cfg.principal, cfg.grid, cfg.mechanism,
+                                  "principal", cfg.n_mu)
     rows = zip(cfg.grid.points[:e + 1], ind.bn.G, ind.bn.cont_belief(),
                binding, mu_u[:e + 1], mu_v[:e + 1])
     _write_csv(_outpath(args, "worstcase.csv"),

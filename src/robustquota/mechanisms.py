@@ -34,10 +34,6 @@ class Mechanism:
             raise UnreachableLevelError(f"level {l} is prohibited")
         return float(phi[j])
 
-    def is_prohibited(self, l: float, grid: LevelGrid) -> bool:
-        _, proh = self.tax_profile(grid)
-        return bool(proh[grid.index_of(l)])
-
     def to_dict(self) -> dict:
         raise NotImplementedError
 

@@ -10,8 +10,9 @@ GRID = LevelGrid(2.0, 41)
 
 
 def _uniform_bn(mu0=0.5, grid=GRID):
-    G = np.linspace(0.0, 1.0 - mu0, grid.n)
-    return BadNewsProcess(grid, G, mu0)
+    g = np.full(grid.n, (1.0 - mu0) / (grid.n - 1))
+    g[0] = 0.0
+    return BadNewsProcess(grid, g, mu0)
 
 
 def test_cont_belief_martingale_identity():
@@ -23,10 +24,12 @@ def test_cont_belief_martingale_identity():
 
 
 def test_g_must_be_nondecreasing_with_right_total():
-    with pytest.raises(DomainError):
-        BadNewsProcess(GRID, np.linspace(0.5, 0.0, GRID.n), 0.5)
-    with pytest.raises(DomainError):
-        BadNewsProcess(GRID, np.linspace(0.0, 0.3, GRID.n), 0.5)
+    g = np.zeros(GRID.n)
+    g[1], g[2] = -0.01, 0.51      # right total, one negative increment
+    with pytest.raises(DomainError, match="nonnegative"):
+        BadNewsProcess(GRID, g, 0.5)
+    with pytest.raises(DomainError, match="must equal"):
+        BadNewsProcess(GRID, np.full(GRID.n, 0.3 / GRID.n), 0.5)
 
 
 def test_to_process_reproduces_beliefs_and_mass():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustquota import (CARA, AmbiguitySet, DegenerateDerivativeError,
-                         DomainError, Exponential, LevelGrid, Quadratic, Zero,
-                         cara_pair, check_assumptions, one_shot_level,
-                         one_shot_levels, pseudo_inverse_belief,
-                         quadratic_pair, risk_ratio_condition)
+                         DomainError, Exponential, LevelGrid, Quadratic,
+                         Tabulated, Zero, belief_grid, cara_pair,
+                         check_assumptions, one_shot_level, one_shot_levels,
+                         pseudo_inverse_beliefs, quadratic_pair,
+                         risk_ratio_condition)
 
 GRID = LevelGrid(2.0, 401)
 
@@ -37,24 +40,54 @@ def test_one_shot_levels_vectorized_agrees():
 def test_pseudo_inverse_matches_cara_closed_form():
     gamma = 1.0
     p = CARA(gamma)
+    mus = pseudo_inverse_beliefs(p, GRID, n_mu=4001)
     for l in (0.25, 0.5, 1.0):
-        mu, sat = pseudo_inverse_belief(p, l, GRID, n_mu=4001)
-        assert not sat
+        mu = mus[GRID.index_of(l)]
+        assert mu < 1.0
         assert mu == pytest.approx(1.0 / (1.0 + np.exp(-2 * gamma * l)),
                                    abs=2e-3)
 
 
 def test_pseudo_inverse_saturates():
     p = CARA(1.0)
-    mu, sat = pseudo_inverse_belief(p, GRID.l_max, GRID)
+    mu = pseudo_inverse_beliefs(p, GRID)[-1]
     # reaching l_max needs odds e^{2 l_max}; belief ~0.982 < 1, not saturated
-    assert not sat and mu > 0.9
+    assert 0.9 < mu < 1.0
 
-    from robustquota import Tabulated
     g = LevelGrid(1.0, 11)
-    humped = Tabulated(g, tuple(-(g.points - 0.5) ** 2), tuple(-g.points))
-    mu, sat = pseudo_inverse_belief(humped, 1.0, g)
-    assert sat and mu == 1.0
+    assert pseudo_inverse_beliefs(_humped(g), g)[-1] == 1.0
+
+
+def _humped(g):
+    """Good-state payoff peaking at l = 0.5: no belief's one-shot level
+    reaches l = 1."""
+    return Tabulated(g, tuple(-(g.points - 0.5) ** 2), tuple(-g.points))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["cara", "quadratic", "humped", "zigzag"]),
+       param=st.floats(0.3, 3.0), l_max=st.sampled_from([1.0, 2.0, 4.0, 16.0]),
+       n=st.integers(2, 41), n_mu=st.integers(2, 301))
+def test_pseudo_inverse_beliefs_is_first_hit(family, param, l_max, n, n_mu):
+    grid = LevelGrid(l_max, 3 if family == "zigzag" else n)
+    # zigzag: one-shot levels 0, then l_max, then l_max/2 as the belief rises
+    p = {"cara": lambda: CARA(param),
+         "quadratic": lambda: Quadratic(1.0, param, 0.0),
+         "humped": lambda: _humped(grid),
+         "zigzag": lambda: Tabulated(grid, (0.0, 1.0, 0.5),
+                                     (0.0, -2.0, -0.5))}[family]()
+    mus = belief_grid(n_mu)
+    top = one_shot_levels(p, mus, grid).max()
+    for l, mu in zip(grid.points, pseudo_inverse_beliefs(p, grid, n_mu=n_mu)):
+        def reaches(b):
+            return one_shot_level(p, b, grid) >= l - 1e-12
+        if top < l - 1e-12:
+            # no belief reaches l, so neither does belief 1
+            assert mu == 1.0 and not reaches(1.0)
+            continue
+        i = int(np.searchsorted(mus, mu))
+        assert mus[i] == mu and reaches(mu)
+        assert i == 0 or not reaches(mus[i - 1])
 
 
 def test_check_assumptions_pass_standard_pairs():
