@@ -21,8 +21,9 @@ from .errors import (AlignmentError, BudgetExceededError,
                      ConditionViolatedError, ConfigError,
                      DegenerateDerivativeError, DomainError,
                      EmptyMechanismError, InfeasibleLPError,
-                     NotARefinementError, RobustQuotaError,
-                     UnboundedLPError, UnreachableLevelError)
+                     IterationLimitError, NotARefinementError,
+                     RobustQuotaError, UnboundedLPError,
+                     UnreachableLevelError)
 from .grid import LevelGrid, belief_grid
 from .mechanisms import (Exponential, FixedTaxHardQuota, Linear, Mechanism,
                          TabulatedMechanism, Zero, adjusted_profiles,

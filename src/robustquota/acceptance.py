@@ -87,7 +87,7 @@ def criterion_2() -> str:
 
 
 def criterion_3() -> str:
-    """Brute-force tree oracle agrees with the bad-news LP on tiny grids."""
+    """The tree oracle agrees with the bad-news LP on tiny grids."""
     battery = []
     for pair in [quadratic_pair(1.0, 1.0, 0.5), quadratic_pair(1.0, 1.0, 1.0),
                  quadratic_pair(1.0, 1.0, 2.0), quadratic_pair(2.0, 1.0, 1.0),

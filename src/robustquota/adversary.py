@@ -1,35 +1,79 @@
 """Worst-case learning: the bad-news LP, the binding-obedience construction,
-the dual certificate, a brute-force tree oracle, and payoff gaps."""
+the dual certificate, the tree oracle (one obedience LP over the histories of
+a small belief tree), and payoff gaps."""
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .badnews import BadNewsProcess, effective_end, obedience_slacks
-from .checks import one_shot_levels, risk_ratio_condition
+from .checks import risk_ratio_condition
 from .errors import (BudgetExceededError, ConditionViolatedError, DomainError,
                      InfeasibleLPError)
-from .grid import LevelGrid, belief_grid
+from .grid import LevelGrid
 from .mechanisms import Mechanism, adjusted_profiles
 from .payoffs import PayoffSpec
 from .simplex import solve_lp
 
+_EPS = float(np.finfo(float).eps)
+
 
 def principal_prefers_earlier(agent: PayoffSpec, principal: PayoffSpec,
-                              m: Mechanism, grid: LevelGrid,
-                              n_mu: int = 201) -> bool:
-    """Scan l_hat_{V^phi} <= l_hat_{U^phi}, strict wherever the agent's
-    one-shot level is interior (boundary-clamped beliefs are exempt)."""
-    mus = belief_grid(n_mu)
-    lu = one_shot_levels(agent, mus, grid, m, side="agent")
-    lv = one_shot_levels(principal, mus, grid, m, side="principal")
+                              m: Mechanism, grid: LevelGrid) -> bool:
+    """Check l_hat_{V^phi} <= l_hat_{U^phi}, strict wherever the agent's
+    one-shot level is interior (boundary-clamped beliefs are exempt).
+
+    Read once on every belief interval where both one-shot levels are
+    constant, so no violation is too narrow to be seen."""
+    su, pu, eu = _one_shot_pieces(agent, m, grid, "agent")
+    sv, pv, ev = _one_shot_pieces(principal, m, grid, "principal")
+    cuts = np.concatenate([su, sv, [1.0]])
+    err = np.concatenate([eu, ev, [0.0]])
+    order = np.argsort(cuts)
+    cuts, err = cuts[order], err[order]
+    # breakpoints that agree within their rounding errors bound no interval
+    mids = 0.5 * (cuts[:-1] + cuts[1:])[np.diff(cuts) > err[:-1] + err[1:]]
+    lu = pu[np.searchsorted(su, mids, side="right") - 1]
+    lv = pv[np.searchsorted(sv, mids, side="right") - 1]
     end_level = grid.points[effective_end(m, grid)]
     if np.any(lv > lu + 1e-12):
         return False
     interior = (lu > 1e-12) & (lu < end_level - 1e-12)
     return bool(np.all(lv[interior] < lu[interior] - 1e-15))
+
+
+def _one_shot_pieces(p: PayoffSpec, m: Mechanism, grid: LevelGrid,
+                     side: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-shot level on [0, 1] as pieces of the upper envelope of the lines
+    mu -> a0[j] + mu (a1[j] - a0[j]) over the allowed levels: the ascending
+    starts of the pieces (the first is 0), the level of each, and a bound on
+    the rounding error of each start."""
+    a1, a0, proh = adjusted_profiles(p, m, side, grid)
+    allowed = np.flatnonzero(~proh)
+    slope, icpt = (a1 - a0)[allowed], a0[allowed]
+    # ascending slope; of equal slopes only the last (largest intercept, then
+    # largest level) can be on top
+    order = np.lexsort((allowed, icpt, slope))
+    order = order[np.append(slope[order][1:] != slope[order][:-1], True)]
+    s, c = slope.tolist(), icpt.tolist()
+    hull, starts, errs = [], [], []   # errs: rounding bound of each start
+    for k in order.tolist():
+        x = e = 0.0
+        while hull:
+            j = hull[-1]
+            d = s[k] - s[j]
+            x = (c[j] - c[k]) / d
+            if x > starts[-1]:
+                e = 4 * _EPS * (abs(c[j]) + abs(c[k]) + abs(s[j]) + abs(s[k])) / d
+                break
+            del hull[-1], starts[-1], errs[-1]
+            x = 0.0
+        if x < 1.0:
+            hull.append(k)
+            starts.append(x)
+            errs.append(e)
+    return np.array(starts), grid.points[allowed[hull]], np.array(errs)
 
 
 def stop_rule_at_zero(a0: np.ndarray) -> np.ndarray:
@@ -408,10 +452,10 @@ def dual_certificate(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
 @dataclass(frozen=True)
 class OracleResult:
     value: float
-    #: rows (level, belief, mass) of the worst process's stopping distribution
+    #: rows (level, belief, mass) of the worst process's stopping
+    #: distribution, summed per (level, belief)
     stop_mass: tuple
-    n_lps: int
-    pattern: tuple = field(repr=False)
+    n_lps: int                  # LPs solved: always 1
 
     def pre_terminal_offzero_mass(self, l_end: float) -> float:
         return sum(m for (l, b, m) in self.stop_mass
@@ -420,13 +464,19 @@ class OracleResult:
 
 def tree_oracle_worst_case(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
                            small_grid: LevelGrid, belief_support: Sequence[float],
-                           mu0: float, pattern_budget: int = 4096) -> OracleResult:
-    """Exhaustive worst case over layered belief trees on a fixed support.
+                           mu0: float) -> OracleResult:
+    """Worst case over layered belief trees on a fixed support.
 
-    Enumerates per-(level, belief) stop/continue patterns; for each pattern
-    the kernel freedom is an LP over truncated-path probabilities with
-    martingale, obedience, and participation rows.  Instances above the
-    budget are refused.
+    One LP over the stop mass s(h) of every history h = (b_0, ..., b_j): the
+    adversary's signals are stop/continue recommendations, so the mass that
+    continues at h is the sum of the stops strictly below it.  s(h) is a
+    variable where stopping at (j, b_j) beats freezing the belief and
+    developing to any later level, and at the last allowed level.  Rows:
+    total mass 1 with prior mean mu0, a martingale and an obedience row per
+    continuing history, and participation.  The LP covers history-dependent
+    and randomised stopping, so every per-(level, belief) stop/continue
+    pattern is a restriction of it.  Above 4 levels or 5 beliefs the
+    instance is refused.
     """
     B = np.asarray(sorted(set(float(b) for b in belief_support)))
     if np.any(B < 0) or np.any(B > 1):
@@ -439,93 +489,43 @@ def tree_oracle_worst_case(agent: PayoffSpec, principal: PayoffSpec, m: Mechanis
     p1, p0, _ = adjusted_profiles(principal, m, "principal", small_grid)
     nb = len(B)
 
-    U = np.outer(B, a1[:end + 1]) + np.outer(1 - B, a0[:end + 1])  # (belief, level)
-    V = np.outer(B, p1[:end + 1]) + np.outer(1 - B, p0[:end + 1])
+    U = np.outer(a1[:end + 1], B) + np.outer(a0[:end + 1], 1 - B)  # (level, belief)
+    V = np.outer(p1[:end + 1], B) + np.outer(p0[:end + 1], 1 - B)
     outside = float(agent.indirect(mu0, 0.0))
     scale = max(1.0, float(np.abs(U).max()))
 
-    # a stop mark at (j, b) is only consistent with optimal play when stopping
-    # beats freezing the belief and developing to any later level
-    stop_valid = np.ones((end, nb), dtype=bool)
+    # stopping at (j, b) is only consistent with optimal play when it beats
+    # freezing the belief and developing to any later level; at the end it
+    # is forced
+    stop_ok = np.ones((end + 1, nb), dtype=bool)
     for j in range(end):
-        stop_valid[j] = U[:, j] >= U[:, j + 1:].max(axis=1) - 1e-12 * scale
+        stop_ok[j] = U[j] >= U[j + 1:].max(axis=0) - 1e-12 * scale
 
-    choices = []
-    for j in range(end):
-        for bi in range(nb):
-            choices.append((True, False) if stop_valid[j, bi] else (False,))
-    n_patterns = int(np.prod([len(c) for c in choices])) if choices else 1
-    if n_patterns > pattern_budget:
-        raise BudgetExceededError(
-            f"{n_patterns} stop/continue patterns exceed budget {pattern_budget}")
+    # history (b_0, ..., b_L) has code sum_i b_i nb^(L-i); the histories
+    # below code p at level j are those whose code // nb^(L-j) is p
+    level = np.repeat(np.arange(end + 1), nb ** np.arange(1, end + 2))
+    code = np.concatenate([np.arange(nb ** (j + 1)) for j in range(end + 1)])
+    cols = stop_ok[level, code % nb]
+    L, q = level[cols], code[cols]
+    u, v = U[L, q % nb], V[L, q % nb]
+    j, p = level[level < end, None], code[level < end, None]
+    d = L - j                                       # (continuing h, stop k)
+    below = (d > 0) & (q // nb ** np.maximum(d, 0) == p)
+    b_next = B[q // nb ** np.maximum(d - 1, 0) % nb]
+    mart = np.where(below, b_next - B[p % nb], 0.0)
+    obey = np.where(below, U[j, p % nb] - u, 0.0)   # <= 0: continuing pays
 
-    best = None
-    n_lps = 0
-    for flat in itertools.product(*choices):
-        sigma = np.zeros((end, nb), dtype=bool)
-        if end:
-            sigma[:] = np.array(flat, dtype=bool).reshape(end, nb)
+    A_eq = np.vstack([np.ones(len(q)), B[q // nb ** L], mart])
+    b_eq = np.concatenate([[1.0, mu0], np.zeros(len(p))])
+    A_ub = np.vstack([obey, -u])
+    b_ub = np.concatenate([np.zeros(len(p)), [-outside]])
+    res = solve_lp(v, A_ub, b_ub, A_eq, b_eq)
 
-        # enumerate truncated histories
-        paths = []          # terminal histories: tuple of belief indices
-        internal = []       # (history, level) pairs that continue
-        stack = [(bi,) for bi in range(nb)]
-        while stack:
-            h = stack.pop()
-            j = len(h) - 1
-            if j == end or sigma[j][h[-1]]:
-                paths.append(h)
-            else:
-                internal.append(h)
-                stack.extend(h + (bi,) for bi in range(nb))
-        nv = len(paths)
-        path_index = {h: i for i, h in enumerate(paths)}
-
-        def descendants(h):
-            return [i for i, p in enumerate(paths) if p[:len(h)] == h]
-
-        stop_u = np.array([U[h[-1], len(h) - 1] for h in paths])
-        stop_v = np.array([V[h[-1], len(h) - 1] for h in paths])
-
-        A_eq = [np.ones(nv)]
-        b_eq = [1.0]
-        row = np.array([B[h[0]] for h in paths])
-        A_eq.append(row)
-        b_eq.append(mu0)
-        A_ub = []
-        b_ub = []
-        for h in internal:
-            j = len(h) - 1
-            desc = descendants(h)
-            mart = np.zeros(nv)
-            obey = np.zeros(nv)
-            for i in desc:
-                mart[i] = B[paths[i][j + 1]] - B[h[-1]]
-                obey[i] = U[h[-1], j] - stop_u[i]
-            A_eq.append(mart)
-            b_eq.append(0.0)
-            A_ub.append(obey)  # <= 0: continuing must weakly beat stopping
-            b_ub.append(0.0)
-        A_ub.append(-stop_u)
-        b_ub.append(-outside)
-
-        try:
-            res = solve_lp(stop_v, np.array(A_ub), np.array(b_ub),
-                           np.array(A_eq), np.array(b_eq))
-        except InfeasibleLPError:
-            continue
-        finally:
-            n_lps += 1
-        if best is None or res.fun < best[0] - 0:
-            q = res.x
-            rows = tuple((float(small_grid.points[len(h) - 1]), float(B[h[-1]]),
-                          float(q[i]))
-                         for i, h in enumerate(paths) if q[i] > 1e-12)
-            best = (res.fun, rows, flat)
-
-    if best is None:
-        raise InfeasibleLPError("no stop/continue pattern admits a feasible tree")
-    return OracleResult(float(best[0]), best[1], n_lps, best[2])
+    mass = np.zeros((end + 1, nb))
+    np.add.at(mass, (L, q % nb), res.x)
+    rows = tuple((float(small_grid.points[lj]), float(B[bi]), float(mass[lj, bi]))
+                 for lj, bi in zip(*np.nonzero(mass > 1e-12)))
+    return OracleResult(res.fun, rows, 1)
 
 
 @dataclass(frozen=True)

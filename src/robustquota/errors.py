@@ -34,7 +34,7 @@ class AlignmentError(RobustQuotaError):
 
 
 class BudgetExceededError(RobustQuotaError):
-    """A brute-force oracle was asked for an instance above its combinatorial budget."""
+    """An oracle was asked for an instance above its size budget."""
 
 
 class InfeasibleLPError(RobustQuotaError):
@@ -43,6 +43,10 @@ class InfeasibleLPError(RobustQuotaError):
     def __init__(self, message, most_binding=None):
         super().__init__(message)
         self.most_binding = most_binding
+
+
+class IterationLimitError(RobustQuotaError):
+    """The simplex hit its pivot limit; the LP may well be feasible."""
 
 
 class UnboundedLPError(RobustQuotaError):

@@ -3,14 +3,20 @@
 Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
 Pivoting uses Dantzig's rule for speed with Bland's anti-cycling rule engaged
-after a streak of degenerate pivots, which guarantees termination.
+after a streak of degenerate pivots, which guarantees termination in exact
+arithmetic; a run past max_iter pivots raises IterationLimitError.  Under
+Dantzig's rule the ratio test is Harris's two-pass test: a basic variable may
+go below zero by at most the feasibility tolerance, so that the largest pivot
+among nearly tied rows can be taken, since a tiny pivot at a degenerate
+vertex blows the tableau up.  Column entries below 1e-9 of the column's
+largest are treated as zero in both rules.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleLPError, UnboundedLPError
+from .errors import InfeasibleLPError, IterationLimitError, UnboundedLPError
 
 
 @dataclass(frozen=True)
@@ -22,6 +28,7 @@ class SimplexResult:
 
 _FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-11
+_REL_PIVOT_TOL = 1e-9
 _DEGEN_STREAK = 12
 
 
@@ -55,20 +62,32 @@ def _run(T, basis, n_cols_active, max_iter):
                 return n_iter
             col = int(neg[0])
         colvec = T[:m, col]
-        pos = colvec > _PIVOT_TOL
+        # entries far below the column's largest are rounding noise
+        pos = colvec > max(_PIVOT_TOL, _REL_PIVOT_TOL * np.abs(colvec).max())
         if not pos.any():
             raise UnboundedLPError("objective unbounded below")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / colvec[pos]
-        best = ratios.min()
-        cand = np.nonzero(ratios <= best + 1e-15)[0]
-        # Bland tie-break: leave the smallest basis index
-        row = int(cand[np.argmin(np.asarray(basis)[cand])])
-        degen = degen + 1 if best <= _FEAS_TOL else 0
+        rhs = T[:m, -1]
+        if degen < _DEGEN_STREAK:
+            # Harris: the largest pivot among rows whose step stays within
+            # the feasibility tolerance of the shortest one
+            theta = np.min((rhs[pos] + _FEAS_TOL) / colvec[pos])
+            cand = np.nonzero(pos & (rhs <= theta * colvec))[0]
+            row = int(cand[np.argmax(colvec[cand])])
+        else:
+            ratios = np.full(m, np.inf)
+            ratios[pos] = rhs[pos] / colvec[pos]
+            cand = np.nonzero(ratios <= ratios.min() + 1e-15)[0]
+            # Bland tie-break: leave the smallest basis index
+            row = int(cand[np.argmin(np.asarray(basis)[cand])])
+        # a step never goes backwards: a row below zero within the
+        # tolerance leaves at zero
+        T[row, -1] = max(T[row, -1], 0.0)
+        degen = degen + 1 if T[row, -1] / colvec[row] <= _FEAS_TOL else 0
         _pivot(T, basis, row, col)
         n_iter += 1
         if n_iter > max_iter:
-            raise InfeasibleLPError("simplex iteration limit exceeded")
+            raise IterationLimitError(
+                f"simplex iteration limit {max_iter} exceeded")
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,

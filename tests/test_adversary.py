@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from robustquota import (BudgetExceededError, ConditionViolatedError,
                          FixedTaxHardQuota, InfeasibleLPError, LevelGrid,
                          Linear, Tabulated, Zero, cara_pair, compute_robust,
-                         quadratic_pair)
+                         effective_end, quadratic_pair, verify_guarantee)
 from robustquota.adversary import (badnews_value, dual_certificate,
                                    indifference_G, payoff_gap,
                                    principal_prefers_earlier, solve_badnews_lp,
                                    stop_rule_at_zero, tree_oracle_worst_case)
+from robustquota.mechanisms import adjusted_profiles
+from robustquota.simplex import solve_lp
 
 
 def test_stop_rule_at_zero_largest_argmax_tail():
@@ -83,6 +86,20 @@ def test_premise_detection():
     assert principal_prefers_earlier(agent, principal, Zero(), grid)
     # swapped: the "principal" develops further than the agent
     assert not principal_prefers_earlier(principal, agent, Zero(), grid)
+
+
+def test_premise_catches_violation_between_belief_grid_points():
+    # on (0.8176, 0.8199) the principal's one-shot level is 1 and the agent's
+    # 0, an interval no point of a 201-point belief grid falls in; the tree
+    # oracle then stops the agent off belief 0 at level 0, below the LP
+    agent, principal = cara_pair(1.515625, 1.5)
+    grid = LevelGrid(1.0, 2)
+    assert not principal_prefers_earlier(agent, principal, Zero(), grid)
+    lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.5)
+    assert not lp.premise_ok
+    support = sorted({0.0, *lp.bn.cont_belief()})
+    oracle = tree_oracle_worst_case(agent, principal, Zero(), grid, support, 0.5)
+    assert oracle.value < lp.value - 1e-3
 
 
 def test_oracle_budget_enforced():
@@ -239,3 +256,140 @@ def test_dual_certificate_refuses_zero_payoff_below_support():
     shifted = Tabulated(grid, tuple(agent.u1(grid.points)), tuple(u0 - u0[jbar]))
     with pytest.raises(ConditionViolatedError, match="constant branch"):
         dual_certificate(shifted, principal, Zero(), grid, 0.8)
+
+
+def _pattern_oracle(agent, principal, m, small_grid, belief_support, mu0,
+                    pattern_budget=4096):
+    """Reference: the tree oracle as one LP per stop/continue pattern
+    sigma(level, belief) over the truncated paths that pattern leaves.
+    Returns (value, rows (level, belief, mass) of the stopped paths)."""
+    B = np.asarray(sorted(set(float(b) for b in belief_support)))
+    end = effective_end(m, small_grid)
+    a1, a0, _ = adjusted_profiles(agent, m, "agent", small_grid)
+    p1, p0, _ = adjusted_profiles(principal, m, "principal", small_grid)
+    nb = len(B)
+    U = np.outer(B, a1[:end + 1]) + np.outer(1 - B, a0[:end + 1])
+    V = np.outer(B, p1[:end + 1]) + np.outer(1 - B, p0[:end + 1])
+    outside = float(agent.indirect(mu0, 0.0))
+    scale = max(1.0, float(np.abs(U).max()))
+    stop_valid = np.ones((end, nb), dtype=bool)
+    for j in range(end):
+        stop_valid[j] = U[:, j] >= U[:, j + 1:].max(axis=1) - 1e-12 * scale
+    choices = [(True, False) if stop_valid[j, bi] else (False,)
+               for j in range(end) for bi in range(nb)]
+    n_patterns = int(np.prod([len(c) for c in choices])) if choices else 1
+    if n_patterns > pattern_budget:
+        raise BudgetExceededError(f"{n_patterns} patterns")
+
+    best = None
+    for flat in itertools.product(*choices):
+        sigma = np.array(flat, dtype=bool).reshape(end, nb)
+        paths, internal = [], []
+        stack = [(bi,) for bi in range(nb)]
+        while stack:
+            h = stack.pop()
+            j = len(h) - 1
+            if j == end or sigma[j][h[-1]]:
+                paths.append(h)
+            else:
+                internal.append(h)
+                stack.extend(h + (bi,) for bi in range(nb))
+        nv = len(paths)
+        stop_u = np.array([U[h[-1], len(h) - 1] for h in paths])
+        stop_v = np.array([V[h[-1], len(h) - 1] for h in paths])
+        A_eq = [np.ones(nv), np.array([B[h[0]] for h in paths])]
+        b_eq = [1.0, mu0]
+        A_ub, b_ub = [], []
+        for h in internal:
+            j = len(h) - 1
+            mart, obey = np.zeros(nv), np.zeros(nv)
+            for i, p in enumerate(paths):
+                if p[:len(h)] == h:
+                    mart[i] = B[p[j + 1]] - B[h[-1]]
+                    obey[i] = U[h[-1], j] - stop_u[i]
+            A_eq.append(mart)
+            b_eq.append(0.0)
+            A_ub.append(obey)
+            b_ub.append(0.0)
+        A_ub.append(-stop_u)
+        b_ub.append(-outside)
+        try:
+            res = solve_lp(stop_v, np.array(A_ub), np.array(b_ub),
+                           np.array(A_eq), np.array(b_eq))
+        except InfeasibleLPError:
+            continue
+        if best is None or res.fun < best[0]:
+            rows = tuple((float(small_grid.points[len(h) - 1]), float(B[h[-1]]),
+                          float(res.x[i]))
+                         for i, h in enumerate(paths) if res.x[i] > 1e-12)
+            best = (res.fun, rows)
+    if best is None:
+        raise InfeasibleLPError("no stop/continue pattern admits a feasible tree")
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["quadratic", "cara"]),
+       params=st.tuples(*[st.floats(0.5, 3.0)] * 3),
+       mech=st.sampled_from(["zero", "linear", "quota"]),
+       n=st.sampled_from([2, 3, 4]), data=st.data(),
+       mu0=st.floats(0.2, 0.8))
+def test_history_lp_oracle_never_above_pattern_oracle(family, params, mech, n,
+                                                      data, mu0):
+    if family == "quadratic":
+        agent, principal = quadratic_pair(params[0], params[1], params[2] - 0.5)
+    else:
+        agent, principal = cara_pair(params[0], params[1])
+    m = {"zero": Zero(), "linear": Linear(0.02),
+         "quota": FixedTaxHardQuota(0.0, 0.5)}[mech]
+    grid = LevelGrid(1.0, n)
+    # at 4 levels at most 4 beliefs keep the reference within 2^12 patterns
+    beliefs = data.draw(st.lists(st.integers(0, 1000), min_size=3,
+                                 max_size=4 if n == 4 else 5, unique=True))
+    beliefs = [b / 1000 for b in beliefs]
+    try:
+        ref, _ = _pattern_oracle(agent, principal, m, grid, beliefs, mu0)
+    except InfeasibleLPError:
+        with pytest.raises(InfeasibleLPError):
+            tree_oracle_worst_case(agent, principal, m, grid, beliefs, mu0)
+        return
+    oracle = tree_oracle_worst_case(agent, principal, m, grid, beliefs, mu0)
+    assert oracle.n_lps == 1
+    assert oracle.value <= ref + 1e-9 * max(1.0, abs(ref))
+    if principal_prefers_earlier(agent, principal, m, grid):
+        # on a support holding the worst bad-news process's beliefs the
+        # oracle attains the LP and stops off belief 0 only at the last
+        # level; a drawn support need not hold them.  Unlike criterion 3 the
+        # beliefs are not rounded: where obedience binds at level 0 the
+        # agent is indifferent to not starting, and a rounded belief can
+        # break participation by 1e-13 and cut the bad-news tree off
+        lp = solve_badnews_lp(agent, principal, m, grid, mu0, solver="simplex")
+        support = sorted({0.0, *lp.bn.cont_belief()})
+        bad = tree_oracle_worst_case(agent, principal, m, grid, support, mu0)
+        assert abs(bad.value - lp.value) <= 1e-9 * max(1.0, abs(lp.value))
+        assert bad.pre_terminal_offzero_mass(grid.points[lp.bn.end]) <= 1e-9
+
+
+def test_history_lp_oracle_solves_stalled_cara_instance():
+    # in (stop, continue)-mass form this LP runs the tableau simplex into its
+    # iteration limit; the stop-mass form solves it
+    agent, principal = cara_pair(1.0, 3.0)
+    grid = LevelGrid(2.0, 101)
+    rob = compute_robust(agent, principal, 0.6, grid)
+    assert rob.L_star == pytest.approx(0.08)
+    oracle = tree_oracle_worst_case(agent, principal, rob.mechanism,
+                                    LevelGrid(0.08, 4), [0.0, 0.6, 0.8, 1.0],
+                                    0.6)
+    assert oracle.value == pytest.approx(-0.9676610116704589, rel=1e-12)
+    assert verify_guarantee(rob, agent, principal, grid).ok
+
+
+def test_history_lp_oracle_survives_tiny_pivots():
+    # the tableau once took a 2.5e-11 pivot at a degenerate vertex of this
+    # LP, lost feasibility and ran into its iteration limit
+    agent, principal = cara_pair(2.0490790391446527, 2.7675915942866345)
+    args = (agent, principal, Zero(), LevelGrid(1.0, 4),
+            [0.0, 0.073, 0.69, 0.969], 0.7235028083869999)
+    ref, _ = _pattern_oracle(*args)
+    value = tree_oracle_worst_case(*args).value
+    assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))

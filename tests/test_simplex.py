@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from robustquota import InfeasibleLPError, UnboundedLPError
+from robustquota import (InfeasibleLPError, IterationLimitError,
+                         UnboundedLPError)
 from robustquota.simplex import solve_lp
 
 
@@ -37,6 +38,19 @@ def test_infeasible_reports_most_binding():
         solve_lp(np.array([1.0]), A_ub=np.array([[1.0], [-1.0]]),
                  b_ub=np.array([1.0, -2.0]))
     assert exc.value.most_binding is not None
+
+
+def test_iteration_limit_is_not_infeasibility():
+    # a stalled run says nothing about feasibility, so a caller that skips
+    # infeasible LPs must not skip it
+    lp = dict(c=np.array([-1.0]), A_ub=np.array([[1.0]]), b_ub=np.array([1.0]))
+    assert solve_lp(**lp).n_iter == 1
+    with pytest.raises(IterationLimitError):
+        solve_lp(**lp, max_iter=0)
+    assert not issubclass(IterationLimitError, InfeasibleLPError)
+    with pytest.raises(IterationLimitError):
+        with pytest.raises(InfeasibleLPError):
+            solve_lp(**lp, max_iter=0)
 
 
 def test_unbounded():
