@@ -103,7 +103,10 @@ def criterion_3() -> str:
         lp = solve_badnews_lp(agent, principal, mech, grid, mu0, solver="simplex")
         if not lp.premise_ok:
             continue
-        beliefs = sorted({0.0, *np.round(lp.bn.cont_belief(), 12)})
+        # unrounded: where obedience binds at level 0 the agent is
+        # indifferent to not starting, and a rounded belief can break
+        # participation and cut the bad-news tree off
+        beliefs = sorted({0.0, *lp.bn.cont_belief()})
         oracle = tree_oracle_worst_case(agent, principal, mech, grid,
                                         beliefs, mu0)
         scale = max(1.0, abs(lp.value))

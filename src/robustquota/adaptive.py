@@ -1,5 +1,6 @@
 """Adaptive quotas on principal belief trees: DP stopping rule, the adaptive
-fixed tax, and evaluation against agent processes that refine the tree."""
+fixed tax, and evaluation against agent processes that refine the tree.
+Refined processes are built directly as sparse kernels, in O(nnz)."""
 
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -8,7 +9,8 @@ import numpy as np
 
 from .errors import AlignmentError, DomainError, NotARefinementError
 from .payoffs import PayoffSpec
-from .processes import DiscreteLearningProcess
+from .processes import (CSRKernel, DiscreteLearningProcess, level_runs,
+                        stack_kernels)
 from .stopping import backward, forward
 
 
@@ -89,23 +91,36 @@ def random_experiment(rng: np.random.Generator, n: int) -> BinaryExperiment:
     return BinaryExperiment(p, q, tuple(int(l) for l in levels))
 
 
-def _posterior(b, w, m, p, q):
+def _posterior(b, pw, pmw, den):
     """Beliefs b after w up-signals out of m (P(up | theta=1) = p,
-    P(up | theta=0) = q), by Bayes' rule in odds form.
+    P(up | theta=0) = q), by Bayes' rule in odds form, given per entry
+    pw = p^w, pmw = (1-p)^(m-w) and den = q^w (1-q)^(m-w).
 
     Beliefs 0 and 1 stay fixed; a signal history impossible under theta = 0
     sends the belief to 1, and one impossible under theta = 1 to 0.
     """
-    den = q ** w * (1 - q) ** (m - w)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        num = b / (1.0 - b) * p ** w * (1 - p) ** (m - w)
-        if den == 0.0:
-            post = np.where(num == 0.0, b, 1.0)
-        else:
-            odds = num / den
-            post = np.where(num == 0.0, 0.0,
-                            np.where(np.isfinite(odds), odds / (1.0 + odds), 1.0))
+        num = b / (1.0 - b) * pw * pmw
+        odds = num / den
+        post = np.where(num == 0.0, np.where(den == 0.0, b, 0.0),
+                        np.where((den == 0.0) | ~np.isfinite(odds), 1.0,
+                                 odds / (1.0 + odds)))
     return np.where((b <= 0.0) | (b >= 1.0), b, post)
+
+
+def _agent_steps(b, bn, base, mu, fire, p, q):
+    """Agent transition weights along planner edges b -> bn of probability
+    base, out of an agent node with belief mu: to the same signal count w,
+    and, only where a signal fires on arrival, to w + 1."""
+    # planner transition probability given each state
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k1 = np.where(b > 0, base * (bn / b), base)
+        k0 = np.where(b < 1, base * ((1 - bn) / (1 - b)), base)
+    pr1 = mu * np.where(base > 0, k1, 0.0)          # joint with theta = 1
+    pr0 = (1 - mu) * np.where(base > 0, k0, 0.0)
+    # x * 1.0 == x, so where nothing fires this is exactly pr1 + pr0
+    same = pr1 * np.where(fire, 1 - p, 1.0) + pr0 * np.where(fire, 1 - q, 1.0)
+    return same, pr1[fire] * p + pr0[fire] * q
 
 
 def refine_process(tree: DiscreteLearningProcess,
@@ -118,6 +133,11 @@ def refine_process(tree: DiscreteLearningProcess,
     transitions by the agent's sharper belief (Bayes-consistent, so the
     martingale property is preserved).  parent_map records i per agent node
     for quota alignment.
+
+    Each planner edge i -> i' gives one agent entry per signal count w (two,
+    to w and w + 1, where a signal fires on arrival), so the kernels are
+    built sparse in O(nnz), a run of levels per array pass, and each row is
+    renormalised by the sum of its entries in column order.
     """
     if not experiment.informative:
         ident = tuple(np.arange(len(b)) for b in tree.beliefs)
@@ -127,10 +147,70 @@ def refine_process(tree: DiscreteLearningProcess,
     n = tree.grid.n
     fires = np.isin(np.arange(n), experiment.levels)
     m_at = np.cumsum(fires)                 # signals observed by level j
-    # per level: (planner node, up-count) belief table
-    post = [np.stack([_posterior(b, w, m, p, q) for w in range(m + 1)], axis=1)
-            for b, m in zip(tree.beliefs, m_at.tolist())]
-    parent = tuple(np.repeat(np.arange(len(t)), t.shape[1]) for t in post)
+    s = m_at + 1                            # agent nodes per planner node
+    # Bayes factors of w up-signals out of m, indexed [w, m]
+    pw, pmw, den = (np.zeros((s[-1], s[-1])) for _ in range(3))
+    for m in range(s[-1]):
+        for w in range(m + 1):
+            pw[w, m], pmw[w, m] = p ** w, (1 - p) ** (m - w)
+            den[w, m] = q ** w * (1 - q) ** (m - w)
+
+    planner_sizes = np.array([len(b) for b in tree.beliefs])
+    sizes = planner_sizes * s
+    first = np.concatenate([[0], np.cumsum(planner_sizes)])
+    agent_first = np.concatenate([[0], np.cumsum(sizes)])
+    planner = np.concatenate(tree.beliefs)
+    t_ptr, t_col, t_val = stack_kernels(tree.kernels)    # rows: planner nodes
+    fire_next = np.append(fires[1:], False)
+    entries = np.append([k.data.size for k in tree.kernels], 0) * s \
+        * (1 + fire_next)
+
+    beliefs, parent, kernels = [], [], []
+    for j0, j1 in level_runs(sizes + entries):
+        # the agent nodes of levels j0..j1-1
+        lev = np.repeat(np.arange(j0, j1), sizes[j0:j1])
+        local = np.arange(agent_first[j0], agent_first[j1]) - agent_first[lev]
+        i = local // s[lev]
+        w = local - i * s[lev]
+        node = first[lev] + i                   # planner node
+        mw = (w, m_at[lev])
+        post = _posterior(planner[node], pw[mw], pmw[mw], den[mw])
+        cut = agent_first[j0 + 1:j1] - agent_first[j0]
+        beliefs += np.split(post, cut)
+        parent += np.split(i, cut)
+
+        # their kernel rows, one entry per planner edge node -> nxt
+        j_end = min(j1, n - 1)
+        n_rows = agent_first[j_end] - agent_first[j0]
+        node, w, lev = node[:n_rows], w[:n_rows], lev[:n_rows]
+        deg = t_ptr[node + 1] - t_ptr[node]
+        row = np.repeat(np.arange(n_rows), deg)
+        edge = np.arange(row.size) \
+            + np.repeat(t_ptr[node] - np.cumsum(deg) + deg, deg)
+        nxt, lv = t_col[edge], lev[row] + 1
+        fire = fire_next[lev[row]]
+        same, up = _agent_steps(planner[node[row]], planner[first[lv] + nxt],
+                                t_val[edge], post[row], fire, p, q)
+        col = nxt * s[lv] + w[row]
+        width = 1 + fire
+        at = np.cumsum(width) - width
+        data = np.empty(int(width.sum()))
+        cols = np.empty(data.size, dtype=np.intp)
+        data[at], cols[at] = same, col
+        data[at[fire] + 1], cols[at[fire] + 1] = up, col[fire] + 1
+        rows = np.repeat(row, width)
+        # rows sum to 1 analytically; renormalise away float drift
+        rs = np.bincount(rows, weights=data, minlength=n_rows)
+        if np.any(rs <= 1e-12):
+            raise NotARefinementError("refinement produced an empty kernel row")
+        data /= rs[rows]
+        indptr = np.zeros(n_rows + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        for j in range(j0, j_end):
+            r0, r1 = agent_first[[j, j + 1]] - agent_first[j0]
+            e0, e1 = indptr[r0], indptr[r1]
+            kernels.append(CSRKernel(indptr[r0:r1 + 1] - e0, cols[e0:e1],
+                                     data[e0:e1], (sizes[j], sizes[j + 1])))
 
     if fires[0]:
         b = tree.beliefs[0]
@@ -139,37 +219,9 @@ def refine_process(tree: DiscreteLearningProcess,
                          tree.root_dist * pr_up], axis=1).ravel()
     else:
         root = tree.root_dist.copy()
-
-    kernels = []
-    for j in range(n - 1):
-        b, bn, base = tree.beliefs[j][:, None], tree.beliefs[j + 1], tree.kernels[j]
-        # planner transition probability given each state
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k1 = np.where(b > 0, base * (bn / b), base)
-            k0 = np.where(b < 1, base * ((1 - bn) / (1 - b)), base)
-        k1 = np.where(base > 0, k1, 0.0)
-        k0 = np.where(base > 0, k0, 0.0)
-        mu = post[j]
-        K = np.zeros((*mu.shape, *post[j + 1].shape))
-        for w in range(mu.shape[1]):
-            pr1 = mu[:, w, None] * k1            # joint with theta = 1
-            pr0 = (1 - mu[:, w, None]) * k0
-            if fires[j + 1]:
-                K[:, w, :, w + 1] = pr1 * p + pr0 * q
-                K[:, w, :, w] = pr1 * (1 - p) + pr0 * (1 - q)
-            else:
-                K[:, w, :, w] = pr1 + pr0
-        K = K.reshape(mu.size, post[j + 1].size)
-        # rows sum to 1 analytically; renormalize away float drift
-        rs = K.sum(axis=1)
-        if np.any(rs <= 1e-12):
-            raise NotARefinementError("refinement produced an empty kernel row")
-        K /= rs[:, None]
-        kernels.append(K)
-
     try:
-        return DiscreteLearningProcess(tree.grid, tuple(t.ravel() for t in post),
-                                       tuple(kernels), root, tree.mu0, parent)
+        return DiscreteLearningProcess(tree.grid, tuple(beliefs), tuple(kernels),
+                                       root, tree.mu0, tuple(parent))
     except DomainError as e:
         raise NotARefinementError(f"refinement is not Bayes-consistent: {e}")
 

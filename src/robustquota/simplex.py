@@ -4,7 +4,11 @@ Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
 Pivoting uses Dantzig's rule for speed with Bland's anti-cycling rule engaged
 after a streak of degenerate pivots, which guarantees termination in exact
-arithmetic; a run past max_iter pivots raises IterationLimitError.  Under
+arithmetic; a phase that runs past max_iter pivots raises IterationLimitError.
+By default max_iter is 20 times the tableau's rows plus columns: the most any
+LP of the tests, the acceptance battery or the benchmark needs is 1.6 times
+(584 pivots on 122 rows and 243 columns), so a run past the limit has stalled
+and fails in seconds, not minutes.  Under
 Dantzig's rule the ratio test is Harris's two-pass test: a basic variable may
 go below zero by at most the feasibility tolerance, so that the largest pivot
 among nearly tied rows can be taken, since a tiny pivot at a degenerate
@@ -30,6 +34,7 @@ _FEAS_TOL = 1e-9
 _PIVOT_TOL = 1e-11
 _REL_PIVOT_TOL = 1e-9
 _DEGEN_STREAK = 12
+_PIVOTS_PER_SIZE = 20
 
 
 def _pivot(T, basis, row, col):
@@ -91,7 +96,7 @@ def _run(T, basis, n_cols_active, max_iter):
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-             max_iter=200000) -> SimplexResult:
+             max_iter=None) -> SimplexResult:
     c = np.asarray(c, dtype=float)
     n = c.size
     rows = []
@@ -163,6 +168,8 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
             aj += 1
 
     n_active = n + n_slack  # artificials are never re-entered in phase 2
+    if max_iter is None:
+        max_iter = _PIVOTS_PER_SIZE * (m + n_active + n_art)
 
     total_iters = 0
     if n_art:

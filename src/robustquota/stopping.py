@@ -1,6 +1,6 @@
 """The layered-DAG stopping engine (backward induction and forward stopped
 mass), the agent's optimal stopping problem, principal evaluation, and seeded
-path simulation."""
+path simulation.  Each level costs one sparse kernel product, O(nnz)."""
 
 from dataclasses import dataclass, field
 from typing import List, Tuple
@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DomainError, EmptyMechanismError, RobustQuotaError
 from .mechanisms import Mechanism, adjusted_profiles
 from .payoffs import PayoffSpec
-from .processes import DiscreteLearningProcess
+from .processes import CSRKernel, DiscreteLearningProcess
 
 
 def backward(proc: DiscreteLearningProcess, stop_payoff, forced=None,
@@ -135,32 +135,69 @@ def principal_value(sol: StoppingSolution, principal: PayoffSpec, m: Mechanism) 
     return float(vals @ sol.joint_mass)
 
 
+def _running_sums(k: CSRKernel):
+    """Per-row running sums of a kernel's nonzeros, padded on the right with
+    the row total: the row's CDF over its stored columns."""
+    deg = np.diff(k.indptr)
+    pad = np.zeros((k.shape[0], int(deg.max(initial=0))))
+    at = np.arange(k.data.size) - np.repeat(k.indptr[:-1], deg)
+    pad[k.row_ids(), at] = k.data
+    return np.cumsum(pad, axis=1), deg
+
+
 def simulate(proc: DiscreteLearningProcess, sol: StoppingSolution, n_paths: int,
              seed: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monte Carlo draw of (stopping belief, stopping level) pairs.
 
-    Each path uses its own counter-based RNG stream keyed by (seed, path), so
-    the sample is reproducible and independent of any parallel scheduling.
-    Returns aggregated (stop_level, stop_belief, mass) arrays.
+    Each path draws its end + 1 uniforms from its own counter-based stream,
+    Philox keyed by (seed, path): the first picks the root node and draw
+    j + 1 the step out of level j.  The sample is therefore reproducible and
+    independent of any parallel scheduling.  All paths are walked together
+    one level at a time; a step goes to the first stored column whose running
+    row sum reaches the draw, and a draw above the row's total raises
+    DomainError.  Returns aggregated (stop_level, stop_belief, mass) arrays.
     """
     if n_paths < 1:
         raise DomainError("n_paths must be >= 1")
+    end = sol.end
     root_cdf = np.cumsum(proc.root_dist)
-    kernel_cdfs = [np.cumsum(k, axis=1) for k in proc.kernels]
-    counts = {}
-    for path in range(n_paths):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, path],
-                                                                dtype=np.uint64)))
-        node = int(np.searchsorted(root_cdf, rng.random()))
-        j = 0
-        while not sol.stop_set[j][node]:
-            node = int(np.searchsorted(kernel_cdfs[j][node], rng.random()))
-            j += 1
-        key = (float(proc.grid.points[j]), float(proc.beliefs[j][node]))
-        counts[key] = counts.get(key, 0) + 1
+    cdfs = [_running_sums(k) for k in proc.kernels[:end]]
+    bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state                  # counter and buffer as Philox(key=...)
+    stop_level = np.empty(n_paths, dtype=np.intp)
+    stop_node = np.empty(n_paths, dtype=np.intp)
+    block = max(1, (1 << 20) // (end + 1))     # draws held at once: 8 MB
+    for p0 in range(0, n_paths, block):
+        u = np.empty((min(block, n_paths - p0), end + 1))
+        for i in range(len(u)):
+            fresh["state"]["key"] = np.array([seed, p0 + i], dtype=np.uint64)
+            bits.state = fresh
+            u[i] = gen.random(end + 1)
+        node = np.searchsorted(root_cdf, u[:, 0])
+        if np.any(node >= root_cdf.size):
+            raise DomainError("a draw exceeds the root distribution's total")
+        active = np.arange(len(u))
+        for j in range(end + 1):
+            st = sol.stop_set[j][node]
+            stop_level[p0 + active[st]] = j
+            stop_node[p0 + active[st]] = node[st]
+            active, node = active[~st], node[~st]
+            if not active.size:
+                break
+            cdf, deg = cdfs[j]
+            k = np.count_nonzero(cdf[node] < u[active, j + 1, None], axis=1)
+            if np.any(k >= deg[node]):
+                raise DomainError(f"a draw exceeds the total of a kernel {j} row")
+            node = proc.kernels[j].indices[proc.kernels[j].indptr[node] + k]
 
-    keys = sorted(counts)
-    levels = np.array([k[0] for k in keys])
-    bels = np.array([k[1] for k in keys])
-    mass = np.array([counts[k] / n_paths for k in keys])
-    return levels, bels, mass
+    first = np.cumsum([0] + [len(b) for b in proc.beliefs[:end]])
+    levels = proc.grid.points[stop_level]
+    bels = np.concatenate(proc.beliefs[:end + 1])[first[stop_level] + stop_node]
+    order = np.lexsort((bels, levels))
+    levels, bels = levels[order], bels[order]
+    new = np.ones(n_paths, dtype=bool)
+    new[1:] = (levels[1:] != levels[:-1]) | (bels[1:] != bels[:-1])
+    starts = np.nonzero(new)[0]
+    counts = np.diff(np.append(starts, n_paths))
+    return levels[starts], bels[starts], counts / n_paths

@@ -1,5 +1,6 @@
 """scipy.optimize and scipy.sparse cost 0.16-0.6 s to import, more than a
-small run's own work; the oracle, guarantee checks and the stopping engine
+small run's own work; the oracle, guarantee checks, the stopping engine and
+the sparse tree kernels (refinement, adaptive evaluation, path simulation)
 must not pull them in."""
 
 import os
@@ -11,8 +12,10 @@ import robustquota
 SCRIPT = """
 import sys
 import numpy as np
-from robustquota import (LevelGrid, Zero, binomial_tree, compute_robust,
-                         quadratic_pair, solve_stopping, verify_guarantee)
+from robustquota import (BinaryExperiment, LevelGrid, Zero, binomial_tree,
+                         compute_robust, evaluate_adaptive, quadratic_pair,
+                         refine_process, simulate, solve_adaptive_quota,
+                         solve_stopping, verify_guarantee)
 from robustquota.adversary import solve_badnews_lp, tree_oracle_worst_case
 
 agent, principal = quadratic_pair(1.0, 1.0, 1.0)
@@ -25,7 +28,12 @@ lp = solve_badnews_lp(agent, principal, Zero(), small, 0.6, solver="simplex")
 beliefs = sorted({0.0, *np.round(lp.bn.cont_belief(), 12)})
 tree_oracle_worst_case(agent, principal, Zero(), small, beliefs, 0.6)
 
-solve_stopping(binomial_tree(0.6, grid), agent, rob.mechanism)
+tree = binomial_tree(0.6, grid)
+sol = solve_stopping(tree, agent, rob.mechanism)
+simulate(tree, sol, 50, seed=1)
+ref = refine_process(tree, BinaryExperiment(0.7, 0.3, (2, 5)))
+evaluate_adaptive(solve_adaptive_quota(tree, agent, principal), ref, agent,
+                  principal)
 print(sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules))
 """
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from robustquota import (DiscreteLearningProcess, DomainError, LevelGrid,
                          binomial_tree, full_revelation, no_learning,
                          random_tree, single_split)
+from robustquota.processes import CSRKernel
 
 GRID = LevelGrid(1.0, 5)
 
@@ -77,3 +78,53 @@ def test_json_roundtrip():
         assert np.allclose(a, b)
     for a, b in zip(p.kernels, q.kernels):
         assert np.allclose(a, b)
+
+
+@st.composite
+def _sparse_stochastic(draw):
+    """A random row-stochastic matrix with 1 to k nonzeros per row."""
+    m, k = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.uniform(0.0, 1.0, size=(m, k)) * (rng.random((m, k)) < 0.4)
+    a[np.arange(m), rng.integers(0, k, size=m)] += rng.uniform(0.1, 1.0, size=m)
+    return a / a.sum(axis=1)[:, None], rng
+
+
+@given(_sparse_stochastic())
+@settings(max_examples=100, deadline=None)
+def test_csr_kernel_agrees_with_dense(case):
+    """Products and row sums match dense numpy to 1e-15 of their scale, the
+    row length times the sum of the terms' magnitudes; the dense round trip
+    is exact."""
+    a, rng = case
+    m, k = a.shape
+    K = CSRKernel.from_dense(a)
+    assert np.array_equal(K.toarray(), a) and np.array_equal(np.asarray(K), a)
+    assert K.data.size == np.count_nonzero(a)
+    v = rng.uniform(-1.0, 1.0, size=k)
+    x = rng.uniform(-1.0, 1.0, size=m)
+    for got, want, scale in [
+            (K @ v, a @ v, k * np.abs(a) @ np.abs(v)),
+            (x @ K, x @ a, m * np.abs(x) @ np.abs(a)),
+            (K.row_sums(), a.sum(axis=1), k * a.sum(axis=1))]:
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
+
+
+def test_dense_and_csr_kernels_build_the_same_process():
+    tree = binomial_tree(0.4, GRID)
+    dense = DiscreteLearningProcess(GRID, tree.beliefs,
+                                    tuple(np.asarray(k) for k in tree.kernels),
+                                    tree.root_dist, tree.mu0)
+    for a, b in zip(tree.kernels, dense.kernels):
+        assert isinstance(b, CSRKernel)
+        for f in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, f), getattr(b, f))
+
+
+def test_unsorted_kernel_columns_rejected():
+    beliefs = (np.array([0.5]), np.array([0.2, 0.8]))
+    K = CSRKernel([0, 2], [1, 0], [0.5, 0.5], (1, 2))
+    with pytest.raises(DomainError, match="increase"):
+        DiscreteLearningProcess(LevelGrid(1.0, 2), beliefs, (K,),
+                                np.array([1.0]), 0.5)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from robustquota import (InfeasibleLPError, IterationLimitError,
-                         UnboundedLPError)
+                         UnboundedLPError, simplex)
 from robustquota.simplex import solve_lp
 
 
@@ -51,6 +51,15 @@ def test_iteration_limit_is_not_infeasibility():
     with pytest.raises(IterationLimitError):
         with pytest.raises(InfeasibleLPError):
             solve_lp(**lp, max_iter=0)
+
+
+def test_default_iteration_limit_scales_with_the_tableau(monkeypatch):
+    lp = dict(c=np.array([-1.0]), A_ub=np.array([[1.0]]), b_ub=np.array([1.0]))
+    monkeypatch.setattr(simplex, "_PIVOTS_PER_SIZE", 0)
+    with pytest.raises(IterationLimitError):
+        solve_lp(**lp)
+    monkeypatch.setattr(simplex, "_PIVOTS_PER_SIZE", 1)
+    assert solve_lp(**lp).n_iter == 1
 
 
 def test_unbounded():

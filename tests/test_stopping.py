@@ -1,15 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustquota import (CARA, EmptyMechanismError, FixedTaxHardQuota,
-                         LevelGrid, TabulatedMechanism, Zero, adjusted_profiles,
-                         agent_value, cara_pair, compute_robust,
-                         full_revelation, no_learning,
-                         one_shot_level, principal_value, quadratic_pair,
-                         random_tree, simulate, single_split, solve_stopping)
+from robustquota import (CARA, DomainError, EmptyMechanismError,
+                         FixedTaxHardQuota, LevelGrid, TabulatedMechanism,
+                         Zero, adjusted_profiles, agent_value, binomial_tree,
+                         cara_pair, compute_robust, full_revelation,
+                         no_learning, one_shot_level, principal_value,
+                         quadratic_pair, random_tree, simulate, single_split,
+                         solve_stopping)
 from robustquota.adversary import indifference_G
+from robustquota.processes import CSRKernel
 from robustquota.stopping import backward, forward
 
 
@@ -161,3 +165,73 @@ def test_backward_value_is_forward_expectation(seed, n, mu0, family, robust):
     scale = max(np.abs(a1[:sol.end + 1]).max(), np.abs(a0[:sol.end + 1]).max())
     assert abs(sol.root_value - stop_u @ sol.joint_mass) \
         <= sol.end * 1e-9 + 1e-12 * scale
+
+
+def _simulate_by_paths(proc, sol, n_paths, seed):
+    """Path-by-path reference walker: scalar draws from each path's own
+    Philox stream and a search of the dense row CDF at every step."""
+    root_cdf = np.cumsum(proc.root_dist)
+    kernel_cdfs = [np.cumsum(np.asarray(k), axis=1) for k in proc.kernels]
+    counts = {}
+    for path in range(n_paths):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, path],
+                                                                dtype=np.uint64)))
+        node = int(np.searchsorted(root_cdf, rng.random()))
+        j = 0
+        while not sol.stop_set[j][node]:
+            node = int(np.searchsorted(kernel_cdfs[j][node], rng.random()))
+            j += 1
+        key = (float(proc.grid.points[j]), float(proc.beliefs[j][node]))
+        counts[key] = counts.get(key, 0) + 1
+    keys = sorted(counts)
+    return (np.array([k[0] for k in keys]), np.array([k[1] for k in keys]),
+            np.array([counts[k] / n_paths for k in keys]))
+
+
+def _badnews_process(grid):
+    agent, principal = cara_pair(1.0, 3.0)
+    return indifference_G(agent, Zero(), grid, 0.5, principal).bn.to_process()
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: binomial_tree(0.6, g, 0.7, 0.3),
+    lambda g: random_tree(0.6, g, seed=5), _badnews_process],
+    ids=["binomial", "random", "badnews"])
+def test_simulate_matches_path_by_path_walk_bitwise(make):
+    grid = LevelGrid(2.0, 31)
+    proc = make(grid)
+    agent, _ = cara_pair(1.0, 3.0)
+    sol = solve_stopping(proc, agent, Zero())
+    for seed in (0, 42):
+        got = simulate(proc, sol, 700, seed)
+        want = _simulate_by_paths(proc, sol, 700, seed)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_draw_above_row_total_raises_without_reading_next_row():
+    """Row 0 of the first kernel holds only half its mass: a draw above 0.5
+    must raise, not step into row 1's column."""
+    grid = LevelGrid(1.0, 3)
+    proc = full_revelation(0.6, grid)
+    sol = solve_stopping(proc, CARA(1.0), Zero())
+    sol = replace(sol, end=2, stop_set=(np.array([False, False]),
+                                        np.array([False, False]),
+                                        np.array([True, True])))
+    leaky = CSRKernel([0, 1, 2], [0, 1], [0.5, 1.0], (2, 2))
+    object.__setattr__(proc, "kernels", (leaky, proc.kernels[1]))
+    with pytest.raises(DomainError, match="kernel 0 row"):
+        simulate(proc, sol, 50, seed=3)
+
+
+def test_simulate_across_draw_blocks_matches_path_by_path_walk():
+    """At 1201 levels a block holds 873 paths' draws, so 880 paths take two
+    blocks."""
+    grid = LevelGrid(2.0, 1201)
+    proc = _badnews_process(grid)
+    sol = solve_stopping(proc, cara_pair(1.0, 3.0)[0], Zero())
+    got = simulate(proc, sol, 880, seed=9)
+    want = _simulate_by_paths(proc, sol, 880, seed=9)
+    assert len(got[0]) > 1
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
