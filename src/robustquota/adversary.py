@@ -8,7 +8,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .badnews import BadNewsProcess, effective_end, obedience_slacks
-from .checks import risk_ratio_condition
 from .errors import (BudgetExceededError, ConditionViolatedError, DomainError,
                      InfeasibleLPError)
 from .grid import LevelGrid
@@ -102,6 +101,10 @@ class BadNewsLPResult:
     gap: Optional[float]
     binding: np.ndarray = field(repr=False)  # binding obedience rows at the optimum
     objective: np.ndarray = field(repr=False)
+    #: the multipliers (y, t) of the obedience rows and the mass row that
+    #: gap is certified with (the exact dual on the construction route,
+    #: HiGHS's on the highs route); None where gap is None
+    multipliers: Optional[Tuple[np.ndarray, float]] = field(repr=False)
 
     def diagnostics(self) -> dict:
         return {"objective": float(self.value), "iterations": int(self.iterations),
@@ -293,7 +296,7 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
             g *= (1.0 - mu0) / total
         return g, float(mu0 * p1[-1] + c @ g)
 
-    route, iters, gap = solver, 0, None
+    route, iters, gap, y, t = solver, 0, None, None, None
     if solver == "auto":
         route = "highs"
         g = _obedient_construction(a1, a0, b, mu0)
@@ -331,7 +334,7 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     binding = np.nonzero(np.abs(slacks) <= 1e-7 * scale)[0]
     return BadNewsLPResult(BadNewsProcess(grid, g, mu0, end), value, premise_ok,
                            iters, route, None if gap is None else float(gap),
-                           binding, c)
+                           binding, c, None if gap is None else (y, float(t)))
 
 
 def badnews_value(bn: BadNewsProcess, agent: PayoffSpec, principal: PayoffSpec,
@@ -376,12 +379,14 @@ def indifference_G(agent: PayoffSpec, m: Mechanism, grid: LevelGrid,
 
 @dataclass(frozen=True)
 class DualCertificate:
-    Lambda: np.ndarray = field(repr=False)
-    lbar: float
+    """Weak-duality evidence for the bad-news LP's value: the multipliers
+    solve_badnews_lp certified it with, on the levels through l_end."""
+    Lambda: np.ndarray = field(repr=False)  # cumsum of the obedience multipliers
+    lbar: float                 # support start of the worst process
     dual_value: float           # -sum g_bar dLambda, the Stieltjes part
-    dual_bound: float           # full lower bound on the LP optimum
+    dual_bound: float           # primal - gap, a lower bound on the LP optimum
     primal_value: float
-    gap: float                  # primal - dual_bound >= 0 (weak duality)
+    gap: float                  # the solve's certified gap, >= 0 up to rounding
     gbar: np.ndarray = field(repr=False)  # mu0 (U^phi(1,l_end) - U^phi(1,l))
     comp_slack_max: float       # worst |slack| on levels carrying mass
 
@@ -393,60 +398,23 @@ class DualCertificate:
 
 def dual_certificate(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
                      grid: LevelGrid, mu0: float) -> DualCertificate:
-    """Build the two-branch multiplier Lambda* and check weak duality.
+    """The bad-news LP's own dual certificate.
 
-    Lambda* is constant at V^phi(0,lbar)/U^phi(0,lbar) below lbar and equals
-    the bad-state marginal-payoff ratio (forward differences, which make the
-    discrete telescoping exact) above it.  Lambda* supplies the obedience-row
-    multipliers; the mass-row multiplier is the exact minimum of the dual
-    feasibility slack, so dual_bound <= LP optimum holds by construction
-    whenever Lambda* is nonnegative and nondecreasing.
+    Reads the multipliers (y, t) that solve_badnews_lp certified its value
+    with: Lambda = cumsum(y) is nondecreasing in the level (y >= 0), gap is
+    that solve's certified gap and dual_bound its value minus the gap.
+    Raises where the solve does.
     """
-    ratio = risk_ratio_condition(agent, principal, m, grid)
-    if not ratio.nondecreasing:
-        raise ConditionViolatedError(
-            f"marginal-ratio condition fails at {ratio.witness}")
-    end, a1, a0, p1, p0, c, gbar = _lp_data(agent, principal, m, grid, mu0)
+    _, a1, a0, _, _, _, gbar = _lp_data(agent, principal, m, grid, mu0)
     lp = solve_badnews_lp(agent, principal, m, grid, mu0)
-    jbar = _support_start(lp.bn.g)
-
-    dU = np.diff(a0)
-    if np.any(np.abs(dU) <= 1e-15 * max(1.0, float(np.abs(a0).max()))):
-        raise ConditionViolatedError("flat agent bad-state payoff step")
-    fwd = np.diff(p0) / dU
-    Lambda = np.empty(end + 1)
-    Lambda[jbar:end] = fwd[jbar:]
-    kappa = None
-    if jbar > 0 or end == 0:
-        # only the constant branch below lbar (or a lone level) reads kappa
-        if a0[jbar] == 0.0:
-            raise ConditionViolatedError(
-                "U^phi(0, lbar) = 0: the constant branch of Lambda* is undefined")
-        kappa = float(p0[jbar] / a0[jbar])
-        Lambda[:jbar] = kappa
-    Lambda[end] = Lambda[end - 1] if end > 0 else kappa
-
-    scale = max(1.0, float(np.abs(Lambda).max()))
-    if np.any(np.diff(Lambda) < -1e-9 * scale) or Lambda[0] < -1e-9 * scale:
-        raise ConditionViolatedError("Lambda* is not nonnegative nondecreasing")
-    y = np.diff(Lambda, prepend=0.0)
-    y = np.clip(y, 0.0, None)
-
-    # dual feasibility slack per column: c_k + sum_{j<=k} y_j (U0_j - U0_k)
-    W = np.cumsum(y * a0)
-    M = np.cumsum(y)
-    lhs = c + W - a0 * M
-    t = float(lhs.min())
-
-    dual_value = float(-(y @ gbar))
-    dual_bound = float(mu0 * p1[-1] + (1.0 - mu0) * t + dual_value)
-
+    y, _ = lp.multipliers
     slacks = obedience_slacks(lp.bn.g, a1, a0, mu0)
     carrying = lp.bn.g > 1e-12
     comp = float(np.abs(slacks[carrying]).max()) if carrying.any() else 0.0
-    return DualCertificate(Lambda, float(grid.points[jbar]), dual_value,
-                           dual_bound, lp.value, lp.value - dual_bound, gbar,
-                           comp)
+    jbar = _support_start(lp.bn.g)
+    return DualCertificate(np.cumsum(y), float(grid.points[jbar]),
+                           float(-(y @ gbar)), lp.value - lp.gap, lp.value,
+                           lp.gap, gbar, comp)
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,11 @@ from dataclasses import replace
 import numpy as np
 
 from .acceptance import run_acceptance
-from .adversary import dual_certificate, indifference_G, payoff_gap, \
-    solve_badnews_lp
+from .adversary import dual_certificate, payoff_gap, solve_badnews_lp
 from .checks import check_assumptions, pseudo_inverse_beliefs, \
     risk_ratio_condition
 from .config import RunConfig, load_config
-from .errors import ConditionViolatedError, ConfigError, RobustQuotaError
+from .errors import ConfigError, RobustQuotaError
 from .grid import LevelGrid
 from .processes import binomial_tree, no_learning
 from .robust import compute_joint_robust, compute_robust
@@ -90,8 +89,8 @@ def cmd_robust(cfg: RunConfig, args) -> int:
 def cmd_worstcase(cfg: RunConfig, args) -> int:
     lp = solve_badnews_lp(cfg.agent, cfg.principal, cfg.mechanism, cfg.grid,
                           cfg.mu0)
-    ind = indifference_G(cfg.agent, cfg.mechanism, cfg.grid, cfg.mu0,
-                         cfg.principal)
+    cert = dual_certificate(cfg.agent, cfg.principal, cfg.mechanism, cfg.grid,
+                            cfg.mu0)
     e = lp.bn.end
     binding = np.zeros(e + 1, dtype=bool)
     binding[lp.binding] = True
@@ -99,20 +98,13 @@ def cmd_worstcase(cfg: RunConfig, args) -> int:
                                   cfg.n_mu)
     mu_v = pseudo_inverse_beliefs(cfg.principal, cfg.grid, cfg.mechanism,
                                   "principal", cfg.n_mu)
-    rows = zip(cfg.grid.points[:e + 1], ind.bn.G, ind.bn.cont_belief(),
+    rows = zip(cfg.grid.points[:e + 1], lp.bn.G, lp.bn.cont_belief(),
                binding, mu_u[:e + 1], mu_v[:e + 1])
     _write_csv(_outpath(args, "worstcase.csv"),
                ["level", "G", "cont_belief", "binding", "mu_hat_U", "mu_hat_V"],
                rows)
     payload = {"value": lp.value, "premise_ok": lp.premise_ok,
-               "route": lp.route, "lbar": ind.lbar,
-               "used_lp_fallback": ind.used_lp_fallback}
-    try:
-        cert = dual_certificate(cfg.agent, cfg.principal, cfg.mechanism,
-                                cfg.grid, cfg.mu0)
-        payload["dual"] = cert.to_dict()
-    except (ConditionViolatedError, RobustQuotaError) as e:
-        payload["dual"] = {"unavailable": str(e)}
+               "route": lp.route, "lbar": cert.lbar, "dual": cert.to_dict()}
     _write_json(_outpath(args, "worstcase_value.json"), payload)
     print(json.dumps({"value": lp.value, "premise_ok": lp.premise_ok},
                      sort_keys=True))

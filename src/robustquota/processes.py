@@ -274,8 +274,12 @@ def binomial_tree(mu0: float, grid: LevelGrid, p_good: float = 0.6,
     # posterior from u up-signals out of j, via log-likelihoods
     log_lr = (u * np.log(p_good / p_bad)
               + (level - u) * np.log((1 - p_good) / (1 - p_bad)))
-    odds = mu0 / (1.0 - mu0) * np.exp(log_lr)
-    flat = odds / (1.0 + odds)
+    # odds past the float range give belief 1.0, as does any finite odds
+    # above e^37 once rounded
+    with np.errstate(over="ignore"):
+        odds = mu0 / (1.0 - mu0) * np.exp(log_lr)
+    flat = np.divide(odds, 1.0 + odds, out=np.ones_like(odds),
+                     where=odds < np.inf)
     beliefs = np.split(flat, first[1:n])
 
     mu = flat[:first[n - 1]]

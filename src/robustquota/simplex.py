@@ -99,73 +99,45 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
              max_iter=None) -> SimplexResult:
     c = np.asarray(c, dtype=float)
     n = c.size
-    rows = []
-    rhs = []
-    kinds = []  # 'ub' or 'eq'
-    if A_ub is not None and len(A_ub):
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        for r, b in zip(A_ub, np.atleast_1d(b_ub)):
-            rows.append(r)
-            rhs.append(float(b))
-            kinds.append("ub")
-    if A_eq is not None and len(A_eq):
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        for r, b in zip(A_eq, np.atleast_1d(b_eq)):
-            rows.append(r)
-            rhs.append(float(b))
-            kinds.append("eq")
-    m = len(rows)
+
+    def block(A, b):
+        if A is None or not len(A):
+            return np.zeros((0, n)), np.zeros(0)
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        b = np.atleast_1d(np.asarray(b, dtype=float))
+        if len(b) != len(A):
+            raise ValueError(f"{len(A)} constraint rows but {len(b)} bounds")
+        return A, b
+
+    A_ub, b_ub = block(A_ub, b_ub)
+    A_eq, b_eq = block(A_eq, b_eq)
+    A = np.vstack([A_ub, A_eq])
+    b = np.concatenate([b_ub, b_eq])
+    m, n_slack = len(b), len(b_ub)
     if m == 0:
         raise InfeasibleLPError("no constraints")
-    A = np.vstack(rows)
-    b = np.array(rhs)
 
     # normalize to b >= 0
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
+    # surplus rows (flipped <= rows) and equality rows need an artificial
+    needs_art = flip | (np.arange(m) >= n_slack)
+    art_rows = np.flatnonzero(needs_art)
+    n_art = art_rows.size
 
-    n_slack = sum(1 for k in kinds if k == "ub")
-    # slack coefficient is -1 on flipped <= rows (they became >=)
-    slack_cols = []
-    art_rows = []
-    S = np.zeros((m, n_slack))
-    si = 0
-    for i, k in enumerate(kinds):
-        if k == "ub":
-            S[i, si] = -1.0 if flip[i] else 1.0
-            slack_cols.append(si)
-            if flip[i]:
-                art_rows.append(i)  # surplus rows need an artificial
-            si += 1
-        else:
-            art_rows.append(i)
-
-    n_art = len(art_rows)
-    Art = np.zeros((m, n_art))
-    for j, i in enumerate(art_rows):
-        Art[i, j] = 1.0
-
-    # tableau: [A | S | Art | b], last row = phase objective
+    # tableau: [A | slack | artificial | b], last row = phase objective;
+    # the slack coefficient is -1 on flipped <= rows (they became >=)
     T = np.zeros((m + 1, n + n_slack + n_art + 1))
     T[:m, :n] = A
-    T[:m, n:n + n_slack] = S
-    T[:m, n + n_slack:n + n_slack + n_art] = Art
+    T[np.arange(n_slack), n + np.arange(n_slack)] = np.where(flip[:n_slack],
+                                                            -1.0, 1.0)
+    T[art_rows, n + n_slack + np.arange(n_art)] = 1.0
     T[:m, -1] = b
 
     # starting basis: plain slack where possible, artificial otherwise
-    basis = [-1] * m
-    si = 0
-    aj = 0
-    for i in range(m):
-        if kinds[i] == "ub" and not flip[i]:
-            basis[i] = n + si
-            si += 1
-        else:
-            if kinds[i] == "ub":
-                si += 1
-            basis[i] = n + n_slack + aj
-            aj += 1
+    basis = np.where(needs_art, n + n_slack + np.cumsum(needs_art) - 1,
+                     n + np.arange(m)).tolist()
 
     n_active = n + n_slack  # artificials are never re-entered in phase 2
     if max_iter is None:
@@ -175,7 +147,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     if n_art:
         # phase 1: minimize the sum of artificials
         T[-1, :] = 0.0
-        for j, i in enumerate(art_rows):
+        for i in art_rows:
             T[-1, :] -= T[i, :]
         T[-1, n + n_slack:n + n_slack + n_art] = 0.0
         total_iters += _run(T, basis, n_active, max_iter)

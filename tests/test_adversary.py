@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robustquota import (BudgetExceededError, ConditionViolatedError,
@@ -78,6 +78,60 @@ def test_dual_tight_when_support_reaches_zero():
     cert = dual_certificate(agent, principal, Zero(), grid, 0.5)
     assert cert.lbar == 0.0
     assert abs(cert.gap) <= 1e-4 * abs(cert.primal_value)
+
+
+@pytest.mark.parametrize("pair, lbar", [
+    (quadratic_pair(1.0, 1.0, 1.0), 2.0),   # all mass arrives at l_max
+    (cara_pair(1.0, 3.0), 0.203),
+])
+def test_dual_tight_when_support_starts_above_zero(pair, lbar):
+    agent, principal = pair
+    grid = LevelGrid(2.0, 2001)
+    cert = dual_certificate(agent, principal, Zero(), grid, 0.6)
+    lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.6)
+    assert cert.lbar == pytest.approx(lbar, abs=1e-12)
+    assert cert.gap <= 1e-9 * max(1.0, abs(cert.primal_value))
+    assert cert.gap == lp.gap
+    assert cert.dual_bound == lp.value - lp.gap
+
+
+def _paper_lambda(agent, principal, m, grid):
+    """Reference: the paper's multiplier above the support start, the
+    bad-state marginal-payoff ratio dV^phi(0, .)/dU^phi(0, .) as forward
+    differences on levels 0..end-1.  (Its constant branch below the support
+    start, V^phi(0, lbar)/U^phi(0, lbar), gives a loose bound where the
+    support starts above level 0.)"""
+    end = effective_end(m, grid)
+    _, a0, _ = adjusted_profiles(agent, m, "agent", grid)
+    _, p0, _ = adjusted_profiles(principal, m, "principal", grid)
+    return np.diff(p0[:end + 1]) / np.diff(a0[:end + 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["quadratic", "cara"]),
+       params=st.tuples(*[st.floats(0.5, 3.0)] * 3),
+       linear=st.booleans(), beta_tax=st.floats(0.0, 0.2),
+       mu0=st.floats(0.2, 0.8), n=st.integers(3, 401))
+def test_certified_lambda_is_papers_above_support(family, params, linear,
+                                                  beta_tax, mu0, n):
+    if family == "quadratic":
+        agent, principal = quadratic_pair(params[0], params[1], params[2] - 0.5)
+    else:
+        agent, principal = cara_pair(params[0], params[1])
+    m = Linear(beta_tax) if linear else Zero()
+    grid = LevelGrid(2.0, n)
+    try:
+        lp = solve_badnews_lp(agent, principal, m, grid, mu0)
+    except InfeasibleLPError:
+        return
+    assume(lp.route == "construction")
+    cert = dual_certificate(agent, principal, m, grid, mu0)
+    assert cert.gap == lp.gap
+    jbar = int(np.flatnonzero(grid.points == cert.lbar)[0])
+    ref = _paper_lambda(agent, principal, m, grid)[jbar:]
+    got = cert.Lambda[jbar:lp.bn.end]
+    if ref.size:
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
 
 def test_premise_detection():
@@ -235,7 +289,8 @@ def test_construction_route_certifies_at_scale():
 
 def test_dual_certificate_at_zero_payoff_level_is_warning_free():
     # the quadratic agent's bad-state payoff is 0 at level 0, where the
-    # support starts; the constant branch of Lambda* is then never read
+    # support starts; the certificate divides by no payoff, so no level's
+    # value can make it warn
     agent, principal = quadratic_pair(1.0, 1.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -245,17 +300,22 @@ def test_dual_certificate_at_zero_payoff_level_is_warning_free():
     assert cert.dual_bound <= cert.primal_value + 1e-9
 
 
-def test_dual_certificate_refuses_zero_payoff_below_support():
+def test_dual_certificate_at_zero_payoff_below_support():
     # shifting U^phi(0, .) by a constant leaves the process unchanged, so the
-    # shift can put U^phi(0, lbar) = 0 where the constant branch needs it
+    # shift can put U^phi(0, lbar) = 0, where the paper's constant branch
+    # below lbar, V^phi(0, lbar)/U^phi(0, lbar), is undefined; the LP's
+    # multipliers still certify the value
     grid = LevelGrid(2.0, 21)
     agent, principal = cara_pair(1.0, 3.0)
-    jbar = indifference_G(agent, Zero(), grid, 0.8, principal).lbar_index
+    plain = dual_certificate(agent, principal, Zero(), grid, 0.8)
+    jbar = int(np.flatnonzero(grid.points == plain.lbar)[0])
     assert jbar > 0
     u0 = agent.u0(grid.points)
     shifted = Tabulated(grid, tuple(agent.u1(grid.points)), tuple(u0 - u0[jbar]))
-    with pytest.raises(ConditionViolatedError, match="constant branch"):
-        dual_certificate(shifted, principal, Zero(), grid, 0.8)
+    cert = dual_certificate(shifted, principal, Zero(), grid, 0.8)
+    assert cert.lbar == plain.lbar
+    assert cert.primal_value == pytest.approx(plain.primal_value, rel=1e-12)
+    assert abs(cert.gap) <= 1e-9 * max(1.0, abs(cert.primal_value))
 
 
 def _pattern_oracle(agent, principal, m, small_grid, belief_support, mu0,

@@ -1,8 +1,11 @@
+import csv
 import json
 
 import pytest
 
+from robustquota.adversary import solve_badnews_lp
 from robustquota.cli import main
+from robustquota.config import load_config
 
 QUAD = {
     "payoff": {
@@ -96,11 +99,24 @@ def test_worstcase_outputs(tmp_path):
       "grid": {"l_max": 2.0, "n": 3}, "prior": {"mu0": 0.3}}, "highs"),
 ])
 def test_worstcase_records_route(tmp_path, raw, route):
+    # the CSV, the value and the certificate all describe the LP's process,
+    # also where the route is not the binding construction
     out = tmp_path / "o"
-    assert main(["--config", _write(tmp_path, raw), "--out", str(out),
-                 "worstcase"]) == 0
+    path = _write(tmp_path, raw)
+    assert main(["--config", path, "--out", str(out), "worstcase"]) == 0
     payload = json.loads((out / "worstcase_value.json").read_text())
     assert payload["route"] == route
+    assert "used_lp_fallback" not in payload
+    cfg = load_config(path)
+    lp = solve_badnews_lp(cfg.agent, cfg.principal, cfg.mechanism, cfg.grid,
+                          cfg.mu0)
+    with open(out / "worstcase.csv", newline="") as f:
+        G = [float(row["G"]) for row in csv.DictReader(f)]
+    assert G == lp.bn.G.tolist()
+    assert payload["value"] == lp.value
+    dual = payload["dual"]
+    assert dual["primal_value"] == lp.value and dual["gap"] == lp.gap
+    assert abs(dual["gap"]) <= 1e-9 * max(1.0, abs(lp.value))
 
 
 def test_gap_sweep_rows(tmp_path):

@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustquota import (DiscreteLearningProcess, DomainError, LevelGrid,
+from robustquota import (DiscreteLearningProcess, DomainError, LevelGrid, Zero,
                          binomial_tree, full_revelation, no_learning,
-                         random_tree, single_split)
+                         quadratic_pair, random_tree, single_split,
+                         solve_stopping)
 from robustquota.processes import CSRKernel
 
 GRID = LevelGrid(1.0, 5)
@@ -128,3 +131,21 @@ def test_unsorted_kernel_columns_rejected():
     with pytest.raises(DomainError, match="increase"):
         DiscreteLearningProcess(LevelGrid(1.0, 2), beliefs, (K,),
                                 np.array([1.0]), 0.5)
+
+
+def test_binomial_tree_past_float_odds():
+    # from level ~838 at 0.7/0.3 the posterior odds overflow a double; the
+    # belief there is 1.0, as it already is once the odds pass e^37
+    grid = LevelGrid(2.0, 1001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        p = binomial_tree(0.6, grid, 0.7, 0.3)
+        sol = solve_stopping(p, quadratic_pair(1.0, 1.0, 1.0)[0], Zero())
+    assert all(np.isfinite(v).all() for v in sol.values)
+    assert p.beliefs[-1][-1] == 1.0 and p.beliefs[-1][0] < 1.0
+    for j in range(800):
+        u = np.arange(j + 1)
+        # plain Bayes odds, which overflow from level ~838
+        odds = 0.6 / (1.0 - 0.6) * np.exp(
+            u * np.log(0.7 / 0.3) + (j - u) * np.log((1 - 0.7) / (1 - 0.3)))
+        assert p.beliefs[j].tobytes() == (odds / (1.0 + odds)).tobytes()

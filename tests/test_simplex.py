@@ -92,3 +92,12 @@ def test_matches_highs_on_random_instances(seed):
     assert ref.status == 0
     res = solve_lp(c, A_ub=A_box, b_ub=b_box)
     assert res.fun == pytest.approx(ref.fun, abs=1e-7)
+
+
+def test_bound_count_must_match_rows():
+    # a bound vector of the wrong length is an error, not silently cut short
+    with pytest.raises(ValueError, match="2 constraint rows but 3 bounds"):
+        solve_lp(np.array([1.0]), A_ub=np.array([[1.0], [2.0]]),
+                 b_ub=np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="1 constraint rows but 0 bounds"):
+        solve_lp(np.array([1.0]), A_eq=np.array([[1.0]]), b_eq=np.array([]))
