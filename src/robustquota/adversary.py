@@ -443,12 +443,28 @@ def tree_oracle_worst_case(agent: PayoffSpec, principal: PayoffSpec, m: Mechanis
     total mass 1 with prior mean mu0, a martingale and an obedience row per
     continuing history, and participation.  The LP covers history-dependent
     and randomised stopping, so every per-(level, belief) stop/continue
-    pattern is a restriction of it.  Above 4 levels or 5 beliefs the
-    instance is refused.
+    pattern is a restriction of it.
+
+    Histories that move off belief 0 or 1 once they reach it get neither a
+    variable nor a row.  At a continuing history h with belief 0 the
+    martingale row reads sum_k s_k b_next(k) = 0 over the stops k below h,
+    where b_next(k) is k's belief one level after h; with s >= 0 and
+    distinct support points it forces s_k = 0 wherever b_next(k) > 0 (a
+    forcing row: Andersen & Andersen, Presolving in linear programming,
+    Math. Prog. 71, 1995), and at belief 1 the same holds with the sign
+    flipped.  Applied level by level, this zeroes every stop below a move off
+    0 or 1, and a dropped continuing history has only dropped stops below it,
+    so its rows are empty.  The feasible set is unchanged but for
+    coordinates forced to zero, and so is the optimum.
+
+    Above 4 levels or 5 beliefs the instance is refused; a support or prior
+    that is not finite or not in [0, 1] raises DomainError.
     """
     B = np.asarray(sorted(set(float(b) for b in belief_support)))
-    if np.any(B < 0) or np.any(B > 1):
-        raise DomainError("belief support must lie in [0, 1]")
+    if not (np.all(np.isfinite(B)) and np.all((B >= 0) & (B <= 1))):
+        raise DomainError("belief support must be finite and lie in [0, 1]")
+    if not 0.0 <= mu0 <= 1.0:
+        raise DomainError(f"prior {mu0} does not lie in [0, 1]")
     if small_grid.n > 4 or len(B) > 5:
         raise BudgetExceededError(
             f"instance too large: {small_grid.n} levels, {len(B)} beliefs")
@@ -473,10 +489,19 @@ def tree_oracle_worst_case(agent: PayoffSpec, principal: PayoffSpec, m: Mechanis
     # below code p at level j are those whose code // nb^(L-j) is p
     level = np.repeat(np.arange(end + 1), nb ** np.arange(1, end + 2))
     code = np.concatenate([np.arange(nb ** (j + 1)) for j in range(end + 1)])
-    cols = stop_ok[level, code % nb]
+    # a history that moves off belief 0 or 1 once there has its mass forced
+    # to zero (see above) and gets no variable or row; digit i of a level-L
+    # code is code // nb^(L-i) % nb
+    shift = level[:, None] - np.arange(end)
+    digit = code[:, None] // nb ** np.maximum(shift, 0) % nb
+    after = code[:, None] // nb ** np.maximum(shift - 1, 0) % nb
+    leaves = (shift > 0) & ((B == 0) | (B == 1))[digit] & (after != digit)
+    live = ~leaves.any(axis=1)
+    cols = stop_ok[level, code % nb] & live
     L, q = level[cols], code[cols]
     u, v = U[L, q % nb], V[L, q % nb]
-    j, p = level[level < end, None], code[level < end, None]
+    cont = (level < end) & live
+    j, p = level[cont, None], code[cont, None]
     d = L - j                                       # (continuing h, stop k)
     below = (d > 0) & (q // nb ** np.maximum(d, 0) == p)
     b_next = B[q // nb ** np.maximum(d - 1, 0) % nb]

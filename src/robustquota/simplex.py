@@ -7,13 +7,14 @@ after a streak of degenerate pivots, which guarantees termination in exact
 arithmetic; a phase that runs past max_iter pivots raises IterationLimitError.
 By default max_iter is 20 times the tableau's rows plus columns: the most any
 LP of the tests, the acceptance battery or the benchmark needs is 1.6 times
-(584 pivots on 122 rows and 243 columns), so a run past the limit has stalled
-and fails in seconds, not minutes.  Under
-Dantzig's rule the ratio test is Harris's two-pass test: a basic variable may
-go below zero by at most the feasibility tolerance, so that the largest pivot
-among nearly tied rows can be taken, since a tiny pivot at a degenerate
-vertex blows the tableau up.  Column entries below 1e-9 of the column's
-largest are treated as zero in both rules.
+(585 pivots on 122 rows and 243 columns, the dense bad-news LP at 121
+levels; no tree oracle LP needs more than 0.52 times), so a run past the
+limit has stalled and fails in seconds, not minutes.  Under Dantzig's rule
+the ratio test is Harris's two-pass test: a basic variable may go below zero
+by at most the feasibility tolerance, so that the largest pivot among nearly
+tied rows can be taken, since a tiny pivot at a degenerate vertex blows the
+tableau up.  Column entries below 1e-9 of the column's largest are treated
+as zero in both rules.
 """
 
 from dataclasses import dataclass
@@ -83,7 +84,7 @@ def _run(T, basis, n_cols_active, max_iter):
             ratios[pos] = rhs[pos] / colvec[pos]
             cand = np.nonzero(ratios <= ratios.min() + 1e-15)[0]
             # Bland tie-break: leave the smallest basis index
-            row = int(cand[np.argmin(np.asarray(basis)[cand])])
+            row = int(cand[np.argmin(basis[cand])])
         # a step never goes backwards: a row below zero within the
         # tolerance leaves at zero
         T[row, -1] = max(T[row, -1], 0.0)
@@ -137,7 +138,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
 
     # starting basis: plain slack where possible, artificial otherwise
     basis = np.where(needs_art, n + n_slack + np.cumsum(needs_art) - 1,
-                     n + np.arange(m)).tolist()
+                     n + np.arange(m))
 
     n_active = n + n_slack  # artificials are never re-entered in phase 2
     if max_iter is None:
@@ -146,35 +147,31 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     total_iters = 0
     if n_art:
         # phase 1: minimize the sum of artificials
-        T[-1, :] = 0.0
-        for i in art_rows:
-            T[-1, :] -= T[i, :]
+        T[-1] = -T[art_rows].sum(axis=0)
         T[-1, n + n_slack:n + n_slack + n_art] = 0.0
         total_iters += _run(T, basis, n_active, max_iter)
         if T[-1, -1] < -_FEAS_TOL:
-            worst = int(np.argmax([T[i, -1] if basis[i] >= n + n_slack else -np.inf
-                                   for i in range(m)]))
+            worst = int(np.argmax(np.where(basis >= n + n_slack, T[:m, -1],
+                                           -np.inf)))
             raise InfeasibleLPError(
                 f"infeasible: residual {-T[-1, -1]:.3e}", most_binding=worst)
         # drive remaining artificials out of the basis where possible
-        for i in range(m):
-            if basis[i] >= n + n_slack:
-                row = T[i, :n_active]
-                cand = np.nonzero(np.abs(row) > _PIVOT_TOL)[0]
-                if cand.size:
-                    _pivot(T, basis, i, int(cand[0]))
-                    total_iters += 1
+        # (a pivot at row i changes only basis[i])
+        for i in np.flatnonzero(basis >= n + n_slack):
+            cand = np.flatnonzero(np.abs(T[i, :n_active]) > _PIVOT_TOL)
+            if cand.size:
+                _pivot(T, basis, i, cand[0])
+                total_iters += 1
 
     # phase 2 objective
     T[-1, :] = 0.0
     T[-1, :n] = c
-    for i in range(m):
-        if basis[i] < n_active and abs(T[-1, basis[i]]) > 0:
+    for i in np.flatnonzero(basis < n_active):
+        if abs(T[-1, basis[i]]) > 0:
             T[-1, :] -= T[-1, basis[i]] * T[i, :]
     total_iters += _run(T, basis, n_active, max_iter)
 
     x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i, -1]
+    real = basis < n
+    x[basis[real]] = T[:m, -1][real]
     return SimplexResult(x, float(c @ x), total_iters)

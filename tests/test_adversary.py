@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robustquota import (BudgetExceededError, ConditionViolatedError,
-                         FixedTaxHardQuota, InfeasibleLPError, LevelGrid,
+                         DomainError, FixedTaxHardQuota, InfeasibleLPError,
+                         IterationLimitError, LevelGrid,
                          Linear, Tabulated, Zero, cara_pair, compute_robust,
                          effective_end, quadratic_pair, verify_guarantee)
 from robustquota.adversary import (badnews_value, dual_certificate,
@@ -428,6 +429,160 @@ def test_history_lp_oracle_never_above_pattern_oracle(family, params, mech, n,
         bad = tree_oracle_worst_case(agent, principal, m, grid, support, mu0)
         assert abs(bad.value - lp.value) <= 1e-9 * max(1.0, abs(lp.value))
         assert bad.pre_terminal_offzero_mass(grid.points[lp.bn.end]) <= 1e-9
+
+
+def _full_history_oracle(agent, principal, m, small_grid, belief_support,
+                         mu0):
+    """Reference: the history LP over every stop-ok history, those that
+    leave belief 0 or 1 included.  Returns (value, the column histories as
+    tuples of belief indices, the solution)."""
+    B = np.asarray(sorted(set(float(b) for b in belief_support)))
+    end = effective_end(m, small_grid)
+    a1, a0, _ = adjusted_profiles(agent, m, "agent", small_grid)
+    p1, p0, _ = adjusted_profiles(principal, m, "principal", small_grid)
+    nb = len(B)
+    U = np.outer(a1[:end + 1], B) + np.outer(a0[:end + 1], 1 - B)
+    V = np.outer(p1[:end + 1], B) + np.outer(p0[:end + 1], 1 - B)
+    outside = float(agent.indirect(mu0, 0.0))
+    level = np.repeat(np.arange(end + 1), nb ** np.arange(1, end + 2))
+    code = np.concatenate([np.arange(nb ** (j + 1)) for j in range(end + 1)])
+    cols = _stop_ok(U)[level, code % nb]
+    L, q = level[cols], code[cols]
+    u, v = U[L, q % nb], V[L, q % nb]
+    j, p = level[level < end, None], code[level < end, None]
+    d = L - j
+    below = (d > 0) & (q // nb ** np.maximum(d, 0) == p)
+    b_next = B[q // nb ** np.maximum(d - 1, 0) % nb]
+    mart = np.where(below, b_next - B[p % nb], 0.0)
+    obey = np.where(below, U[j, p % nb] - u, 0.0)
+    A_eq = np.vstack([np.ones(len(q)), B[q // nb ** L], mart])
+    b_eq = np.concatenate([[1.0, mu0], np.zeros(len(p))])
+    A_ub = np.vstack([obey, -u])
+    b_ub = np.concatenate([np.zeros(len(p)), [-outside]])
+    res = solve_lp(v, A_ub, b_ub, A_eq, b_eq)
+    hists = [tuple(int(qk // nb ** (lk - i) % nb) for i in range(lk + 1))
+             for lk, qk in zip(L, q)]
+    return res.fun, hists, res.x
+
+
+def _stop_ok(U):
+    """(level, belief) pairs where stopping beats freezing the belief and
+    developing to any later level; every pair at the last level."""
+    ok = np.ones(U.shape, dtype=bool)
+    scale = max(1.0, float(np.abs(U).max()))
+    for j in range(len(U) - 1):
+        ok[j] = U[j] >= U[j + 1:].max(axis=0) - 1e-12 * scale
+    return ok
+
+
+def _stays_once_extreme(h, B):
+    """True when history h never moves off belief 0 or 1 once it is there."""
+    return all(B[a] not in (0.0, 1.0) or a == b for a, b in zip(h, h[1:]))
+
+
+def _random_oracle_instance(rng, extremes=True):
+    """A drawn (agent, principal, m, grid, beliefs, mu0); with extremes the
+    support holds 0 and 1 each with probability 1/2."""
+    params = rng.uniform(0.5, 3.0, 3)
+    if rng.random() < 0.5:
+        agent, principal = quadratic_pair(params[0], params[1], params[2] - 0.5)
+    else:
+        agent, principal = cara_pair(params[0], params[1])
+    m = [Zero(), Linear(0.02), FixedTaxHardQuota(0.0, 0.5)][rng.integers(3)]
+    n = int(rng.integers(2, 5))
+    size = int(rng.integers(3, 5 if n == 4 else 6))
+    beliefs = sorted(rng.choice(np.arange(1, 1000), size, replace=False)
+                     / 1000)
+    if extremes and rng.random() < 0.5:
+        beliefs[0] = 0.0
+    if extremes and rng.random() < 0.5:
+        beliefs[-1] = 1.0
+    return (agent, principal, m, LevelGrid(1.0, n), beliefs,
+            float(rng.uniform(0.2, 0.8)))
+
+
+def _oracle_columns(monkeypatch, args):
+    """Value and column count of tree_oracle_worst_case's LP."""
+    import robustquota.adversary as adversary
+    seen = []
+
+    def spy(c, *rest):
+        seen.append(len(c))
+        return solve_lp(c, *rest)
+
+    monkeypatch.setattr(adversary, "solve_lp", spy)
+    value = tree_oracle_worst_case(*args).value
+    return value, seen[-1]
+
+
+def test_pruned_oracle_matches_full_history_lp(monkeypatch):
+    # dropping the histories that leave belief 0 or 1 keeps the value, and
+    # the full LP puts no mass on them either
+    rng = np.random.default_rng(20261018)
+    solved = pruned = 0
+    for _ in range(120):
+        args = _random_oracle_instance(rng)
+        try:
+            ref, hists, x = _full_history_oracle(*args)
+        except (InfeasibleLPError, IterationLimitError) as e:
+            with pytest.raises(type(e)):
+                tree_oracle_worst_case(*args)
+            continue
+        value, n_cols = _oracle_columns(monkeypatch, args)
+        assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+        B = sorted(args[4])
+        kept = np.array([_stays_once_extreme(h, B) for h in hists])
+        assert n_cols == kept.sum()
+        assert x[~kept].sum() <= 1e-12
+        solved += 1
+        pruned += n_cols < len(hists)
+    assert solved >= 80 and pruned >= 40
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pruned_oracle_counts_reachable_stop_ok_histories(monkeypatch, seed):
+    agent, principal, m, grid, beliefs, mu0 = _random_oracle_instance(
+        np.random.default_rng(seed))
+    B = [0.0, *beliefs[1:-1], 1.0]
+    end = effective_end(m, grid)
+    a1, a0, _ = adjusted_profiles(agent, m, "agent", grid)
+    ok = _stop_ok(np.outer(a1[:end + 1], B)
+                  + np.outer(a0[:end + 1], 1 - np.array(B)))
+    expected = sum(bool(ok[j, h[-1]]) and _stays_once_extreme(h, B)
+                   for j in range(end + 1)
+                   for h in itertools.product(range(len(B)), repeat=j + 1))
+    try:
+        _, n_cols = _oracle_columns(monkeypatch,
+                                    (agent, principal, m, grid, B, mu0))
+    except InfeasibleLPError:
+        pytest.skip("no feasible tree on this support")
+    assert n_cols == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_pruned_oracle_bitwise_without_extreme_beliefs(seed):
+    # with neither 0 nor 1 in the support nothing is dropped
+    args = _random_oracle_instance(np.random.default_rng(seed), extremes=False)
+    try:
+        ref, _, _ = _full_history_oracle(*args)
+    except (InfeasibleLPError, IterationLimitError) as e:
+        with pytest.raises(type(e)):
+            tree_oracle_worst_case(*args)
+        return
+    assert tree_oracle_worst_case(*args).value == ref
+
+
+@pytest.mark.parametrize("support, mu0", [([0.0, float("nan"), 1.0], 0.5),
+                                          ([0.0, 0.5, 1.0], float("nan")),
+                                          ([0.0, 0.5, 1.0], 1.5)])
+def test_oracle_rejects_bad_inputs(support, mu0):
+    # each once reached the simplex: an iteration limit, an argmax of an
+    # empty sequence, an infeasible LP
+    agent, principal = quadratic_pair(1.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        tree_oracle_worst_case(agent, principal, Zero(), LevelGrid(1.0, 3),
+                               support, mu0)
 
 
 def test_history_lp_oracle_solves_stalled_cara_instance():
