@@ -100,7 +100,7 @@ def criterion_3() -> str:
     n_checked = 0
     worst_dev = 0.0
     for (agent, principal), mech, mu0 in battery:
-        lp = solve_badnews_lp(agent, principal, mech, grid, mu0, solver="simplex")
+        lp = solve_badnews_lp(agent, principal, mech, grid, mu0)
         if not lp.premise_ok:
             continue
         # unrounded: where obedience binds at level 0 the agent is

@@ -31,10 +31,9 @@ class AdaptivePolicy:
 
 
 def solve_adaptive_quota(tree: DiscreteLearningProcess, agent: PayoffSpec,
-                         principal: PayoffSpec,
-                         tie_eps: float = 0.0) -> AdaptivePolicy:
+                         principal: PayoffSpec) -> AdaptivePolicy:
     """Backward induction on the planner's tree with stop payoff
-    (U(mu, l) - U(mu0, 0)) + V(mu, l); ties go to continuing.
+    (U(mu, l) - U(mu0, 0)) + V(mu, l); exact ties go to continuing.
 
     The tax equals the expected agent surplus at the induced stopping nodes,
     so on a degenerate (one-path) tree this reproduces the static mechanism
@@ -51,7 +50,7 @@ def solve_adaptive_quota(tree: DiscreteLearningProcess, agent: PayoffSpec,
     surplus = [(U[j] - outside) + (mu * p1[j] + (1.0 - mu) * p0[j])
                for j, mu in enumerate(tree.beliefs)]
 
-    values, stop_set = backward(tree, surplus, tie_eps=tie_eps)
+    values, stop_set = backward(tree, surplus, tie_eps=0.0)
     value = float(tree.root_dist @ values[0])
     # lambda = E[U at stopping] - U(mu0, 0)
     exp_u = sum(float((m[st] * u[st]).sum())
@@ -227,11 +226,11 @@ def refine_process(tree: DiscreteLearningProcess,
 
 
 def evaluate_adaptive(policy: AdaptivePolicy, agent_proc: DiscreteLearningProcess,
-                      agent: PayoffSpec, principal: PayoffSpec,
-                      tie_eps: float = 1e-9) -> float:
+                      agent: PayoffSpec, principal: PayoffSpec) -> float:
     """Principal's expected value when the agent best-responds to the adaptive
     mechanism: transfer lambda everywhere, development prohibited past the
-    planner's per-history stopping node."""
+    planner's per-history stopping node.  The agent's ties within 1e-9 go to
+    continuing, and it participates unless it loses more than 1e-9."""
     tree = policy.tree
     grid = agent_proc.grid
     if grid.n != tree.grid.n or abs(grid.l_max - tree.grid.l_max) > 1e-12:
@@ -257,7 +256,7 @@ def evaluate_adaptive(policy: AdaptivePolicy, agent_proc: DiscreteLearningProces
     stop_u = [mu * a1[j] + (1.0 - mu) * a0[j] - lam
               for j, mu in enumerate(agent_proc.beliefs)]
     forced = [np.asarray(policy.stop_set[j])[parent[j]] for j in range(grid.n)]
-    values, stops = backward(agent_proc, stop_u, forced, tie_eps)
+    values, stops = backward(agent_proc, stop_u, forced, tie_eps=1e-9)
     if float(agent_proc.root_dist @ values[0]) < outside - 1e-9:
         return float(mu0 * p1[0] + (1.0 - mu0) * p0[0])
     total = 0.0

@@ -8,14 +8,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .badnews import BadNewsProcess, effective_end, obedience_slacks
+from .checks import one_shot_intervals
 from .errors import (BudgetExceededError, ConditionViolatedError, DomainError,
                      InfeasibleLPError)
 from .grid import LevelGrid
 from .mechanisms import Mechanism, adjusted_profiles
 from .payoffs import PayoffSpec
 from .simplex import solve_lp
-
-_EPS = float(np.finfo(float).eps)
 
 
 def principal_prefers_earlier(agent: PayoffSpec, principal: PayoffSpec,
@@ -25,54 +24,11 @@ def principal_prefers_earlier(agent: PayoffSpec, principal: PayoffSpec,
 
     Read once on every belief interval where both one-shot levels are
     constant, so no violation is too narrow to be seen."""
-    su, pu, eu = _one_shot_pieces(agent, m, grid, "agent")
-    sv, pv, ev = _one_shot_pieces(principal, m, grid, "principal")
-    cuts = np.concatenate([su, sv, [1.0]])
-    err = np.concatenate([eu, ev, [0.0]])
-    order = np.argsort(cuts)
-    cuts, err = cuts[order], err[order]
-    # breakpoints that agree within their rounding errors bound no interval
-    mids = 0.5 * (cuts[:-1] + cuts[1:])[np.diff(cuts) > err[:-1] + err[1:]]
-    lu = pu[np.searchsorted(su, mids, side="right") - 1]
-    lv = pv[np.searchsorted(sv, mids, side="right") - 1]
+    _, lu, lv = one_shot_intervals(agent, principal, m, grid)
     end_level = grid.points[effective_end(m, grid)]
-    if np.any(lv > lu + 1e-12):
-        return False
     interior = (lu > 1e-12) & (lu < end_level - 1e-12)
-    return bool(np.all(lv[interior] < lu[interior] - 1e-15))
-
-
-def _one_shot_pieces(p: PayoffSpec, m: Mechanism, grid: LevelGrid,
-                     side: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-shot level on [0, 1] as pieces of the upper envelope of the lines
-    mu -> a0[j] + mu (a1[j] - a0[j]) over the allowed levels: the ascending
-    starts of the pieces (the first is 0), the level of each, and a bound on
-    the rounding error of each start."""
-    a1, a0, proh = adjusted_profiles(p, m, side, grid)
-    allowed = np.flatnonzero(~proh)
-    slope, icpt = (a1 - a0)[allowed], a0[allowed]
-    # ascending slope; of equal slopes only the last (largest intercept, then
-    # largest level) can be on top
-    order = np.lexsort((allowed, icpt, slope))
-    order = order[np.append(slope[order][1:] != slope[order][:-1], True)]
-    s, c = slope.tolist(), icpt.tolist()
-    hull, starts, errs = [], [], []   # errs: rounding bound of each start
-    for k in order.tolist():
-        x = e = 0.0
-        while hull:
-            j = hull[-1]
-            d = s[k] - s[j]
-            x = (c[j] - c[k]) / d
-            if x > starts[-1]:
-                e = 4 * _EPS * (abs(c[j]) + abs(c[k]) + abs(s[j]) + abs(s[k])) / d
-                break
-            del hull[-1], starts[-1], errs[-1]
-            x = 0.0
-        if x < 1.0:
-            hull.append(k)
-            starts.append(x)
-            errs.append(e)
-    return np.array(starts), grid.points[allowed[hull]], np.array(errs)
+    return bool(np.all(lv <= lu + 1e-12)
+                and np.all(lv[interior] < lu[interior] - 1e-15))
 
 
 def stop_rule_at_zero(a0: np.ndarray) -> np.ndarray:
@@ -93,18 +49,17 @@ class BadNewsLPResult:
     value: float
     premise_ok: bool            # False => bound valid within the bad-news class only
     iterations: int
-    #: "construction" (certified binding-obedience process), "highs" (sparse
-    #: LP) or "simplex" (dense tableau cross-check)
+    #: "construction" (certified binding-obedience process) or "highs"
+    #: (sparse LP, where the construction is not certified)
     route: str
-    #: value minus the dual objective of dual-feasible multipliers; None where
-    #: none are at hand (the tableau simplex gives none)
-    gap: Optional[float]
+    #: value minus the dual objective of the multipliers below
+    gap: float
     binding: np.ndarray = field(repr=False)  # binding obedience rows at the optimum
     objective: np.ndarray = field(repr=False)
-    #: the multipliers (y, t) of the obedience rows and the mass row that
-    #: gap is certified with (the exact dual on the construction route,
-    #: HiGHS's on the highs route); None where gap is None
-    multipliers: Optional[Tuple[np.ndarray, float]] = field(repr=False)
+    #: the dual-feasible multipliers (y, t) of the obedience rows and the
+    #: mass row that gap is certified with (the exact dual on the
+    #: construction route, HiGHS's on the highs route)
+    multipliers: Tuple[np.ndarray, float] = field(repr=False)
 
     def diagnostics(self) -> dict:
         return {"objective": float(self.value), "iterations": int(self.iterations),
@@ -261,8 +216,7 @@ def _sparse_lp(c: np.ndarray, a0: np.ndarray, a1: np.ndarray, b: np.ndarray,
 
 
 def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
-                     grid: LevelGrid, mu0: float,
-                     solver: str = "auto") -> BadNewsLPResult:
+                     grid: LevelGrid, mu0: float) -> BadNewsLPResult:
     """Minimize the principal's value over obedient bad-news processes.
 
     Objective: mu0 V^phi(1, l_end) + sum_j V^phi(0, stop_level(l_j)) g_j over
@@ -270,21 +224,16 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     upper-triangular obedience rows.  Quota mechanisms truncate the grid at
     the last allowed level (mass is forced to stop there).
 
-    The default route is certify-first and O(n): it builds the process with
-    binding obedience, checks it is obedient, and proves it optimal with the
-    complementary-slackness dual (dual feasible, relative gap <= 1e-9).
-    Where that proof fails it solves the LP in sparse cumulative form with
-    HiGHS.
-    solver="highs" forces the sparse LP; solver="simplex" solves the dense
-    formulation with the package's tableau simplex, an independent
-    cross-check for small grids.  A solution that breaks an obedience row by
-    more than 1e-9 of the row's terms, or a HiGHS solution whose multipliers
-    are not dual feasible, raises ConditionViolatedError.
+    Certify-first and O(n): the process with binding obedience is built,
+    checked obedient, and proved optimal with the complementary-slackness
+    dual (dual feasible, relative gap <= 1e-9).  Where that proof fails the
+    LP is solved in sparse cumulative form with HiGHS.  Every result is
+    certified: a solution that breaks an obedience row by more than 1e-9 of
+    the row's terms, or a HiGHS solution whose multipliers are not dual
+    feasible, raises ConditionViolatedError.
     """
     if not 0.0 < mu0 < 1.0:
         raise DomainError("worst-case search needs an interior prior")
-    if solver not in ("auto", "highs", "simplex"):
-        raise DomainError(f"unknown solver {solver!r}")
     end, a1, a0, p1, _, c, b = _lp_data(agent, principal, m, grid, mu0)
     premise_ok = principal_prefers_earlier(agent, principal, m, grid)
     scale = max(1.0, float(np.abs(a0).max()), float(np.abs(a1).max()))
@@ -296,17 +245,14 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
             g *= (1.0 - mu0) / total
         return g, float(mu0 * p1[-1] + c @ g)
 
-    route, iters, gap, y, t = solver, 0, None, None, None
-    if solver == "auto":
+    route, iters, gap = "construction", 0, None
+    g = _obedient_construction(a1, a0, b, mu0)
+    if g is not None:
+        g, value = finish(g)
+        y, t = _exact_dual(c, a0, _support_start(g))
+        gap = _certified_gap(value, y, t, c, a0, b, mu0, p1[-1])
+    if gap is None or abs(gap) > 1e-9 * max(1.0, abs(value)):
         route = "highs"
-        g = _obedient_construction(a1, a0, b, mu0)
-        if g is not None:
-            g, value = finish(g)
-            y, t = _exact_dual(c, a0, _support_start(g))
-            gap = _certified_gap(value, y, t, c, a0, b, mu0, p1[-1])
-            if gap is not None and abs(gap) <= 1e-9 * max(1.0, abs(value)):
-                route = "construction"
-    if route == "highs":
         g, y, t, iters = _sparse_lp(c, a0, a1, b, mu0)
         g, value = finish(g)
         gap = _certified_gap(value, y, t, c, a0, b, mu0, p1[-1])
@@ -314,11 +260,6 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
             raise ConditionViolatedError(
                 "HiGHS multipliers are not dual feasible; the LP value is not "
                 "certified at this payoff range")
-    elif route == "simplex":
-        res = solve_lp(c, np.triu(a0[:, None] - a0[None, :]), b,
-                       [np.ones(end + 1)], [1.0 - mu0])
-        g, value = finish(res.x)
-        iters = res.n_iter
 
     slacks = obedience_slacks(g, a1, a0, mu0)
     # each row to 1e-9 of the size of its terms, as in _certified_gap
@@ -333,8 +274,7 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
             "value is not trustworthy at this payoff range")
     binding = np.nonzero(np.abs(slacks) <= 1e-7 * scale)[0]
     return BadNewsLPResult(BadNewsProcess(grid, g, mu0, end), value, premise_ok,
-                           iters, route, None if gap is None else float(gap),
-                           binding, c, None if gap is None else (y, float(t)))
+                           iters, route, float(gap), binding, c, (y, float(t)))
 
 
 def badnews_value(bn: BadNewsProcess, agent: PayoffSpec, principal: PayoffSpec,
@@ -389,6 +329,7 @@ class DualCertificate:
     gap: float                  # the solve's certified gap, >= 0 up to rounding
     gbar: np.ndarray = field(repr=False)  # mu0 (U^phi(1,l_end) - U^phi(1,l))
     comp_slack_max: float       # worst |slack| on levels carrying mass
+    lp: BadNewsLPResult = field(repr=False)  # the solve certified here
 
     def to_dict(self):
         return {"lbar": self.lbar, "dual_value": self.dual_value,
@@ -402,8 +343,9 @@ def dual_certificate(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
 
     Reads the multipliers (y, t) that solve_badnews_lp certified its value
     with: Lambda = cumsum(y) is nondecreasing in the level (y >= 0), gap is
-    that solve's certified gap and dual_bound its value minus the gap.
-    Raises where the solve does.
+    that solve's certified gap and dual_bound its value minus the gap.  The
+    solve is kept as `lp`, so a caller needs no second one.  Raises where the
+    solve does.
     """
     _, a1, a0, _, _, _, gbar = _lp_data(agent, principal, m, grid, mu0)
     lp = solve_badnews_lp(agent, principal, m, grid, mu0)
@@ -414,7 +356,7 @@ def dual_certificate(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     jbar = _support_start(lp.bn.g)
     return DualCertificate(np.cumsum(y), float(grid.points[jbar]),
                            float(-(y @ gbar)), lp.value - lp.gap, lp.value,
-                           lp.gap, gbar, comp)
+                           lp.gap, gbar, comp, lp)
 
 
 @dataclass(frozen=True)
@@ -531,9 +473,10 @@ class GapResult:
 
 
 def payoff_gap(m: Mechanism, agent: PayoffSpec, principal: PayoffSpec,
-               grid: LevelGrid, mu0: float,
-               oracle_beliefs: Optional[Sequence[float]] = None) -> GapResult:
-    """Delta(phi) = ADV guarantee minus the worst-case value of mechanism m."""
+               grid: LevelGrid, mu0: float) -> GapResult:
+    """Delta(phi) = ADV guarantee minus the worst-case value of mechanism m.
+    Without the earlier-stopping premise the tree oracle also attacks m, on 0
+    and three of the LP's continuation beliefs."""
     from .robust import compute_robust
     guarantee = compute_robust(agent, principal, mu0, grid).guarantee
     lp = solve_badnews_lp(agent, principal, m, grid, mu0)
@@ -542,11 +485,9 @@ def payoff_gap(m: Mechanism, agent: PayoffSpec, principal: PayoffSpec,
                          "badnews_lp", True)
     # earlier-stopping premise failed: bound via the small tree oracle
     small = LevelGrid(grid.l_max, min(grid.n, 4))
-    if oracle_beliefs is None:
-        lam = lp.bn.cont_belief()
-        idx = np.linspace(0, len(lam) - 1, 3).astype(int)
-        oracle_beliefs = sorted({0.0, *(float(lam[i]) for i in idx)})[:5]
-    oracle = tree_oracle_worst_case(agent, principal, m, small,
-                                    oracle_beliefs, mu0)
+    lam = lp.bn.cont_belief()
+    idx = np.linspace(0, len(lam) - 1, 3).astype(int)
+    beliefs = sorted({0.0, *(float(lam[i]) for i in idx)})
+    oracle = tree_oracle_worst_case(agent, principal, m, small, beliefs, mu0)
     worst = min(lp.value, oracle.value)
     return GapResult(guarantee - worst, guarantee, worst, "tree_oracle", False)

@@ -128,9 +128,10 @@ def obedience_slacks(g: np.ndarray, a1: np.ndarray, a0: np.ndarray,
     return lhs - rhs
 
 
-def obedience_check(bn: BadNewsProcess, agent: PayoffSpec, m: Mechanism,
-                    tol: float = 1e-9) -> ObedienceReport:
-    """Evaluate every level's obedience inequality for the bad-news process."""
+def obedience_check(bn: BadNewsProcess, agent: PayoffSpec,
+                    m: Mechanism) -> ObedienceReport:
+    """Evaluate every level's obedience inequality for the bad-news process,
+    to tol = 1e-9 of the payoff scale."""
     grid = bn.grid
     a1, a0, proh = adjusted_profiles(agent, m, "agent", grid)
     end = effective_end(m, grid)
@@ -139,7 +140,7 @@ def obedience_check(bn: BadNewsProcess, agent: PayoffSpec, m: Mechanism,
     e = bn.end
     slacks = obedience_slacks(bn.g, a1[:e + 1], a0[:e + 1], bn.mu0)
     scale = max(1.0, float(np.abs(a0[:e + 1]).max()), float(np.abs(a1[:e + 1]).max()))
-    stol = tol * scale
+    stol = 1e-9 * scale
     binding = np.nonzero(np.abs(slacks) <= stol)[0]
     max_violation = float(max(0.0, -slacks.min()))
     return ObedienceReport(slacks, max_violation, binding, max_violation <= stol)

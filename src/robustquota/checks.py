@@ -10,6 +10,8 @@ from .grid import LevelGrid, belief_grid
 from .mechanisms import Mechanism, Zero, adjusted_profiles
 from .payoffs import PayoffSpec
 
+_EPS = float(np.finfo(float).eps)
+
 
 def one_shot_level(p: PayoffSpec, mu: float, grid: LevelGrid,
                    m: Mechanism = Zero(), side: str = "agent") -> float:
@@ -33,6 +35,57 @@ def one_shot_levels(p: PayoffSpec, mus: np.ndarray, grid: LevelGrid,
     # the reversed ties, i.e. the largest level
     idx = vals.shape[1] - 1 - np.argmax(vals[:, ::-1], axis=1)
     return pts[idx]
+
+
+def _one_shot_pieces(p: PayoffSpec, m: Mechanism, grid: LevelGrid,
+                     side: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-shot level on [0, 1] as pieces of the upper envelope of the lines
+    mu -> a0[j] + mu (a1[j] - a0[j]) over the allowed levels: the ascending
+    starts of the pieces (the first is 0), the level of each, and a bound on
+    the rounding error of each start."""
+    a1, a0, proh = adjusted_profiles(p, m, side, grid)
+    allowed = np.flatnonzero(~proh)
+    slope, icpt = (a1 - a0)[allowed], a0[allowed]
+    # ascending slope; of equal slopes only the last (largest intercept, then
+    # largest level) can be on top
+    order = np.lexsort((allowed, icpt, slope))
+    order = order[np.append(slope[order][1:] != slope[order][:-1], True)]
+    s, c = slope.tolist(), icpt.tolist()
+    hull, starts, errs = [], [], []   # errs: rounding bound of each start
+    for k in order.tolist():
+        x = e = 0.0
+        while hull:
+            j = hull[-1]
+            d = s[k] - s[j]
+            x = (c[j] - c[k]) / d
+            if x > starts[-1]:
+                e = 4 * _EPS * (abs(c[j]) + abs(c[k]) + abs(s[j]) + abs(s[k])) / d
+                break
+            del hull[-1], starts[-1], errs[-1]
+            x = 0.0
+        if x < 1.0:
+            hull.append(k)
+            starts.append(x)
+            errs.append(e)
+    return np.array(starts), grid.points[allowed[hull]], np.array(errs)
+
+
+def one_shot_intervals(agent: PayoffSpec, principal: PayoffSpec,
+                       m: Mechanism, grid: LevelGrid
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Midpoints of the belief intervals on which both one-shot levels are
+    constant, with the agent's and the principal's level on each; breakpoints
+    that agree within their rounding errors bound no interval."""
+    su, pu, eu = _one_shot_pieces(agent, m, grid, "agent")
+    sv, pv, ev = _one_shot_pieces(principal, m, grid, "principal")
+    cuts = np.concatenate([su, sv, [1.0]])
+    err = np.concatenate([eu, ev, [0.0]])
+    order = np.argsort(cuts)
+    cuts, err = cuts[order], err[order]
+    mids = 0.5 * (cuts[:-1] + cuts[1:])[np.diff(cuts) > err[:-1] + err[1:]]
+    lu = pu[np.searchsorted(su, mids, side="right") - 1]
+    lv = pv[np.searchsorted(sv, mids, side="right") - 1]
+    return mids, lu, lv
 
 
 def pseudo_inverse_beliefs(p: PayoffSpec, grid: LevelGrid, m: Mechanism = Zero(),
@@ -97,9 +150,10 @@ def _single_peaked_violation(vals: np.ndarray, tol: float):
 
 def check_assumptions(agent: PayoffSpec, principal: PayoffSpec, grid: LevelGrid,
                       n_mu: int = 1001) -> AssumptionReport:
-    """Scan the belief x level grid for the three structural conditions:
-    (i) single-peaked indirect utilities, (ii) monotone one-shot levels in the
-    belief, (iii) the principal's one-shot level never exceeds the agent's.
+    """Check (i) single-peaked indirect utilities and (ii) one-shot levels
+    monotone in the belief on the n_mu-point belief grid, and (iii) the
+    principal's one-shot level never above the agent's on every interval of
+    one_shot_intervals, as principal_prefers_earlier reads it.
 
     Violations are reported with witnesses, never raised.
     """
@@ -132,15 +186,12 @@ def check_assumptions(agent: PayoffSpec, principal: PayoffSpec, grid: LevelGrid,
     for k in np.nonzero(np.abs(np.diff(lu)) > jump_tol)[0]:
         jumps.append((float(mus[k + 1]), float(lu[k + 1] - lu[k])))
 
-    later = lv <= lu + 1e-12
-    agent_more = bool(later.all())
-    w_more = None
-    if not agent_more:
-        k = int(np.argmin(later))
-        w_more = (float(mus[k]), float(lv[k]))
+    mids, lu_mid, lv_mid = one_shot_intervals(agent, principal, Zero(), grid)
+    bad = np.flatnonzero(lv_mid > lu_mid + 1e-12)
+    w_more = (float(mids[bad[0]]), float(lv_mid[bad[0]])) if bad.size else None
 
-    return AssumptionReport(single, monotone, agent_more, w_sp, w_mono, w_more,
-                            tuple(jumps))
+    return AssumptionReport(single, monotone, w_more is None, w_sp, w_mono,
+                            w_more, tuple(jumps))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from .acceptance import run_acceptance
-from .adversary import dual_certificate, payoff_gap, solve_badnews_lp
+from .adversary import dual_certificate, payoff_gap
 from .checks import check_assumptions, pseudo_inverse_beliefs, \
     risk_ratio_condition
 from .config import RunConfig, load_config
@@ -87,10 +87,9 @@ def cmd_robust(cfg: RunConfig, args) -> int:
 
 
 def cmd_worstcase(cfg: RunConfig, args) -> int:
-    lp = solve_badnews_lp(cfg.agent, cfg.principal, cfg.mechanism, cfg.grid,
-                          cfg.mu0)
     cert = dual_certificate(cfg.agent, cfg.principal, cfg.mechanism, cfg.grid,
                             cfg.mu0)
+    lp = cert.lp
     e = lp.bn.end
     binding = np.zeros(e + 1, dtype=bool)
     binding[lp.binding] = True
@@ -129,6 +128,8 @@ def cmd_gap(cfg: RunConfig, args) -> int:
 
 
 def cmd_adaptive(cfg: RunConfig, args) -> int:
+    # a missing seed is a usage error before any file is written
+    seed = cfg.require_seed("adaptive")
     tree_spec = cfg.tree or {"type": "no_learning"}
     if tree_spec["type"] == "binomial":
         tree = binomial_tree(cfg.mu0, cfg.grid, tree_spec.get("p_good", 0.6),
@@ -147,7 +148,7 @@ def cmd_adaptive(cfg: RunConfig, args) -> int:
     _write_csv(_outpath(args, "policy.csv"),
                ["node_id", "level", "belief", "stop"], rows)
 
-    rng = np.random.default_rng(cfg.require_seed("adaptive"))
+    rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(cfg.n_refinements):
         ref = refine_process(tree, random_experiment(rng, cfg.grid.n))

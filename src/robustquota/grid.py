@@ -32,13 +32,13 @@ class LevelGrid:
     def contains(self, l: float) -> bool:
         return 0.0 <= l <= self.l_max
 
-    def index_of(self, l: float, tol: float = 1e-9) -> int:
-        """Index of the grid point equal to l (within tol * h)."""
+    def index_of(self, l: float) -> int:
+        """Index of the grid point equal to l (within 1e-9 max(h, 1))."""
         if not self.contains(l):
             raise DomainError(f"level {l} outside [0, {self.l_max}]")
         j = int(round(l / self.h))
         j = min(max(j, 0), self.n - 1)
-        if abs(self.points[j] - l) > tol * max(self.h, 1.0):
+        if abs(self.points[j] - l) > 1e-9 * max(self.h, 1.0):
             raise DomainError(f"level {l} is not a grid point (nearest {self.points[j]})")
         return j
 

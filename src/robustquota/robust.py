@@ -78,7 +78,7 @@ class GuaranteeReport:
     guarantee: float
     min_value: float
     abs_gap: float
-    per_agent: tuple      # (lp_value, oracle_value or None) per agent payoff
+    per_agent: tuple      # (lp_value, oracle_value) per agent payoff
 
     @property
     def ok(self) -> bool:
@@ -87,10 +87,9 @@ class GuaranteeReport:
 
 def verify_guarantee(result: RobustMechanismResult,
                      agents: Union[PayoffSpec, Sequence[PayoffSpec]],
-                     principal: PayoffSpec, grid: LevelGrid,
-                     run_oracle: bool = True) -> GuaranteeReport:
-    """Attack the constructed mechanism with the bad-news LP and (on a small
-    grid) the exhaustive tree oracle; report the worst value found."""
+                     principal: PayoffSpec, grid: LevelGrid) -> GuaranteeReport:
+    """Attack the constructed mechanism with the bad-news LP and, on a small
+    grid, the exhaustive tree oracle; report the worst value found."""
     if isinstance(agents, PayoffSpec):
         agents = (agents,)
     m = result.mechanism
@@ -98,17 +97,14 @@ def verify_guarantee(result: RobustMechanismResult,
     worst = np.inf
     for a in agents:
         lp = solve_badnews_lp(a, principal, m, grid, result.mu0)
-        oracle_val = None
-        if run_oracle:
-            # the small grid must contain the quota level, otherwise the
-            # prohibition set it induces is a different mechanism entirely
-            top = result.L_star if result.L_star > 0.0 else grid.l_max
-            small = LevelGrid(top, min(grid.n, 4))
-            beliefs = sorted({0.0, result.mu0, (1.0 + result.mu0) / 2, 1.0})
-            oracle_val = tree_oracle_worst_case(a, principal, m, small,
-                                                beliefs, result.mu0).value
-            worst = min(worst, oracle_val)
-        worst = min(worst, lp.value)
+        # the small grid must contain the quota level, otherwise the
+        # prohibition set it induces is a different mechanism entirely
+        top = result.L_star if result.L_star > 0.0 else grid.l_max
+        small = LevelGrid(top, min(grid.n, 4))
+        beliefs = sorted({0.0, result.mu0, (1.0 + result.mu0) / 2, 1.0})
+        oracle_val = tree_oracle_worst_case(a, principal, m, small, beliefs,
+                                            result.mu0).value
+        worst = min(worst, oracle_val, lp.value)
         per.append((lp.value, oracle_val))
     return GuaranteeReport(result.guarantee, float(worst),
                            float(abs(worst - result.guarantee)), tuple(per))

@@ -5,16 +5,16 @@ Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 Pivoting uses Dantzig's rule for speed with Bland's anti-cycling rule engaged
 after a streak of degenerate pivots, which guarantees termination in exact
 arithmetic; a phase that runs past max_iter pivots raises IterationLimitError.
-By default max_iter is 20 times the tableau's rows plus columns: the most any
-LP of the tests, the acceptance battery or the benchmark needs is 1.6 times
-(585 pivots on 122 rows and 243 columns, the dense bad-news LP at 121
-levels; no tree oracle LP needs more than 0.52 times), so a run past the
-limit has stalled and fails in seconds, not minutes.  Under Dantzig's rule
-the ratio test is Harris's two-pass test: a basic variable may go below zero
-by at most the feasibility tolerance, so that the largest pivot among nearly
-tied rows can be taken, since a tiny pivot at a degenerate vertex blows the
-tableau up.  Column entries below 1e-9 of the column's largest are treated
-as zero in both rules.
+max_iter is 20 times the tableau's rows plus columns: the most any LP of the
+tests, the acceptance battery or the benchmark needs is 1.6 times (585
+pivots on 122 rows and 243 columns, the dense bad-news LP at 121 levels that
+the tests solve as a reference; no tree oracle LP needs more than 0.52
+times), so a run past the limit has stalled and fails in seconds, not
+minutes.  Under Dantzig's rule the ratio test is Harris's two-pass test: a
+basic variable may go below zero by at most the feasibility tolerance, so
+that the largest pivot among nearly tied rows can be taken, since a tiny
+pivot at a degenerate vertex blows the tableau up.  Column entries below
+1e-9 of the column's largest are treated as zero in both rules.
 """
 
 from dataclasses import dataclass
@@ -96,8 +96,7 @@ def _run(T, basis, n_cols_active, max_iter):
                 f"simplex iteration limit {max_iter} exceeded")
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-             max_iter=None) -> SimplexResult:
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> SimplexResult:
     c = np.asarray(c, dtype=float)
     n = c.size
 
@@ -141,8 +140,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
                      n + np.arange(m))
 
     n_active = n + n_slack  # artificials are never re-entered in phase 2
-    if max_iter is None:
-        max_iter = _PIVOTS_PER_SIZE * (m + n_active + n_art)
+    max_iter = _PIVOTS_PER_SIZE * (m + n_active + n_art)
 
     total_iters = 0
     if n_art:

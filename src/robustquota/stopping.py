@@ -76,14 +76,14 @@ class StoppingSolution:
     mu0: float
 
 
-def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec, m: Mechanism,
-                   tie_eps: float = 1e-9,
-                   participation_tol: float = 1e-9) -> StoppingSolution:
+def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
+                   m: Mechanism) -> StoppingSolution:
     """Solve sup over stopping times of E[U^phi] on the process tree.
 
-    Indifference (within tie_eps) goes to continuing; levels past the quota
+    Indifference (within 1e-9) goes to continuing; levels past the quota
     are excluded from the continuation max, so the last allowed level is a
-    forced stop.  Participation compares the root value to U(mu0, 0).
+    forced stop.  Participation compares the root value to U(mu0, 0), within
+    1e-9.
     """
     grid = proc.grid
     a1, a0, proh = adjusted_profiles(agent, m, "agent", grid)
@@ -96,11 +96,11 @@ def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec, m: Mechanis
 
     stop_payoff = [proc.beliefs[j] * a1[j] + (1.0 - proc.beliefs[j]) * a0[j]
                    for j in range(end + 1)]
-    values, stop_set = backward(proc, stop_payoff, tie_eps=tie_eps)
+    values, stop_set = backward(proc, stop_payoff, tie_eps=1e-9)
 
     root_value = float(proc.root_dist @ values[0])
     outside = float(agent.indirect(proc.mu0, 0.0))
-    participation = root_value >= outside - participation_tol
+    participation = root_value >= outside - 1e-9
 
     # atoms in (level, node) order: the supports of levels 0..end back to back
     stopped = np.concatenate(forward(proc, stop_set))

@@ -11,12 +11,34 @@ from robustquota import (BudgetExceededError, ConditionViolatedError,
                          IterationLimitError, LevelGrid,
                          Linear, Tabulated, Zero, cara_pair, compute_robust,
                          effective_end, quadratic_pair, verify_guarantee)
+from robustquota import adversary
 from robustquota.adversary import (badnews_value, dual_certificate,
                                    indifference_G, payoff_gap,
                                    principal_prefers_earlier, solve_badnews_lp,
                                    stop_rule_at_zero, tree_oracle_worst_case)
+from robustquota.badnews import BadNewsProcess
 from robustquota.mechanisms import adjusted_profiles
 from robustquota.simplex import solve_lp
+
+
+def _dense_lp(agent, principal, m, grid, mu0):
+    """Reference: the bad-news LP in dense form, one row per obedience
+    inequality, solved by the tableau simplex.  Returns (value, process),
+    the increments normalised to mass 1 - mu0 as solve_badnews_lp does."""
+    end, a1, a0, p1, _, c, b = adversary._lp_data(agent, principal, m, grid,
+                                                  mu0)
+    res = solve_lp(c, np.triu(a0[:, None] - a0[None, :]), b,
+                   [np.ones(end + 1)], [1.0 - mu0])
+    g = np.clip(res.x, 0.0, None)
+    if g.sum() > 0:
+        g *= (1.0 - mu0) / g.sum()
+    return float(mu0 * p1[-1] + c @ g), BadNewsProcess(grid, g, mu0, end)
+
+
+def _force_highs(monkeypatch):
+    """Send solve_badnews_lp past the construction to its HiGHS route."""
+    monkeypatch.setattr(adversary, "_obedient_construction",
+                        lambda *args: None)
 
 
 def test_stop_rule_at_zero_largest_argmax_tail():
@@ -33,12 +55,17 @@ def test_lp_attains_guarantee_under_robust_mechanism():
     assert lp.value == pytest.approx(rob.guarantee, abs=1e-9)
 
 
-def test_simplex_and_highs_agree():
+def test_simplex_and_highs_agree(monkeypatch):
     agent, principal = cara_pair(1.0, 3.0)
     grid = LevelGrid(2.0, 121)
-    a = solve_badnews_lp(agent, principal, Zero(), grid, 0.5, solver="simplex")
-    b = solve_badnews_lp(agent, principal, Zero(), grid, 0.5, solver="highs")
-    assert a.value == pytest.approx(b.value, rel=1e-8)
+    ref, _ = _dense_lp(agent, principal, Zero(), grid, 0.5)
+    lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.5)
+    assert lp.route == "construction"
+    assert lp.value == pytest.approx(ref, rel=1e-8)
+    _force_highs(monkeypatch)
+    lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.5)
+    assert lp.route == "highs"
+    assert lp.value == pytest.approx(ref, rel=1e-8)
 
 
 def test_lp_matches_indifference_value():
@@ -170,8 +197,7 @@ def test_oracle_budget_enforced():
 def test_oracle_never_beats_lp_when_premise_holds():
     agent, principal = quadratic_pair(1.0, 1.0, 1.0)
     grid = LevelGrid(1.0, 3)
-    lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.6,
-                          solver="simplex")
+    lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.6)
     assert lp.premise_ok
     beliefs = sorted({0.0, *np.round(lp.bn.cont_belief(), 12)})
     oracle = tree_oracle_worst_case(agent, principal, Zero(), grid, beliefs,
@@ -202,10 +228,9 @@ def test_default_route_rejects_obedient_but_suboptimal_construction():
     assert not ind.used_lp_fallback
     built = badnews_value(ind.bn, agent, principal, Zero())
     lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.3)
-    ref = solve_badnews_lp(agent, principal, Zero(), grid, 0.3,
-                           solver="simplex")
-    assert lp.route == "highs" and ref.route == "simplex"
-    assert lp.value == pytest.approx(ref.value, rel=1e-9)
+    ref, _ = _dense_lp(agent, principal, Zero(), grid, 0.3)
+    assert lp.route == "highs"
+    assert lp.value == pytest.approx(ref, rel=1e-9)
     assert lp.value == pytest.approx(-0.859073, abs=1e-6)
     assert built == pytest.approx(-0.851499, abs=1e-6)
     assert abs(lp.gap) <= 1e-9 * max(1.0, abs(lp.value))
@@ -228,14 +253,14 @@ def test_default_route_matches_simplex(family, params, mech, beta_tax, mu0, n):
     else:
         m = Zero() if mech == "zero" else Linear(beta_tax)
     try:
-        ref = solve_badnews_lp(agent, principal, m, grid, mu0, solver="simplex")
+        ref, _ = _dense_lp(agent, principal, m, grid, mu0)
     except InfeasibleLPError:
         with pytest.raises(InfeasibleLPError):
             solve_badnews_lp(agent, principal, m, grid, mu0)
         return
     lp = solve_badnews_lp(agent, principal, m, grid, mu0)
     tol = 1e-9 * max(1.0, abs(lp.value))
-    assert abs(lp.value - ref.value) <= tol
+    assert abs(lp.value - ref) <= tol
     assert abs(lp.gap) <= tol
     ind = indifference_G(agent, m, grid, mu0, principal)
     assert lp.value <= badnews_value(ind.bn, agent, principal, m) + tol
@@ -245,14 +270,25 @@ def test_default_route_matches_simplex(family, params, mech, beta_tax, mu0, n):
     (1.5, 8.0, "violates obedience"),   # HiGHS -1.9725462, optimum -1.9725419
     (3.0, 16.0, "not dual feasible"),   # HiGHS -42770, optimum -1.333e7
 ])
-def test_untrustworthy_highs_solution_raises(gamma_p, l_max, match):
+def test_untrustworthy_highs_solution_raises(monkeypatch, gamma_p, l_max,
+                                             match):
     agent, principal = cara_pair(1.0, gamma_p)
     grid = LevelGrid(l_max, 801)
-    with pytest.raises(ConditionViolatedError, match=match):
-        solve_badnews_lp(agent, principal, Zero(), grid, 0.5, solver="highs")
-    # the default route certifies the construction at the same instance
+    with monkeypatch.context() as patched:
+        _force_highs(patched)
+        with pytest.raises(ConditionViolatedError, match=match):
+            solve_badnews_lp(agent, principal, Zero(), grid, 0.5)
+    # with the construction the same instance is certified
     lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.5)
     assert lp.route == "construction"
+
+
+def test_default_route_refuses_uncertified_highs_dual():
+    # the construction is not certified here, and HiGHS's multipliers are
+    # not dual feasible at this payoff range
+    agent, principal = cara_pair(2.7, 0.5)
+    with pytest.raises(ConditionViolatedError, match="not dual feasible"):
+        solve_badnews_lp(agent, principal, Zero(), LevelGrid(8.0, 45), 0.7)
 
 
 @settings(max_examples=40, deadline=None)
@@ -424,11 +460,11 @@ def test_history_lp_oracle_never_above_pattern_oracle(family, params, mech, n,
         # beliefs are not rounded: where obedience binds at level 0 the
         # agent is indifferent to not starting, and a rounded belief can
         # break participation by 1e-13 and cut the bad-news tree off
-        lp = solve_badnews_lp(agent, principal, m, grid, mu0, solver="simplex")
-        support = sorted({0.0, *lp.bn.cont_belief()})
+        value, bn = _dense_lp(agent, principal, m, grid, mu0)
+        support = sorted({0.0, *bn.cont_belief()})
         bad = tree_oracle_worst_case(agent, principal, m, grid, support, mu0)
-        assert abs(bad.value - lp.value) <= 1e-9 * max(1.0, abs(lp.value))
-        assert bad.pre_terminal_offzero_mass(grid.points[lp.bn.end]) <= 1e-9
+        assert abs(bad.value - value) <= 1e-9 * max(1.0, abs(value))
+        assert bad.pre_terminal_offzero_mass(grid.points[bn.end]) <= 1e-9
 
 
 def _full_history_oracle(agent, principal, m, small_grid, belief_support,

@@ -106,6 +106,19 @@ def test_swapped_risk_aversion_flagged_with_witness():
     assert one_shot_level(principal, mu, GRID) == pytest.approx(lv)
 
 
+def test_principal_later_between_belief_grid_points_flagged():
+    # on (0.8176, 0.8199) the principal's one-shot level is 1 and the
+    # agent's 0, an interval no point of a 201-point belief grid falls in
+    agent, principal = cara_pair(1.515625, 1.5)
+    grid = LevelGrid(1.0, 2)
+    rep = check_assumptions(agent, principal, grid, n_mu=201)
+    assert not rep.agent_develops_more and not rep.all_pass
+    mu, lv = rep.witness_agent_more
+    assert 0.8176 < mu < 0.8199 and lv == 1.0
+    assert one_shot_level(principal, mu, grid) == 1.0
+    assert one_shot_level(agent, mu, grid) == 0.0
+
+
 def test_quadratic_jump_at_half_reported_not_failed():
     agent, principal = quadratic_pair(1.0, 1.0, 1.0)
     rep = check_assumptions(agent, principal, GRID, n_mu=201)

@@ -140,10 +140,30 @@ def test_adaptive_requires_seed(tmp_path):
     cfg = _write(tmp_path, raw)
     assert main(["--config", cfg, "--out", str(tmp_path / "o"),
                  "adaptive"]) == 2
+    # refused before any file is written
+    assert not (tmp_path / "o").exists()
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--seed",
                  "11", "adaptive"]) == 0
     payload = json.loads((tmp_path / "o" / "adaptive_value.json").read_text())
     assert payload["min_refinement_value"] >= payload["value"] - 1e-8
+
+
+def test_worstcase_solves_the_lp_once(tmp_path, monkeypatch):
+    import robustquota.adversary as adversary
+    import robustquota.cli as cli
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_badnews_lp(*args)
+
+    # counted wherever the command could reach it, also if the CLI held
+    # its own binding
+    monkeypatch.setattr(adversary, "solve_badnews_lp", counted)
+    monkeypatch.setattr(cli, "solve_badnews_lp", counted, raising=False)
+    assert main(["--config", _write(tmp_path, QUAD), "--out",
+                 str(tmp_path / "o"), "worstcase"]) == 0
+    assert len(calls) == 1
 
 
 def test_grid_n_override(tmp_path):

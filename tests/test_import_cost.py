@@ -24,7 +24,7 @@ rob = compute_robust(agent, principal, 0.6, grid)
 assert verify_guarantee(rob, agent, principal, grid).ok
 
 small = LevelGrid(1.0, 3)
-lp = solve_badnews_lp(agent, principal, Zero(), small, 0.6, solver="simplex")
+lp = solve_badnews_lp(agent, principal, Zero(), small, 0.6)
 beliefs = sorted({0.0, *np.round(lp.bn.cont_belief(), 12)})
 tree_oracle_worst_case(agent, principal, Zero(), small, beliefs, 0.6)
 

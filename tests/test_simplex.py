@@ -40,17 +40,18 @@ def test_infeasible_reports_most_binding():
     assert exc.value.most_binding is not None
 
 
-def test_iteration_limit_is_not_infeasibility():
+def test_iteration_limit_is_not_infeasibility(monkeypatch):
     # a stalled run says nothing about feasibility, so a caller that skips
     # infeasible LPs must not skip it
     lp = dict(c=np.array([-1.0]), A_ub=np.array([[1.0]]), b_ub=np.array([1.0]))
     assert solve_lp(**lp).n_iter == 1
+    monkeypatch.setattr(simplex, "_PIVOTS_PER_SIZE", 0)
     with pytest.raises(IterationLimitError):
-        solve_lp(**lp, max_iter=0)
+        solve_lp(**lp)
     assert not issubclass(IterationLimitError, InfeasibleLPError)
     with pytest.raises(IterationLimitError):
         with pytest.raises(InfeasibleLPError):
-            solve_lp(**lp, max_iter=0)
+            solve_lp(**lp)
 
 
 def test_default_iteration_limit_scales_with_the_tableau(monkeypatch):
