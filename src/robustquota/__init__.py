@@ -11,8 +11,7 @@ from .adversary import (BadNewsLPResult, DualCertificate, GapResult,
                         IndifferenceResult, OracleResult, dual_certificate,
                         indifference_G, payoff_gap, principal_prefers_earlier,
                         solve_badnews_lp, tree_oracle_worst_case)
-from .badnews import (BadNewsProcess, ObedienceReport, effective_end,
-                      obedience_check, obedience_slacks)
+from .badnews import BadNewsProcess, effective_end, obedience_slacks
 from .checks import (AmbiguitySet, AssumptionReport, RatioReport,
                      check_assumptions, one_shot_level, one_shot_levels,
                      pseudo_inverse_beliefs, risk_ratio_condition)

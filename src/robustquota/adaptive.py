@@ -95,16 +95,18 @@ def _posterior(b, pw, pmw, den):
     P(up | theta=0) = q), by Bayes' rule in odds form, given per entry
     pw = p^w, pmw = (1-p)^(m-w) and den = q^w (1-q)^(m-w).
 
-    Beliefs 0 and 1 stay fixed; a signal history impossible under theta = 0
-    sends the belief to 1, and one impossible under theta = 1 to 0.
+    A signal history impossible under theta = 0 sends the belief to 1, and
+    one impossible under theta = 1 to 0, also where b has rounded to 0 or 1;
+    otherwise beliefs 0 and 1 stay fixed.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         num = b / (1.0 - b) * pw * pmw
         odds = num / den
-        post = np.where(num == 0.0, np.where(den == 0.0, b, 0.0),
-                        np.where((den == 0.0) | ~np.isfinite(odds), 1.0,
-                                 odds / (1.0 + odds)))
-    return np.where((b <= 0.0) | (b >= 1.0), b, post)
+        post = np.where(num == 0.0, 0.0,
+                        np.where(np.isfinite(odds), odds / (1.0 + odds), 1.0))
+    post = np.where((b <= 0.0) | (b >= 1.0), b, post)
+    return np.where(pw * pmw == 0.0, np.where(den == 0.0, b, 0.0),
+                    np.where(den == 0.0, 1.0, post))
 
 
 def _agent_steps(b, bn, base, mu, fire, p, q):

@@ -32,15 +32,11 @@ def principal_prefers_earlier(agent: PayoffSpec, principal: PayoffSpec,
 
 
 def stop_rule_at_zero(a0: np.ndarray) -> np.ndarray:
-    """stop_idx[j] = largest argmax of U^phi(0, .) over levels >= j."""
-    n = len(a0)
-    out = np.empty(n, dtype=int)
-    best_val, best_idx = -np.inf, n - 1
-    for j in range(n - 1, -1, -1):
-        if a0[j] > best_val:
-            best_val, best_idx = a0[j], j
-        out[j] = best_idx
-    return out
+    """stop_idx[j] = largest argmax of U^phi(0, .) over levels >= j: the last
+    index of the run of equal suffix maxima that j lies in."""
+    top = np.maximum.accumulate(a0[::-1])[::-1]
+    ends = np.flatnonzero(np.append(top[:-1] != top[1:], True))
+    return ends[np.searchsorted(ends, np.arange(len(a0)))]
 
 
 @dataclass(frozen=True)

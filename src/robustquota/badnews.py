@@ -1,14 +1,13 @@
 """Bad-news learning processes: conclusive negative signals with increments g."""
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError
 from .grid import LevelGrid
-from .mechanisms import Mechanism, adjusted_profiles
-from .payoffs import PayoffSpec
+from .mechanisms import Mechanism
 from .processes import DiscreteLearningProcess
 
 
@@ -92,18 +91,6 @@ class BadNewsProcess:
                                        np.array([0.0, 1.0]), self.mu0)
 
 
-@dataclass(frozen=True)
-class ObedienceReport:
-    slacks: np.ndarray = field(repr=False)
-    max_violation: float
-    binding: np.ndarray = field(repr=False)  # level indices with |slack| <= tol
-    ok: bool
-
-    def to_dict(self):
-        return {"max_violation": self.max_violation, "ok": self.ok,
-                "n_binding": int(len(self.binding))}
-
-
 def effective_end(m: Mechanism, grid: LevelGrid) -> int:
     """Index of the last non-prohibited grid level."""
     _, proh = m.tax_profile(grid)
@@ -126,21 +113,3 @@ def obedience_slacks(g: np.ndarray, a1: np.ndarray, a0: np.ndarray,
     lhs = mu0 * (a1[-1] - a1)
     rhs = a0 * mass_above - weighted
     return lhs - rhs
-
-
-def obedience_check(bn: BadNewsProcess, agent: PayoffSpec,
-                    m: Mechanism) -> ObedienceReport:
-    """Evaluate every level's obedience inequality for the bad-news process,
-    to tol = 1e-9 of the payoff scale."""
-    grid = bn.grid
-    a1, a0, proh = adjusted_profiles(agent, m, "agent", grid)
-    end = effective_end(m, grid)
-    if bn.end > end:
-        raise DomainError("bad-news process extends past the quota")
-    e = bn.end
-    slacks = obedience_slacks(bn.g, a1[:e + 1], a0[:e + 1], bn.mu0)
-    scale = max(1.0, float(np.abs(a0[:e + 1]).max()), float(np.abs(a1[:e + 1]).max()))
-    stol = 1e-9 * scale
-    binding = np.nonzero(np.abs(slacks) <= stol)[0]
-    max_violation = float(max(0.0, -slacks.min()))
-    return ObedienceReport(slacks, max_violation, binding, max_violation <= stol)

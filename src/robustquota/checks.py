@@ -23,36 +23,63 @@ def one_shot_level(p: PayoffSpec, mu: float, grid: LevelGrid,
 
 def one_shot_levels(p: PayoffSpec, mus: np.ndarray, grid: LevelGrid,
                     m: Mechanism = Zero(), side: str = "agent") -> np.ndarray:
-    """Vectorized one_shot_level over a belief array."""
+    """one_shot_level over a belief array, read off the upper envelope of
+    `_one_shot_pieces`.
+
+    A belief within the rounding bound of a piece's start is settled by
+    evaluating U^phi(mu, .) = mu a1 + (1 - mu) a0 on every line that can be
+    on top there (the pieces on both sides of that start and the lines
+    between them in slope order), the largest level winning ties. At mu = 0
+    and mu = 1 the result is the largest argmax of a0 and of a1.
+    """
     a1, a0, proh = adjusted_profiles(p, m, side, grid)
-    allowed = ~proh
-    if not allowed.any():
+    if proh.all():
         raise EmptyMechanismError("all levels prohibited")
-    pts = grid.points[allowed]
+    starts, errs, lines, pos = _one_shot_pieces(a1, a0, proh)
     mus = np.asarray(mus, dtype=float)
-    vals = np.outer(mus, a1[allowed]) + np.outer(1.0 - mus, a0[allowed])
-    # last argmax per row: argmax of the reversed columns finds the first of
-    # the reversed ties, i.e. the largest level
-    idx = vals.shape[1] - 1 - np.argmax(vals[:, ::-1], axis=1)
-    return pts[idx]
+    # candidates lines[lo..hi]: the piece holding mu, widened across every
+    # start that lies within its rounding bound of mu (the running max and
+    # min keep the bounds sorted); the first start is 0 with bound 0, so
+    # mu = 0 reaches back to the first line
+    lo = np.append(0, pos)[np.searchsorted(np.maximum.accumulate(starts + errs),
+                                           mus)]
+    hi = pos[np.searchsorted(np.minimum.accumulate((starts - errs)[::-1])[::-1],
+                             mus, side="right") - 1]
+    cnt = hi - lo + 1
+    first = np.cumsum(cnt) - cnt
+    row = np.repeat(np.arange(len(mus)), cnt)
+    j = lines[np.arange(cnt.sum()) + np.repeat(lo - first, cnt)]
+    v = mus[row] * a1[j] + (1.0 - mus[row]) * a0[j]
+    top = v == np.maximum.reduceat(v, first)[row]
+    return grid.points[np.maximum.reduceat(np.where(top, j, -1), first)]
 
 
-def _one_shot_pieces(p: PayoffSpec, m: Mechanism, grid: LevelGrid,
-                     side: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _one_shot_pieces(a1: np.ndarray, a0: np.ndarray, proh: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One-shot level on [0, 1] as pieces of the upper envelope of the lines
-    mu -> a0[j] + mu (a1[j] - a0[j]) over the allowed levels: the ascending
-    starts of the pieces (the first is 0), the level of each, and a bound on
-    the rounding error of each start."""
-    a1, a0, proh = adjusted_profiles(p, m, side, grid)
+    mu -> a0[j] + mu (a1[j] - a0[j]) over the allowed levels.
+
+    No line after the top one at mu = 1 in slope order is on top in [0, 1];
+    `lines` holds the grid indices of the lines up to it in ascending slope
+    order. Returns the ascending starts of the pieces (the first is 0), a
+    bound on the rounding error of each start, `lines`, and the position in
+    `lines` of each piece. The last piece is the largest argmax of a1; its
+    start may round past 1, within its bound.
+    """
     allowed = np.flatnonzero(~proh)
-    slope, icpt = (a1 - a0)[allowed], a0[allowed]
-    # ascending slope; of equal slopes only the last (largest intercept, then
-    # largest level) can be on top
-    order = np.lexsort((allowed, icpt, slope))
-    order = order[np.append(slope[order][1:] != slope[order][:-1], True)]
-    s, c = slope.tolist(), icpt.tolist()
+    slope, icpt, at1 = (a1 - a0)[allowed], a0[allowed], a1[allowed]
+    # ascending slope, then a1, then level, so that the top line at mu = 1
+    # (the largest argmax of a1) ends its run of equal slopes
+    order = np.lexsort((allowed, at1, slope))
+    top1 = len(allowed) - 1 - np.argmax(at1[::-1])
+    order = order[:np.flatnonzero(order == top1)[0] + 1]
+    s = slope[order]
+    # of equal slopes only the last (largest a1, then largest level) can be
+    # on top
+    keep = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    s, c = s.tolist(), icpt[order].tolist()
     hull, starts, errs = [], [], []   # errs: rounding bound of each start
-    for k in order.tolist():
+    for k in keep.tolist():
         x = e = 0.0
         while hull:
             j = hull[-1]
@@ -63,11 +90,11 @@ def _one_shot_pieces(p: PayoffSpec, m: Mechanism, grid: LevelGrid,
                 break
             del hull[-1], starts[-1], errs[-1]
             x = 0.0
-        if x < 1.0:
+        if x < 1.0 or k == len(s) - 1:
             hull.append(k)
             starts.append(x)
             errs.append(e)
-    return np.array(starts), grid.points[allowed[hull]], np.array(errs)
+    return np.array(starts), np.array(errs), allowed[order], np.array(hull)
 
 
 def one_shot_intervals(agent: PayoffSpec, principal: PayoffSpec,
@@ -76,8 +103,12 @@ def one_shot_intervals(agent: PayoffSpec, principal: PayoffSpec,
     """Midpoints of the belief intervals on which both one-shot levels are
     constant, with the agent's and the principal's level on each; breakpoints
     that agree within their rounding errors bound no interval."""
-    su, pu, eu = _one_shot_pieces(agent, m, grid, "agent")
-    sv, pv, ev = _one_shot_pieces(principal, m, grid, "principal")
+    su, eu, lines, pos = _one_shot_pieces(*adjusted_profiles(agent, m, "agent",
+                                                             grid))
+    pu = grid.points[lines[pos]]
+    sv, ev, lines, pos = _one_shot_pieces(*adjusted_profiles(principal, m,
+                                                             "principal", grid))
+    pv = grid.points[lines[pos]]
     cuts = np.concatenate([su, sv, [1.0]])
     err = np.concatenate([eu, ev, [0.0]])
     order = np.argsort(cuts)

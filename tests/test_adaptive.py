@@ -75,6 +75,17 @@ def test_full_revelation_experiment_reveals_state():
     assert float(ref.root_dist @ ref.beliefs[0]) == pytest.approx(0.6)
 
 
+def test_conclusive_signal_wins_where_belief_rounds_to_one():
+    """At 0.7/0.3 binomial-tree beliefs round to exactly 1.0 from level 44
+    on. An agent whose perfectly revealing signal said theta = 0 keeps belief
+    0 there, so the refinement stays a martingale at every depth."""
+    for n in (47, 60, 101):
+        tree = binomial_tree(0.6, LevelGrid(2.0, n), 0.7, 0.3)
+        assert tree.beliefs[44].max() == 1.0
+        ref = refine_process(tree, BinaryExperiment(1.0, 0.0, (1,)))
+        assert all(np.isin(b, (0.0, 1.0)).all() for b in ref.beliefs[1:])
+
+
 def test_refinements_never_undercut_dp(subtests=None):
     tree = binomial_tree(0.6, GRID)
     pol = solve_adaptive_quota(tree, AGENT, PRINCIPAL)
@@ -132,10 +143,14 @@ def _refine_by_loops(tree, p, q, levels):
     m_at = np.cumsum([j in levels for j in range(n)])
 
     def belief(b, w, m):
+        den = q ** w * (1 - q) ** (m - w)
+        # a history impossible under one state settles the belief, also
+        # where b is 0 or 1
+        if (p ** w * (1 - p) ** (m - w) == 0.0) != (den == 0.0):
+            return 1.0 if den == 0.0 else 0.0
         if b <= 0.0 or b >= 1.0:
             return b
         num = b / (1.0 - b) * p ** w * (1 - p) ** (m - w)
-        den = q ** w * (1 - q) ** (m - w)
         if den == 0.0:
             return b if num == 0.0 else 1.0
         if num == 0.0:

@@ -41,10 +41,36 @@ def _force_highs(monkeypatch):
                         lambda *args: None)
 
 
+def _stop_rule_loop(a0):
+    """Reference: scan from the top level down, moving on a strict rise."""
+    n = len(a0)
+    out = np.empty(n, dtype=int)
+    best_val, best_idx = -np.inf, n - 1
+    for j in range(n - 1, -1, -1):
+        if a0[j] > best_val:
+            best_val, best_idx = a0[j], j
+        out[j] = best_idx
+    return out
+
+
 def test_stop_rule_at_zero_largest_argmax_tail():
     vals = np.array([3.0, 1.0, 3.0, 2.0, 0.0])
     # from each index, the largest maximizer of the tail
     assert stop_rule_at_zero(vals).tolist() == [2, 2, 2, 3, 4]
+    # ties go to the larger index
+    ties = np.array([2.0, 2.0, 1.0, 2.0, 1.0, 1.0])
+    assert stop_rule_at_zero(ties).tolist() == [3, 3, 3, 3, 5, 5]
+    rng = np.random.default_rng(3)
+    cases = [np.array([]), np.array([-np.inf, 5.0, -np.inf]),
+             np.full(4, -np.inf)]
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        # few distinct values, so ties are common; some rows continuous
+        cases.append(rng.integers(0, 4, n).astype(float) if rng.random() < 0.7
+                     else rng.normal(size=n))
+    for a0 in cases:
+        got, ref = stop_rule_at_zero(a0), _stop_rule_loop(a0)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_lp_attains_guarantee_under_robust_mechanism():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from robustquota import (BadNewsProcess, DomainError, FixedTaxHardQuota,
-                         LevelGrid, Zero, cara_pair, effective_end,
-                         obedience_check, solve_stopping)
+                         LevelGrid, Zero, adjusted_profiles, cara_pair,
+                         effective_end, obedience_slacks, solve_stopping)
 from robustquota.adversary import indifference_G
 
 GRID = LevelGrid(2.0, 41)
@@ -54,10 +54,15 @@ def test_effective_end_with_quota():
 def test_indifference_construction_is_obedient():
     agent, principal = cara_pair(1.0, 3.0)
     ind = indifference_G(agent, Zero(), GRID, 0.5, principal)
-    rep = obedience_check(ind.bn, agent, Zero())
-    assert rep.ok
+    e = ind.bn.end
+    a1, a0, _ = adjusted_profiles(agent, Zero(), "agent", GRID)
+    a1, a0 = a1[:e + 1], a0[:e + 1]
+    slacks = obedience_slacks(ind.bn.g, a1, a0, ind.bn.mu0)
+    max_violation = max(0.0, -slacks.min())
+    scale = max(1.0, np.abs(a0).max(), np.abs(a1).max())
+    assert max_violation <= 1e-9 * scale
     # every level in the support should be (weakly) binding
-    assert rep.max_violation == pytest.approx(0.0, abs=1e-9)
+    assert max_violation == pytest.approx(0.0, abs=1e-9)
 
 
 def test_agent_stopping_on_badnews_tree_follows_arrivals():

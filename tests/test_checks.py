@@ -1,14 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustquota import (CARA, AmbiguitySet, DegenerateDerivativeError,
-                         DomainError, Exponential, LevelGrid, Quadratic,
-                         Tabulated, Zero, belief_grid, cara_pair,
+from robustquota import (CARA, CRRA, AmbiguitySet, DegenerateDerivativeError,
+                         DomainError, Exponential, FixedTaxHardQuota,
+                         LevelGrid, Linear, Quadratic, Tabulated, Zero,
+                         adjusted_profiles, belief_grid, cara_pair,
                          check_assumptions, one_shot_level, one_shot_levels,
                          pseudo_inverse_beliefs, quadratic_pair,
                          risk_ratio_condition)
+from robustquota.checks import _one_shot_pieces
 
 GRID = LevelGrid(2.0, 401)
 
@@ -28,6 +32,18 @@ def test_one_shot_tie_goes_to_largest():
     flat = Quadratic(1.0, 1.0, 0.0)
     # at mu = 0.5 the agent indirect utility is identically zero
     assert one_shot_level(flat, 0.5, g) == 1.0
+    # the regulator's levels 0.562 and 0.563 tie at mu = 0.68 (l* = 0.5625);
+    # the envelope's breakpoint rounds to 0.6800000000000043, so only its
+    # rounding bound sends mu = 0.68 to the larger level
+    principal = Quadratic(1.0, 1.0, 1.0)
+    g = LevelGrid(2.0, 2001)
+    assert one_shot_level(principal, 0.68, g, side="principal") == g.points[563]
+    assert one_shot_level(principal, 0.6799, g, side="principal") == g.points[562]
+    # equal bad-state payoffs of 1e20 make both slopes a1 - a0 round to 1e20:
+    # level 1 wins the tie at mu = 0, level 0 is better at every mu > 0
+    g = LevelGrid(1.0, 2)
+    big = Tabulated(g, (1.0, 0.0), (-1e20, -1e20))
+    assert one_shot_levels(big, [0.0, 0.5, 1.0], g).tolist() == [1.0, 0.0, 0.0]
 
 
 def test_one_shot_levels_vectorized_agrees():
@@ -35,6 +51,67 @@ def test_one_shot_levels_vectorized_agrees():
     mus = np.linspace(0.0, 1.0, 41)
     vec = one_shot_levels(p, mus, GRID)
     assert np.allclose(vec, [one_shot_level(p, m, GRID) for m in mus])
+
+
+def _dense_levels(p, mus, grid, m, side):
+    """Reference: U^phi(mu, l) = mu a1 + (1 - mu) a0 on the whole belief x
+    allowed-level grid, the largest maximiser in each row."""
+    a1, a0, proh = adjusted_profiles(p, m, side, grid)
+    vals = np.outer(mus, a1[~proh]) + np.outer(1.0 - mus, a0[~proh])
+    # last argmax per row: argmax of the reversed columns finds the first of
+    # the reversed ties, i.e. the largest level
+    idx = vals.shape[1] - 1 - np.argmax(vals[:, ::-1], axis=1)
+    return grid.points[~proh][idx]
+
+
+def _exact_level(p, mu, grid, m, side):
+    """Largest maximiser of U^phi(mu, .), evaluated exactly on the float
+    data."""
+    a1, a0, proh = adjusted_profiles(p, m, side, grid)
+    mu = Fraction(mu)
+    return max((mu * Fraction(x1) + (1 - mu) * Fraction(x0), lev)
+               for x1, x0, lev in zip(a1[~proh], a0[~proh],
+                                      grid.points[~proh]))[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(["cara", "quadratic", "crra", "tabulated",
+                               "tied"]),
+       mech=st.sampled_from(["zero", "linear", "exponential", "quota"]),
+       side=st.sampled_from(["agent", "principal"]),
+       l_max=st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0, 16.0]),
+       n=st.integers(2, 801), n_mu=st.integers(2, 1001),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_shot_levels_match_dense_reference(family, mech, side, l_max, n,
+                                               n_mu, seed):
+    """The envelope lookup gives the dense scan's levels on a belief grid
+    that holds 0 and 1; where they differ, exact evaluation must side with
+    the envelope. The last piece is the largest maximiser of a1."""
+    rng = np.random.default_rng(seed)
+    grid = LevelGrid(l_max, n)
+    u = rng.uniform(0.2, 3.0, 3)
+    # "tied": small integer tables, so exact ties between levels are common
+    p = {"cara": lambda: CARA(u[0]),
+         "quadratic": lambda: Quadratic(u[0], u[1], u[2] - 0.2),
+         "crra": lambda: CRRA(u[0] if abs(u[0] - 1.0) > 0.05 else 2.0),
+         "tabulated": lambda: Tabulated(grid, tuple(rng.normal(size=n).cumsum()),
+                                        tuple(rng.normal(size=n).cumsum())),
+         "tied": lambda: Tabulated(grid, tuple(rng.integers(-3, 4, n) * 1.0),
+                                   tuple(rng.integers(-3, 4, n) * 1.0))}[family]()
+    m = {"zero": lambda: Zero(), "linear": lambda: Linear(u[1] - 1.6),
+         "exponential": lambda: Exponential(u[1]),
+         "quota": lambda: FixedTaxHardQuota(u[1], rng.uniform(0.0, l_max))
+         }[mech]()
+    mus = belief_grid(n_mu)
+    got = one_shot_levels(p, mus, grid, m, side)
+    want = _dense_levels(p, mus, grid, m, side)
+    for i in np.flatnonzero(got != want):
+        assert _exact_level(p, mus[i], grid, m, side) == got[i]
+
+    a1, a0, proh = adjusted_profiles(p, m, side, grid)
+    _, _, lines, pos = _one_shot_pieces(a1, a0, proh)
+    allowed = np.flatnonzero(~proh)
+    assert lines[pos[-1]] == allowed[a1[allowed] == a1[allowed].max()].max()
 
 
 def test_pseudo_inverse_matches_cara_closed_form():
