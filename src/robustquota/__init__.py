@@ -7,10 +7,9 @@ mechanisms (static and adaptive), and payoff-gap experiments.
 
 from .adaptive import (AdaptivePolicy, BinaryExperiment, evaluate_adaptive,
                        refine_process, solve_adaptive_quota)
-from .adversary import (BadNewsLPResult, DualCertificate, GapResult,
-                        IndifferenceResult, OracleResult, dual_certificate,
-                        indifference_G, payoff_gap, principal_prefers_earlier,
-                        solve_badnews_lp, tree_oracle_worst_case)
+from .adversary import (BadNewsLPResult, GapResult, OracleResult, payoff_gap,
+                        principal_prefers_earlier, solve_badnews_lp,
+                        tree_oracle_worst_case)
 from .badnews import BadNewsProcess, effective_end, obedience_slacks
 from .checks import (AmbiguitySet, AssumptionReport, RatioReport,
                      check_assumptions, one_shot_level, one_shot_levels,

@@ -14,8 +14,7 @@ import numpy as np
 
 from .adaptive import evaluate_adaptive, random_experiment, refine_process, \
     solve_adaptive_quota
-from .adversary import badnews_value, dual_certificate, indifference_G, \
-    solve_badnews_lp, tree_oracle_worst_case
+from .adversary import solve_badnews_lp, tree_oracle_worst_case
 from .grid import LevelGrid
 from .mechanisms import FixedTaxHardQuota, Linear, Zero, adjusted_profiles
 from .payoffs import CARA, cara_pair, quadratic_pair
@@ -127,28 +126,28 @@ def criterion_4() -> str:
     agent, principal = cara_pair(1.0, 3.0)
     grid = LevelGrid(2.0, 2001)
     mu0, h = 0.5, grid.h
-    ind = indifference_G(agent, Zero(), grid, mu0, principal)
-    assert not ind.used_lp_fallback, "indifference construction fell back to LP"
-    lam = ind.bn.cont_belief()
+    lp = solve_badnews_lp(agent, principal, Zero(), grid, mu0)
+    assert lp.route == "construction", \
+        "indifference construction fell back to LP"
+    lam = lp.bn.cont_belief()
 
     def closed(l):
         return 1.0 / (1.0 + np.exp(-2.0 * l))
 
-    for j in range(ind.lbar_index, ind.bn.end):
+    for j in range(lp.lbar_index, lp.bn.end):
         l = grid.points[j]
         lo, hi = closed(l - 2 * h), closed(l + 2 * h)
         assert lo - 1e-12 <= lam[j] <= hi + 1e-12, \
             f"belief {lam[j]} at l={l} outside [{lo}, {hi}]"
 
-    cert = dual_certificate(agent, principal, Zero(), grid, mu0)
-    assert abs(cert.gap) <= 1e-4 * abs(cert.primal_value), \
-        f"duality gap {cert.gap} vs primal {cert.primal_value}"
+    assert abs(lp.gap) <= 1e-4 * abs(lp.value), \
+        f"duality gap {lp.gap} vs primal {lp.value}"
     a1, a0, _ = adjusted_profiles(agent, Zero(), "agent", grid)
     scale = max(1.0, float(np.abs(a0).max()), float(np.abs(a1).max()))
-    assert cert.comp_slack_max <= 1e-6 * scale, \
-        f"complementary slackness {cert.comp_slack_max} > {1e-6 * scale}"
-    return (f"primal={cert.primal_value:.6g} dual={cert.dual_bound:.6g} "
-            f"gap={cert.gap:.3e} slack={cert.comp_slack_max:.3e}")
+    assert lp.comp_slack_max <= 1e-6 * scale, \
+        f"complementary slackness {lp.comp_slack_max} > {1e-6 * scale}"
+    return (f"primal={lp.value:.6g} dual={lp.dual_bound:.6g} "
+            f"gap={lp.gap:.3e} slack={lp.comp_slack_max:.3e}")
 
 
 def criterion_5() -> str:
@@ -161,9 +160,9 @@ def criterion_5() -> str:
             grid = LevelGrid(l_max, 801)
             # the binding-obedience construction is the worst case here and
             # stays exact at payoff ranges (~e^48) where LP solvers wobble
-            ind = indifference_G(agent, Zero(), grid, 0.5, principal)
-            assert not ind.used_lp_fallback, "construction fell back to LP"
-            vals.append(badnews_value(ind.bn, agent, principal, Zero()))
+            lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.5)
+            assert lp.route == "construction", "construction fell back to LP"
+            vals.append(lp.value)
         sweeps[gamma_p] = vals
     div = sweeps[3.0]
     assert all(b < a - 1e-9 for a, b in zip(div, div[1:])), \

@@ -1,6 +1,6 @@
-"""Worst-case learning: the bad-news LP, the binding-obedience construction,
-the dual certificate, the tree oracle (one obedience LP over the histories of
-a small belief tree), and payoff gaps."""
+"""Worst-case learning: the bad-news LP with its dual certificate, the
+binding-obedience construction, the tree oracle (one obedience LP over the
+histories of a small belief tree), and payoff gaps."""
 
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -41,6 +41,8 @@ def stop_rule_at_zero(a0: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BadNewsLPResult:
+    """The worst bad-news process, its value and the weak-duality evidence
+    for that value."""
     bn: BadNewsProcess
     value: float
     premise_ok: bool            # False => bound valid within the bad-news class only
@@ -50,18 +52,26 @@ class BadNewsLPResult:
     route: str
     #: value minus the dual objective of the multipliers below
     gap: float
+    lbar_index: int             # support start of the worst process
+    lbar: float
+    dual_value: float           # -(y @ b), the obedience rows' dual term
+    comp_slack_max: float       # worst |slack| on levels carrying mass
     binding: np.ndarray = field(repr=False)  # binding obedience rows at the optimum
-    objective: np.ndarray = field(repr=False)
     #: the dual-feasible multipliers (y, t) of the obedience rows and the
     #: mass row that gap is certified with (the exact dual on the
-    #: construction route, HiGHS's on the highs route)
+    #: construction route, HiGHS's on the highs route); cumsum(y) is the
+    #: nondecreasing multiplier Lambda of the paper
     multipliers: Tuple[np.ndarray, float] = field(repr=False)
 
-    def diagnostics(self) -> dict:
-        return {"objective": float(self.value), "iterations": int(self.iterations),
-                "binding": [int(i) for i in self.binding],
-                "premise_ok": self.premise_ok, "route": self.route,
-                "gap": self.gap}
+    @property
+    def dual_bound(self) -> float:
+        """A lower bound on the LP optimum: the value minus the gap."""
+        return self.value - self.gap
+
+    def certificate(self) -> dict:
+        return {"lbar": self.lbar, "dual_value": self.dual_value,
+                "dual_bound": self.dual_bound, "primal_value": self.value,
+                "gap": self.gap, "comp_slack_max": self.comp_slack_max}
 
 
 def _lp_data(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
@@ -226,7 +236,8 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     LP is solved in sparse cumulative form with HiGHS.  Every result is
     certified: a solution that breaks an obedience row by more than 1e-9 of
     the row's terms, or a HiGHS solution whose multipliers are not dual
-    feasible, raises ConditionViolatedError.
+    feasible, raises ConditionViolatedError.  The result carries that
+    certificate.
     """
     if not 0.0 < mu0 < 1.0:
         raise DomainError("worst-case search needs an interior prior")
@@ -239,7 +250,7 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
         total = g.sum()
         if total > 0:
             g *= (1.0 - mu0) / total
-        return g, float(mu0 * p1[-1] + c @ g)
+        return g, _value(g, mu0, p1, c)
 
     route, iters, gap = "construction", 0, None
     g = _obedient_construction(a1, a0, b, mu0)
@@ -269,19 +280,30 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
             f"{-slacks[j]:.3g}, beyond 1e-9 of its terms ({size[j]:.3g}); the "
             "value is not trustworthy at this payoff range")
     binding = np.nonzero(np.abs(slacks) <= 1e-7 * scale)[0]
+    carrying = g > 1e-12
+    comp = float(np.abs(slacks[carrying]).max()) if carrying.any() else 0.0
+    jbar = _support_start(g)
     return BadNewsLPResult(BadNewsProcess(grid, g, mu0, end), value, premise_ok,
-                           iters, route, float(gap), binding, c, (y, float(t)))
+                           iters, route, float(gap), jbar,
+                           float(grid.points[jbar]), float(-(y @ b)), comp,
+                           binding, (y, float(t)))
+
+
+def _value(g: np.ndarray, mu0: float, p1: np.ndarray, c: np.ndarray) -> float:
+    """mu0 V^phi(1, l_end) plus the belief-0 stop payoffs c of arrivals g."""
+    return float(mu0 * p1[-1] + c @ g)
 
 
 def badnews_value(bn: BadNewsProcess, agent: PayoffSpec, principal: PayoffSpec,
                   m: Mechanism) -> float:
-    """Principal value of a bad-news process under the belief-0 stop rule."""
-    grid = bn.grid
-    a1, a0, _ = adjusted_profiles(agent, m, "agent", grid)
-    p1, p0, _ = adjusted_profiles(principal, m, "principal", grid)
-    e = bn.end
-    stop_idx = stop_rule_at_zero(a0[:e + 1])
-    return float(bn.mu0 * p1[e] + p0[:e + 1][stop_idx] @ bn.g)
+    """Principal value of a bad-news process under the belief-0 stop rule.
+    A process that does not end at the mechanism's last allowed level raises
+    DomainError."""
+    end, _, _, p1, _, c, _ = _lp_data(agent, principal, m, bn.grid, bn.mu0)
+    if bn.end != end:
+        raise DomainError(f"process ends at level index {bn.end}, the "
+                          f"mechanism's last allowed level is {end}")
+    return _value(bn.g, bn.mu0, p1, c)
 
 
 @dataclass(frozen=True)
@@ -313,46 +335,11 @@ def indifference_G(agent: PayoffSpec, m: Mechanism, grid: LevelGrid,
     return IndifferenceResult(bn, float(grid.points[jbar]), jbar, g is None)
 
 
-@dataclass(frozen=True)
-class DualCertificate:
-    """Weak-duality evidence for the bad-news LP's value: the multipliers
-    solve_badnews_lp certified it with, on the levels through l_end."""
-    Lambda: np.ndarray = field(repr=False)  # cumsum of the obedience multipliers
-    lbar: float                 # support start of the worst process
-    dual_value: float           # -sum g_bar dLambda, the Stieltjes part
-    dual_bound: float           # primal - gap, a lower bound on the LP optimum
-    primal_value: float
-    gap: float                  # the solve's certified gap, >= 0 up to rounding
-    gbar: np.ndarray = field(repr=False)  # mu0 (U^phi(1,l_end) - U^phi(1,l))
-    comp_slack_max: float       # worst |slack| on levels carrying mass
-    lp: BadNewsLPResult = field(repr=False)  # the solve certified here
-
-    def to_dict(self):
-        return {"lbar": self.lbar, "dual_value": self.dual_value,
-                "dual_bound": self.dual_bound, "primal_value": self.primal_value,
-                "gap": self.gap, "comp_slack_max": self.comp_slack_max}
-
-
 def dual_certificate(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
-                     grid: LevelGrid, mu0: float) -> DualCertificate:
-    """The bad-news LP's own dual certificate.
-
-    Reads the multipliers (y, t) that solve_badnews_lp certified its value
-    with: Lambda = cumsum(y) is nondecreasing in the level (y >= 0), gap is
-    that solve's certified gap and dual_bound its value minus the gap.  The
-    solve is kept as `lp`, so a caller needs no second one.  Raises where the
-    solve does.
-    """
-    _, a1, a0, _, _, _, gbar = _lp_data(agent, principal, m, grid, mu0)
-    lp = solve_badnews_lp(agent, principal, m, grid, mu0)
-    y, _ = lp.multipliers
-    slacks = obedience_slacks(lp.bn.g, a1, a0, mu0)
-    carrying = lp.bn.g > 1e-12
-    comp = float(np.abs(slacks[carrying]).max()) if carrying.any() else 0.0
-    jbar = _support_start(lp.bn.g)
-    return DualCertificate(np.cumsum(y), float(grid.points[jbar]),
-                           float(-(y @ gbar)), lp.value - lp.gap, lp.value,
-                           lp.gap, gbar, comp, lp)
+                     grid: LevelGrid, mu0: float) -> BadNewsLPResult:
+    """solve_badnews_lp under its older name, which the rqbench workloads
+    call; the result carries the certificate."""
+    return solve_badnews_lp(agent, principal, m, grid, mu0)
 
 
 @dataclass(frozen=True)

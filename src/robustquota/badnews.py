@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EmptyMechanismError
 from .grid import LevelGrid
 from .mechanisms import Mechanism
 from .processes import DiscreteLearningProcess
@@ -92,11 +92,12 @@ class BadNewsProcess:
 
 
 def effective_end(m: Mechanism, grid: LevelGrid) -> int:
-    """Index of the last non-prohibited grid level."""
+    """Index of the last non-prohibited grid level; EmptyMechanismError
+    where every level is prohibited."""
     _, proh = m.tax_profile(grid)
     allowed = ~proh
     if not allowed.any():
-        raise DomainError("all levels prohibited")
+        raise EmptyMechanismError("all levels prohibited")
     return int(np.nonzero(allowed)[0][-1])
 
 

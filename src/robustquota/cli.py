@@ -15,11 +15,11 @@ from dataclasses import replace
 import numpy as np
 
 from .acceptance import run_acceptance
-from .adversary import dual_certificate, payoff_gap
+from .adversary import payoff_gap, solve_badnews_lp
 from .checks import check_assumptions, pseudo_inverse_beliefs, \
     risk_ratio_condition
 from .config import RunConfig, load_config
-from .errors import ConfigError, RobustQuotaError
+from .errors import ConfigError, DomainError, RobustQuotaError
 from .grid import LevelGrid
 from .processes import binomial_tree, no_learning
 from .robust import compute_joint_robust, compute_robust
@@ -87,9 +87,8 @@ def cmd_robust(cfg: RunConfig, args) -> int:
 
 
 def cmd_worstcase(cfg: RunConfig, args) -> int:
-    cert = dual_certificate(cfg.agent, cfg.principal, cfg.mechanism, cfg.grid,
-                            cfg.mu0)
-    lp = cert.lp
+    lp = solve_badnews_lp(cfg.agent, cfg.principal, cfg.mechanism, cfg.grid,
+                          cfg.mu0)
     e = lp.bn.end
     binding = np.zeros(e + 1, dtype=bool)
     binding[lp.binding] = True
@@ -103,7 +102,7 @@ def cmd_worstcase(cfg: RunConfig, args) -> int:
                ["level", "G", "cont_belief", "binding", "mu_hat_U", "mu_hat_V"],
                rows)
     payload = {"value": lp.value, "premise_ok": lp.premise_ok,
-               "route": lp.route, "lbar": cert.lbar, "dual": cert.to_dict()}
+               "route": lp.route, "lbar": lp.lbar, "dual": lp.certificate()}
     _write_json(_outpath(args, "worstcase_value.json"), payload)
     print(json.dumps({"value": lp.value, "premise_ok": lp.premise_ok},
                      sort_keys=True))
@@ -199,7 +198,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"'{args.command}' requires --config")
         cfg = load_config(args.config)
         if args.grid_n is not None:
-            cfg = replace(cfg, grid=LevelGrid(cfg.grid.l_max, args.grid_n))
+            try:
+                cfg = replace(cfg, grid=LevelGrid(cfg.grid.l_max, args.grid_n))
+            except DomainError as e:
+                raise ConfigError(f"--grid-n: {e}")
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         handler = {"check": cmd_check, "robust": cmd_robust,

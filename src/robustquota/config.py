@@ -5,8 +5,8 @@ Schema (all nesting literal; unknown keys are rejected):
     {
       "payoff":      {"agent": <payoff>, "principal": <payoff>},
       "mechanism":   <mechanism>,                  # optional, default zero
-      "grid":        {"l_max": float, "n": int},
-      "belief_grid": {"n_mu": int},                # optional, default 1001
+      "grid":        {"l_max": float, "n": int >= 2},
+      "belief_grid": {"n_mu": int >= 2},           # optional, default 1001
       "prior":       {"mu0": float},
       "seed":        int,                          # required by stochastic cmds
       "ambiguity":   [<payoff>, ...],              # optional
@@ -14,7 +14,7 @@ Schema (all nesting literal; unknown keys are rejected):
                       "p_good": float, "p_bad": float},      # optional
       "mechanisms":  [<mechanism>, ...],           # optional (gap tables)
       "sweep":       {"l_max": [float, ...]},      # optional (gap tables)
-      "refinements": {"count": int}                # optional
+      "refinements": {"count": int >= 1}           # optional
     }
 
 <payoff> is {"family": "quadratic"|"cara"|"crra"|"tabulated", ...}; <mechanism>
@@ -69,6 +69,15 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _integer(value, where: str, least: int) -> int:
+    """An integral JSON number (9 or 9.0, not true) of at least `least`."""
+    ok = type(value) is int or type(value) is float and value.is_integer()
+    if not ok or value < least:
+        raise ConfigError(f"{where} must be an integer >= {least}, "
+                          f"got {value!r}")
+    return int(value)
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as f:
@@ -89,7 +98,7 @@ def parse_config(raw: dict) -> RunConfig:
     _check_keys(gd, {"l_max", "n"}, "'grid'")
     try:
         grid = LevelGrid(float(_require(gd, "l_max", "'grid'")),
-                         int(_require(gd, "n", "'grid'")))
+                         _integer(_require(gd, "n", "'grid'"), "grid.n", 2))
     except DomainError as e:
         raise ConfigError(str(e))
 
@@ -116,10 +125,11 @@ def parse_config(raw: dict) -> RunConfig:
     n_mu = 1001
     if "belief_grid" in raw:
         _check_keys(raw["belief_grid"], {"n_mu"}, "'belief_grid'")
-        n_mu = int(_require(raw["belief_grid"], "n_mu", "'belief_grid'"))
+        n_mu = _integer(_require(raw["belief_grid"], "n_mu", "'belief_grid'"),
+                        "belief_grid.n_mu", 2)
 
     seed = raw.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and type(seed) is not int:     # a bool is refused
         raise ConfigError("'seed' must be an integer")
 
     tree = raw.get("tree")
@@ -136,7 +146,8 @@ def parse_config(raw: dict) -> RunConfig:
     n_ref = 50
     if "refinements" in raw:
         _check_keys(raw["refinements"], {"count"}, "'refinements'")
-        n_ref = int(_require(raw["refinements"], "count", "'refinements'"))
+        n_ref = _integer(_require(raw["refinements"], "count", "'refinements'"),
+                         "refinements.count", 1)
 
     return RunConfig(agent, principal, mech, grid, mu0, n_mu, seed, ambiguity,
                      tree, mechanisms, sweep, n_ref)

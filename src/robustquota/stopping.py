@@ -7,7 +7,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import DomainError, EmptyMechanismError, RobustQuotaError
+from .badnews import effective_end
+from .errors import DomainError, RobustQuotaError
 from .mechanisms import Mechanism, adjusted_profiles
 from .payoffs import PayoffSpec
 from .processes import CSRKernel, DiscreteLearningProcess
@@ -87,11 +88,8 @@ def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
     """
     grid = proc.grid
     a1, a0, proh = adjusted_profiles(agent, m, "agent", grid)
-    allowed = ~proh
-    if not allowed.any():
-        raise EmptyMechanismError("all levels prohibited")
-    end = int(np.nonzero(allowed)[0][-1])
-    if not allowed[:end + 1].all():
+    end = effective_end(m, grid)
+    if proh[:end + 1].any():
         raise DomainError("prohibited set must be upward-closed")
 
     stop_payoff = [proc.beliefs[j] * a1[j] + (1.0 - proc.beliefs[j]) * a0[j]

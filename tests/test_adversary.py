@@ -12,8 +12,7 @@ from robustquota import (BudgetExceededError, ConditionViolatedError,
                          Linear, Tabulated, Zero, cara_pair, compute_robust,
                          effective_end, quadratic_pair, verify_guarantee)
 from robustquota import adversary
-from robustquota.adversary import (badnews_value, dual_certificate,
-                                   indifference_G, payoff_gap,
+from robustquota.adversary import (badnews_value, indifference_G, payoff_gap,
                                    principal_prefers_earlier, solve_badnews_lp,
                                    stop_rule_at_zero, tree_oracle_worst_case)
 from robustquota.badnews import BadNewsProcess
@@ -122,16 +121,16 @@ def test_indifference_matches_cara_closed_form_G():
 def test_weak_duality_always(mu0):
     agent, principal = cara_pair(1.0, 3.0)
     grid = LevelGrid(2.0, 301)
-    cert = dual_certificate(agent, principal, Zero(), grid, mu0)
-    assert cert.dual_bound <= cert.primal_value + 1e-7 * abs(cert.primal_value)
+    lp = solve_badnews_lp(agent, principal, Zero(), grid, mu0)
+    assert lp.dual_bound <= lp.value + 1e-7 * abs(lp.value)
 
 
 def test_dual_tight_when_support_reaches_zero():
     agent, principal = cara_pair(1.0, 3.0)
     grid = LevelGrid(2.0, 501)
-    cert = dual_certificate(agent, principal, Zero(), grid, 0.5)
-    assert cert.lbar == 0.0
-    assert abs(cert.gap) <= 1e-4 * abs(cert.primal_value)
+    lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.5)
+    assert lp.lbar == 0.0
+    assert abs(lp.gap) <= 1e-4 * abs(lp.value)
 
 
 @pytest.mark.parametrize("pair, lbar", [
@@ -141,12 +140,15 @@ def test_dual_tight_when_support_reaches_zero():
 def test_dual_tight_when_support_starts_above_zero(pair, lbar):
     agent, principal = pair
     grid = LevelGrid(2.0, 2001)
-    cert = dual_certificate(agent, principal, Zero(), grid, 0.6)
     lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.6)
-    assert cert.lbar == pytest.approx(lbar, abs=1e-12)
-    assert cert.gap <= 1e-9 * max(1.0, abs(cert.primal_value))
-    assert cert.gap == lp.gap
-    assert cert.dual_bound == lp.value - lp.gap
+    assert lp.lbar == pytest.approx(lbar, abs=1e-12)
+    assert lp.lbar == grid.points[lp.lbar_index]
+    assert lp.gap <= 1e-9 * max(1.0, abs(lp.value))
+    assert lp.dual_bound == lp.value - lp.gap
+    # the dual objective: mu0 V^phi(1, l_end) + (1 - mu0) t - y @ b
+    p1 = adversary._lp_data(agent, principal, Zero(), grid, 0.6)[3]
+    dual = 0.6 * p1[-1] + 0.4 * lp.multipliers[1] + lp.dual_value
+    assert lp.dual_bound == pytest.approx(dual, rel=1e-12, abs=1e-12)
 
 
 def _paper_lambda(agent, principal, m, grid):
@@ -179,11 +181,9 @@ def test_certified_lambda_is_papers_above_support(family, params, linear,
     except InfeasibleLPError:
         return
     assume(lp.route == "construction")
-    cert = dual_certificate(agent, principal, m, grid, mu0)
-    assert cert.gap == lp.gap
-    jbar = int(np.flatnonzero(grid.points == cert.lbar)[0])
+    jbar = lp.lbar_index
     ref = _paper_lambda(agent, principal, m, grid)[jbar:]
-    got = cert.Lambda[jbar:lp.bn.end]
+    got = np.cumsum(lp.multipliers[0])[jbar:lp.bn.end]
     if ref.size:
         assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -345,9 +345,7 @@ def test_construction_route_certifies_at_scale():
     grid = LevelGrid(2.0, 100001)
     lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.5)
     assert lp.route == "construction" and lp.iterations == 0
-    assert lp.diagnostics()["route"] == "construction"
-    cert = dual_certificate(agent, principal, Zero(), grid, 0.5)
-    assert abs(cert.gap) <= 1e-9 * max(1.0, abs(cert.primal_value))
+    assert abs(lp.gap) <= 1e-9 * max(1.0, abs(lp.value))
 
 
 def test_dual_certificate_at_zero_payoff_level_is_warning_free():
@@ -357,10 +355,10 @@ def test_dual_certificate_at_zero_payoff_level_is_warning_free():
     agent, principal = quadratic_pair(1.0, 1.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cert = dual_certificate(agent, principal, Zero(), LevelGrid(2.0, 101),
-                                0.4)
-    assert cert.lbar == 0.0
-    assert cert.dual_bound <= cert.primal_value + 1e-9
+        lp = solve_badnews_lp(agent, principal, Zero(), LevelGrid(2.0, 101),
+                              0.4)
+    assert lp.lbar == 0.0
+    assert lp.dual_bound <= lp.value + 1e-9
 
 
 def test_dual_certificate_at_zero_payoff_below_support():
@@ -370,15 +368,15 @@ def test_dual_certificate_at_zero_payoff_below_support():
     # multipliers still certify the value
     grid = LevelGrid(2.0, 21)
     agent, principal = cara_pair(1.0, 3.0)
-    plain = dual_certificate(agent, principal, Zero(), grid, 0.8)
-    jbar = int(np.flatnonzero(grid.points == plain.lbar)[0])
+    plain = solve_badnews_lp(agent, principal, Zero(), grid, 0.8)
+    jbar = plain.lbar_index
     assert jbar > 0
     u0 = agent.u0(grid.points)
     shifted = Tabulated(grid, tuple(agent.u1(grid.points)), tuple(u0 - u0[jbar]))
-    cert = dual_certificate(shifted, principal, Zero(), grid, 0.8)
-    assert cert.lbar == plain.lbar
-    assert cert.primal_value == pytest.approx(plain.primal_value, rel=1e-12)
-    assert abs(cert.gap) <= 1e-9 * max(1.0, abs(cert.primal_value))
+    lp = solve_badnews_lp(shifted, principal, Zero(), grid, 0.8)
+    assert lp.lbar == plain.lbar
+    assert lp.value == pytest.approx(plain.value, rel=1e-12)
+    assert abs(lp.gap) <= 1e-9 * max(1.0, abs(lp.value))
 
 
 def _pattern_oracle(agent, principal, m, small_grid, belief_support, mu0,

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from robustquota import (BadNewsProcess, DomainError, FixedTaxHardQuota,
-                         LevelGrid, Zero, adjusted_profiles, cara_pair,
-                         effective_end, obedience_slacks, solve_stopping)
-from robustquota.adversary import indifference_G
+from robustquota import (BadNewsProcess, DomainError, EmptyMechanismError,
+                         FixedTaxHardQuota, LevelGrid, TabulatedMechanism, Zero,
+                         adjusted_profiles, cara_pair, effective_end,
+                         no_learning, obedience_slacks, one_shot_levels,
+                         solve_badnews_lp, solve_stopping,
+                         tree_oracle_worst_case)
+from robustquota.adversary import badnews_value, indifference_G
 
 GRID = LevelGrid(2.0, 41)
 
@@ -49,6 +52,28 @@ def test_effective_end_with_quota():
     m = FixedTaxHardQuota(0.0, 1.0)
     assert GRID.points[effective_end(m, GRID)] == pytest.approx(1.0)
     assert effective_end(Zero(), GRID) == GRID.n - 1
+
+
+def test_all_levels_prohibited_is_one_error():
+    grid = LevelGrid(1.0, 4)
+    m = TabulatedMechanism(grid, (float("inf"),) * 4)
+    agent, principal = cara_pair(1.0, 3.0)
+    calls = [lambda: effective_end(m, grid),
+             lambda: solve_badnews_lp(agent, principal, m, grid, 0.5),
+             lambda: tree_oracle_worst_case(agent, principal, m, grid,
+                                            [0.0, 1.0], 0.5),
+             lambda: solve_stopping(no_learning(0.5, grid), agent, m),
+             lambda: one_shot_levels(agent, [0.5], grid, m)]
+    for call in calls:
+        with pytest.raises(EmptyMechanismError, match="all levels prohibited"):
+            call()
+
+
+def test_badnews_value_refuses_a_process_past_the_quota():
+    agent, principal = cara_pair(1.0, 3.0)
+    bn = indifference_G(agent, Zero(), GRID, 0.5, principal).bn
+    with pytest.raises(DomainError, match="last allowed level"):
+        badnews_value(bn, agent, principal, FixedTaxHardQuota(0.0, 1.0))
 
 
 def test_indifference_construction_is_obedient():

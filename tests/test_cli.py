@@ -117,6 +117,8 @@ def test_worstcase_records_route(tmp_path, raw, route):
     dual = payload["dual"]
     assert dual["primal_value"] == lp.value and dual["gap"] == lp.gap
     assert abs(dual["gap"]) <= 1e-9 * max(1.0, abs(lp.value))
+    assert dual == lp.certificate()
+    assert payload["lbar"] == lp.lbar
 
 
 def test_gap_sweep_rows(tmp_path):
@@ -172,6 +174,12 @@ def test_grid_n_override(tmp_path):
     assert main(["--config", cfg, "--out", str(out), "--grid-n", "51",
                  "robust"]) == 0
     assert len((out / "surplus.csv").read_text().splitlines()) == 52
+
+
+def test_grid_n_override_below_two_is_a_config_error(tmp_path, capsys):
+    assert main(["--config", _write(tmp_path, QUAD), "--grid-n", "1",
+                 "robust"]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_accept_subset(tmp_path, capsys):

@@ -76,6 +76,26 @@ def test_bad_grid_values_become_config_errors():
         parse_config(raw)
 
 
+@pytest.mark.parametrize("key, sub, value", [
+    ("refinements", "count", 0),
+    ("refinements", "count", -3),
+    ("refinements", "count", 2.5),
+    ("belief_grid", "n_mu", 1),
+    ("belief_grid", "n_mu", 100.5),
+    ("grid", "n", 9.7),
+    ("grid", "n", "9"),
+    ("seed", None, True),
+])
+def test_bad_integer_settings_rejected(key, sub, value):
+    raw = _cfg()
+    if sub is None:
+        raw[key] = value
+    else:
+        raw.setdefault(key, {})[sub] = value
+    with pytest.raises(ConfigError):
+        parse_config(raw)
+
+
 def test_ambiguity_and_mechanisms_lists():
     raw = _cfg(
         ambiguity=[{"family": "cara", "gamma": 1.0},
