@@ -131,8 +131,8 @@ def cmd_adaptive(cfg: RunConfig, args) -> int:
     seed = cfg.require_seed("adaptive")
     tree_spec = cfg.tree or {"type": "no_learning"}
     if tree_spec["type"] == "binomial":
-        tree = binomial_tree(cfg.mu0, cfg.grid, tree_spec.get("p_good", 0.6),
-                             tree_spec.get("p_bad", 0.4))
+        tree = binomial_tree(cfg.mu0, cfg.grid, tree_spec["p_good"],
+                             tree_spec["p_bad"])
     else:
         tree = no_learning(cfg.mu0, cfg.grid)
     policy = solve_adaptive_quota(tree, cfg.agent, cfg.principal)

@@ -5,15 +5,17 @@ Schema (all nesting literal; unknown keys are rejected):
     {
       "payoff":      {"agent": <payoff>, "principal": <payoff>},
       "mechanism":   <mechanism>,                  # optional, default zero
-      "grid":        {"l_max": float, "n": int >= 2},
+      "grid":        {"l_max": float > 0, "n": int >= 2},
       "belief_grid": {"n_mu": int >= 2},           # optional, default 1001
       "prior":       {"mu0": float},
       "seed":        int,                          # required by stochastic cmds
       "ambiguity":   [<payoff>, ...],              # optional
       "tree":        {"type": "no_learning" | "binomial",
-                      "p_good": float, "p_bad": float},      # optional
+                      "p_good": float, "p_bad": float},      # optional,
+                                   # 0 < p_bad < p_good < 1, default 0.6, 0.4
       "mechanisms":  [<mechanism>, ...],           # optional (gap tables)
-      "sweep":       {"l_max": [float, ...]},      # optional (gap tables)
+      "sweep":       {"l_max": [float > 0, ...]},  # optional (gap tables),
+                                                   # finite, at least one
       "refinements": {"count": int >= 1}           # optional
     }
 
@@ -23,6 +25,7 @@ is {"type": "zero"|"fixed_tax_hard_quota"|"linear"|"exponential"|"tabulated",
 """
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,6 +81,13 @@ def _integer(value, where: str, least: int) -> int:
     return int(value)
 
 
+def _number(value, where: str) -> float:
+    """A finite JSON number (not true, not a string)."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as f:
@@ -97,7 +107,8 @@ def parse_config(raw: dict) -> RunConfig:
     gd = _require(raw, "grid", "config")
     _check_keys(gd, {"l_max", "n"}, "'grid'")
     try:
-        grid = LevelGrid(float(_require(gd, "l_max", "'grid'")),
+        l_max = _number(_require(gd, "l_max", "'grid'"), "grid.l_max")
+        grid = LevelGrid(l_max,
                          _integer(_require(gd, "n", "'grid'"), "grid.n", 2))
     except DomainError as e:
         raise ConfigError(str(e))
@@ -137,11 +148,23 @@ def parse_config(raw: dict) -> RunConfig:
         _check_keys(tree, {"type", "p_good", "p_bad"}, "'tree'")
         if _require(tree, "type", "'tree'") not in ("no_learning", "binomial"):
             raise ConfigError(f"unknown tree type {tree['type']!r}")
+        p_good = _number(tree.get("p_good", 0.6), "tree.p_good")
+        p_bad = _number(tree.get("p_bad", 0.4), "tree.p_bad")
+        if not 0.0 < p_bad < p_good < 1.0:
+            raise ConfigError(f"tree needs 0 < p_bad < p_good < 1, got "
+                              f"p_good={p_good}, p_bad={p_bad}")
+        tree = {"type": tree["type"], "p_good": p_good, "p_bad": p_bad}
 
     sweep = None
     if "sweep" in raw:
         _check_keys(raw["sweep"], {"l_max"}, "'sweep'")
-        sweep = tuple(float(x) for x in _require(raw["sweep"], "l_max", "'sweep'"))
+        sweep = _require(raw["sweep"], "l_max", "'sweep'")
+        if not isinstance(sweep, list) or not sweep:
+            raise ConfigError("sweep.l_max must be a non-empty list")
+        sweep = tuple(_number(x, "sweep.l_max entry") for x in sweep)
+        if min(sweep) <= 0.0:
+            raise ConfigError(f"sweep.l_max entries must be positive, got "
+                              f"{min(sweep)}")
 
     n_ref = 50
     if "refinements" in raw:

@@ -8,6 +8,7 @@ most 4, so building, checking and applying a tree's kernels is O(nnz).
 """
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -301,35 +302,52 @@ def random_tree(mu0: float, grid: LevelGrid, seed: int,
     Each level's support is a random set containing 0 and 1 (so any node can
     split); each node either stays put or splits onto its bracketing support
     points with martingale-consistent probabilities.
+
+    A node draws `rng.random()` only when a support point lies within 1e-13
+    of its belief, then one index into each bracketing run of support points
+    with `rng.integers`, the stream `Generator.choice` draws from such a run.
+    Kernel rows go straight into CSR lists, zero weights left out.
     """
+    if max_beliefs < 2:
+        raise DomainError(f"max_beliefs must be at least 2, got {max_beliefs}")
+    if not 0.0 <= mu0 <= 1.0:
+        raise DomainError(f"prior {mu0} outside [0, 1]")
     rng = np.random.default_rng(seed)
-    n = grid.n
-    beliefs = []
+    beliefs = [np.array([mu0])]
     kernels = []
-    prev = np.array([mu0])
-    beliefs.append(prev)
-    for j in range(1, n):
-        n_interior = max_beliefs - 2
-        interior = np.sort(rng.uniform(0.0, 1.0, size=rng.integers(0, n_interior + 1)))
-        support = np.unique(np.concatenate([[0.0, 1.0], interior]))
-        k = np.zeros((len(prev), len(support)))
-        for i, mu in enumerate(prev):
-            exact = np.nonzero(np.abs(support - mu) <= 1e-13)[0]
-            if exact.size and rng.random() < 0.5:
-                k[i, exact[0]] = 1.0
-                continue
-            lo_cands = np.nonzero(support <= mu)[0]
-            hi_cands = np.nonzero(support >= mu)[0]
-            lo = support[rng.choice(lo_cands)]
-            hi = support[rng.choice(hi_cands)]
-            if hi - lo <= 1e-13:
-                k[i, lo_cands[-1]] = 1.0
-                continue
-            p_lo = (hi - mu) / (hi - lo)
-            k[i, np.searchsorted(support, lo)] += p_lo
-            k[i, np.searchsorted(support, hi)] += 1.0 - p_lo
-        kernels.append(k)
-        beliefs.append(support)
+    prev = beliefs[0].tolist()
+    for _ in range(1, grid.n):
+        interior = rng.uniform(0.0, 1.0, size=rng.integers(0, max_beliefs - 1))
+        support = sorted({0.0, 1.0, *interior.tolist()})
+        m = len(support)
+        indptr, indices, data = [0], [], []
+        for mu in prev:
+            below = bisect_right(support, mu)    # support[:below] <= mu
+            above = bisect_left(support, mu)     # support[above:] >= mu
+            # the support points within 1e-13 of mu are a run; take its first
+            first = above
+            while first > 0 and abs(support[first - 1] - mu) <= 1e-13:
+                first -= 1
+            if (first < m and abs(support[first] - mu) <= 1e-13
+                    and rng.random() < 0.5):
+                indices.append(first)
+                data.append(1.0)
+            else:
+                lo_col = int(rng.integers(0, below))
+                hi_col = above + int(rng.integers(0, m - above))
+                lo, hi = support[lo_col], support[hi_col]
+                if hi - lo <= 1e-13:
+                    indices.append(below - 1)
+                    data.append(1.0)
+                else:
+                    p_lo = (hi - mu) / (hi - lo)
+                    for col, w in ((lo_col, p_lo), (hi_col, 1.0 - p_lo)):
+                        if w != 0.0:
+                            indices.append(col)
+                            data.append(w)
+            indptr.append(len(indices))
+        kernels.append(CSRKernel(indptr, indices, data, (len(prev), m)))
+        beliefs.append(np.array(support))
         prev = support
     return DiscreteLearningProcess(grid, tuple(beliefs), tuple(kernels),
                                    np.array([1.0]), mu0)

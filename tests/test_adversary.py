@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 
@@ -149,6 +150,15 @@ def test_dual_tight_when_support_starts_above_zero(pair, lbar):
     p1 = adversary._lp_data(agent, principal, Zero(), grid, 0.6)[3]
     dual = 0.6 * p1[-1] + 0.4 * lp.multipliers[1] + lp.dual_value
     assert lp.dual_bound == pytest.approx(dual, rel=1e-12, abs=1e-12)
+
+
+def test_dual_bound_is_value_minus_gap():
+    """Certified gaps are ~1e-15, so widen one to tell value - gap from
+    value + gap."""
+    lp = solve_badnews_lp(*cara_pair(1.0, 3.0), Zero(), LevelGrid(2.0, 21), 0.6)
+    r = dataclasses.replace(lp, gap=0.25)
+    assert r.dual_bound == lp.value - 0.25
+    assert r.certificate()["dual_bound"] == r.dual_bound
 
 
 def _paper_lambda(agent, principal, m, grid):

@@ -96,6 +96,43 @@ def test_bad_integer_settings_rejected(key, sub, value):
         parse_config(raw)
 
 
+@pytest.mark.parametrize("l_max", [float("inf"), float("nan"), "2.0", 0.0])
+def test_bad_grid_l_max_rejected(l_max):
+    raw = _cfg()
+    raw["grid"]["l_max"] = l_max
+    with pytest.raises(ConfigError, match="l_max"):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize("tree", [
+    {"type": "binomial", "p_good": 1.5},
+    {"type": "binomial", "p_good": 0.3, "p_bad": 0.7},
+    {"type": "binomial", "p_good": 0.6, "p_bad": 0.6},
+    {"type": "binomial", "p_bad": 0.0},
+    {"type": "binomial", "p_bad": 0.7},           # above the default p_good
+    {"type": "binomial", "p_good": "0.7"},
+    {"type": "binomial", "p_good": True},
+    {"type": "no_learning", "p_good": float("nan")},
+])
+def test_bad_tree_probabilities_rejected(tree):
+    with pytest.raises(ConfigError, match="p_good|p_bad"):
+        parse_config(_cfg(tree=tree))
+
+
+def test_tree_probabilities_default_and_pass_through():
+    assert parse_config(_cfg(tree={"type": "binomial"})).tree == \
+        {"type": "binomial", "p_good": 0.6, "p_bad": 0.4}
+    assert parse_config(_cfg(tree={"type": "binomial", "p_good": 0.7,
+                                   "p_bad": 0.3})).tree["p_good"] == 0.7
+
+
+@pytest.mark.parametrize("l_max", [[], [-1.0], [2.0, 0.0], [float("inf")],
+                                   [float("nan")], ["2.0"], 2.0])
+def test_bad_sweep_rejected(l_max):
+    with pytest.raises(ConfigError, match="sweep"):
+        parse_config(_cfg(sweep={"l_max": l_max}))
+
+
 def test_ambiguity_and_mechanisms_lists():
     raw = _cfg(
         ambiguity=[{"family": "cara", "gamma": 1.0},

@@ -14,6 +14,42 @@ from robustquota.processes import CSRKernel
 GRID = LevelGrid(1.0, 5)
 
 
+def _dense_random_tree(mu0, grid, seed, max_beliefs=4):
+    """Reference: the per-node loop with dense kernels and Generator.choice
+    that random_tree replaced; the same seed must give the same tree."""
+    rng = np.random.default_rng(seed)
+    n = grid.n
+    beliefs = []
+    kernels = []
+    prev = np.array([mu0])
+    beliefs.append(prev)
+    for j in range(1, n):
+        n_interior = max_beliefs - 2
+        interior = np.sort(rng.uniform(0.0, 1.0, size=rng.integers(0, n_interior + 1)))
+        support = np.unique(np.concatenate([[0.0, 1.0], interior]))
+        k = np.zeros((len(prev), len(support)))
+        for i, mu in enumerate(prev):
+            exact = np.nonzero(np.abs(support - mu) <= 1e-13)[0]
+            if exact.size and rng.random() < 0.5:
+                k[i, exact[0]] = 1.0
+                continue
+            lo_cands = np.nonzero(support <= mu)[0]
+            hi_cands = np.nonzero(support >= mu)[0]
+            lo = support[rng.choice(lo_cands)]
+            hi = support[rng.choice(hi_cands)]
+            if hi - lo <= 1e-13:
+                k[i, lo_cands[-1]] = 1.0
+                continue
+            p_lo = (hi - mu) / (hi - lo)
+            k[i, np.searchsorted(support, lo)] += p_lo
+            k[i, np.searchsorted(support, hi)] += 1.0 - p_lo
+        kernels.append(k)
+        beliefs.append(support)
+        prev = support
+    return DiscreteLearningProcess(grid, tuple(beliefs), tuple(kernels),
+                                   np.array([1.0]), mu0)
+
+
 def test_no_learning_is_constant():
     p = no_learning(0.6, GRID)
     assert all(b.tolist() == [0.6] for b in p.beliefs)
@@ -71,6 +107,63 @@ def test_random_tree_is_valid_martingale(seed, mu0):
         assert float(mass @ p.beliefs[j]) == pytest.approx(mu0, abs=1e-9)
         if j < p.n_levels - 1:
             mass = mass @ p.kernels[j]
+
+
+def _assert_same_tree(got, want):
+    """Beliefs bitwise, kernels as equal CSR arrays with no stored zero."""
+    for a, b in zip(got.beliefs, want.beliefs, strict=True):
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(got.kernels, want.kernels, strict=True):
+        assert a.shape == b.shape
+        for f in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, f), getattr(b, f))
+        assert np.all(a.data != 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 20, 41])
+def test_random_tree_matches_dense_reference_bitwise(n):
+    """Same seed, same tree: beliefs bitwise and CSR arrays equal to the
+    dense loop's (which drops zero weights), so no stored zero."""
+    grid = LevelGrid(1.0, n)
+    for seed in range(30 if n < 41 else 12):
+        for max_beliefs in (2, 3, 4, 7):
+            for mu0 in (0.0, 0.3, 0.6, 1.0):
+                _assert_same_tree(
+                    random_tree(mu0, grid, seed, max_beliefs),
+                    _dense_random_tree(mu0, grid, seed, max_beliefs))
+
+
+class _ClusteredRng:
+    """A seeded Generator whose interior support points come in pairs
+    closer than 1e-13, so that a belief matches two support points."""
+
+    POINTS = np.array([0.3, 1.0 - 5e-14, 5e-14, 0.3 + 5e-14, 0.7])
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self.integers, self.random = self._rng.integers, self._rng.random
+        self.choice = self._rng.choice
+
+    def uniform(self, low, high, size):
+        return self._rng.permutation(self.POINTS)[:size]
+
+
+@pytest.mark.parametrize("mu0", [0.3 + 5e-14, 0.3, 5e-14, 1.0])
+def test_random_tree_matches_dense_reference_on_close_support(monkeypatch, mu0):
+    """Where several support points lie within 1e-13 of a belief, the first
+    is the one a node may stay at, as in the dense loop."""
+    monkeypatch.setattr(np.random, "default_rng", _ClusteredRng)
+    grid = LevelGrid(1.0, 12)
+    for seed in range(30):
+        _assert_same_tree(random_tree(mu0, grid, seed, max_beliefs=7),
+                          _dense_random_tree(mu0, grid, seed, max_beliefs=7))
+
+
+@pytest.mark.parametrize("mu0, max_beliefs", [(0.6, 1), (0.6, 0), (0.6, -2),
+                                              (1.5, 4), (-0.1, 4)])
+def test_random_tree_refuses_bad_arguments(mu0, max_beliefs):
+    with pytest.raises(DomainError):
+        random_tree(mu0, GRID, 0, max_beliefs)
 
 
 def test_json_roundtrip():

@@ -13,6 +13,7 @@ from robustquota import (CARA, DomainError, EmptyMechanismError,
                          quadratic_pair, random_tree, simulate, single_split,
                          solve_stopping)
 from robustquota.adversary import indifference_G
+from robustquota.mechanisms import Mechanism
 from robustquota.processes import CSRKernel
 from robustquota.stopping import backward, forward
 
@@ -48,6 +49,20 @@ def test_all_prohibited_raises():
     m = TabulatedMechanism(grid, tuple([float("inf")] * 5))
     with pytest.raises(EmptyMechanismError):
         solve_stopping(no_learning(0.5, grid), CARA(1.0), m)
+
+
+class _HoleMechanism(Mechanism):
+    """A user mechanism that prohibits level 1 alone, which
+    TabulatedMechanism would refuse to build."""
+
+    def tax_profile(self, grid):
+        return np.zeros(grid.n), np.arange(grid.n) == 1
+
+
+def test_prohibited_set_with_a_hole_raises():
+    grid = LevelGrid(1.0, 5)
+    with pytest.raises(DomainError, match="upward-closed"):
+        solve_stopping(no_learning(0.5, grid), CARA(1.0), _HoleMechanism())
 
 
 def test_joint_mass_sums_to_one_and_conserves_belief():
