@@ -8,10 +8,11 @@ from typing import Tuple
 import numpy as np
 
 from .errors import AlignmentError, DomainError, NotARefinementError
+from .mechanisms import FixedTaxHardQuota
 from .payoffs import PayoffSpec
 from .processes import (CSRKernel, DiscreteLearningProcess, level_runs,
                         stack_kernels)
-from .stopping import backward, forward
+from .stopping import backward, forward, principal_value, solve_stopping
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,6 @@ class AdaptivePolicy:
     lambda_adaptive: float
     value: float
     mu0: float
-    outside: float                        # U(mu0, 0)
 
 
 def solve_adaptive_quota(tree: DiscreteLearningProcess, agent: PayoffSpec,
@@ -55,7 +55,7 @@ def solve_adaptive_quota(tree: DiscreteLearningProcess, agent: PayoffSpec,
     # lambda = E[U at stopping] - U(mu0, 0)
     exp_u = sum(float((m[st] * u[st]).sum())
                 for m, st, u in zip(forward(tree, stop_set), stop_set, U))
-    return AdaptivePolicy(tree, stop_set, exp_u - outside, value, mu0, outside)
+    return AdaptivePolicy(tree, stop_set, exp_u - outside, value, mu0)
 
 
 @dataclass(frozen=True)
@@ -230,9 +230,10 @@ def refine_process(tree: DiscreteLearningProcess,
 def evaluate_adaptive(policy: AdaptivePolicy, agent_proc: DiscreteLearningProcess,
                       agent: PayoffSpec, principal: PayoffSpec) -> float:
     """Principal's expected value when the agent best-responds to the adaptive
-    mechanism: transfer lambda everywhere, development prohibited past the
-    planner's per-history stopping node.  The agent's ties within 1e-9 go to
-    continuing, and it participates unless it loses more than 1e-9."""
+    mechanism: the static problem of `solve_stopping` and `principal_value`
+    under a flat tax lambda with no quota, where each agent node whose
+    planner node stops is a forced stop.  The agent's ties within 1e-9 go
+    to continuing, and it participates unless it loses more than 1e-9."""
     tree = policy.tree
     grid = agent_proc.grid
     if grid.n != tree.grid.n or abs(grid.l_max - tree.grid.l_max) > 1e-12:
@@ -249,20 +250,7 @@ def evaluate_adaptive(policy: AdaptivePolicy, agent_proc: DiscreteLearningProces
                 np.any(parent[j] >= len(tree.beliefs[j])):
             raise AlignmentError(f"parent_map at level {j} is inconsistent")
 
-    mu0 = agent_proc.mu0
-    lam = policy.lambda_adaptive
-    a1, a0 = agent.u1(grid.points), agent.u0(grid.points)
-    p1, p0 = principal.u1(grid.points), principal.u0(grid.points)
-    outside = float(mu0 * a1[0] + (1.0 - mu0) * a0[0])
-
-    stop_u = [mu * a1[j] + (1.0 - mu) * a0[j] - lam
-              for j, mu in enumerate(agent_proc.beliefs)]
-    forced = [np.asarray(policy.stop_set[j])[parent[j]] for j in range(grid.n)]
-    values, stops = backward(agent_proc, stop_u, forced, tie_eps=1e-9)
-    if float(agent_proc.root_dist @ values[0]) < outside - 1e-9:
-        return float(mu0 * p1[0] + (1.0 - mu0) * p0[0])
-    total = 0.0
-    for j, (mass, st) in enumerate(zip(forward(agent_proc, stops), stops)):
-        mu = agent_proc.beliefs[j][st]
-        total += float((mass[st] * (mu * p1[j] + (1.0 - mu) * p0[j] + lam)).sum())
-    return total
+    m = FixedTaxHardQuota(policy.lambda_adaptive, grid.l_max)
+    forced = [policy.stop_set[j][parent[j]] for j in range(grid.n)]
+    return principal_value(solve_stopping(agent_proc, agent, m, forced),
+                           principal, m)

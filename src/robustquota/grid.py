@@ -18,8 +18,8 @@ class LevelGrid:
     def __post_init__(self):
         if self.n < 2:
             raise DomainError(f"grid needs at least 2 points, got n={self.n}")
-        if not (self.l_max > 0):
-            raise DomainError(f"l_max must be positive, got {self.l_max}")
+        if not 0 < self.l_max < np.inf:
+            raise DomainError(f"l_max must be positive and finite, got {self.l_max}")
         pts = np.linspace(0.0, float(self.l_max), int(self.n))
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)

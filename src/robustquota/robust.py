@@ -37,30 +37,22 @@ def surplus_curve(agent: PayoffSpec, principal: PayoffSpec, mu0: float,
     return (U - U[0]) + V
 
 
-def _result_from_surplus(S: np.ndarray, agent: PayoffSpec, mu0: float,
-                         grid: LevelGrid) -> RobustMechanismResult:
-    j = int(np.argmax(S))            # argmax returns the smallest maximizer
-    L = float(grid.points[j])
-    lam = float(agent.indirect(mu0, L) - agent.indirect(mu0, 0.0))
-    return RobustMechanismResult(L, lam, float(S[j]), S,
-                                 FixedTaxHardQuota(lam, L), mu0)
-
-
 def compute_robust(agent: PayoffSpec, principal: PayoffSpec, mu0: float,
                    grid: LevelGrid) -> RobustMechanismResult:
     """Quota at the smallest grid maximizer of the joint surplus; tax set so
-    the no-learning agent is exactly indifferent to the outside option."""
-    if not 0.0 <= mu0 <= 1.0:
-        raise DomainError(f"prior {mu0} outside [0, 1]")
-    return _result_from_surplus(surplus_curve(agent, principal, mu0, grid),
-                                agent, mu0, grid)
+    the no-learning agent is exactly indifferent to the outside option: the
+    joint-robust mechanism of the one-member ambiguity set {agent}."""
+    return compute_joint_robust((agent,), principal, mu0, grid)
 
 
 def compute_joint_robust(ambiguity: Union[AmbiguitySet, Sequence[PayoffSpec]],
                          principal: PayoffSpec, mu0: float,
                          grid: LevelGrid) -> RobustMechanismResult:
     """Robust to payoff ambiguity as well: quota at the maximizer of the
-    pointwise-min surplus envelope, tax at the lowest member's slack there."""
+    pointwise-min surplus envelope (its smallest maximizer), tax at the
+    lowest member's slack there."""
+    if not 0.0 <= mu0 <= 1.0:
+        raise DomainError(f"prior {mu0} outside [0, 1]")
     members = ambiguity.members if isinstance(ambiguity, AmbiguitySet) else tuple(ambiguity)
     if not members:
         raise DomainError("ambiguity set is empty")

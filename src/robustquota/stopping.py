@@ -78,13 +78,15 @@ class StoppingSolution:
 
 
 def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
-                   m: Mechanism) -> StoppingSolution:
+                   m: Mechanism, forced=None) -> StoppingSolution:
     """Solve sup over stopping times of E[U^phi] on the process tree.
 
     Indifference (within 1e-9) goes to continuing; levels past the quota
     are excluded from the continuation max, so the last allowed level is a
-    forced stop.  Participation compares the root value to U(mu0, 0), within
-    1e-9.
+    forced stop.  `forced` (per level boolean arrays over the process's
+    nodes) also stops those nodes, as in `backward`; an adaptive quota passes
+    the planner's stops this way.  Participation compares the root value to
+    U(mu0, 0), within 1e-9.
     """
     grid = proc.grid
     a1, a0, proh = adjusted_profiles(agent, m, "agent", grid)
@@ -94,7 +96,7 @@ def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
 
     stop_payoff = [proc.beliefs[j] * a1[j] + (1.0 - proc.beliefs[j]) * a0[j]
                    for j in range(end + 1)]
-    values, stop_set = backward(proc, stop_payoff, tie_eps=1e-9)
+    values, stop_set = backward(proc, stop_payoff, forced, tie_eps=1e-9)
 
     root_value = float(proc.root_dist @ values[0])
     outside = float(agent.indirect(proc.mu0, 0.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustquota import (AlignmentError, BinaryExperiment, LevelGrid,
-                         binomial_tree, cara_pair, compute_robust,
+from robustquota import (AlignmentError, BinaryExperiment, FixedTaxHardQuota,
+                         LevelGrid, binomial_tree, cara_pair, compute_robust,
                          evaluate_adaptive, no_learning, quadratic_pair,
-                         random_tree, refine_process, solve_adaptive_quota)
+                         random_tree, refine_process, solve_adaptive_quota,
+                         solve_stopping)
+from robustquota.adaptive import random_experiment
+from robustquota.stopping import backward, forward
 
 AGENT, PRINCIPAL = quadratic_pair(1.0, 1.0, 1.0)
 GRID = LevelGrid(2.0, 9)
@@ -209,11 +213,98 @@ def test_refinement_matches_loop_reference_bitwise(make_tree, p, q, levels):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _loop_evaluate(policy, agent_proc, agent, principal):
+    """Per-level reference for evaluate_adaptive: the agent's stop payoffs
+    U(mu, l) - lambda, the planner's stops forced through the parent map,
+    the participation test against U(mu0, 0) and the principal's value
+    summed level by level."""
+    grid = agent_proc.grid
+    parent = agent_proc.parent_map
+    mu0 = agent_proc.mu0
+    lam = policy.lambda_adaptive
+    a1, a0 = agent.u1(grid.points), agent.u0(grid.points)
+    p1, p0 = principal.u1(grid.points), principal.u0(grid.points)
+    outside = float(mu0 * a1[0] + (1.0 - mu0) * a0[0])
+
+    stop_u = [mu * a1[j] + (1.0 - mu) * a0[j] - lam
+              for j, mu in enumerate(agent_proc.beliefs)]
+    forced = [np.asarray(policy.stop_set[j])[parent[j]] for j in range(grid.n)]
+    values, stops = backward(agent_proc, stop_u, forced, tie_eps=1e-9)
+    if float(agent_proc.root_dist @ values[0]) < outside - 1e-9:
+        return float(mu0 * p1[0] + (1.0 - mu0) * p0[0])
+    total = 0.0
+    for j, (mass, st) in enumerate(zip(forward(agent_proc, stops), stops)):
+        mu = agent_proc.beliefs[j][st]
+        total += float((mass[st] * (mu * p1[j] + (1.0 - mu) * p0[j] + lam)).sum())
+    return total
+
+
+_EDGE_EXPERIMENTS = [BinaryExperiment(1.0, 0.0, (1,)),
+                     BinaryExperiment(0.0, 1.0, (0, 4)),
+                     BinaryExperiment(1.0, 0.4, (2, 5)),
+                     BinaryExperiment(0.7, 0.0, (0,)),
+                     BinaryExperiment(0.0, 0.6, (3,))]
+
+
+@pytest.mark.parametrize("pair", [(AGENT, PRINCIPAL), cara_pair(1.0, 3.0)],
+                         ids=["quadratic", "cara"])
+@pytest.mark.parametrize("make_tree", [
+    lambda mu0, g, seed: binomial_tree(mu0, g),
+    lambda mu0, g, seed: random_tree(mu0, g, seed)],
+    ids=["binomial", "random"])
+def test_evaluate_matches_loop_reference(make_tree, pair):
+    """evaluate_adaptive puts the tax inside the agent's and the
+    principal's profiles, the reference adds it afterwards; the two agree
+    to rounding on trees and their refinements, signals of accuracy 0 and 1
+    included."""
+    agent, principal = pair
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 7, 12, 31):
+        grid = LevelGrid(2.0, n)
+        for _ in range(4):
+            # below 1/2 both pairs mostly stop at the root
+            mu0 = float(rng.uniform(0.5, 0.95))
+            tree = make_tree(mu0, grid, int(rng.integers(10_000)))
+            pol = solve_adaptive_quota(tree, agent, principal)
+            experiments = [random_experiment(rng, n) for _ in range(4)]
+            experiments += [dataclasses.replace(
+                e, levels=tuple(l for l in e.levels if l < n))
+                for e in _EDGE_EXPERIMENTS]
+            for ex in experiments:
+                ref = refine_process(tree, ex)
+                got = evaluate_adaptive(pol, ref, agent, principal)
+                want = _loop_evaluate(pol, ref, agent, principal)
+                assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_declining_agent_leaves_principal_outside_option():
+    """Once the tax exceeds what learning is worth to the agent, it does not
+    participate and the principal gets V(mu0, 0) exactly."""
+    tree = binomial_tree(0.6, GRID)
+    pol = solve_adaptive_quota(tree, AGENT, PRINCIPAL)
+    ref = refine_process(tree, BinaryExperiment(0.8, 0.3, (0, 3)))
+    outside = PRINCIPAL.indirect(0.6, 0.0)
+    assert evaluate_adaptive(pol, ref, AGENT, PRINCIPAL) != outside
+    forced = [pol.stop_set[j][ref.parent_map[j]] for j in range(GRID.n)]
+    lam = pol.lambda_adaptive
+    while True:
+        lam += 0.05
+        high = dataclasses.replace(pol, lambda_adaptive=lam)
+        sol = solve_stopping(ref, AGENT, FixedTaxHardQuota(lam, GRID.l_max),
+                             forced)
+        if not sol.participation:
+            break
+        assert evaluate_adaptive(high, ref, AGENT, PRINCIPAL) != outside
+    assert evaluate_adaptive(high, ref, AGENT, PRINCIPAL) == outside
+    assert _loop_evaluate(high, ref, AGENT, PRINCIPAL) == \
+        pytest.approx(outside, rel=1e-14)
+
+
 def test_adaptive_pipeline_at_1001_levels_within_memory_budget():
     """The n=1001 binomial tree, its planner DP and one two-signal refinement
-    with its evaluation peak at 148 MB under tracemalloc with sparse kernels
+    with its evaluation peak at 157 MB under tracemalloc with sparse kernels
     (dense kernels would take 2.7 GB for the tree and 18 GB for the
-    refinement); the budget leaves about 20% headroom."""
+    refinement); the budget leaves about 15% headroom."""
     grid = LevelGrid(2.0, 1001)
     tracemalloc.start()
     try:

@@ -30,7 +30,8 @@ def test_index_of_off_grid_rejected():
         g.index_of(1.5)
 
 
-@pytest.mark.parametrize("l_max,n", [(0.0, 5), (-1.0, 5), (1.0, 1)])
+@pytest.mark.parametrize("l_max,n", [(0.0, 5), (-1.0, 5), (1.0, 1),
+                                     (np.inf, 5), (np.nan, 5)])
 def test_bad_construction(l_max, n):
     with pytest.raises(DomainError):
         LevelGrid(l_max, n)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from robustquota import (CARA, LevelGrid, Tabulated, Zero, cara_pair,
-                         compute_joint_robust, compute_robust, quadratic_pair,
-                         verify_guarantee)
+from robustquota import (CARA, DomainError, LevelGrid, Quadratic, Tabulated,
+                         Zero, cara_pair, compute_joint_robust, compute_robust,
+                         quadratic_pair, verify_guarantee)
+from robustquota.robust import surplus_curve
 
 
 def test_quadratic_closed_form():
@@ -61,6 +62,36 @@ def test_singleton_ambiguity_equals_plain():
     b = compute_joint_robust((agent,), principal, 0.6, grid)
     assert (a.L_star, a.lambda_star, a.guarantee) == \
         (b.L_star, b.lambda_star, b.guarantee)
+
+
+@pytest.mark.parametrize("pair,mu0", [(quadratic_pair(1.0, 1.0, 1.0), 0.6),
+                                      (cara_pair(1.0, 3.0), 0.9),
+                                      (cara_pair(1.0, 3.0), 0.0),
+                                      (cara_pair(2.0, 0.5), 1.0)])
+def test_robust_is_smallest_surplus_maximizer(pair, mu0):
+    """The quota sits at the first grid maximizer of S and the tax makes
+    the no-learning agent indifferent there, bit for bit."""
+    agent, principal = pair
+    grid = LevelGrid(2.0, 401)
+    S = surplus_curve(agent, principal, mu0, grid)
+    j = int(np.argmax(S))
+    L = float(grid.points[j])
+    lam = float(agent.indirect(mu0, L) - agent.indirect(mu0, 0.0))
+    rob = compute_robust(agent, principal, mu0, grid)
+    assert (rob.L_star, rob.lambda_star, rob.guarantee) == (L, lam, float(S[j]))
+    assert rob.surplus_curve.tobytes() == S.tobytes()
+    assert (rob.mechanism.lam, rob.mechanism.quota) == (lam, L)
+
+
+@pytest.mark.parametrize("mu0", [1.5, -0.1, np.nan])
+@pytest.mark.parametrize("compute", [
+    lambda mu0: compute_joint_robust([Quadratic(1, 1, 0)], Quadratic(1, 1, 1),
+                                     mu0, LevelGrid(2, 11)),
+    lambda mu0: compute_robust(Quadratic(1, 1, 0), Quadratic(1, 1, 1), mu0,
+                               LevelGrid(2, 11))], ids=["joint", "plain"])
+def test_prior_outside_unit_interval_rejected(compute, mu0):
+    with pytest.raises(DomainError, match="outside"):
+        compute(mu0)
 
 
 def test_joint_robust_monotone_in_ambiguity():
