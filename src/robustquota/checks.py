@@ -16,8 +16,6 @@ _EPS = float(np.finfo(float).eps)
 def one_shot_level(p: PayoffSpec, mu: float, grid: LevelGrid,
                    m: Mechanism = Zero(), side: str = "agent") -> float:
     """Largest grid maximizer of the (mechanism-adjusted) indirect utility."""
-    if not 0.0 <= mu <= 1.0:
-        raise DomainError(f"belief {mu} outside [0, 1]")
     return float(one_shot_levels(p, [mu], grid, m, side)[0])
 
 
@@ -30,13 +28,17 @@ def one_shot_levels(p: PayoffSpec, mus: np.ndarray, grid: LevelGrid,
     evaluating U^phi(mu, .) = mu a1 + (1 - mu) a0 on every line that can be
     on top there (the pieces on both sides of that start and the lines
     between them in slope order), the largest level winning ties. At mu = 0
-    and mu = 1 the result is the largest argmax of a0 and of a1.
+    and mu = 1 the result is the largest argmax of a0 and of a1.  A belief
+    that is NaN or outside [0, 1] raises DomainError.
     """
+    mus = np.asarray(mus, dtype=float)
+    bad = ~((mus >= 0.0) & (mus <= 1.0))
+    if bad.any():
+        raise DomainError(f"belief {mus[bad][0]} outside [0, 1]")
     a1, a0, proh = adjusted_profiles(p, m, side, grid)
     if proh.all():
         raise EmptyMechanismError("all levels prohibited")
     starts, errs, lines, pos = _one_shot_pieces(a1, a0, proh)
-    mus = np.asarray(mus, dtype=float)
     # candidates lines[lo..hi]: the piece holding mu, widened across every
     # start that lies within its rounding bound of mu (the running max and
     # min keep the bounds sorted); the first start is 0 with bound 0, so
@@ -65,6 +67,17 @@ def _one_shot_pieces(a1: np.ndarray, a0: np.ndarray, proh: np.ndarray
     bound on the rounding error of each start, `lines`, and the position in
     `lines` of each piece. The last piece is the largest argmax of a1; its
     start may round past 1, within its bound.
+
+    The hull is built by elimination in whole-array passes, with no loop
+    over lines.  Lines before the top one at mu = 0 go first.  Then each
+    line's start is where it overtakes its left neighbour (0 for the first
+    line), and every line that lies below two others (its neighbours, or
+    the first line and its right neighbour, or its left neighbour and the
+    last line) is dropped, until none is; then every line but the last that
+    starts at or past 1 is dropped and the elimination resumes.  In exact
+    arithmetic this is the upper envelope on [0, 1].  In floats it may
+    differ from a one-line-at-a-time stack only by pieces no wider than the
+    rounding bounds of their two starts.
     """
     allowed = np.flatnonzero(~proh)
     slope, icpt, at1 = (a1 - a0)[allowed], a0[allowed], a1[allowed]
@@ -76,25 +89,37 @@ def _one_shot_pieces(a1: np.ndarray, a0: np.ndarray, proh: np.ndarray
     s = slope[order]
     # of equal slopes only the last (largest a1, then largest level) can be
     # on top
-    keep = np.flatnonzero(np.append(s[1:] != s[:-1], True))
-    s, c = s.tolist(), icpt[order].tolist()
-    hull, starts, errs = [], [], []   # errs: rounding bound of each start
-    for k in keep.tolist():
-        x = e = 0.0
-        while hull:
-            j = hull[-1]
-            d = s[k] - s[j]
-            x = (c[j] - c[k]) / d
-            if x > starts[-1]:
-                e = 4 * _EPS * (abs(c[j]) + abs(c[k]) + abs(s[j]) + abs(s[k])) / d
+    hull = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    s, c = s[hull], icpt[order][hull]
+    # nor can a line before the top one at mu = 0 (the last of the largest
+    # a0): its slope is smaller and its a0 no larger
+    top0 = len(c) - 1 - c[::-1].argmax()
+    hull, s, c = hull[top0:], s[top0:], c[top0:]
+    while True:
+        d = s[1:] - s[:-1]
+        starts = np.zeros(len(s))
+        np.divide(c[:-1] - c[1:], d, out=starts[1:])
+        # a line whose right neighbour starts no later is below its two
+        # neighbours; testing against the first and the last line as well
+        # removes a long run under either in one pass instead of one line
+        # per pass
+        keep = np.ones(len(s), dtype=bool)
+        np.less(starts[:-1], starts[1:], out=keep[:-1])
+        if keep.all():
+            # the starts ascend, so the last but one is the largest to test
+            if len(s) < 2 or starts[-2] < 1.0:
                 break
-            del hull[-1], starts[-1], errs[-1]
-            x = 0.0
-        if x < 1.0 or k == len(s) - 1:
-            hull.append(k)
-            starts.append(x)
-            errs.append(e)
-    return np.array(starts), np.array(errs), allowed[order], np.array(hull)
+            np.less(starts[:-1], 1.0, out=keep[:-1])
+        else:
+            keep[1:-1] &= (
+                (starts[1:-1] < (c[1:-1] - c[-1]) / (s[-1] - s[1:-1]))
+                & ((c[0] - c[1:-1]) / (s[1:-1] - s[0]) < starts[2:]))
+        hull, s, c = hull[keep], s[keep], c[keep]
+    # rounding bound of each start
+    errs = np.zeros(len(s))
+    a, b = np.abs(c), np.abs(s)
+    np.divide(4 * _EPS * (a[:-1] + a[1:] + b[:-1] + b[1:]), d, out=errs[1:])
+    return starts, errs, allowed[order], hull
 
 
 def one_shot_intervals(agent: PayoffSpec, principal: PayoffSpec,

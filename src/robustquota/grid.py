@@ -16,11 +16,14 @@ class LevelGrid:
     points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not float(self.n).is_integer():
+            raise DomainError(f"grid size must be an integer, got n={self.n}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 2:
             raise DomainError(f"grid needs at least 2 points, got n={self.n}")
         if not 0 < self.l_max < np.inf:
             raise DomainError(f"l_max must be positive and finite, got {self.l_max}")
-        pts = np.linspace(0.0, float(self.l_max), int(self.n))
+        pts = np.linspace(0.0, float(self.l_max), self.n)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

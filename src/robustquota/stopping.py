@@ -94,9 +94,10 @@ def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
     if proh[:end + 1].any():
         raise DomainError("prohibited set must be upward-closed")
 
-    stop_payoff = [proc.beliefs[j] * a1[j] + (1.0 - proc.beliefs[j]) * a0[j]
-                   for j in range(end + 1)]
-    values, stop_set = backward(proc, stop_payoff, forced, tie_eps=1e-9)
+    # the stop payoffs, one float per node, are freed before the forward pass
+    values, stop_set = backward(
+        proc, [proc.beliefs[j] * a1[j] + (1.0 - proc.beliefs[j]) * a0[j]
+               for j in range(end + 1)], forced, tie_eps=1e-9)
 
     root_value = float(proc.root_dist @ values[0])
     outside = float(agent.indirect(proc.mu0, 0.0))

@@ -302,9 +302,9 @@ def test_declining_agent_leaves_principal_outside_option():
 
 def test_adaptive_pipeline_at_1001_levels_within_memory_budget():
     """The n=1001 binomial tree, its planner DP and one two-signal refinement
-    with its evaluation peak at 157 MB under tracemalloc with sparse kernels
-    (dense kernels would take 2.7 GB for the tree and 18 GB for the
-    refinement); the budget leaves about 15% headroom."""
+    with its evaluation peak at 147.5 MB under tracemalloc with sparse
+    kernels (dense kernels would take 2.7 GB for the tree and 18 GB for the
+    refinement); the budget leaves about 20% headroom."""
     grid = LevelGrid(2.0, 1001)
     tracemalloc.start()
     try:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from robustquota import (CARA, CRRA, AmbiguitySet, DegenerateDerivativeError,
                          check_assumptions, one_shot_level, one_shot_levels,
                          pseudo_inverse_beliefs, quadratic_pair,
                          risk_ratio_condition)
-from robustquota.checks import _one_shot_pieces
+from robustquota import checks
+from robustquota.checks import _EPS, _one_shot_pieces
 
 GRID = LevelGrid(2.0, 401)
 
@@ -74,19 +76,8 @@ def _exact_level(p, mu, grid, m, side):
                                       grid.points[~proh]))[1]
 
 
-@settings(max_examples=150, deadline=None)
-@given(family=st.sampled_from(["cara", "quadratic", "crra", "tabulated",
-                               "tied"]),
-       mech=st.sampled_from(["zero", "linear", "exponential", "quota"]),
-       side=st.sampled_from(["agent", "principal"]),
-       l_max=st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0, 16.0]),
-       n=st.integers(2, 801), n_mu=st.integers(2, 1001),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_one_shot_levels_match_dense_reference(family, mech, side, l_max, n,
-                                               n_mu, seed):
-    """The envelope lookup gives the dense scan's levels on a belief grid
-    that holds 0 and 1; where they differ, exact evaluation must side with
-    the envelope. The last piece is the largest maximiser of a1."""
+def _profile(family, mech, l_max, n, seed):
+    """A seeded payoff family, mechanism and grid."""
     rng = np.random.default_rng(seed)
     grid = LevelGrid(l_max, n)
     u = rng.uniform(0.2, 3.0, 3)
@@ -102,6 +93,23 @@ def test_one_shot_levels_match_dense_reference(family, mech, side, l_max, n,
          "exponential": lambda: Exponential(u[1]),
          "quota": lambda: FixedTaxHardQuota(u[1], rng.uniform(0.0, l_max))
          }[mech]()
+    return p, m, grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(["cara", "quadratic", "crra", "tabulated",
+                               "tied"]),
+       mech=st.sampled_from(["zero", "linear", "exponential", "quota"]),
+       side=st.sampled_from(["agent", "principal"]),
+       l_max=st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0, 16.0]),
+       n=st.integers(2, 801), n_mu=st.integers(2, 1001),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_shot_levels_match_dense_reference(family, mech, side, l_max, n,
+                                               n_mu, seed):
+    """The envelope lookup gives the dense scan's levels on a belief grid
+    that holds 0 and 1; where they differ, exact evaluation must side with
+    the envelope. The last piece is the largest maximiser of a1."""
+    p, m, grid = _profile(family, mech, l_max, n, seed)
     mus = belief_grid(n_mu)
     got = one_shot_levels(p, mus, grid, m, side)
     want = _dense_levels(p, mus, grid, m, side)
@@ -112,6 +120,106 @@ def test_one_shot_levels_match_dense_reference(family, mech, side, l_max, n,
     _, _, lines, pos = _one_shot_pieces(a1, a0, proh)
     allowed = np.flatnonzero(~proh)
     assert lines[pos[-1]] == allowed[a1[allowed] == a1[allowed].max()].max()
+
+
+def _loop_pieces(a1, a0, proh):
+    """Reference: `_one_shot_pieces` with the hull built one line at a time
+    on a stack, popping every line the new one overtakes at or before its
+    start."""
+    allowed = np.flatnonzero(~proh)
+    slope, icpt, at1 = (a1 - a0)[allowed], a0[allowed], a1[allowed]
+    # ascending slope, then a1, then level, so that the top line at mu = 1
+    # (the largest argmax of a1) ends its run of equal slopes
+    order = np.lexsort((allowed, at1, slope))
+    top1 = len(allowed) - 1 - np.argmax(at1[::-1])
+    order = order[:np.flatnonzero(order == top1)[0] + 1]
+    s = slope[order]
+    # of equal slopes only the last (largest a1, then largest level) can be
+    # on top
+    keep = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    s, c = s.tolist(), icpt[order].tolist()
+    hull, starts, errs = [], [], []   # errs: rounding bound of each start
+    for k in keep.tolist():
+        x = e = 0.0
+        while hull:
+            j = hull[-1]
+            d = s[k] - s[j]
+            x = (c[j] - c[k]) / d
+            if x > starts[-1]:
+                e = 4 * _EPS * (abs(c[j]) + abs(c[k]) + abs(s[j]) + abs(s[k])) / d
+                break
+            del hull[-1], starts[-1], errs[-1]
+            x = 0.0
+        if x < 1.0 or k == len(s) - 1:
+            hull.append(k)
+            starts.append(x)
+            errs.append(e)
+    return np.array(starts), np.array(errs), allowed[order], np.array(hull)
+
+
+def _assert_hull_matches_loop(p, m, grid, side):
+    """The array-built hull against the stack: the same levels on the
+    1001-point belief grid (also by the dense scan), bitwise the same pieces
+    where both hold the same lines, and otherwise a line held by one hull
+    only owns a piece no wider than the rounding bounds at its two ends.
+    Returns whether the hulls differ."""
+    a1, a0, proh = adjusted_profiles(p, m, side, grid)
+    got = _one_shot_pieces(a1, a0, proh)
+    ref = _loop_pieces(a1, a0, proh)
+    assert np.array_equal(got[2], ref[2])
+    assert got[3][-1] == ref[3][-1]
+    mus = belief_grid(1001)
+    levels = one_shot_levels(p, mus, grid, m, side)
+    with mock.patch.object(checks, "_one_shot_pieces", _loop_pieces):
+        assert np.array_equal(levels, one_shot_levels(p, mus, grid, m, side))
+    assert np.array_equal(levels, _dense_levels(p, mus, grid, m, side))
+    if np.array_equal(got[3], ref[3]):
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        return False
+    for (starts, errs, _, pos), other in ((got, ref[3]), (ref, got[3])):
+        for i in np.flatnonzero(~np.isin(pos, other)):
+            assert starts[i + 1] - starts[i] <= errs[i] + errs[i + 1]
+    return True
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(["cara", "quadratic", "crra", "tabulated",
+                               "tied"]),
+       mech=st.sampled_from(["zero", "linear", "exponential", "quota"]),
+       side=st.sampled_from(["agent", "principal"]),
+       l_max=st.sampled_from([0.5, 1.0, 2.0, 4.0, 8.0, 16.0]),
+       n=st.integers(2, 801), seed=st.integers(0, 2 ** 32 - 1))
+def test_one_shot_pieces_match_loop_reference(family, mech, side, l_max, n,
+                                              seed):
+    p, m, grid = _profile(family, mech, l_max, n, seed)
+    _assert_hull_matches_loop(p, m, grid, side)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family,mech,side,l_max,n,seed,differ", [
+    # CARA saturates at l_max = 16: the stack keeps a line whose start
+    # rounds to 1 - 2e-16, within the rounding bounds of the top line at
+    # mu = 1, and the array passes drop it
+    ("cara", "zero", "agent", 16.0, 46, 1889514232, True),
+    # integer tables under a linear tax: three lines meet within rounding
+    # at mu = 0.2852, and both hulls keep the middle line's sliver
+    ("tied", "linear", "agent", 4.0, 297, 54995223, False),
+])
+def test_one_shot_pieces_near_ties(family, mech, side, l_max, n, seed, differ):
+    p, m, grid = _profile(family, mech, l_max, n, seed)
+    assert _assert_hull_matches_loop(p, m, grid, side) == differ
+    starts, errs, _, _ = _one_shot_pieces(*adjusted_profiles(p, m, side, grid))
+    assert np.any(np.diff(starts) <= errs[:-1] + errs[1:])
+
+
+@pytest.mark.parametrize("mu", [np.nan, 1.5, -0.5])
+def test_one_shot_levels_refuse_beliefs_outside_unit_interval(mu):
+    p = CARA(1.0)
+    with pytest.raises(DomainError):
+        one_shot_levels(p, [0.5, mu], GRID)
+    with pytest.raises(DomainError):
+        one_shot_level(p, mu, GRID)
 
 
 def test_pseudo_inverse_matches_cara_closed_form():

@@ -31,10 +31,18 @@ def test_index_of_off_grid_rejected():
 
 
 @pytest.mark.parametrize("l_max,n", [(0.0, 5), (-1.0, 5), (1.0, 1),
-                                     (np.inf, 5), (np.nan, 5)])
+                                     (np.inf, 5), (np.nan, 5), (2.0, 5.5),
+                                     (2.0, np.nan), (2.0, np.inf)])
 def test_bad_construction(l_max, n):
     with pytest.raises(DomainError):
         LevelGrid(l_max, n)
+
+
+def test_integral_float_size_is_stored_as_int():
+    g = LevelGrid(2.0, 3.0)
+    assert g.n == 3 and type(g.n) is int
+    assert g.h == 1.0 and len(g.points) == 3
+    assert list(range(g.n)) == [0, 1, 2]
 
 
 def test_belief_grid_endpoints():
