@@ -11,9 +11,9 @@ from .adversary import (BadNewsLPResult, GapResult, OracleResult, payoff_gap,
                         principal_prefers_earlier, solve_badnews_lp,
                         tree_oracle_worst_case)
 from .badnews import BadNewsProcess, effective_end, obedience_slacks
-from .checks import (AmbiguitySet, AssumptionReport, RatioReport,
-                     check_assumptions, one_shot_level, one_shot_levels,
-                     pseudo_inverse_beliefs, risk_ratio_condition)
+from .checks import (AssumptionReport, RatioReport, check_assumptions,
+                     one_shot_level, one_shot_levels, pseudo_inverse_beliefs,
+                     risk_ratio_condition)
 from .config import RunConfig, load_config, parse_config
 from .errors import (AlignmentError, BudgetExceededError,
                      ConditionViolatedError, ConfigError,
@@ -25,17 +25,16 @@ from .errors import (AlignmentError, BudgetExceededError,
 from .grid import LevelGrid, belief_grid
 from .mechanisms import (Exponential, FixedTaxHardQuota, Linear, Mechanism,
                          TabulatedMechanism, Zero, adjusted_profiles,
-                         mechanism_adjusted, mechanism_from_dict)
+                         mechanism_from_dict)
 from .payoffs import (CARA, CRRA, PayoffSpec, Quadratic, Tabulated, cara_pair,
-                      indirect_utility, liability_transform, payoff_from_dict,
-                      quadratic_pair)
+                      liability_transform, payoff_from_dict, quadratic_pair)
 from .processes import (DiscreteLearningProcess, binomial_tree,
                         full_revelation, no_learning, random_tree,
                         single_split)
 from .robust import (GuaranteeReport, RobustMechanismResult,
                      compute_joint_robust, compute_robust, verify_guarantee)
 from .simplex import SimplexResult, solve_lp
-from .stopping import (StoppingSolution, agent_value, principal_value,
-                       simulate, solve_stopping)
+from .stopping import (StoppingSolution, principal_value, simulate,
+                       solve_stopping)
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ def principal_prefers_earlier(agent: PayoffSpec, principal: PayoffSpec,
 
     Read once on every belief interval where both one-shot levels are
     constant, so no violation is too narrow to be seen."""
-    _, lu, lv = one_shot_intervals(agent, principal, m, grid)
+    _, _, lu, lv = one_shot_intervals(agent, principal, m, grid)
     end_level = grid.points[effective_end(m, grid)]
     interior = (lu > 1e-12) & (lu < end_level - 1e-12)
     return bool(np.all(lv <= lu + 1e-12)

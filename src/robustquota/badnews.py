@@ -8,7 +8,6 @@ import numpy as np
 from .errors import DomainError, EmptyMechanismError
 from .grid import LevelGrid
 from .mechanisms import Mechanism
-from .processes import DiscreteLearningProcess
 
 
 @dataclass(frozen=True)
@@ -60,35 +59,6 @@ class BadNewsProcess:
         surv = 1.0 - self.G
         lam = np.where(surv > self.mu0 * 1e-15, self.mu0 / np.maximum(surv, 1e-300), 1.0)
         return np.minimum(lam, 1.0)
-
-    def to_process(self) -> DiscreteLearningProcess:
-        """Two-node-per-level compact tree: {bad news (belief 0), surviving}.
-
-        Quota-truncated processes are padded with absorbing nodes so the
-        result lives on the full grid (the solver never continues past the
-        quota anyway).
-        """
-        n = self.grid.n
-        lam_r = self.cont_belief()
-        lam = np.concatenate([lam_r, np.full(n - 1 - self.end, lam_r[-1])])
-        G = np.concatenate([self.G, np.full(n - 1 - self.end, 1.0 - self.mu0)])
-        surv = 1.0 - G
-        beliefs = tuple(np.array([0.0, lam[j]]) for j in range(n))
-        kernels = []
-        for j in range(n - 1):
-            if surv[j] <= 1e-15:
-                k = np.array([[1.0, 0.0], [1.0, 0.0]])
-            else:
-                stay = min(surv[j + 1] / surv[j], 1.0)
-                k = np.array([[1.0, 0.0], [1.0 - stay, stay]])
-            kernels.append(k)
-        g0 = float(G[0])
-        root = np.array([g0, 1.0 - g0])
-        if g0 > 1e-15:
-            return DiscreteLearningProcess(self.grid, beliefs, tuple(kernels),
-                                           root, self.mu0)
-        return DiscreteLearningProcess(self.grid, beliefs, tuple(kernels),
-                                       np.array([0.0, 1.0]), self.mu0)
 
 
 def effective_end(m: Mechanism, grid: LevelGrid) -> int:

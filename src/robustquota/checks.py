@@ -1,12 +1,12 @@
 """One-shot levels, pseudo-inverse beliefs, and the model's runtime checkers."""
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import DegenerateDerivativeError, DomainError, EmptyMechanismError
-from .grid import LevelGrid, belief_grid
+from .grid import LevelGrid
 from .mechanisms import Mechanism, Zero, adjusted_profiles
 from .payoffs import PayoffSpec
 
@@ -36,9 +36,15 @@ def one_shot_levels(p: PayoffSpec, mus: np.ndarray, grid: LevelGrid,
     if bad.any():
         raise DomainError(f"belief {mus[bad][0]} outside [0, 1]")
     a1, a0, proh = adjusted_profiles(p, m, side, grid)
-    if proh.all():
-        raise EmptyMechanismError("all levels prohibited")
-    starts, errs, lines, pos = _one_shot_pieces(a1, a0, proh)
+    return grid.points[_top_lines(a1, a0, _one_shot_pieces(a1, a0, proh),
+                                  mus)]
+
+
+def _top_lines(a1: np.ndarray, a0: np.ndarray, pieces: tuple,
+               mus: np.ndarray) -> np.ndarray:
+    """Grid index of the one-shot level at each belief in [0, 1], read off
+    pieces = _one_shot_pieces(a1, a0, proh) as one_shot_levels says."""
+    starts, errs, lines, pos = pieces
     # candidates lines[lo..hi]: the piece holding mu, widened across every
     # start that lies within its rounding bound of mu (the running max and
     # min keep the bounds sorted); the first start is 0 with bound 0, so
@@ -53,7 +59,7 @@ def one_shot_levels(p: PayoffSpec, mus: np.ndarray, grid: LevelGrid,
     j = lines[np.arange(cnt.sum()) + np.repeat(lo - first, cnt)]
     v = mus[row] * a1[j] + (1.0 - mus[row]) * a0[j]
     top = v == np.maximum.reduceat(v, first)[row]
-    return grid.points[np.maximum.reduceat(np.where(top, j, -1), first)]
+    return np.maximum.reduceat(np.where(top, j, -1), first)
 
 
 def _one_shot_pieces(a1: np.ndarray, a0: np.ndarray, proh: np.ndarray
@@ -73,13 +79,14 @@ def _one_shot_pieces(a1: np.ndarray, a0: np.ndarray, proh: np.ndarray
     line's start is where it overtakes its left neighbour (0 for the first
     line), and every line that lies below two others (its neighbours, or
     the first line and its right neighbour, or its left neighbour and the
-    last line) is dropped, until none is; then every line but the last that
-    starts at or past 1 is dropped and the elimination resumes.  In exact
-    arithmetic this is the upper envelope on [0, 1].  In floats it may
-    differ from a one-line-at-a-time stack only by pieces no wider than the
-    rounding bounds of their two starts.
+    last line) is dropped, until none is.  In exact arithmetic this is the
+    upper envelope on [0, 1].  In floats it may differ from a
+    one-line-at-a-time stack only by pieces no wider than the rounding
+    bounds of their two starts.  No allowed level raises EmptyMechanismError.
     """
     allowed = np.flatnonzero(~proh)
+    if allowed.size == 0:
+        raise EmptyMechanismError("all levels prohibited")
     slope, icpt, at1 = (a1 - a0)[allowed], a0[allowed], a1[allowed]
     # ascending slope, then a1, then level, so that the top line at mu = 1
     # (the largest argmax of a1) ends its run of equal slopes
@@ -106,14 +113,10 @@ def _one_shot_pieces(a1: np.ndarray, a0: np.ndarray, proh: np.ndarray
         keep = np.ones(len(s), dtype=bool)
         np.less(starts[:-1], starts[1:], out=keep[:-1])
         if keep.all():
-            # the starts ascend, so the last but one is the largest to test
-            if len(s) < 2 or starts[-2] < 1.0:
-                break
-            np.less(starts[:-1], 1.0, out=keep[:-1])
-        else:
-            keep[1:-1] &= (
-                (starts[1:-1] < (c[1:-1] - c[-1]) / (s[-1] - s[1:-1]))
-                & ((c[0] - c[1:-1]) / (s[1:-1] - s[0]) < starts[2:]))
+            break
+        keep[1:-1] &= (
+            (starts[1:-1] < (c[1:-1] - c[-1]) / (s[-1] - s[1:-1]))
+            & ((c[0] - c[1:-1]) / (s[1:-1] - s[0]) < starts[2:]))
         hull, s, c = hull[keep], s[keep], c[keep]
     # rounding bound of each start
     errs = np.zeros(len(s))
@@ -124,10 +127,11 @@ def _one_shot_pieces(a1: np.ndarray, a0: np.ndarray, proh: np.ndarray
 
 def one_shot_intervals(agent: PayoffSpec, principal: PayoffSpec,
                        m: Mechanism, grid: LevelGrid
-                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Midpoints of the belief intervals on which both one-shot levels are
-    constant, with the agent's and the principal's level on each; breakpoints
-    that agree within their rounding errors bound no interval."""
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The belief intervals (lo, hi) on which both one-shot levels are
+    constant, in ascending order, with the agent's and the principal's level
+    on each; breakpoints that agree within their rounding errors bound no
+    interval."""
     su, eu, lines, pos = _one_shot_pieces(*adjusted_profiles(agent, m, "agent",
                                                              grid))
     pu = grid.points[lines[pos]]
@@ -138,25 +142,32 @@ def one_shot_intervals(agent: PayoffSpec, principal: PayoffSpec,
     err = np.concatenate([eu, ev, [0.0]])
     order = np.argsort(cuts)
     cuts, err = cuts[order], err[order]
-    mids = 0.5 * (cuts[:-1] + cuts[1:])[np.diff(cuts) > err[:-1] + err[1:]]
+    wide = np.diff(cuts) > err[:-1] + err[1:]
+    lo, hi = cuts[:-1][wide], cuts[1:][wide]
+    mids = 0.5 * (lo + hi)
     lu = pu[np.searchsorted(su, mids, side="right") - 1]
     lv = pv[np.searchsorted(sv, mids, side="right") - 1]
-    return mids, lu, lv
+    return lo, hi, lu, lv
 
 
 def pseudo_inverse_beliefs(p: PayoffSpec, grid: LevelGrid, m: Mechanism = Zero(),
-                           side: str = "agent", n_mu: int = 1001) -> np.ndarray:
-    """First belief-grid point whose one-shot level reaches each grid level,
-    or 1.0 where no belief does.
+                           side: str = "agent") -> np.ndarray:
+    """mu_hat(l) = inf{mu : one-shot level at mu >= l} for each grid level l:
+    the start, clipped to [0, 1], of the first envelope piece on which or at
+    whose start the running-max level reaches l, or 1.0 where none does.
+    The level at a start counts because lines that tie there only (a piece
+    of width 0) win it when their level is the largest.
 
-    The scan reads the running maximum of the one-shot levels over the belief
-    grid, so it assumes no monotonicity; `check_assumptions` reports levels
-    that are not monotone in the belief.
+    The running maximum assumes no monotonicity; `check_assumptions` reports
+    levels that are not monotone in the belief.
     """
-    mus = belief_grid(n_mu)
-    reached = np.maximum.accumulate(one_shot_levels(p, mus, grid, m, side))
-    idx = np.searchsorted(reached, grid.points - 1e-12)
-    return np.where(idx < len(mus), mus[np.minimum(idx, len(mus) - 1)], 1.0)
+    a1, a0, proh = adjusted_profiles(p, m, side, grid)
+    pieces = _one_shot_pieces(a1, a0, proh)
+    starts, _, lines, pos = pieces
+    starts = np.minimum(starts, 1.0)
+    top = np.maximum(lines[pos], _top_lines(a1, a0, pieces, starts))
+    reached = np.maximum.accumulate(grid.points[top])
+    return np.append(starts, 1.0)[np.searchsorted(reached, grid.points)]
 
 
 @dataclass(frozen=True)
@@ -169,8 +180,8 @@ class AssumptionReport:
     witness_single_peaked: Optional[Tuple[float, float]] = None
     witness_monotone: Optional[Tuple[float, float]] = None
     witness_agent_more: Optional[Tuple[float, float]] = None
-    #: (mu, jump size) pairs where the one-shot level moves by more than 10%
-    #: of l_max in one belief step — a discontinuity flag, not a failure
+    #: (breakpoint, jump size) pairs where the agent's one-shot level jumps
+    #: by more than 10% of l_max -- a discontinuity flag, not a failure
     jumps: Tuple[Tuple[float, float], ...] = ()
 
     @property
@@ -190,64 +201,82 @@ class AssumptionReport:
         }
 
 
-def _single_peaked_violation(vals: np.ndarray, tol: float):
-    """First (row, col) where a row rises again after having fallen."""
-    d = np.diff(vals, axis=1)
-    falling = d < -tol
-    rising = d > tol
-    fall_before = np.zeros_like(falling)
-    fall_before[:, 1:] = np.cumsum(falling, axis=1)[:, :-1] > 0
-    viol = rising & fall_before
-    if not viol.any():
+def _below(d1: np.ndarray, d0: np.ndarray, c: float
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """The beliefs where mu d1 + (1 - mu) d0 < c, per entry, as the open
+    interval (lo, hi): one end is infinite, as the set holds 0 or 1 when it
+    is not empty."""
+    s = d1 - d0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = (c - d0) / s
+    flat = np.where(d0 < c, np.inf, -np.inf)
+    hi = np.where(s > 0, x, np.where(s < 0, np.inf, flat))
+    lo = np.where(s < 0, x, -np.inf)
+    return lo, hi
+
+
+def _single_peaked_witness(p: PayoffSpec, grid: LevelGrid
+                           ) -> Optional[Tuple[float, float]]:
+    """A (belief, level) at which U(mu, .) rises by more than tol onto
+    `level` after falling by more than tol at a lower level, or None when no
+    belief in [0, 1] has one.
+
+    Step j, U(mu, l_j+1) - U(mu, l_j), is linear in mu, so the beliefs where
+    it falls form one interval holding 0 or 1, and so do those where it
+    rises.  The falls before step k cover [0, a_k) and (b_k, 1], a_k a
+    running max and b_k a running min; the witness is the middle of the
+    widest overlap of a rise with them.
+    """
+    pts = grid.points
+    u1, u0 = p.u1(pts), p.u0(pts)
+    # the largest |U| over beliefs is reached at mu = 0 or mu = 1
+    tol = 1e-9 * max(1.0, float(np.abs(u1).max()), float(np.abs(u0).max()))
+    d1, d0 = np.diff(u1), np.diff(u0)
+    flo, fhi = _below(d1, d0, -tol)
+    rlo, rhi = _below(-d1, -d0, -tol)
+    a = np.maximum.accumulate(np.where(flo == -np.inf, fhi, -np.inf))
+    b = np.minimum.accumulate(np.where(fhi == np.inf, flo, np.inf))
+    # a fall before step k: [0, a_k) and (b_k, 1]; k = 0 has none
+    lo = np.stack([rlo[1:], np.maximum(b[:-1], rlo[1:])])
+    hi = np.stack([np.minimum(a[:-1], rhi[1:]), rhi[1:]])
+    width = np.minimum(hi, 1.0) - np.maximum(lo, 0.0)
+    if width.size == 0 or width.max() <= 0.0:
         return None
-    rows, cols = np.nonzero(viol)
-    return int(rows[0]), int(cols[0] + 1)
+    i, k = np.unravel_index(np.argmax(width), width.shape)
+    mu = 0.5 * (max(lo[i, k], -1.0) + min(hi[i, k], 2.0))
+    return float(np.clip(mu, 0.0, 1.0)), float(pts[k + 2])
 
 
-def check_assumptions(agent: PayoffSpec, principal: PayoffSpec, grid: LevelGrid,
-                      n_mu: int = 1001) -> AssumptionReport:
-    """Check (i) single-peaked indirect utilities and (ii) one-shot levels
-    monotone in the belief on the n_mu-point belief grid, and (iii) the
-    principal's one-shot level never above the agent's on every interval of
-    one_shot_intervals, as principal_prefers_earlier reads it.
+def check_assumptions(agent: PayoffSpec, principal: PayoffSpec,
+                      grid: LevelGrid) -> AssumptionReport:
+    """Check at every belief in [0, 1] (i) single-peaked indirect utilities,
+    (ii) one-shot levels monotone in the belief and (iii) the principal's
+    one-shot level never above the agent's, the last two on the intervals
+    of one_shot_intervals, as principal_prefers_earlier reads them.
 
     Violations are reported with witnesses, never raised.
     """
-    mus = belief_grid(n_mu)
-    pts = grid.points
-    w_sp = None
-    single = True
-    for p in (agent, principal):
-        vals = np.outer(mus, p.u1(pts)) + np.outer(1.0 - mus, p.u0(pts))
-        tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
-        hit = _single_peaked_violation(vals, tol)
-        if hit is not None and single:
-            single = False
-            w_sp = (float(mus[hit[0]]), float(pts[hit[1]]))
+    w_sp = _single_peaked_witness(agent, grid) \
+        or _single_peaked_witness(principal, grid)
 
-    lu = one_shot_levels(agent, mus, grid)
-    lv = one_shot_levels(principal, mus, grid)
-
-    monotone = True
+    lo, hi, lu, lv = one_shot_intervals(agent, principal, Zero(), grid)
+    mids = 0.5 * (lo + hi)
     w_mono = None
     for lh in (lu, lv):
-        d = np.diff(lh)
-        bad = np.nonzero(d < -1e-12)[0]
-        if bad.size and monotone:
-            monotone = False
-            w_mono = (float(mus[bad[0] + 1]), float(lh[bad[0] + 1]))
+        bad = np.flatnonzero(np.diff(lh) < -1e-12)
+        if bad.size:
+            w_mono = (float(mids[bad[0] + 1]), float(lh[bad[0] + 1]))
+            break
 
-    jumps = []
-    jump_tol = 0.1 * grid.l_max
-    for k in np.nonzero(np.abs(np.diff(lu)) > jump_tol)[0]:
-        jumps.append((float(mus[k + 1]), float(lu[k + 1] - lu[k])))
+    d = np.diff(lu)
+    jumps = tuple((float(lo[k + 1]), float(d[k]))
+                  for k in np.flatnonzero(np.abs(d) > 0.1 * grid.l_max))
 
-    mids, lu_mid, lv_mid = one_shot_intervals(agent, principal, Zero(), grid)
-    bad = np.flatnonzero(lv_mid > lu_mid + 1e-12)
-    w_more = (float(mids[bad[0]]), float(lv_mid[bad[0]])) if bad.size else None
+    bad = np.flatnonzero(lv > lu + 1e-12)
+    w_more = (float(mids[bad[0]]), float(lv[bad[0]])) if bad.size else None
 
-    return AssumptionReport(single, monotone, w_more is None, w_sp, w_mono,
-                            w_more, tuple(jumps))
+    return AssumptionReport(w_sp is None, w_mono is None, w_more is None,
+                            w_sp, w_mono, w_more, jumps)
 
 
 @dataclass(frozen=True)
@@ -297,19 +326,3 @@ def risk_ratio_condition(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
         k = int(bad[0])
         return RatioReport(False, (float(levels[k + 1]), float(d[k])), levels, r)
     return RatioReport(True, None, levels, r)
-
-
-@dataclass(frozen=True)
-class AmbiguitySet:
-    """Finite family of candidate agent payoffs for joint robustness."""
-
-    members: tuple
-
-    def __post_init__(self):
-        if len(self.members) == 0:
-            raise DomainError("ambiguity set must be nonempty")
-
-    def validate(self, principal: PayoffSpec, grid: LevelGrid,
-                 n_mu: int = 201) -> List[AssumptionReport]:
-        return [check_assumptions(mem, principal, grid, n_mu=n_mu)
-                for mem in self.members]

@@ -56,7 +56,7 @@ def _outpath(args, name: str) -> str:
 
 
 def cmd_check(cfg: RunConfig, args) -> int:
-    report = check_assumptions(cfg.agent, cfg.principal, cfg.grid, cfg.n_mu)
+    report = check_assumptions(cfg.agent, cfg.principal, cfg.grid)
     payload = {"assumptions": report.to_dict()}
     try:
         ratio = risk_ratio_condition(cfg.agent, cfg.principal, cfg.mechanism,
@@ -92,10 +92,9 @@ def cmd_worstcase(cfg: RunConfig, args) -> int:
     e = lp.bn.end
     binding = np.zeros(e + 1, dtype=bool)
     binding[lp.binding] = True
-    mu_u = pseudo_inverse_beliefs(cfg.agent, cfg.grid, cfg.mechanism, "agent",
-                                  cfg.n_mu)
+    mu_u = pseudo_inverse_beliefs(cfg.agent, cfg.grid, cfg.mechanism, "agent")
     mu_v = pseudo_inverse_beliefs(cfg.principal, cfg.grid, cfg.mechanism,
-                                  "principal", cfg.n_mu)
+                                  "principal")
     rows = zip(cfg.grid.points[:e + 1], lp.bn.G, lp.bn.cont_belief(),
                binding, mu_u[:e + 1], mu_v[:e + 1])
     _write_csv(_outpath(args, "worstcase.csv"),

@@ -6,22 +6,32 @@ Schema (all nesting literal; unknown keys are rejected):
       "payoff":      {"agent": <payoff>, "principal": <payoff>},
       "mechanism":   <mechanism>,                  # optional, default zero
       "grid":        {"l_max": float > 0, "n": int >= 2},
-      "belief_grid": {"n_mu": int >= 2},           # optional, default 1001
-      "prior":       {"mu0": float},
+      "prior":       {"mu0": float in [0, 1]},
       "seed":        int,                          # required by stochastic cmds
-      "ambiguity":   [<payoff>, ...],              # optional
+      "ambiguity":   [<payoff>, ...],              # optional, non-empty
       "tree":        {"type": "no_learning" | "binomial",
                       "p_good": float, "p_bad": float},      # optional,
                                    # 0 < p_bad < p_good < 1, default 0.6, 0.4
-      "mechanisms":  [<mechanism>, ...],           # optional (gap tables)
+      "mechanisms":  [<mechanism>, ...],           # optional, non-empty
+                                                   # (gap tables)
       "sweep":       {"l_max": [float > 0, ...]},  # optional (gap tables),
                                                    # finite, at least one
       "refinements": {"count": int >= 1}           # optional
     }
 
-<payoff> is {"family": "quadratic"|"cara"|"crra"|"tabulated", ...}; <mechanism>
-is {"type": "zero"|"fixed_tax_hard_quota"|"linear"|"exponential"|"tabulated",
-...} as produced by the respective to_dict methods.
+<payoff> is {"family": <family>, ...} and <mechanism> is {"type": <type>,
+...}, as produced by the respective to_dict methods, with these keys
+(optional ones in brackets):
+
+    quadratic: alpha, beta, [quad]    zero: (none)
+    cara:      gamma                  fixed_tax_hard_quota: lambda, quota
+    crra:      gamma, [eps]           linear: beta_tax
+    tabulated: u1, u0                 exponential: eta
+                                      tabulated: phi
+
+Each holds a finite JSON number (not true, not a string); u1, u0 and phi
+hold lists of them, phi also "inf" for a prohibited level.  A missing,
+unknown or ill-typed key is a ConfigError.
 """
 
 import json
@@ -34,8 +44,20 @@ from .grid import LevelGrid
 from .mechanisms import Mechanism, Zero, mechanism_from_dict
 from .payoffs import PayoffSpec, payoff_from_dict
 
-_TOP_KEYS = {"payoff", "mechanism", "grid", "belief_grid", "prior", "seed",
-             "ambiguity", "tree", "mechanisms", "sweep", "refinements"}
+_TOP_KEYS = {"payoff", "mechanism", "grid", "prior", "seed", "ambiguity",
+             "tree", "mechanisms", "sweep", "refinements"}
+#: keys of each payoff family and mechanism type: (required, optional)
+_PAYOFF_KEYS = {"quadratic": (("alpha", "beta"), ("quad",)),
+                "cara": (("gamma",), ()),
+                "crra": (("gamma",), ("eps",)),
+                "tabulated": (("u1", "u0"), ())}
+_MECHANISM_KEYS = {"zero": ((), ()),
+                   "fixed_tax_hard_quota": (("lambda", "quota"), ()),
+                   "linear": (("beta_tax",), ()),
+                   "exponential": (("eta",), ()),
+                   "tabulated": (("phi",), ())}
+#: keys whose value is a list of numbers
+_TABLES = {"u1", "u0", "phi"}
 
 
 @dataclass(frozen=True)
@@ -45,7 +67,6 @@ class RunConfig:
     mechanism: Mechanism
     grid: LevelGrid
     mu0: float
-    n_mu: int = 1001
     seed: Optional[int] = None
     ambiguity: Optional[tuple] = None          # tuple of agent PayoffSpec
     tree: Optional[dict] = None
@@ -61,6 +82,8 @@ class RunConfig:
 
 
 def _check_keys(d: dict, allowed: set, where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -86,6 +109,38 @@ def _number(value, where: str) -> float:
     if type(value) not in (int, float) or not math.isfinite(value):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _spec(d, tag: str, kinds: dict, where: str) -> dict:
+    """A payoff or mechanism object: a known `tag` value, its required keys
+    and no others, each a finite number or, for a table, a list of them
+    ("inf" also allowed in phi)."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {d!r}")
+    kind = _require(d, tag, where)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {tag} {kind!r} in {where}")
+    required, optional = kinds[kind]
+    _check_keys(d, {tag, *required, *optional}, where)
+    for key in required:
+        _require(d, key, where)
+    for key in sorted(set(d) - {tag}):
+        if key not in _TABLES:
+            _number(d[key], f"{where}.{key}")
+        elif not isinstance(d[key], list):
+            raise ConfigError(f"{where}.{key} must be a list of numbers")
+        else:
+            for x in d[key]:
+                if not (key == "phi" and x == "inf"):
+                    _number(x, f"{where}.{key} entry")
+    return d
+
+
+def _list(raw: dict, key: str) -> list:
+    """A non-empty list: an empty one would silently mean the key is unset."""
+    if not isinstance(raw[key], list) or not raw[key]:
+        raise ConfigError(f"'{key}' must be a non-empty list")
+    return raw[key]
 
 
 def load_config(path: str) -> RunConfig:
@@ -117,27 +172,31 @@ def parse_config(raw: dict) -> RunConfig:
     _check_keys(pd, {"agent", "principal"}, "'payoff'")
     prior = _require(raw, "prior", "config")
     _check_keys(prior, {"mu0"}, "'prior'")
-    mu0 = float(_require(prior, "mu0", "'prior'"))
+    mu0 = _number(_require(prior, "mu0", "'prior'"), "prior.mu0")
     if not 0.0 <= mu0 <= 1.0:
         raise ConfigError(f"prior.mu0 = {mu0} outside [0, 1]")
 
+    def payoff(d, where):
+        return payoff_from_dict(_spec(d, "family", _PAYOFF_KEYS, where), grid)
+
+    def mechanism(d, where):
+        return mechanism_from_dict(_spec(d, "type", _MECHANISM_KEYS, where),
+                                   grid)
+
     try:
-        agent = payoff_from_dict(_require(pd, "agent", "'payoff'"), grid)
-        principal = payoff_from_dict(_require(pd, "principal", "'payoff'"), grid)
-        mech = mechanism_from_dict(raw["mechanism"], grid) \
+        agent = payoff(_require(pd, "agent", "'payoff'"), "payoff.agent")
+        principal = payoff(_require(pd, "principal", "'payoff'"),
+                           "payoff.principal")
+        mech = mechanism(raw["mechanism"], "'mechanism'") \
             if "mechanism" in raw else Zero()
-        ambiguity = tuple(payoff_from_dict(x, grid) for x in raw["ambiguity"]) \
+        ambiguity = tuple(payoff(x, "'ambiguity' entry")
+                          for x in _list(raw, "ambiguity")) \
             if "ambiguity" in raw else None
-        mechanisms = tuple(mechanism_from_dict(x, grid) for x in raw["mechanisms"]) \
+        mechanisms = tuple(mechanism(x, "'mechanisms' entry")
+                           for x in _list(raw, "mechanisms")) \
             if "mechanisms" in raw else None
     except DomainError as e:
         raise ConfigError(str(e))
-
-    n_mu = 1001
-    if "belief_grid" in raw:
-        _check_keys(raw["belief_grid"], {"n_mu"}, "'belief_grid'")
-        n_mu = _integer(_require(raw["belief_grid"], "n_mu", "'belief_grid'"),
-                        "belief_grid.n_mu", 2)
 
     seed = raw.get("seed")
     if seed is not None and type(seed) is not int:     # a bool is refused
@@ -172,5 +231,5 @@ def parse_config(raw: dict) -> RunConfig:
         n_ref = _integer(_require(raw["refinements"], "count", "'refinements'"),
                          "refinements.count", 1)
 
-    return RunConfig(agent, principal, mech, grid, mu0, n_mu, seed, ambiguity,
-                     tree, mechanisms, sweep, n_ref)
+    return RunConfig(agent, principal, mech, grid, mu0, seed, ambiguity, tree,
+                     mechanisms, sweep, n_ref)

@@ -46,8 +46,8 @@ class LevelGrid:
         return j
 
 
-def belief_grid(n_mu: int = 1001) -> np.ndarray:
-    """Uniform belief grid on [0, 1]."""
-    if n_mu < 2:
-        raise DomainError(f"belief grid needs at least 2 points, got {n_mu}")
-    return np.linspace(0.0, 1.0, int(n_mu))
+def belief_grid(n: int = 1001) -> np.ndarray:
+    """Uniform belief grid on [0, 1] with n points."""
+    if n < 2:
+        raise DomainError(f"belief grid needs at least 2 points, got {n}")
+    return np.linspace(0.0, 1.0, int(n))

@@ -146,25 +146,6 @@ def adjusted_profiles(p: PayoffSpec, m: Mechanism, side: str, grid: LevelGrid):
     raise DomainError(f"side must be 'agent' or 'principal', got {side!r}")
 
 
-def mechanism_adjusted(p: PayoffSpec, m: Mechanism, side: str, mu: float, l: float,
-                       grid: LevelGrid) -> float:
-    """U^phi(mu, l) = U(mu, l) - phi(l) for the agent, V(mu, l) + phi(l) for
-    the principal.
-
-    Prohibited levels return -inf on the agent side and raise on the
-    principal side (they are unreachable by construction).
-    """
-    if not 0.0 <= mu <= 1.0:
-        raise DomainError(f"belief {mu} outside [0, 1]")
-    j = grid.index_of(l)
-    a1, a0, proh = adjusted_profiles(p, m, side, grid)
-    if proh[j]:
-        if side == "principal":
-            raise UnreachableLevelError(f"level {l} is prohibited")
-        return -math.inf
-    return float(mu * a1[j] + (1.0 - mu) * a0[j])
-
-
 def mechanism_from_dict(d: dict, grid: LevelGrid = None) -> Mechanism:
     if not isinstance(d, dict) or "type" not in d:
         raise DomainError("mechanism spec must be an object with a 'type' key")

@@ -148,18 +148,6 @@ def cara_pair(gamma_agent: float, gamma_principal: float) -> Tuple[CARA, CARA]:
     return CARA(gamma_agent), CARA(gamma_principal)
 
 
-def indirect_utility(p: PayoffSpec, mu: float, l, grid: LevelGrid = None) -> float:
-    """U(mu, l); raises a domain error when l leaves [0, l_max] of the grid."""
-    if not 0.0 <= mu <= 1.0:
-        raise DomainError(f"belief {mu} outside [0, 1]")
-    if grid is not None:
-        arr = np.asarray(l, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > grid.l_max):
-            raise DomainError(f"level {l} outside [0, {grid.l_max}]")
-    out = p.indirect(mu, l)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def liability_transform(agent: PayoffSpec, cap: float, principal: PayoffSpec,
                         grid: LevelGrid) -> Tabulated:
     """Capped ex-post liability: the agent pays, in the bad state, the gap by

@@ -7,7 +7,6 @@ sparse (`CSRKernel`): a binomial row has 2 nonzeros and a refined row at
 most 4, so building, checking and applying a tree's kernels is O(nnz).
 """
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
@@ -205,28 +204,6 @@ class DiscreteLearningProcess:
             lo = row_ends[j - j0 - 1] if j > j0 else 0
             raise DomainError(f"martingale violated at level {j}: max drift "
                               f"{drift[lo:row_ends[j - j0]].max():.3e}")
-
-    @property
-    def n_levels(self) -> int:
-        return self.grid.n
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "l_max": self.grid.l_max,
-            "n": self.grid.n,
-            "mu0": self.mu0,
-            "root_dist": self.root_dist.tolist(),
-            "supports": [b.tolist() for b in self.beliefs],
-            "kernels": [k.toarray().tolist() for k in self.kernels],
-        })
-
-    @classmethod
-    def from_json(cls, s: str) -> "DiscreteLearningProcess":
-        d = json.loads(s)
-        grid = LevelGrid(d["l_max"], d["n"])
-        return cls(grid, tuple(np.array(b) for b in d["supports"]),
-                   tuple(np.array(k) for k in d["kernels"]),
-                   np.array(d["root_dist"]), d["mu0"])
 
 
 def no_learning(mu0: float, grid: LevelGrid) -> DiscreteLearningProcess:

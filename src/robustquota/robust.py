@@ -6,7 +6,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .adversary import solve_badnews_lp, tree_oracle_worst_case
-from .checks import AmbiguitySet
 from .errors import DomainError
 from .grid import LevelGrid
 from .mechanisms import FixedTaxHardQuota
@@ -45,7 +44,7 @@ def compute_robust(agent: PayoffSpec, principal: PayoffSpec, mu0: float,
     return compute_joint_robust((agent,), principal, mu0, grid)
 
 
-def compute_joint_robust(ambiguity: Union[AmbiguitySet, Sequence[PayoffSpec]],
+def compute_joint_robust(ambiguity: Sequence[PayoffSpec],
                          principal: PayoffSpec, mu0: float,
                          grid: LevelGrid) -> RobustMechanismResult:
     """Robust to payoff ambiguity as well: quota at the maximizer of the
@@ -53,7 +52,7 @@ def compute_joint_robust(ambiguity: Union[AmbiguitySet, Sequence[PayoffSpec]],
     lowest member's slack there."""
     if not 0.0 <= mu0 <= 1.0:
         raise DomainError(f"prior {mu0} outside [0, 1]")
-    members = ambiguity.members if isinstance(ambiguity, AmbiguitySet) else tuple(ambiguity)
+    members = tuple(ambiguity)
     if not members:
         raise DomainError("ambiguity set is empty")
     curves = np.stack([surplus_curve(a, principal, mu0, grid) for a in members])

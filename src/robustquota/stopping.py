@@ -118,10 +118,6 @@ def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
                             root_value, outside, participation, proc.mu0)
 
 
-def agent_value(sol: StoppingSolution) -> float:
-    return sol.root_value if sol.participation else sol.outside_option
-
-
 def principal_value(sol: StoppingSolution, principal: PayoffSpec, m: Mechanism) -> float:
     """E[V^phi] over the stopping distribution; the outside option V(mu0, 0)
     when the agent does not participate."""

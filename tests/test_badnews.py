@@ -9,6 +9,8 @@ from robustquota import (BadNewsProcess, DomainError, EmptyMechanismError,
                          tree_oracle_worst_case)
 from robustquota.adversary import badnews_value, indifference_G
 
+from badnews_tree import bad_news_tree
+
 GRID = LevelGrid(2.0, 41)
 
 
@@ -37,7 +39,7 @@ def test_g_must_be_nondecreasing_with_right_total():
 
 def test_to_process_reproduces_beliefs_and_mass():
     bn = _uniform_bn()
-    proc = bn.to_process()
+    proc = bad_news_tree(bn)
     lam = bn.cont_belief()
     for j in range(GRID.n):
         assert proc.beliefs[j][1] == pytest.approx(lam[j])
@@ -95,7 +97,7 @@ def test_agent_stopping_on_badnews_tree_follows_arrivals():
     immediately (belief 0 under a CARA agent never continues)."""
     agent, principal = cara_pair(1.0, 3.0)
     ind = indifference_G(agent, Zero(), GRID, 0.5, principal)
-    sol = solve_stopping(ind.bn.to_process(), agent, Zero())
+    sol = solve_stopping(bad_news_tree(ind.bn), agent, Zero())
     at_zero = sol.joint_belief <= 1e-12
     # belief-0 mass stops where it arrives: total arrival mass 1 - mu0
     assert sol.joint_mass[at_zero].sum() == pytest.approx(0.5, abs=1e-9)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustquota import (CARA, CRRA, AmbiguitySet, DegenerateDerivativeError,
-                         DomainError, Exponential, FixedTaxHardQuota,
+from robustquota import (CARA, CRRA, DegenerateDerivativeError, DomainError,
+                         EmptyMechanismError, Exponential, FixedTaxHardQuota,
                          LevelGrid, Linear, Quadratic, Tabulated, Zero,
                          adjusted_profiles, belief_grid, cara_pair,
                          check_assumptions, one_shot_level, one_shot_levels,
@@ -213,6 +213,20 @@ def test_one_shot_pieces_near_ties(family, mech, side, l_max, n, seed, differ):
     assert np.any(np.diff(starts) <= errs[:-1] + errs[1:])
 
 
+def test_one_shot_pieces_drop_a_line_tied_with_both_neighbours():
+    # lines 0, mu - 1/2 and 2 mu - 1 meet at mu = 1/2: the middle one is on
+    # top at that belief only, so it owns no piece
+    a1, a0 = np.array([0.0, 0.5, 1.0]), np.array([0.0, -0.5, -1.0])
+    starts, errs, lines, pos = _one_shot_pieces(a1, a0, np.zeros(3, bool))
+    assert pos.tolist() == [0, 2] and lines.tolist() == [0, 1, 2]
+    assert starts.tolist() == [0.0, 0.5]
+
+
+def test_one_shot_pieces_refuse_an_empty_mechanism():
+    with pytest.raises(EmptyMechanismError):
+        _one_shot_pieces(np.zeros(2), np.zeros(2), np.ones(2, bool))
+
+
 @pytest.mark.parametrize("mu", [np.nan, 1.5, -0.5])
 def test_one_shot_levels_refuse_beliefs_outside_unit_interval(mu):
     p = CARA(1.0)
@@ -223,14 +237,14 @@ def test_one_shot_levels_refuse_beliefs_outside_unit_interval(mu):
 
 
 def test_pseudo_inverse_matches_cara_closed_form():
-    gamma = 1.0
-    p = CARA(gamma)
-    mus = pseudo_inverse_beliefs(p, GRID, n_mu=4001)
-    for l in (0.25, 0.5, 1.0):
-        mu = mus[GRID.index_of(l)]
-        assert mu < 1.0
-        assert mu == pytest.approx(1.0 / (1.0 + np.exp(-2 * gamma * l)),
-                                   abs=2e-3)
+    # U(mu, l) = U(mu, l - h) at odds mu / (1 - mu) = e^{gamma (2 l - h)}
+    gamma, h = 1.0, GRID.h
+    mus = pseudo_inverse_beliefs(CARA(gamma), GRID)
+    l = GRID.points[1:]
+    assert mus[0] == 0.0
+    np.testing.assert_allclose(mus[1:],
+                               1.0 / (1.0 + np.exp(-gamma * (2 * l - h))),
+                               rtol=0, atol=1e-13)
 
 
 def test_pseudo_inverse_saturates():
@@ -249,43 +263,161 @@ def _humped(g):
     return Tabulated(g, tuple(-(g.points - 0.5) ** 2), tuple(-g.points))
 
 
-@settings(max_examples=60, deadline=None)
-@given(family=st.sampled_from(["cara", "quadratic", "humped", "zigzag"]),
-       param=st.floats(0.3, 3.0), l_max=st.sampled_from([1.0, 2.0, 4.0, 16.0]),
-       n=st.integers(2, 41), n_mu=st.integers(2, 301))
-def test_pseudo_inverse_beliefs_is_first_hit(family, param, l_max, n, n_mu):
-    grid = LevelGrid(l_max, 3 if family == "zigzag" else n)
-    # zigzag: one-shot levels 0, then l_max, then l_max/2 as the belief rises
-    p = {"cara": lambda: CARA(param),
-         "quadratic": lambda: Quadratic(1.0, param, 0.0),
-         "humped": lambda: _humped(grid),
-         "zigzag": lambda: Tabulated(grid, (0.0, 1.0, 0.5),
-                                     (0.0, -2.0, -0.5))}[family]()
-    mus = belief_grid(n_mu)
-    top = one_shot_levels(p, mus, grid).max()
-    for l, mu in zip(grid.points, pseudo_inverse_beliefs(p, grid, n_mu=n_mu)):
+def _zigzag(g):
+    """On a 3-point grid: one-shot levels 0, then l_max from mu = 1/2, then
+    l_max/2 from mu = 3/4."""
+    return Tabulated(g, (0.0, 1.0, 0.5), (0.0, -2.0, -0.5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(["cara", "quadratic", "crra", "tabulated",
+                               "tied", "humped", "zigzag"]),
+       mech=st.sampled_from(["zero", "linear", "exponential", "quota"]),
+       side=st.sampled_from(["agent", "principal"]),
+       l_max=st.sampled_from([0.5, 1.0, 2.0, 4.0, 16.0]),
+       n=st.integers(2, 301), seed=st.integers(0, 2 ** 32 - 1))
+def test_pseudo_inverse_beliefs_is_first_hit(family, mech, side, l_max, n,
+                                            seed):
+    """mu_hat(l) is where the one-shot level first reaches l: it does at
+    mu_hat or within 1e-9 above it (mu_hat is a rounded breakpoint, at which
+    two levels tie in exact arithmetic) and not 1e-9 below it; mu_hat = 1
+    where no belief reaches l."""
+    tables = {"humped": _humped, "zigzag": _zigzag}
+    p, m, grid = _profile("tied" if family in tables else family, mech, l_max,
+                          3 if family == "zigzag" else n, seed)
+    if family in tables:
+        p = tables[family](grid)
+    top = _dense_levels(p, belief_grid(1001), grid, m, side).max()
+    mu_hat = pseudo_inverse_beliefs(p, grid, m, side)
+    assert np.all((0.0 <= mu_hat) & (mu_hat <= 1.0))
+    for l, mu in zip(grid.points, mu_hat):
         def reaches(b):
-            return one_shot_level(p, b, grid) >= l - 1e-12
-        if top < l - 1e-12:
-            # no belief reaches l, so neither does belief 1
-            assert mu == 1.0 and not reaches(1.0)
+            return one_shot_level(p, b, grid, m, side) >= l
+        if mu == 1.0 and not reaches(1.0):
+            # no belief reaches l
+            assert top < l
             continue
-        i = int(np.searchsorted(mus, mu))
-        assert mus[i] == mu and reaches(mu)
-        assert i == 0 or not reaches(mus[i - 1])
+        assert reaches(mu) or reaches(min(mu + 1e-9, 1.0))
+        assert mu == 0.0 or not reaches(max(mu - 1e-9, 0.0))
+
+
+def test_pseudo_inverse_counts_a_level_won_by_a_tie_only():
+    # lines 2 mu - 1 (level 0), 1 - 2 mu (level 1/2) and 0 (level 1) meet at
+    # mu = 1/2; the flat line is on top nowhere else, but wins the tie there
+    g = LevelGrid(1.0, 3)
+    p = Tabulated(g, (1.0, -1.0, 0.0), (-1.0, 1.0, 0.0))
+    assert one_shot_levels(p, [0.5 - 1e-9, 0.5, 0.5 + 1e-9], g).tolist() == \
+        [0.5, 1.0, 0.0]
+    assert pseudo_inverse_beliefs(p, g).tolist() == [0.0, 0.0, 0.5]
+
+
+def _single_peaked_violation(p, grid, mus):
+    """Reference: the dense scan of U(mu, .) over a belief grid; the first
+    (belief, level) where U rises onto the level after having fallen, by
+    more than tol = 1e-9 max(1, max |U|)."""
+    pts = grid.points
+    vals = np.outer(mus, p.u1(pts)) + np.outer(1.0 - mus, p.u0(pts))
+    tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
+    d = np.diff(vals, axis=1)
+    fall_before = np.zeros(d.shape, dtype=bool)
+    fall_before[:, 1:] = np.cumsum(d < -tol, axis=1)[:, :-1] > 0
+    rows, cols = np.nonzero((d > tol) & fall_before)
+    return (mus[rows[0]], pts[cols[0] + 1]) if rows.size else None
+
+
+def _assert_single_peaked_witness(p, grid, witness):
+    """U(mu, .) at the witness belief rises onto the witness level after
+    falling at a lower one."""
+    mu, level = witness
+    pts = grid.points
+    u1, u0 = p.u1(pts), p.u0(pts)
+    tol = 1e-9 * max(1.0, np.abs(u1).max(), np.abs(u0).max())
+    d = np.diff(mu * u1 + (1.0 - mu) * u0)
+    k = int(np.flatnonzero(pts == level)[0]) - 1
+    assert 0.0 <= mu <= 1.0
+    assert d[k] > tol and np.any(d[:k] < -tol)
+
+
+def _bumps_or_table(family, n, seed):
+    """Tabulated payoffs on [0, 1]: two single-peaked bumps whose mixtures
+    can be bimodal, small-integer tables (exact ties), random walks, or
+    single-peaked random tables."""
+    rng = np.random.default_rng(seed)
+    grid = LevelGrid(1.0, n)
+    x = grid.points
+
+    def peaked():
+        steps = rng.exponential(size=n - 1) * (rng.random(n - 1) < 0.8)
+        steps[rng.integers(0, n):] *= -1
+        return np.concatenate([[0.0], steps.cumsum()])
+
+    u1, u0 = {
+        "bumps": lambda: [rng.uniform(0.5, 2.0) * np.exp(-((x - c) / w) ** 2)
+                          for c, w in zip(rng.uniform(0, 1, 2),
+                                          rng.uniform(0.05, 0.5, 2))],
+        "tied": lambda: rng.integers(-3, 4, (2, n)) * 1.0,
+        "walk": lambda: rng.normal(size=(2, n)).cumsum(axis=1),
+        "peaked": lambda: (peaked(), peaked())}[family]()
+    return Tabulated(grid, tuple(u1), tuple(u0)), grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(["bumps", "tied", "walk", "peaked"]),
+       n=st.integers(2, 60), n_mu=st.integers(2, 1001),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_single_peaked_check_flags_whatever_a_belief_grid_flags(family, n,
+                                                                n_mu, seed):
+    """Exact (i) flags every payoff the dense scan flags on any belief grid,
+    and its witness is confirmed by evaluating U there."""
+    p, grid = _bumps_or_table(family, n, seed)
+    rep = check_assumptions(p, CARA(1.0), grid)
+    if _single_peaked_violation(p, grid, belief_grid(n_mu)) is not None:
+        assert not rep.single_peaked
+    assert rep.single_peaked == (rep.witness_single_peaked is None)
+    if not rep.single_peaked:
+        _assert_single_peaked_witness(p, grid, rep.witness_single_peaked)
+
+
+def test_single_peaked_violation_between_belief_grid_points_flagged():
+    # step 0 falls for mu > 0.4002 and step 1 rises for mu < 0.4008: U(mu, .)
+    # dips and rises again only between the points 0.400 and 0.401 of a
+    # 1001-point belief grid
+    a, b = 0.4002, 0.4008
+    g = LevelGrid(1.0, 3)
+    p = Tabulated(g, (0.0, a - 1.0, a + b - 2.0), (0.0, a, a + b))
+    assert _single_peaked_violation(p, g, belief_grid(1001)) is None
+    rep = check_assumptions(p, CARA(1.0), g)
+    assert not rep.single_peaked and not rep.all_pass
+    mu, level = rep.witness_single_peaked
+    assert a < mu < b and level == 1.0
+    _assert_single_peaked_witness(p, g, rep.witness_single_peaked)
+    # the principal is checked as well, after the agent
+    rep = check_assumptions(CARA(1.0), p, g)
+    assert rep.witness_single_peaked == (mu, level)
+
+
+def test_nonmonotone_levels_flagged_with_witness():
+    g = LevelGrid(2.0, 3)
+    rep = check_assumptions(_zigzag(g), CARA(1.0), g)
+    assert not rep.monotone_levels and not rep.all_pass
+    mu, level = rep.witness_monotone
+    assert 0.75 < mu < 1.0 and level == 1.0
+    assert one_shot_level(_zigzag(g), mu, g) == level
+    # the jump from 0 to l_max at mu = 1/2, then back by l_max / 2 at 3/4
+    assert rep.jumps == ((0.5, 2.0), (0.75, -1.0))
 
 
 def test_check_assumptions_pass_standard_pairs():
     for agent, principal in (quadratic_pair(1.0, 1.0, 1.0),
                              cara_pair(1.0, 3.0)):
-        rep = check_assumptions(agent, principal, GRID, n_mu=201)
+        rep = check_assumptions(agent, principal, GRID)
         assert rep.all_pass, rep.to_dict()
 
 
 def test_swapped_risk_aversion_flagged_with_witness():
     # a principal more risk-tolerant than the agent develops further
     agent, principal = CARA(3.0), CARA(1.0)
-    rep = check_assumptions(agent, principal, GRID, n_mu=201)
+    rep = check_assumptions(agent, principal, GRID)
     assert not rep.agent_develops_more
     mu, lv = rep.witness_agent_more
     assert one_shot_level(principal, mu, GRID) == pytest.approx(lv)
@@ -296,7 +428,7 @@ def test_principal_later_between_belief_grid_points_flagged():
     # agent's 0, an interval no point of a 201-point belief grid falls in
     agent, principal = cara_pair(1.515625, 1.5)
     grid = LevelGrid(1.0, 2)
-    rep = check_assumptions(agent, principal, grid, n_mu=201)
+    rep = check_assumptions(agent, principal, grid)
     assert not rep.agent_develops_more and not rep.all_pass
     mu, lv = rep.witness_agent_more
     assert 0.8176 < mu < 0.8199 and lv == 1.0
@@ -306,9 +438,10 @@ def test_principal_later_between_belief_grid_points_flagged():
 
 def test_quadratic_jump_at_half_reported_not_failed():
     agent, principal = quadratic_pair(1.0, 1.0, 1.0)
-    rep = check_assumptions(agent, principal, GRID, n_mu=201)
+    rep = check_assumptions(agent, principal, GRID)
     assert rep.monotone_levels
-    assert any(abs(mu - 0.5) < 0.01 for mu, _ in rep.jumps)
+    # at the exact breakpoint: U(mu, l) = (2 mu - 1) l
+    assert rep.jumps == ((0.5, 2.0),)
 
 
 def test_risk_ratio_monotone_with_exponential_tax():
@@ -342,11 +475,3 @@ def test_risk_ratio_degenerate_derivative():
 def _cancelling_linear():
     from robustquota import Linear
     return Linear(-1.0)
-
-
-def test_ambiguity_set_nonempty_and_validate():
-    with pytest.raises(DomainError):
-        AmbiguitySet(())
-    amb = AmbiguitySet((CARA(1.0), CARA(2.0)))
-    reports = amb.validate(CARA(3.0), GRID, n_mu=101)
-    assert len(reports) == 2 and all(r.all_pass for r in reports)

@@ -28,7 +28,6 @@ def test_minimal_config_parses_with_defaults():
     assert isinstance(cfg.agent, Quadratic)
     assert isinstance(cfg.mechanism, Zero)
     assert cfg.mu0 == 0.6
-    assert cfg.n_mu == 1001
     assert cfg.seed is None
     assert cfg.n_refinements == 50
 
@@ -80,8 +79,6 @@ def test_bad_grid_values_become_config_errors():
     ("refinements", "count", 0),
     ("refinements", "count", -3),
     ("refinements", "count", 2.5),
-    ("belief_grid", "n_mu", 1),
-    ("belief_grid", "n_mu", 100.5),
     ("grid", "n", 9.7),
     ("grid", "n", "9"),
     ("seed", None, True),
@@ -94,6 +91,75 @@ def test_bad_integer_settings_rejected(key, sub, value):
         raw.setdefault(key, {})[sub] = value
     with pytest.raises(ConfigError):
         parse_config(raw)
+
+
+@pytest.mark.parametrize("n_mu", [1001, 1, 100.5])
+def test_belief_grid_key_rejected(n_mu):
+    """Belief scans read exact breakpoints, so no belief grid is configured."""
+    with pytest.raises(ConfigError, match="unknown key.*belief_grid"):
+        parse_config(_cfg(belief_grid={"n_mu": n_mu}))
+
+
+@pytest.mark.parametrize("where, spec, match", [
+    ("agent", {"family": "cara"}, "missing required key 'gamma'"),
+    ("agent", {"family": "cara", "gamma": "x"}, "gamma must be a finite"),
+    ("agent", {"family": "cara", "gamma": True}, "gamma must be a finite"),
+    ("agent", {"family": "cara", "gamma": 1.0, "beta": 2.0}, "unknown key"),
+    ("principal", {"family": "quadratic", "alpha": 1.0, "beta": 1.0,
+                   "quad": 1.0, "extra": 0}, "unknown key"),
+    ("agent", {"family": "tabulated", "u1": "x", "u0": []}, "u1 must be a list"),
+    ("agent", {"family": "tabulated", "u1": [0, "1"], "u0": [0, 1]},
+     "u1 entry must be a finite"),
+    ("agent", {"family": "logit", "gamma": 1.0}, "unknown family"),
+    ("agent", [1.0], "must be an object"),
+    ("mechanism", {"type": "linear"}, "missing required key 'beta_tax'"),
+    ("mechanism", {"type": "linear", "beta_tax": "0.1"}, "beta_tax must be"),
+    ("mechanism", {"type": "zero", "lambda": 0.1}, "unknown key"),
+    ("mechanism", {"type": "fixed_tax_hard_quota", "lambda": 0.1,
+                   "quota": 1.0, "cap": 2.0}, "unknown key"),
+    ("mechanism", {"type": "tabulated", "phi": ["inf", "0.5"]},
+     "phi entry must be a finite"),
+    ("mechanisms", [{"type": "exponential"}], "missing required key 'eta'"),
+    ("mechanisms", {"type": "zero"}, "'mechanisms' must be a non-empty list"),
+    ("mechanisms", [], "'mechanisms' must be a non-empty list"),
+    ("ambiguity", [], "'ambiguity' must be a non-empty list"),
+    ("ambiguity", [{"family": "crra", "gamma": 2.0, "eps": None}],
+     "eps must be a finite"),
+])
+def test_bad_payoff_and_mechanism_payload_rejected(where, spec, match):
+    raw = _cfg()
+    if where in ("agent", "principal"):
+        raw["payoff"][where] = spec
+    else:
+        raw[where] = spec
+    with pytest.raises(ConfigError, match=match):
+        parse_config(raw)
+
+
+def test_tabulated_specs_with_prohibited_levels_parse():
+    raw = _cfg(mechanism={"type": "tabulated", "phi": [0.0, 0.5, "inf"]})
+    raw["grid"]["n"] = 3
+    raw["payoff"]["agent"] = {"family": "tabulated", "u1": [0, 1, 2],
+                              "u0": [0.0, -1.0, -2.5]}
+    cfg = parse_config(raw)
+    assert cfg.mechanism.tax_profile(cfg.grid)[1].tolist() == [False, False,
+                                                               True]
+    assert cfg.agent.u0(cfg.grid.points).tolist() == [0.0, -1.0, -2.5]
+
+
+@pytest.mark.parametrize("mu0", ["0.6", True, None, [0.6]])
+def test_prior_must_be_a_number(mu0):
+    raw = _cfg()
+    raw["prior"]["mu0"] = mu0
+    with pytest.raises(ConfigError, match="prior.mu0 must be a finite"):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize("key", ["grid", "prior", "payoff", "tree",
+                                 "refinements"])
+def test_non_object_sections_rejected(key):
+    with pytest.raises(ConfigError, match="must be an object"):
+        parse_config(_cfg(**{key: [1]}))
 
 
 @pytest.mark.parametrize("l_max", [float("inf"), float("nan"), "2.0", 0.0])

@@ -6,7 +6,7 @@ import pytest
 from robustquota import (CARA, DomainError, Exponential, FixedTaxHardQuota,
                          LevelGrid, Linear, TabulatedMechanism,
                          UnreachableLevelError, Zero, adjusted_profiles,
-                         mechanism_adjusted, mechanism_from_dict)
+                         mechanism_from_dict)
 
 
 def test_quota_prohibits_strictly_beyond():
@@ -56,14 +56,6 @@ def test_adjusted_profiles_sides():
     v1, v0, _ = adjusted_profiles(p, m, "principal", g)
     assert np.allclose(a1, p.u1(g.points) - g.points)
     assert np.allclose(v1, p.u1(g.points) + g.points)
-
-
-def test_mechanism_adjusted_prohibited_semantics():
-    g = LevelGrid(2.0, 5)
-    m = FixedTaxHardQuota(0.1, 1.0)
-    assert mechanism_adjusted(CARA(1.0), m, "agent", 0.5, 2.0, g) == -math.inf
-    with pytest.raises(UnreachableLevelError):
-        mechanism_adjusted(CARA(1.0), m, "principal", 0.5, 2.0, g)
 
 
 def test_dict_roundtrip_with_inf():

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustquota import (CARA, CRRA, DomainError, LevelGrid, Quadratic,
-                         Tabulated, cara_pair, indirect_utility,
-                         liability_transform, payoff_from_dict, quadratic_pair)
+                         Tabulated, cara_pair, liability_transform,
+                         payoff_from_dict, quadratic_pair)
 
 
 def test_quadratic_closed_form():
@@ -19,7 +19,7 @@ def test_quadratic_pair_agent_is_risk_neutral():
     # agent indirect utility collapses to (2 mu - 1) l
     for mu in (0.0, 0.3, 0.6, 1.0):
         for l in (0.0, 0.5, 2.0):
-            assert indirect_utility(agent, mu, l) == pytest.approx((2 * mu - 1) * l)
+            assert agent.indirect(mu, l) == pytest.approx((2 * mu - 1) * l)
     assert principal.quad == 1.0
 
 
@@ -38,14 +38,6 @@ def test_crra_floors_the_origin():
 def test_crra_rejects_log_case():
     with pytest.raises(DomainError):
         CRRA(1.0)
-
-
-def test_indirect_utility_domain_checks():
-    g = LevelGrid(1.0, 11)
-    with pytest.raises(DomainError):
-        indirect_utility(CARA(1.0), 1.5, 0.5, g)
-    with pytest.raises(DomainError):
-        indirect_utility(CARA(1.0), 0.5, 2.0, g)
 
 
 def test_liability_transform_caps_the_gap():
@@ -95,5 +87,5 @@ def test_indirect_is_affine_in_shift(mu, l, c):
     base = Tabulated(g, tuple(cara.u1(g.points)), tuple(cara.u0(g.points)))
     shifted = Tabulated(g, tuple(cara.u1(g.points) + c),
                         tuple(cara.u0(g.points) + c))
-    assert indirect_utility(shifted, mu, l, g) == pytest.approx(
-        indirect_utility(base, mu, l, g) + c, abs=1e-12)
+    assert shifted.indirect(mu, l) == pytest.approx(base.indirect(mu, l) + c,
+                                                   abs=1e-12)

@@ -103,9 +103,9 @@ def test_random_tree_is_valid_martingale(seed, mu0):
     assert all(len(b) <= 4 for b in p.beliefs)
     # iterated expectation: mean belief stays at the prior at every level
     mass = p.root_dist.copy()
-    for j in range(p.n_levels):
+    for j in range(p.grid.n):
         assert float(mass @ p.beliefs[j]) == pytest.approx(mu0, abs=1e-9)
-        if j < p.n_levels - 1:
+        if j < p.grid.n - 1:
             mass = mass @ p.kernels[j]
 
 
@@ -164,16 +164,6 @@ def test_random_tree_matches_dense_reference_on_close_support(monkeypatch, mu0):
 def test_random_tree_refuses_bad_arguments(mu0, max_beliefs):
     with pytest.raises(DomainError):
         random_tree(mu0, GRID, 0, max_beliefs)
-
-
-def test_json_roundtrip():
-    p = binomial_tree(0.4, GRID)
-    q = DiscreteLearningProcess.from_json(p.to_json())
-    assert q.mu0 == p.mu0
-    for a, b in zip(p.beliefs, q.beliefs):
-        assert np.allclose(a, b)
-    for a, b in zip(p.kernels, q.kernels):
-        assert np.allclose(a, b)
 
 
 @st.composite

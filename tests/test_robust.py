@@ -94,6 +94,12 @@ def test_prior_outside_unit_interval_rejected(compute, mu0):
         compute(mu0)
 
 
+@pytest.mark.parametrize("ambiguity", [(), []], ids=["tuple", "list"])
+def test_joint_robust_refuses_empty_ambiguity(ambiguity):
+    with pytest.raises(DomainError, match="empty"):
+        compute_joint_robust(ambiguity, CARA(3.0), 0.6, LevelGrid(2.0, 11))
+
+
 def test_joint_robust_monotone_in_ambiguity():
     principal = CARA(3.0)
     grid = LevelGrid(2.0, 501)

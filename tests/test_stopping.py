@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from robustquota import (CARA, DomainError, EmptyMechanismError,
                          FixedTaxHardQuota, LevelGrid, TabulatedMechanism,
-                         Zero, adjusted_profiles, agent_value, binomial_tree,
+                         Zero, adjusted_profiles, binomial_tree,
                          cara_pair, compute_robust, full_revelation,
                          no_learning, one_shot_level, principal_value,
                          quadratic_pair, random_tree, simulate, single_split,
@@ -16,6 +16,8 @@ from robustquota.adversary import indifference_G
 from robustquota.mechanisms import Mechanism
 from robustquota.processes import CSRKernel
 from robustquota.stopping import backward, forward
+
+from badnews_tree import bad_news_tree
 
 
 def test_no_learning_under_robust_mechanism_binds():
@@ -80,7 +82,6 @@ def test_nonparticipation_returns_outside_option():
     m = FixedTaxHardQuota(5.0, 1.0)  # punitive flat tax
     sol = solve_stopping(no_learning(0.6, grid), agent, m)
     assert not sol.participation
-    assert agent_value(sol) == sol.outside_option
     assert principal_value(sol, principal, m) == pytest.approx(
         principal.indirect(0.6, 0.0))
 
@@ -132,7 +133,7 @@ def test_simulate_within_dkw_band():
     agent, principal = cara_pair(1.0, 3.0)
     grid = LevelGrid(2.0, 41)
     ind = indifference_G(agent, Zero(), grid, 0.5, principal)
-    proc = ind.bn.to_process()
+    proc = bad_news_tree(ind.bn)
     sol = solve_stopping(proc, agent, Zero())
     n = 20_000
     levels, _, mass = simulate(proc, sol, n, seed=11)
@@ -205,7 +206,7 @@ def _simulate_by_paths(proc, sol, n_paths, seed):
 
 def _badnews_process(grid):
     agent, principal = cara_pair(1.0, 3.0)
-    return indifference_G(agent, Zero(), grid, 0.5, principal).bn.to_process()
+    return bad_news_tree(indifference_G(agent, Zero(), grid, 0.5, principal).bn)
 
 
 @pytest.mark.parametrize("make", [
