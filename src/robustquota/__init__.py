@@ -10,7 +10,7 @@ from .adaptive import (AdaptivePolicy, BinaryExperiment, evaluate_adaptive,
 from .adversary import (BadNewsLPResult, GapResult, OracleResult, payoff_gap,
                         principal_prefers_earlier, solve_badnews_lp,
                         tree_oracle_worst_case)
-from .badnews import BadNewsProcess, effective_end, obedience_slacks
+from .badnews import BadNewsProcess, obedience_slacks
 from .checks import (AssumptionReport, RatioReport, check_assumptions,
                      one_shot_level, one_shot_levels, pseudo_inverse_beliefs,
                      risk_ratio_condition)

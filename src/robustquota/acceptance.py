@@ -142,7 +142,7 @@ def criterion_4() -> str:
 
     assert abs(lp.gap) <= 1e-4 * abs(lp.value), \
         f"duality gap {lp.gap} vs primal {lp.value}"
-    a1, a0, _ = adjusted_profiles(agent, Zero(), "agent", grid)
+    a1, a0 = adjusted_profiles(agent, Zero(), "agent", grid)
     scale = max(1.0, float(np.abs(a0).max()), float(np.abs(a1).max()))
     assert lp.comp_slack_max <= 1e-6 * scale, \
         f"complementary slackness {lp.comp_slack_max} > {1e-6 * scale}"

@@ -7,7 +7,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .badnews import BadNewsProcess, effective_end, obedience_slacks
+from .badnews import BadNewsProcess, obedience_slacks
 from .checks import one_shot_intervals
 from .errors import (BudgetExceededError, ConditionViolatedError, DomainError,
                      InfeasibleLPError)
@@ -25,7 +25,7 @@ def principal_prefers_earlier(agent: PayoffSpec, principal: PayoffSpec,
     Read once on every belief interval where both one-shot levels are
     constant, so no violation is too narrow to be seen."""
     _, _, lu, lv = one_shot_intervals(agent, principal, m, grid)
-    end_level = grid.points[effective_end(m, grid)]
+    end_level = grid.points[len(m.tax_profile(grid)) - 1]
     interior = (lu > 1e-12) & (lu < end_level - 1e-12)
     return bool(np.all(lv <= lu + 1e-12)
                 and np.all(lv[interior] < lu[interior] - 1e-15))
@@ -76,15 +76,14 @@ class BadNewsLPResult:
 
 def _lp_data(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
              grid: LevelGrid, mu0: float):
-    """Profiles through the last allowed level, the belief-0 stop payoffs c
-    and the obedience right-hand sides b = mu0 (U^phi(1,l_end) - U^phi(1,l))."""
-    end = effective_end(m, grid)
-    a1, a0, _ = adjusted_profiles(agent, m, "agent", grid)
-    p1, p0, _ = adjusted_profiles(principal, m, "principal", grid)
-    a1, a0, p1, p0 = a1[:end + 1], a0[:end + 1], p1[:end + 1], p0[:end + 1]
+    """The last allowed level, the profiles through it, the belief-0 stop
+    payoffs c and the obedience right-hand sides
+    b = mu0 (U^phi(1,l_end) - U^phi(1,l))."""
+    a1, a0 = adjusted_profiles(agent, m, "agent", grid)
+    p1, p0 = adjusted_profiles(principal, m, "principal", grid)
     c = p0[stop_rule_at_zero(a0)]
     b = mu0 * (a1[-1] - a1)
-    return end, a1, a0, p1, p0, c, b
+    return len(a1) - 1, a1, a0, p1, p0, c, b
 
 
 def _binding_construction(a0: np.ndarray, b: np.ndarray,
@@ -393,13 +392,12 @@ def tree_oracle_worst_case(agent: PayoffSpec, principal: PayoffSpec, m: Mechanis
     if small_grid.n > 4 or len(B) > 5:
         raise BudgetExceededError(
             f"instance too large: {small_grid.n} levels, {len(B)} beliefs")
-    end = effective_end(m, small_grid)
-    a1, a0, _ = adjusted_profiles(agent, m, "agent", small_grid)
-    p1, p0, _ = adjusted_profiles(principal, m, "principal", small_grid)
-    nb = len(B)
+    a1, a0 = adjusted_profiles(agent, m, "agent", small_grid)
+    p1, p0 = adjusted_profiles(principal, m, "principal", small_grid)
+    end, nb = len(a1) - 1, len(B)
 
-    U = np.outer(a1[:end + 1], B) + np.outer(a0[:end + 1], 1 - B)  # (level, belief)
-    V = np.outer(p1[:end + 1], B) + np.outer(p0[:end + 1], 1 - B)
+    U = np.outer(a1, B) + np.outer(a0, 1 - B)  # (level, belief)
+    V = np.outer(p1, B) + np.outer(p0, 1 - B)
     outside = float(agent.indirect(mu0, 0.0))
     scale = max(1.0, float(np.abs(U).max()))
 
@@ -459,15 +457,18 @@ def payoff_gap(m: Mechanism, agent: PayoffSpec, principal: PayoffSpec,
                grid: LevelGrid, mu0: float) -> GapResult:
     """Delta(phi) = ADV guarantee minus the worst-case value of mechanism m.
     Without the earlier-stopping premise the tree oracle also attacks m, on 0
-    and three of the LP's continuation beliefs."""
+    and three of the LP's continuation beliefs, on at most 4 levels spanning
+    [0, last allowed level] so that its agent meets the same quota."""
     from .robust import compute_robust
     guarantee = compute_robust(agent, principal, mu0, grid).guarantee
     lp = solve_badnews_lp(agent, principal, m, grid, mu0)
     if lp.premise_ok:
         return GapResult(guarantee - lp.value, guarantee, lp.value,
                          "badnews_lp", True)
-    # earlier-stopping premise failed: bound via the small tree oracle
-    small = LevelGrid(grid.l_max, min(grid.n, 4))
+    # earlier-stopping premise failed (never with one allowed level, where
+    # both one-shot levels are 0): bound via the small tree oracle
+    end = lp.bn.end
+    small = LevelGrid(float(grid.points[end]), min(end + 1, 4))
     lam = lp.bn.cont_belief()
     idx = np.linspace(0, len(lam) - 1, 3).astype(int)
     beliefs = sorted({0.0, *(float(lam[i]) for i in idx)})

@@ -5,9 +5,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, EmptyMechanismError
+from .errors import DomainError
 from .grid import LevelGrid
-from .mechanisms import Mechanism
 
 
 @dataclass(frozen=True)
@@ -59,16 +58,6 @@ class BadNewsProcess:
         surv = 1.0 - self.G
         lam = np.where(surv > self.mu0 * 1e-15, self.mu0 / np.maximum(surv, 1e-300), 1.0)
         return np.minimum(lam, 1.0)
-
-
-def effective_end(m: Mechanism, grid: LevelGrid) -> int:
-    """Index of the last non-prohibited grid level; EmptyMechanismError
-    where every level is prohibited."""
-    _, proh = m.tax_profile(grid)
-    allowed = ~proh
-    if not allowed.any():
-        raise EmptyMechanismError("all levels prohibited")
-    return int(np.nonzero(allowed)[0][-1])
 
 
 def obedience_slacks(g: np.ndarray, a1: np.ndarray, a0: np.ndarray,

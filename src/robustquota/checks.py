@@ -5,7 +5,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DegenerateDerivativeError, DomainError, EmptyMechanismError
+from .errors import DegenerateDerivativeError, DomainError
 from .grid import LevelGrid
 from .mechanisms import Mechanism, Zero, adjusted_profiles
 from .payoffs import PayoffSpec
@@ -35,15 +35,14 @@ def one_shot_levels(p: PayoffSpec, mus: np.ndarray, grid: LevelGrid,
     bad = ~((mus >= 0.0) & (mus <= 1.0))
     if bad.any():
         raise DomainError(f"belief {mus[bad][0]} outside [0, 1]")
-    a1, a0, proh = adjusted_profiles(p, m, side, grid)
-    return grid.points[_top_lines(a1, a0, _one_shot_pieces(a1, a0, proh),
-                                  mus)]
+    a1, a0 = adjusted_profiles(p, m, side, grid)
+    return grid.points[_top_lines(a1, a0, _one_shot_pieces(a1, a0), mus)]
 
 
 def _top_lines(a1: np.ndarray, a0: np.ndarray, pieces: tuple,
                mus: np.ndarray) -> np.ndarray:
     """Grid index of the one-shot level at each belief in [0, 1], read off
-    pieces = _one_shot_pieces(a1, a0, proh) as one_shot_levels says."""
+    pieces = _one_shot_pieces(a1, a0) as one_shot_levels says."""
     starts, errs, lines, pos = pieces
     # candidates lines[lo..hi]: the piece holding mu, widened across every
     # start that lies within its rounding bound of mu (the running max and
@@ -62,13 +61,13 @@ def _top_lines(a1: np.ndarray, a0: np.ndarray, pieces: tuple,
     return np.maximum.reduceat(np.where(top, j, -1), first)
 
 
-def _one_shot_pieces(a1: np.ndarray, a0: np.ndarray, proh: np.ndarray
+def _one_shot_pieces(a1: np.ndarray, a0: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One-shot level on [0, 1] as pieces of the upper envelope of the lines
-    mu -> a0[j] + mu (a1[j] - a0[j]) over the allowed levels.
+    mu -> a0[j] + mu (a1[j] - a0[j]) over the allowed levels j < len(a1).
 
     No line after the top one at mu = 1 in slope order is on top in [0, 1];
-    `lines` holds the grid indices of the lines up to it in ascending slope
+    `lines` holds the level indices of the lines up to it in ascending slope
     order. Returns the ascending starts of the pieces (the first is 0), a
     bound on the rounding error of each start, `lines`, and the position in
     `lines` of each piece. The last piece is the largest argmax of a1; its
@@ -82,22 +81,20 @@ def _one_shot_pieces(a1: np.ndarray, a0: np.ndarray, proh: np.ndarray
     last line) is dropped, until none is.  In exact arithmetic this is the
     upper envelope on [0, 1].  In floats it may differ from a
     one-line-at-a-time stack only by pieces no wider than the rounding
-    bounds of their two starts.  No allowed level raises EmptyMechanismError.
+    bounds of their two starts.
     """
-    allowed = np.flatnonzero(~proh)
-    if allowed.size == 0:
-        raise EmptyMechanismError("all levels prohibited")
-    slope, icpt, at1 = (a1 - a0)[allowed], a0[allowed], a1[allowed]
-    # ascending slope, then a1, then level, so that the top line at mu = 1
-    # (the largest argmax of a1) ends its run of equal slopes
-    order = np.lexsort((allowed, at1, slope))
-    top1 = len(allowed) - 1 - np.argmax(at1[::-1])
+    slope = a1 - a0
+    # ascending slope, then a1, then level (lexsort is stable), so that the
+    # top line at mu = 1 (the largest argmax of a1) ends its run of equal
+    # slopes
+    order = np.lexsort((a1, slope))
+    top1 = len(a1) - 1 - np.argmax(a1[::-1])
     order = order[:np.flatnonzero(order == top1)[0] + 1]
     s = slope[order]
     # of equal slopes only the last (largest a1, then largest level) can be
     # on top
     hull = np.flatnonzero(np.append(s[1:] != s[:-1], True))
-    s, c = s[hull], icpt[order][hull]
+    s, c = s[hull], a0[order][hull]
     # nor can a line before the top one at mu = 0 (the last of the largest
     # a0): its slope is smaller and its a0 no larger
     top0 = len(c) - 1 - c[::-1].argmax()
@@ -122,7 +119,7 @@ def _one_shot_pieces(a1: np.ndarray, a0: np.ndarray, proh: np.ndarray
     errs = np.zeros(len(s))
     a, b = np.abs(c), np.abs(s)
     np.divide(4 * _EPS * (a[:-1] + a[1:] + b[:-1] + b[1:]), d, out=errs[1:])
-    return starts, errs, allowed[order], hull
+    return starts, errs, order, hull
 
 
 def one_shot_intervals(agent: PayoffSpec, principal: PayoffSpec,
@@ -161,8 +158,8 @@ def pseudo_inverse_beliefs(p: PayoffSpec, grid: LevelGrid, m: Mechanism = Zero()
     The running maximum assumes no monotonicity; `check_assumptions` reports
     levels that are not monotone in the belief.
     """
-    a1, a0, proh = adjusted_profiles(p, m, side, grid)
-    pieces = _one_shot_pieces(a1, a0, proh)
+    a1, a0 = adjusted_profiles(p, m, side, grid)
+    pieces = _one_shot_pieces(a1, a0)
     starts, _, lines, pos = pieces
     starts = np.minimum(starts, 1.0)
     top = np.maximum(lines[pos], _top_lines(a1, a0, pieces, starts))
@@ -301,18 +298,16 @@ def risk_ratio_condition(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     evaluated on their allowed prefix.  Families singular at the origin skip
     the first interior point.
     """
-    a1, a0, proh = adjusted_profiles(agent, m, "agent", grid)
-    p1, p0, _ = adjusted_profiles(principal, m, "principal", grid)
-    allowed = ~proh
-    if allowed.sum() < 3:
+    _, a0 = adjusted_profiles(agent, m, "agent", grid)
+    _, p0 = adjusted_profiles(principal, m, "principal", grid)
+    nT = len(a0)
+    if nT < 3:
         raise DomainError("too few allowed levels for finite differences")
-    nT = int(allowed.sum())
-    pts = grid.points[:nT]
-    dU = (a0[2:nT] - a0[:nT - 2]) / (2.0 * grid.h)
-    dV = (p0[2:nT] - p0[:nT - 2]) / (2.0 * grid.h)
+    dU = (a0[2:] - a0[:-2]) / (2.0 * grid.h)
+    dV = (p0[2:] - p0[:-2]) / (2.0 * grid.h)
     start = 1 if (agent.singular_at_zero or principal.singular_at_zero) else 0
     dU, dV = dU[start:], dV[start:]
-    levels = pts[1 + start:nT - 1]
+    levels = grid.points[1 + start:nT - 1]
     scale_dU = float(np.abs(dU).max())
     if np.any(np.abs(dU) <= 1e-14 * max(scale_dU, 1.0)):
         k = int(np.argmax(np.abs(dU) <= 1e-14 * max(scale_dU, 1.0)))

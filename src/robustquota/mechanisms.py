@@ -1,17 +1,17 @@
 """Transfer mechanisms phi(l) on the level grid, with hard quotas.
 
-A positive phi is a tax.  Prohibited levels (conceptually an infinite tax)
-are carried as an explicit boolean mask, never as a large float, so argmax
-and LP code can exclude them without overflow arithmetic.
+A positive phi is a tax.  A hard quota bounds development from above, so the
+levels a mechanism prohibits (conceptually an infinite tax) are a suffix of
+the grid: `tax_profile` returns phi on the allowed prefix only, and its
+length is the quota.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError, UnreachableLevelError
+from .errors import DomainError, EmptyMechanismError
 from .grid import LevelGrid
 from .payoffs import PayoffSpec
 
@@ -19,20 +19,10 @@ from .payoffs import PayoffSpec
 class Mechanism:
     """Base class.  `tax_profile(grid)` is the single evaluation entry point."""
 
-    def tax_profile(self, grid: LevelGrid) -> Tuple[np.ndarray, np.ndarray]:
-        """Return (phi values, prohibited mask) over the grid points.
-
-        phi is finite everywhere; prohibited levels have arbitrary phi entries
-        and must be read through the mask.
-        """
+    def tax_profile(self, grid: LevelGrid) -> np.ndarray:
+        """phi at the allowed levels, the first len(phi) grid points; the
+        levels past them are prohibited."""
         raise NotImplementedError
-
-    def tax(self, l: float, grid: LevelGrid) -> float:
-        phi, proh = self.tax_profile(grid)
-        j = grid.index_of(l)
-        if proh[j]:
-            raise UnreachableLevelError(f"level {l} is prohibited")
-        return float(phi[j])
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -43,7 +33,7 @@ class Zero(Mechanism):
     """Laissez-faire: no transfers, no quota."""
 
     def tax_profile(self, grid):
-        return np.zeros(grid.n), np.zeros(grid.n, dtype=bool)
+        return np.zeros(grid.n)
 
     def to_dict(self):
         return {"type": "zero"}
@@ -57,14 +47,13 @@ class FixedTaxHardQuota(Mechanism):
     quota: float
 
     def __post_init__(self):
-        if self.quota < 0:
+        if not self.quota >= 0:
             raise DomainError("quota must be nonnegative")
 
     def tax_profile(self, grid):
-        pts = grid.points
         # Half-step slack so a quota sitting on a grid point stays allowed.
-        proh = pts > self.quota + 0.5 * grid.h
-        return np.full(grid.n, float(self.lam)), proh
+        k = np.searchsorted(grid.points, self.quota + 0.5 * grid.h, "right")
+        return np.full(k, float(self.lam))
 
     def to_dict(self):
         return {"type": "fixed_tax_hard_quota", "lambda": self.lam, "quota": self.quota}
@@ -77,7 +66,7 @@ class Linear(Mechanism):
     beta_tax: float
 
     def tax_profile(self, grid):
-        return self.beta_tax * grid.points.copy(), np.zeros(grid.n, dtype=bool)
+        return self.beta_tax * grid.points
 
     def to_dict(self):
         return {"type": "linear", "beta_tax": self.beta_tax}
@@ -90,7 +79,7 @@ class Exponential(Mechanism):
     eta: float
 
     def tax_profile(self, grid):
-        return np.exp(self.eta * grid.points), np.zeros(grid.n, dtype=bool)
+        return np.exp(self.eta * grid.points)
 
     def to_dict(self):
         return {"type": "exponential", "eta": self.eta}
@@ -124,8 +113,7 @@ class TabulatedMechanism(Mechanism):
         if grid.n != self.grid.n or grid.l_max != self.grid.l_max:
             raise DomainError("tabulated mechanism evaluated on a different grid")
         v = np.asarray(self.values)
-        proh = np.isposinf(v)
-        return np.where(proh, 0.0, v), proh
+        return v[np.isfinite(v)]
 
     def to_dict(self):
         return {"type": "tabulated",
@@ -133,34 +121,49 @@ class TabulatedMechanism(Mechanism):
 
 
 def adjusted_profiles(p: PayoffSpec, m: Mechanism, side: str, grid: LevelGrid):
-    """(adjusted u(1,.), adjusted u(0,.), prohibited mask) over the grid.
+    """(adjusted u(1,.), adjusted u(0,.)) at the allowed levels, the first
+    len(phi) grid points.  Agent side subtracts the tax, principal side
+    receives it.
 
-    Agent side subtracts the tax, principal side receives it.
+    The one check on a mechanism's profile: one that is not a 1-D array of
+    at most grid.n finite numbers raises DomainError, and an empty one
+    (every level prohibited) EmptyMechanismError.
     """
-    phi, proh = m.tax_profile(grid)
-    pts = grid.points
+    if side not in ("agent", "principal"):
+        raise DomainError(f"side must be 'agent' or 'principal', got {side!r}")
+    phi = np.asarray(m.tax_profile(grid))
+    if (phi.ndim != 1 or phi.dtype.kind not in "iuf" or len(phi) > grid.n
+            or not np.isfinite(phi).all()):
+        raise DomainError(f"tax profile must be a 1-D array of at most "
+                          f"{grid.n} finite numbers")
+    if len(phi) == 0:
+        raise EmptyMechanismError("all levels prohibited")
+    pts = grid.points[:len(phi)]
     if side == "agent":
-        return p.u1(pts) - phi, p.u0(pts) - phi, proh
-    if side == "principal":
-        return p.u1(pts) + phi, p.u0(pts) + phi, proh
-    raise DomainError(f"side must be 'agent' or 'principal', got {side!r}")
+        return p.u1(pts) - phi, p.u0(pts) - phi
+    return p.u1(pts) + phi, p.u0(pts) + phi
 
 
 def mechanism_from_dict(d: dict, grid: LevelGrid = None) -> Mechanism:
     if not isinstance(d, dict) or "type" not in d:
         raise DomainError("mechanism spec must be an object with a 'type' key")
     t = d["type"]
-    if t == "zero":
-        return Zero()
-    if t == "fixed_tax_hard_quota":
-        return FixedTaxHardQuota(d["lambda"], d["quota"])
-    if t == "linear":
-        return Linear(d["beta_tax"])
-    if t == "exponential":
-        return Exponential(d["eta"])
-    if t == "tabulated":
-        if grid is None:
-            raise DomainError("tabulated mechanism requires a grid")
-        vals = [math.inf if x == "inf" else float(x) for x in d["phi"]]
-        return TabulatedMechanism(grid, tuple(vals))
+    try:
+        if t == "zero":
+            return Zero()
+        if t == "fixed_tax_hard_quota":
+            return FixedTaxHardQuota(d["lambda"], d["quota"])
+        if t == "linear":
+            return Linear(d["beta_tax"])
+        if t == "exponential":
+            return Exponential(d["eta"])
+        if t == "tabulated":
+            if grid is None:
+                raise DomainError("tabulated mechanism requires a grid")
+            vals = [math.inf if x == "inf" else float(x) for x in d["phi"]]
+            return TabulatedMechanism(grid, tuple(vals))
+    except KeyError as e:
+        raise DomainError(f"{t!r} mechanism spec lacks key {e}") from None
+    except TypeError as e:
+        raise DomainError(f"{t!r} mechanism spec {d!r}: {e}") from None
     raise DomainError(f"unknown mechanism type {t!r}")

@@ -170,14 +170,19 @@ def payoff_from_dict(d: dict, grid: LevelGrid = None) -> PayoffSpec:
     if not isinstance(d, dict) or "family" not in d:
         raise DomainError("payoff spec must be an object with a 'family' key")
     fam = d["family"]
-    if fam == "quadratic":
-        return Quadratic(d["alpha"], d["beta"], d.get("quad", 0.0))
-    if fam == "cara":
-        return CARA(d["gamma"])
-    if fam == "crra":
-        return CRRA(d["gamma"], d.get("eps", 1e-9))
-    if fam == "tabulated":
-        if grid is None:
-            raise DomainError("tabulated payoff requires a grid")
-        return Tabulated(grid, tuple(d["u1"]), tuple(d["u0"]))
+    try:
+        if fam == "quadratic":
+            return Quadratic(d["alpha"], d["beta"], d.get("quad", 0.0))
+        if fam == "cara":
+            return CARA(d["gamma"])
+        if fam == "crra":
+            return CRRA(d["gamma"], d.get("eps", 1e-9))
+        if fam == "tabulated":
+            if grid is None:
+                raise DomainError("tabulated payoff requires a grid")
+            return Tabulated(grid, tuple(d["u1"]), tuple(d["u0"]))
+    except KeyError as e:
+        raise DomainError(f"{fam!r} payoff spec lacks key {e}") from None
+    except TypeError as e:
+        raise DomainError(f"{fam!r} payoff spec {d!r}: {e}") from None
     raise DomainError(f"unknown payoff family {fam!r}")

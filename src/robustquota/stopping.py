@@ -7,8 +7,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .badnews import effective_end
-from .errors import DomainError, RobustQuotaError
+from .errors import DomainError, RobustQuotaError, UnreachableLevelError
 from .mechanisms import Mechanism, adjusted_profiles
 from .payoffs import PayoffSpec
 from .processes import CSRKernel, DiscreteLearningProcess
@@ -89,10 +88,8 @@ def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
     U(mu0, 0), within 1e-9.
     """
     grid = proc.grid
-    a1, a0, proh = adjusted_profiles(agent, m, "agent", grid)
-    end = effective_end(m, grid)
-    if proh[:end + 1].any():
-        raise DomainError("prohibited set must be upward-closed")
+    a1, a0 = adjusted_profiles(agent, m, "agent", grid)
+    end = len(a1) - 1
 
     # the stop payoffs, one float per node, are freed before the forward pass
     values, stop_set = backward(
@@ -120,14 +117,15 @@ def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
 
 def principal_value(sol: StoppingSolution, principal: PayoffSpec, m: Mechanism) -> float:
     """E[V^phi] over the stopping distribution; the outside option V(mu0, 0)
-    when the agent does not participate."""
+    when the agent does not participate.  Stopping mass on a level that m
+    prohibits raises UnreachableLevelError."""
     grid = sol.proc.grid
     if not sol.participation:
         return float(principal.indirect(sol.mu0, 0.0))
-    p1, p0, proh = adjusted_profiles(principal, m, "principal", grid)
+    p1, p0 = adjusted_profiles(principal, m, "principal", grid)
     idx = sol.joint_index
-    if proh[idx].any():
-        raise RobustQuotaError("stopping mass on a prohibited level")
+    if idx.max() >= len(p1):
+        raise UnreachableLevelError("stopping mass on a prohibited level")
     vals = sol.joint_belief * p1[idx] + (1.0 - sol.joint_belief) * p0[idx]
     return float(vals @ sol.joint_mass)
 

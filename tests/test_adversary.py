@@ -11,7 +11,7 @@ from robustquota import (BudgetExceededError, ConditionViolatedError,
                          DomainError, FixedTaxHardQuota, InfeasibleLPError,
                          IterationLimitError, LevelGrid,
                          Linear, Tabulated, Zero, cara_pair, compute_robust,
-                         effective_end, quadratic_pair, verify_guarantee)
+                         quadratic_pair, verify_guarantee)
 from robustquota import adversary
 from robustquota.adversary import (badnews_value, indifference_G, payoff_gap,
                                    principal_prefers_earlier, solve_badnews_lp,
@@ -167,10 +167,9 @@ def _paper_lambda(agent, principal, m, grid):
     differences on levels 0..end-1.  (Its constant branch below the support
     start, V^phi(0, lbar)/U^phi(0, lbar), gives a loose bound where the
     support starts above level 0.)"""
-    end = effective_end(m, grid)
-    _, a0, _ = adjusted_profiles(agent, m, "agent", grid)
-    _, p0, _ = adjusted_profiles(principal, m, "principal", grid)
-    return np.diff(p0[:end + 1]) / np.diff(a0[:end + 1])
+    _, a0 = adjusted_profiles(agent, m, "agent", grid)
+    _, p0 = adjusted_profiles(principal, m, "principal", grid)
+    return np.diff(p0) / np.diff(a0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -248,6 +247,29 @@ def test_payoff_gap_zero_for_robust_mechanism():
     gap = payoff_gap(rob.mechanism, agent, principal, grid, 0.6)
     assert gap.delta == pytest.approx(0.0, abs=1e-8)
     assert gap.route == "badnews_lp"
+
+
+def test_payoff_gap_oracle_meets_the_same_quota(monkeypatch):
+    """Where the premise fails, the oracle attacks m on a grid that ends at
+    m's last allowed level, so its agent stops where the LP's must; on
+    [0, l_max] with 4 points, quota 0.52 let it develop to 2/3."""
+    agent, principal = cara_pair(0.76, 2.07)
+    m = FixedTaxHardQuota(0.07, 0.52)
+    grid = LevelGrid(2.0, 101)
+    oracle_grids = []
+    oracle = adversary.tree_oracle_worst_case
+
+    def spy(agent, principal, m, small_grid, beliefs, mu0):
+        oracle_grids.append(small_grid)
+        return oracle(agent, principal, m, small_grid, beliefs, mu0)
+
+    monkeypatch.setattr(adversary, "tree_oracle_worst_case", spy)
+    gap = payoff_gap(m, agent, principal, grid, 0.42)
+    assert gap.route == "tree_oracle"
+    end = solve_badnews_lp(agent, principal, m, grid, 0.42).bn.end
+    (small,) = oracle_grids
+    assert small.n == 4 and small.l_max == grid.points[end]
+    assert len(m.tax_profile(small)) == small.n
 
 
 def test_payoff_gap_positive_for_laissez_faire():
@@ -395,12 +417,11 @@ def _pattern_oracle(agent, principal, m, small_grid, belief_support, mu0,
     sigma(level, belief) over the truncated paths that pattern leaves.
     Returns (value, rows (level, belief, mass) of the stopped paths)."""
     B = np.asarray(sorted(set(float(b) for b in belief_support)))
-    end = effective_end(m, small_grid)
-    a1, a0, _ = adjusted_profiles(agent, m, "agent", small_grid)
-    p1, p0, _ = adjusted_profiles(principal, m, "principal", small_grid)
-    nb = len(B)
-    U = np.outer(B, a1[:end + 1]) + np.outer(1 - B, a0[:end + 1])
-    V = np.outer(B, p1[:end + 1]) + np.outer(1 - B, p0[:end + 1])
+    a1, a0 = adjusted_profiles(agent, m, "agent", small_grid)
+    p1, p0 = adjusted_profiles(principal, m, "principal", small_grid)
+    end, nb = len(a1) - 1, len(B)
+    U = np.outer(B, a1) + np.outer(1 - B, a0)
+    V = np.outer(B, p1) + np.outer(1 - B, p0)
     outside = float(agent.indirect(mu0, 0.0))
     scale = max(1.0, float(np.abs(U).max()))
     stop_valid = np.ones((end, nb), dtype=bool)
@@ -507,12 +528,11 @@ def _full_history_oracle(agent, principal, m, small_grid, belief_support,
     leave belief 0 or 1 included.  Returns (value, the column histories as
     tuples of belief indices, the solution)."""
     B = np.asarray(sorted(set(float(b) for b in belief_support)))
-    end = effective_end(m, small_grid)
-    a1, a0, _ = adjusted_profiles(agent, m, "agent", small_grid)
-    p1, p0, _ = adjusted_profiles(principal, m, "principal", small_grid)
-    nb = len(B)
-    U = np.outer(a1[:end + 1], B) + np.outer(a0[:end + 1], 1 - B)
-    V = np.outer(p1[:end + 1], B) + np.outer(p0[:end + 1], 1 - B)
+    a1, a0 = adjusted_profiles(agent, m, "agent", small_grid)
+    p1, p0 = adjusted_profiles(principal, m, "principal", small_grid)
+    end, nb = len(a1) - 1, len(B)
+    U = np.outer(a1, B) + np.outer(a0, 1 - B)
+    V = np.outer(p1, B) + np.outer(p0, 1 - B)
     outside = float(agent.indirect(mu0, 0.0))
     level = np.repeat(np.arange(end + 1), nb ** np.arange(1, end + 2))
     code = np.concatenate([np.arange(nb ** (j + 1)) for j in range(end + 1)])
@@ -614,10 +634,9 @@ def test_pruned_oracle_counts_reachable_stop_ok_histories(monkeypatch, seed):
     agent, principal, m, grid, beliefs, mu0 = _random_oracle_instance(
         np.random.default_rng(seed))
     B = [0.0, *beliefs[1:-1], 1.0]
-    end = effective_end(m, grid)
-    a1, a0, _ = adjusted_profiles(agent, m, "agent", grid)
-    ok = _stop_ok(np.outer(a1[:end + 1], B)
-                  + np.outer(a0[:end + 1], 1 - np.array(B)))
+    a1, a0 = adjusted_profiles(agent, m, "agent", grid)
+    end = len(a1) - 1
+    ok = _stop_ok(np.outer(a1, B) + np.outer(a0, 1 - np.array(B)))
     expected = sum(bool(ok[j, h[-1]]) and _stays_once_extreme(h, B)
                    for j in range(end + 1)
                    for h in itertools.product(range(len(B)), repeat=j + 1))

@@ -3,7 +3,7 @@ import pytest
 
 from robustquota import (BadNewsProcess, DomainError, EmptyMechanismError,
                          FixedTaxHardQuota, LevelGrid, TabulatedMechanism, Zero,
-                         adjusted_profiles, cara_pair, effective_end,
+                         adjusted_profiles, cara_pair,
                          no_learning, obedience_slacks, one_shot_levels,
                          solve_badnews_lp, solve_stopping,
                          tree_oracle_worst_case)
@@ -50,17 +50,20 @@ def test_to_process_reproduces_beliefs_and_mass():
         assert mass[1] == pytest.approx(1.0 - bn.G[j + 1])
 
 
-def test_effective_end_with_quota():
-    m = FixedTaxHardQuota(0.0, 1.0)
-    assert GRID.points[effective_end(m, GRID)] == pytest.approx(1.0)
-    assert effective_end(Zero(), GRID) == GRID.n - 1
+def test_worst_process_ends_at_the_quota():
+    agent, principal = cara_pair(1.0, 3.0)
+    bn = solve_badnews_lp(agent, principal, FixedTaxHardQuota(0.0, 1.0),
+                          GRID, 0.5).bn
+    assert GRID.points[bn.end] == pytest.approx(1.0)
+    assert solve_badnews_lp(agent, principal, Zero(), GRID, 0.5).bn.end \
+        == GRID.n - 1
 
 
 def test_all_levels_prohibited_is_one_error():
     grid = LevelGrid(1.0, 4)
     m = TabulatedMechanism(grid, (float("inf"),) * 4)
     agent, principal = cara_pair(1.0, 3.0)
-    calls = [lambda: effective_end(m, grid),
+    calls = [lambda: adjusted_profiles(agent, m, "agent", grid),
              lambda: solve_badnews_lp(agent, principal, m, grid, 0.5),
              lambda: tree_oracle_worst_case(agent, principal, m, grid,
                                             [0.0, 1.0], 0.5),
@@ -82,7 +85,7 @@ def test_indifference_construction_is_obedient():
     agent, principal = cara_pair(1.0, 3.0)
     ind = indifference_G(agent, Zero(), GRID, 0.5, principal)
     e = ind.bn.end
-    a1, a0, _ = adjusted_profiles(agent, Zero(), "agent", GRID)
+    a1, a0 = adjusted_profiles(agent, Zero(), "agent", GRID)
     a1, a0 = a1[:e + 1], a0[:e + 1]
     slacks = obedience_slacks(ind.bn.g, a1, a0, ind.bn.mu0)
     max_violation = max(0.0, -slacks.min())

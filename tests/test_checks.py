@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from robustquota import (CARA, CRRA, DegenerateDerivativeError, DomainError,
                          EmptyMechanismError, Exponential, FixedTaxHardQuota,
-                         LevelGrid, Linear, Quadratic, Tabulated, Zero,
-                         adjusted_profiles, belief_grid, cara_pair,
+                         LevelGrid, Linear, Quadratic, Tabulated,
+                         TabulatedMechanism, Zero, adjusted_profiles,
+                         belief_grid, cara_pair,
                          check_assumptions, one_shot_level, one_shot_levels,
                          pseudo_inverse_beliefs, quadratic_pair,
                          risk_ratio_condition)
@@ -58,22 +59,21 @@ def test_one_shot_levels_vectorized_agrees():
 def _dense_levels(p, mus, grid, m, side):
     """Reference: U^phi(mu, l) = mu a1 + (1 - mu) a0 on the whole belief x
     allowed-level grid, the largest maximiser in each row."""
-    a1, a0, proh = adjusted_profiles(p, m, side, grid)
-    vals = np.outer(mus, a1[~proh]) + np.outer(1.0 - mus, a0[~proh])
+    a1, a0 = adjusted_profiles(p, m, side, grid)
+    vals = np.outer(mus, a1) + np.outer(1.0 - mus, a0)
     # last argmax per row: argmax of the reversed columns finds the first of
     # the reversed ties, i.e. the largest level
     idx = vals.shape[1] - 1 - np.argmax(vals[:, ::-1], axis=1)
-    return grid.points[~proh][idx]
+    return grid.points[idx]
 
 
 def _exact_level(p, mu, grid, m, side):
     """Largest maximiser of U^phi(mu, .), evaluated exactly on the float
     data."""
-    a1, a0, proh = adjusted_profiles(p, m, side, grid)
+    a1, a0 = adjusted_profiles(p, m, side, grid)
     mu = Fraction(mu)
     return max((mu * Fraction(x1) + (1 - mu) * Fraction(x0), lev)
-               for x1, x0, lev in zip(a1[~proh], a0[~proh],
-                                      grid.points[~proh]))[1]
+               for x1, x0, lev in zip(a1, a0, grid.points))[1]
 
 
 def _profile(family, mech, l_max, n, seed):
@@ -116,22 +116,21 @@ def test_one_shot_levels_match_dense_reference(family, mech, side, l_max, n,
     for i in np.flatnonzero(got != want):
         assert _exact_level(p, mus[i], grid, m, side) == got[i]
 
-    a1, a0, proh = adjusted_profiles(p, m, side, grid)
-    _, _, lines, pos = _one_shot_pieces(a1, a0, proh)
-    allowed = np.flatnonzero(~proh)
-    assert lines[pos[-1]] == allowed[a1[allowed] == a1[allowed].max()].max()
+    a1, a0 = adjusted_profiles(p, m, side, grid)
+    _, _, lines, pos = _one_shot_pieces(a1, a0)
+    assert lines[pos[-1]] == np.flatnonzero(a1 == a1.max()).max()
 
 
-def _loop_pieces(a1, a0, proh):
+def _loop_pieces(a1, a0):
     """Reference: `_one_shot_pieces` with the hull built one line at a time
     on a stack, popping every line the new one overtakes at or before its
     start."""
-    allowed = np.flatnonzero(~proh)
-    slope, icpt, at1 = (a1 - a0)[allowed], a0[allowed], a1[allowed]
+    levels = np.arange(len(a1))
+    slope, icpt, at1 = a1 - a0, a0, a1
     # ascending slope, then a1, then level, so that the top line at mu = 1
     # (the largest argmax of a1) ends its run of equal slopes
-    order = np.lexsort((allowed, at1, slope))
-    top1 = len(allowed) - 1 - np.argmax(at1[::-1])
+    order = np.lexsort((levels, at1, slope))
+    top1 = len(levels) - 1 - np.argmax(at1[::-1])
     order = order[:np.flatnonzero(order == top1)[0] + 1]
     s = slope[order]
     # of equal slopes only the last (largest a1, then largest level) can be
@@ -154,7 +153,7 @@ def _loop_pieces(a1, a0, proh):
             hull.append(k)
             starts.append(x)
             errs.append(e)
-    return np.array(starts), np.array(errs), allowed[order], np.array(hull)
+    return np.array(starts), np.array(errs), levels[order], np.array(hull)
 
 
 def _assert_hull_matches_loop(p, m, grid, side):
@@ -163,9 +162,9 @@ def _assert_hull_matches_loop(p, m, grid, side):
     where both hold the same lines, and otherwise a line held by one hull
     only owns a piece no wider than the rounding bounds at its two ends.
     Returns whether the hulls differ."""
-    a1, a0, proh = adjusted_profiles(p, m, side, grid)
-    got = _one_shot_pieces(a1, a0, proh)
-    ref = _loop_pieces(a1, a0, proh)
+    a1, a0 = adjusted_profiles(p, m, side, grid)
+    got = _one_shot_pieces(a1, a0)
+    ref = _loop_pieces(a1, a0)
     assert np.array_equal(got[2], ref[2])
     assert got[3][-1] == ref[3][-1]
     mus = belief_grid(1001)
@@ -217,14 +216,18 @@ def test_one_shot_pieces_drop_a_line_tied_with_both_neighbours():
     # lines 0, mu - 1/2 and 2 mu - 1 meet at mu = 1/2: the middle one is on
     # top at that belief only, so it owns no piece
     a1, a0 = np.array([0.0, 0.5, 1.0]), np.array([0.0, -0.5, -1.0])
-    starts, errs, lines, pos = _one_shot_pieces(a1, a0, np.zeros(3, bool))
+    starts, errs, lines, pos = _one_shot_pieces(a1, a0)
     assert pos.tolist() == [0, 2] and lines.tolist() == [0, 1, 2]
     assert starts.tolist() == [0.0, 0.5]
 
 
 def test_one_shot_pieces_refuse_an_empty_mechanism():
-    with pytest.raises(EmptyMechanismError):
-        _one_shot_pieces(np.zeros(2), np.zeros(2), np.ones(2, bool))
+    # the pieces are built from adjusted_profiles, which refuses a mechanism
+    # that prohibits every level before any line is drawn
+    grid = LevelGrid(1.0, 2)
+    m = TabulatedMechanism(grid, (float("inf"),) * 2)
+    with pytest.raises(EmptyMechanismError, match="all levels prohibited"):
+        _one_shot_pieces(*adjusted_profiles(CARA(1.0), m, "agent", grid))
 
 
 @pytest.mark.parametrize("mu", [np.nan, 1.5, -0.5])

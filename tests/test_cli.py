@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +189,29 @@ def test_accept_subset(tmp_path, capsys):
     assert rc == 0
     text = (out / "acceptance.txt").read_text()
     assert "PASS" in text and "\n" == text[-1]
+
+
+def test_tabulated_quota_config_matches_fixed_tax_quota(tmp_path):
+    """The shipped tabulated config (phi = 0.1 through level 0.5, then
+    prohibited) gives bitwise the outputs of FixedTaxHardQuota(0.1, 0.5),
+    but for gap.csv's mechanism-name column."""
+    shipped = Path(__file__).resolve().parents[1] / "configs" / \
+        "tabulated_quota.json"
+    raw = json.loads(shipped.read_text())
+    raw["mechanism"] = {"type": "fixed_tax_hard_quota", "lambda": 0.1,
+                        "quota": 0.5}
+    outs = {}
+    for name, cfg in (("tabulated", str(shipped)),
+                      ("fixed", _write(tmp_path, raw))):
+        outs[name] = tmp_path / name
+        for cmd in ("worstcase", "gap"):
+            assert main(["--config", cfg, "--out", str(outs[name]),
+                         cmd]) == 0
+    for f in ("worstcase.csv", "worstcase_value.json"):
+        assert (outs["tabulated"] / f).read_bytes() == \
+            (outs["fixed"] / f).read_bytes()
+    gap = [list(csv.reader((out / "gap.csv").read_text().splitlines()))
+           for out in (outs["tabulated"], outs["fixed"])]
+    assert [r[0] for r in gap[0][1:]] == ["tabulated"]
+    assert [r[0] for r in gap[1][1:]] == ["fixed_tax_hard_quota"]
+    assert [r[1:] for r in gap[0]] == [r[1:] for r in gap[1]]

@@ -142,8 +142,7 @@ def test_tabulated_specs_with_prohibited_levels_parse():
     raw["payoff"]["agent"] = {"family": "tabulated", "u1": [0, 1, 2],
                               "u0": [0.0, -1.0, -2.5]}
     cfg = parse_config(raw)
-    assert cfg.mechanism.tax_profile(cfg.grid)[1].tolist() == [False, False,
-                                                               True]
+    assert cfg.mechanism.tax_profile(cfg.grid).tolist() == [0.0, 0.5]
     assert cfg.agent.u0(cfg.grid.points).tolist() == [0.0, -1.0, -2.5]
 
 

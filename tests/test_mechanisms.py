@@ -4,39 +4,27 @@ import numpy as np
 import pytest
 
 from robustquota import (CARA, DomainError, Exponential, FixedTaxHardQuota,
-                         LevelGrid, Linear, TabulatedMechanism,
-                         UnreachableLevelError, Zero, adjusted_profiles,
-                         mechanism_from_dict)
+                         LevelGrid, Linear, Mechanism, TabulatedMechanism,
+                         Zero, adjusted_profiles, mechanism_from_dict,
+                         no_learning, payoff_from_dict, solve_stopping)
 
 
 def test_quota_prohibits_strictly_beyond():
     g = LevelGrid(2.0, 5)
     m = FixedTaxHardQuota(0.1, 1.0)
-    phi, proh = m.tax_profile(g)
-    assert list(proh) == [False, False, False, True, True]
-    assert np.all(phi == 0.1)
+    assert m.tax_profile(g).tolist() == [0.1, 0.1, 0.1]
 
 
 def test_quota_on_grid_point_stays_allowed():
     g = LevelGrid(2.0, 2001)
     m = FixedTaxHardQuota(0.0, 0.5)
-    _, proh = m.tax_profile(g)
-    assert not proh[g.index_of(0.5)]
-    assert proh[g.index_of(0.5) + 1]
-
-
-def test_tax_at_prohibited_level_raises():
-    g = LevelGrid(2.0, 5)
-    m = FixedTaxHardQuota(0.1, 1.0)
-    with pytest.raises(UnreachableLevelError):
-        m.tax(2.0, g)
-    assert m.tax(1.0, g) == 0.1
+    assert len(m.tax_profile(g)) == g.index_of(0.5) + 1
 
 
 def test_linear_and_exponential_profiles():
     g = LevelGrid(1.0, 3)
-    assert np.allclose(Linear(2.0).tax_profile(g)[0], [0.0, 1.0, 2.0])
-    assert np.allclose(Exponential(1.0).tax_profile(g)[0], np.exp(g.points))
+    assert np.allclose(Linear(2.0).tax_profile(g), [0.0, 1.0, 2.0])
+    assert np.allclose(Exponential(1.0).tax_profile(g), np.exp(g.points))
 
 
 def test_tabulated_prohibited_must_be_upward_closed():
@@ -44,26 +32,65 @@ def test_tabulated_prohibited_must_be_upward_closed():
     with pytest.raises(DomainError):
         TabulatedMechanism(g, (0.0, math.inf, 0.0, math.inf))
     m = TabulatedMechanism(g, (0.0, 0.5, math.inf, math.inf))
-    _, proh = m.tax_profile(g)
-    assert list(proh) == [False, False, True, True]
+    assert m.tax_profile(g).tolist() == [0.0, 0.5]
 
 
 def test_adjusted_profiles_sides():
     g = LevelGrid(1.0, 3)
     p = CARA(1.0)
     m = Linear(1.0)
-    a1, a0, _ = adjusted_profiles(p, m, "agent", g)
-    v1, v0, _ = adjusted_profiles(p, m, "principal", g)
+    a1, a0 = adjusted_profiles(p, m, "agent", g)
+    v1, v0 = adjusted_profiles(p, m, "principal", g)
     assert np.allclose(a1, p.u1(g.points) - g.points)
     assert np.allclose(v1, p.u1(g.points) + g.points)
+    # a quota's profiles cover the allowed levels only
+    q1, q0 = adjusted_profiles(p, FixedTaxHardQuota(0.1, 0.5), "agent", g)
+    assert np.array_equal(q0, p.u0(g.points[:2]) - 0.1) and len(q1) == 2
+
+
+class _UserMechanism(Mechanism):
+    """A mechanism written outside the package, returning `profile`."""
+
+    def __init__(self, profile):
+        self.profile = profile
+
+    def tax_profile(self, grid):
+        return self.profile
+
+
+@pytest.mark.parametrize("profile", [
+    # the earlier (phi, prohibited mask) pair, with a hole at level 1
+    (np.zeros(5), np.arange(5) == 1),
+    np.zeros(6),
+    np.array([0.0, np.nan]),
+    np.array([0.0, np.inf]),
+    np.zeros((2, 2)),
+    np.array(["a", "b"]),
+    [0.0, None],
+], ids=["mask_pair", "too_long", "nan", "inf", "2d", "strings", "none"])
+def test_malformed_user_profile_raises(profile):
+    grid = LevelGrid(1.0, 5)
+    with pytest.raises(DomainError, match="1-D array of at most 5 finite"):
+        solve_stopping(no_learning(0.5, grid), CARA(1.0),
+                       _UserMechanism(profile))
 
 
 def test_dict_roundtrip_with_inf():
     g = LevelGrid(1.0, 3)
     m = TabulatedMechanism(g, (0.0, 1.0, math.inf))
     again = mechanism_from_dict(m.to_dict(), g)
-    assert again.tax_profile(g)[1][-1]
+    assert again.tax_profile(g).tolist() == [0.0, 1.0]
     for spec in (Zero(), FixedTaxHardQuota(0.2, 0.5), Linear(1.0),
                  Exponential(0.5)):
         r = mechanism_from_dict(spec.to_dict())
         assert r == spec
+
+
+@pytest.mark.parametrize("build,spec,match", [
+    (payoff_from_dict, {"family": "cara"}, "lacks key 'gamma'"),
+    (mechanism_from_dict, {"type": "linear"}, "lacks key 'beta_tax'"),
+    (payoff_from_dict, {"family": "cara", "gamma": "x"}, "'cara' payoff spec"),
+])
+def test_malformed_spec_dict_is_a_domain_error(build, spec, match):
+    with pytest.raises(DomainError, match=match):
+        build(spec)

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from robustquota import (CARA, DomainError, EmptyMechanismError,
                          FixedTaxHardQuota, LevelGrid, TabulatedMechanism,
-                         Zero, adjusted_profiles, binomial_tree,
-                         cara_pair, compute_robust, full_revelation,
-                         no_learning, one_shot_level, principal_value,
-                         quadratic_pair, random_tree, simulate, single_split,
-                         solve_stopping)
+                         UnreachableLevelError, Zero, adjusted_profiles,
+                         binomial_tree, cara_pair, compute_robust,
+                         full_revelation, no_learning, one_shot_level,
+                         principal_value, quadratic_pair, random_tree,
+                         simulate, single_split, solve_stopping)
 from robustquota.adversary import indifference_G
-from robustquota.mechanisms import Mechanism
 from robustquota.processes import CSRKernel
 from robustquota.stopping import backward, forward
 
@@ -53,18 +52,13 @@ def test_all_prohibited_raises():
         solve_stopping(no_learning(0.5, grid), CARA(1.0), m)
 
 
-class _HoleMechanism(Mechanism):
-    """A user mechanism that prohibits level 1 alone, which
-    TabulatedMechanism would refuse to build."""
-
-    def tax_profile(self, grid):
-        return np.zeros(grid.n), np.arange(grid.n) == 1
-
-
-def test_prohibited_set_with_a_hole_raises():
-    grid = LevelGrid(1.0, 5)
-    with pytest.raises(DomainError, match="upward-closed"):
-        solve_stopping(no_learning(0.5, grid), CARA(1.0), _HoleMechanism())
+def test_principal_value_refuses_mass_past_the_quota():
+    agent, principal = quadratic_pair(1.0, 1.0, 1.0)
+    grid = LevelGrid(2.0, 41)
+    sol = solve_stopping(no_learning(0.6, grid), agent, Zero())
+    assert sol.joint_level.max() > 0.5
+    with pytest.raises(UnreachableLevelError):
+        principal_value(sol, principal, FixedTaxHardQuota(0.0, 0.5))
 
 
 def test_joint_mass_sums_to_one_and_conserves_belief():
@@ -176,9 +170,9 @@ def test_backward_value_is_forward_expectation(seed, n, mu0, family, robust):
     assert sol.participation
     idx = sol.joint_index
     assert np.array_equal(grid.points[idx], sol.joint_level)
-    a1, a0, _ = adjusted_profiles(agent, m, "agent", grid)
+    a1, a0 = adjusted_profiles(agent, m, "agent", grid)
     stop_u = sol.joint_belief * a1[idx] + (1.0 - sol.joint_belief) * a0[idx]
-    scale = max(np.abs(a1[:sol.end + 1]).max(), np.abs(a0[:sol.end + 1]).max())
+    scale = max(np.abs(a1).max(), np.abs(a0).max())
     assert abs(sol.root_value - stop_u @ sol.joint_mass) \
         <= sol.end * 1e-9 + 1e-12 * scale
 
