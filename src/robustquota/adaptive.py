@@ -7,7 +7,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import AlignmentError, DomainError, NotARefinementError
+from .errors import (AlignmentError, DomainError, NotARefinementError, is_int,
+                     is_real)
 from .mechanisms import FixedTaxHardQuota
 from .payoffs import PayoffSpec
 from .processes import (CSRKernel, DiscreteLearningProcess, level_runs,
@@ -62,16 +63,26 @@ def solve_adaptive_quota(tree: DiscreteLearningProcess, agent: PayoffSpec,
 class BinaryExperiment:
     """A conditionally independent binary signal the agent observes on top of
     the planner's tree: P(up | theta=1) = p_given_good, P(up | theta=0) =
-    p_given_bad, observed on arrival at each level in `levels`."""
+    p_given_bad, observed on arrival at each level in `levels`, a collection
+    of grid indices that `refine_process` checks against its tree."""
 
     p_given_good: float
     p_given_bad: float
     levels: Tuple[int, ...]
 
     def __post_init__(self):
-        if not (0.0 <= self.p_given_bad <= 1.0 and 0.0 <= self.p_given_good <= 1.0):
-            raise DomainError("signal probabilities must lie in [0, 1]")
-        object.__setattr__(self, "levels", tuple(sorted(set(int(l) for l in self.levels))))
+        if not all(is_real(x) and 0.0 <= x <= 1.0
+                   for x in (self.p_given_good, self.p_given_bad)):
+            raise DomainError("signal probabilities must be numbers in [0, 1]")
+        try:
+            levels = tuple(self.levels)
+        except TypeError:
+            raise DomainError(f"signal levels must be a collection, got "
+                              f"{self.levels!r}") from None
+        if not all(is_int(l) and l >= 0 for l in levels):
+            raise DomainError(f"signal levels must be nonnegative integers, "
+                              f"got {self.levels!r}")
+        object.__setattr__(self, "levels", tuple(sorted({int(l) for l in levels})))
 
     @property
     def informative(self) -> bool:
@@ -109,16 +120,13 @@ def _posterior(b, pw, pmw, den):
                     np.where(den == 0.0, 1.0, post))
 
 
-def _agent_steps(b, bn, base, mu, fire, p, q):
-    """Agent transition weights along planner edges b -> bn of probability
-    base, out of an agent node with belief mu: to the same signal count w,
-    and, only where a signal fires on arrival, to w + 1."""
-    # planner transition probability given each state
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k1 = np.where(b > 0, base * (bn / b), base)
-        k0 = np.where(b < 1, base * ((1 - bn) / (1 - b)), base)
-    pr1 = mu * np.where(base > 0, k1, 0.0)          # joint with theta = 1
-    pr0 = (1 - mu) * np.where(base > 0, k0, 0.0)
+def _agent_steps(k1, k0, mu, fire, p, q):
+    """Agent transition weights along planner edges whose probabilities
+    given theta = 1 and theta = 0 are k1 and k0, out of an agent node with
+    belief mu: to the same signal count w, and, only where a signal fires on
+    arrival, to w + 1."""
+    pr1 = mu * k1                               # joint with theta = 1
+    pr0 = (1 - mu) * k0
     # x * 1.0 == x, so where nothing fires this is exactly pr1 + pr0
     same = pr1 * np.where(fire, 1 - p, 1.0) + pr0 * np.where(fire, 1 - q, 1.0)
     return same, pr1[fire] * p + pr0[fire] * q
@@ -138,14 +146,18 @@ def refine_process(tree: DiscreteLearningProcess,
     Each planner edge i -> i' gives one agent entry per signal count w (two,
     to w and w + 1, where a signal fires on arrival), so the kernels are
     built sparse in O(nnz), a run of levels per array pass, and each row is
-    renormalised by the sum of its entries in column order.
+    renormalised by the sum of its entries in column order.  A signal level
+    past the tree's last level raises DomainError.
     """
+    n = tree.grid.n
+    if experiment.levels and experiment.levels[-1] >= n:
+        raise DomainError(f"signal level {experiment.levels[-1]} is past the "
+                          f"last level {n - 1} of the tree")
     if not experiment.informative:
         ident = tuple(np.arange(len(b)) for b in tree.beliefs)
         return DiscreteLearningProcess(tree.grid, tree.beliefs, tree.kernels,
                                        tree.root_dist, tree.mu0, ident)
     p, q = experiment.p_given_good, experiment.p_given_bad
-    n = tree.grid.n
     fires = np.isin(np.arange(n), experiment.levels)
     m_at = np.cumsum(fires)                 # signals observed by level j
     s = m_at + 1                            # agent nodes per planner node
@@ -161,14 +173,13 @@ def refine_process(tree: DiscreteLearningProcess,
     first = np.concatenate([[0], np.cumsum(planner_sizes)])
     agent_first = np.concatenate([[0], np.cumsum(sizes)])
     planner = np.concatenate(tree.beliefs)
-    t_ptr, t_col, t_val = stack_kernels(tree.kernels)    # rows: planner nodes
+    t_nnz = np.array([k.data.size for k in tree.kernels], dtype=np.intp)
     fire_next = np.append(fires[1:], False)
-    entries = np.append([k.data.size for k in tree.kernels], 0) * s \
-        * (1 + fire_next)
+    entries = np.append(t_nnz, 0) * s * (1 + fire_next)
 
-    beliefs, parent, kernels = [], [], []
-    for j0, j1 in level_runs(sizes + entries):
-        # the agent nodes of levels j0..j1-1
+    def run(j0, j1):
+        """Beliefs, parent maps and outgoing kernels of the agent nodes of
+        levels j0..j1-1, in one array pass whose temporaries go on return."""
         lev = np.repeat(np.arange(j0, j1), sizes[j0:j1])
         local = np.arange(agent_first[j0], agent_first[j1]) - agent_first[lev]
         i = local // s[lev]
@@ -176,23 +187,36 @@ def refine_process(tree: DiscreteLearningProcess,
         node = first[lev] + i                   # planner node
         mw = (w, m_at[lev])
         post = _posterior(planner[node], pw[mw], pmw[mw], den[mw])
-        cut = agent_first[j0 + 1:j1] - agent_first[j0]
-        beliefs += np.split(post, cut)
-        parent += np.split(i, cut)
-
-        # their kernel rows, one entry per planner edge node -> nxt
+        cut = (agent_first[j0:j1 + 1] - agent_first[j0]).tolist()
+        beliefs = [post[lo:hi] for lo, hi in zip(cut, cut[1:])]
+        parent = [i[lo:hi] for lo, hi in zip(cut, cut[1:])]
         j_end = min(j1, n - 1)
-        n_rows = agent_first[j_end] - agent_first[j0]
-        node, w, lev = node[:n_rows], w[:n_rows], lev[:n_rows]
+        if j_end == j0:
+            return beliefs, parent, []          # the last level has no kernel
+
+        # the planner edges out of levels j0..j_end-1, stacked with one row
+        # per planner node: their probabilities given each state, zero off
+        # the support, and the agent column of signal count 0 at their heads
+        t_ptr, nxt, base = stack_kernels(tree.kernels[j0:j_end])
+        b = np.repeat(planner[first[j0]:first[j_end]], np.diff(t_ptr))
+        lv = np.repeat(np.arange(j0 + 1, j_end + 1), t_nnz[j0:j_end])
+        bn = planner[first[lv] + nxt]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k1 = np.where(base > 0, np.where(b > 0, base * (bn / b), base), 0.0)
+            k0 = np.where(base > 0,
+                          np.where(b < 1, base * ((1 - bn) / (1 - b)), base), 0.0)
+        fire_e, col0 = fire_next[lv - 1], nxt * s[lv]
+
+        # their kernel rows, one entry per agent node and planner edge
+        n_rows = cut[j_end - j0]
+        node, w = node[:n_rows] - first[j0], w[:n_rows]
         deg = t_ptr[node + 1] - t_ptr[node]
         row = np.repeat(np.arange(n_rows), deg)
         edge = np.arange(row.size) \
             + np.repeat(t_ptr[node] - np.cumsum(deg) + deg, deg)
-        nxt, lv = t_col[edge], lev[row] + 1
-        fire = fire_next[lev[row]]
-        same, up = _agent_steps(planner[node[row]], planner[first[lv] + nxt],
-                                t_val[edge], post[row], fire, p, q)
-        col = nxt * s[lv] + w[row]
+        fire = fire_e[edge]
+        same, up = _agent_steps(k1[edge], k0[edge], post[row], fire, p, q)
+        col = col0[edge] + w[row]
         width = 1 + fire
         at = np.cumsum(width) - width
         data = np.empty(int(width.sum()))
@@ -207,11 +231,19 @@ def refine_process(tree: DiscreteLearningProcess,
         data /= rs[rows]
         indptr = np.zeros(n_rows + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-        for j in range(j0, j_end):
-            r0, r1 = agent_first[[j, j + 1]] - agent_first[j0]
-            e0, e1 = indptr[r0], indptr[r1]
-            kernels.append(CSRKernel(indptr[r0:r1 + 1] - e0, cols[e0:e1],
-                                     data[e0:e1], (sizes[j], sizes[j + 1])))
+        e_cut = indptr[cut[:j_end - j0 + 1]].tolist()
+        kernels = [CSRKernel(indptr[r0:r1 + 1] - e0, cols[e0:e1], data[e0:e1],
+                             (sizes[j], sizes[j + 1]))
+                   for j, r0, r1, e0, e1 in zip(range(j0, j_end), cut, cut[1:],
+                                                e_cut, e_cut[1:])]
+        return beliefs, parent, kernels
+
+    beliefs, parent, kernels = [], [], []
+    for j0, j1 in level_runs(sizes + entries):
+        run_beliefs, run_parent, run_kernels = run(j0, j1)
+        beliefs += run_beliefs
+        parent += run_parent
+        kernels += run_kernels
 
     if fires[0]:
         b = tree.beliefs[0]

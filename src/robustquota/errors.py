@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument type tests
+behind DomainError."""
+
+import numbers
 
 
 class RobustQuotaError(Exception):
@@ -55,3 +58,13 @@ class UnboundedLPError(RobustQuotaError):
 
 class ConfigError(RobustQuotaError, ValueError):
     """Malformed run configuration (schema violation, unknown keys, missing fields)."""
+
+
+def is_int(x) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """A Python or numpy real number; a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)

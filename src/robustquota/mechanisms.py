@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptyMechanismError
+from .errors import DomainError, EmptyMechanismError, is_real
 from .grid import LevelGrid
 from .payoffs import PayoffSpec
 
@@ -47,6 +47,9 @@ class FixedTaxHardQuota(Mechanism):
     quota: float
 
     def __post_init__(self):
+        if not (is_real(self.lam) and is_real(self.quota)):
+            raise DomainError(f"tax and quota must be numbers, got "
+                              f"{self.lam!r}, {self.quota!r}")
         if not self.quota >= 0:
             raise DomainError("quota must be nonnegative")
 
@@ -65,6 +68,10 @@ class Linear(Mechanism):
 
     beta_tax: float
 
+    def __post_init__(self):
+        if not is_real(self.beta_tax):
+            raise DomainError(f"beta_tax must be a number, got {self.beta_tax!r}")
+
     def tax_profile(self, grid):
         return self.beta_tax * grid.points
 
@@ -77,6 +84,10 @@ class Exponential(Mechanism):
     """phi(l) = exp(eta * l)."""
 
     eta: float
+
+    def __post_init__(self):
+        if not is_real(self.eta):
+            raise DomainError(f"eta must be a number, got {self.eta!r}")
 
     def tax_profile(self, grid):
         return np.exp(self.eta * grid.points)
@@ -97,6 +108,14 @@ class TabulatedMechanism(Mechanism):
     values: tuple
 
     def __post_init__(self):
+        # each entry is tested as given: numpy would turn True into 1.0
+        try:
+            numeric = all(is_real(x) for x in self.values)
+        except TypeError:                       # not a collection
+            numeric = False
+        if not numeric:
+            raise DomainError("tabulated mechanism values must be a sequence "
+                              "of numbers")
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n,):
             raise DomainError("tabulated mechanism length must equal grid size")
@@ -160,7 +179,7 @@ def mechanism_from_dict(d: dict, grid: LevelGrid = None) -> Mechanism:
         if t == "tabulated":
             if grid is None:
                 raise DomainError("tabulated mechanism requires a grid")
-            vals = [math.inf if x == "inf" else float(x) for x in d["phi"]]
+            vals = [math.inf if x == "inf" else x for x in d["phi"]]
             return TabulatedMechanism(grid, tuple(vals))
     except KeyError as e:
         raise DomainError(f"{t!r} mechanism spec lacks key {e}") from None

@@ -53,7 +53,8 @@ class CSRKernel:
         return cls(indptr, cols, a[rows, cols], a.shape)
 
     def row_ids(self) -> np.ndarray:
-        """Row of each stored entry (built on first use, then kept)."""
+        """Row of each stored entry (kept from validation, or built on first
+        use, then kept)."""
         if self._rows is None:
             self._rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
         return self._rows
@@ -204,6 +205,12 @@ class DiscreteLearningProcess:
             lo = row_ends[j - j0 - 1] if j > j0 else 0
             raise DomainError(f"martingale violated at level {j}: max drift "
                               f"{drift[lo:row_ends[j - j0]].max():.3e}")
+        # the kernels passed: each keeps its rows, made local, as row_ids()
+        for k, e0, e1, r0 in zip(self.kernels[j0:j1], (nnz_ends - nnz).tolist(),
+                                 nnz_ends.tolist(),
+                                 (row_ends - sizes[j0:j1]).tolist()):
+            if k._rows is None:
+                k._rows = rows[e0:e1] - r0
 
 
 def no_learning(mu0: float, grid: LevelGrid) -> DiscreteLearningProcess:

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustquota import (AlignmentError, BinaryExperiment, FixedTaxHardQuota,
-                         LevelGrid, binomial_tree, cara_pair, compute_robust,
-                         evaluate_adaptive, no_learning, quadratic_pair,
-                         random_tree, refine_process, solve_adaptive_quota,
-                         solve_stopping)
+from robustquota import (AlignmentError, BinaryExperiment, DomainError,
+                         FixedTaxHardQuota, LevelGrid, adaptive, binomial_tree,
+                         cara_pair, compute_robust, evaluate_adaptive,
+                         no_learning, processes, quadratic_pair, random_tree,
+                         refine_process, solve_adaptive_quota, solve_stopping)
 from robustquota.adaptive import random_experiment
 from robustquota.stopping import backward, forward
 
@@ -124,10 +124,11 @@ def test_refinement_projects_onto_tree(seed, n, mu0, p, q, levels):
     """Random trees hold beliefs 0 and 1, so every edge rule of the Bayes
     update runs.  Summing the refined level masses over each planner node
     gives the tree's level masses, and the refined agent never leaves the
-    principal below the DP value."""
+    principal below the DP value.  Signal levels are taken mod n, onto the
+    tree."""
     grid = LevelGrid(2.0, n)
     tree = random_tree(mu0, grid, seed)
-    ref = refine_process(tree, BinaryExperiment(p, q, tuple(levels)))
+    ref = refine_process(tree, BinaryExperiment(p, q, tuple(l % n for l in levels)))
     tree_mass, ref_mass = tree.root_dist, ref.root_dist
     for j in range(n):
         if j:
@@ -211,6 +212,48 @@ def test_refinement_matches_loop_reference_bitwise(make_tree, p, q, levels):
                       ((ref.root_dist,), (root,)), (ref.parent_map, parent)]:
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("p,q,levels", [(0.8, 0.3, (0, 3)),
+                                        (0.6, 0.0, (1, 5, 6))])
+def test_refinement_over_several_level_runs_matches_loop_reference(
+        monkeypatch, p, q, levels):
+    """With CHUNK at 30 entries the refinements of the bitwise test above
+    are built in several level runs, some of several levels, each cut into
+    its levels at offsets; they still equal the loop reference bitwise."""
+    runs = []
+
+    def recorded(sizes):
+        for run in processes.level_runs(sizes):
+            runs.append(run)
+            yield run
+
+    monkeypatch.setattr(processes, "CHUNK", 30)
+    monkeypatch.setattr(adaptive, "level_runs", recorded)
+    for make_tree in (lambda g: binomial_tree(0.6, g),
+                      lambda g: random_tree(0.6, g, 3)):
+        runs.clear()
+        test_refinement_matches_loop_reference_bitwise(make_tree, p, q, levels)
+        assert len(runs) > 1 and max(j1 - j0 for j0, j1 in runs) > 1
+
+
+@pytest.mark.parametrize("p,q,levels", [
+    (0.7, 0.3, (-1,)), (0.7, 0.3, (2.7,)), (0.7, 0.3, (True,)),
+    (0.7, 0.3, 3), ("x", 0.3, (1,)), (0.7, None, (1,)),
+    (1.5, 0.3, (1,))])
+def test_experiment_refuses_what_it_cannot_use(p, q, levels):
+    with pytest.raises(DomainError):
+        BinaryExperiment(p, q, levels)
+
+
+@pytest.mark.parametrize("levels", [(10,), (2, 6)])
+def test_refinement_refuses_signal_levels_past_the_tree(levels):
+    """A 6-level tree has levels 0..5; a signal past them is refused, not
+    dropped."""
+    tree = binomial_tree(0.6, LevelGrid(2.0, 6))
+    for p, q in ((0.7, 0.3), (0.5, 0.5)):
+        with pytest.raises(DomainError, match="past the last level 5"):
+            refine_process(tree, BinaryExperiment(p, q, levels))
 
 
 def _loop_evaluate(policy, agent_proc, agent, principal):
@@ -304,7 +347,9 @@ def test_adaptive_pipeline_at_1001_levels_within_memory_budget():
     """The n=1001 binomial tree, its planner DP and one two-signal refinement
     with its evaluation peak at 147.5 MB under tracemalloc with sparse
     kernels (dense kernels would take 2.7 GB for the tree and 18 GB for the
-    refinement); the budget leaves about 20% headroom."""
+    refinement); the evaluation sets the peak, and building the refinement,
+    whose validation leaves each kernel its row ids, peaks at 133.0 MB.  The
+    budget leaves about 20% headroom."""
     grid = LevelGrid(2.0, 1001)
     tracemalloc.start()
     try:

@@ -94,3 +94,24 @@ def test_dict_roundtrip_with_inf():
 def test_malformed_spec_dict_is_a_domain_error(build, spec, match):
     with pytest.raises(DomainError, match=match):
         build(spec)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Linear("x"), lambda: Exponential(None),
+    lambda: FixedTaxHardQuota("x", 0.5), lambda: FixedTaxHardQuota(0.1, "x"),
+    lambda: FixedTaxHardQuota(True, 0.5),
+    lambda: TabulatedMechanism(LevelGrid(1.0, 3), ("x", 1.0, 2.0)),
+    lambda: TabulatedMechanism(LevelGrid(1.0, 3), (True, 1.0, 2.0)),
+    lambda: TabulatedMechanism(LevelGrid(1.0, 3), 2.0),
+    lambda: mechanism_from_dict({"type": "tabulated", "phi": [True, 1, 2]},
+                                LevelGrid(1.0, 3)),
+    lambda: mechanism_from_dict({"type": "tabulated", "phi": ["x", 1, 2]},
+                                LevelGrid(1.0, 3)),
+    lambda: mechanism_from_dict({"type": "fixed_tax_hard_quota",
+                                 "lambda": "x", "quota": 0.5})],
+    ids=["linear", "exponential", "quota_tax", "quota_level", "bool_tax",
+         "tabulated", "tabulated_bool", "tabulated_scalar",
+         "tabulated_bool_spec", "tabulated_spec", "quota_spec"])
+def test_mechanism_parameters_are_checked_when_built(build):
+    with pytest.raises(DomainError):
+        build()

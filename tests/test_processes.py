@@ -9,6 +9,7 @@ from robustquota import (DiscreteLearningProcess, DomainError, LevelGrid, Zero,
                          binomial_tree, full_revelation, no_learning,
                          quadratic_pair, random_tree, single_split,
                          solve_stopping)
+from robustquota import processes
 from robustquota.processes import CSRKernel
 
 GRID = LevelGrid(1.0, 5)
@@ -232,3 +233,23 @@ def test_binomial_tree_past_float_odds():
         odds = 0.6 / (1.0 - 0.6) * np.exp(
             u * np.log(0.7 / 0.3) + (j - u) * np.log((1 - 0.7) / (1 - 0.3)))
         assert p.beliefs[j].tobytes() == (odds / (1.0 + odds)).tobytes()
+
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 5])
+@pytest.mark.parametrize("make", [
+    lambda g: binomial_tree(0.6, g), lambda g: random_tree(0.6, g, 3),
+    lambda g: DiscreteLearningProcess(
+        g, random_tree(0.6, g, 4).beliefs,
+        tuple(k.toarray() for k in random_tree(0.6, g, 4).kernels),
+        np.array([1.0]), 0.6)],
+    ids=["binomial", "random", "dense"])
+def test_validated_kernels_keep_their_row_ids(monkeypatch, make, chunk):
+    """Validation builds each entry's row for its checks and leaves it on the
+    kernel, so row_ids() builds nothing; with CHUNK at 5 entries it does so
+    over many runs of levels."""
+    monkeypatch.setattr(processes, "CHUNK", chunk)
+    for k in make(LevelGrid(1.0, 7)).kernels:
+        want = np.repeat(np.arange(k.shape[0]), np.diff(k.indptr))
+        assert k._rows is not None
+        assert k._rows.dtype == want.dtype and np.array_equal(k._rows, want)

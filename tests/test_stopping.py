@@ -13,6 +13,7 @@ from robustquota import (CARA, DomainError, EmptyMechanismError,
                          principal_value, quadratic_pair, random_tree,
                          simulate, single_split, solve_stopping)
 from robustquota.adversary import indifference_G
+from robustquota.stopping import _philox_uniforms
 from robustquota.processes import CSRKernel
 from robustquota.stopping import backward, forward
 
@@ -245,3 +246,27 @@ def test_simulate_across_draw_blocks_matches_path_by_path_walk():
     assert len(got[0]) > 1
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 5, 37])
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+def test_philox_kernel_matches_numpy_streams_bitwise(seed, k):
+    """Path ids run up to 2**64 - 1, where the key's second word wraps on
+    the first key bump."""
+    paths = np.array([0, 1, 2 ** 32 + 5, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1],
+                     dtype=np.uint64)
+    got = _philox_uniforms(seed, paths, k)
+    want = np.array([np.random.Generator(np.random.Philox(
+        key=np.array([seed, p], dtype=np.uint64))).random(k) for p in paths])
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed,n_paths", [
+    (-1, 10), (2 ** 64, 10), (1.5, 10), (True, 10), ("1", 10),
+    (1, 2.5), (1, True), (1, 0)])
+def test_simulate_refuses_a_bad_seed_or_path_count(seed, n_paths):
+    grid = LevelGrid(2.0, 5)
+    tree = binomial_tree(0.6, grid)
+    sol = solve_stopping(tree, cara_pair(1.0, 3.0)[0], Zero())
+    with pytest.raises(DomainError, match="seed|n_paths"):
+        simulate(tree, sol, n_paths, seed)
