@@ -240,7 +240,7 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     """
     if not 0.0 < mu0 < 1.0:
         raise DomainError("worst-case search needs an interior prior")
-    end, a1, a0, p1, _, c, b = _lp_data(agent, principal, m, grid, mu0)
+    _, a1, a0, p1, _, c, b = _lp_data(agent, principal, m, grid, mu0)
     premise_ok = principal_prefers_earlier(agent, principal, m, grid)
     scale = max(1.0, float(np.abs(a0).max()), float(np.abs(a1).max()))
 
@@ -282,7 +282,7 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     carrying = g > 1e-12
     comp = float(np.abs(slacks[carrying]).max()) if carrying.any() else 0.0
     jbar = _support_start(g)
-    return BadNewsLPResult(BadNewsProcess(grid, g, mu0, end), value, premise_ok,
+    return BadNewsLPResult(BadNewsProcess(grid, g, mu0), value, premise_ok,
                            iters, route, float(gap), jbar,
                            float(grid.points[jbar]), float(-(y @ b)), comp,
                            binding, (y, float(t)))
@@ -324,12 +324,12 @@ def indifference_G(agent: PayoffSpec, m: Mechanism, grid: LevelGrid,
     """
     if not 0.0 < mu0 < 1.0:
         raise DomainError("construction needs an interior prior")
-    end, a1, a0, _, _, _, b = _lp_data(agent, principal, m, grid, mu0)
+    _, a1, a0, _, _, _, b = _lp_data(agent, principal, m, grid, mu0)
     g = _obedient_construction(a1, a0, b, mu0)
     if g is None:
         bn = solve_badnews_lp(agent, principal, m, grid, mu0).bn
     else:
-        bn = BadNewsProcess(grid, g, mu0, end)
+        bn = BadNewsProcess(grid, g, mu0)
     jbar = _support_start(bn.g)
     return IndifferenceResult(bn, float(grid.points[jbar]), jbar, g is None)
 

@@ -1,7 +1,6 @@
 """Bad-news learning processes: conclusive negative signals with increments g."""
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -19,20 +18,17 @@ class BadNewsProcess:
     """
 
     grid: LevelGrid
-    g: np.ndarray          # arrival mass at each reachable grid point
+    #: arrival mass at grid points 0..end; a quota-truncated process is
+    #: shorter than the grid, and its mass arrives or survives by point end
+    g: np.ndarray
     mu0: float
-    #: levels beyond `end` are unreachable (quota-truncated grids); mass is
-    #: forced to arrive or survive by grid point `end`
-    end: Optional[int] = None
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
         object.__setattr__(self, "g", g)
-        end = self.grid.n - 1 if self.end is None else int(self.end)
-        object.__setattr__(self, "end", end)
         if not 0.0 < self.mu0 <= 1.0:
             raise DomainError("bad-news process needs a prior in (0, 1]")
-        if g.shape != (end + 1,):
+        if g.ndim != 1 or not 1 <= len(g) <= self.grid.n:
             raise DomainError("g must have one value per reachable grid point")
         if np.any(g < -1e-12):
             raise DomainError("arrival increments must be nonnegative")
@@ -45,6 +41,11 @@ class BadNewsProcess:
         # is asserted to guard the formula
         if np.any(np.abs((1.0 - self.G) * lam - self.mu0) > 1e-10):
             raise DomainError("martingale check failed")
+
+    @property
+    def end(self) -> int:
+        """Index of the last reachable grid point."""
+        return len(self.g) - 1
 
     @property
     def G(self) -> np.ndarray:

@@ -131,60 +131,6 @@ def principal_value(sol: StoppingSolution, principal: PayoffSpec, m: Mechanism) 
     return float(vals @ sol.joint_mass)
 
 
-#: Philox4x64-10 (Salmon et al., SC'11): round multipliers and key bumps
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_U64 = (1 << 64) - 1
-#: counters per array pass of the cipher: its dozen live uint64 arrays of
-#: 128 kB each stay in a core's cache however many paths a block holds
-_PHILOX_CHUNK = 1 << 14
-
-
-def _mulhilo(m: int, x: np.ndarray):
-    """(high, low) 64-bit words of m * x for a 64-bit constant m and a
-    uint64 array x.  The high word is built from 32-bit halves, with no
-    partial sum past 64 bits (Warren, Hacker's Delight, mulhu)."""
-    lo32, s = np.uint64(0xFFFFFFFF), np.uint64(32)
-    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x0, x1 = x & lo32, x >> s
-    t = x1 * m0 + ((x0 * m0) >> s)
-    w1 = x0 * m1 + (t & lo32)
-    return x1 * m1 + (t >> s) + (w1 >> s), x * np.uint64(m)
-
-
-def _philox_uniforms(seed, paths: np.ndarray, k: int) -> np.ndarray:
-    """The first k doubles of `Generator(Philox(key=(seed, path))).random`
-    for each uint64 path id in `paths`, as a (len(paths), k) array.
-
-    Philox4x64-10 is counter based: a stream's i-th block of four 64-bit
-    words is the keyed cipher of counter i = 1, 2, ..., so the blocks of many
-    paths come out of one array pass, about _PHILOX_CHUNK counters at a
-    time.  Word w gives the double (w >> 11) * 2**-53.  A seed that is not
-    an integer in [0, 2**64) raises DomainError.
-    """
-    if not is_int(seed) or not 0 <= int(seed) <= _U64:
-        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    seed = int(seed)
-    n_blocks = -(-k // 4)
-    ctr = np.arange(1, n_blocks + 1, dtype=np.uint64)
-    zero = np.zeros(n_blocks, dtype=np.uint64)
-    u = np.empty((len(paths), n_blocks, 4))
-    step = max(1, _PHILOX_CHUNK // n_blocks)        # paths per array pass
-    with np.errstate(over="ignore"):
-        for p0 in range(0, len(paths), step):
-            x = (ctr, zero, zero, zero)
-            for r in range(10):
-                key0 = np.uint64((seed + r * _PHILOX_W[0]) & _U64)
-                key1 = paths[p0:p0 + step, None] \
-                    + np.uint64(r * _PHILOX_W[1] & _U64)
-                hi0, lo0 = _mulhilo(_PHILOX_M[0], x[0])
-                hi1, lo1 = _mulhilo(_PHILOX_M[1], x[2])
-                x = (hi1 ^ x[1] ^ key0, lo1, hi0 ^ x[3] ^ key1, lo0)
-            for i, word in enumerate(x):
-                u[p0:p0 + step, :, i] = (word >> np.uint64(11)) * 2.0 ** -53
-    return u.reshape(len(paths), 4 * n_blocks)[:, :k]
-
-
 def _running_sums(k: CSRKernel):
     """Per-row running sums of a kernel's nonzeros, padded on the right with
     the row total: the row's CDF over its stored columns."""
@@ -199,21 +145,30 @@ def simulate(proc: DiscreteLearningProcess, sol: StoppingSolution, n_paths: int,
              seed: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monte Carlo draw of (stopping belief, stopping level) pairs.
 
-    Each path draws its end + 1 uniforms from its own counter-based stream,
-    Philox keyed by (seed, path): the first picks the root node and draw
-    j + 1 the step out of level j.  The sample is therefore reproducible and
-    independent of any parallel scheduling.  The streams are those of
-    numpy's `Philox(key=(seed, path))`, computed for a block of paths at once
-    by `_philox_uniforms`.  All paths are walked together one level at a
-    time; a step goes to the first stored column whose running row sum
-    reaches the draw, and a draw above the row's total raises DomainError,
-    as do a seed outside [0, 2**64) and an n_paths that is not an integer
-    >= 1.  Returns aggregated (stop_level, stop_belief, mass) arrays.
+    The draws are one counter-based stream, numpy's
+    `Generator(Philox(key=seed))`, read in order as rows of end + 1
+    uniforms: path p reads row p, whose first draw picks the root node and
+    whose draw j + 1 the step out of level j.  A path's draws therefore do
+    not depend on n_paths or on how many rows a walk block holds, and
+    `Philox.advance` reaches any row in O(1), so the sample does not depend
+    on how paths are scheduled either.  All paths of a block are walked
+    together one level at a time; a step goes to the first stored column
+    whose running row sum reaches the draw.  A draw above the row's total
+    raises DomainError, as do a seed outside [0, 2**64), an n_paths that is
+    not an integer >= 1 and a `sol` whose stop sets do not fit `proc`'s
+    supports.  Returns aggregated (stop_level, stop_belief, mass) arrays.
     """
+    if not is_int(seed) or not 0 <= int(seed) < 2 ** 64:
+        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     if not is_int(n_paths) or n_paths < 1:
         raise DomainError(f"n_paths must be an integer >= 1, got {n_paths!r}")
     n_paths = int(n_paths)
     end = sol.end
+    if len(proc.beliefs) <= end or any(
+            len(s) != len(b) for s, b in zip(sol.stop_set, proc.beliefs)):
+        raise DomainError("the stopping solution's stop sets do not fit the "
+                          "process's supports: it solves another process")
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
     root_cdf = np.cumsum(proc.root_dist)
     cdfs = [_running_sums(k) for k in proc.kernels[:end]]
     stop_level = np.empty(n_paths, dtype=np.intp)
@@ -221,8 +176,7 @@ def simulate(proc: DiscreteLearningProcess, sol: StoppingSolution, n_paths: int,
     # draws held at once: 8 MB
     block = max(1, (1 << 20) // (end + 1))
     for p0 in range(0, n_paths, block):
-        paths = np.arange(p0, min(p0 + block, n_paths), dtype=np.uint64)
-        u = _philox_uniforms(seed, paths, end + 1)
+        u = rng.random((min(block, n_paths - p0), end + 1))
         node = np.searchsorted(root_cdf, u[:, 0])
         if np.any(node >= root_cdf.size):
             raise DomainError("a draw exceeds the root distribution's total")

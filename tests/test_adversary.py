@@ -32,7 +32,7 @@ def _dense_lp(agent, principal, m, grid, mu0):
     g = np.clip(res.x, 0.0, None)
     if g.sum() > 0:
         g *= (1.0 - mu0) / g.sum()
-    return float(mu0 * p1[-1] + c @ g), BadNewsProcess(grid, g, mu0, end)
+    return float(mu0 * p1[-1] + c @ g), BadNewsProcess(grid, g, mu0)
 
 
 def _force_highs(monkeypatch):

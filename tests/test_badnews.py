@@ -37,6 +37,19 @@ def test_g_must_be_nondecreasing_with_right_total():
         BadNewsProcess(GRID, np.full(GRID.n, 0.3 / GRID.n), 0.5)
 
 
+def test_a_process_is_its_increments():
+    """The last reachable level is read off g, which must be 1-D and fit
+    the grid."""
+    g = np.zeros(11)
+    g[0] = 0.5
+    assert BadNewsProcess(GRID, g, 0.5).end == 10
+    assert BadNewsProcess(GRID, [0.5], 0.5).end == 0
+    for bad in (np.zeros(0), np.full(GRID.n + 1, 0.5 / (GRID.n + 1)),
+                np.full((2, 5), 0.05), 0.5):
+        with pytest.raises(DomainError, match="reachable grid point"):
+            BadNewsProcess(GRID, bad, 0.5)
+
+
 def test_to_process_reproduces_beliefs_and_mass():
     bn = _uniform_bn()
     proc = bad_news_tree(bn)

@@ -13,7 +13,6 @@ from robustquota import (CARA, DomainError, EmptyMechanismError,
                          principal_value, quadratic_pair, random_tree,
                          simulate, single_split, solve_stopping)
 from robustquota.adversary import indifference_G
-from robustquota.stopping import _philox_uniforms
 from robustquota.processes import CSRKernel
 from robustquota.stopping import backward, forward
 
@@ -179,18 +178,19 @@ def test_backward_value_is_forward_expectation(seed, n, mu0, family, robust):
 
 
 def _simulate_by_paths(proc, sol, n_paths, seed):
-    """Path-by-path reference walker: scalar draws from each path's own
-    Philox stream and a search of the dense row CDF at every step."""
+    """Path-by-path reference walker: path p reads its end + 1 uniforms in
+    turn, as scalar draws from one `Generator(Philox(key=seed))`, and
+    searches the dense row CDF at every step."""
     root_cdf = np.cumsum(proc.root_dist)
     kernel_cdfs = [np.cumsum(np.asarray(k), axis=1) for k in proc.kernels]
+    rng = np.random.Generator(np.random.Philox(key=seed))
     counts = {}
-    for path in range(n_paths):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, path],
-                                                                dtype=np.uint64)))
-        node = int(np.searchsorted(root_cdf, rng.random()))
+    for _ in range(n_paths):
+        u = iter([rng.random() for _ in range(sol.end + 1)])
+        node = int(np.searchsorted(root_cdf, next(u)))
         j = 0
         while not sol.stop_set[j][node]:
-            node = int(np.searchsorted(kernel_cdfs[j][node], rng.random()))
+            node = int(np.searchsorted(kernel_cdfs[j][node], next(u)))
             j += 1
         key = (float(proc.grid.points[j]), float(proc.beliefs[j][node]))
         counts[key] = counts.get(key, 0) + 1
@@ -248,19 +248,6 @@ def test_simulate_across_draw_blocks_matches_path_by_path_walk():
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("k", [1, 3, 4, 5, 37])
-@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
-def test_philox_kernel_matches_numpy_streams_bitwise(seed, k):
-    """Path ids run up to 2**64 - 1, where the key's second word wraps on
-    the first key bump."""
-    paths = np.array([0, 1, 2 ** 32 + 5, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1],
-                     dtype=np.uint64)
-    got = _philox_uniforms(seed, paths, k)
-    want = np.array([np.random.Generator(np.random.Philox(
-        key=np.array([seed, p], dtype=np.uint64))).random(k) for p in paths])
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("seed,n_paths", [
     (-1, 10), (2 ** 64, 10), (1.5, 10), (True, 10), ("1", 10),
     (1, 2.5), (1, True), (1, 0)])
@@ -270,3 +257,40 @@ def test_simulate_refuses_a_bad_seed_or_path_count(seed, n_paths):
     sol = solve_stopping(tree, cara_pair(1.0, 3.0)[0], Zero())
     with pytest.raises(DomainError, match="seed|n_paths"):
         simulate(tree, sol, n_paths, seed)
+
+
+def test_simulate_refuses_a_solution_of_another_process():
+    grid = LevelGrid(2.0, 21)
+    sol = solve_stopping(random_tree(0.6, grid, 3), CARA(1.0), Zero())
+    with pytest.raises(DomainError, match="another process"):
+        simulate(binomial_tree(0.6, grid), sol, 200, 1)
+
+
+def _cdf_gap(x_sim, m_sim, x_exact, m_exact):
+    """Largest gap between the simulated and exact CDFs of one coordinate."""
+    pts = np.union1d(x_sim, x_exact)
+    emp = np.array([m_sim[x_sim <= q + 1e-12].sum() for q in pts])
+    ex = np.array([m_exact[x_exact <= q + 1e-12].sum() for q in pts])
+    return float(np.abs(emp - ex).max())
+
+
+@given(tree_seed=st.integers(0, 10_000), n=st.integers(2, 20),
+       mu0=st.floats(0.1, 0.9), binomial=st.booleans(), robust=st.booleans(),
+       sim_seed=st.integers(0, 2 ** 64 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_simulated_law_within_dkw_band(tree_seed, n, mu0, binomial, robust,
+                                       sim_seed):
+    """The simulated level and belief CDFs each stay within the DKW band of
+    the exact joint law; the two bands share a confidence of 1 - 1e-6."""
+    agent, principal = cara_pair(1.0, 3.0)
+    grid = LevelGrid(2.0, n)
+    proc = binomial_tree(mu0, grid, 0.7, 0.3) if binomial \
+        else random_tree(mu0, grid, tree_seed)
+    m = compute_robust(agent, principal, mu0, grid).mechanism if robust \
+        else Zero()
+    sol = solve_stopping(proc, agent, m)
+    n_paths = 2_000
+    levels, beliefs, mass = simulate(proc, sol, n_paths, sim_seed)
+    eps = np.sqrt(np.log(4.0 / 1e-6) / (2.0 * n_paths))
+    assert _cdf_gap(levels, mass, sol.joint_level, sol.joint_mass) <= eps
+    assert _cdf_gap(beliefs, mass, sol.joint_belief, sol.joint_mass) <= eps
