@@ -12,7 +12,7 @@ from .adversary import (BadNewsLPResult, GapResult, OracleResult, payoff_gap,
                         tree_oracle_worst_case)
 from .badnews import BadNewsProcess, obedience_slacks
 from .checks import (AssumptionReport, RatioReport, check_assumptions,
-                     one_shot_level, one_shot_levels, pseudo_inverse_beliefs,
+                     one_shot_levels, pseudo_inverse_beliefs,
                      risk_ratio_condition)
 from .config import RunConfig, load_config, parse_config
 from .errors import (AlignmentError, BudgetExceededError,
@@ -27,7 +27,7 @@ from .mechanisms import (Exponential, FixedTaxHardQuota, Linear, Mechanism,
                          TabulatedMechanism, Zero, adjusted_profiles,
                          mechanism_from_dict)
 from .payoffs import (CARA, CRRA, PayoffSpec, Quadratic, Tabulated, cara_pair,
-                      liability_transform, payoff_from_dict, quadratic_pair)
+                      payoff_from_dict, quadratic_pair)
 from .processes import (DiscreteLearningProcess, binomial_tree,
                         full_revelation, no_learning, random_tree,
                         single_split)

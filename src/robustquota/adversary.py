@@ -90,32 +90,28 @@ def _binding_construction(a0: np.ndarray, b: np.ndarray,
                           mu0: float) -> Optional[np.ndarray]:
     """Arrival increments with obedience binding from the top level down.
 
-    The row at level j pins the increment at level j+1; mass accumulates
-    going down until it reaches 1-mu0 (the support start L_low), else the
-    rest lands on level 0.  None when a payoff step is flat or an increment
-    would go negative.
+    Where rows j and j+1 bind, the mass still to arrive above level j is the
+    ratio M_j = (b_j - b_{j+1}) / (a0_j - a0_{j+1}) (M_end = 0).  The
+    support start L_low lies just above the highest row with M_j >= 1-mu0
+    (at level 0 when there is none) and takes the rest of the mass 1-mu0.
+    Above it the mass can only grow going down, so the increments are the
+    rises of the running maximum of M from the top.  None when a0 does not
+    fall on a step at or above the support start, or when M falls below
+    that maximum by more than 1e-9 of the mass 1-mu0 (a negative increment).
     """
-    a0l, bl = a0.tolist(), b.tolist()
-    scale = max(1.0, float(np.abs(a0).max()))
     target = 1.0 - mu0
-    g = np.zeros(len(a0l))
-    A = 0.0   # mass strictly above the current row
-    C = 0.0   # payoff-weighted mass strictly above
-    for j in range(len(a0l) - 2, -1, -1):
-        denom = a0l[j] - a0l[j + 1]
-        if denom <= 1e-15 * scale:
-            return None
-        gnext = (bl[j] - a0l[j] * A + C) / denom
-        if gnext < -1e-9 * scale:
-            return None
-        gnext = max(gnext, 0.0)
-        if A + gnext >= target:
-            g[j + 1] = target - A
-            return g
-        g[j + 1] = gnext
-        A += gnext
-        C += a0l[j + 1] * gnext
-    g[0] = target - A
+    step = a0[:-1] - a0[1:]
+    flat = step <= 1e-15 * max(1.0, float(np.abs(a0).max()))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        M = np.append((b[:-1] - b[1:]) / step, 0.0)
+    rows = np.flatnonzero((M[:-1] >= target) | flat)
+    s = int(rows[-1]) + 1 if rows.size else 0
+    top = np.maximum.accumulate(M[s:][::-1])[::-1]
+    if (s and flat[s - 1]) or np.any(M[s:] < top - 1e-9 * target):
+        return None
+    g = np.zeros(len(a0))
+    g[s + 1:] = top[:-1] - top[1:]
+    g[s] = target - g.sum()
     return g
 
 
@@ -144,20 +140,14 @@ def _exact_dual(c: np.ndarray, a0: np.ndarray,
 
     With the mass-row multiplier t = c[jbar] and y = 0 below jbar, the
     reduced cost r_k = c_k - t + sum_{j<=k} y_j (a0_j - a0_k) vanishes on
-    every level k > jbar exactly when y_{k-1} solves it, so the multipliers
-    follow by forward substitution with running sums of y and y a0.
+    every level k >= jbar exactly when the running multiplier is the ratio
+    Lambda_k = sum_{j<=k} y_j = (c_k - c_{k+1}) / (a0_k - a0_{k+1}) for
+    k = jbar..end-1, so y is the difference of Lambda.
     """
-    cl, a0l = c.tolist(), a0.tolist()
-    y = np.zeros(len(a0l))
-    t = cl[jbar]
-    S = 0.0   # sum of y so far
-    W = 0.0   # sum of y a0 so far
-    for k in range(jbar + 1, len(a0l)):
-        yk = (a0l[k] * S - W - cl[k] + t) / (a0l[k - 1] - a0l[k])
-        y[k - 1] = yk
-        S += yk
-        W += yk * a0l[k - 1]
-    return y, t
+    lam = (c[jbar:-1] - c[jbar + 1:]) / (a0[jbar:-1] - a0[jbar + 1:])
+    y = np.zeros(len(a0))
+    y[jbar:-1] = np.diff(lam, prepend=0.0)
+    return y, float(c[jbar])
 
 
 def _certified_gap(value: float, y: np.ndarray, t: float, c: np.ndarray,
@@ -229,10 +219,12 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     upper-triangular obedience rows.  Quota mechanisms truncate the grid at
     the last allowed level (mass is forced to stop there).
 
-    Certify-first and O(n): the process with binding obedience is built,
-    checked obedient, and proved optimal with the complementary-slackness
-    dual (dual feasible, relative gap <= 1e-9).  Where that proof fails the
-    LP is solved in sparse cumulative form with HiGHS.  Every result is
+    Certify-first and O(n): an obedience row that no g >= 0 satisfies
+    raises InfeasibleLPError naming its level.  Otherwise the process with
+    binding obedience is built from marginal ratios, checked obedient, and
+    proved optimal with the complementary-slackness dual, itself a ratio
+    (dual feasible, relative gap <= 1e-9).  Where that proof fails the LP is
+    solved in sparse cumulative form with HiGHS.  Every result is
     certified: a solution that breaks an obedience row by more than 1e-9 of
     the row's terms, or a HiGHS solution whose multipliers are not dual
     feasible, raises ConditionViolatedError.  The result carries that
@@ -250,6 +242,19 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
         if total > 0:
             g *= (1.0 - mu0) / total
         return g, _value(g, mu0, p1, c)
+
+    # row j fails for every g >= 0 when b_j < 0 and no later level pays
+    # more at belief 0: the agent at belief 1 prefers level j to the end
+    later = np.maximum.accumulate(a0[::-1])[::-1][1:]
+    bad = np.flatnonzero((b[:-1] < 0.0) & (a0[:-1] >= later))
+    if bad.size:
+        j = int(bad[-1])
+        raise InfeasibleLPError(
+            f"infeasible bad-news LP: obedience fails at level index {j} "
+            f"(l = {grid.points[j]:.6g}) for every bad-news process; at "
+            f"belief 1 the agent loses {-b[j] / mu0:.3g} going on from "
+            "there to the last allowed level, and no later level pays "
+            "more at belief 0", most_binding=j)
 
     route, iters, gap = "construction", 0, None
     g = _obedient_construction(a1, a0, b, mu0)
@@ -317,10 +322,10 @@ def indifference_G(agent: PayoffSpec, m: Mechanism, grid: LevelGrid,
                    mu0: float, principal: PayoffSpec) -> IndifferenceResult:
     """Construct the bad-news process with binding obedience on [L_low, l_max).
 
-    Solves the triangular system top-down: the row at level j pins the
-    arrival increment at level j+1.  Mass accumulates going down; the level
-    where it reaches 1-mu0 is L_low.  Falls back to the LP when increments go
-    negative or the result is disobedient.
+    Where rows j and j+1 bind, the mass still to arrive above level j is a
+    marginal ratio of the agent's payoff steps; the level just above the
+    highest row where it reaches 1-mu0 is L_low.  Falls back to the LP when
+    an increment goes negative or the result is disobedient.
     """
     if not 0.0 < mu0 < 1.0:
         raise DomainError("construction needs an interior prior")

@@ -13,16 +13,11 @@ from .payoffs import PayoffSpec
 _EPS = float(np.finfo(float).eps)
 
 
-def one_shot_level(p: PayoffSpec, mu: float, grid: LevelGrid,
-                   m: Mechanism = Zero(), side: str = "agent") -> float:
-    """Largest grid maximizer of the (mechanism-adjusted) indirect utility."""
-    return float(one_shot_levels(p, [mu], grid, m, side)[0])
-
-
 def one_shot_levels(p: PayoffSpec, mus: np.ndarray, grid: LevelGrid,
                     m: Mechanism = Zero(), side: str = "agent") -> np.ndarray:
-    """one_shot_level over a belief array, read off the upper envelope of
-    `_one_shot_pieces`.
+    """The one-shot level at each belief of an array: the largest grid
+    maximizer of the (mechanism-adjusted) indirect utility, read off the
+    upper envelope of `_one_shot_pieces`.
 
     A belief within the rounding bound of a piece's start is settled by
     evaluating U^phi(mu, .) = mu a1 + (1 - mu) a0 on every line that can be

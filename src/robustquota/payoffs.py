@@ -148,23 +148,6 @@ def cara_pair(gamma_agent: float, gamma_principal: float) -> Tuple[CARA, CARA]:
     return CARA(gamma_agent), CARA(gamma_principal)
 
 
-def liability_transform(agent: PayoffSpec, cap: float, principal: PayoffSpec,
-                        grid: LevelGrid) -> Tabulated:
-    """Capped ex-post liability: the agent pays, in the bad state, the gap by
-    which its payoff exceeds the principal's, up to the cap M.
-
-    Returns the tabulated transformed payoff u~(theta, l) = u - L(theta, l)
-    with L(1, l) = 0 and L(0, l) = clip(u(0,l) - v(0,l), 0, M).
-    """
-    if cap < 0:
-        raise DomainError("liability cap must be nonnegative")
-    pts = grid.points
-    u1 = agent.u1(pts)
-    u0 = agent.u0(pts)
-    gap = np.clip(u0 - principal.u0(pts), 0.0, cap)
-    return Tabulated(grid, tuple(u1), tuple(u0 - gap))
-
-
 def payoff_from_dict(d: dict, grid: LevelGrid = None) -> PayoffSpec:
     """Construct a payoff spec from its JSON form."""
     if not isinstance(d, dict) or "family" not in d:

@@ -28,7 +28,7 @@ class CSRKernel:
 
     `K @ v` and `x @ K` take vectors and sum each row's (column's) terms in
     stored order with np.bincount.  `__array_ufunc__ = None` makes
-    `ndarray @ K` defer to `__rmatmul__`; `np.asarray(K)` is the dense
+    `ndarray @ K` defer to `__rmatmul__`; `K.toarray()` is the dense
     matrix.
     """
 
@@ -81,10 +81,6 @@ class CSRKernel:
         a = np.zeros(self.shape)
         a[self.row_ids(), self.indices] = self.data
         return a
-
-    def __array__(self, dtype=None, copy=None):
-        a = self.toarray()
-        return a if dtype is None else a.astype(dtype, copy=False)
 
 
 def level_runs(sizes):

@@ -175,7 +175,7 @@ def _refine_by_loops(tree, p, q, levels):
     for j in range(n - 1):
         s, sn = m_at[j] + 1, m_at[j + 1] + 1
         K = np.zeros((len(beliefs[j]), len(beliefs[j + 1])))
-        base = np.asarray(tree.kernels[j])
+        base = tree.kernels[j].toarray()
         for i, b in enumerate(tree.beliefs[j]):
             for w in range(s):
                 mu = beliefs[j][i * s + w]
@@ -207,7 +207,7 @@ def test_refinement_matches_loop_reference_bitwise(make_tree, p, q, levels):
     tree = make_tree(GRID)
     ref = refine_process(tree, BinaryExperiment(p, q, levels))
     beliefs, kernels, root, parent = _refine_by_loops(tree, p, q, levels)
-    got_kernels = [np.asarray(k) for k in ref.kernels]
+    got_kernels = [k.toarray() for k in ref.kernels]
     for got, want in [(ref.beliefs, beliefs), (got_kernels, kernels),
                       ((ref.root_dist,), (root,)), (ref.parent_map, parent)]:
         for a, b in zip(got, want, strict=True):

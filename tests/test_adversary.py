@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,65 @@ def _dense_lp(agent, principal, m, grid, mu0):
     if g.sum() > 0:
         g *= (1.0 - mu0) / g.sum()
     return float(mu0 * p1[-1] + c @ g), BadNewsProcess(grid, g, mu0)
+
+
+def _binding_loop(a0, b, mu0):
+    """Reference: the binding construction as a top-down loop in which row
+    j pins the increment at level j+1 from running sums of the mass above
+    it.  Returns (increments or None, whether an increment was clipped)."""
+    scale = max(1.0, float(np.abs(a0).max()))
+    target = 1.0 - mu0
+    g = np.zeros(len(a0))
+    A = C = 0.0   # mass and payoff-weighted mass strictly above the row
+    clipped = False
+    for j in range(len(a0) - 2, -1, -1):
+        denom = a0[j] - a0[j + 1]
+        if denom <= 1e-15 * scale:
+            return None, clipped
+        gnext = (b[j] - a0[j] * A + C) / denom
+        if gnext < -1e-9 * target:
+            return None, clipped
+        clipped |= gnext < 0.0
+        gnext = max(gnext, 0.0)
+        if A + gnext >= target:
+            g[j + 1] = target - A
+            return g, clipped
+        g[j + 1] = gnext
+        A += gnext
+        C += a0[j + 1] * gnext
+    g[0] = target - A
+    return g, clipped
+
+
+def _dual_loop(c, a0, jbar):
+    """Reference: the exact dual by forward substitution, y_{k-1} solving
+    the reduced cost of level k from running sums of y and y a0."""
+    y = np.zeros(len(a0))
+    t = float(c[jbar])
+    S = W = 0.0
+    for k in range(jbar + 1, len(a0)):
+        y[k - 1] = (a0[k] * S - W - c[k] + t) / (a0[k - 1] - a0[k])
+        S += y[k - 1]
+        W += y[k - 1] * a0[k - 1]
+    return y, t
+
+
+@st.composite
+def _lp_instances(draw):
+    """A drawn bad-news LP: (agent, principal, m, grid, mu0) over quadratic
+    and CARA pairs under Zero, Linear or a quota."""
+    family = draw(st.sampled_from(["quadratic", "cara"]))
+    params = draw(st.tuples(*[st.floats(0.5, 3.0)] * 3))
+    if family == "quadratic":
+        agent, principal = quadratic_pair(params[0], params[1], params[2] - 0.5)
+    else:
+        agent, principal = cara_pair(params[0], params[1])
+    l_max = draw(st.sampled_from([2.0, 4.0, 8.0, 16.0]))
+    m = draw(st.one_of(st.just(Zero()), st.builds(Linear, st.floats(0.0, 0.1)),
+                       st.builds(FixedTaxHardQuota, st.just(0.0),
+                                 st.floats(0.2 * l_max, l_max))))
+    grid = LevelGrid(l_max, draw(st.integers(3, 401)))
+    return agent, principal, m, grid, draw(st.floats(0.2, 0.8))
 
 
 def _force_highs(monkeypatch):
@@ -697,3 +757,108 @@ def test_history_lp_oracle_survives_tiny_pivots():
     ref, _ = _pattern_oracle(*args)
     value = tree_oracle_worst_case(*args).value
     assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def _route_and_value(instance):
+    """solve_badnews_lp's route and value, or the class of its refusal."""
+    try:
+        lp = solve_badnews_lp(*instance)
+    except (ConditionViolatedError, InfeasibleLPError) as e:
+        return type(e), 0.0
+    return lp.route, lp.value
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lp_instances())
+def test_closed_forms_match_loop_reference(instance):
+    """Where the loop clips no increment, the ratio forms refuse what the
+    loops refuse and agree to 1e-12 of the mass and of the largest
+    multiplier.  Where it clips, the two part ways below the clipped row
+    (the loop carries that row's shortfall down, the ratios do not), and
+    solve_badnews_lp's route, refusal and value agree."""
+    agent, principal, m, grid, mu0 = instance
+    _, _, a0, _, _, c, b = adversary._lp_data(agent, principal, m, grid, mu0)
+    ref, clipped = _binding_loop(a0, b, mu0)
+    got = adversary._binding_construction(a0, b, mu0)
+    if got is not None:
+        assert got.sum() == pytest.approx(1.0 - mu0, abs=1e-15)
+    if clipped:
+        route, value = _route_and_value(instance)
+        with mock.patch.object(adversary, "_binding_construction",
+                               lambda *args: _binding_loop(*args)[0]):
+            ref_route, ref_value = _route_and_value(instance)
+        assert route == ref_route
+        assert abs(value - ref_value) <= 1e-11 * max(1.0, abs(ref_value))
+        return
+    assert (got is None) == (ref is None)
+    if ref is None:
+        return
+    assert np.abs(got - ref).max() <= 1e-12 * (1.0 - mu0)
+    jbar = adversary._support_start(got)
+    (y, t), (y_ref, t_ref) = (adversary._exact_dual(c, a0, jbar),
+                              _dual_loop(c, a0, jbar))
+    assert t == t_ref
+    lam, lam_ref = np.cumsum(y), np.cumsum(y_ref)
+    assert np.abs(lam - lam_ref).max() <= 1e-12 * np.abs(lam_ref).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lp_instances())
+def test_continuation_belief_is_step_indifference(instance):
+    """From the support start on, the worst process's continuation belief
+    leaves the agent indifferent to one more step:
+    -da0_j / (da1_j - da0_j)."""
+    agent, principal, m, grid, mu0 = instance
+    _, a1, a0, _, _, _, b = adversary._lp_data(agent, principal, m, grid, mu0)
+    g = adversary._binding_construction(a0, b, mu0)
+    assume(g is not None)
+    s = adversary._support_start(g)
+    lam = BadNewsProcess(grid, g, mu0).cont_belief()
+    da1, da0 = np.diff(a1)[s:], np.diff(a0)[s:]
+    assert np.abs(lam[s:-1] - (-da0 / (da1 - da0))).max(initial=0.0) <= 1e-10
+
+
+def test_construction_refuses_negative_mass_at_large_payoff_scale():
+    """An increment is a mass: -1e-4 is refused although it is far inside
+    1e-9 of the payoff scale e^16."""
+    a0 = -np.exp(np.linspace(0.0, 16.0, 6))
+    g = np.array([0.2, 0.1, 0.1, 0.05, -1e-4, 0.05 + 1e-4])
+    # b makes every row bind for these increments
+    b = np.triu(a0[:, None] - a0[None, :]) @ g
+    assert 1e-4 < 1e-9 * np.abs(a0).max()
+    assert adversary._binding_construction(a0, b, 0.5) is None
+    ok = np.array([0.2, 0.1, 0.1, 0.05, 0.0, 0.05])
+    b = np.triu(a0[:, None] - a0[None, :]) @ ok
+    assert np.allclose(adversary._binding_construction(a0, b, 0.5), ok,
+                       atol=1e-12)
+
+
+@pytest.mark.parametrize("gammas, l_max, n, mu0, beta", [
+    ((0.565, 0.908), 8.0, 23, 0.37, 0.09),
+    ((0.885, 1.26), 8.0, 15, 0.63, 0.067),
+    ((2.8, 1.65), 4.0, 57, 0.38, 0.03),
+    # HiGHS scales rows by max|a0|, e^29 to e^43 here, and reads these as
+    # feasible
+    ((2.7, 2.2), 16.0, 360, 0.57, 0.013),
+    ((2.4, 1.4), 16.0, 208, 0.7, 0.023),
+    ((1.8, 0.96), 16.0, 187, 0.36, 1e-5)])
+def test_infeasible_top_row_refused_exactly(gammas, l_max, n, mu0, beta):
+    """Under a linear tax the CARA agent at belief 1 can prefer the level
+    below the top, and no level pays more at belief 0 above it: no
+    bad-news process is obedient, and the exact test says so before HiGHS
+    runs, which certifies no value here either."""
+    agent, principal = cara_pair(*gammas)
+    grid = LevelGrid(l_max, n)
+    with pytest.raises(InfeasibleLPError, match="obedience fails") as exc:
+        solve_badnews_lp(agent, principal, Linear(beta), grid, mu0)
+    assert exc.value.most_binding == n - 2
+    _, a1, a0, p1, _, c, b = adversary._lp_data(agent, principal,
+                                                Linear(beta), grid, mu0)
+    try:
+        g, y, t, _ = adversary._sparse_lp(c, a0, a1, b, mu0)
+    except InfeasibleLPError:
+        return
+    g = np.clip(g, 0.0, None)
+    value = float(mu0 * p1[-1] + c @ g * (1.0 - mu0) / g.sum())
+    assert adversary._certified_gap(value, y, t, c, a0, b, mu0,
+                                    p1[-1]) is None

@@ -11,7 +11,7 @@ from robustquota import (CARA, CRRA, DegenerateDerivativeError, DomainError,
                          LevelGrid, Linear, Quadratic, Tabulated,
                          TabulatedMechanism, Zero, adjusted_profiles,
                          belief_grid, cara_pair,
-                         check_assumptions, one_shot_level, one_shot_levels,
+                         check_assumptions, one_shot_levels,
                          pseudo_inverse_beliefs, quadratic_pair,
                          risk_ratio_condition)
 from robustquota import checks
@@ -20,40 +20,40 @@ from robustquota.checks import _EPS, _one_shot_pieces
 GRID = LevelGrid(2.0, 401)
 
 
+def _one_shot_level(p, mu, grid, m=Zero(), side="agent"):
+    """one_shot_levels at a single belief."""
+    return float(one_shot_levels(p, [mu], grid, m, side)[0])
+
+
 def test_cara_one_shot_matches_closed_form():
     # argmax of mu(-e^{-g l}) + (1-mu)(-e^{g l}) at l = log(mu/(1-mu))/(2g)
     gamma = 1.0
     p = CARA(gamma)
     for mu in (0.55, 0.7, 0.9):
         expected = np.log(mu / (1 - mu)) / (2 * gamma)
-        assert one_shot_level(p, mu, GRID) == pytest.approx(expected,
-                                                            abs=GRID.h)
+        assert _one_shot_level(p, mu, GRID) == pytest.approx(expected,
+                                                             abs=GRID.h)
 
 
 def test_one_shot_tie_goes_to_largest():
     g = LevelGrid(1.0, 3)
     flat = Quadratic(1.0, 1.0, 0.0)
     # at mu = 0.5 the agent indirect utility is identically zero
-    assert one_shot_level(flat, 0.5, g) == 1.0
+    assert _one_shot_level(flat, 0.5, g) == 1.0
     # the regulator's levels 0.562 and 0.563 tie at mu = 0.68 (l* = 0.5625);
     # the envelope's breakpoint rounds to 0.6800000000000043, so only its
     # rounding bound sends mu = 0.68 to the larger level
     principal = Quadratic(1.0, 1.0, 1.0)
     g = LevelGrid(2.0, 2001)
-    assert one_shot_level(principal, 0.68, g, side="principal") == g.points[563]
-    assert one_shot_level(principal, 0.6799, g, side="principal") == g.points[562]
+    assert (_one_shot_level(principal, 0.68, g, side="principal")
+            == g.points[563])
+    assert (_one_shot_level(principal, 0.6799, g, side="principal")
+            == g.points[562])
     # equal bad-state payoffs of 1e20 make both slopes a1 - a0 round to 1e20:
     # level 1 wins the tie at mu = 0, level 0 is better at every mu > 0
     g = LevelGrid(1.0, 2)
     big = Tabulated(g, (1.0, 0.0), (-1e20, -1e20))
     assert one_shot_levels(big, [0.0, 0.5, 1.0], g).tolist() == [1.0, 0.0, 0.0]
-
-
-def test_one_shot_levels_vectorized_agrees():
-    p = CARA(1.0)
-    mus = np.linspace(0.0, 1.0, 41)
-    vec = one_shot_levels(p, mus, GRID)
-    assert np.allclose(vec, [one_shot_level(p, m, GRID) for m in mus])
 
 
 def _dense_levels(p, mus, grid, m, side):
@@ -235,8 +235,6 @@ def test_one_shot_levels_refuse_beliefs_outside_unit_interval(mu):
     p = CARA(1.0)
     with pytest.raises(DomainError):
         one_shot_levels(p, [0.5, mu], GRID)
-    with pytest.raises(DomainError):
-        one_shot_level(p, mu, GRID)
 
 
 def test_pseudo_inverse_matches_cara_closed_form():
@@ -295,7 +293,7 @@ def test_pseudo_inverse_beliefs_is_first_hit(family, mech, side, l_max, n,
     assert np.all((0.0 <= mu_hat) & (mu_hat <= 1.0))
     for l, mu in zip(grid.points, mu_hat):
         def reaches(b):
-            return one_shot_level(p, b, grid, m, side) >= l
+            return _one_shot_level(p, b, grid, m, side) >= l
         if mu == 1.0 and not reaches(1.0):
             # no belief reaches l
             assert top < l
@@ -405,7 +403,7 @@ def test_nonmonotone_levels_flagged_with_witness():
     assert not rep.monotone_levels and not rep.all_pass
     mu, level = rep.witness_monotone
     assert 0.75 < mu < 1.0 and level == 1.0
-    assert one_shot_level(_zigzag(g), mu, g) == level
+    assert _one_shot_level(_zigzag(g), mu, g) == level
     # the jump from 0 to l_max at mu = 1/2, then back by l_max / 2 at 3/4
     assert rep.jumps == ((0.5, 2.0), (0.75, -1.0))
 
@@ -423,7 +421,7 @@ def test_swapped_risk_aversion_flagged_with_witness():
     rep = check_assumptions(agent, principal, GRID)
     assert not rep.agent_develops_more
     mu, lv = rep.witness_agent_more
-    assert one_shot_level(principal, mu, GRID) == pytest.approx(lv)
+    assert _one_shot_level(principal, mu, GRID) == pytest.approx(lv)
 
 
 def test_principal_later_between_belief_grid_points_flagged():
@@ -435,8 +433,8 @@ def test_principal_later_between_belief_grid_points_flagged():
     assert not rep.agent_develops_more and not rep.all_pass
     mu, lv = rep.witness_agent_more
     assert 0.8176 < mu < 0.8199 and lv == 1.0
-    assert one_shot_level(principal, mu, grid) == 1.0
-    assert one_shot_level(agent, mu, grid) == 0.0
+    assert _one_shot_level(principal, mu, grid) == 1.0
+    assert _one_shot_level(agent, mu, grid) == 0.0
 
 
 def test_quadratic_jump_at_half_reported_not_failed():

@@ -16,20 +16,6 @@ def test_points_are_write_locked():
         g.points[0] = 7.0
 
 
-def test_index_of_roundtrip():
-    g = LevelGrid(2.0, 2001)
-    for j in (0, 1, 1000, 2000):
-        assert g.index_of(g.points[j]) == j
-
-
-def test_index_of_off_grid_rejected():
-    g = LevelGrid(1.0, 3)
-    with pytest.raises(DomainError):
-        g.index_of(0.3)
-    with pytest.raises(DomainError):
-        g.index_of(1.5)
-
-
 @pytest.mark.parametrize("l_max,n", [(0.0, 5), (-1.0, 5), (1.0, 1),
                                      (np.inf, 5), (np.nan, 5), (2.0, 5.5),
                                      (2.0, np.nan), (2.0, np.inf)])

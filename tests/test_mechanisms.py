@@ -18,7 +18,7 @@ def test_quota_prohibits_strictly_beyond():
 def test_quota_on_grid_point_stays_allowed():
     g = LevelGrid(2.0, 2001)
     m = FixedTaxHardQuota(0.0, 0.5)
-    assert len(m.tax_profile(g)) == g.index_of(0.5) + 1
+    assert g.points[len(m.tax_profile(g)) - 1] == 0.5
 
 
 def test_linear_and_exponential_profiles():

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustquota import (CARA, CRRA, DomainError, LevelGrid, Quadratic,
-                         Tabulated, cara_pair, liability_transform,
-                         payoff_from_dict, quadratic_pair)
+                         Tabulated, payoff_from_dict, quadratic_pair)
 
 
 def test_quadratic_closed_form():
@@ -38,23 +37,6 @@ def test_crra_floors_the_origin():
 def test_crra_rejects_log_case():
     with pytest.raises(DomainError):
         CRRA(1.0)
-
-
-def test_liability_transform_caps_the_gap():
-    g = LevelGrid(1.0, 11)
-    agent, principal = quadratic_pair(1.0, 1.0, 1.0)
-    t = liability_transform(agent, 0.25, principal, g)
-    pts = g.points
-    gap = np.clip(agent.u0(pts) - principal.u0(pts), 0.0, 0.25)
-    assert np.allclose(t.u0(pts), agent.u0(pts) - gap)
-    assert np.allclose(t.u1(pts), agent.u1(pts))
-
-
-def test_liability_transform_zero_cap_is_identity():
-    g = LevelGrid(1.0, 11)
-    agent, principal = cara_pair(1.0, 3.0)
-    t = liability_transform(agent, 0.0, principal, g)
-    assert np.allclose(t.u0(g.points), agent.u0(g.points))
 
 
 @pytest.mark.parametrize("spec", [Quadratic(1.0, 2.0, 0.5), CARA(1.5),

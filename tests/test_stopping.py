@@ -9,7 +9,7 @@ from robustquota import (CARA, DomainError, EmptyMechanismError,
                          FixedTaxHardQuota, LevelGrid, TabulatedMechanism,
                          UnreachableLevelError, Zero, adjusted_profiles,
                          binomial_tree, cara_pair, compute_robust,
-                         full_revelation, no_learning, one_shot_level,
+                         full_revelation, no_learning, one_shot_levels,
                          principal_value, quadratic_pair, random_tree,
                          simulate, single_split, solve_stopping)
 from robustquota.adversary import indifference_G
@@ -38,8 +38,8 @@ def test_full_revelation_branches_decouple():
     grid = LevelGrid(2.0, 101)
     sol = solve_stopping(full_revelation(0.6, grid), agent, Zero())
     stops = dict(zip(sol.joint_belief, sol.joint_level))
-    assert stops[1.0] == one_shot_level(agent, 1.0, grid)
-    assert stops[0.0] == one_shot_level(agent, 0.0, grid)
+    assert [stops[1.0], stops[0.0]] == one_shot_levels(agent, [1.0, 0.0],
+                                                       grid).tolist()
     expected = 0.6 * principal.indirect(1.0, stops[1.0]) \
         + 0.4 * principal.indirect(0.0, stops[0.0])
     assert principal_value(sol, principal, Zero()) == pytest.approx(expected)
@@ -182,7 +182,7 @@ def _simulate_by_paths(proc, sol, n_paths, seed):
     turn, as scalar draws from one `Generator(Philox(key=seed))`, and
     searches the dense row CDF at every step."""
     root_cdf = np.cumsum(proc.root_dist)
-    kernel_cdfs = [np.cumsum(np.asarray(k), axis=1) for k in proc.kernels]
+    kernel_cdfs = [np.cumsum(k.toarray(), axis=1) for k in proc.kernels]
     rng = np.random.Generator(np.random.Philox(key=seed))
     counts = {}
     for _ in range(n_paths):
