@@ -8,7 +8,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .badnews import BadNewsProcess, obedience_slacks
-from .checks import one_shot_intervals
+from .checks import _step_ratios, one_shot_intervals
 from .errors import (BudgetExceededError, ConditionViolatedError, DomainError,
                      InfeasibleLPError)
 from .grid import LevelGrid
@@ -24,9 +24,15 @@ def principal_prefers_earlier(agent: PayoffSpec, principal: PayoffSpec,
 
     Read once on every belief interval where both one-shot levels are
     constant, so no violation is too narrow to be seen."""
-    _, _, lu, lv = one_shot_intervals(agent, principal, m, grid)
-    end_level = grid.points[len(m.tax_profile(grid)) - 1]
-    interior = (lu > 1e-12) & (lu < end_level - 1e-12)
+    return _prefers_earlier(adjusted_profiles(agent, m, "agent", grid),
+                            adjusted_profiles(principal, m, "principal", grid),
+                            grid)
+
+
+def _prefers_earlier(u: tuple, v: tuple, grid: LevelGrid) -> bool:
+    """principal_prefers_earlier on the adjusted_profiles u and v."""
+    _, _, lu, lv = one_shot_intervals(u, v, grid)
+    interior = (lu > 1e-12) & (lu < grid.points[len(u[0]) - 1] - 1e-12)
     return bool(np.all(lv <= lu + 1e-12)
                 and np.all(lv[interior] < lu[interior] - 1e-15))
 
@@ -76,14 +82,13 @@ class BadNewsLPResult:
 
 def _lp_data(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
              grid: LevelGrid, mu0: float):
-    """The last allowed level, the profiles through it, the belief-0 stop
-    payoffs c and the obedience right-hand sides
+    """The stop rule at belief 0, the profiles on the allowed levels, the
+    belief-0 stop payoffs c and the obedience right-hand sides
     b = mu0 (U^phi(1,l_end) - U^phi(1,l))."""
     a1, a0 = adjusted_profiles(agent, m, "agent", grid)
     p1, p0 = adjusted_profiles(principal, m, "principal", grid)
-    c = p0[stop_rule_at_zero(a0)]
-    b = mu0 * (a1[-1] - a1)
-    return len(a1) - 1, a1, a0, p1, p0, c, b
+    stop = stop_rule_at_zero(a0)
+    return stop, a1, a0, p1, p0, p0[stop], mu0 * (a1[-1] - a1)
 
 
 def _binding_construction(a0: np.ndarray, b: np.ndarray,
@@ -100,10 +105,8 @@ def _binding_construction(a0: np.ndarray, b: np.ndarray,
     that maximum by more than 1e-9 of the mass 1-mu0 (a negative increment).
     """
     target = 1.0 - mu0
-    step = a0[:-1] - a0[1:]
-    flat = step <= 1e-15 * max(1.0, float(np.abs(a0).max()))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        M = np.append((b[:-1] - b[1:]) / step, 0.0)
+    M, flat = _step_ratios(b, a0)
+    M = np.append(M, 0.0)
     rows = np.flatnonzero((M[:-1] >= target) | flat)
     s = int(rows[-1]) + 1 if rows.size else 0
     top = np.maximum.accumulate(M[s:][::-1])[::-1]
@@ -144,7 +147,7 @@ def _exact_dual(c: np.ndarray, a0: np.ndarray,
     Lambda_k = sum_{j<=k} y_j = (c_k - c_{k+1}) / (a0_k - a0_{k+1}) for
     k = jbar..end-1, so y is the difference of Lambda.
     """
-    lam = (c[jbar:-1] - c[jbar + 1:]) / (a0[jbar:-1] - a0[jbar + 1:])
+    lam = _step_ratios(c[jbar:], a0[jbar:])[0]
     y = np.zeros(len(a0))
     y[jbar:-1] = np.diff(lam, prepend=0.0)
     return y, float(c[jbar])
@@ -221,19 +224,19 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
 
     Certify-first and O(n): an obedience row that no g >= 0 satisfies
     raises InfeasibleLPError naming its level.  Otherwise the process with
-    binding obedience is built from marginal ratios, checked obedient, and
-    proved optimal with the complementary-slackness dual, itself a ratio
-    (dual feasible, relative gap <= 1e-9).  Where that proof fails the LP is
-    solved in sparse cumulative form with HiGHS.  Every result is
-    certified: a solution that breaks an obedience row by more than 1e-9 of
-    the row's terms, or a HiGHS solution whose multipliers are not dual
-    feasible, raises ConditionViolatedError.  The result carries that
-    certificate.
+    binding obedience is built from marginal ratios (_step_ratios), checked
+    obedient, and proved optimal with the complementary-slackness dual,
+    itself a ratio (dual feasible, relative gap <= 1e-9).  Where that proof
+    fails the LP is solved in sparse cumulative form with HiGHS.  Every
+    result is certified: a solution that breaks an obedience row by more
+    than 1e-9 of the row's terms, or a HiGHS solution whose multipliers are
+    not dual feasible, raises ConditionViolatedError.  The result carries
+    that certificate, and premise_ok is read from the same profiles.
     """
     if not 0.0 < mu0 < 1.0:
         raise DomainError("worst-case search needs an interior prior")
-    _, a1, a0, p1, _, c, b = _lp_data(agent, principal, m, grid, mu0)
-    premise_ok = principal_prefers_earlier(agent, principal, m, grid)
+    stop, a1, a0, p1, p0, c, b = _lp_data(agent, principal, m, grid, mu0)
+    premise_ok = _prefers_earlier((a1, a0), (p1, p0), grid)
     scale = max(1.0, float(np.abs(a0).max()), float(np.abs(a1).max()))
 
     def finish(g):
@@ -243,10 +246,9 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
             g *= (1.0 - mu0) / total
         return g, _value(g, mu0, p1, c)
 
-    # row j fails for every g >= 0 when b_j < 0 and no later level pays
-    # more at belief 0: the agent at belief 1 prefers level j to the end
-    later = np.maximum.accumulate(a0[::-1])[::-1][1:]
-    bad = np.flatnonzero((b[:-1] < 0.0) & (a0[:-1] >= later))
+    # row j fails for every g >= 0 when b_j < 0 and the stop rule at belief
+    # 0 stays at j: the agent at belief 1 prefers level j to the end
+    bad = np.flatnonzero((b[:-1] < 0.0) & (a0[:-1] == a0[stop[:-1]]))
     if bad.size:
         j = int(bad[-1])
         raise InfeasibleLPError(
@@ -303,10 +305,10 @@ def badnews_value(bn: BadNewsProcess, agent: PayoffSpec, principal: PayoffSpec,
     """Principal value of a bad-news process under the belief-0 stop rule.
     A process that does not end at the mechanism's last allowed level raises
     DomainError."""
-    end, _, _, p1, _, c, _ = _lp_data(agent, principal, m, bn.grid, bn.mu0)
-    if bn.end != end:
+    _, _, _, p1, _, c, _ = _lp_data(agent, principal, m, bn.grid, bn.mu0)
+    if bn.end != len(p1) - 1:
         raise DomainError(f"process ends at level index {bn.end}, the "
-                          f"mechanism's last allowed level is {end}")
+                          f"mechanism's last allowed level is {len(p1) - 1}")
     return _value(bn.g, bn.mu0, p1, c)
 
 

@@ -1,6 +1,6 @@
 """One-shot levels, pseudo-inverse beliefs, and the model's runtime checkers."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -117,18 +117,15 @@ def _one_shot_pieces(a1: np.ndarray, a0: np.ndarray
     return starts, errs, order, hull
 
 
-def one_shot_intervals(agent: PayoffSpec, principal: PayoffSpec,
-                       m: Mechanism, grid: LevelGrid
+def one_shot_intervals(u: tuple, v: tuple, grid: LevelGrid
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The belief intervals (lo, hi) on which both one-shot levels are
     constant, in ascending order, with the agent's and the principal's level
-    on each; breakpoints that agree within their rounding errors bound no
-    interval."""
-    su, eu, lines, pos = _one_shot_pieces(*adjusted_profiles(agent, m, "agent",
-                                                             grid))
+    on each, read from their adjusted_profiles u and v; breakpoints that
+    agree within their rounding errors bound no interval."""
+    su, eu, lines, pos = _one_shot_pieces(*u)
     pu = grid.points[lines[pos]]
-    sv, ev, lines, pos = _one_shot_pieces(*adjusted_profiles(principal, m,
-                                                             "principal", grid))
+    sv, ev, lines, pos = _one_shot_pieces(*v)
     pv = grid.points[lines[pos]]
     cuts = np.concatenate([su, sv, [1.0]])
     err = np.concatenate([eu, ev, [0.0]])
@@ -207,7 +204,7 @@ def _below(d1: np.ndarray, d0: np.ndarray, c: float
     return lo, hi
 
 
-def _single_peaked_witness(p: PayoffSpec, grid: LevelGrid
+def _single_peaked_witness(u1: np.ndarray, u0: np.ndarray, grid: LevelGrid
                            ) -> Optional[Tuple[float, float]]:
     """A (belief, level) at which U(mu, .) rises by more than tol onto
     `level` after falling by more than tol at a lower level, or None when no
@@ -220,7 +217,6 @@ def _single_peaked_witness(p: PayoffSpec, grid: LevelGrid
     widest overlap of a rise with them.
     """
     pts = grid.points
-    u1, u0 = p.u1(pts), p.u0(pts)
     # the largest |U| over beliefs is reached at mu = 0 or mu = 1
     tol = 1e-9 * max(1.0, float(np.abs(u1).max()), float(np.abs(u0).max()))
     d1, d0 = np.diff(u1), np.diff(u0)
@@ -248,10 +244,11 @@ def check_assumptions(agent: PayoffSpec, principal: PayoffSpec,
 
     Violations are reported with witnesses, never raised.
     """
-    w_sp = _single_peaked_witness(agent, grid) \
-        or _single_peaked_witness(principal, grid)
+    u = adjusted_profiles(agent, Zero(), "agent", grid)
+    v = adjusted_profiles(principal, Zero(), "principal", grid)
+    w_sp = _single_peaked_witness(*u, grid) or _single_peaked_witness(*v, grid)
 
-    lo, hi, lu, lv = one_shot_intervals(agent, principal, Zero(), grid)
+    lo, hi, lu, lv = one_shot_intervals(u, v, grid)
     mids = 0.5 * (lo + hi)
     w_mono = None
     for lh in (lu, lv):
@@ -273,46 +270,50 @@ def check_assumptions(agent: PayoffSpec, principal: PayoffSpec,
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Monotonicity report for r(l) = |dV^phi(0,l)/dl / dU^phi(0,l)/dl|."""
+    """Monotonicity report for risk_ratio_condition's marginal ratio r."""
 
     nondecreasing: bool
     witness: Optional[Tuple[float, float]]  # (level, r drop) at first violation
-    levels: np.ndarray = field(repr=False, compare=False)
-    ratio: np.ndarray = field(repr=False, compare=False)
 
     def to_dict(self):
         return {"nondecreasing": self.nondecreasing,
                 "witness": list(self.witness) if self.witness else None}
 
 
+def _step_ratios(x: np.ndarray, a0: np.ndarray) -> tuple:
+    """The marginal ratio (x_j - x_j+1) / (a0_j - a0_j+1) of a profile x over
+    the agent's bad-state profile a0 on each step, and the mask of the flat
+    steps, where a0 falls by at most 1e-15 max(1, max|a0|): read no ratio."""
+    step = a0[:-1] - a0[1:]
+    flat = step <= 1e-15 * max(1.0, float(np.abs(a0).max()))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (x[:-1] - x[1:]) / step, flat
+
+
 def risk_ratio_condition(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
                          grid: LevelGrid) -> RatioReport:
-    """Check that the bad-state marginal-payoff ratio is nondecreasing.
+    """Check that the bad-state marginal-payoff ratio r is nondecreasing.
 
-    Central finite differences on the grid interior; quota mechanisms are
-    evaluated on their allowed prefix.  Families singular at the origin skip
-    the first interior point.
+    r = |_step_ratios(V^phi(0,.), U^phi(0,.))| on the allowed levels, whose
+    running value is the bad-news dual's multiplier Lambda; families singular
+    at the origin skip the first step.  The witness is (l_k+1, r_k+1 - r_k)
+    at the first fall beyond 1e-9 max(1, max r).  A flat step raises
+    DegenerateDerivativeError, and levels that leave no step DomainError.
     """
     _, a0 = adjusted_profiles(agent, m, "agent", grid)
     _, p0 = adjusted_profiles(principal, m, "principal", grid)
-    nT = len(a0)
-    if nT < 3:
-        raise DomainError("too few allowed levels for finite differences")
-    dU = (a0[2:] - a0[:-2]) / (2.0 * grid.h)
-    dV = (p0[2:] - p0[:-2]) / (2.0 * grid.h)
     start = 1 if (agent.singular_at_zero or principal.singular_at_zero) else 0
-    dU, dV = dU[start:], dV[start:]
-    levels = grid.points[1 + start:nT - 1]
-    scale_dU = float(np.abs(dU).max())
-    if np.any(np.abs(dU) <= 1e-14 * max(scale_dU, 1.0)):
-        k = int(np.argmax(np.abs(dU) <= 1e-14 * max(scale_dU, 1.0)))
-        raise DegenerateDerivativeError(
-            f"agent bad-state marginal vanishes at l={levels[k]}")
-    r = np.abs(dV / dU)
-    tol = 1e-9 * max(1.0, float(np.abs(r).max()))
+    if len(a0) < start + 2:
+        raise DomainError("no step of the allowed levels to read the ratio on")
+    r, flat = _step_ratios(p0[start:], a0[start:])
+    ends = grid.points[start + 1:len(a0)]   # the level each step ends at
+    if flat.any():
+        raise DegenerateDerivativeError("agent bad-state payoff does not fall "
+                                        f"on the step to l={ends[flat][0]}")
+    r = np.abs(r)
     d = np.diff(r)
-    bad = np.nonzero(d < -tol)[0]
+    bad = np.flatnonzero(d < -1e-9 * max(1.0, float(r.max())))
     if bad.size:
         k = int(bad[0])
-        return RatioReport(False, (float(levels[k + 1]), float(d[k])), levels, r)
-    return RatioReport(True, None, levels, r)
+        return RatioReport(False, (float(ends[k]), float(d[k])))
+    return RatioReport(True, None)

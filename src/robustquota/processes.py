@@ -73,10 +73,6 @@ class CSRKernel:
         return np.bincount(self.indices, weights=x[self.row_ids()] * self.data,
                            minlength=self.shape[1])
 
-    def row_sums(self) -> np.ndarray:
-        return np.bincount(self.row_ids(), weights=self.data,
-                           minlength=self.shape[0])
-
     def toarray(self) -> np.ndarray:
         a = np.zeros(self.shape)
         a[self.row_ids(), self.indices] = self.data

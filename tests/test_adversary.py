@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robustquota import (BudgetExceededError, ConditionViolatedError,
-                         DomainError, FixedTaxHardQuota, InfeasibleLPError,
-                         IterationLimitError, LevelGrid,
-                         Linear, Tabulated, Zero, cara_pair, compute_robust,
+from robustquota import (CRRA, BudgetExceededError, ConditionViolatedError,
+                         DomainError, Exponential, FixedTaxHardQuota,
+                         InfeasibleLPError, IterationLimitError, LevelGrid,
+                         Linear, RobustQuotaError, Tabulated,
+                         TabulatedMechanism, Zero, cara_pair, compute_robust,
                          quadratic_pair, verify_guarantee)
 from robustquota import adversary
 from robustquota.adversary import (badnews_value, indifference_G, payoff_gap,
@@ -26,10 +27,10 @@ def _dense_lp(agent, principal, m, grid, mu0):
     """Reference: the bad-news LP in dense form, one row per obedience
     inequality, solved by the tableau simplex.  Returns (value, process),
     the increments normalised to mass 1 - mu0 as solve_badnews_lp does."""
-    end, a1, a0, p1, _, c, b = adversary._lp_data(agent, principal, m, grid,
-                                                  mu0)
+    _, a1, a0, p1, _, c, b = adversary._lp_data(agent, principal, m, grid,
+                                                mu0)
     res = solve_lp(c, np.triu(a0[:, None] - a0[None, :]), b,
-                   [np.ones(end + 1)], [1.0 - mu0])
+                   [np.ones(len(a0))], [1.0 - mu0])
     g = np.clip(res.x, 0.0, None)
     if g.sum() > 0:
         g *= (1.0 - mu0) / g.sum()
@@ -862,3 +863,74 @@ def test_infeasible_top_row_refused_exactly(gammas, l_max, n, mu0, beta):
     value = float(mu0 * p1[-1] + c @ g * (1.0 - mu0) / g.sum())
     assert adversary._certified_gap(value, y, t, c, a0, b, mu0,
                                     p1[-1]) is None
+
+
+@st.composite
+def _premise_instances(draw):
+    """A drawn bad-news LP over CARA, quadratic and CRRA pairs under Zero,
+    Linear, Exponential, a quota or a tabulated mechanism."""
+    family = draw(st.sampled_from(["quadratic", "cara", "crra"]))
+    params = draw(st.tuples(*[st.floats(0.5, 3.0)] * 3))
+    if family == "quadratic":
+        agent, principal = quadratic_pair(params[0], params[1], params[2] - 0.5)
+    elif family == "cara":
+        agent, principal = cara_pair(params[0], params[1])
+    else:
+        # gamma in [0.25, 0.75] or [1.5, 3], away from the excluded 1
+        agent, principal = (CRRA(x if x >= 1.5 else x / 2.0)
+                            for x in params[:2])
+    l_max = draw(st.sampled_from([1.0, 2.0, 4.0, 8.0]))
+    grid = LevelGrid(l_max, draw(st.integers(2, 60)))
+    allowed = draw(st.integers(1, grid.n))
+    taxes = draw(st.lists(st.floats(-0.2, 0.2), min_size=allowed,
+                          max_size=allowed))
+    m = draw(st.one_of(
+        st.just(Zero()), st.builds(Linear, st.floats(0.0, 0.1)),
+        st.builds(Exponential, st.floats(0.05, 1.0)),
+        st.builds(FixedTaxHardQuota, st.floats(0.0, 0.3),
+                  st.floats(0.0, l_max)),
+        st.just(TabulatedMechanism(
+            grid, tuple(taxes) + (np.inf,) * (grid.n - allowed)))))
+    return agent, principal, m, grid, draw(st.floats(0.2, 0.8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_premise_instances())
+def test_premise_reads_the_solve_profiles(instance):
+    """solve_badnews_lp reads the premise from the profiles it solves on,
+    and finds what the public check finds."""
+    try:
+        lp = solve_badnews_lp(*instance)
+    except RobustQuotaError:
+        return
+    assert lp.premise_ok == principal_prefers_earlier(*instance[:4])
+
+
+def _doomed_rows_suffix_max(a0, b):
+    """Reference: the obedience rows j < end that no g >= 0 satisfies, b_j < 0
+    with no later level paying more at belief 0, read off the suffix
+    maximum of a0."""
+    later = np.maximum.accumulate(a0[::-1])[::-1][1:]
+    return np.flatnonzero((b[:-1] < 0.0) & (a0[:-1] >= later))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+           *[st.lists(st.integers(-3, 3), min_size=n, max_size=n)] * 2)),
+       st.floats(0.2, 0.8))
+def test_doomed_row_refusal_matches_suffix_max(profiles, mu0):
+    """On small-integer profiles, full of ties, solve_badnews_lp refuses
+    the highest row the suffix-max reference dooms, and no row where it
+    dooms none."""
+    grid = LevelGrid(float(len(profiles[0]) - 1), len(profiles[0]))
+    agent = Tabulated(grid, *profiles)
+    _, _, a0, _, _, _, b = adversary._lp_data(agent, agent, Zero(), grid, mu0)
+    ref = _doomed_rows_suffix_max(a0, b)
+    try:
+        solve_badnews_lp(agent, agent, Zero(), grid, mu0)
+        refused = None
+    except InfeasibleLPError as e:
+        refused = e.most_binding if "obedience fails" in str(e) else None
+    except ConditionViolatedError:
+        refused = None
+    assert refused == (int(ref[-1]) if ref.size else None)

@@ -464,6 +464,21 @@ def test_risk_ratio_violated_by_overcompensating_linear_tax():
     assert rep.witness[0] < 0.6   # violation begins before the sign change
 
 
+def test_risk_ratio_reads_the_first_step_as_the_certificate_does():
+    """Under a quota that leaves 3 levels the forward ratio falls on the
+    first step, which central differences never see; the bad-news dual,
+    the same ratio, is not certified there either, so the LP goes to
+    HiGHS."""
+    from robustquota import solve_badnews_lp
+    agent, principal = cara_pair(2.0, 1.5)
+    grid = LevelGrid(4.0, 53)
+    m = FixedTaxHardQuota(0.0, 0.15)
+    rep = risk_ratio_condition(agent, principal, m, grid)
+    assert not rep.nondecreasing
+    assert rep.witness[0] == grid.points[1] and rep.witness[1] < 0.0
+    assert solve_badnews_lp(agent, principal, m, grid, 0.5).route == "highs"
+
+
 def test_risk_ratio_degenerate_derivative():
     g = LevelGrid(1.0, 11)
     agent = Quadratic(1.0, 1.0, 0.0)

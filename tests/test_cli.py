@@ -72,6 +72,23 @@ def test_check_fails_for_swapped_risk_aversions(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("n, ratio", [
+    # CRRA is singular at 0, so the ratio skips the first step: 3 levels
+    # leave one step to read, 2 leave none
+    (3, {"nondecreasing": True, "witness": None}),
+    (2, {"error": "no step of the allowed levels to read the ratio on"})])
+def test_check_on_few_crra_levels(tmp_path, n, ratio):
+    raw = {"payoff": {"agent": {"family": "crra", "gamma": 2.0},
+                      "principal": {"family": "crra", "gamma": 3.0}},
+           "grid": {"l_max": 1.0, "n": n}, "prior": {"mu0": 0.5}}
+    rc = main(["--config", _write(tmp_path, raw), "--out",
+               str(tmp_path / "o"), "check"])
+    payload = json.loads((tmp_path / "o" / "check.json").read_text())
+    assert payload["marginal_ratio"] == ratio
+    ok = "error" not in ratio and payload["assumptions"]["all_pass"]
+    assert rc == (0 if ok else 1)
+
+
 def test_missing_prior_is_usage_error(tmp_path):
     raw = json.loads(json.dumps(QUAD))
     del raw["prior"]
