@@ -1,6 +1,6 @@
 """Adaptive quotas on principal belief trees: DP stopping rule, the adaptive
 fixed tax, and evaluation against agent processes that refine the tree.
-Refined processes are built directly as sparse kernels, in O(nnz)."""
+Refined processes are written straight into flat arrays, in O(nnz)."""
 
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -11,9 +11,10 @@ from .errors import (AlignmentError, DomainError, NotARefinementError, is_int,
                      is_real)
 from .mechanisms import FixedTaxHardQuota
 from .payoffs import PayoffSpec
-from .processes import (CSRKernel, DiscreteLearningProcess, level_runs,
-                        stack_kernels)
-from .stopping import backward, forward, principal_value, solve_stopping
+from .processes import (DiscreteLearningProcess, KernelLevels, Levels,
+                        level_runs)
+from .stopping import (backward, forward, node_payoff, principal_value,
+                       solve_stopping)
 
 
 @dataclass(frozen=True)
@@ -21,14 +22,19 @@ class AdaptivePolicy:
     """Per-node stopping region of the planner's DP plus the fixed tax.
 
     The quota is a stopping region rather than a level function because on a
-    tree the binding level is a per-history object.
+    tree the binding level is a per-history object.  `node_stop` is flat
+    over the tree's nodes, `stop_set` its per-level view.
     """
 
     tree: DiscreteLearningProcess = field(repr=False)
-    stop_set: tuple = field(repr=False)   # per level: boolean array over nodes
+    node_stop: np.ndarray = field(repr=False)
     lambda_adaptive: float
     value: float
     mu0: float
+
+    @property
+    def stop_set(self) -> Levels:
+        return Levels(self.node_stop, self.tree.first)
 
 
 def solve_adaptive_quota(tree: DiscreteLearningProcess, agent: PayoffSpec,
@@ -41,22 +47,21 @@ def solve_adaptive_quota(tree: DiscreteLearningProcess, agent: PayoffSpec,
     bitwise: same quota level, same tax, same value.
     """
     grid = tree.grid
+    end = grid.n - 1
     mu0 = tree.mu0
     a1 = agent.u1(grid.points)
     a0 = agent.u0(grid.points)
-    p1 = principal.u1(grid.points)
-    p0 = principal.u0(grid.points)
     outside = float(mu0 * a1[0] + (1.0 - mu0) * a0[0])
-    U = [mu * a1[j] + (1.0 - mu) * a0[j] for j, mu in enumerate(tree.beliefs)]
-    surplus = [(U[j] - outside) + (mu * p1[j] + (1.0 - mu) * p0[j])
-               for j, mu in enumerate(tree.beliefs)]
+    U = node_payoff(tree, end, a1, a0)
+    surplus = U - outside
+    surplus += node_payoff(tree, end, principal.u1(grid.points),
+                           principal.u0(grid.points))
 
-    values, stop_set = backward(tree, surplus, tie_eps=0.0)
-    value = float(tree.root_dist @ values[0])
+    values, stop = backward(tree, end, surplus, tie_eps=0.0)
+    value = float(tree.root_dist @ values[:tree.first[1]])
     # lambda = E[U at stopping] - U(mu0, 0)
-    exp_u = sum(float((m[st] * u[st]).sum())
-                for m, st, u in zip(forward(tree, stop_set), stop_set, U))
-    return AdaptivePolicy(tree, stop_set, exp_u - outside, value, mu0)
+    _, exp_u = forward(tree, end, stop, U)
+    return AdaptivePolicy(tree, stop, exp_u - outside, value, mu0)
 
 
 @dataclass(frozen=True)
@@ -101,35 +106,32 @@ def random_experiment(rng: np.random.Generator, n: int) -> BinaryExperiment:
     return BinaryExperiment(p, q, tuple(int(l) for l in levels))
 
 
-def _posterior(b, pw, pmw, den):
-    """Beliefs b after w up-signals out of m (P(up | theta=1) = p,
-    P(up | theta=0) = q), by Bayes' rule in odds form, given per entry
-    pw = p^w, pmw = (1-p)^(m-w) and den = q^w (1-q)^(m-w).
+def _posteriors(b, m, p, q, out):
+    """Beliefs b after w up-signals out of m, for w = 0..m, into column w of
+    `out`: Bayes' rule in odds form with the factors p^w (1-p)^(m-w) and
+    q^w (1-q)^(m-w), where P(up | theta=1) = p and P(up | theta=0) = q.
 
     A signal history impossible under theta = 0 sends the belief to 1, and
     one impossible under theta = 1 to 0, also where b has rounded to 0 or 1;
     otherwise beliefs 0 and 1 stay fixed.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        num = b / (1.0 - b) * pw * pmw
-        odds = num / den
-        post = np.where(num == 0.0, 0.0,
-                        np.where(np.isfinite(odds), odds / (1.0 + odds), 1.0))
-    post = np.where((b <= 0.0) | (b >= 1.0), b, post)
-    return np.where(pw * pmw == 0.0, np.where(den == 0.0, b, 0.0),
-                    np.where(den == 0.0, 1.0, post))
-
-
-def _agent_steps(k1, k0, mu, fire, p, q):
-    """Agent transition weights along planner edges whose probabilities
-    given theta = 1 and theta = 0 are k1 and k0, out of an agent node with
-    belief mu: to the same signal count w, and, only where a signal fires on
-    arrival, to w + 1."""
-    pr1 = mu * k1                               # joint with theta = 1
-    pr0 = (1 - mu) * k0
-    # x * 1.0 == x, so where nothing fires this is exactly pr1 + pr0
-    same = pr1 * np.where(fire, 1 - p, 1.0) + pr0 * np.where(fire, 1 - q, 1.0)
-    return same, pr1[fire] * p + pr0[fire] * q
+    with np.errstate(divide="ignore"):
+        prior_odds = b / (1.0 - b)
+    fixed = (b <= 0.0) | (b >= 1.0)
+    for w in range(m + 1):
+        pw, pmw = p ** w, (1 - p) ** (m - w)
+        den = q ** w * (1 - q) ** (m - w)
+        if pw * pmw == 0.0:
+            out[:, w] = b if den == 0.0 else 0.0
+        elif den == 0.0:
+            out[:, w] = 1.0
+        else:
+            with np.errstate(invalid="ignore", over="ignore"):
+                num = prior_odds * pw * pmw
+                odds = num / den
+                post = np.where(num == 0.0, 0.0,
+                                np.where(np.isfinite(odds), odds / (1.0 + odds), 1.0))
+            out[:, w] = np.where(fixed, b, post)
 
 
 def refine_process(tree: DiscreteLearningProcess,
@@ -143,118 +145,123 @@ def refine_process(tree: DiscreteLearningProcess,
     martingale property is preserved).  parent_map records i per agent node
     for quota alignment.
 
-    Each planner edge i -> i' gives one agent entry per signal count w (two,
-    to w and w + 1, where a signal fires on arrival), so the kernels are
-    built sparse in O(nnz), a run of levels per array pass, and each row is
-    renormalised by the sum of its entries in column order.  A signal level
-    past the tree's last level raises DomainError.
+    Each planner edge i -> i' gives one agent entry per signal count w, to
+    w, or a pair of entries, to w and w + 1, on a step where a signal fires
+    on arrival.  The refinement is written straight into its flat arrays, in
+    one array pass per block of levels that share a run and a signal count,
+    and each row is renormalised by the sum of its entries in column order.
+    A signal level past the tree's last level raises DomainError.
     """
     n = tree.grid.n
     if experiment.levels and experiment.levels[-1] >= n:
         raise DomainError(f"signal level {experiment.levels[-1]} is past the "
                           f"last level {n - 1} of the tree")
+    t_first, t_ptr = tree.first, tree.indptr
+    t_sizes = np.diff(t_first)
     if not experiment.informative:
-        ident = tuple(np.arange(len(b)) for b in tree.beliefs)
+        ident = np.arange(t_first[n]) - np.repeat(t_first[:n], t_sizes)
         return DiscreteLearningProcess(tree.grid, tree.beliefs, tree.kernels,
-                                       tree.root_dist, tree.mu0, ident)
+                                       tree.root_dist, tree.mu0,
+                                       Levels(ident, t_first))
     p, q = experiment.p_given_good, experiment.p_given_bad
     fires = np.isin(np.arange(n), experiment.levels)
     m_at = np.cumsum(fires)                 # signals observed by level j
     s = m_at + 1                            # agent nodes per planner node
-    # Bayes factors of w up-signals out of m, indexed [w, m]
-    pw, pmw, den = (np.zeros((s[-1], s[-1])) for _ in range(3))
-    for m in range(s[-1]):
-        for w in range(m + 1):
-            pw[w, m], pmw[w, m] = p ** w, (1 - p) ** (m - w)
-            den[w, m] = q ** w * (1 - q) ** (m - w)
+    sizes = t_sizes * s
+    first = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(sizes, out=first[1:])
+    t_nnz = np.diff(t_ptr[t_first[:n]])     # planner edges out of each level
+    nnz = t_nnz * s[:-1] * (1 + fires[1:])  # a pair per edge into a signal
+    e_first = np.zeros(n, dtype=np.intp)    # first entry of each kernel
+    np.cumsum(nnz, out=e_first[1:])
+    belief = np.empty(first[n])
+    parent = np.empty(first[n], dtype=np.intp)
+    indptr = np.zeros(first[n - 1] + 1, dtype=np.intp)
+    indices = np.empty(e_first[-1], dtype=np.intp)
+    data = np.empty(e_first[-1])
 
-    planner_sizes = np.array([len(b) for b in tree.beliefs])
-    sizes = planner_sizes * s
-    first = np.concatenate([[0], np.cumsum(planner_sizes)])
-    agent_first = np.concatenate([[0], np.cumsum(sizes)])
-    planner = np.concatenate(tree.beliefs)
-    t_nnz = np.array([k.data.size for k in tree.kernels], dtype=np.intp)
-    fire_next = np.append(fires[1:], False)
-    entries = np.append(t_nnz, 0) * s * (1 + fire_next)
-
-    def run(j0, j1):
-        """Beliefs, parent maps and outgoing kernels of the agent nodes of
-        levels j0..j1-1, in one array pass whose temporaries go on return."""
-        lev = np.repeat(np.arange(j0, j1), sizes[j0:j1])
-        local = np.arange(agent_first[j0], agent_first[j1]) - agent_first[lev]
-        i = local // s[lev]
-        w = local - i * s[lev]
-        node = first[lev] + i                   # planner node
-        mw = (w, m_at[lev])
-        post = _posterior(planner[node], pw[mw], pmw[mw], den[mw])
-        cut = (agent_first[j0:j1 + 1] - agent_first[j0]).tolist()
-        beliefs = [post[lo:hi] for lo, hi in zip(cut, cut[1:])]
-        parent = [i[lo:hi] for lo, hi in zip(cut, cut[1:])]
+    def block(j0, j1):
+        """Beliefs, parent map and outgoing kernel rows of the agent nodes of
+        levels j0..j1-1, where the agent has seen the same m signals, written
+        in place in one array pass whose temporaries go on return."""
+        m = int(m_at[j0])
+        t0, t1 = t_first[j0], t_first[j1]
+        post = belief[first[j0]:first[j1]]
+        _posteriors(tree.belief[t0:t1], m, p, q, post.reshape(-1, m + 1))
+        t_local = np.arange(t1 - t0) - np.repeat(t_first[j0:j1] - t0,
+                                                 t_sizes[j0:j1])
+        parent[first[j0]:first[j1]] = np.repeat(t_local, m + 1)
         j_end = min(j1, n - 1)
         if j_end == j0:
-            return beliefs, parent, []          # the last level has no kernel
+            return                              # the last level has no kernel
 
-        # the planner edges out of levels j0..j_end-1, stacked with one row
-        # per planner node: their probabilities given each state, zero off
-        # the support, and the agent column of signal count 0 at their heads
-        t_ptr, nxt, base = stack_kernels(tree.kernels[j0:j_end])
-        b = np.repeat(planner[first[j0]:first[j_end]], np.diff(t_ptr))
-        lv = np.repeat(np.arange(j0 + 1, j_end + 1), t_nnz[j0:j_end])
-        bn = planner[first[lv] + nxt]
+        # the planner edges out of levels j0..j_end-1: their probabilities
+        # given each state, zero off the support, and the agent column of
+        # signal count 0 at their heads
+        t_end = t_first[j_end]
+        e0, e1 = t_ptr[t0], t_ptr[t_end]
+        nxt, base = tree.indices[e0:e1], tree.data[e0:e1]
+        t_deg = np.diff(t_ptr[t0:t_end + 1])
+        b = np.repeat(tree.belief[t0:t_end], t_deg)
+        bn = tree.belief[nxt + np.repeat(t_first[j0 + 1:j_end + 1],
+                                         t_nnz[j0:j_end])]
         with np.errstate(divide="ignore", invalid="ignore"):
             k1 = np.where(base > 0, np.where(b > 0, base * (bn / b), base), 0.0)
             k0 = np.where(base > 0,
                           np.where(b < 1, base * ((1 - bn) / (1 - b)), base), 0.0)
-        fire_e, col0 = fire_next[lv - 1], nxt * s[lv]
+        col0 = nxt * np.repeat(s[j0 + 1:j_end + 1], t_nnz[j0:j_end])
 
-        # their kernel rows, one entry per agent node and planner edge
-        n_rows = cut[j_end - j0]
-        node, w = node[:n_rows] - first[j0], w[:n_rows]
-        deg = t_ptr[node + 1] - t_ptr[node]
-        row = np.repeat(np.arange(n_rows), deg)
-        edge = np.arange(row.size) \
-            + np.repeat(t_ptr[node] - np.cumsum(deg) + deg, deg)
-        fire = fire_e[edge]
-        same, up = _agent_steps(k1[edge], k0[edge], post[row], fire, p, q)
-        col = col0[edge] + w[row]
-        width = 1 + fire
-        at = np.cumsum(width) - width
-        data = np.empty(int(width.sum()))
-        cols = np.empty(data.size, dtype=np.intp)
-        data[at], cols[at] = same, col
-        data[at[fire] + 1], cols[at[fire] + 1] = up, col[fire] + 1
-        rows = np.repeat(row, width)
+        # one agent edge per agent row (i, w) and planner edge i -> i': row
+        # (i, w) holds the agent edges from (m + 1) tp_i + w deg_i on, where
+        # tp_i is the first planner edge out of i
+        tp = t_ptr[t0:t_end] - e0
+        w = np.tile(np.arange(m + 1), t_end - t0)
+        deg = np.repeat(t_deg, m + 1)
+        edge = np.arange((m + 1) * (e1 - e0)) - np.repeat(
+            np.repeat(m * tp, m + 1) + w * deg, deg)
+        mu = np.repeat(post[:deg.size], deg)
+        pr1 = mu * k1[edge]                     # joint with theta = 1
+        pr0 = (1 - mu) * k0[edge]
+        col = col0[edge] + np.repeat(w, deg)
+        # an entry per agent edge, or a pair, to w and w + 1, on the step
+        # into a level where a signal fires
+        j_pair = j_end - 1 if fires[j_end] else j_end
+        x = (m + 1) * (t_ptr[t_first[j_pair]] - e0)
+        o0, o_pair, o1 = e_first[j0], e_first[j_pair], e_first[j_end]
+        np.add(pr1[:x], pr0[:x], out=data[o0:o_pair])
+        indices[o0:o_pair] = col[:x]
+        pair = data[o_pair:o1].reshape(-1, 2)
+        pair[:, 0] = pr1[x:] * (1 - p) + pr0[x:] * (1 - q)
+        pair[:, 1] = pr1[x:] * p + pr0[x:] * q
+        indices[o_pair:o1].reshape(-1, 2)[:] = col[x:, None] + (0, 1)
+        row_nnz = deg.copy()
+        row_nnz[(t_first[j_pair] - t0) * (m + 1):] *= 2
+        indptr[first[j0] + 1:first[j_end] + 1] = o0 + np.cumsum(row_nnz)
         # rows sum to 1 analytically; renormalise away float drift
-        rs = np.bincount(rows, weights=data, minlength=n_rows)
+        rows = np.repeat(np.arange(deg.size), row_nnz)
+        rs = np.bincount(rows, weights=data[o0:o1], minlength=deg.size)
         if np.any(rs <= 1e-12):
             raise NotARefinementError("refinement produced an empty kernel row")
-        data /= rs[rows]
-        indptr = np.zeros(n_rows + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-        e_cut = indptr[cut[:j_end - j0 + 1]].tolist()
-        kernels = [CSRKernel(indptr[r0:r1 + 1] - e0, cols[e0:e1], data[e0:e1],
-                             (sizes[j], sizes[j + 1]))
-                   for j, r0, r1, e0, e1 in zip(range(j0, j_end), cut, cut[1:],
-                                                e_cut, e_cut[1:])]
-        return beliefs, parent, kernels
+        data[o0:o1] /= rs[rows]
 
-    beliefs, parent, kernels = [], [], []
-    for j0, j1 in level_runs(sizes + entries):
-        run_beliefs, run_parent, run_kernels = run(j0, j1)
-        beliefs += run_beliefs
-        parent += run_parent
-        kernels += run_kernels
+    # a block per run of levels and signal count
+    for j0, j1 in level_runs(sizes + np.append(nnz, 0)):
+        cuts = [j0, *(np.flatnonzero(fires[j0 + 1:j1]) + j0 + 1).tolist(), j1]
+        for c0, c1 in zip(cuts, cuts[1:]):
+            block(c0, c1)
 
     if fires[0]:
-        b = tree.beliefs[0]
+        b = tree.belief[:t_first[1]]
         pr_up = b * p + (1 - b) * q
         root = np.stack([tree.root_dist * (1 - pr_up),
                          tree.root_dist * pr_up], axis=1).ravel()
     else:
         root = tree.root_dist.copy()
     try:
-        return DiscreteLearningProcess(tree.grid, tuple(beliefs), tuple(kernels),
-                                       root, tree.mu0, tuple(parent))
+        return DiscreteLearningProcess(
+            tree.grid, Levels(belief, first),
+            KernelLevels(first, indptr, indices, data), root, tree.mu0,
+            Levels(parent, first))
     except DomainError as e:
         raise NotARefinementError(f"refinement is not Bayes-consistent: {e}")
 
@@ -270,19 +277,28 @@ def evaluate_adaptive(policy: AdaptivePolicy, agent_proc: DiscreteLearningProces
     grid = agent_proc.grid
     if grid.n != tree.grid.n or abs(grid.l_max - tree.grid.l_max) > 1e-12:
         raise AlignmentError("agent process and planner tree use different grids")
-    if agent_proc.parent_map is None:
-        if all(len(a) == len(b) for a, b in zip(agent_proc.beliefs, tree.beliefs)):
-            parent = tuple(np.arange(len(b)) for b in tree.beliefs)
-        else:
+    first, t_first = agent_proc.first, tree.first
+    parent = agent_proc.parent
+    if parent is None:
+        if not np.array_equal(first, t_first):
             raise AlignmentError("agent process lacks a parent_map onto the tree")
+        forced = policy.node_stop
     else:
-        parent = agent_proc.parent_map
-    for j in range(grid.n):
-        if len(parent[j]) != len(agent_proc.beliefs[j]) or \
-                np.any(parent[j] >= len(tree.beliefs[j])):
-            raise AlignmentError(f"parent_map at level {j} is inconsistent")
+        t_sizes = np.diff(t_first)
+        bad = (np.maximum.reduceat(parent, first[:-1]) >= t_sizes) \
+            | (np.minimum.reduceat(parent, first[:-1]) < 0)
+        if bad.any():
+            raise AlignmentError(f"parent_map at level {int(np.argmax(bad))} "
+                                 f"is inconsistent")
+        # the planner's stops through the parent map, a run of levels at a
+        # time
+        sizes = np.diff(first)
+        forced = np.empty(first[-1], dtype=bool)
+        for j0, j1 in level_runs(sizes):
+            planner = parent[first[j0]:first[j1]] \
+                + np.repeat(t_first[j0:j1], sizes[j0:j1])
+            forced[first[j0]:first[j1]] = policy.node_stop[planner]
 
     m = FixedTaxHardQuota(policy.lambda_adaptive, grid.l_max)
-    forced = [policy.stop_set[j][parent[j]] for j in range(grid.n)]
-    return principal_value(solve_stopping(agent_proc, agent, m, forced),
-                           principal, m)
+    sol = solve_stopping(agent_proc, agent, m, Levels(forced, first))
+    return principal_value(sol, principal, m)

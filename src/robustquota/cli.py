@@ -136,15 +136,12 @@ def cmd_adaptive(cfg: RunConfig, args) -> int:
         tree = no_learning(cfg.mu0, cfg.grid)
     policy = solve_adaptive_quota(tree, cfg.agent, cfg.principal)
 
-    rows = []
-    node_id = 0
-    for j in range(cfg.grid.n):
-        for i, b in enumerate(tree.beliefs[j]):
-            rows.append((node_id, cfg.grid.points[j], b,
-                         bool(policy.stop_set[j][i])))
-            node_id += 1
+    # one row per tree node, the levels back to back
+    levels = cfg.grid.points.repeat(np.diff(tree.first))
     _write_csv(_outpath(args, "policy.csv"),
-               ["node_id", "level", "belief", "stop"], rows)
+               ["node_id", "level", "belief", "stop"],
+               zip(range(tree.belief.size), levels, tree.belief,
+                   policy.node_stop))
 
     rng = np.random.default_rng(seed)
     worst = np.inf

@@ -2,22 +2,28 @@
 
 A process is a layered DAG: one finite belief support per grid level, a
 row-stochastic kernel between consecutive levels, and a root distribution
-over the level-0 support whose mean is the prior.  Kernels are stored
-sparse (`CSRKernel`): a binomial row has 2 nonzeros and a refined row at
-most 4, so building, checking and applying a tree's kernels is O(nnz).
+over the level-0 support whose mean is the prior.  The levels are stored
+back to back: level j holds nodes first[j]..first[j+1]-1 of one `belief`
+array, and one CSR block holds every kernel, its rows the nodes of levels
+0..n-2 in turn (`indptr`), each entry with its column local to the next
+level (`indices`), its weight (`data`) and its row local to its level
+(`rows`).  A binomial row has 2 entries and a refined row at most 4, so
+building, checking and applying a tree's kernels is O(nnz), and every stage
+but the level-by-level inductions reads the arrays whole.  `beliefs[j]`,
+`kernels[j]` and `parent_map[j]` are views of one level, built on access.
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Optional
+from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_int, is_real
 from .grid import LevelGrid
 
-#: entries handled by one array pass over a run of levels: few numpy calls
-#: per run, and temporaries of a few MB however large the tree
+#: entries (or rows) handled by one array pass over a run of levels (or
+#: rows): few numpy calls per run, and temporaries of a few MB however large
+#: the tree
 CHUNK = 1 << 16
 
 
@@ -25,15 +31,10 @@ class CSRKernel:
     """Transition kernel between consecutive levels in compressed sparse row
     form: row i holds data[indptr[i]:indptr[i+1]] in columns
     indices[indptr[i]:indptr[i+1]], increasing within the row.
-
-    `K @ v` and `x @ K` take vectors and sum each row's (column's) terms in
-    stored order with np.bincount.  `__array_ufunc__ = None` makes
-    `ndarray @ K` defer to `__rmatmul__`; `K.toarray()` is the dense
-    matrix.
+    `K.toarray()` is the dense matrix.
     """
 
     __slots__ = ("indptr", "indices", "data", "shape", "_rows")
-    __array_ufunc__ = None
 
     def __init__(self, indptr, indices, data, shape):
         self.indptr = np.asarray(indptr, dtype=np.intp)
@@ -59,20 +60,6 @@ class CSRKernel:
             self._rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
         return self._rows
 
-    def __matmul__(self, v):
-        v = np.asarray(v)
-        if v.ndim != 1:
-            return NotImplemented
-        return np.bincount(self.row_ids(), weights=self.data * v[self.indices],
-                           minlength=self.shape[0])
-
-    def __rmatmul__(self, x):
-        x = np.asarray(x)
-        if x.ndim != 1:
-            return NotImplemented
-        return np.bincount(self.indices, weights=x[self.row_ids()] * self.data,
-                           minlength=self.shape[1])
-
     def toarray(self) -> np.ndarray:
         a = np.zeros(self.shape)
         a[self.row_ids(), self.indices] = self.data
@@ -91,134 +78,232 @@ def level_runs(sizes):
         j0 = j1
 
 
-def stack_kernels(kernels):
-    """Consecutive kernels as one CSR block whose rows are each kernel's rows
-    in turn: (indptr, indices, data), columns left local to each kernel."""
-    nnz = np.array([k.data.size for k in kernels])
-    rows = np.array([k.shape[0] for k in kernels])
-    indptr = np.concatenate([[0], *(k.indptr[1:] for k in kernels)])
-    indptr[1:] += np.repeat(np.cumsum(nnz) - nnz, rows)
-    return (indptr, np.concatenate([k.indices for k in kernels]),
-            np.concatenate([k.data for k in kernels]))
+class Levels(Sequence):
+    """Per-level views of a flat node array: level j is
+    flat[first[j]:first[j+1]]; a slice of levels is a tuple of views."""
+
+    __slots__ = ("flat", "first")
+
+    def __init__(self, flat, first):
+        self.flat = flat
+        self.first = first
+
+    @classmethod
+    def of(cls, levels, dtype, what: str) -> "Levels":
+        """`levels` stored flat: the levels of a Levels as they are stored,
+        per-level arrays concatenated once."""
+        if isinstance(levels, cls):
+            return cls(np.asarray(levels.flat, dtype=dtype), levels.first)
+        arrays = [np.asarray(a, dtype=dtype) for a in levels]
+        if any(a.ndim != 1 for a in arrays):
+            raise DomainError(f"{what} must be one 1-d array per level")
+        first = np.zeros(len(arrays) + 1, dtype=np.intp)
+        np.cumsum([a.size for a in arrays], out=first[1:])
+        return cls(np.concatenate([np.zeros(0, dtype), *arrays]), first)
+
+    def __len__(self):
+        return len(self.first) - 1
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[k] for k in range(len(self))[j])
+        j = range(len(self))[j]
+        return self.flat[self.first[j]:self.first[j + 1]]
 
 
-@dataclass(frozen=True)
-class DiscreteLearningProcess:
-    grid: LevelGrid
-    beliefs: tuple      # per level: np.ndarray of node beliefs
-    kernels: tuple      # per step: (m_j, m_{j+1}) row-stochastic CSRKernel
-    root_dist: np.ndarray
-    mu0: float
-    #: optional per-level map from this process's nodes to the nodes of a
-    #: coarser process it refines (used by the adaptive module)
-    parent_map: Optional[tuple] = field(default=None, compare=False)
+class KernelLevels(Sequence):
+    """The kernels of a process as one CSR block: kernel j, from level j to
+    level j + 1, is rows first[j]..first[j+1]-1 of the block, and item j a
+    CSRKernel view of them."""
 
-    def __post_init__(self):
-        """Kernels may be given dense (any 2-d array) or as CSRKernel."""
-        beliefs = tuple(np.asarray(b, dtype=float) for b in self.beliefs)
-        kernels = tuple(k if isinstance(k, CSRKernel) else CSRKernel.from_dense(k)
-                        for k in self.kernels)
-        object.__setattr__(self, "beliefs", beliefs)
-        object.__setattr__(self, "kernels", kernels)
-        object.__setattr__(self, "root_dist", np.asarray(self.root_dist, dtype=float))
-        self._validate()
+    __slots__ = ("first", "indptr", "indices", "data", "rows")
 
-    def _validate(self):
-        n = self.grid.n
-        if len(self.beliefs) != n or len(self.kernels) != n - 1:
-            raise DomainError("process must have one support per level and one "
-                              "kernel per step")
-        if not 0.0 <= self.mu0 <= 1.0:
-            raise DomainError(f"prior {self.mu0} outside [0, 1]")
-        if any(b.ndim != 1 for b in self.beliefs):
-            raise DomainError("node beliefs must lie in [0, 1]")
-        flat = np.concatenate(self.beliefs)
-        if not np.all((flat >= -1e-12) & (flat <= 1 + 1e-12)):
-            raise DomainError("node beliefs must lie in [0, 1]")
-        if self.root_dist.shape != self.beliefs[0].shape:
-            raise DomainError("root distribution must match the level-0 support")
-        if np.any(self.root_dist < -1e-12) or abs(self.root_dist.sum() - 1.0) > 1e-12:
-            raise DomainError("root distribution must be a probability vector")
-        root_mean = float(self.root_dist @ self.beliefs[0])
-        if abs(root_mean - self.mu0) > 1e-10:
-            raise DomainError(f"root mean belief {root_mean} != prior {self.mu0}")
-        sizes = [len(b) for b in self.beliefs]
-        for j, k in enumerate(self.kernels):
+    def __init__(self, first, indptr, indices, data, rows=None):
+        self.first = first
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.rows = rows
+
+    @classmethod
+    def of(cls, kernels, first) -> "KernelLevels":
+        """`kernels` as one block on the levels that start at `first`: a
+        KernelLevels as it is stored, per-level kernels (CSRKernel or dense)
+        checked against the level sizes and concatenated once."""
+        if isinstance(kernels, cls):
+            if not np.array_equal(kernels.first, first):
+                raise DomainError("kernels do not fit the level supports")
+            return cls(first, np.asarray(kernels.indptr, dtype=np.intp),
+                       np.asarray(kernels.indices, dtype=np.intp),
+                       np.asarray(kernels.data, dtype=float))
+        kernels = [k if isinstance(k, CSRKernel) else CSRKernel.from_dense(k)
+                   for k in kernels]
+        sizes = np.diff(first).tolist()
+        for j, k in enumerate(kernels):
             if k.shape != (sizes[j], sizes[j + 1]) \
                     or k.indptr.shape != (sizes[j] + 1,) or k.indptr[0] != 0 \
                     or k.indptr[-1] != k.data.size \
                     or k.indices.shape != k.data.shape:
                 raise DomainError(f"kernel {j} has wrong shape")
-        for j0, j1 in level_runs([k.data.size for k in self.kernels]):
-            self._validate_run(j0, j1, sizes)
-        if self.parent_map is not None and len(self.parent_map) != n:
-            raise DomainError("parent_map must have one entry per level")
+        cols = Levels.of([k.indices for k in kernels], np.intp, "kernel columns")
+        indptr = np.concatenate([np.zeros(1, dtype=np.intp),
+                                 *(k.indptr[1:] for k in kernels)])
+        indptr[1:] += np.repeat(cols.first[:-1], sizes[:len(kernels)])
+        return cls(first, indptr, cols.flat,
+                   np.concatenate([np.zeros(0), *(k.data for k in kernels)]))
 
-    def _validate_run(self, j0, j1, sizes):
+    def __len__(self):
+        return len(self.first) - 2
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[k] for k in range(len(self))[j])
+        j = range(len(self))[j]
+        r0, r1, r2 = self.first[j:j + 3].tolist()
+        e0, e1 = self.indptr[r0], self.indptr[r1]
+        k = CSRKernel(self.indptr[r0:r1 + 1] - e0, self.indices[e0:e1],
+                      self.data[e0:e1], (r1 - r0, r2 - r1))
+        if self.rows is not None:
+            k._rows = self.rows[e0:e1]
+        return k
+
+
+class DiscreteLearningProcess:
+    """A learning process stored flat (see the module docstring); `parent`
+    optionally maps each node to its node, local to the level, in a coarser
+    process that this one refines (used by the adaptive module)."""
+
+    __slots__ = ("grid", "mu0", "root_dist", "first", "belief", "indptr",
+                 "indices", "data", "rows", "parent")
+
+    def __init__(self, grid: LevelGrid, beliefs, kernels, root_dist,
+                 mu0: float, parent_map=None):
+        """Per-level input: beliefs and parent_map one array per level,
+        kernels one CSRKernel or dense matrix per step, each concatenated
+        once.  The `beliefs`, `kernels` and `parent_map` of a process are
+        taken as they are stored, without a copy."""
+        self.grid = grid
+        self.mu0 = mu0
+        self.root_dist = np.asarray(root_dist, dtype=float)
+        levels = Levels.of(beliefs, float, "node beliefs")
+        self.first, self.belief = levels.first, levels.flat
+        if len(levels) != grid.n or len(kernels) != grid.n - 1:
+            raise DomainError("process must have one support per level and one "
+                              "kernel per step")
+        block = KernelLevels.of(kernels, self.first)
+        self.indptr, self.indices, self.data = block.indptr, block.indices, block.data
+        self.rows = None
+        self.parent = None
+        if parent_map is not None:
+            parent = Levels.of(parent_map, np.intp, "parent_map")
+            if not np.array_equal(parent.first, self.first):
+                raise DomainError("parent_map must have one entry per node")
+            self.parent = parent.flat
+        self._validate()
+
+    @property
+    def beliefs(self) -> Levels:
+        return Levels(self.belief, self.first)
+
+    @property
+    def kernels(self) -> KernelLevels:
+        return KernelLevels(self.first, self.indptr, self.indices, self.data,
+                            self.rows)
+
+    @property
+    def parent_map(self):
+        return None if self.parent is None else Levels(self.parent, self.first)
+
+    def _validate(self):
+        if not 0.0 <= self.mu0 <= 1.0:
+            raise DomainError(f"prior {self.mu0} outside [0, 1]")
+        if not np.all((self.belief >= -1e-12) & (self.belief <= 1 + 1e-12)):
+            raise DomainError("node beliefs must lie in [0, 1]")
+        m0 = int(self.first[1])
+        if self.root_dist.shape != (m0,):
+            raise DomainError("root distribution must match the level-0 support")
+        if np.any(self.root_dist < -1e-12) or abs(self.root_dist.sum() - 1.0) > 1e-12:
+            raise DomainError("root distribution must be a probability vector")
+        root_mean = float(self.root_dist @ self.belief[:m0])
+        if abs(root_mean - self.mu0) > 1e-10:
+            raise DomainError(f"root mean belief {root_mean} != prior {self.mu0}")
+        n = self.grid.n
+        if self.indptr.shape != (self.first[n - 1] + 1,) or self.indptr[0] != 0 \
+                or self.indptr[-1] != self.data.size \
+                or self.indices.shape != self.data.shape:
+            raise DomainError("kernels have wrong shape")
+        self.rows = np.empty(self.data.size, dtype=np.intp)
+        at = self.indptr[self.first[:n]]        # first entry of each kernel
+        nnz = at[1:] - at[:-1]
+        for j0, j1 in level_runs(nnz):
+            self._validate_run(j0, j1, nnz[j0:j1])
+
+    def _validate_run(self, j0, j1, nnz):
         """Sign, row sums, column order and martingale drift of kernels
-        j0..j1-1, checked on their stacked block, whose rows are the nodes of
-        levels j0..j1-1 in turn."""
-        indptr, cols, data = stack_kernels(self.kernels[j0:j1])
-        beliefs = np.concatenate(self.beliefs[j0:j1 + 1])
-        row_ends = np.cumsum(sizes[j0:j1])
-        nnz = [k.data.size for k in self.kernels[j0:j1]]
-        nnz_ends = np.cumsum(nnz)
-        n_rows = int(row_ends[-1])
+        j0..j1-1, which hold `nnz` entries each, checked on their rows of the
+        block together; the entries' rows, made local to their levels, are
+        kept in `rows`."""
+        first, indptr = self.first, self.indptr
+        r0, r1 = first[j0], first[j1]
+        e0, e1 = indptr[r0], indptr[r1]
+        row_ends = first[j0 + 1:j1 + 1] - r0
+        nnz_ends = nnz.cumsum()
 
         def level(bad, ends):
             """Level of the first flagged row or entry."""
             return j0 + int(np.searchsorted(ends, np.argmax(bad), side="right"))
 
-        deg = np.diff(indptr)
-        if np.any(deg < 0):
+        deg = indptr[r0 + 1:r1 + 1] - indptr[r0:r1]
+        if (deg < 0).any():
             raise DomainError(f"kernel {level(deg < 0, row_ends)} has wrong shape")
-        rows = np.repeat(np.arange(n_rows), deg)
-        bad = (cols < 0) | (cols >= np.repeat(sizes[j0 + 1:j1 + 1], nnz))
+        rows = np.arange(r1 - r0).repeat(deg)
+        cols, data = self.indices[e0:e1], self.data[e0:e1]
+        # each entry's head, level j+1 starting where the rows of level j end
+        heads = cols + first[j0 + 1:j1 + 1].repeat(nnz)
+        bad = (cols < 0) | (heads >= first[j0 + 2:j1 + 2].repeat(nnz))
         if bad.any():
             raise DomainError(f"kernel {level(bad, nnz_ends)} has wrong shape")
-        bad = (np.diff(cols) <= 0) & (np.diff(rows) == 0)
+        bad = (cols[1:] <= cols[:-1]) & (rows[1:] == rows[:-1])
         if bad.any():
             raise DomainError(f"kernel {level(bad, nnz_ends)} columns must "
                               "increase within each row")
         bad = ~(data >= -1e-12)
         if bad.any():
             raise DomainError(f"kernel {level(bad, nnz_ends)} has negative entries")
-        row_sums = np.bincount(rows, weights=data, minlength=n_rows)
+        row_sums = np.bincount(rows, weights=data, minlength=r1 - r0)
         bad = ~(np.abs(row_sums - 1.0) <= 1e-12)
         if bad.any():
             raise DomainError(f"kernel {level(bad, row_ends)} rows must sum to 1")
-        # level j+1 starts where the rows of level j end
-        succ = beliefs[cols + np.repeat(row_ends, nnz)]
-        drift = np.abs(np.bincount(rows, weights=data * succ, minlength=n_rows)
-                       - beliefs[:n_rows])
+        drift = np.abs(np.bincount(rows, weights=data * self.belief[heads],
+                                   minlength=r1 - r0) - self.belief[r0:r1])
         bad = ~(drift <= 1e-10)
         if bad.any():
             j = level(bad, row_ends)
             lo = row_ends[j - j0 - 1] if j > j0 else 0
             raise DomainError(f"martingale violated at level {j}: max drift "
                               f"{drift[lo:row_ends[j - j0]].max():.3e}")
-        # the kernels passed: each keeps its rows, made local, as row_ids()
-        for k, e0, e1, r0 in zip(self.kernels[j0:j1], (nnz_ends - nnz).tolist(),
-                                 nnz_ends.tolist(),
-                                 (row_ends - sizes[j0:j1]).tolist()):
-            if k._rows is None:
-                k._rows = rows[e0:e1] - r0
+        np.subtract(rows, (first[j0:j1] - r0).repeat(nnz), out=self.rows[e0:e1])
+
+
+def _fixed_support(grid: LevelGrid, support, root_dist,
+                   mu0: float) -> DiscreteLearningProcess:
+    """The same support at every level, each node moving to itself."""
+    n, m = grid.n, len(support)
+    first = m * np.arange(n + 1)
+    kernels = KernelLevels(first, np.arange(m * (n - 1) + 1),
+                           np.tile(np.arange(m), n - 1), np.ones(m * (n - 1)))
+    return DiscreteLearningProcess(grid, Levels(np.tile(support, n), first),
+                                   kernels, np.array(root_dist), mu0)
 
 
 def no_learning(mu0: float, grid: LevelGrid) -> DiscreteLearningProcess:
     """Constant martingale: one node with belief mu0 at every level."""
-    beliefs = tuple(np.array([mu0]) for _ in range(grid.n))
-    kernels = (CSRKernel([0, 1], [0], [1.0], (1, 1)),) * (grid.n - 1)
-    return DiscreteLearningProcess(grid, beliefs, kernels, np.array([1.0]), mu0)
+    return _fixed_support(grid, [mu0], [1.0], mu0)
 
 
 def full_revelation(mu0: float, grid: LevelGrid) -> DiscreteLearningProcess:
     """The state is learned at level 0; beliefs are 0 or 1 forever after."""
-    support = np.array([0.0, 1.0])
-    beliefs = tuple(support.copy() for _ in range(grid.n))
-    kernels = (CSRKernel.from_dense(np.eye(2)),) * (grid.n - 1)
-    return DiscreteLearningProcess(grid, beliefs, kernels,
-                                   np.array([1.0 - mu0, mu0]), mu0)
+    return _fixed_support(grid, [0.0, 1.0], [1.0 - mu0, mu0], mu0)
 
 
 def single_split(mu0: float, grid: LevelGrid, lo: float, hi: float) -> DiscreteLearningProcess:
@@ -227,19 +312,18 @@ def single_split(mu0: float, grid: LevelGrid, lo: float, hi: float) -> DiscreteL
     if not (0.0 <= lo <= mu0 <= hi <= 1.0) or lo == hi:
         raise DomainError("split must straddle the prior: lo <= mu0 <= hi")
     p_lo = (hi - mu0) / (hi - lo)
-    support = np.array([lo, hi])
-    beliefs = tuple(support.copy() for _ in range(grid.n))
-    kernels = (CSRKernel.from_dense(np.eye(2)),) * (grid.n - 1)
-    return DiscreteLearningProcess(grid, beliefs, kernels,
-                                   np.array([p_lo, 1.0 - p_lo]), mu0)
+    return _fixed_support(grid, [lo, hi], [p_lo, 1.0 - p_lo], mu0)
 
 
 def binomial_tree(mu0: float, grid: LevelGrid, p_good: float = 0.6,
                   p_bad: float = 0.4) -> DiscreteLearningProcess:
     """Recombining binary-signal tree: each step emits a signal with
     P(up | safe) = p_good, P(up | unsafe) = p_bad; nodes are indexed by the
-    up-count and beliefs follow Bayes' rule.  All levels are built in one
-    array pass; node u of level j moves to node u (down) or u + 1 (up)."""
+    up-count and beliefs follow Bayes' rule.  All levels are built flat in
+    one array pass; node u of level j moves to node u (down) or u + 1 (up)."""
+    if not all(is_real(x) for x in (mu0, p_good, p_bad)):
+        raise DomainError(f"prior and signal probabilities must be real "
+                          f"numbers, got {mu0!r}, {p_good!r}, {p_bad!r}")
     if not (0.0 < p_bad < p_good < 1.0):
         raise DomainError("need 0 < p_bad < p_good < 1")
     if not (0.0 < mu0 < 1.0):
@@ -255,19 +339,15 @@ def binomial_tree(mu0: float, grid: LevelGrid, p_good: float = 0.6,
     # above e^37 once rounded
     with np.errstate(over="ignore"):
         odds = mu0 / (1.0 - mu0) * np.exp(log_lr)
-    flat = np.divide(odds, 1.0 + odds, out=np.ones_like(odds),
-                     where=odds < np.inf)
-    beliefs = np.split(flat, first[1:n])
+    belief = np.divide(odds, 1.0 + odds, out=np.ones_like(odds),
+                       where=odds < np.inf)
 
-    mu = flat[:first[n - 1]]
+    mu = belief[:first[n - 1]]
     p_up = mu * p_good + (1.0 - mu) * p_bad
     data = np.stack([1.0 - p_up, p_up], axis=1).ravel()
     cols = np.stack([u[:mu.size], u[:mu.size] + 1], axis=1).ravel()
-    indptr = 2 * np.arange(n + 1)
-    edges = [slice(2 * first[j], 2 * first[j + 1]) for j in range(n - 1)]
-    kernels = tuple(CSRKernel(indptr[:j + 2], cols[e], data[e], (j + 1, j + 2))
-                    for j, e in enumerate(edges))
-    return DiscreteLearningProcess(grid, tuple(beliefs), kernels,
+    kernels = KernelLevels(first, 2 * np.arange(mu.size + 1), cols, data)
+    return DiscreteLearningProcess(grid, Levels(belief, first), kernels,
                                    np.array([1.0]), mu0)
 
 
@@ -284,10 +364,12 @@ def random_tree(mu0: float, grid: LevelGrid, seed: int,
     with `rng.integers`, the stream `Generator.choice` draws from such a run.
     Kernel rows go straight into CSR lists, zero weights left out.
     """
-    if max_beliefs < 2:
-        raise DomainError(f"max_beliefs must be at least 2, got {max_beliefs}")
-    if not 0.0 <= mu0 <= 1.0:
-        raise DomainError(f"prior {mu0} outside [0, 1]")
+    if not is_int(max_beliefs) or max_beliefs < 2:
+        raise DomainError(f"max_beliefs must be an integer >= 2, got {max_beliefs!r}")
+    if not is_real(mu0) or not 0.0 <= mu0 <= 1.0:
+        raise DomainError(f"prior {mu0!r} outside [0, 1]")
+    if not is_int(seed) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     beliefs = [np.array([mu0])]
     kernels = []

@@ -1,9 +1,11 @@
 """The layered-DAG stopping engine (backward induction and forward stopped
 mass), the agent's optimal stopping problem, principal evaluation, and seeded
-path simulation.  Each level costs one sparse kernel product, O(nnz)."""
+path simulation.  Everything reads the process's flat arrays whole but the
+inductions and the path walk, which step level by level, each level one
+sparse product on its rows of the kernel block, O(nnz)."""
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -11,62 +13,100 @@ from .errors import (DomainError, RobustQuotaError, UnreachableLevelError,
                      is_int)
 from .mechanisms import Mechanism, adjusted_profiles
 from .payoffs import PayoffSpec
-from .processes import CSRKernel, DiscreteLearningProcess
+from . import processes
+from .processes import DiscreteLearningProcess, Levels
 
 
-def backward(proc: DiscreteLearningProcess, stop_payoff, forced=None,
+def backward(proc: DiscreteLearningProcess, end: int, stop_payoff, forced=None,
              tie_eps: float = 1e-9):
-    """Backward induction over levels 0..end = len(stop_payoff) - 1.
+    """Backward induction over levels 0..end of `proc`, on flat arrays over
+    their nodes.
 
     A node stops when its stop payoff beats the expected value of the next
-    level by more than tie_eps, so ties go to continuing.  `forced` (per
-    level boolean arrays) stops nodes regardless of the comparison and values
-    them at the stop payoff.  The last level is a forced stop.  Returns the
-    per-level tuples (values, stop_set).
+    level by more than tie_eps, so ties go to continuing.  `forced` (a
+    boolean per node) stops nodes regardless of the comparison and values
+    them at the stop payoff.  The last level is a forced stop.  Each level
+    is one gather, multiply and bincount on its rows of the kernel block.
+    Returns the flat (values, stop) arrays.
     """
-    end = len(stop_payoff) - 1
-    values = [None] * (end + 1)
-    stop_set = [None] * (end + 1)
-    values[end] = np.array(stop_payoff[end], dtype=float)
-    stop_set[end] = np.ones(len(values[end]), dtype=bool)
+    first = proc.first[:end + 2]
+    at = proc.indptr[first[:-1]].tolist()      # first entry of each level
+    first = first.tolist()
+    rows, data, indices = proc.rows, proc.data, proc.indices
+    values = np.empty(first[end + 1])
+    stop = np.ones(values.size, dtype=bool)
+    values[first[end]:] = stop_payoff[first[end]:]
     for j in range(end - 1, -1, -1):
-        s = stop_payoff[j]
-        cont = proc.kernels[j] @ values[j + 1]
-        stop_set[j] = s > cont + tie_eps
-        values[j] = np.maximum(s, cont)
+        r0, r1, r2 = first[j:j + 3]
+        e = slice(at[j], at[j + 1])
+        s = stop_payoff[r0:r1]
+        cont = np.bincount(rows[e], weights=data[e] * values[r1:r2][indices[e]],
+                           minlength=r1 - r0)
+        np.greater(s, cont + tie_eps, out=stop[r0:r1])
+        np.maximum(s, cont, out=values[r0:r1])
         if forced is not None:
-            stop_set[j] |= forced[j]
-            values[j] = np.where(forced[j], s, values[j])
-    return tuple(values), tuple(stop_set)
+            f = forced[r0:r1]
+            stop[r0:r1] |= f
+            np.copyto(values[r0:r1], s, where=f)
+    return values, stop
 
 
-def forward(proc: DiscreteLearningProcess, stop_set) -> List[np.ndarray]:
-    """Mass that stops at each node of levels 0..len(stop_set) - 1 (zero at
-    continuing nodes), pushed from the root distribution through the
-    kernels."""
-    stopped = []
+def forward(proc: DiscreteLearningProcess, end: int, stop, weight=None):
+    """Mass that stops at each node of levels 0..end (zero at continuing
+    nodes), a flat array like `stop`, pushed from the root distribution
+    through the kernels.  With a flat `weight` it also returns the sum over
+    the levels, in turn, of each level's stopped mass times weight, summed
+    over its stopping nodes."""
+    first = proc.first[:end + 2]
+    at = proc.indptr[first[:-1]].tolist()      # first entry of each level
+    first = first.tolist()
+    rows, data, indices = proc.rows, proc.data, proc.indices
+    stopped = np.empty(stop.size)       # the mass reaching each node, ...
+    total = 0
     mass = proc.root_dist
-    for j, st in enumerate(stop_set):
-        stopped.append(np.where(st, mass, 0.0))
-        if j + 1 < len(stop_set):
-            mass = np.where(st, 0.0, mass) @ proc.kernels[j]
-    return stopped
+    for j in range(end + 1):
+        r0, r1 = first[j], first[j + 1]
+        st = stop[r0:r1]
+        stopped[r0:r1] = mass
+        if weight is not None:
+            total += float((mass[st] * weight[r0:r1][st]).sum())
+        if j < end:
+            e = slice(at[j], at[j + 1])
+            mass = np.bincount(indices[e], weights=np.where(st, 0.0, mass)[rows[e]]
+                               * data[e], minlength=first[j + 2] - r1)
+    stopped[~stop] = 0.0                # ... zero where it continues
+    return stopped if weight is None else (stopped, total)
+
+
+def node_payoff(proc: DiscreteLearningProcess, end: int, x1, x0):
+    """mu x1[j] + (1 - mu) x0[j] at every node of levels 0..end, mu its
+    belief and j its level: the per-level values repeated over the nodes."""
+    first = proc.first
+    mu = proc.belief[:first[end + 1]]
+    sizes = first[1:end + 2] - first[:end + 1]
+    out = 1.0 - mu
+    out *= x0[:end + 1].repeat(sizes)
+    pay = x1[:end + 1].repeat(sizes)
+    pay *= mu
+    pay += out
+    return pay
 
 
 @dataclass(frozen=True)
 class StoppingSolution:
     """Backward-induction solution of the agent's problem.
 
-    `values`/`stop_set` run over levels 0..end (the last allowed level under
-    the mechanism's quota); `joint` is the induced distribution over
+    `node_value`/`node_stop` are flat over the nodes of levels 0..end (the
+    last allowed level under the mechanism's quota), and `values`/`stop_set`
+    their per-level views; `joint` is the induced distribution over
     (stopping belief, stopping level) as parallel arrays, with the grid index
     of each stopping level in `joint_index`.
     """
 
     proc: DiscreteLearningProcess = field(repr=False)
     end: int
-    values: tuple = field(repr=False)
-    stop_set: tuple = field(repr=False)
+    node_value: np.ndarray = field(repr=False)
+    node_stop: np.ndarray = field(repr=False)
     joint_belief: np.ndarray
     joint_level: np.ndarray
     joint_mass: np.ndarray
@@ -76,6 +116,14 @@ class StoppingSolution:
     participation: bool
     mu0: float
 
+    @property
+    def values(self) -> Levels:
+        return Levels(self.node_value, self.proc.first[:self.end + 2])
+
+    @property
+    def stop_set(self) -> Levels:
+        return Levels(self.node_stop, self.proc.first[:self.end + 2])
+
 
 def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
                    m: Mechanism, forced=None) -> StoppingSolution:
@@ -84,34 +132,38 @@ def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
     Indifference (within 1e-9) goes to continuing; levels past the quota
     are excluded from the continuation max, so the last allowed level is a
     forced stop.  `forced` (per level boolean arrays over the process's
-    nodes) also stops those nodes, as in `backward`; an adaptive quota passes
-    the planner's stops this way.  Participation compares the root value to
-    U(mu0, 0), within 1e-9.
+    nodes, covering at least levels 0..end) also stops those nodes, as in
+    `backward`; an adaptive quota passes the planner's stops this way.
+    Participation compares the root value to U(mu0, 0), within 1e-9.
     """
     grid = proc.grid
     a1, a0 = adjusted_profiles(agent, m, "agent", grid)
     end = len(a1) - 1
+    if forced is not None:
+        forced = Levels.of(forced, bool, "forced masks")
+        if len(forced) <= end or not np.array_equal(forced.first[:end + 2],
+                                                     proc.first[:end + 2]):
+            raise DomainError(f"forced masks must cover levels 0..{end} of the "
+                              f"process node for node")
+        forced = forced.flat
 
-    # the stop payoffs, one float per node, are freed before the forward pass
-    values, stop_set = backward(
-        proc, [proc.beliefs[j] * a1[j] + (1.0 - proc.beliefs[j]) * a0[j]
-               for j in range(end + 1)], forced, tie_eps=1e-9)
-
-    root_value = float(proc.root_dist @ values[0])
+    values, stop = backward(proc, end, node_payoff(proc, end, a1, a0), forced,
+                            tie_eps=1e-9)
+    root_value = float(proc.root_dist @ values[:proc.first[1]])
     outside = float(agent.indirect(proc.mu0, 0.0))
     participation = root_value >= outside - 1e-9
 
-    # atoms in (level, node) order: the supports of levels 0..end back to back
-    stopped = np.concatenate(forward(proc, stop_set))
+    # atoms in (level, node) order: the nodes of levels 0..end back to back
+    stopped = forward(proc, end, stop)
     atoms = np.nonzero(stopped > 0)[0]
-    joint_index = np.repeat(np.arange(end + 1), [len(s) for s in stop_set])[atoms]
-    joint_belief = np.concatenate(proc.beliefs[:end + 1])[atoms]
+    joint_index = proc.first.searchsorted(atoms, side="right") - 1
+    joint_belief = proc.belief[atoms]
     joint_mass = stopped[atoms]
     total = joint_mass.sum()
     if abs(total - 1.0) > 1e-12:
         raise RobustQuotaError(f"joint stopping mass {total} != 1")
 
-    return StoppingSolution(proc, end, values, stop_set, joint_belief,
+    return StoppingSolution(proc, end, values, stop, joint_belief,
                             grid.points[joint_index], joint_mass, joint_index,
                             root_value, outside, participation, proc.mu0)
 
@@ -131,16 +183,6 @@ def principal_value(sol: StoppingSolution, principal: PayoffSpec, m: Mechanism) 
     return float(vals @ sol.joint_mass)
 
 
-def _running_sums(k: CSRKernel):
-    """Per-row running sums of a kernel's nonzeros, padded on the right with
-    the row total: the row's CDF over its stored columns."""
-    deg = np.diff(k.indptr)
-    pad = np.zeros((k.shape[0], int(deg.max(initial=0))))
-    at = np.arange(k.data.size) - np.repeat(k.indptr[:-1], deg)
-    pad[k.row_ids(), at] = k.data
-    return np.cumsum(pad, axis=1), deg
-
-
 def simulate(proc: DiscreteLearningProcess, sol: StoppingSolution, n_paths: int,
              seed: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monte Carlo draw of (stopping belief, stopping level) pairs.
@@ -153,10 +195,12 @@ def simulate(proc: DiscreteLearningProcess, sol: StoppingSolution, n_paths: int,
     `Philox.advance` reaches any row in O(1), so the sample does not depend
     on how paths are scheduled either.  All paths of a block are walked
     together one level at a time; a step goes to the first stored column
-    whose running row sum reaches the draw.  A draw above the row's total
-    raises DomainError, as do a seed outside [0, 2**64), an n_paths that is
-    not an integer >= 1 and a `sol` whose stop sets do not fit `proc`'s
-    supports.  Returns aggregated (stop_level, stop_belief, mass) arrays.
+    whose running row sum reaches the draw, the running sums of the rows of
+    levels 0..end-1 taken together before the walk.  A draw above the row's
+    total raises DomainError, as do a seed outside [0, 2**64), an n_paths
+    that is not an integer >= 1 and a `sol` whose stop sets do not fit
+    `proc`'s supports.  Returns aggregated (stop_level, stop_belief, mass)
+    arrays.
     """
     if not is_int(seed) or not 0 <= int(seed) < 2 ** 64:
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
@@ -164,39 +208,54 @@ def simulate(proc: DiscreteLearningProcess, sol: StoppingSolution, n_paths: int,
         raise DomainError(f"n_paths must be an integer >= 1, got {n_paths!r}")
     n_paths = int(n_paths)
     end = sol.end
-    if len(proc.beliefs) <= end or any(
-            len(s) != len(b) for s, b in zip(sol.stop_set, proc.beliefs)):
+    first, indptr = proc.first, proc.indptr
+    if not (np.array_equal(sol.proc.first[:end + 2], first[:end + 2])
+            and sol.node_stop.shape == (first[end + 1],)):
         raise DomainError("the stopping solution's stop sets do not fit the "
                           "process's supports: it solves another process")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     root_cdf = np.cumsum(proc.root_dist)
-    cdfs = [_running_sums(k) for k in proc.kernels[:end]]
+    # each entry's running sum over its row, in stored order: the row's CDF
+    # at its stored columns, for the rows of levels 0..end-1, a pass per
+    # entry position over a chunk of rows at a time
+    n_rows = first[end]
+    deg = indptr[1:n_rows + 1] - indptr[:n_rows]
+    cdf = proc.data[:indptr[n_rows]].copy()
+    for r0 in range(0, n_rows, processes.CHUNK):
+        d = deg[r0:r0 + processes.CHUNK]
+        for t in range(1, int(d.max())):
+            at = indptr[r0:r0 + d.size][d > t] + t
+            cdf[at] += cdf[at - 1]
+    # a step reads its row's CDF padded on the right with the row total, to
+    # the widest row of its level
+    width = np.maximum.reduceat(deg, first[:end]) if end else deg
+    steps = np.arange(int(width.max(initial=0)))
     stop_level = np.empty(n_paths, dtype=np.intp)
     stop_node = np.empty(n_paths, dtype=np.intp)
     # draws held at once: 8 MB
     block = max(1, (1 << 20) // (end + 1))
     for p0 in range(0, n_paths, block):
         u = rng.random((min(block, n_paths - p0), end + 1))
-        node = np.searchsorted(root_cdf, u[:, 0])
+        node = np.searchsorted(root_cdf, u[:, 0])     # level 0 starts at node 0
         if np.any(node >= root_cdf.size):
             raise DomainError("a draw exceeds the root distribution's total")
         active = np.arange(len(u))
         for j in range(end + 1):
-            st = sol.stop_set[j][node]
+            st = sol.node_stop[node]
             stop_level[p0 + active[st]] = j
             stop_node[p0 + active[st]] = node[st]
             active, node = active[~st], node[~st]
             if not active.size:
                 break
-            cdf, deg = cdfs[j]
-            k = np.count_nonzero(cdf[node] < u[active, j + 1, None], axis=1)
-            if np.any(k >= deg[node]):
+            at, d = indptr[node], deg[node]
+            row = at[:, None] + np.minimum(steps[:width[j]], d[:, None] - 1)
+            k = np.count_nonzero(cdf[row] < u[active, j + 1, None], axis=1)
+            if np.any(k >= d):
                 raise DomainError(f"a draw exceeds the total of a kernel {j} row")
-            node = proc.kernels[j].indices[proc.kernels[j].indptr[node] + k]
+            node = proc.indices[at + k] + first[j + 1]
 
-    first = np.cumsum([0] + [len(b) for b in proc.beliefs[:end]])
     levels = proc.grid.points[stop_level]
-    bels = np.concatenate(proc.beliefs[:end + 1])[first[stop_level] + stop_node]
+    bels = proc.belief[stop_node]
     order = np.lexsort((bels, levels))
     levels, bels = levels[order], bels[order]
     new = np.ones(n_paths, dtype=bool)

@@ -12,7 +12,10 @@ from robustquota import (AlignmentError, BinaryExperiment, DomainError,
                          no_learning, processes, quadratic_pair, random_tree,
                          refine_process, solve_adaptive_quota, solve_stopping)
 from robustquota.adaptive import random_experiment
-from robustquota.stopping import backward, forward
+
+from level_reference import (adaptive_quota_by_levels, backward_by_levels,
+                             evaluate_by_levels, forward_by_levels,
+                             times_kernel)
 
 AGENT, PRINCIPAL = quadratic_pair(1.0, 1.0, 1.0)
 GRID = LevelGrid(2.0, 9)
@@ -132,8 +135,8 @@ def test_refinement_projects_onto_tree(seed, n, mu0, p, q, levels):
     tree_mass, ref_mass = tree.root_dist, ref.root_dist
     for j in range(n):
         if j:
-            tree_mass = tree_mass @ tree.kernels[j - 1]
-            ref_mass = ref_mass @ ref.kernels[j - 1]
+            tree_mass = times_kernel(tree_mass, tree.kernels[j - 1])
+            ref_mass = times_kernel(ref_mass, ref.kernels[j - 1])
         proj = np.bincount(ref.parent_map[j], weights=ref_mass,
                            minlength=len(tree_mass))
         np.testing.assert_allclose(proj, tree_mass, rtol=0, atol=1e-12)
@@ -272,11 +275,12 @@ def _loop_evaluate(policy, agent_proc, agent, principal):
     stop_u = [mu * a1[j] + (1.0 - mu) * a0[j] - lam
               for j, mu in enumerate(agent_proc.beliefs)]
     forced = [np.asarray(policy.stop_set[j])[parent[j]] for j in range(grid.n)]
-    values, stops = backward(agent_proc, stop_u, forced, tie_eps=1e-9)
+    values, stops = backward_by_levels(agent_proc, stop_u, forced, tie_eps=1e-9)
     if float(agent_proc.root_dist @ values[0]) < outside - 1e-9:
         return float(mu0 * p1[0] + (1.0 - mu0) * p0[0])
     total = 0.0
-    for j, (mass, st) in enumerate(zip(forward(agent_proc, stops), stops)):
+    for j, (mass, st) in enumerate(zip(forward_by_levels(agent_proc, stops),
+                                       stops)):
         mu = agent_proc.beliefs[j][st]
         total += float((mass[st] * (mu * p1[j] + (1.0 - mu) * p0[j] + lam)).sum())
     return total
@@ -320,6 +324,48 @@ def test_evaluate_matches_loop_reference(make_tree, pair):
                 assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 40),
+       mu0=st.floats(0.05, 0.95), binomial=st.booleans(), p=_SIGNAL_PROB,
+       q=_SIGNAL_PROB, levels=st.lists(st.integers(0, 39), max_size=3),
+       cara=st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_adaptive_quota_and_evaluation_match_per_level_reference_bitwise(
+        seed, n, mu0, binomial, p, q, levels, cara):
+    """The planner's stop sets, tax and value, and the value of the quota
+    against a refinement of the tree (or the tree itself, where the signal
+    tells nothing), equal the per-level reference bitwise.  With CHUNK at 30
+    entries, validation, the refinement and the forced masks span several
+    level runs."""
+    agent, principal = cara_pair(1.0, 3.0) if cara else (AGENT, PRINCIPAL)
+    grid = LevelGrid(2.0, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(processes, "CHUNK", 30)
+        tree = binomial_tree(mu0, grid, 0.7, 0.3) if binomial \
+            else random_tree(mu0, grid, seed)
+        pol = solve_adaptive_quota(tree, agent, principal)
+        stop_set, lam, value = adaptive_quota_by_levels(tree, agent, principal)
+        for a, b in zip(pol.stop_set, stop_set, strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert (pol.lambda_adaptive, pol.value) == (lam, value)
+        ref = refine_process(tree, BinaryExperiment(
+            p, q, tuple(l % n for l in levels)))
+        assert evaluate_adaptive(pol, ref, agent, principal) == \
+            evaluate_by_levels(stop_set, lam, ref, agent, principal)
+
+
+def test_evaluate_refuses_a_parent_map_off_the_tree():
+    tree = binomial_tree(0.6, GRID)
+    pol = solve_adaptive_quota(tree, AGENT, PRINCIPAL)
+    ref = refine_process(tree, BinaryExperiment(0.8, 0.3, (0, 3)))
+    for shift, level in ((1, 0), (-1, 0)):
+        parent = [m.copy() for m in ref.parent_map]
+        parent[level] += shift * (len(tree.beliefs[level]) + 1)
+        bad = processes.DiscreteLearningProcess(
+            ref.grid, ref.beliefs, ref.kernels, ref.root_dist, ref.mu0, parent)
+        with pytest.raises(AlignmentError, match="level 0 is inconsistent"):
+            evaluate_adaptive(pol, bad, AGENT, PRINCIPAL)
+
+
 def test_declining_agent_leaves_principal_outside_option():
     """Once the tax exceeds what learning is worth to the agent, it does not
     participate and the principal gets V(mu0, 0) exactly."""
@@ -345,11 +391,11 @@ def test_declining_agent_leaves_principal_outside_option():
 
 def test_adaptive_pipeline_at_1001_levels_within_memory_budget():
     """The n=1001 binomial tree, its planner DP and one two-signal refinement
-    with its evaluation peak at 147.5 MB under tracemalloc with sparse
-    kernels (dense kernels would take 2.7 GB for the tree and 18 GB for the
-    refinement); the evaluation sets the peak, and building the refinement,
-    whose validation leaves each kernel its row ids, peaks at 133.0 MB.  The
-    budget leaves about 20% headroom."""
+    (1.19 M agent nodes) with its evaluation peak at 141.3 MB under
+    tracemalloc with the levels stored flat (dense kernels would take 2.7 GB
+    for the tree and 18 GB for the refinement); the evaluation sets the
+    peak, and building the refinement, whose validation keeps each entry's
+    row, peaks at 120.8 MB.  The budget leaves about 25% headroom."""
     grid = LevelGrid(2.0, 1001)
     tracemalloc.start()
     try:

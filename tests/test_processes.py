@@ -12,6 +12,8 @@ from robustquota import (DiscreteLearningProcess, DomainError, LevelGrid, Zero,
 from robustquota import processes
 from robustquota.processes import CSRKernel
 
+from level_reference import kernel_times, times_kernel
+
 GRID = LevelGrid(1.0, 5)
 
 
@@ -107,7 +109,7 @@ def test_random_tree_is_valid_martingale(seed, mu0):
     for j in range(p.grid.n):
         assert float(mass @ p.beliefs[j]) == pytest.approx(mu0, abs=1e-9)
         if j < p.grid.n - 1:
-            mass = mass @ p.kernels[j]
+            mass = times_kernel(mass, p.kernels[j])
 
 
 def _assert_same_tree(got, want):
@@ -167,6 +169,59 @@ def test_random_tree_refuses_bad_arguments(mu0, max_beliefs):
         random_tree(mu0, GRID, 0, max_beliefs)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: random_tree(0.6, GRID, seed=-1),
+    lambda: random_tree(0.6, GRID, seed=1.5),
+    lambda: random_tree(0.6, GRID, seed=True),
+    lambda: random_tree(0.6, GRID, seed="1"),
+    lambda: random_tree(0.6, GRID, 0, max_beliefs=2.5),
+    lambda: random_tree(0.6, GRID, 0, max_beliefs=True),
+    lambda: random_tree("0.6", GRID, 0),
+    lambda: binomial_tree(0.6, GRID, "a", 0.4),
+    lambda: binomial_tree(0.6, GRID, 0.6, None),
+    lambda: binomial_tree(True, GRID),
+    lambda: binomial_tree("0.6", GRID)],
+    ids=["seed-negative", "seed-float", "seed-bool", "seed-str",
+         "max-beliefs-float", "max-beliefs-bool", "random-mu0-str",
+         "p-good-str", "p-bad-none", "binomial-mu0-bool", "binomial-mu0-str"])
+def test_tree_builders_refuse_arguments_of_the_wrong_type(build):
+    """A seed, size, prior or signal probability of the wrong type or sign
+    raises DomainError, never a raw TypeError or ValueError, and a float
+    size is not truncated."""
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_levels_are_views_of_the_flat_arrays():
+    """beliefs[j], kernels[j] and parent_map[j] read the process's flat
+    arrays without a copy; negative indices and slices work per level."""
+    tree = binomial_tree(0.6, GRID)
+    ref = DiscreteLearningProcess(GRID, tree.beliefs, tree.kernels,
+                                  tree.root_dist, tree.mu0,
+                                  [np.arange(j + 1) for j in range(GRID.n)])
+    assert ref.belief is tree.belief and ref.data is tree.data
+    for j in range(GRID.n):
+        assert np.shares_memory(ref.beliefs[j], tree.belief)
+        assert np.shares_memory(ref.parent_map[j], ref.parent)
+    for j in range(GRID.n - 1):
+        k = ref.kernels[j]
+        assert np.shares_memory(k.data, ref.data)
+        assert np.shares_memory(k.indices, ref.indices)
+        assert np.array_equal(k.toarray(), tree.kernels[j].toarray())
+    assert ref.beliefs[-1].tolist() == tree.beliefs[GRID.n - 1].tolist()
+    assert [b.size for b in ref.beliefs[1:3]] == [2, 3]
+    with pytest.raises(IndexError):
+        ref.kernels[GRID.n - 1]
+
+
+def test_parent_map_must_match_the_levels_node_for_node():
+    tree = binomial_tree(0.6, GRID)
+    with pytest.raises(DomainError, match="one entry per node"):
+        DiscreteLearningProcess(GRID, tree.beliefs, tree.kernels,
+                                tree.root_dist, tree.mu0,
+                                [np.zeros(1, dtype=int)] * GRID.n)
+
+
 @st.composite
 def _sparse_stochastic(draw):
     """A random row-stochastic matrix with 1 to k nonzeros per row."""
@@ -180,9 +235,9 @@ def _sparse_stochastic(draw):
 @given(_sparse_stochastic())
 @settings(max_examples=100, deadline=None)
 def test_csr_kernel_agrees_with_dense(case):
-    """Products match dense numpy to 1e-15 of their scale, the
-    row length times the sum of the terms' magnitudes; the dense round trip
-    is exact."""
+    """Products over the stored entries match dense numpy to 1e-15 of their
+    scale, the row length times the sum of the terms' magnitudes; the dense
+    round trip is exact."""
     a, rng = case
     m, k = a.shape
     K = CSRKernel.from_dense(a)
@@ -191,8 +246,8 @@ def test_csr_kernel_agrees_with_dense(case):
     v = rng.uniform(-1.0, 1.0, size=k)
     x = rng.uniform(-1.0, 1.0, size=m)
     for got, want, scale in [
-            (K @ v, a @ v, k * np.abs(a) @ np.abs(v)),
-            (x @ K, x @ a, m * np.abs(x) @ np.abs(a))]:
+            (kernel_times(K, v), a @ v, k * np.abs(a) @ np.abs(v)),
+            (times_kernel(x, K), x @ a, m * np.abs(x) @ np.abs(a))]:
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-15 * scale)
 

@@ -5,18 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustquota import (CARA, DomainError, EmptyMechanismError,
-                         FixedTaxHardQuota, LevelGrid, TabulatedMechanism,
-                         UnreachableLevelError, Zero, adjusted_profiles,
-                         binomial_tree, cara_pair, compute_robust,
-                         full_revelation, no_learning, one_shot_levels,
-                         principal_value, quadratic_pair, random_tree,
-                         simulate, single_split, solve_stopping)
+from robustquota import (CARA, BinaryExperiment, DomainError,
+                         EmptyMechanismError, FixedTaxHardQuota, LevelGrid,
+                         TabulatedMechanism, UnreachableLevelError, Zero,
+                         adjusted_profiles, binomial_tree, cara_pair,
+                         compute_robust, full_revelation, no_learning,
+                         one_shot_levels, principal_value, quadratic_pair,
+                         random_tree, refine_process, simulate, single_split,
+                         solve_stopping)
+from robustquota import processes
 from robustquota.adversary import indifference_G
-from robustquota.processes import CSRKernel
 from robustquota.stopping import backward, forward
 
 from badnews_tree import bad_news_tree
+from level_reference import (backward_by_levels, forward_by_levels,
+                             solve_stopping_by_levels)
 
 
 def test_no_learning_under_robust_mechanism_binds():
@@ -141,17 +144,94 @@ def test_simulate_within_dkw_band():
 
 def test_backward_forced_stop_takes_stop_payoff():
     """A forced node stops and is valued at its stop payoff even where
-    continuing pays more, and that value is what earlier levels see."""
+    continuing pays more, and that value is what earlier levels see; the
+    flat engine and the per-level reference agree."""
     proc = no_learning(0.5, LevelGrid(1.0, 3))
     payoff = [np.array([1.0]), np.array([0.0]), np.array([5.0])]
-    values, stop_set = backward(proc, payoff)
+    forced = [np.array([False]), np.array([True]), np.array([True])]
+    values, stop = backward(proc, 2, np.concatenate(payoff))
+    assert values.tolist() == [5.0, 5.0, 5.0]
+    assert stop.tolist() == [False, False, True]
+    values, stop = backward(proc, 2, np.concatenate(payoff),
+                            np.concatenate(forced))
+    assert values.tolist() == [1.0, 0.0, 5.0]
+    assert stop.tolist() == [True, True, True]
+    assert forward(proc, 2, stop).tolist() == [1.0, 0.0, 0.0]
+
+    values, stop_set = backward_by_levels(proc, payoff)
     assert [v[0] for v in values] == [5.0, 5.0, 5.0]
     assert [s[0] for s in stop_set] == [False, False, True]
-    forced = [np.array([False]), np.array([True]), np.array([True])]
-    values, stop_set = backward(proc, payoff, forced)
+    values, stop_set = backward_by_levels(proc, payoff, forced)
     assert [v[0] for v in values] == [1.0, 0.0, 5.0]
     assert [s[0] for s in stop_set] == [True, True, True]
-    assert [m[0] for m in forward(proc, stop_set)] == [1.0, 0.0, 0.0]
+    assert [m[0] for m in forward_by_levels(proc, stop_set)] == [1.0, 0.0, 0.0]
+
+
+def test_solve_stopping_refuses_forced_masks_that_do_not_fit():
+    """Forced masks must cover levels 0..end node for node.  One node per
+    level on a binomial tree is refused, not broadcast to force every node
+    (root value 0.0 against 0.4668 unforced), and so is a list one level
+    short or one node too long per level; masks that fit are used."""
+    grid = LevelGrid(2.0, 6)
+    tree = binomial_tree(0.6, grid)
+    agent = quadratic_pair(1.0, 1.0, 1.0)[0]
+    free = solve_stopping(tree, agent, Zero())
+    assert free.root_value == pytest.approx(0.4668, abs=1e-4)
+    for forced in ([np.ones(1, dtype=bool)] * 6,
+                   [np.zeros(j + 1, dtype=bool) for j in range(5)],
+                   [np.zeros(j + 2, dtype=bool) for j in range(6)]):
+        with pytest.raises(DomainError, match="forced masks"):
+            solve_stopping(tree, agent, Zero(), forced)
+    none = solve_stopping(tree, agent, Zero(),
+                          [np.zeros(j + 1, dtype=bool) for j in range(6)])
+    assert none.root_value == free.root_value
+    root = solve_stopping(tree, agent, Zero(),
+                          [np.ones(j + 1, dtype=bool) for j in range(6)])
+    assert root.root_value == agent.indirect(0.6, 0.0)
+
+
+def _random_masks(proc, end, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.random(len(proc.beliefs[j])) < 0.2 for j in range(end + 1)]
+
+
+_SIGNAL_PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))
+
+
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 40),
+       mu0=st.floats(0.05, 0.95), binomial=st.booleans(), robust=st.booleans(),
+       masked=st.booleans(), p=_SIGNAL_PROB, q=_SIGNAL_PROB,
+       levels=st.lists(st.integers(0, 39), max_size=3))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_solve_stopping_matches_per_level_reference_bitwise(
+        seed, n, mu0, binomial, robust, masked, p, q, levels):
+    """The flat engine gives the per-level reference's values, stop sets and
+    joint arrays bitwise on trees and their refinements (no signal level
+    drawn: the tree itself), with and without random forced masks, the
+    processes built and validated over several level runs."""
+    agent, principal = cara_pair(1.0, 3.0)
+    grid = LevelGrid(2.0, n)
+    m = compute_robust(agent, principal, mu0, grid).mechanism if robust \
+        else Zero()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(processes, "CHUNK", 30)
+        proc = binomial_tree(mu0, grid, 0.7, 0.3) if binomial \
+            else random_tree(mu0, grid, seed)
+        if levels:
+            proc = refine_process(proc, BinaryExperiment(
+                p, q, tuple(l % n for l in levels)))
+    end = len(adjusted_profiles(agent, m, "agent", grid)[0]) - 1
+    forced = _random_masks(proc, end, seed) if masked else None
+    sol = solve_stopping(proc, agent, m, forced)
+    values, stop_set, belief, mass, idx, root, part = \
+        solve_stopping_by_levels(proc, agent, m, forced)
+    for got, want in [(sol.values, values), (sol.stop_set, stop_set),
+                      ((sol.joint_belief, sol.joint_mass, sol.joint_index),
+                       (belief, mass, idx))]:
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert (sol.root_value, sol.participation) == (root, part)
+
 
 @given(seed=st.integers(0, 10_000), n=st.integers(2, 15),
        mu0=st.floats(0.05, 0.95), family=st.sampled_from(["quadratic", "cara"]),
@@ -220,17 +300,33 @@ def test_simulate_matches_path_by_path_walk_bitwise(make):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def test_simulate_over_several_row_chunks_matches_path_by_path_walk(
+        monkeypatch):
+    """With CHUNK at 7 rows the running row sums are taken over many chunks
+    of rows, of a refinement whose rows hold 1 to 4 entries; the walk still
+    equals the path-by-path reference bitwise."""
+    monkeypatch.setattr(processes, "CHUNK", 7)
+    grid = LevelGrid(2.0, 15)
+    for tree in (binomial_tree(0.6, grid, 0.7, 0.3), random_tree(0.6, grid, 5)):
+        proc = refine_process(tree, BinaryExperiment(0.8, 0.3, (0, 4, 9)))
+        assert np.diff(proc.indptr).max() == 4
+        sol = solve_stopping(proc, cara_pair(1.0, 3.0)[0], Zero())
+        got = simulate(proc, sol, 400, 7)
+        want = _simulate_by_paths(proc, sol, 400, 7)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_draw_above_row_total_raises_without_reading_next_row():
     """Row 0 of the first kernel holds only half its mass: a draw above 0.5
     must raise, not step into row 1's column."""
     grid = LevelGrid(1.0, 3)
     proc = full_revelation(0.6, grid)
     sol = solve_stopping(proc, CARA(1.0), Zero())
-    sol = replace(sol, end=2, stop_set=(np.array([False, False]),
-                                        np.array([False, False]),
-                                        np.array([True, True])))
-    leaky = CSRKernel([0, 1, 2], [0, 1], [0.5, 1.0], (2, 2))
-    object.__setattr__(proc, "kernels", (leaky, proc.kernels[1]))
+    sol = replace(sol, end=2, node_stop=np.array([False, False, False, False,
+                                                  True, True]))
+    assert proc.kernels[0].data.tolist() == [1.0, 1.0]
+    proc.data[0] = 0.5          # the block's first entry: row 0 of kernel 0
     with pytest.raises(DomainError, match="kernel 0 row"):
         simulate(proc, sol, 50, seed=3)
 
