@@ -11,8 +11,7 @@ from .errors import (AlignmentError, DomainError, NotARefinementError, is_int,
                      is_real)
 from .mechanisms import FixedTaxHardQuota
 from .payoffs import PayoffSpec
-from .processes import (DiscreteLearningProcess, KernelLevels, Levels,
-                        level_runs)
+from .processes import DiscreteLearningProcess, Levels, level_runs
 from .stopping import (backward, forward, node_payoff, principal_value,
                        solve_stopping)
 
@@ -160,9 +159,9 @@ def refine_process(tree: DiscreteLearningProcess,
     t_sizes = np.diff(t_first)
     if not experiment.informative:
         ident = np.arange(t_first[n]) - np.repeat(t_first[:n], t_sizes)
-        return DiscreteLearningProcess(tree.grid, tree.beliefs, tree.kernels,
-                                       tree.root_dist, tree.mu0,
-                                       Levels(ident, t_first))
+        return DiscreteLearningProcess(tree.grid, t_first, tree.belief, t_ptr,
+                                       tree.indices, tree.data, tree.root_dist,
+                                       tree.mu0, ident)
     p, q = experiment.p_given_good, experiment.p_given_bad
     fires = np.isin(np.arange(n), experiment.levels)
     m_at = np.cumsum(fires)                 # signals observed by level j
@@ -258,10 +257,8 @@ def refine_process(tree: DiscreteLearningProcess,
     else:
         root = tree.root_dist.copy()
     try:
-        return DiscreteLearningProcess(
-            tree.grid, Levels(belief, first),
-            KernelLevels(first, indptr, indices, data), root, tree.mu0,
-            Levels(parent, first))
+        return DiscreteLearningProcess(tree.grid, first, belief, indptr,
+                                       indices, data, root, tree.mu0, parent)
     except DomainError as e:
         raise NotARefinementError(f"refinement is not Bayes-consistent: {e}")
 
@@ -300,5 +297,5 @@ def evaluate_adaptive(policy: AdaptivePolicy, agent_proc: DiscreteLearningProces
             forced[first[j0]:first[j1]] = policy.node_stop[planner]
 
     m = FixedTaxHardQuota(policy.lambda_adaptive, grid.l_max)
-    sol = solve_stopping(agent_proc, agent, m, Levels(forced, first))
+    sol = solve_stopping(agent_proc, agent, m, forced)
     return principal_value(sol, principal, m)

@@ -5,13 +5,20 @@ A payoff spec evaluates u(theta, l) for the binary state theta in {0, 1}
 two states linearly in the belief: U(mu, l) = mu u(1,l) + (1-mu) u(0,l).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_real
 from .grid import LevelGrid
+
+
+def _finite(what: str, *xs):
+    """DomainError unless every x is a finite real number (not a bool)."""
+    if not all(is_real(x) and math.isfinite(x) for x in xs):
+        raise DomainError(f"{what} must be finite real numbers, got {xs!r}")
 
 
 class PayoffSpec:
@@ -50,6 +57,7 @@ class Quadratic(PayoffSpec):
     quad: float = 0.0
 
     def __post_init__(self):
+        _finite("Quadratic parameters", self.alpha, self.beta, self.quad)
         if self.alpha <= 0 or self.beta <= 0 or self.quad < 0:
             raise DomainError("Quadratic requires alpha, beta > 0 and quad >= 0")
 
@@ -71,6 +79,7 @@ class CARA(PayoffSpec):
     gamma: float
 
     def __post_init__(self):
+        _finite("CARA gamma", self.gamma)
         if self.gamma <= 0:
             raise DomainError("CARA requires gamma > 0")
 
@@ -96,6 +105,7 @@ class CRRA(PayoffSpec):
     singular_at_zero = True
 
     def __post_init__(self):
+        _finite("CRRA parameters", self.gamma, self.eps)
         if self.gamma == 1.0 or self.gamma <= 0:
             raise DomainError("CRRA requires gamma > 0, gamma != 1")
         if self.eps <= 0:
@@ -120,14 +130,13 @@ class Tabulated(PayoffSpec):
     values0: tuple  # u(0, l_j)
 
     def __post_init__(self):
-        v1 = np.asarray(self.values1, dtype=float)
-        v0 = np.asarray(self.values0, dtype=float)
+        v1 = np.asarray(self.values1, dtype=object)
+        v0 = np.asarray(self.values0, dtype=object)
         if v1.shape != (self.grid.n,) or v0.shape != (self.grid.n,):
             raise DomainError("tabulated payoff length must equal grid size")
-        if not (np.isfinite(v1).all() and np.isfinite(v0).all()):
-            raise DomainError("tabulated payoffs must be finite")
-        object.__setattr__(self, "values1", tuple(v1))
-        object.__setattr__(self, "values0", tuple(v0))
+        _finite("tabulated payoffs", *v1, *v0)
+        object.__setattr__(self, "values1", tuple(v1.astype(float)))
+        object.__setattr__(self, "values0", tuple(v0.astype(float)))
 
     def u(self, theta, l):
         vals = self.values1 if theta == 1 else self.values0
@@ -166,6 +175,6 @@ def payoff_from_dict(d: dict, grid: LevelGrid = None) -> PayoffSpec:
             return Tabulated(grid, tuple(d["u1"]), tuple(d["u0"]))
     except KeyError as e:
         raise DomainError(f"{fam!r} payoff spec lacks key {e}") from None
-    except TypeError as e:
+    except (TypeError, DomainError) as e:
         raise DomainError(f"{fam!r} payoff spec {d!r}: {e}") from None
     raise DomainError(f"unknown payoff family {fam!r}")

@@ -43,16 +43,6 @@ class CSRKernel:
         self.shape = (int(shape[0]), int(shape[1]))
         self._rows = None
 
-    @classmethod
-    def from_dense(cls, a) -> "CSRKernel":
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2:
-            raise DomainError("a kernel must be a matrix")
-        rows, cols = np.nonzero(a)
-        indptr = np.zeros(a.shape[0] + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=a.shape[0]), out=indptr[1:])
-        return cls(indptr, cols, a[rows, cols], a.shape)
-
     def row_ids(self) -> np.ndarray:
         """Row of each stored entry (kept from validation, or built on first
         use, then kept)."""
@@ -88,19 +78,6 @@ class Levels(Sequence):
         self.flat = flat
         self.first = first
 
-    @classmethod
-    def of(cls, levels, dtype, what: str) -> "Levels":
-        """`levels` stored flat: the levels of a Levels as they are stored,
-        per-level arrays concatenated once."""
-        if isinstance(levels, cls):
-            return cls(np.asarray(levels.flat, dtype=dtype), levels.first)
-        arrays = [np.asarray(a, dtype=dtype) for a in levels]
-        if any(a.ndim != 1 for a in arrays):
-            raise DomainError(f"{what} must be one 1-d array per level")
-        first = np.zeros(len(arrays) + 1, dtype=np.intp)
-        np.cumsum([a.size for a in arrays], out=first[1:])
-        return cls(np.concatenate([np.zeros(0, dtype), *arrays]), first)
-
     def __len__(self):
         return len(self.first) - 1
 
@@ -112,45 +89,18 @@ class Levels(Sequence):
 
 
 class KernelLevels(Sequence):
-    """The kernels of a process as one CSR block: kernel j, from level j to
-    level j + 1, is rows first[j]..first[j+1]-1 of the block, and item j a
-    CSRKernel view of them."""
+    """The kernels of a validated process as one CSR block: kernel j, from
+    level j to level j + 1, is rows first[j]..first[j+1]-1 of the block,
+    and item j a CSRKernel view of them that keeps their entries' rows."""
 
     __slots__ = ("first", "indptr", "indices", "data", "rows")
 
-    def __init__(self, first, indptr, indices, data, rows=None):
+    def __init__(self, first, indptr, indices, data, rows):
         self.first = first
         self.indptr = indptr
         self.indices = indices
         self.data = data
         self.rows = rows
-
-    @classmethod
-    def of(cls, kernels, first) -> "KernelLevels":
-        """`kernels` as one block on the levels that start at `first`: a
-        KernelLevels as it is stored, per-level kernels (CSRKernel or dense)
-        checked against the level sizes and concatenated once."""
-        if isinstance(kernels, cls):
-            if not np.array_equal(kernels.first, first):
-                raise DomainError("kernels do not fit the level supports")
-            return cls(first, np.asarray(kernels.indptr, dtype=np.intp),
-                       np.asarray(kernels.indices, dtype=np.intp),
-                       np.asarray(kernels.data, dtype=float))
-        kernels = [k if isinstance(k, CSRKernel) else CSRKernel.from_dense(k)
-                   for k in kernels]
-        sizes = np.diff(first).tolist()
-        for j, k in enumerate(kernels):
-            if k.shape != (sizes[j], sizes[j + 1]) \
-                    or k.indptr.shape != (sizes[j] + 1,) or k.indptr[0] != 0 \
-                    or k.indptr[-1] != k.data.size \
-                    or k.indices.shape != k.data.shape:
-                raise DomainError(f"kernel {j} has wrong shape")
-        cols = Levels.of([k.indices for k in kernels], np.intp, "kernel columns")
-        indptr = np.concatenate([np.zeros(1, dtype=np.intp),
-                                 *(k.indptr[1:] for k in kernels)])
-        indptr[1:] += np.repeat(cols.first[:-1], sizes[:len(kernels)])
-        return cls(first, indptr, cols.flat,
-                   np.concatenate([np.zeros(0), *(k.data for k in kernels)]))
 
     def __len__(self):
         return len(self.first) - 2
@@ -163,42 +113,42 @@ class KernelLevels(Sequence):
         e0, e1 = self.indptr[r0], self.indptr[r1]
         k = CSRKernel(self.indptr[r0:r1 + 1] - e0, self.indices[e0:e1],
                       self.data[e0:e1], (r1 - r0, r2 - r1))
-        if self.rows is not None:
-            k._rows = self.rows[e0:e1]
+        k._rows = self.rows[e0:e1]
         return k
 
 
+def _index_array(a, what: str) -> np.ndarray:
+    """`a` as a 1-d intp array, without a copy where it is one; DomainError
+    unless it is a 1-d array of integers."""
+    a = np.asarray(a)
+    if a.ndim != 1 or not np.issubdtype(a.dtype, np.integer):
+        raise DomainError(f"{what} must be a 1-d array of integers")
+    return a.astype(np.intp, copy=False)
+
+
 class DiscreteLearningProcess:
-    """A learning process stored flat (see the module docstring); `parent`
-    optionally maps each node to its node, local to the level, in a coarser
-    process that this one refines (used by the adaptive module)."""
+    """A learning process in its stored form (see the module docstring):
+    the levels' starts `first`, the node beliefs `belief`, the kernel block
+    `indptr`, `indices`, `data`, the root distribution over level 0 and the
+    prior mu0.  `parent` optionally maps each node to its node, local to the
+    level, in a coarser process that this one refines (used by the adaptive
+    module).  The arrays are kept without a copy where their dtype fits,
+    and validated."""
 
     __slots__ = ("grid", "mu0", "root_dist", "first", "belief", "indptr",
                  "indices", "data", "rows", "parent")
 
-    def __init__(self, grid: LevelGrid, beliefs, kernels, root_dist,
-                 mu0: float, parent_map=None):
-        """Per-level input: beliefs and parent_map one array per level,
-        kernels one CSRKernel or dense matrix per step, each concatenated
-        once.  The `beliefs`, `kernels` and `parent_map` of a process are
-        taken as they are stored, without a copy."""
+    def __init__(self, grid: LevelGrid, first, belief, indptr, indices, data,
+                 root_dist, mu0: float, parent=None):
         self.grid = grid
         self.mu0 = mu0
+        self.first = _index_array(first, "first")
+        self.belief = np.asarray(belief, dtype=float)
+        self.indptr = _index_array(indptr, "kernel indptr")
+        self.indices = _index_array(indices, "kernel indices")
+        self.data = np.asarray(data, dtype=float)
         self.root_dist = np.asarray(root_dist, dtype=float)
-        levels = Levels.of(beliefs, float, "node beliefs")
-        self.first, self.belief = levels.first, levels.flat
-        if len(levels) != grid.n or len(kernels) != grid.n - 1:
-            raise DomainError("process must have one support per level and one "
-                              "kernel per step")
-        block = KernelLevels.of(kernels, self.first)
-        self.indptr, self.indices, self.data = block.indptr, block.indices, block.data
-        self.rows = None
-        self.parent = None
-        if parent_map is not None:
-            parent = Levels.of(parent_map, np.intp, "parent_map")
-            if not np.array_equal(parent.first, self.first):
-                raise DomainError("parent_map must have one entry per node")
-            self.parent = parent.flat
+        self.parent = None if parent is None else _index_array(parent, "parent")
         self._validate()
 
     @property
@@ -215,25 +165,34 @@ class DiscreteLearningProcess:
         return None if self.parent is None else Levels(self.parent, self.first)
 
     def _validate(self):
+        first, n = self.first, self.grid.n
+        if self.belief.ndim != 1 or first.shape != (n + 1,) \
+                or first[0] != 0 or first[-1] != self.belief.size \
+                or (first[1:] < first[:-1]).any():
+            raise DomainError("first must hold the start of each level and the "
+                              "node count, from 0 and never decreasing")
+        if self.parent is not None and self.parent.shape != self.belief.shape:
+            raise DomainError("parent must have one entry per node")
         if not 0.0 <= self.mu0 <= 1.0:
             raise DomainError(f"prior {self.mu0} outside [0, 1]")
         if not np.all((self.belief >= -1e-12) & (self.belief <= 1 + 1e-12)):
             raise DomainError("node beliefs must lie in [0, 1]")
-        m0 = int(self.first[1])
+        m0 = int(first[1])
         if self.root_dist.shape != (m0,):
             raise DomainError("root distribution must match the level-0 support")
-        if np.any(self.root_dist < -1e-12) or abs(self.root_dist.sum() - 1.0) > 1e-12:
+        if not (np.all(self.root_dist >= -1e-12)
+                and abs(self.root_dist.sum() - 1.0) <= 1e-12):
             raise DomainError("root distribution must be a probability vector")
         root_mean = float(self.root_dist @ self.belief[:m0])
-        if abs(root_mean - self.mu0) > 1e-10:
+        if not abs(root_mean - self.mu0) <= 1e-10:
             raise DomainError(f"root mean belief {root_mean} != prior {self.mu0}")
-        n = self.grid.n
-        if self.indptr.shape != (self.first[n - 1] + 1,) or self.indptr[0] != 0 \
+        if self.indptr.shape != (first[n - 1] + 1,) or self.indptr[0] != 0 \
                 or self.indptr[-1] != self.data.size \
-                or self.indices.shape != self.data.shape:
+                or self.indices.shape != self.data.shape \
+                or (self.indptr[1:] < self.indptr[:-1]).any():
             raise DomainError("kernels have wrong shape")
         self.rows = np.empty(self.data.size, dtype=np.intp)
-        at = self.indptr[self.first[:n]]        # first entry of each kernel
+        at = self.indptr[first[:n]]             # first entry of each kernel
         nnz = at[1:] - at[:-1]
         for j0, j1 in level_runs(nnz):
             self._validate_run(j0, j1, nnz[j0:j1])
@@ -253,10 +212,7 @@ class DiscreteLearningProcess:
             """Level of the first flagged row or entry."""
             return j0 + int(np.searchsorted(ends, np.argmax(bad), side="right"))
 
-        deg = indptr[r0 + 1:r1 + 1] - indptr[r0:r1]
-        if (deg < 0).any():
-            raise DomainError(f"kernel {level(deg < 0, row_ends)} has wrong shape")
-        rows = np.arange(r1 - r0).repeat(deg)
+        rows = np.arange(r1 - r0).repeat(indptr[r0 + 1:r1 + 1] - indptr[r0:r1])
         cols, data = self.indices[e0:e1], self.data[e0:e1]
         # each entry's head, level j+1 starting where the rows of level j end
         heads = cols + first[j0 + 1:j1 + 1].repeat(nnz)
@@ -289,11 +245,10 @@ def _fixed_support(grid: LevelGrid, support, root_dist,
                    mu0: float) -> DiscreteLearningProcess:
     """The same support at every level, each node moving to itself."""
     n, m = grid.n, len(support)
-    first = m * np.arange(n + 1)
-    kernels = KernelLevels(first, np.arange(m * (n - 1) + 1),
-                           np.tile(np.arange(m), n - 1), np.ones(m * (n - 1)))
-    return DiscreteLearningProcess(grid, Levels(np.tile(support, n), first),
-                                   kernels, np.array(root_dist), mu0)
+    return DiscreteLearningProcess(
+        grid, m * np.arange(n + 1), np.tile(support, n),
+        np.arange(m * (n - 1) + 1), np.tile(np.arange(m), n - 1),
+        np.ones(m * (n - 1)), root_dist, mu0)
 
 
 def no_learning(mu0: float, grid: LevelGrid) -> DiscreteLearningProcess:
@@ -346,9 +301,9 @@ def binomial_tree(mu0: float, grid: LevelGrid, p_good: float = 0.6,
     p_up = mu * p_good + (1.0 - mu) * p_bad
     data = np.stack([1.0 - p_up, p_up], axis=1).ravel()
     cols = np.stack([u[:mu.size], u[:mu.size] + 1], axis=1).ravel()
-    kernels = KernelLevels(first, 2 * np.arange(mu.size + 1), cols, data)
-    return DiscreteLearningProcess(grid, Levels(belief, first), kernels,
-                                   np.array([1.0]), mu0)
+    return DiscreteLearningProcess(grid, first, belief,
+                                   2 * np.arange(mu.size + 1), cols, data,
+                                   [1.0], mu0)
 
 
 def random_tree(mu0: float, grid: LevelGrid, seed: int,
@@ -362,7 +317,8 @@ def random_tree(mu0: float, grid: LevelGrid, seed: int,
     A node draws `rng.random()` only when a support point lies within 1e-13
     of its belief, then one index into each bracketing run of support points
     with `rng.integers`, the stream `Generator.choice` draws from such a run.
-    Kernel rows go straight into CSR lists, zero weights left out.
+    Each level's support and kernel rows are appended to one flat belief
+    list and one CSR block, zero weights left out.
     """
     if not is_int(max_beliefs) or max_beliefs < 2:
         raise DomainError(f"max_beliefs must be an integer >= 2, got {max_beliefs!r}")
@@ -371,24 +327,22 @@ def random_tree(mu0: float, grid: LevelGrid, seed: int,
     if not is_int(seed) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
-    beliefs = [np.array([mu0])]
-    kernels = []
-    prev = beliefs[0].tolist()
+    prev = [float(mu0)]
+    belief, first = list(prev), [0, 1]
+    indptr, indices, data = [0], [], []
     for _ in range(1, grid.n):
         interior = rng.uniform(0.0, 1.0, size=rng.integers(0, max_beliefs - 1))
         support = sorted({0.0, 1.0, *interior.tolist()})
         m = len(support)
-        indptr, indices, data = [0], [], []
         for mu in prev:
             below = bisect_right(support, mu)    # support[:below] <= mu
             above = bisect_left(support, mu)     # support[above:] >= mu
             # the support points within 1e-13 of mu are a run; take its first
-            first = above
-            while first > 0 and abs(support[first - 1] - mu) <= 1e-13:
-                first -= 1
-            if (first < m and abs(support[first] - mu) <= 1e-13
-                    and rng.random() < 0.5):
-                indices.append(first)
+            at = above
+            while at > 0 and abs(support[at - 1] - mu) <= 1e-13:
+                at -= 1
+            if at < m and abs(support[at] - mu) <= 1e-13 and rng.random() < 0.5:
+                indices.append(at)
                 data.append(1.0)
             else:
                 lo_col = int(rng.integers(0, below))
@@ -404,8 +358,8 @@ def random_tree(mu0: float, grid: LevelGrid, seed: int,
                             indices.append(col)
                             data.append(w)
             indptr.append(len(indices))
-        kernels.append(CSRKernel(indptr, indices, data, (len(prev), m)))
-        beliefs.append(np.array(support))
+        belief += support
+        first.append(len(belief))
         prev = support
-    return DiscreteLearningProcess(grid, tuple(beliefs), tuple(kernels),
-                                   np.array([1.0]), mu0)
+    return DiscreteLearningProcess(grid, first, belief, indptr, indices, data,
+                                   [1.0], mu0)

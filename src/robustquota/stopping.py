@@ -131,21 +131,19 @@ def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
 
     Indifference (within 1e-9) goes to continuing; levels past the quota
     are excluded from the continuation max, so the last allowed level is a
-    forced stop.  `forced` (per level boolean arrays over the process's
-    nodes, covering at least levels 0..end) also stops those nodes, as in
-    `backward`; an adaptive quota passes the planner's stops this way.
+    forced stop.  `forced` (one boolean per node of the process, any other
+    shape or dtype a DomainError) also stops those nodes, as in `backward`;
+    an adaptive quota passes the planner's stops this way.
     Participation compares the root value to U(mu0, 0), within 1e-9.
     """
     grid = proc.grid
     a1, a0 = adjusted_profiles(agent, m, "agent", grid)
     end = len(a1) - 1
     if forced is not None:
-        forced = Levels.of(forced, bool, "forced masks")
-        if len(forced) <= end or not np.array_equal(forced.first[:end + 2],
-                                                     proc.first[:end + 2]):
-            raise DomainError(f"forced masks must cover levels 0..{end} of the "
-                              f"process node for node")
-        forced = forced.flat
+        forced = np.asarray(forced)
+        if forced.dtype != bool or forced.shape != proc.belief.shape:
+            raise DomainError("forced must be one boolean per node of the "
+                              "process")
 
     values, stop = backward(proc, end, node_payoff(proc, end, a1, a0), forced,
                             tie_eps=1e-9)

@@ -5,6 +5,8 @@ import numpy as np
 
 from robustquota import BadNewsProcess, DiscreteLearningProcess
 
+from level_reference import flat_process
+
 
 def bad_news_tree(bn: BadNewsProcess) -> DiscreteLearningProcess:
     """Two-node-per-level compact tree: {bad news (belief 0), surviving}.
@@ -29,5 +31,4 @@ def bad_news_tree(bn: BadNewsProcess) -> DiscreteLearningProcess:
         kernels.append(k)
     g0 = float(G[0])
     root = np.array([g0, 1.0 - g0]) if g0 > 1e-15 else np.array([0.0, 1.0])
-    return DiscreteLearningProcess(bn.grid, beliefs, tuple(kernels), root,
-                                   bn.mu0)
+    return flat_process(bn.grid, beliefs, kernels, root, bn.mu0)

@@ -1,11 +1,35 @@
 """Per-level references for the flat stopping engine: kernel products on one
 `CSRKernel` at a time, backward and forward induction level by level, and
 the agent's problem, the adaptive quota and its evaluation built on them,
-as the package computed them before its processes were stored flat."""
+as the package computed them before its processes were stored flat; and
+`flat_process`, which stores a process given level by level."""
 
 import numpy as np
 
-from robustquota import FixedTaxHardQuota, adjusted_profiles
+from robustquota import (DiscreteLearningProcess, FixedTaxHardQuota,
+                         adjusted_profiles)
+from robustquota.processes import CSRKernel
+
+
+def csr(a):
+    """A dense matrix as a CSRKernel: its nonzeros in row order."""
+    a = np.asarray(a, dtype=float)
+    rows, cols = np.nonzero(a)
+    indptr = np.zeros(a.shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=a.shape[0]), out=indptr[1:])
+    return CSRKernel(indptr, cols, a[rows, cols], a.shape)
+
+
+def flat_process(grid, beliefs, kernels, root_dist, mu0):
+    """The process with one belief array per level and one dense kernel per
+    step: the levels, and the kernels' nonzeros in row order, stored back
+    to back."""
+    ks = [csr(k) for k in kernels]
+    deg = np.concatenate([np.diff(k.indptr) for k in ks])
+    return DiscreteLearningProcess(
+        grid, np.cumsum([0, *map(len, beliefs)]), np.concatenate(beliefs),
+        np.cumsum([0, *deg]), np.concatenate([k.indices for k in ks]),
+        np.concatenate([k.data for k in ks]), root_dist, mu0)
 
 
 def kernel_times(k, v):

@@ -357,11 +357,12 @@ def test_evaluate_refuses_a_parent_map_off_the_tree():
     tree = binomial_tree(0.6, GRID)
     pol = solve_adaptive_quota(tree, AGENT, PRINCIPAL)
     ref = refine_process(tree, BinaryExperiment(0.8, 0.3, (0, 3)))
-    for shift, level in ((1, 0), (-1, 0)):
-        parent = [m.copy() for m in ref.parent_map]
-        parent[level] += shift * (len(tree.beliefs[level]) + 1)
+    for shift in (1, -1):
+        parent = ref.parent.copy()
+        parent[:ref.first[1]] += shift * (len(tree.beliefs[0]) + 1)
         bad = processes.DiscreteLearningProcess(
-            ref.grid, ref.beliefs, ref.kernels, ref.root_dist, ref.mu0, parent)
+            ref.grid, ref.first, ref.belief, ref.indptr, ref.indices, ref.data,
+            ref.root_dist, ref.mu0, parent)
         with pytest.raises(AlignmentError, match="level 0 is inconsistent"):
             evaluate_adaptive(pol, bad, AGENT, PRINCIPAL)
 
@@ -374,7 +375,8 @@ def test_declining_agent_leaves_principal_outside_option():
     ref = refine_process(tree, BinaryExperiment(0.8, 0.3, (0, 3)))
     outside = PRINCIPAL.indirect(0.6, 0.0)
     assert evaluate_adaptive(pol, ref, AGENT, PRINCIPAL) != outside
-    forced = [pol.stop_set[j][ref.parent_map[j]] for j in range(GRID.n)]
+    forced = np.concatenate([pol.stop_set[j][ref.parent_map[j]]
+                             for j in range(GRID.n)])
     lam = pol.lambda_adaptive
     while True:
         lam += 0.05

@@ -24,6 +24,16 @@ def test_bad_construction(l_max, n):
         LevelGrid(l_max, n)
 
 
+@pytest.mark.parametrize("l_max,n", [(2.0, "3"), ("2", 3), (True, 3),
+                                     (2.0, True), (None, 3), (2.0, None)])
+def test_strings_bools_and_none_are_refused(l_max, n):
+    """A size or l_max that is not a real number raises DomainError: a
+    string size is not parsed, a bool is not read as 0 or 1, and a string
+    l_max is not a bare TypeError."""
+    with pytest.raises(DomainError):
+        LevelGrid(l_max, n)
+
+
 def test_integral_float_size_is_stored_as_int():
     g = LevelGrid(2.0, 3.0)
     assert g.n == 3 and type(g.n) is int

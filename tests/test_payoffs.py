@@ -39,6 +39,31 @@ def test_crra_rejects_log_case():
         CRRA(1.0)
 
 
+_NAN, _INF = float("nan"), float("inf")
+_G2 = LevelGrid(1.0, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Quadratic(_NAN, 1.0), lambda: Quadratic(1.0, _INF),
+    lambda: Quadratic(1.0, 1.0, _NAN), lambda: Quadratic(True, 1.0),
+    lambda: Quadratic("1", 1.0), lambda: CARA(_NAN), lambda: CARA(_INF),
+    lambda: CARA("x"), lambda: CARA(None), lambda: CRRA(_NAN),
+    lambda: CRRA(_INF), lambda: CRRA(2.0, _NAN), lambda: CRRA(2.0, True),
+    lambda: Tabulated(_G2, (True, 1.0), (0.0, 0.0)),
+    lambda: Tabulated(_G2, (0.0, 1.0), (0.0, "1")),
+    lambda: Tabulated(_G2, (0.0, _NAN), (0.0, 0.0)),
+    lambda: Tabulated(_G2, 1.0, (0.0, 0.0))],
+    ids=["quad-alpha-nan", "quad-beta-inf", "quad-quad-nan", "quad-bool",
+         "quad-str", "cara-nan", "cara-inf", "cara-str", "cara-none",
+         "crra-nan", "crra-inf", "crra-eps-nan", "crra-eps-bool",
+         "tab-bool", "tab-str", "tab-nan", "tab-scalar"])
+def test_payoffs_refuse_parameters_that_are_not_finite_reals(build):
+    """A NaN, infinite, bool or non-number parameter raises DomainError,
+    never a bare TypeError, and is not read as a number (True as 1.0)."""
+    with pytest.raises(DomainError):
+        build()
+
+
 @pytest.mark.parametrize("spec", [Quadratic(1.0, 2.0, 0.5), CARA(1.5),
                                   CRRA(2.0)])
 def test_dict_roundtrip(spec):

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustquota import (DiscreteLearningProcess, DomainError, LevelGrid, Zero,
-                         binomial_tree, full_revelation, no_learning,
-                         quadratic_pair, random_tree, single_split,
+from robustquota import (BinaryExperiment, DiscreteLearningProcess,
+                         DomainError, LevelGrid, Zero, binomial_tree,
+                         full_revelation, no_learning, quadratic_pair,
+                         random_tree, refine_process, single_split,
                          solve_stopping)
 from robustquota import processes
-from robustquota.processes import CSRKernel
 
-from level_reference import kernel_times, times_kernel
+from level_reference import csr, flat_process, kernel_times, times_kernel
 
 GRID = LevelGrid(1.0, 5)
 
@@ -49,8 +49,7 @@ def _dense_random_tree(mu0, grid, seed, max_beliefs=4):
         kernels.append(k)
         beliefs.append(support)
         prev = support
-    return DiscreteLearningProcess(grid, tuple(beliefs), tuple(kernels),
-                                   np.array([1.0]), mu0)
+    return flat_process(grid, beliefs, kernels, np.array([1.0]), mu0)
 
 
 def test_no_learning_is_constant():
@@ -82,19 +81,26 @@ def test_binomial_beliefs_follow_bayes():
 
 
 def test_martingale_violation_rejected():
-    beliefs = (np.array([0.5]), np.array([0.1, 0.6]))
-    kernels = (np.array([[0.5, 0.5]]),)  # mean 0.35 != 0.5
-    with pytest.raises(DomainError):
-        DiscreteLearningProcess(LevelGrid(1.0, 2), beliefs, kernels,
-                                np.array([1.0]), 0.5)
+    # level 1 holds beliefs 0.1 and 0.6, reached with mean 0.35 != 0.5
+    with pytest.raises(DomainError, match="martingale violated at level 0"):
+        DiscreteLearningProcess(LevelGrid(1.0, 2), [0, 1, 3], [0.5, 0.1, 0.6],
+                                [0, 2], [0, 1], [0.5, 0.5], [1.0], 0.5)
 
 
 def test_nonstochastic_kernel_rejected():
-    beliefs = (np.array([0.5]), np.array([0.5]))
-    kernels = (np.array([[0.9]]),)
-    with pytest.raises(DomainError):
-        DiscreteLearningProcess(LevelGrid(1.0, 2), beliefs, kernels,
-                                np.array([1.0]), 0.5)
+    with pytest.raises(DomainError, match="rows must sum to 1"):
+        DiscreteLearningProcess(LevelGrid(1.0, 2), [0, 1, 2], [0.5, 0.5],
+                                [0, 1], [0], [0.9], [1.0], 0.5)
+
+
+@pytest.mark.parametrize("root", [[np.nan], [np.inf], [-np.inf]])
+def test_root_distribution_must_be_finite(root):
+    """A NaN root distribution passes no tolerance test, and neither does an
+    infinite one; the process is refused, not solved into a mass error."""
+    t = binomial_tree(0.5, GRID)
+    with pytest.raises(DomainError, match="probability vector"):
+        DiscreteLearningProcess(GRID, t.first, t.belief, t.indptr, t.indices,
+                                t.data, root, 0.5)
 
 
 @given(seed=st.integers(0, 10_000), mu0=st.floats(0.05, 0.95))
@@ -196,9 +202,10 @@ def test_levels_are_views_of_the_flat_arrays():
     """beliefs[j], kernels[j] and parent_map[j] read the process's flat
     arrays without a copy; negative indices and slices work per level."""
     tree = binomial_tree(0.6, GRID)
-    ref = DiscreteLearningProcess(GRID, tree.beliefs, tree.kernels,
-                                  tree.root_dist, tree.mu0,
-                                  [np.arange(j + 1) for j in range(GRID.n)])
+    parent = np.concatenate([np.arange(j + 1) for j in range(GRID.n)])
+    ref = DiscreteLearningProcess(GRID, tree.first, tree.belief, tree.indptr,
+                                  tree.indices, tree.data, tree.root_dist,
+                                  tree.mu0, parent)
     assert ref.belief is tree.belief and ref.data is tree.data
     for j in range(GRID.n):
         assert np.shares_memory(ref.beliefs[j], tree.belief)
@@ -217,9 +224,81 @@ def test_levels_are_views_of_the_flat_arrays():
 def test_parent_map_must_match_the_levels_node_for_node():
     tree = binomial_tree(0.6, GRID)
     with pytest.raises(DomainError, match="one entry per node"):
-        DiscreteLearningProcess(GRID, tree.beliefs, tree.kernels,
-                                tree.root_dist, tree.mu0,
-                                [np.zeros(1, dtype=int)] * GRID.n)
+        DiscreteLearningProcess(GRID, tree.first, tree.belief, tree.indptr,
+                                tree.indices, tree.data, tree.root_dist,
+                                tree.mu0, np.zeros(GRID.n, dtype=int))
+
+
+def _rebuild(p, **change):
+    """p built again from its stored arrays, those named in `change`
+    replaced."""
+    args = {k: getattr(p, k) for k in ("first", "belief", "indptr", "indices",
+                                       "data", "root_dist", "mu0", "parent")}
+    return DiscreteLearningProcess(p.grid, **{**args, **change})
+
+
+@st.composite
+def _tree(draw):
+    """A binomial or random tree on 2 to 12 levels, or a refinement of one."""
+    grid = LevelGrid(1.0, draw(st.integers(2, 12)))
+    mu0 = draw(st.floats(0.05, 0.95))
+    tree = binomial_tree(mu0, grid, 0.7, 0.3) if draw(st.booleans()) \
+        else random_tree(mu0, grid, draw(st.integers(0, 10_000)))
+    levels = draw(st.lists(st.integers(0, grid.n - 1), max_size=3))
+    if levels:
+        tree = refine_process(tree, BinaryExperiment(
+            draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)), levels))
+    return tree
+
+
+@st.composite
+def _corrupted(draw, a, moves):
+    """A copy of the integer array `a` with one entry dropped, two unequal
+    entries swapped, an entry moved past its right neighbour (or the last
+    one up by 1), one entry appended, or its values as floats."""
+    how = draw(st.sampled_from(moves))
+    if how == "float":
+        return a.astype(float)
+    a, k = a.copy(), draw(st.integers(0, a.size - 1))
+    if how == "drop":
+        return np.delete(a, k)
+    if how == "append":
+        return np.append(a, a[k])
+    if how == "swap":
+        j = draw(st.sampled_from(np.flatnonzero(a != a[k]).tolist()))
+        a[[k, j]] = a[[j, k]]
+    else:
+        a[k] = a[k + 1] + 1 if k + 1 < a.size else a[k] + 1
+    return a
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_flat_input_is_rebuilt_as_stored_and_corruption_is_refused(data):
+    """A tree or refinement built again from its own flat arrays has the
+    same level views, bitwise; with `first` or the kernel `indptr` corrupted
+    (an entry dropped, swapped, moved past its neighbour, or a float dtype),
+    or `parent` of the wrong length or dtype, it raises DomainError, never
+    an IndexError or a bare ValueError."""
+    p = data.draw(_tree())
+    parent = np.zeros(p.belief.size, dtype=np.intp) if p.parent is None \
+        else p.parent
+    q = _rebuild(p, parent=parent)
+    for a, b in zip((*q.beliefs, *q.parent_map),
+                    (*p.beliefs, *np.split(parent, p.first[1:-1])),
+                    strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for a, b in zip(q.kernels, p.kernels, strict=True):
+        assert a.shape == b.shape
+        for f in ("indptr", "indices", "data", "_rows"):
+            assert getattr(a, f).tobytes() == getattr(b, f).tobytes()
+    order = ["drop", "swap", "shift", "float"]
+    for field, base, moves in [("first", p.first, order),
+                               ("indptr", p.indptr, order),
+                               ("parent", parent, ["drop", "append", "float"])]:
+        bad = data.draw(_corrupted(base, moves), label=field)
+        with pytest.raises(DomainError):
+            _rebuild(p, **{"parent": parent, field: bad})
 
 
 @st.composite
@@ -240,7 +319,7 @@ def test_csr_kernel_agrees_with_dense(case):
     round trip is exact."""
     a, rng = case
     m, k = a.shape
-    K = CSRKernel.from_dense(a)
+    K = csr(a)
     assert np.array_equal(K.toarray(), a)
     assert K.data.size == np.count_nonzero(a)
     v = rng.uniform(-1.0, 1.0, size=k)
@@ -252,23 +331,10 @@ def test_csr_kernel_agrees_with_dense(case):
         assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
 
-def test_dense_and_csr_kernels_build_the_same_process():
-    tree = binomial_tree(0.4, GRID)
-    dense = DiscreteLearningProcess(GRID, tree.beliefs,
-                                    tuple(k.toarray() for k in tree.kernels),
-                                    tree.root_dist, tree.mu0)
-    for a, b in zip(tree.kernels, dense.kernels):
-        assert isinstance(b, CSRKernel)
-        for f in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(a, f), getattr(b, f))
-
-
 def test_unsorted_kernel_columns_rejected():
-    beliefs = (np.array([0.5]), np.array([0.2, 0.8]))
-    K = CSRKernel([0, 2], [1, 0], [0.5, 0.5], (1, 2))
     with pytest.raises(DomainError, match="increase"):
-        DiscreteLearningProcess(LevelGrid(1.0, 2), beliefs, (K,),
-                                np.array([1.0]), 0.5)
+        DiscreteLearningProcess(LevelGrid(1.0, 2), [0, 1, 3], [0.5, 0.2, 0.8],
+                                [0, 2], [1, 0], [0.5, 0.5], [1.0], 0.5)
 
 
 def test_binomial_tree_past_float_odds():
@@ -292,12 +358,8 @@ def test_binomial_tree_past_float_odds():
 
 @pytest.mark.parametrize("chunk", [1 << 16, 5])
 @pytest.mark.parametrize("make", [
-    lambda g: binomial_tree(0.6, g), lambda g: random_tree(0.6, g, 3),
-    lambda g: DiscreteLearningProcess(
-        g, random_tree(0.6, g, 4).beliefs,
-        tuple(k.toarray() for k in random_tree(0.6, g, 4).kernels),
-        np.array([1.0]), 0.6)],
-    ids=["binomial", "random", "dense"])
+    lambda g: binomial_tree(0.6, g), lambda g: random_tree(0.6, g, 3)],
+    ids=["binomial", "random"])
 def test_validated_kernels_keep_their_row_ids(monkeypatch, make, chunk):
     """Validation builds each entry's row for its checks and leaves it on the
     kernel, so row_ids() builds nothing; with CHUNK at 5 entries it does so

@@ -168,31 +168,36 @@ def test_backward_forced_stop_takes_stop_payoff():
 
 
 def test_solve_stopping_refuses_forced_masks_that_do_not_fit():
-    """Forced masks must cover levels 0..end node for node.  One node per
-    level on a binomial tree is refused, not broadcast to force every node
-    (root value 0.0 against 0.4668 unforced), and so is a list one level
-    short or one node too long per level; masks that fit are used."""
+    """The forced mask holds one boolean per node of the process.  A single
+    boolean on a binomial tree is refused, not broadcast to force every node
+    (root value 0.0 against 0.4668 unforced), and so is a mask one node
+    short or long, one boolean per level, a 2-d mask and a mask of 0/1
+    integers; masks that fit are used."""
     grid = LevelGrid(2.0, 6)
     tree = binomial_tree(0.6, grid)
     agent = quadratic_pair(1.0, 1.0, 1.0)[0]
     free = solve_stopping(tree, agent, Zero())
     assert free.root_value == pytest.approx(0.4668, abs=1e-4)
-    for forced in ([np.ones(1, dtype=bool)] * 6,
-                   [np.zeros(j + 1, dtype=bool) for j in range(5)],
-                   [np.zeros(j + 2, dtype=bool) for j in range(6)]):
-        with pytest.raises(DomainError, match="forced masks"):
+    nodes = tree.belief.size
+    for forced in (np.ones(1, dtype=bool), np.zeros(nodes - 1, dtype=bool),
+                   np.zeros(nodes + 1, dtype=bool), np.ones(6, dtype=bool),
+                   np.zeros((1, nodes), dtype=bool),
+                   np.zeros(nodes, dtype=int)):
+        with pytest.raises(DomainError, match="one boolean per node"):
             solve_stopping(tree, agent, Zero(), forced)
-    none = solve_stopping(tree, agent, Zero(),
-                          [np.zeros(j + 1, dtype=bool) for j in range(6)])
+    none = solve_stopping(tree, agent, Zero(), np.zeros(nodes, dtype=bool))
     assert none.root_value == free.root_value
-    root = solve_stopping(tree, agent, Zero(),
-                          [np.ones(j + 1, dtype=bool) for j in range(6)])
+    root = solve_stopping(tree, agent, Zero(), np.ones(nodes, dtype=bool))
     assert root.root_value == agent.indirect(0.6, 0.0)
 
 
-def _random_masks(proc, end, seed):
-    rng = np.random.default_rng(seed)
-    return [rng.random(len(proc.beliefs[j])) < 0.2 for j in range(end + 1)]
+def _random_mask(proc, end, seed):
+    """Each node of levels 0..end forced with probability 0.2, the nodes
+    past end not."""
+    mask = np.zeros(proc.belief.size, dtype=bool)
+    at = proc.first[end + 1]
+    mask[:at] = np.random.default_rng(seed).random(at) < 0.2
+    return mask
 
 
 _SIGNAL_PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))
@@ -221,10 +226,11 @@ def test_solve_stopping_matches_per_level_reference_bitwise(
             proc = refine_process(proc, BinaryExperiment(
                 p, q, tuple(l % n for l in levels)))
     end = len(adjusted_profiles(agent, m, "agent", grid)[0]) - 1
-    forced = _random_masks(proc, end, seed) if masked else None
+    forced = _random_mask(proc, end, seed) if masked else None
     sol = solve_stopping(proc, agent, m, forced)
     values, stop_set, belief, mass, idx, root, part = \
-        solve_stopping_by_levels(proc, agent, m, forced)
+        solve_stopping_by_levels(proc, agent, m, forced if forced is None
+                                 else np.split(forced, proc.first[1:-1]))
     for got, want in [(sol.values, values), (sol.stop_set, stop_set),
                       ((sol.joint_belief, sol.joint_mass, sol.joint_index),
                        (belief, mass, idx))]:
