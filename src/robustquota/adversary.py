@@ -33,16 +33,16 @@ def _prefers_earlier(u: tuple, v: tuple, grid: LevelGrid) -> bool:
     """principal_prefers_earlier on the adjusted_profiles u and v."""
     _, _, lu, lv = one_shot_intervals(u, v, grid)
     interior = (lu > 1e-12) & (lu < grid.points[len(u[0]) - 1] - 1e-12)
-    return bool(np.all(lv <= lu + 1e-12)
-                and np.all(lv[interior] < lu[interior] - 1e-15))
+    return bool((lv <= lu + 1e-12).all()
+                and (lv[interior] < lu[interior] - 1e-15).all())
 
 
 def stop_rule_at_zero(a0: np.ndarray) -> np.ndarray:
     """stop_idx[j] = largest argmax of U^phi(0, .) over levels >= j: the last
     index of the run of equal suffix maxima that j lies in."""
     top = np.maximum.accumulate(a0[::-1])[::-1]
-    ends = np.flatnonzero(np.append(top[:-1] != top[1:], True))
-    return ends[np.searchsorted(ends, np.arange(len(a0)))]
+    ends = np.concatenate((top[:-1] != top[1:], [True])).nonzero()[0]
+    return ends[ends.searchsorted(np.arange(len(a0)))]
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ def _lp_data(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     return stop, a1, a0, p1, p0, p0[stop], mu0 * (a1[-1] - a1)
 
 
-def _binding_construction(a0: np.ndarray, b: np.ndarray,
-                          mu0: float) -> Optional[np.ndarray]:
+def _binding_construction(a0: np.ndarray, b: np.ndarray, mu0: float,
+                          a0_max: float) -> Optional[np.ndarray]:
     """Arrival increments with obedience binding from the top level down.
 
     Where rows j and j+1 bind, the mass still to arrive above level j is the
@@ -105,12 +105,12 @@ def _binding_construction(a0: np.ndarray, b: np.ndarray,
     that maximum by more than 1e-9 of the mass 1-mu0 (a negative increment).
     """
     target = 1.0 - mu0
-    M, flat = _step_ratios(b, a0)
-    M = np.append(M, 0.0)
-    rows = np.flatnonzero((M[:-1] >= target) | flat)
+    M, flat = _step_ratios(b, a0, a0_max)
+    M = np.concatenate((M, [0.0]))
+    rows = ((M[:-1] >= target) | flat).nonzero()[0]
     s = int(rows[-1]) + 1 if rows.size else 0
     top = np.maximum.accumulate(M[s:][::-1])[::-1]
-    if (s and flat[s - 1]) or np.any(M[s:] < top - 1e-9 * target):
+    if (s and flat[s - 1]) or (M[s:] < top - 1e-9 * target).any():
         return None
     g = np.zeros(len(a0))
     g[s + 1:] = top[:-1] - top[1:]
@@ -119,11 +119,11 @@ def _binding_construction(a0: np.ndarray, b: np.ndarray,
 
 
 def _obedient_construction(a1: np.ndarray, a0: np.ndarray, b: np.ndarray,
-                           mu0: float) -> Optional[np.ndarray]:
+                           mu0: float, a0_max: float,
+                           scale: float) -> Optional[np.ndarray]:
     """The binding-obedience increments, or None where the construction
     fails or breaks obedience by more than 1e-8 of the payoff scale."""
-    g = _binding_construction(a0, b, mu0)
-    scale = max(1.0, float(np.abs(a0).max()), float(np.abs(a1).max()))
+    g = _binding_construction(a0, b, mu0, a0_max)
     if g is not None and obedience_slacks(g, a1, a0, mu0).min() >= -1e-8 * scale:
         return g
     return None
@@ -131,12 +131,12 @@ def _obedient_construction(a1: np.ndarray, a0: np.ndarray, b: np.ndarray,
 
 def _support_start(g: np.ndarray) -> int:
     """First level carrying arrival mass (the last level when none does)."""
-    pos = np.nonzero(g > 1e-15)[0]
+    pos = (g > 1e-15).nonzero()[0]
     return int(pos[0]) if pos.size else len(g) - 1
 
 
-def _exact_dual(c: np.ndarray, a0: np.ndarray,
-                jbar: int) -> Tuple[np.ndarray, float]:
+def _exact_dual(c: np.ndarray, a0: np.ndarray, jbar: int,
+                a0_max: float) -> Tuple[np.ndarray, float]:
     """Multipliers (y, t) of the obedience rows and the mass row that are
     complementary to a process whose support starts at jbar and whose rows
     jbar..end bind.
@@ -147,9 +147,9 @@ def _exact_dual(c: np.ndarray, a0: np.ndarray,
     Lambda_k = sum_{j<=k} y_j = (c_k - c_{k+1}) / (a0_k - a0_{k+1}) for
     k = jbar..end-1, so y is the difference of Lambda.
     """
-    lam = _step_ratios(c[jbar:], a0[jbar:])[0]
+    lam = _step_ratios(c[jbar:], a0[jbar:], a0_max)[0]
     y = np.zeros(len(a0))
-    y[jbar:-1] = np.diff(lam, prepend=0.0)
+    y[jbar:-1] = lam - np.concatenate(([0.0], lam[:-1]))
     return y, float(c[jbar])
 
 
@@ -162,10 +162,10 @@ def _certified_gap(value: float, y: np.ndarray, t: float, c: np.ndarray,
     >= 0, each to 1e-9 of the size of the terms it is computed from (payoffs
     that span e^48 leave rounding noise far above any absolute tolerance)."""
     ya0 = y * a0
-    r = c - t + np.cumsum(ya0) - a0 * np.cumsum(y)
-    size = (np.abs(c) + abs(t) + np.cumsum(np.abs(ya0))
-            + np.abs(a0) * np.cumsum(np.abs(y)))
-    if y.min() < -1e-9 * np.abs(y).max() or np.any(r < -1e-9 * size):
+    r = c - t + ya0.cumsum() - a0 * y.cumsum()
+    size = (np.abs(c) + abs(t) + np.abs(ya0).cumsum()
+            + np.abs(a0) * np.abs(y).cumsum())
+    if y.min() < -1e-9 * np.abs(y).max() or (r < -1e-9 * size).any():
         return None
     return value - float(mu0 * p1_end + (1.0 - mu0) * t - y @ b)
 
@@ -237,18 +237,19 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
         raise DomainError("worst-case search needs an interior prior")
     stop, a1, a0, p1, p0, c, b = _lp_data(agent, principal, m, grid, mu0)
     premise_ok = _prefers_earlier((a1, a0), (p1, p0), grid)
-    scale = max(1.0, float(np.abs(a0).max()), float(np.abs(a1).max()))
+    a0_max = float(np.abs(a0).max())
+    scale = max(1.0, a0_max, float(np.abs(a1).max()))
 
     def finish(g):
-        g = np.clip(g, 0.0, None)
+        g = np.maximum(g, 0.0)
         total = g.sum()
         if total > 0:
             g *= (1.0 - mu0) / total
-        return g, _value(g, mu0, p1, c)
+        return g, _value(g, mu0, p1, c), _support_start(g)
 
     # row j fails for every g >= 0 when b_j < 0 and the stop rule at belief
     # 0 stays at j: the agent at belief 1 prefers level j to the end
-    bad = np.flatnonzero((b[:-1] < 0.0) & (a0[:-1] == a0[stop[:-1]]))
+    bad = ((b[:-1] < 0.0) & (a0[:-1] == a0[stop[:-1]])).nonzero()[0]
     if bad.size:
         j = int(bad[-1])
         raise InfeasibleLPError(
@@ -259,15 +260,15 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
             "more at belief 0", most_binding=j)
 
     route, iters, gap = "construction", 0, None
-    g = _obedient_construction(a1, a0, b, mu0)
+    g = _obedient_construction(a1, a0, b, mu0, a0_max, scale)
     if g is not None:
-        g, value = finish(g)
-        y, t = _exact_dual(c, a0, _support_start(g))
+        g, value, jbar = finish(g)
+        y, t = _exact_dual(c, a0, jbar, a0_max)
         gap = _certified_gap(value, y, t, c, a0, b, mu0, p1[-1])
     if gap is None or abs(gap) > 1e-9 * max(1.0, abs(value)):
         route = "highs"
         g, y, t, iters = _sparse_lp(c, a0, a1, b, mu0)
-        g, value = finish(g)
+        g, value, jbar = finish(g)
         gap = _certified_gap(value, y, t, c, a0, b, mu0, p1[-1])
         if gap is None:
             raise ConditionViolatedError(
@@ -276,19 +277,18 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
 
     slacks = obedience_slacks(g, a1, a0, mu0)
     # each row to 1e-9 of the size of its terms, as in _certified_gap
-    size = (np.abs(b) + np.cumsum((np.abs(a0) * g)[::-1])[::-1]
-            + np.abs(a0) * np.cumsum(g[::-1])[::-1])
+    size = (np.abs(b) + (np.abs(a0) * g)[::-1].cumsum()[::-1]
+            + np.abs(a0) * g[::-1].cumsum()[::-1])
     bad = slacks < -1e-9 * size
     if bad.any():
-        j = int(np.argmax(bad))
+        j = int(bad.argmax())
         raise ConditionViolatedError(
             f"{route} solution violates obedience at level index {j} by "
             f"{-slacks[j]:.3g}, beyond 1e-9 of its terms ({size[j]:.3g}); the "
             "value is not trustworthy at this payoff range")
-    binding = np.nonzero(np.abs(slacks) <= 1e-7 * scale)[0]
+    binding = (np.abs(slacks) <= 1e-7 * scale).nonzero()[0]
     carrying = g > 1e-12
     comp = float(np.abs(slacks[carrying]).max()) if carrying.any() else 0.0
-    jbar = _support_start(g)
     return BadNewsLPResult(BadNewsProcess(grid, g, mu0), value, premise_ok,
                            iters, route, float(gap), jbar,
                            float(grid.points[jbar]), float(-(y @ b)), comp,
@@ -332,7 +332,9 @@ def indifference_G(agent: PayoffSpec, m: Mechanism, grid: LevelGrid,
     if not 0.0 < mu0 < 1.0:
         raise DomainError("construction needs an interior prior")
     _, a1, a0, _, _, _, b = _lp_data(agent, principal, m, grid, mu0)
-    g = _obedient_construction(a1, a0, b, mu0)
+    a0_max = float(np.abs(a0).max())
+    g = _obedient_construction(a1, a0, b, mu0, a0_max,
+                               max(1.0, a0_max, float(np.abs(a1).max())))
     if g is None:
         bn = solve_badnews_lp(agent, principal, m, grid, mu0).bn
     else:
@@ -388,11 +390,14 @@ def tree_oracle_worst_case(agent: PayoffSpec, principal: PayoffSpec, m: Mechanis
     so its rows are empty.  The feasible set is unchanged but for
     coordinates forced to zero, and so is the optimum.
 
-    Above 4 levels or 5 beliefs the instance is refused; a support or prior
-    that is not finite or not in [0, 1] raises DomainError.
+    Above 4 levels or 5 beliefs the instance is refused; an empty support,
+    or a support or prior that is not finite or not in [0, 1], raises
+    DomainError.
     """
     B = np.asarray(sorted(set(float(b) for b in belief_support)))
-    if not (np.all(np.isfinite(B)) and np.all((B >= 0) & (B <= 1))):
+    if not len(B):
+        raise DomainError("belief support is empty")
+    if not ((B >= 0) & (B <= 1)).all():
         raise DomainError("belief support must be finite and lie in [0, 1]")
     if not 0.0 <= mu0 <= 1.0:
         raise DomainError(f"prior {mu0} does not lie in [0, 1]")
@@ -403,51 +408,50 @@ def tree_oracle_worst_case(agent: PayoffSpec, principal: PayoffSpec, m: Mechanis
     p1, p0 = adjusted_profiles(principal, m, "principal", small_grid)
     end, nb = len(a1) - 1, len(B)
 
-    U = np.outer(a1, B) + np.outer(a0, 1 - B)  # (level, belief)
-    V = np.outer(p1, B) + np.outer(p0, 1 - B)
+    U = a1[:, None] * B + a0[:, None] * (1 - B)  # (level, belief)
+    V = p1[:, None] * B + p0[:, None] * (1 - B)
     outside = float(agent.indirect(mu0, 0.0))
     scale = max(1.0, float(np.abs(U).max()))
 
     # stopping at (j, b) is only consistent with optimal play when it beats
     # freezing the belief and developing to any later level; at the end it
     # is forced
-    stop_ok = np.ones((end + 1, nb), dtype=bool)
-    for j in range(end):
-        stop_ok[j] = U[j] >= U[j + 1:].max(axis=0) - 1e-12 * scale
+    later = np.maximum.accumulate(U[:0:-1], axis=0)[::-1]  # max of U[j + 1:]
+    stop_ok = np.concatenate((U[:-1] >= later - 1e-12 * scale, [[True] * nb]))
 
-    # history (b_0, ..., b_L) has code sum_i b_i nb^(L-i); the histories
-    # below code p at level j are those whose code // nb^(L-j) is p
-    level = np.repeat(np.arange(end + 1), nb ** np.arange(1, end + 2))
+    # history (b_0, ..., b_L) has code sum_i b_i nb^(L-i); its ancestor at
+    # level i <= L has code anc[., i] = code // nb^(L-i), last digit b_i
+    level = np.arange(end + 1).repeat(nb ** np.arange(1, end + 2))
     code = np.concatenate([np.arange(nb ** (j + 1)) for j in range(end + 1)])
+    up = level[:, None] - np.arange(end + 1)
+    anc = code[:, None] // (nb ** np.arange(end + 1))[np.maximum(up, 0)]
+    digit = anc % nb
     # a history that moves off belief 0 or 1 once there has its mass forced
-    # to zero (see above) and gets no variable or row; digit i of a level-L
-    # code is code // nb^(L-i) % nb
-    shift = level[:, None] - np.arange(end)
-    digit = code[:, None] // nb ** np.maximum(shift, 0) % nb
-    after = code[:, None] // nb ** np.maximum(shift - 1, 0) % nb
-    leaves = (shift > 0) & ((B == 0) | (B == 1))[digit] & (after != digit)
+    # to zero (see above) and gets no variable or row
+    leaves = ((up[:, :-1] > 0) & ((B == 0) | (B == 1))[digit[:, :-1]]
+              & (digit[:, 1:] != digit[:, :-1]))
     live = ~leaves.any(axis=1)
     cols = stop_ok[level, code % nb] & live
     L, q = level[cols], code[cols]
     u, v = U[L, q % nb], V[L, q % nb]
     cont = (level < end) & live
-    j, p = level[cont, None], code[cont, None]
-    d = L - j                                       # (continuing h, stop k)
-    below = (d > 0) & (q // nb ** np.maximum(d, 0) == p)
-    b_next = B[q // nb ** np.maximum(d - 1, 0) % nb]
-    mart = np.where(below, b_next - B[p % nb], 0.0)
-    obey = np.where(below, U[j, p % nb] - u, 0.0)   # <= 0: continuing pays
+    j, p = level[cont], code[cont]
+    # (continuing h, stop k): k is below h when its ancestor at h's level is h
+    below = (L > j[:, None]) & (anc[cols].T[j] == p[:, None])
+    b_next = B[digit[cols].T[j + 1]]
+    mart = np.where(below, b_next - B[p % nb, None], 0.0)
+    obey = np.where(below, U[j, p % nb, None] - u, 0.0)  # <= 0: continuing pays
 
-    A_eq = np.vstack([np.ones(len(q)), B[q // nb ** L], mart])
-    b_eq = np.concatenate([[1.0, mu0], np.zeros(len(p))])
-    A_ub = np.vstack([obey, -u])
-    b_ub = np.concatenate([np.zeros(len(p)), [-outside]])
+    A_eq = np.concatenate(([[1.0] * len(q), B[anc[cols, 0]]], mart))
+    b_eq = np.concatenate(([1.0, mu0], np.zeros(len(p))))
+    A_ub = np.concatenate((obey, -u[None]))
+    b_ub = np.concatenate((np.zeros(len(p)), [-outside]))
     res = solve_lp(v, A_ub, b_ub, A_eq, b_eq)
 
     mass = np.zeros((end + 1, nb))
     np.add.at(mass, (L, q % nb), res.x)
     rows = tuple((float(small_grid.points[lj]), float(B[bi]), float(mass[lj, bi]))
-                 for lj, bi in zip(*np.nonzero(mass > 1e-12)))
+                 for lj, bi in zip(*(mass > 1e-12).nonzero()))
     return OracleResult(res.fun, rows, 1)
 
 

@@ -30,16 +30,17 @@ class BadNewsProcess:
             raise DomainError("bad-news process needs a prior in (0, 1]")
         if g.ndim != 1 or not 1 <= len(g) <= self.grid.n:
             raise DomainError("g must have one value per reachable grid point")
-        if np.any(g < -1e-12):
+        if (g < -1e-12).any():
             raise DomainError("arrival increments must be nonnegative")
         if abs(g.sum() - (1.0 - self.mu0)) > 1e-12:
             raise DomainError(f"sum(g)={g.sum()} must equal 1-mu0={1.0 - self.mu0}")
-        lam = self.cont_belief()
-        if np.any(lam > 1.0 + 1e-10):
+        surv = 1.0 - self.G
+        lam = self._cont_belief(surv)
+        if (lam > 1.0 + 1e-10).any():
             raise DomainError("continuation belief exceeded 1")
         # martingale identity (1-G) * lambda = mu0 holds by construction but
         # is asserted to guard the formula
-        if np.any(np.abs((1.0 - self.G) * lam - self.mu0) > 1e-10):
+        if (np.abs(surv * lam - self.mu0) > 1e-10).any():
             raise DomainError("martingale check failed")
 
     @property
@@ -50,13 +51,15 @@ class BadNewsProcess:
     @property
     def G(self) -> np.ndarray:
         """Cumulative arrival mass at each grid point; G(l_end) = 1 - mu0."""
-        G = np.cumsum(self.g)
+        G = self.g.cumsum()
         G[-1] = 1.0 - self.mu0
         return G
 
     def cont_belief(self) -> np.ndarray:
         """lambda(l_j) = mu0 / (1 - G(l_j)); 1 where all bad mass has arrived."""
-        surv = 1.0 - self.G
+        return self._cont_belief(1.0 - self.G)
+
+    def _cont_belief(self, surv: np.ndarray) -> np.ndarray:
         lam = np.where(surv > self.mu0 * 1e-15, self.mu0 / np.maximum(surv, 1e-300), 1.0)
         return np.minimum(lam, 1.0)
 
@@ -69,8 +72,8 @@ def obedience_slacks(g: np.ndarray, a1: np.ndarray, a0: np.ndarray,
             - sum_{k>=j} (U^phi(0,l_j) - U^phi(0,l_k)) g_k  >= 0
     computed with reverse cumulative sums, O(n).
     """
-    mass_above = np.cumsum(g[::-1])[::-1]           # sum_{k>=j} g_k
-    weighted = np.cumsum((a0 * g)[::-1])[::-1]      # sum_{k>=j} U0_k g_k
+    mass_above = g[::-1].cumsum()[::-1]             # sum_{k>=j} g_k
+    weighted = (a0 * g)[::-1].cumsum()[::-1]        # sum_{k>=j} U0_k g_k
     lhs = mu0 * (a1[-1] - a1)
     rhs = a0 * mass_above - weighted
     return lhs - rhs

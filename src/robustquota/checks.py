@@ -43,14 +43,14 @@ def _top_lines(a1: np.ndarray, a0: np.ndarray, pieces: tuple,
     # start that lies within its rounding bound of mu (the running max and
     # min keep the bounds sorted); the first start is 0 with bound 0, so
     # mu = 0 reaches back to the first line
-    lo = np.append(0, pos)[np.searchsorted(np.maximum.accumulate(starts + errs),
-                                           mus)]
-    hi = pos[np.searchsorted(np.minimum.accumulate((starts - errs)[::-1])[::-1],
-                             mus, side="right") - 1]
+    lo = np.concatenate(([0], pos))[
+        np.maximum.accumulate(starts + errs).searchsorted(mus)]
+    hi = pos[np.minimum.accumulate((starts - errs)[::-1])[::-1]
+             .searchsorted(mus, side="right") - 1]
     cnt = hi - lo + 1
-    first = np.cumsum(cnt) - cnt
-    row = np.repeat(np.arange(len(mus)), cnt)
-    j = lines[np.arange(cnt.sum()) + np.repeat(lo - first, cnt)]
+    first = cnt.cumsum() - cnt
+    row = np.arange(len(mus)).repeat(cnt)
+    j = lines[np.arange(cnt.sum()) + (lo - first).repeat(cnt)]
     v = mus[row] * a1[j] + (1.0 - mus[row]) * a0[j]
     top = v == np.maximum.reduceat(v, first)[row]
     return np.maximum.reduceat(np.where(top, j, -1), first)
@@ -83,12 +83,12 @@ def _one_shot_pieces(a1: np.ndarray, a0: np.ndarray
     # top line at mu = 1 (the largest argmax of a1) ends its run of equal
     # slopes
     order = np.lexsort((a1, slope))
-    top1 = len(a1) - 1 - np.argmax(a1[::-1])
-    order = order[:np.flatnonzero(order == top1)[0] + 1]
+    top1 = len(a1) - 1 - a1[::-1].argmax()
+    order = order[:(order == top1).nonzero()[0][0] + 1]
     s = slope[order]
     # of equal slopes only the last (largest a1, then largest level) can be
     # on top
-    hull = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    hull = np.concatenate((s[1:] != s[:-1], [True])).nonzero()[0]
     s, c = s[hull], a0[order][hull]
     # nor can a line before the top one at mu = 0 (the last of the largest
     # a0): its slope is smaller and its a0 no larger
@@ -102,8 +102,7 @@ def _one_shot_pieces(a1: np.ndarray, a0: np.ndarray
         # neighbours; testing against the first and the last line as well
         # removes a long run under either in one pass instead of one line
         # per pass
-        keep = np.ones(len(s), dtype=bool)
-        np.less(starts[:-1], starts[1:], out=keep[:-1])
+        keep = np.concatenate((starts[:-1] < starts[1:], [True]))
         if keep.all():
             break
         keep[1:-1] &= (
@@ -129,13 +128,13 @@ def one_shot_intervals(u: tuple, v: tuple, grid: LevelGrid
     pv = grid.points[lines[pos]]
     cuts = np.concatenate([su, sv, [1.0]])
     err = np.concatenate([eu, ev, [0.0]])
-    order = np.argsort(cuts)
+    order = cuts.argsort()
     cuts, err = cuts[order], err[order]
-    wide = np.diff(cuts) > err[:-1] + err[1:]
+    wide = cuts[1:] - cuts[:-1] > err[:-1] + err[1:]
     lo, hi = cuts[:-1][wide], cuts[1:][wide]
     mids = 0.5 * (lo + hi)
-    lu = pu[np.searchsorted(su, mids, side="right") - 1]
-    lv = pv[np.searchsorted(sv, mids, side="right") - 1]
+    lu = pu[su.searchsorted(mids, side="right") - 1]
+    lv = pv[sv.searchsorted(mids, side="right") - 1]
     return lo, hi, lu, lv
 
 
@@ -156,7 +155,7 @@ def pseudo_inverse_beliefs(p: PayoffSpec, grid: LevelGrid, m: Mechanism = Zero()
     starts = np.minimum(starts, 1.0)
     top = np.maximum(lines[pos], _top_lines(a1, a0, pieces, starts))
     reached = np.maximum.accumulate(grid.points[top])
-    return np.append(starts, 1.0)[np.searchsorted(reached, grid.points)]
+    return np.concatenate((starts, [1.0]))[reached.searchsorted(grid.points)]
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,7 @@ def _single_peaked_witness(u1: np.ndarray, u0: np.ndarray, grid: LevelGrid
     pts = grid.points
     # the largest |U| over beliefs is reached at mu = 0 or mu = 1
     tol = 1e-9 * max(1.0, float(np.abs(u1).max()), float(np.abs(u0).max()))
-    d1, d0 = np.diff(u1), np.diff(u0)
+    d1, d0 = u1[1:] - u1[:-1], u0[1:] - u0[:-1]
     flo, fhi = _below(d1, d0, -tol)
     rlo, rhi = _below(-d1, -d0, -tol)
     a = np.maximum.accumulate(np.where(flo == -np.inf, fhi, -np.inf))
@@ -230,7 +229,7 @@ def _single_peaked_witness(u1: np.ndarray, u0: np.ndarray, grid: LevelGrid
     width = np.minimum(hi, 1.0) - np.maximum(lo, 0.0)
     if width.size == 0 or width.max() <= 0.0:
         return None
-    i, k = np.unravel_index(np.argmax(width), width.shape)
+    i, k = np.unravel_index(width.argmax(), width.shape)
     mu = 0.5 * (max(lo[i, k], -1.0) + min(hi[i, k], 2.0))
     return float(np.clip(mu, 0.0, 1.0)), float(pts[k + 2])
 
@@ -252,16 +251,16 @@ def check_assumptions(agent: PayoffSpec, principal: PayoffSpec,
     mids = 0.5 * (lo + hi)
     w_mono = None
     for lh in (lu, lv):
-        bad = np.flatnonzero(np.diff(lh) < -1e-12)
+        bad = (lh[1:] - lh[:-1] < -1e-12).nonzero()[0]
         if bad.size:
             w_mono = (float(mids[bad[0] + 1]), float(lh[bad[0] + 1]))
             break
 
-    d = np.diff(lu)
+    d = lu[1:] - lu[:-1]
     jumps = tuple((float(lo[k + 1]), float(d[k]))
-                  for k in np.flatnonzero(np.abs(d) > 0.1 * grid.l_max))
+                  for k in (np.abs(d) > 0.1 * grid.l_max).nonzero()[0])
 
-    bad = np.flatnonzero(lv > lu + 1e-12)
+    bad = (lv > lu + 1e-12).nonzero()[0]
     w_more = (float(mids[bad[0]]), float(lv[bad[0]])) if bad.size else None
 
     return AssumptionReport(w_sp is None, w_mono is None, w_more is None,
@@ -280,12 +279,12 @@ class RatioReport:
                 "witness": list(self.witness) if self.witness else None}
 
 
-def _step_ratios(x: np.ndarray, a0: np.ndarray) -> tuple:
+def _step_ratios(x: np.ndarray, a0: np.ndarray, a0_max: float) -> tuple:
     """The marginal ratio (x_j - x_j+1) / (a0_j - a0_j+1) of a profile x over
     the agent's bad-state profile a0 on each step, and the mask of the flat
-    steps, where a0 falls by at most 1e-15 max(1, max|a0|): read no ratio."""
+    steps, where a0 falls by at most 1e-15 max(1, a0_max): read no ratio."""
     step = a0[:-1] - a0[1:]
-    flat = step <= 1e-15 * max(1.0, float(np.abs(a0).max()))
+    flat = step <= 1e-15 * max(1.0, a0_max)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (x[:-1] - x[1:]) / step, flat
 
@@ -305,14 +304,14 @@ def risk_ratio_condition(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     start = 1 if (agent.singular_at_zero or principal.singular_at_zero) else 0
     if len(a0) < start + 2:
         raise DomainError("no step of the allowed levels to read the ratio on")
-    r, flat = _step_ratios(p0[start:], a0[start:])
+    r, flat = _step_ratios(p0[start:], a0[start:], np.abs(a0[start:]).max())
     ends = grid.points[start + 1:len(a0)]   # the level each step ends at
     if flat.any():
         raise DegenerateDerivativeError("agent bad-state payoff does not fall "
                                         f"on the step to l={ends[flat][0]}")
     r = np.abs(r)
-    d = np.diff(r)
-    bad = np.flatnonzero(d < -1e-9 * max(1.0, float(r.max())))
+    d = r[1:] - r[:-1]
+    bad = (d < -1e-9 * max(1.0, float(r.max()))).nonzero()[0]
     if bad.size:
         k = int(bad[0])
         return RatioReport(False, (float(ends[k]), float(d[k])))

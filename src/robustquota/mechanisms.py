@@ -55,8 +55,8 @@ class FixedTaxHardQuota(Mechanism):
 
     def tax_profile(self, grid):
         # Half-step slack so a quota sitting on a grid point stays allowed.
-        k = np.searchsorted(grid.points, self.quota + 0.5 * grid.h, "right")
-        return np.full(k, float(self.lam))
+        k = grid.points.searchsorted(self.quota + 0.5 * grid.h, "right")
+        return np.array([float(self.lam)]).repeat(k)
 
     def to_dict(self):
         return {"type": "fixed_tax_hard_quota", "lambda": self.lam, "quota": self.quota}
@@ -119,13 +119,11 @@ class TabulatedMechanism(Mechanism):
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n,):
             raise DomainError("tabulated mechanism length must equal grid size")
-        if np.any(np.isneginf(v)) or np.any(np.isnan(v)):
+        if ((v == -np.inf) | np.isnan(v)).any():
             raise DomainError("phi may not be -inf or NaN")
-        proh = np.isposinf(v)
-        if proh.any():
-            first = int(np.argmax(proh))
-            if not proh[first:].all():
-                raise DomainError("prohibited set must be upward-closed on the grid")
+        proh = v == np.inf
+        if proh.any() and not proh[proh.argmax():].all():
+            raise DomainError("prohibited set must be upward-closed on the grid")
         object.__setattr__(self, "values", tuple(v))
 
     def tax_profile(self, grid):

@@ -173,6 +173,8 @@ class DiscreteLearningProcess:
                               "node count, from 0 and never decreasing")
         if self.parent is not None and self.parent.shape != self.belief.shape:
             raise DomainError("parent must have one entry per node")
+        if not is_real(self.mu0):
+            raise DomainError(f"prior must be a real number, got {self.mu0!r}")
         if not 0.0 <= self.mu0 <= 1.0:
             raise DomainError(f"prior {self.mu0} outside [0, 1]")
         if not np.all((self.belief >= -1e-12) & (self.belief <= 1 + 1e-12)):
@@ -258,12 +260,17 @@ def no_learning(mu0: float, grid: LevelGrid) -> DiscreteLearningProcess:
 
 def full_revelation(mu0: float, grid: LevelGrid) -> DiscreteLearningProcess:
     """The state is learned at level 0; beliefs are 0 or 1 forever after."""
+    if not is_real(mu0):
+        raise DomainError(f"prior must be a real number, got {mu0!r}")
     return _fixed_support(grid, [0.0, 1.0], [1.0 - mu0, mu0], mu0)
 
 
 def single_split(mu0: float, grid: LevelGrid, lo: float, hi: float) -> DiscreteLearningProcess:
     """One binary signal at level 0 splitting the prior into {lo, hi}; no
     further learning."""
+    if not all(is_real(x) for x in (mu0, lo, hi)):
+        raise DomainError(f"prior and split points must be real numbers, "
+                          f"got {mu0!r}, {lo!r}, {hi!r}")
     if not (0.0 <= lo <= mu0 <= hi <= 1.0) or lo == hi:
         raise DomainError("split must straddle the prior: lo <= mu0 <= hi")
     p_lo = (hi - mu0) / (hi - lo)

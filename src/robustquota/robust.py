@@ -57,7 +57,7 @@ def compute_joint_robust(ambiguity: Sequence[PayoffSpec],
         raise DomainError("ambiguity set is empty")
     curves = np.stack([surplus_curve(a, principal, mu0, grid) for a in members])
     env = curves.min(axis=0)
-    j = int(np.argmax(env))
+    j = int(env.argmax())
     L = float(grid.points[j])
     lam = min(float(a.indirect(mu0, L) - a.indirect(mu0, 0.0)) for a in members)
     return RobustMechanismResult(L, lam, float(env[j]), env,
@@ -80,9 +80,11 @@ def verify_guarantee(result: RobustMechanismResult,
                      agents: Union[PayoffSpec, Sequence[PayoffSpec]],
                      principal: PayoffSpec, grid: LevelGrid) -> GuaranteeReport:
     """Attack the constructed mechanism with the bad-news LP and, on a small
-    grid, the exhaustive tree oracle; report the worst value found."""
-    if isinstance(agents, PayoffSpec):
-        agents = (agents,)
+    grid, the exhaustive tree oracle; report the worst value found.  No
+    agent payoff to attack with raises DomainError."""
+    agents = (agents,) if isinstance(agents, PayoffSpec) else tuple(agents)
+    if not agents:
+        raise DomainError("no agent payoff to verify the guarantee against")
     m = result.mechanism
     per = []
     worst = np.inf

@@ -1,6 +1,7 @@
 """Dense two-phase tableau simplex for the small LPs in this package.
 
-Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
+Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0;  input that
+is not finite raises DomainError.
 
 Pivoting uses Dantzig's rule for speed with Bland's anti-cycling rule engaged
 after a streak of degenerate pivots, which guarantees termination in exact
@@ -15,13 +16,20 @@ basic variable may go below zero by at most the feasibility tolerance, so
 that the largest pivot among nearly tied rows can be taken, since a tiny
 pivot at a degenerate vertex blows the tableau up.  Column entries below
 1e-9 of the column's largest are treated as zero in both rules.
+
+Artificial columns are not stored (max_iter counts them): never eligible,
+each entry updated on its own, no rule reads them, and the basis marks the
+rows they hold.  Basic columns stay exact unit vectors, so phase 2 subtracts
+each costed basic row times its cost from c in row order.  A pivot updates
+only the rows with a nonzero entry in its column.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleLPError, IterationLimitError, UnboundedLPError
+from .errors import (DomainError, InfeasibleLPError, IterationLimitError,
+                     UnboundedLPError)
 
 
 @dataclass(frozen=True)
@@ -42,7 +50,8 @@ def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
+    rows = colvals.nonzero()[0]
+    T[rows] -= colvals[rows, None] * T[row]
     # re-orthogonalize the pivot column exactly
     T[:, col] = 0.0
     T[row, col] = 1.0
@@ -50,41 +59,41 @@ def _pivot(T, basis, row, col):
 
 
 def _run(T, basis, n_cols_active, max_iter):
-    """Drive the tableau to optimality.  Objective row is T[-1]; active
-    (eligible) columns are 0..n_cols_active-1."""
-    n_iter = 0
-    degen = 0
+    """Drive the tableau to optimality.  Objective row is T[-1], right-hand
+    side T[:, -1]; active (eligible) columns are 0..n_cols_active-1."""
+    n_iter = degen = 0
     m = T.shape[0] - 1
+    red, rhs, ratios = T[-1, :n_cols_active], T[:m, -1], np.empty(m)
     while True:
-        red = T[-1, :n_cols_active]
         if degen < _DEGEN_STREAK:
-            col = int(np.argmin(red))
+            col = red.argmin()
             if red[col] >= -_PIVOT_TOL:
                 return n_iter
         else:
             # Bland: first improving column
-            neg = np.nonzero(red < -_PIVOT_TOL)[0]
+            neg = (red < -_PIVOT_TOL).nonzero()[0]
             if neg.size == 0:
                 return n_iter
-            col = int(neg[0])
+            col = neg[0]
         colvec = T[:m, col]
         # entries far below the column's largest are rounding noise
-        pos = colvec > max(_PIVOT_TOL, _REL_PIVOT_TOL * np.abs(colvec).max())
-        if not pos.any():
+        pos = colvec > max(_PIVOT_TOL,
+                           _REL_PIVOT_TOL * np.maximum.reduce(np.abs(colvec)))
+        if not np.logical_or.reduce(pos):
             raise UnboundedLPError("objective unbounded below")
-        rhs = T[:m, -1]
+        ratios.fill(np.inf)
         if degen < _DEGEN_STREAK:
             # Harris: the largest pivot among rows whose step stays within
             # the feasibility tolerance of the shortest one
-            theta = np.min((rhs[pos] + _FEAS_TOL) / colvec[pos])
-            cand = np.nonzero(pos & (rhs <= theta * colvec))[0]
-            row = int(cand[np.argmax(colvec[cand])])
+            np.divide(rhs + _FEAS_TOL, colvec, out=ratios, where=pos)
+            theta = np.minimum.reduce(ratios)
+            cand = (pos & (rhs <= theta * colvec)).nonzero()[0]
+            row = cand[colvec[cand].argmax()]
         else:
-            ratios = np.full(m, np.inf)
-            ratios[pos] = rhs[pos] / colvec[pos]
-            cand = np.nonzero(ratios <= ratios.min() + 1e-15)[0]
+            np.divide(rhs, colvec, out=ratios, where=pos)
+            cand = (ratios <= np.minimum.reduce(ratios) + 1e-15).nonzero()[0]
             # Bland tie-break: leave the smallest basis index
-            row = int(cand[np.argmin(basis[cand])])
+            row = cand[basis[cand].argmin()]
         # a step never goes backwards: a row below zero within the
         # tolerance leaves at zero
         T[row, -1] = max(T[row, -1], 0.0)
@@ -111,65 +120,57 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> SimplexResult:
 
     A_ub, b_ub = block(A_ub, b_ub)
     A_eq, b_eq = block(A_eq, b_eq)
-    A = np.vstack([A_ub, A_eq])
-    b = np.concatenate([b_ub, b_eq])
-    m, n_slack = len(b), len(b_ub)
+    n_slack, m = len(b_ub), len(b_ub) + len(b_eq)
     if m == 0:
         raise InfeasibleLPError("no constraints")
 
-    # normalize to b >= 0
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-    # surplus rows (flipped <= rows) and equality rows need an artificial
-    needs_art = flip | (np.arange(m) >= n_slack)
-    art_rows = np.flatnonzero(needs_art)
-    n_art = art_rows.size
-
-    # tableau: [A | slack | artificial | b], last row = phase objective;
-    # the slack coefficient is -1 on flipped <= rows (they became >=)
-    T = np.zeros((m + 1, n + n_slack + n_art + 1))
-    T[:m, :n] = A
-    T[np.arange(n_slack), n + np.arange(n_slack)] = np.where(flip[:n_slack],
-                                                            -1.0, 1.0)
-    T[art_rows, n + n_slack + np.arange(n_art)] = 1.0
-    T[:m, -1] = b
+    # tableau: [A | slack | b], last row = phase objective.  Rows with b < 0
+    # are negated, so the slack coefficient is -1 on negated <= rows (they
+    # became >=); those and the equality rows need an artificial
+    T = np.zeros((m + 1, n + n_slack + 1))
+    T[:n_slack, :n], T[n_slack:m, :n], T[-1, :n] = A_ub, A_eq, c
+    T[:n_slack, -1], T[n_slack:m, -1] = b_ub, b_eq
+    if not np.logical_and.reduce(np.isfinite(T), axis=None):
+        raise DomainError("LP data must be finite")
+    sign = np.where(T[:m, -1] < 0, -1.0, 1.0)
+    T[:m, :n] *= sign[:, None]
+    T[:m, -1] *= sign
+    T[np.arange(n_slack), n + np.arange(n_slack)] = sign[:n_slack]
+    art_rows = ((sign < 0) | (np.arange(m) >= n_slack)).nonzero()[0]
+    n_art, n_active = art_rows.size, n + n_slack
 
     # starting basis: plain slack where possible, artificial otherwise
-    basis = np.where(needs_art, n + n_slack + np.cumsum(needs_art) - 1,
-                     n + np.arange(m))
-
-    n_active = n + n_slack  # artificials are never re-entered in phase 2
+    basis = n + np.arange(m)
+    basis[art_rows] = n_active + np.arange(n_art)
     max_iter = _PIVOTS_PER_SIZE * (m + n_active + n_art)
 
     total_iters = 0
     if n_art:
         # phase 1: minimize the sum of artificials
-        T[-1] = -T[art_rows].sum(axis=0)
-        T[-1, n + n_slack:n + n_slack + n_art] = 0.0
+        np.negative(np.add.reduce(T[art_rows], axis=0), out=T[-1])
         total_iters += _run(T, basis, n_active, max_iter)
         if T[-1, -1] < -_FEAS_TOL:
-            worst = int(np.argmax(np.where(basis >= n + n_slack, T[:m, -1],
-                                           -np.inf)))
+            worst = int(np.where(basis >= n_active, T[:m, -1],
+                                 -np.inf).argmax())
             raise InfeasibleLPError(
                 f"infeasible: residual {-T[-1, -1]:.3e}", most_binding=worst)
         # drive remaining artificials out of the basis where possible
         # (a pivot at row i changes only basis[i])
-        for i in np.flatnonzero(basis >= n + n_slack):
-            cand = np.flatnonzero(np.abs(T[i, :n_active]) > _PIVOT_TOL)
+        for i in (basis >= n_active).nonzero()[0]:
+            cand = (np.abs(T[i, :n_active]) > _PIVOT_TOL).nonzero()[0]
             if cand.size:
                 _pivot(T, basis, i, cand[0])
                 total_iters += 1
 
-    # phase 2 objective
-    T[-1, :] = 0.0
-    T[-1, :n] = c
-    for i in np.flatnonzero(basis < n_active):
-        if abs(T[-1, basis[i]]) > 0:
-            T[-1, :] -= T[-1, basis[i]] * T[i, :]
+    # phase 2 objective: c less each basic row with nonzero cost times that
+    # cost, subtracted in row order
+    cost = np.concatenate((c, np.zeros(n_slack + n_art + 1)))
+    T[-1] = cost[:n_active + 1]
+    priced = cost[basis].nonzero()[0]
+    T[-1] = np.subtract.reduce(np.concatenate(
+        (T[-1:], cost[basis[priced], None] * T[priced])))
     total_iters += _run(T, basis, n_active, max_iter)
 
-    x = np.zeros(n)
-    real = basis < n
-    x[basis[real]] = T[:m, -1][real]
-    return SimplexResult(x, float(c @ x), total_iters)
+    x = np.zeros(n_active + n_art)
+    x[basis] = T[:m, -1]
+    return SimplexResult(x[:n], float(c @ x[:n]), total_iters)

@@ -725,10 +725,13 @@ def test_pruned_oracle_bitwise_without_extreme_beliefs(seed):
 
 @pytest.mark.parametrize("support, mu0", [([0.0, float("nan"), 1.0], 0.5),
                                           ([0.0, 0.5, 1.0], float("nan")),
-                                          ([0.0, 0.5, 1.0], 1.5)])
+                                          ([0.0, 0.5, 1.0], 1.5),
+                                          ([0.0, float("inf")], 0.5),
+                                          ([], 0.5)])
 def test_oracle_rejects_bad_inputs(support, mu0):
-    # each once reached the simplex: an iteration limit, an argmax of an
-    # empty sequence, an infeasible LP
+    # each once reached the simplex or numpy: an iteration limit, an argmax
+    # of an empty sequence, an infeasible LP, and with no belief at all a
+    # reduction over an empty array
     agent, principal = quadratic_pair(1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         tree_oracle_worst_case(agent, principal, Zero(), LevelGrid(1.0, 3),
@@ -780,13 +783,13 @@ def test_closed_forms_match_loop_reference(instance):
     agent, principal, m, grid, mu0 = instance
     _, _, a0, _, _, c, b = adversary._lp_data(agent, principal, m, grid, mu0)
     ref, clipped = _binding_loop(a0, b, mu0)
-    got = adversary._binding_construction(a0, b, mu0)
+    got = adversary._binding_construction(a0, b, mu0, np.abs(a0).max())
     if got is not None:
         assert got.sum() == pytest.approx(1.0 - mu0, abs=1e-15)
     if clipped:
         route, value = _route_and_value(instance)
         with mock.patch.object(adversary, "_binding_construction",
-                               lambda *args: _binding_loop(*args)[0]):
+                               lambda *args: _binding_loop(*args[:3])[0]):
             ref_route, ref_value = _route_and_value(instance)
         assert route == ref_route
         assert abs(value - ref_value) <= 1e-11 * max(1.0, abs(ref_value))
@@ -796,7 +799,8 @@ def test_closed_forms_match_loop_reference(instance):
         return
     assert np.abs(got - ref).max() <= 1e-12 * (1.0 - mu0)
     jbar = adversary._support_start(got)
-    (y, t), (y_ref, t_ref) = (adversary._exact_dual(c, a0, jbar),
+    (y, t), (y_ref, t_ref) = (adversary._exact_dual(c, a0, jbar,
+                                                    np.abs(a0).max()),
                               _dual_loop(c, a0, jbar))
     assert t == t_ref
     lam, lam_ref = np.cumsum(y), np.cumsum(y_ref)
@@ -811,7 +815,7 @@ def test_continuation_belief_is_step_indifference(instance):
     -da0_j / (da1_j - da0_j)."""
     agent, principal, m, grid, mu0 = instance
     _, a1, a0, _, _, _, b = adversary._lp_data(agent, principal, m, grid, mu0)
-    g = adversary._binding_construction(a0, b, mu0)
+    g = adversary._binding_construction(a0, b, mu0, np.abs(a0).max())
     assume(g is not None)
     s = adversary._support_start(g)
     lam = BadNewsProcess(grid, g, mu0).cont_belief()
@@ -827,10 +831,12 @@ def test_construction_refuses_negative_mass_at_large_payoff_scale():
     # b makes every row bind for these increments
     b = np.triu(a0[:, None] - a0[None, :]) @ g
     assert 1e-4 < 1e-9 * np.abs(a0).max()
-    assert adversary._binding_construction(a0, b, 0.5) is None
+    assert adversary._binding_construction(a0, b, 0.5,
+                                           np.abs(a0).max()) is None
     ok = np.array([0.2, 0.1, 0.1, 0.05, 0.0, 0.05])
     b = np.triu(a0[:, None] - a0[None, :]) @ ok
-    assert np.allclose(adversary._binding_construction(a0, b, 0.5), ok,
+    assert np.allclose(adversary._binding_construction(a0, b, 0.5,
+                                                       np.abs(a0).max()), ok,
                        atol=1e-12)
 
 

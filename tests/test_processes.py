@@ -186,10 +186,20 @@ def test_random_tree_refuses_bad_arguments(mu0, max_beliefs):
     lambda: binomial_tree(0.6, GRID, "a", 0.4),
     lambda: binomial_tree(0.6, GRID, 0.6, None),
     lambda: binomial_tree(True, GRID),
-    lambda: binomial_tree("0.6", GRID)],
+    lambda: binomial_tree("0.6", GRID),
+    lambda: no_learning("0.6", GRID),
+    lambda: full_revelation("0.6", GRID),
+    lambda: single_split(0.6, GRID, "0.2", 0.8),
+    lambda: DiscreteLearningProcess(GRID, np.arange(GRID.n + 1),
+                                    np.full(GRID.n, 0.6),
+                                    np.arange(GRID.n), np.zeros(GRID.n - 1,
+                                                                dtype=int),
+                                    np.ones(GRID.n - 1), [1.0], "0.6")],
     ids=["seed-negative", "seed-float", "seed-bool", "seed-str",
          "max-beliefs-float", "max-beliefs-bool", "random-mu0-str",
-         "p-good-str", "p-bad-none", "binomial-mu0-bool", "binomial-mu0-str"])
+         "p-good-str", "p-bad-none", "binomial-mu0-bool", "binomial-mu0-str",
+         "no-learning-mu0-str", "full-revelation-mu0-str", "split-lo-str",
+         "process-mu0-str"])
 def test_tree_builders_refuse_arguments_of_the_wrong_type(build):
     """A seed, size, prior or signal probability of the wrong type or sign
     raises DomainError, never a raw TypeError or ValueError, and a float

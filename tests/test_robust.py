@@ -110,6 +110,17 @@ def test_joint_robust_monotone_in_ambiguity():
     assert g_large <= g_small + 1e-12
 
 
+@pytest.mark.parametrize("agents", [(), []], ids=["tuple", "list"])
+def test_verify_guarantee_refuses_no_agents(agents):
+    """With no agent payoff nothing is attacked, so there is no worst value
+    to hold against the guarantee."""
+    agent, principal = quadratic_pair(1.0, 1.0, 1.0)
+    grid = LevelGrid(2.0, 11)
+    rob = compute_robust(agent, principal, 0.6, grid)
+    with pytest.raises(DomainError, match="no agent payoff"):
+        verify_guarantee(rob, agents, principal, grid)
+
+
 def test_verify_guarantee_report():
     agent, principal = quadratic_pair(1.0, 1.0, 1.0)
     grid = LevelGrid(2.0, 101)
