@@ -14,7 +14,8 @@ from .badnews import BadNewsProcess, obedience_slacks
 from .checks import (AssumptionReport, RatioReport, check_assumptions,
                      one_shot_levels, pseudo_inverse_beliefs,
                      risk_ratio_condition)
-from .config import RunConfig, load_config, parse_config
+from .config import (RunConfig, load_config, mechanism_from_dict,
+                     parse_config, payoff_from_dict)
 from .errors import (AlignmentError, BudgetExceededError,
                      ConditionViolatedError, ConfigError,
                      DegenerateDerivativeError, DomainError,
@@ -24,10 +25,9 @@ from .errors import (AlignmentError, BudgetExceededError,
                      UnreachableLevelError)
 from .grid import LevelGrid, belief_grid
 from .mechanisms import (Exponential, FixedTaxHardQuota, Linear, Mechanism,
-                         TabulatedMechanism, Zero, adjusted_profiles,
-                         mechanism_from_dict)
+                         TabulatedMechanism, Zero, adjusted_profiles)
 from .payoffs import (CARA, CRRA, PayoffSpec, Quadratic, Tabulated, cara_pair,
-                      payoff_from_dict, quadratic_pair)
+                      quadratic_pair)
 from .processes import (DiscreteLearningProcess, binomial_tree,
                         full_revelation, no_learning, random_tree,
                         single_split)

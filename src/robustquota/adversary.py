@@ -10,7 +10,7 @@ import numpy as np
 from .badnews import BadNewsProcess, obedience_slacks
 from .checks import _step_ratios, one_shot_intervals
 from .errors import (BudgetExceededError, ConditionViolatedError, DomainError,
-                     InfeasibleLPError)
+                     InfeasibleLPError, UnboundedLPError)
 from .grid import LevelGrid
 from .mechanisms import Mechanism, adjusted_profiles
 from .payoffs import PayoffSpec
@@ -392,7 +392,8 @@ def tree_oracle_worst_case(agent: PayoffSpec, principal: PayoffSpec, m: Mechanis
 
     Above 4 levels or 5 beliefs the instance is refused; an empty support,
     or a support or prior that is not finite or not in [0, 1], raises
-    DomainError.
+    DomainError.  An LP past float64 for the simplex, an "unbounded" one
+    included (the mass rows bound it), raises ConditionViolatedError.
     """
     B = np.asarray(sorted(set(float(b) for b in belief_support)))
     if not len(B):
@@ -446,7 +447,12 @@ def tree_oracle_worst_case(agent: PayoffSpec, principal: PayoffSpec, m: Mechanis
     b_eq = np.concatenate(([1.0, mu0], np.zeros(len(p))))
     A_ub = np.concatenate((obey, -u[None]))
     b_ub = np.concatenate((np.zeros(len(p)), [-outside]))
-    res = solve_lp(v, A_ub, b_ub, A_eq, b_eq)
+    try:
+        res = solve_lp(v, A_ub, b_ub, A_eq, b_eq)
+    except UnboundedLPError:        # s >= 0 with total mass 1 bounds it
+        raise ConditionViolatedError(
+            "the oracle LP is bounded by its mass rows, but the simplex "
+            "found it unbounded") from None
 
     mass = np.zeros((end + 1, nb))
     np.add.at(mass, (L, q % nb), res.x)

@@ -1,6 +1,6 @@
 """One-shot levels, pseudo-inverse beliefs, and the model's runtime checkers."""
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -177,16 +177,7 @@ class AssumptionReport:
         return self.single_peaked and self.monotone_levels and self.agent_develops_more
 
     def to_dict(self):
-        return {
-            "single_peaked": self.single_peaked,
-            "monotone_levels": self.monotone_levels,
-            "agent_develops_more": self.agent_develops_more,
-            "witness_single_peaked": self.witness_single_peaked,
-            "witness_monotone": self.witness_monotone,
-            "witness_agent_more": self.witness_agent_more,
-            "jumps": [list(j) for j in self.jumps],
-            "all_pass": self.all_pass,
-        }
+        return {**asdict(self), "all_pass": self.all_pass}
 
 
 def _below(d1: np.ndarray, d0: np.ndarray, c: float
@@ -275,8 +266,7 @@ class RatioReport:
     witness: Optional[Tuple[float, float]]  # (level, r drop) at first violation
 
     def to_dict(self):
-        return {"nondecreasing": self.nondecreasing,
-                "witness": list(self.witness) if self.witness else None}
+        return asdict(self)
 
 
 def _step_ratios(x: np.ndarray, a0: np.ndarray, a0_max: float) -> tuple:

@@ -77,8 +77,7 @@ def cmd_robust(cfg: RunConfig, args) -> int:
                                       cfg.grid)
     else:
         result = compute_robust(cfg.agent, cfg.principal, cfg.mu0, cfg.grid)
-    mech = {"type": "fixed_tax_hard_quota", "lambda": result.lambda_star,
-            "quota": result.L_star}
+    mech = result.mechanism.to_dict()
     _write_json(_outpath(args, "mechanism.json"), mech)
     _write_csv(_outpath(args, "surplus.csv"), ["level", "surplus"],
                zip(cfg.grid.points, result.surplus_curve))
@@ -116,7 +115,7 @@ def cmd_gap(cfg: RunConfig, args) -> int:
         grid = LevelGrid(l_max, cfg.grid.n)
         for i, m in enumerate(mechanisms):
             gap = payoff_gap(m, cfg.agent, cfg.principal, grid, cfg.mu0)
-            rows.append((m.to_dict()["type"], i, l_max, gap.delta,
+            rows.append((m.json_name, i, l_max, gap.delta,
                          gap.guarantee, gap.worst_value, gap.route))
     _write_csv(_outpath(args, "gap.csv"),
                ["mechanism", "index", "l_max", "delta", "guarantee",

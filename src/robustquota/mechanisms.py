@@ -17,7 +17,11 @@ from .payoffs import PayoffSpec
 
 
 class Mechanism:
-    """Base class.  `tax_profile(grid)` is the single evaluation entry point."""
+    """Base class.  `tax_profile(grid)` is the single evaluation entry point.
+    The JSON form {"type": json_name, ...} is declared as PayoffSpec's."""
+
+    json_name = None
+    json_keys = {}
 
     def tax_profile(self, grid: LevelGrid) -> np.ndarray:
         """phi at the allowed levels, the first len(phi) grid points; the
@@ -25,18 +29,20 @@ class Mechanism:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The JSON form, every number a plain float."""
+        return {"type": self.json_name,
+                **{key: float(getattr(self, attr))
+                   for key, attr in self.json_keys.items()}}
 
 
 @dataclass(frozen=True)
 class Zero(Mechanism):
     """Laissez-faire: no transfers, no quota."""
 
+    json_name = "zero"
+
     def tax_profile(self, grid):
         return np.zeros(grid.n)
-
-    def to_dict(self):
-        return {"type": "zero"}
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,8 @@ class FixedTaxHardQuota(Mechanism):
 
     lam: float
     quota: float
+    json_name = "fixed_tax_hard_quota"
+    json_keys = {"lambda": "lam", "quota": "quota"}
 
     def __post_init__(self):
         if not (is_real(self.lam) and is_real(self.quota)):
@@ -54,12 +62,11 @@ class FixedTaxHardQuota(Mechanism):
             raise DomainError("quota must be nonnegative")
 
     def tax_profile(self, grid):
-        # Half-step slack so a quota sitting on a grid point stays allowed.
-        k = grid.points.searchsorted(self.quota + 0.5 * grid.h, "right")
+        # the grid points at or below the quota, within 4 ulps of it: the
+        # computed point 0.30000000000000004 of a step of 0.1 meets quota 0.3
+        q = float(self.quota)
+        k = grid.points.searchsorted(q + 4.0 * math.ulp(q), "right")
         return np.array([float(self.lam)]).repeat(k)
-
-    def to_dict(self):
-        return {"type": "fixed_tax_hard_quota", "lambda": self.lam, "quota": self.quota}
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,8 @@ class Linear(Mechanism):
     """phi(l) = beta_tax * l."""
 
     beta_tax: float
+    json_name = "linear"
+    json_keys = {"beta_tax": "beta_tax"}
 
     def __post_init__(self):
         if not is_real(self.beta_tax):
@@ -75,15 +84,14 @@ class Linear(Mechanism):
     def tax_profile(self, grid):
         return self.beta_tax * grid.points
 
-    def to_dict(self):
-        return {"type": "linear", "beta_tax": self.beta_tax}
-
 
 @dataclass(frozen=True)
 class Exponential(Mechanism):
     """phi(l) = exp(eta * l)."""
 
     eta: float
+    json_name = "exponential"
+    json_keys = {"eta": "eta"}
 
     def __post_init__(self):
         if not is_real(self.eta):
@@ -91,9 +99,6 @@ class Exponential(Mechanism):
 
     def tax_profile(self, grid):
         return np.exp(self.eta * grid.points)
-
-    def to_dict(self):
-        return {"type": "exponential", "eta": self.eta}
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,8 @@ class TabulatedMechanism(Mechanism):
 
     grid: LevelGrid
     values: tuple
+    json_name = "tabulated"
+    json_keys = {"phi": "values"}
 
     def __post_init__(self):
         # each entry is tested as given: numpy would turn True into 1.0
@@ -133,8 +140,10 @@ class TabulatedMechanism(Mechanism):
         return v[np.isfinite(v)]
 
     def to_dict(self):
-        return {"type": "tabulated",
-                "phi": [("inf" if math.isinf(x) else x) for x in self.values]}
+        """The JSON form, a prohibited level's entry written "inf"."""
+        return {"type": self.json_name,
+                "phi": [("inf" if math.isinf(x) else float(x))
+                        for x in self.values]}
 
 
 def adjusted_profiles(p: PayoffSpec, m: Mechanism, side: str, grid: LevelGrid):
@@ -159,28 +168,3 @@ def adjusted_profiles(p: PayoffSpec, m: Mechanism, side: str, grid: LevelGrid):
     if side == "agent":
         return p.u1(pts) - phi, p.u0(pts) - phi
     return p.u1(pts) + phi, p.u0(pts) + phi
-
-
-def mechanism_from_dict(d: dict, grid: LevelGrid = None) -> Mechanism:
-    if not isinstance(d, dict) or "type" not in d:
-        raise DomainError("mechanism spec must be an object with a 'type' key")
-    t = d["type"]
-    try:
-        if t == "zero":
-            return Zero()
-        if t == "fixed_tax_hard_quota":
-            return FixedTaxHardQuota(d["lambda"], d["quota"])
-        if t == "linear":
-            return Linear(d["beta_tax"])
-        if t == "exponential":
-            return Exponential(d["eta"])
-        if t == "tabulated":
-            if grid is None:
-                raise DomainError("tabulated mechanism requires a grid")
-            vals = [math.inf if x == "inf" else x for x in d["phi"]]
-            return TabulatedMechanism(grid, tuple(vals))
-    except KeyError as e:
-        raise DomainError(f"{t!r} mechanism spec lacks key {e}") from None
-    except TypeError as e:
-        raise DomainError(f"{t!r} mechanism spec {d!r}: {e}") from None
-    raise DomainError(f"unknown mechanism type {t!r}")

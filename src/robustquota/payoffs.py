@@ -21,27 +21,62 @@ def _finite(what: str, *xs):
         raise DomainError(f"{what} must be finite real numbers, got {xs!r}")
 
 
-class PayoffSpec:
-    """Base class; subclasses implement u(theta, l) vectorized over l."""
+@np.errstate(over="raise", invalid="raise")    # cheaper per call than `with`
+def _trapping(f, *args):
+    """f(*args), trapping overflow and invalid operations."""
+    return f(*args)
 
+
+class PayoffSpec:
+    """Base class; subclasses implement u(theta, l) vectorized over l.
+
+    A family's JSON form is {"family": json_name, key: value, ...}, with
+    json_keys mapping each key to the field holding it; `to_dict` writes it
+    and `config.payoff_from_dict` reads it.
+    """
+
+    json_name = None
+    json_keys = {}
     #: True when u(0, l) cannot be evaluated at l = 0 (CRRA's 1/l wealth map).
     singular_at_zero = False
+    #: where the family's payoffs are finite, named when a level is not
+    finite_where = "|u| <= 1.8e308"
 
     def u(self, theta: int, l):
         raise NotImplementedError
 
     def u1(self, levels: np.ndarray) -> np.ndarray:
-        return np.asarray(self.u(1, levels), dtype=float)
+        return np.asarray(self._finite_u(1, levels), dtype=float)
 
     def u0(self, levels: np.ndarray) -> np.ndarray:
-        return np.asarray(self.u(0, levels), dtype=float)
+        return np.asarray(self._finite_u(0, levels), dtype=float)
 
     def indirect(self, mu: float, l):
         """U(mu, l) = mu u(1,l) + (1-mu) u(0,l)."""
-        return mu * self.u(1, l) + (1.0 - mu) * self.u(0, l)
+        return mu * self._finite_u(1, l) + (1.0 - mu) * self._finite_u(0, l)
+
+    def _finite_u(self, theta: int, l):
+        """u(theta, l), through which every payoff is evaluated: one that
+        overflows or is not a number raises DomainError at its first such
+        level."""
+        try:
+            return _trapping(self.u, theta, l)
+        except FloatingPointError:
+            with np.errstate(all="ignore"):
+                v = self.u(theta, l)
+            bad = ~np.isfinite(v)
+            if not bad.any():       # a step overflowed, the result did not
+                return v
+            at = np.broadcast_to(l, bad.shape)[bad].flat[0]
+            raise DomainError(f"{self!r}: u({theta}, l) is not finite at "
+                              f"level {at:g}; the family needs "
+                              f"{self.finite_where}") from None
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The JSON form, every number a plain float."""
+        return {"family": self.json_name,
+                **{key: np.asarray(getattr(self, attr), dtype=float).tolist()
+                   for key, attr in self.json_keys.items()}}
 
 
 @dataclass(frozen=True)
@@ -55,6 +90,8 @@ class Quadratic(PayoffSpec):
     alpha: float
     beta: float
     quad: float = 0.0
+    json_name = "quadratic"
+    json_keys = {"alpha": "alpha", "beta": "beta", "quad": "quad"}
 
     def __post_init__(self):
         _finite("Quadratic parameters", self.alpha, self.beta, self.quad)
@@ -67,16 +104,15 @@ class Quadratic(PayoffSpec):
             return self.alpha * l
         return -self.beta * l - self.quad * l * l
 
-    def to_dict(self):
-        return {"family": "quadratic", "alpha": self.alpha, "beta": self.beta,
-                "quad": self.quad}
-
 
 @dataclass(frozen=True)
 class CARA(PayoffSpec):
     """Constant absolute risk aversion over terminal wealth W(1,l)=l, W(0,l)=-l."""
 
     gamma: float
+    json_name = "cara"
+    json_keys = {"gamma": "gamma"}
+    finite_where = "gamma * l <= 709.78"
 
     def __post_init__(self):
         _finite("CARA gamma", self.gamma)
@@ -87,9 +123,6 @@ class CARA(PayoffSpec):
         l = np.asarray(l, dtype=float)
         w = l if theta == 1 else -l
         return -np.exp(-self.gamma * w)
-
-    def to_dict(self):
-        return {"family": "cara", "gamma": self.gamma}
 
 
 @dataclass(frozen=True)
@@ -102,7 +135,10 @@ class CRRA(PayoffSpec):
 
     gamma: float
     eps: float = 1e-9
+    json_name = "crra"
+    json_keys = {"gamma": "gamma", "eps": "eps"}
     singular_at_zero = True
+    finite_where = "|1 - gamma| * |ln max(l, eps)| <= 709.78"
 
     def __post_init__(self):
         _finite("CRRA parameters", self.gamma, self.eps)
@@ -117,9 +153,6 @@ class CRRA(PayoffSpec):
         w = l if theta == 1 else 1.0 / l
         return (np.power(w, 1.0 - self.gamma) - 1.0) / (1.0 - self.gamma)
 
-    def to_dict(self):
-        return {"family": "crra", "gamma": self.gamma, "eps": self.eps}
-
 
 @dataclass(frozen=True)
 class Tabulated(PayoffSpec):
@@ -128,6 +161,8 @@ class Tabulated(PayoffSpec):
     grid: LevelGrid
     values1: tuple  # u(1, l_j)
     values0: tuple  # u(0, l_j)
+    json_name = "tabulated"
+    json_keys = {"u1": "values1", "u0": "values0"}
 
     def __post_init__(self):
         v1 = np.asarray(self.values1, dtype=object)
@@ -142,10 +177,6 @@ class Tabulated(PayoffSpec):
         vals = self.values1 if theta == 1 else self.values0
         return np.interp(np.asarray(l, dtype=float), self.grid.points, vals)
 
-    def to_dict(self):
-        return {"family": "tabulated", "u1": list(self.values1),
-                "u0": list(self.values0)}
-
 
 def quadratic_pair(alpha: float, beta: float, gamma: float) -> Tuple[Quadratic, Quadratic]:
     """(developer, regulator) quadratic pair: the developer is risk neutral,
@@ -155,26 +186,3 @@ def quadratic_pair(alpha: float, beta: float, gamma: float) -> Tuple[Quadratic, 
 
 def cara_pair(gamma_agent: float, gamma_principal: float) -> Tuple[CARA, CARA]:
     return CARA(gamma_agent), CARA(gamma_principal)
-
-
-def payoff_from_dict(d: dict, grid: LevelGrid = None) -> PayoffSpec:
-    """Construct a payoff spec from its JSON form."""
-    if not isinstance(d, dict) or "family" not in d:
-        raise DomainError("payoff spec must be an object with a 'family' key")
-    fam = d["family"]
-    try:
-        if fam == "quadratic":
-            return Quadratic(d["alpha"], d["beta"], d.get("quad", 0.0))
-        if fam == "cara":
-            return CARA(d["gamma"])
-        if fam == "crra":
-            return CRRA(d["gamma"], d.get("eps", 1e-9))
-        if fam == "tabulated":
-            if grid is None:
-                raise DomainError("tabulated payoff requires a grid")
-            return Tabulated(grid, tuple(d["u1"]), tuple(d["u0"]))
-    except KeyError as e:
-        raise DomainError(f"{fam!r} payoff spec lacks key {e}") from None
-    except (TypeError, DomainError) as e:
-        raise DomainError(f"{fam!r} payoff spec {d!r}: {e}") from None
-    raise DomainError(f"unknown payoff family {fam!r}")

@@ -21,11 +21,6 @@ class RobustMechanismResult:
     mechanism: FixedTaxHardQuota = field(repr=False)
     mu0: float
 
-    def to_dict(self):
-        return {"type": "fixed_tax_hard_quota", "lambda": self.lambda_star,
-                "quota": self.L_star, "guarantee": self.guarantee,
-                "mu0": self.mu0}
-
 
 def surplus_curve(agent: PayoffSpec, principal: PayoffSpec, mu0: float,
                   grid: LevelGrid) -> np.ndarray:

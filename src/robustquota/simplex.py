@@ -1,7 +1,10 @@
 """Dense two-phase tableau simplex for the small LPs in this package.
 
 Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0;  input that
-is not finite raises DomainError.
+is not finite raises DomainError.  A point that breaks a given row by more
+than 1e-9 of max(|A_i| |x| + |b_i|, 1), or a ratio test that finds no
+leaving row, raises ConditionViolatedError: the data spans more than
+float64 resolves.
 
 Pivoting uses Dantzig's rule for speed with Bland's anti-cycling rule engaged
 after a streak of degenerate pivots, which guarantees termination in exact
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, InfeasibleLPError, IterationLimitError,
-                     UnboundedLPError)
+from .errors import (ConditionViolatedError, DomainError, InfeasibleLPError,
+                     IterationLimitError, UnboundedLPError)
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,7 @@ _PIVOT_TOL = 1e-11
 _REL_PIVOT_TOL = 1e-9
 _DEGEN_STREAK = 12
 _PIVOTS_PER_SIZE = 20
+_RESIDUAL_TOL = 1e-9
 
 
 def _pivot(T, basis, row, col):
@@ -88,6 +92,9 @@ def _run(T, basis, n_cols_active, max_iter):
             np.divide(rhs + _FEAS_TOL, colvec, out=ratios, where=pos)
             theta = np.minimum.reduce(ratios)
             cand = (pos & (rhs <= theta * colvec)).nonzero()[0]
+            if not cand.size:       # theta * colvec rounded below rhs
+                raise ConditionViolatedError(
+                    "Harris ratio test found no leaving row")
             row = cand[colvec[cand].argmax()]
         else:
             np.divide(rhs, colvec, out=ratios, where=pos)
@@ -127,9 +134,9 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> SimplexResult:
     # tableau: [A | slack | b], last row = phase objective.  Rows with b < 0
     # are negated, so the slack coefficient is -1 on negated <= rows (they
     # became >=); those and the equality rows need an artificial
+    A, b = np.concatenate((A_ub, A_eq)), np.concatenate((b_ub, b_eq))
     T = np.zeros((m + 1, n + n_slack + 1))
-    T[:n_slack, :n], T[n_slack:m, :n], T[-1, :n] = A_ub, A_eq, c
-    T[:n_slack, -1], T[n_slack:m, -1] = b_ub, b_eq
+    T[:m, :n], T[:m, -1], T[-1, :n] = A, b, c
     if not np.logical_and.reduce(np.isfinite(T), axis=None):
         raise DomainError("LP data must be finite")
     sign = np.where(T[:m, -1] < 0, -1.0, 1.0)
@@ -154,12 +161,13 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> SimplexResult:
                                  -np.inf).argmax())
             raise InfeasibleLPError(
                 f"infeasible: residual {-T[-1, -1]:.3e}", most_binding=worst)
-        # drive remaining artificials out of the basis where possible
-        # (a pivot at row i changes only basis[i])
+        # drive remaining artificials out of the basis where possible, each
+        # on its row's largest entry: a tiny one blows the tableau up (a
+        # pivot at row i changes only basis[i])
         for i in (basis >= n_active).nonzero()[0]:
-            cand = (np.abs(T[i, :n_active]) > _PIVOT_TOL).nonzero()[0]
-            if cand.size:
-                _pivot(T, basis, i, cand[0])
+            col = np.abs(T[i, :n_active]).argmax()
+            if abs(T[i, col]) > _PIVOT_TOL:
+                _pivot(T, basis, i, col)
                 total_iters += 1
 
     # phase 2 objective: c less each basic row with nonzero cost times that
@@ -173,4 +181,13 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> SimplexResult:
 
     x = np.zeros(n_active + n_art)
     x[basis] = T[:m, -1]
-    return SimplexResult(x[:n], float(c @ x[:n]), total_iters)
+    x = x[:n]
+    # each given row holds to _RESIDUAL_TOL of max(|A_i| |x| + |b_i|, 1)
+    excess = A @ x - b
+    excess[n_slack:] = np.abs(excess[n_slack:])
+    share = excess / np.maximum(np.abs(A) @ np.abs(x) + np.abs(b), 1.0)
+    worst = share.argmax()
+    if share[worst] > _RESIDUAL_TOL:
+        raise ConditionViolatedError(f"simplex point breaks row {worst} by "
+                                     f"{share[worst]:.1e} of its size")
+    return SimplexResult(x, float(c @ x), total_iters)

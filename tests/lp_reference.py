@@ -1,9 +1,10 @@
 """The dense two-phase tableau simplex as the package ran it before phase 2
 dropped the artificial columns: every pivot updates the whole tableau,
 phase 2 keeps the artificial columns, and its objective is priced row by
-row.  `robustquota.simplex.solve_lp` must match it pivot for pivot (same
-`x`, `fun` and `n_iter`, or the same error and `most_binding`) on finite
-input."""
+row; the phase-1 drive-out pivots on each row's largest entry, as the
+package's does.  `robustquota.simplex.solve_lp` must match it pivot for
+pivot (same `x`, `fun` and `n_iter`, or the same error and `most_binding`)
+on finite input."""
 
 import numpy as np
 
@@ -132,12 +133,12 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> SimplexResult:
                                            -np.inf)))
             raise InfeasibleLPError(
                 f"infeasible: residual {-T[-1, -1]:.3e}", most_binding=worst)
-        # drive remaining artificials out of the basis where possible
-        # (a pivot at row i changes only basis[i])
+        # drive remaining artificials out of the basis where possible, each
+        # on its row's largest entry (a pivot at row i changes only basis[i])
         for i in np.flatnonzero(basis >= n + n_slack):
-            cand = np.flatnonzero(np.abs(T[i, :n_active]) > _PIVOT_TOL)
-            if cand.size:
-                _pivot(T, basis, i, cand[0])
+            col = int(np.argmax(np.abs(T[i, :n_active])))
+            if abs(T[i, col]) > _PIVOT_TOL:
+                _pivot(T, basis, i, col)
                 total_iters += 1
 
     # phase 2 objective

@@ -763,6 +763,34 @@ def test_history_lp_oracle_survives_tiny_pivots():
     assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
+def test_pattern_lp_drives_artificials_out_on_large_entries():
+    """One pattern LP of this instance (41 equality rows, 40 inequality rows,
+    121 columns) drove an artificial out of the basis on an entry of 4.9e-11
+    and claimed -134.047 at a point that broke its rows by hundreds; HiGHS
+    reads -0.912617 for it."""
+    agent, principal = cara_pair(2.9534301036113644, 1.0)
+    args = (agent, principal, Linear(0.02), LevelGrid(1.0, 4),
+            [0.0, 0.111, 0.731, 0.801], 0.5)
+    ref, _ = _pattern_oracle(*args)
+    value = tree_oracle_worst_case(*args).value
+    assert value == pytest.approx(-0.93257592481219, rel=1e-12)
+    assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("gammas, l_max, n, mu0", [
+    ((2.1415767355128166, 2.7108936317166408), 0.01, 186, 0.844033641210119),
+    ((2.840702633155025, 2.97752713587353), 64.0, 434, 0.8082261214166006)],
+    ids=["empty_harris_set", "unbounded_verdict"])
+def test_oracle_lp_past_float64_is_a_typed_refusal(gammas, l_max, n, mu0):
+    """CRRA floors the bad-state wealth 1/l at 1e-9, so these oracle LPs
+    span entries from O(1) to 1e16: the ratio test once found no row (a
+    bare ValueError) and the simplex once called the LP unbounded, though
+    its mass rows bound it."""
+    with pytest.raises(ConditionViolatedError):
+        payoff_gap(Zero(), CRRA(gammas[0]), CRRA(gammas[1]),
+                   LevelGrid(l_max, n), mu0)
+
+
 def _route_and_value(instance):
     """solve_badnews_lp's route and value, or the class of its refusal."""
     try:

@@ -472,7 +472,7 @@ def test_risk_ratio_reads_the_first_step_as_the_certificate_does():
     from robustquota import solve_badnews_lp
     agent, principal = cara_pair(2.0, 1.5)
     grid = LevelGrid(4.0, 53)
-    m = FixedTaxHardQuota(0.0, 0.15)
+    m = FixedTaxHardQuota(0.0, grid.points[2])
     rep = risk_ratio_condition(agent, principal, m, grid)
     assert not rep.nondecreasing
     assert rep.witness[0] == grid.points[1] and rep.witness[1] < 0.0

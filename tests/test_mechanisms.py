@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,13 +7,23 @@ import pytest
 from robustquota import (CARA, DomainError, Exponential, FixedTaxHardQuota,
                          LevelGrid, Linear, Mechanism, TabulatedMechanism,
                          Zero, adjusted_profiles, mechanism_from_dict,
-                         no_learning, payoff_from_dict, solve_stopping)
+                         no_learning, parse_config, payoff_from_dict,
+                         solve_stopping)
 
 
 def test_quota_prohibits_strictly_beyond():
     g = LevelGrid(2.0, 5)
     m = FixedTaxHardQuota(0.1, 1.0)
     assert m.tax_profile(g).tolist() == [0.1, 0.1, 0.1]
+    # an off-grid quota allows no level above it: 0.78 is the nearest
+    # point, but it is beyond 0.77
+    g = LevelGrid(2.0, 101)
+    assert g.points[len(FixedTaxHardQuota(0.0, 0.77).tax_profile(g)) - 1] \
+        == 0.76
+    # a point a rounding error above the quota is the quota's point
+    g = LevelGrid(1.0, 11)
+    assert g.points[3] == 0.30000000000000004
+    assert len(FixedTaxHardQuota(0.0, 0.3).tax_profile(g)) == 4
 
 
 def test_quota_on_grid_point_stays_allowed():
@@ -76,21 +87,38 @@ def test_malformed_user_profile_raises(profile):
 
 
 def test_dict_roundtrip_with_inf():
+    """Every mechanism type, a table with a prohibited level included, comes
+    back equal from its JSON form, read by mechanism_from_dict and, as text,
+    by parse_config; the form holds plain floats and strings only."""
     g = LevelGrid(1.0, 3)
     m = TabulatedMechanism(g, (0.0, 1.0, math.inf))
-    again = mechanism_from_dict(m.to_dict(), g)
-    assert again.tax_profile(g).tolist() == [0.0, 1.0]
+    assert m.to_dict()["phi"] == [0.0, 1.0, "inf"]
+    assert mechanism_from_dict(m.to_dict(), g).tax_profile(g).tolist() == \
+        [0.0, 1.0]
     for spec in (Zero(), FixedTaxHardQuota(0.2, 0.5), Linear(1.0),
-                 Exponential(0.5)):
-        r = mechanism_from_dict(spec.to_dict())
-        assert r == spec
+                 Exponential(0.5), m,
+                 TabulatedMechanism(g, (np.float64(0.1), 0.25, 0.5))):
+        d = spec.to_dict()
+        assert all(type(v) in (str, float) or type(v) is list
+                   and all(type(x) in (str, float) for x in v)
+                   for v in d.values())
+        assert mechanism_from_dict(d, g) == spec
+        cfg = parse_config(json.loads(json.dumps(
+            {"payoff": {"agent": CARA(1.0).to_dict(),
+                        "principal": CARA(2.0).to_dict()},
+             "grid": {"l_max": g.l_max, "n": g.n}, "prior": {"mu0": 0.5},
+             "mechanism": d})))
+        assert cfg.mechanism == spec
 
 
 @pytest.mark.parametrize("build,spec,match", [
-    (payoff_from_dict, {"family": "cara"}, "lacks key 'gamma'"),
-    (mechanism_from_dict, {"type": "linear"}, "lacks key 'beta_tax'"),
-    (payoff_from_dict, {"family": "cara", "gamma": "x"}, "'cara' payoff spec"),
-])
+    (payoff_from_dict, {"family": "cara"},
+     r"missing required key 'gamma' in payoff spec \(family 'cara'\)"),
+    (mechanism_from_dict, {"type": "linear"},
+     r"missing required key 'beta_tax' in mechanism spec \(type 'linear'\)"),
+    (payoff_from_dict, {"family": "cara", "gamma": "x"},
+     r"payoff spec \(family 'cara'\): gamma must be a finite number"),
+], ids=["payoff-missing-key", "mechanism-missing-key", "payoff-non-number"])
 def test_malformed_spec_dict_is_a_domain_error(build, spec, match):
     with pytest.raises(DomainError, match=match):
         build(spec)

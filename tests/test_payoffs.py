@@ -1,10 +1,14 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustquota import (CARA, CRRA, DomainError, LevelGrid, Quadratic,
-                         Tabulated, payoff_from_dict, quadratic_pair)
+                         Tabulated, Zero, compute_robust, parse_config,
+                         payoff_from_dict, quadratic_pair, solve_badnews_lp)
 
 
 def test_quadratic_closed_form():
@@ -64,13 +68,24 @@ def test_payoffs_refuse_parameters_that_are_not_finite_reals(build):
         build()
 
 
-@pytest.mark.parametrize("spec", [Quadratic(1.0, 2.0, 0.5), CARA(1.5),
-                                  CRRA(2.0)])
+_G5 = LevelGrid(1.0, 5)
+
+
+@pytest.mark.parametrize("spec", [
+    Quadratic(1.0, 2.0, 0.5), CARA(1.5), CRRA(2.0),
+    Tabulated(_G5, tuple(_G5.points), (0, -0.25, np.float64(-0.5), -1, -2))])
 def test_dict_roundtrip(spec):
-    again = payoff_from_dict(spec.to_dict())
-    pts = np.linspace(0.01, 1.0, 7)
-    assert np.allclose(spec.u1(pts), again.u1(pts))
-    assert np.allclose(spec.u0(pts), again.u0(pts))
+    """Every payoff family comes back equal from its JSON form, read by
+    payoff_from_dict and, as text, by parse_config; the form holds plain
+    floats and strings only."""
+    d = spec.to_dict()
+    assert all(type(v) in (str, float) or type(v) is list
+               and all(type(x) is float for x in v) for v in d.values())
+    assert payoff_from_dict(d, _G5) == spec
+    cfg = parse_config(json.loads(json.dumps(
+        {"payoff": {"agent": d, "principal": d},
+         "grid": {"l_max": _G5.l_max, "n": _G5.n}, "prior": {"mu0": 0.5}})))
+    assert cfg.agent == spec and cfg.principal == spec
 
 
 def test_tabulated_roundtrip_needs_grid():
@@ -96,3 +111,18 @@ def test_indirect_is_affine_in_shift(mu, l, c):
                         tuple(cara.u0(g.points) + c))
     assert shifted.indirect(mu, l) == pytest.approx(base.indirect(mu, l) + c,
                                                    abs=1e-12)
+
+
+def test_payoff_overflow_is_a_domain_error():
+    """CARA's bad-state payoff -exp(gamma l) overflows past gamma l = 709.78;
+    it once came out as a RuntimeWarning, or with warnings off as a robust
+    guarantee of -1.0 at L* = 0."""
+    with pytest.raises(DomainError, match=r"CARA\(gamma=3\).*level 237;.*"
+                       r"gamma \* l <= 709.78"):
+        solve_badnews_lp(CARA(1), CARA(3), Zero(), LevelGrid(237, 101), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(DomainError, match="CARA.*not finite at level"):
+            compute_robust(CARA(5.34), CARA(2.91), 0.67, LevelGrid(400, 209))
+    # the last level below the bound still evaluates
+    assert np.isfinite(CARA(3).u0(np.array([236.0]))).all()
