@@ -223,7 +223,7 @@ def criterion_8() -> str:
     static = compute_robust(agent, principal, mu0, grid)
     pol = solve_adaptive_quota(no_learning(mu0, grid), agent, principal)
     stop_levels = [grid.points[j] for j in range(grid.n)
-                   if pol.stop_set[j][0]]
+                   if pol.node_stop[pol.tree.first[j]]]
     assert stop_levels[0] == static.L_star, \
         f"adaptive quota {stop_levels[0]!r} != static {static.L_star!r}"
     assert pol.lambda_adaptive == static.lambda_star, \

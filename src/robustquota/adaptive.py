@@ -1,6 +1,7 @@
 """Adaptive quotas on principal belief trees: DP stopping rule, the adaptive
 fixed tax, and evaluation against agent processes that refine the tree.
-Refined processes are written straight into flat arrays, in O(nnz)."""
+Refined processes are written straight into flat arrays, in O(nnz), and
+the planner's stops are one flat mask over the tree's nodes."""
 
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -11,7 +12,7 @@ from .errors import (AlignmentError, DomainError, NotARefinementError, is_int,
                      is_real)
 from .mechanisms import FixedTaxHardQuota
 from .payoffs import PayoffSpec
-from .processes import DiscreteLearningProcess, Levels, level_runs
+from .processes import DiscreteLearningProcess, level_runs
 from .stopping import (backward, forward, node_payoff, principal_value,
                        solve_stopping)
 
@@ -22,7 +23,8 @@ class AdaptivePolicy:
 
     The quota is a stopping region rather than a level function because on a
     tree the binding level is a per-history object.  `node_stop` is flat
-    over the tree's nodes, `stop_set` its per-level view.
+    over the tree's nodes, node i at level j for
+    tree.first[j] <= i < tree.first[j + 1].
     """
 
     tree: DiscreteLearningProcess = field(repr=False)
@@ -30,10 +32,6 @@ class AdaptivePolicy:
     lambda_adaptive: float
     value: float
     mu0: float
-
-    @property
-    def stop_set(self) -> Levels:
-        return Levels(self.node_stop, self.tree.first)
 
 
 def solve_adaptive_quota(tree: DiscreteLearningProcess, agent: PayoffSpec,
@@ -141,7 +139,7 @@ def refine_process(tree: DiscreteLearningProcess,
     numbered i * (m_j + 1) + w; beliefs combine the planner posterior with
     the signal likelihood ratio, and kernels reweight the planner's
     transitions by the agent's sharper belief (Bayes-consistent, so the
-    martingale property is preserved).  parent_map records i per agent node
+    martingale property is preserved).  `parent` records i per agent node
     for quota alignment.
 
     Each planner edge i -> i' gives one agent entry per signal count w, to
@@ -278,14 +276,14 @@ def evaluate_adaptive(policy: AdaptivePolicy, agent_proc: DiscreteLearningProces
     parent = agent_proc.parent
     if parent is None:
         if not np.array_equal(first, t_first):
-            raise AlignmentError("agent process lacks a parent_map onto the tree")
+            raise AlignmentError("agent process lacks a parent map onto the tree")
         forced = policy.node_stop
     else:
         t_sizes = np.diff(t_first)
         bad = (np.maximum.reduceat(parent, first[:-1]) >= t_sizes) \
             | (np.minimum.reduceat(parent, first[:-1]) < 0)
         if bad.any():
-            raise AlignmentError(f"parent_map at level {int(np.argmax(bad))} "
+            raise AlignmentError(f"parent map at level {int(np.argmax(bad))} "
                                  f"is inconsistent")
         # the planner's stops through the parent map, a run of levels at a
         # time

@@ -10,7 +10,7 @@ import numpy as np
 from .badnews import BadNewsProcess, obedience_slacks
 from .checks import _step_ratios, one_shot_intervals
 from .errors import (BudgetExceededError, ConditionViolatedError, DomainError,
-                     InfeasibleLPError, UnboundedLPError)
+                     InfeasibleLPError, UnboundedLPError, is_real)
 from .grid import LevelGrid
 from .mechanisms import Mechanism, adjusted_profiles
 from .payoffs import PayoffSpec
@@ -160,11 +160,14 @@ def _certified_gap(value: float, y: np.ndarray, t: float, c: np.ndarray,
     obedience rows and the mass row, or None unless they are dual feasible:
     y >= 0 and every reduced cost r_k = c_k - t + sum_{j<=k} y_j (a0_j - a0_k)
     >= 0, each to 1e-9 of the size of the terms it is computed from (payoffs
-    that span e^48 leave rounding noise far above any absolute tolerance)."""
-    ya0 = y * a0
-    r = c - t + ya0.cumsum() - a0 * y.cumsum()
-    size = (np.abs(c) + abs(t) + np.abs(ya0).cumsum()
-            + np.abs(a0) * np.abs(y).cumsum())
+    that span e^48 leave rounding noise far above any absolute tolerance).
+    Both sides are taken in quarters, which is exact, so that the sums stay
+    finite where the payoffs are."""
+    y4 = y / 4
+    ya0 = y4 * a0
+    r = c / 4 - t / 4 + ya0.cumsum() - a0 * y4.cumsum()
+    size = (np.abs(c) / 4 + abs(t) / 4 + np.abs(ya0).cumsum()
+            + np.abs(a0) * np.abs(y4).cumsum())
     if y.min() < -1e-9 * np.abs(y).max() or (r < -1e-9 * size).any():
         return None
     return value - float(mu0 * p1_end + (1.0 - mu0) * t - y @ b)
@@ -233,7 +236,7 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     not dual feasible, raises ConditionViolatedError.  The result carries
     that certificate, and premise_ok is read from the same profiles.
     """
-    if not 0.0 < mu0 < 1.0:
+    if not (is_real(mu0) and 0.0 < mu0 < 1.0):
         raise DomainError("worst-case search needs an interior prior")
     stop, a1, a0, p1, p0, c, b = _lp_data(agent, principal, m, grid, mu0)
     premise_ok = _prefers_earlier((a1, a0), (p1, p0), grid)
@@ -276,15 +279,18 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
                 "certified at this payoff range")
 
     slacks = obedience_slacks(g, a1, a0, mu0)
-    # each row to 1e-9 of the size of its terms, as in _certified_gap
-    size = (np.abs(b) + (np.abs(a0) * g)[::-1].cumsum()[::-1]
-            + np.abs(a0) * g[::-1].cumsum()[::-1])
-    bad = slacks < -1e-9 * size
+    # each row to 1e-9 of the size of its terms, in quarters, as in
+    # _certified_gap
+    a0_4 = np.abs(a0) / 4
+    size = (np.abs(b) / 4 + (a0_4 * g)[::-1].cumsum()[::-1]
+            + a0_4 * g[::-1].cumsum()[::-1])
+    bad = slacks / 4 < -1e-9 * size
     if bad.any():
         j = int(bad.argmax())
         raise ConditionViolatedError(
             f"{route} solution violates obedience at level index {j} by "
-            f"{-slacks[j]:.3g}, beyond 1e-9 of its terms ({size[j]:.3g}); the "
+            f"{-slacks[j]:.3g}, beyond 1e-9 of its terms "
+            f"({4 * float(size[j]):.3g}); the "
             "value is not trustworthy at this payoff range")
     binding = (np.abs(slacks) <= 1e-7 * scale).nonzero()[0]
     carrying = g > 1e-12
@@ -329,7 +335,7 @@ def indifference_G(agent: PayoffSpec, m: Mechanism, grid: LevelGrid,
     highest row where it reaches 1-mu0 is L_low.  Falls back to the LP when
     an increment goes negative or the result is disobedient.
     """
-    if not 0.0 < mu0 < 1.0:
+    if not (is_real(mu0) and 0.0 < mu0 < 1.0):
         raise DomainError("construction needs an interior prior")
     _, a1, a0, _, _, _, b = _lp_data(agent, principal, m, grid, mu0)
     a0_max = float(np.abs(a0).max())
@@ -400,8 +406,8 @@ def tree_oracle_worst_case(agent: PayoffSpec, principal: PayoffSpec, m: Mechanis
         raise DomainError("belief support is empty")
     if not ((B >= 0) & (B <= 1)).all():
         raise DomainError("belief support must be finite and lie in [0, 1]")
-    if not 0.0 <= mu0 <= 1.0:
-        raise DomainError(f"prior {mu0} does not lie in [0, 1]")
+    if not (is_real(mu0) and 0.0 <= mu0 <= 1.0):
+        raise DomainError(f"prior {mu0!r} does not lie in [0, 1]")
     if small_grid.n > 4 or len(B) > 5:
         raise BudgetExceededError(
             f"instance too large: {small_grid.n} levels, {len(B)} beliefs")

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_real
 from .grid import LevelGrid
 
 
@@ -26,7 +26,7 @@ class BadNewsProcess:
     def __post_init__(self):
         g = np.asarray(self.g, dtype=float)
         object.__setattr__(self, "g", g)
-        if not 0.0 < self.mu0 <= 1.0:
+        if not (is_real(self.mu0) and 0.0 < self.mu0 <= 1.0):
             raise DomainError("bad-news process needs a prior in (0, 1]")
         if g.ndim != 1 or not 1 <= len(g) <= self.grid.n:
             raise DomainError("g must have one value per reachable grid point")

@@ -24,9 +24,12 @@ def one_shot_levels(p: PayoffSpec, mus: np.ndarray, grid: LevelGrid,
     on top there (the pieces on both sides of that start and the lines
     between them in slope order), the largest level winning ties. At mu = 0
     and mu = 1 the result is the largest argmax of a0 and of a1.  A belief
-    that is NaN or outside [0, 1] raises DomainError.
+    that is not a number, or is NaN or outside [0, 1], raises DomainError.
     """
-    mus = np.asarray(mus, dtype=float)
+    try:
+        mus = np.asarray(mus, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise DomainError(f"beliefs must be real numbers ({e})") from None
     bad = ~((mus >= 0.0) & (mus <= 1.0))
     if bad.any():
         raise DomainError(f"belief {mus[bad][0]} outside [0, 1]")

@@ -34,7 +34,6 @@ class LevelGrid:
 
 
 def belief_grid(n: int = 1001) -> np.ndarray:
-    """Uniform belief grid on [0, 1] with n points."""
-    if n < 2:
-        raise DomainError(f"belief grid needs at least 2 points, got {n}")
-    return np.linspace(0.0, 1.0, int(n))
+    """Uniform belief grid on [0, 1] with n points: the points of
+    LevelGrid(1.0, n), which refuses the n it refuses."""
+    return LevelGrid(1.0, n).points.copy()

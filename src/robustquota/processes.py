@@ -9,12 +9,13 @@ array, and one CSR block holds every kernel, its rows the nodes of levels
 level (`indices`), its weight (`data`) and its row local to its level
 (`rows`).  A binomial row has 2 entries and a refined row at most 4, so
 building, checking and applying a tree's kernels is O(nnz), and every stage
-but the level-by-level inductions reads the arrays whole.  `beliefs[j]`,
-`kernels[j]` and `parent_map[j]` are views of one level, built on access.
+but the level-by-level inductions reads the arrays whole.  Nothing in the
+package reads a level on its own: `beliefs` and `kernels`, per-level views
+built on access, are kept only for rqbench's tracer.
 """
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections import namedtuple
 
 import numpy as np
 
@@ -26,34 +27,9 @@ from .grid import LevelGrid
 #: the tree
 CHUNK = 1 << 16
 
-
-class CSRKernel:
-    """Transition kernel between consecutive levels in compressed sparse row
-    form: row i holds data[indptr[i]:indptr[i+1]] in columns
-    indices[indptr[i]:indptr[i+1]], increasing within the row.
-    `K.toarray()` is the dense matrix.
-    """
-
-    __slots__ = ("indptr", "indices", "data", "shape", "_rows")
-
-    def __init__(self, indptr, indices, data, shape):
-        self.indptr = np.asarray(indptr, dtype=np.intp)
-        self.indices = np.asarray(indices, dtype=np.intp)
-        self.data = np.asarray(data, dtype=float)
-        self.shape = (int(shape[0]), int(shape[1]))
-        self._rows = None
-
-    def row_ids(self) -> np.ndarray:
-        """Row of each stored entry (kept from validation, or built on first
-        use, then kept)."""
-        if self._rows is None:
-            self._rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        return self._rows
-
-    def toarray(self) -> np.ndarray:
-        a = np.zeros(self.shape)
-        a[self.row_ids(), self.indices] = self.data
-        return a
+#: one level's kernel in CSR form: row i holds data[indptr[i]:indptr[i+1]]
+#: in columns indices[indptr[i]:indptr[i+1]], increasing within the row
+Kernel = namedtuple("Kernel", "indptr indices data shape")
 
 
 def level_runs(sizes):
@@ -66,55 +42,6 @@ def level_runs(sizes):
         j1 = max(j0 + 1, int(np.searchsorted(ends, base + CHUNK, side="right")))
         yield j0, j1
         j0 = j1
-
-
-class Levels(Sequence):
-    """Per-level views of a flat node array: level j is
-    flat[first[j]:first[j+1]]; a slice of levels is a tuple of views."""
-
-    __slots__ = ("flat", "first")
-
-    def __init__(self, flat, first):
-        self.flat = flat
-        self.first = first
-
-    def __len__(self):
-        return len(self.first) - 1
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return tuple(self[k] for k in range(len(self))[j])
-        j = range(len(self))[j]
-        return self.flat[self.first[j]:self.first[j + 1]]
-
-
-class KernelLevels(Sequence):
-    """The kernels of a validated process as one CSR block: kernel j, from
-    level j to level j + 1, is rows first[j]..first[j+1]-1 of the block,
-    and item j a CSRKernel view of them that keeps their entries' rows."""
-
-    __slots__ = ("first", "indptr", "indices", "data", "rows")
-
-    def __init__(self, first, indptr, indices, data, rows):
-        self.first = first
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
-        self.rows = rows
-
-    def __len__(self):
-        return len(self.first) - 2
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return tuple(self[k] for k in range(len(self))[j])
-        j = range(len(self))[j]
-        r0, r1, r2 = self.first[j:j + 3].tolist()
-        e0, e1 = self.indptr[r0], self.indptr[r1]
-        k = CSRKernel(self.indptr[r0:r1 + 1] - e0, self.indices[e0:e1],
-                      self.data[e0:e1], (r1 - r0, r2 - r1))
-        k._rows = self.rows[e0:e1]
-        return k
 
 
 def _index_array(a, what: str) -> np.ndarray:
@@ -152,17 +79,24 @@ class DiscreteLearningProcess:
         self._validate()
 
     @property
-    def beliefs(self) -> Levels:
-        return Levels(self.belief, self.first)
+    def beliefs(self) -> list:
+        """Level j's node beliefs as a view of `belief`, a list over the
+        levels.  Kept only for rqbench's tracer, which counts a
+        refinement's nodes; goes with ROADMAP item 1."""
+        return np.split(self.belief, self.first[1:-1])
 
     @property
-    def kernels(self) -> KernelLevels:
-        return KernelLevels(self.first, self.indptr, self.indices, self.data,
-                            self.rows)
-
-    @property
-    def parent_map(self):
-        return None if self.parent is None else Levels(self.parent, self.first)
+    def kernels(self) -> tuple:
+        """Kernel j, from level j to level j + 1, as a `Kernel` of its rows
+        of the block (`indices` and `data` views, `indptr` made local), a
+        tuple over levels 0..n-2.  Kept only for rqbench's tracer, which
+        sums their bytes; goes with ROADMAP item 1."""
+        first = self.first.tolist()
+        at = self.indptr[self.first[:-1]].tolist()
+        return tuple(Kernel(self.indptr[r0:r1 + 1] - e0, self.indices[e0:e1],
+                            self.data[e0:e1], (r1 - r0, r2 - r1))
+                     for r0, r1, r2, e0, e1
+                     in zip(first, first[1:], first[2:], at, at[1:]))
 
     def _validate(self):
         first, n = self.first, self.grid.n

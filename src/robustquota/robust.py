@@ -6,7 +6,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .adversary import solve_badnews_lp, tree_oracle_worst_case
-from .errors import DomainError
+from .errors import DomainError, is_real
 from .grid import LevelGrid
 from .mechanisms import FixedTaxHardQuota
 from .payoffs import PayoffSpec
@@ -45,8 +45,8 @@ def compute_joint_robust(ambiguity: Sequence[PayoffSpec],
     """Robust to payoff ambiguity as well: quota at the maximizer of the
     pointwise-min surplus envelope (its smallest maximizer), tax at the
     lowest member's slack there."""
-    if not 0.0 <= mu0 <= 1.0:
-        raise DomainError(f"prior {mu0} outside [0, 1]")
+    if not (is_real(mu0) and 0.0 <= mu0 <= 1.0):
+        raise DomainError(f"prior {mu0!r} outside [0, 1]")
     members = tuple(ambiguity)
     if not members:
         raise DomainError("ambiguity set is empty")

@@ -2,7 +2,8 @@
 mass), the agent's optimal stopping problem, principal evaluation, and seeded
 path simulation.  Everything reads the process's flat arrays whole but the
 inductions and the path walk, which step level by level, each level one
-sparse product on its rows of the kernel block, O(nnz)."""
+sparse product on its rows of the kernel block, O(nnz); a solution's values
+and stops are flat over the nodes, as the process's beliefs are."""
 
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -14,7 +15,7 @@ from .errors import (DomainError, RobustQuotaError, UnreachableLevelError,
 from .mechanisms import Mechanism, adjusted_profiles
 from .payoffs import PayoffSpec
 from . import processes
-from .processes import DiscreteLearningProcess, Levels
+from .processes import DiscreteLearningProcess
 
 
 def backward(proc: DiscreteLearningProcess, end: int, stop_payoff, forced=None,
@@ -97,10 +98,10 @@ class StoppingSolution:
     """Backward-induction solution of the agent's problem.
 
     `node_value`/`node_stop` are flat over the nodes of levels 0..end (the
-    last allowed level under the mechanism's quota), and `values`/`stop_set`
-    their per-level views; `joint` is the induced distribution over
-    (stopping belief, stopping level) as parallel arrays, with the grid index
-    of each stopping level in `joint_index`.
+    last allowed level under the mechanism's quota), node i at level j for
+    proc.first[j] <= i < proc.first[j + 1]; `joint` is the induced
+    distribution over (stopping belief, stopping level) as parallel arrays,
+    with the grid index of each stopping level in `joint_index`.
     """
 
     proc: DiscreteLearningProcess = field(repr=False)
@@ -115,14 +116,6 @@ class StoppingSolution:
     outside_option: float
     participation: bool
     mu0: float
-
-    @property
-    def values(self) -> Levels:
-        return Levels(self.node_value, self.proc.first[:self.end + 2])
-
-    @property
-    def stop_set(self) -> Levels:
-        return Levels(self.node_stop, self.proc.first[:self.end + 2])
 
 
 def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,

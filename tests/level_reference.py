@@ -1,14 +1,54 @@
 """Per-level references for the flat stopping engine: kernel products on one
 `CSRKernel` at a time, backward and forward induction level by level, and
 the agent's problem, the adaptive quota and its evaluation built on them,
-as the package computed them before its processes were stored flat; and
-`flat_process`, which stores a process given level by level."""
+as the package computed them before its processes were stored flat;
+`flat_process`, which stores a process given level by level; and
+`by_level` and `kernel`, which read one level back out of the flat arrays."""
 
 import numpy as np
 
 from robustquota import (DiscreteLearningProcess, FixedTaxHardQuota,
                          adjusted_profiles)
-from robustquota.processes import CSRKernel
+
+
+class CSRKernel:
+    """Transition kernel between consecutive levels in compressed sparse row
+    form: row i holds data[indptr[i]:indptr[i+1]] in columns
+    indices[indptr[i]:indptr[i+1]], increasing within the row.
+    `K.toarray()` is the dense matrix.
+    """
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.data = np.asarray(data, dtype=float)
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    def row_ids(self) -> np.ndarray:
+        """Row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        a = np.zeros(self.shape)
+        a[self.row_ids(), self.indices] = self.data
+        return a
+
+
+def by_level(flat, first):
+    """Per-level views of a flat node array (node values, stops or parents):
+    level j is flat[first[j]:first[j+1]]."""
+    return np.split(flat, first[1:-1])
+
+
+def kernel(proc, j):
+    """Kernel j of `proc`, from level j to level j + 1: a CSRKernel of its
+    rows of the block, `indptr` made local to them."""
+    r0, r1, r2 = proc.first[j:j + 3].tolist()
+    e0, e1 = proc.indptr[r0], proc.indptr[r1]
+    return CSRKernel(proc.indptr[r0:r1 + 1] - e0, proc.indices[e0:e1],
+                     proc.data[e0:e1], (r1 - r0, r2 - r1))
 
 
 def csr(a):
@@ -54,7 +94,7 @@ def backward_by_levels(proc, stop_payoff, forced=None, tie_eps=1e-9):
     stop_set[end] = np.ones(len(values[end]), dtype=bool)
     for j in range(end - 1, -1, -1):
         s = stop_payoff[j]
-        cont = kernel_times(proc.kernels[j], values[j + 1])
+        cont = kernel_times(kernel(proc, j), values[j + 1])
         stop_set[j] = s > cont + tie_eps
         values[j] = np.maximum(s, cont)
         if forced is not None:
@@ -70,7 +110,7 @@ def forward_by_levels(proc, stop_set):
     for j, st in enumerate(stop_set):
         stopped.append(np.where(st, mass, 0.0))
         if j + 1 < len(stop_set):
-            mass = times_kernel(np.where(st, 0.0, mass), proc.kernels[j])
+            mass = times_kernel(np.where(st, 0.0, mass), kernel(proc, j))
     return stopped
 
 
@@ -79,15 +119,16 @@ def solve_stopping_by_levels(proc, agent, m, forced=None):
     joint_mass, joint_index, root_value, participation)."""
     a1, a0 = adjusted_profiles(agent, m, "agent", proc.grid)
     end = len(a1) - 1
+    beliefs = by_level(proc.belief, proc.first)
     values, stop_set = backward_by_levels(
-        proc, [proc.beliefs[j] * a1[j] + (1.0 - proc.beliefs[j]) * a0[j]
+        proc, [beliefs[j] * a1[j] + (1.0 - beliefs[j]) * a0[j]
                for j in range(end + 1)], forced, tie_eps=1e-9)
     root_value = float(proc.root_dist @ values[0])
     participation = root_value >= float(agent.indirect(proc.mu0, 0.0)) - 1e-9
     stopped = np.concatenate(forward_by_levels(proc, stop_set))
     atoms = np.nonzero(stopped > 0)[0]
     joint_index = np.repeat(np.arange(end + 1), [len(s) for s in stop_set])[atoms]
-    joint_belief = np.concatenate(proc.beliefs[:end + 1])[atoms]
+    joint_belief = np.concatenate(beliefs[:end + 1])[atoms]
     return (values, stop_set, joint_belief, stopped[atoms], joint_index,
             root_value, participation)
 
@@ -99,9 +140,10 @@ def adaptive_quota_by_levels(tree, agent, principal):
     a1, a0 = agent.u1(grid.points), agent.u0(grid.points)
     p1, p0 = principal.u1(grid.points), principal.u0(grid.points)
     outside = float(mu0 * a1[0] + (1.0 - mu0) * a0[0])
-    U = [mu * a1[j] + (1.0 - mu) * a0[j] for j, mu in enumerate(tree.beliefs)]
+    beliefs = by_level(tree.belief, tree.first)
+    U = [mu * a1[j] + (1.0 - mu) * a0[j] for j, mu in enumerate(beliefs)]
     surplus = [(U[j] - outside) + (mu * p1[j] + (1.0 - mu) * p0[j])
-               for j, mu in enumerate(tree.beliefs)]
+               for j, mu in enumerate(beliefs)]
     values, stop_set = backward_by_levels(tree, surplus, tie_eps=0.0)
     exp_u = sum(float((m[st] * u[st]).sum()) for m, st, u
                 in zip(forward_by_levels(tree, stop_set), stop_set, U))
@@ -113,7 +155,7 @@ def evaluate_by_levels(stop_set, lam, agent_proc, agent, principal):
     planner's per-level `stop_set` forced through the parent map under a
     flat tax `lam`, valued as `principal_value` values it."""
     grid = agent_proc.grid
-    parent = agent_proc.parent_map
+    parent = by_level(agent_proc.parent, agent_proc.first)
     forced = [np.asarray(stop_set[j])[parent[j]] for j in range(grid.n)]
     m = FixedTaxHardQuota(lam, grid.l_max)
     *_, belief, mass, idx, _, participation = solve_stopping_by_levels(

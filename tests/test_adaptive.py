@@ -14,8 +14,8 @@ from robustquota import (AlignmentError, BinaryExperiment, DomainError,
 from robustquota.adaptive import random_experiment
 
 from level_reference import (adaptive_quota_by_levels, backward_by_levels,
-                             evaluate_by_levels, forward_by_levels,
-                             times_kernel)
+                             by_level, evaluate_by_levels, forward_by_levels,
+                             kernel, times_kernel)
 
 AGENT, PRINCIPAL = quadratic_pair(1.0, 1.0, 1.0)
 GRID = LevelGrid(2.0, 9)
@@ -26,7 +26,7 @@ def test_degenerate_tree_reproduces_static_bitwise():
     static = compute_robust(AGENT, PRINCIPAL, 0.6, grid)
     pol = solve_adaptive_quota(no_learning(0.6, grid), AGENT, PRINCIPAL)
     first_stop = next(grid.points[j] for j in range(grid.n)
-                      if pol.stop_set[j][0])
+                      if pol.node_stop[pol.tree.first[j]])
     assert first_stop == static.L_star
     assert pol.lambda_adaptive == static.lambda_star
     assert pol.value == static.guarantee
@@ -45,9 +45,10 @@ def test_full_revelation_tree_decouples():
     pol = solve_adaptive_quota(tree, AGENT, PRINCIPAL)
     # good branch: maximize U(1,.) + V(1,.) = 2l (monotone) -> stop at l_max;
     # bad branch: U(0,.) + V(0,.) - U(mu0, 0) peaks at 0
-    assert pol.stop_set[0][0]            # belief-0 node stops immediately
-    assert not pol.stop_set[0][1]
-    assert all(not pol.stop_set[j][1] for j in range(GRID.n - 1))
+    stops = by_level(pol.node_stop, tree.first)
+    assert stops[0][0]                   # belief-0 node stops immediately
+    assert not stops[0][1]
+    assert all(not stops[j][1] for j in range(GRID.n - 1))
 
 
 def test_evaluate_on_tree_itself_matches_dp():
@@ -62,17 +63,18 @@ def test_uninformative_experiment_returns_tree():
     ref = refine_process(tree, BinaryExperiment(0.5, 0.5, (1, 2)))
     for a, b in zip(ref.beliefs, tree.beliefs):
         assert np.array_equal(a, b)
-    assert ref.parent_map is not None
+    assert ref.parent is not None
 
 
 def test_refinement_is_valid_and_aligned():
     tree = binomial_tree(0.6, GRID)
     ref = refine_process(tree, BinaryExperiment(0.8, 0.3, (0, 3)))
     # constructor validation enforces the martingale; check alignment shape
-    assert len(ref.parent_map) == GRID.n
+    parent = by_level(ref.parent, ref.first)
+    assert len(parent) == GRID.n
     for j in range(GRID.n):
-        assert len(ref.parent_map[j]) == len(ref.beliefs[j])
-        assert ref.parent_map[j].max() < len(tree.beliefs[j])
+        assert len(parent[j]) == len(ref.beliefs[j])
+        assert parent[j].max() < len(tree.beliefs[j])
 
 
 def test_full_revelation_experiment_reveals_state():
@@ -133,11 +135,12 @@ def test_refinement_projects_onto_tree(seed, n, mu0, p, q, levels):
     tree = random_tree(mu0, grid, seed)
     ref = refine_process(tree, BinaryExperiment(p, q, tuple(l % n for l in levels)))
     tree_mass, ref_mass = tree.root_dist, ref.root_dist
+    parent = by_level(ref.parent, ref.first)
     for j in range(n):
         if j:
-            tree_mass = times_kernel(tree_mass, tree.kernels[j - 1])
-            ref_mass = times_kernel(ref_mass, ref.kernels[j - 1])
-        proj = np.bincount(ref.parent_map[j], weights=ref_mass,
+            tree_mass = times_kernel(tree_mass, kernel(tree, j - 1))
+            ref_mass = times_kernel(ref_mass, kernel(ref, j - 1))
+        proj = np.bincount(parent[j], weights=ref_mass,
                            minlength=len(tree_mass))
         np.testing.assert_allclose(proj, tree_mass, rtol=0, atol=1e-12)
     pol = solve_adaptive_quota(tree, AGENT, PRINCIPAL)
@@ -178,7 +181,7 @@ def _refine_by_loops(tree, p, q, levels):
     for j in range(n - 1):
         s, sn = m_at[j] + 1, m_at[j + 1] + 1
         K = np.zeros((len(beliefs[j]), len(beliefs[j + 1])))
-        base = tree.kernels[j].toarray()
+        base = kernel(tree, j).toarray()
         for i, b in enumerate(tree.beliefs[j]):
             for w in range(s):
                 mu = beliefs[j][i * s + w]
@@ -210,9 +213,10 @@ def test_refinement_matches_loop_reference_bitwise(make_tree, p, q, levels):
     tree = make_tree(GRID)
     ref = refine_process(tree, BinaryExperiment(p, q, levels))
     beliefs, kernels, root, parent = _refine_by_loops(tree, p, q, levels)
-    got_kernels = [k.toarray() for k in ref.kernels]
+    got_kernels = [kernel(ref, j).toarray() for j in range(ref.grid.n - 1)]
     for got, want in [(ref.beliefs, beliefs), (got_kernels, kernels),
-                      ((ref.root_dist,), (root,)), (ref.parent_map, parent)]:
+                      ((ref.root_dist,), (root,)),
+                      (by_level(ref.parent, ref.first), parent)]:
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -265,7 +269,8 @@ def _loop_evaluate(policy, agent_proc, agent, principal):
     the participation test against U(mu0, 0) and the principal's value
     summed level by level."""
     grid = agent_proc.grid
-    parent = agent_proc.parent_map
+    parent = by_level(agent_proc.parent, agent_proc.first)
+    planner_stops = by_level(policy.node_stop, policy.tree.first)
     mu0 = agent_proc.mu0
     lam = policy.lambda_adaptive
     a1, a0 = agent.u1(grid.points), agent.u0(grid.points)
@@ -274,7 +279,7 @@ def _loop_evaluate(policy, agent_proc, agent, principal):
 
     stop_u = [mu * a1[j] + (1.0 - mu) * a0[j] - lam
               for j, mu in enumerate(agent_proc.beliefs)]
-    forced = [np.asarray(policy.stop_set[j])[parent[j]] for j in range(grid.n)]
+    forced = [planner_stops[j][parent[j]] for j in range(grid.n)]
     values, stops = backward_by_levels(agent_proc, stop_u, forced, tie_eps=1e-9)
     if float(agent_proc.root_dist @ values[0]) < outside - 1e-9:
         return float(mu0 * p1[0] + (1.0 - mu0) * p0[0])
@@ -344,7 +349,8 @@ def test_adaptive_quota_and_evaluation_match_per_level_reference_bitwise(
             else random_tree(mu0, grid, seed)
         pol = solve_adaptive_quota(tree, agent, principal)
         stop_set, lam, value = adaptive_quota_by_levels(tree, agent, principal)
-        for a, b in zip(pol.stop_set, stop_set, strict=True):
+        for a, b in zip(by_level(pol.node_stop, tree.first), stop_set,
+                        strict=True):
             assert a.tobytes() == b.tobytes()
         assert (pol.lambda_adaptive, pol.value) == (lam, value)
         ref = refine_process(tree, BinaryExperiment(
@@ -375,8 +381,8 @@ def test_declining_agent_leaves_principal_outside_option():
     ref = refine_process(tree, BinaryExperiment(0.8, 0.3, (0, 3)))
     outside = PRINCIPAL.indirect(0.6, 0.0)
     assert evaluate_adaptive(pol, ref, AGENT, PRINCIPAL) != outside
-    forced = np.concatenate([pol.stop_set[j][ref.parent_map[j]]
-                             for j in range(GRID.n)])
+    forced = np.concatenate([s[p] for s, p in zip(
+        by_level(pol.node_stop, tree.first), by_level(ref.parent, ref.first))])
     lam = pol.lambda_adaptive
     while True:
         lam += 0.05

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robustquota import (CRRA, BudgetExceededError, ConditionViolatedError,
-                         DomainError, Exponential, FixedTaxHardQuota,
-                         InfeasibleLPError, IterationLimitError, LevelGrid,
-                         Linear, RobustQuotaError, Tabulated,
-                         TabulatedMechanism, Zero, cara_pair, compute_robust,
+from robustquota import (CARA, CRRA, BudgetExceededError,
+                         ConditionViolatedError, DomainError, Exponential,
+                         FixedTaxHardQuota, InfeasibleLPError,
+                         IterationLimitError, LevelGrid, Linear,
+                         RobustQuotaError, Tabulated, TabulatedMechanism, Zero,
+                         cara_pair, compute_joint_robust, compute_robust,
                          quadratic_pair, verify_guarantee)
 from robustquota import adversary
 from robustquota.adversary import (badnews_value, indifference_G, payoff_gap,
@@ -408,6 +409,40 @@ def test_default_route_refuses_uncertified_highs_dual():
     agent, principal = cara_pair(2.7, 0.5)
     with pytest.raises(ConditionViolatedError, match="not dual feasible"):
         solve_badnews_lp(agent, principal, Zero(), LevelGrid(8.0, 45), 0.7)
+
+
+def test_certificate_sums_near_the_float_range_stay_finite():
+    """Every payoff is finite (3.542 * 200 = 708.4 < 709.78), but the
+    sizes the reduced costs are held to once summed past 1.8e308 with an
+    overflow warning; HiGHS's multipliers are refused as not dual feasible,
+    with no warning."""
+    with pytest.raises(ConditionViolatedError, match="not dual feasible"):
+        solve_badnews_lp(CARA(1.133), CARA(3.542), Zero(),
+                         LevelGrid(200.0, 523), 0.610)
+
+
+_AGENT, _PRINCIPAL = cara_pair(1.0, 3.0)
+_GRID = LevelGrid(2.0, 9)
+
+
+@pytest.mark.parametrize("prior", ["0.6", None], ids=["str", "none"])
+@pytest.mark.parametrize("call", [
+    lambda mu0: solve_badnews_lp(_AGENT, _PRINCIPAL, Zero(), _GRID, mu0),
+    lambda mu0: indifference_G(_AGENT, Zero(), _GRID, mu0, _PRINCIPAL),
+    lambda mu0: compute_joint_robust((_AGENT,), _PRINCIPAL, mu0, _GRID),
+    lambda mu0: compute_robust(_AGENT, _PRINCIPAL, mu0, _GRID),
+    lambda mu0: payoff_gap(Zero(), _AGENT, _PRINCIPAL, _GRID, mu0),
+    lambda mu0: tree_oracle_worst_case(_AGENT, _PRINCIPAL, Zero(),
+                                       LevelGrid(2.0, 3), [0.0, 1.0], mu0),
+    lambda mu0: BadNewsProcess(_GRID, [0.4] + [0.0] * 8, mu0)],
+    ids=["solve_badnews_lp", "indifference_G", "compute_joint_robust",
+         "compute_robust", "payoff_gap", "tree_oracle_worst_case",
+         "BadNewsProcess"])
+def test_prior_that_is_not_a_real_number_is_a_domain_error(call, prior):
+    """A prior given as a string or None is refused with DomainError, as
+    the tree builders refuse it, not a bare TypeError from a comparison."""
+    with pytest.raises(DomainError, match="prior"):
+        call(prior)
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,7 @@ from robustquota import (BadNewsProcess, DomainError, EmptyMechanismError,
 from robustquota.adversary import badnews_value, indifference_G
 
 from badnews_tree import bad_news_tree
-from level_reference import times_kernel
+from level_reference import kernel, times_kernel
 
 GRID = LevelGrid(2.0, 41)
 
@@ -60,7 +60,7 @@ def test_to_process_reproduces_beliefs_and_mass():
     # surviving mass after j steps equals 1 - G_j
     mass = proc.root_dist.copy()
     for j in range(GRID.n - 1):
-        mass = times_kernel(mass, proc.kernels[j])
+        mass = times_kernel(mass, kernel(proc, j))
         assert mass[1] == pytest.approx(1.0 - bn.G[j + 1])
 
 

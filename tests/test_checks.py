@@ -230,7 +230,7 @@ def test_one_shot_pieces_refuse_an_empty_mechanism():
         _one_shot_pieces(*adjusted_profiles(CARA(1.0), m, "agent", grid))
 
 
-@pytest.mark.parametrize("mu", [np.nan, 1.5, -0.5])
+@pytest.mark.parametrize("mu", [np.nan, 1.5, -0.5, "abc"])
 def test_one_shot_levels_refuse_beliefs_outside_unit_interval(mu):
     p = CARA(1.0)
     with pytest.raises(DomainError):

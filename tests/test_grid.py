@@ -44,3 +44,12 @@ def test_integral_float_size_is_stored_as_int():
 def test_belief_grid_endpoints():
     mus = belief_grid(11)
     assert mus[0] == 0.0 and mus[-1] == 1.0 and len(mus) == 11
+    assert belief_grid(1001).tobytes() == np.linspace(0.0, 1.0, 1001).tobytes()
+
+
+@pytest.mark.parametrize("n", ["5", 2.5, None, np.nan])
+def test_belief_grid_refuses_what_level_grid_refuses(n):
+    """A size that is not an integer above 1 raises DomainError: a string
+    is not a bare TypeError, and 2.5 is not truncated to 2 points."""
+    with pytest.raises(DomainError):
+        belief_grid(n)

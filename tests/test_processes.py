@@ -12,7 +12,8 @@ from robustquota import (BinaryExperiment, DiscreteLearningProcess,
                          solve_stopping)
 from robustquota import processes
 
-from level_reference import csr, flat_process, kernel_times, times_kernel
+from level_reference import (by_level, csr, flat_process, kernel,
+                             kernel_times, times_kernel)
 
 GRID = LevelGrid(1.0, 5)
 
@@ -115,7 +116,7 @@ def test_random_tree_is_valid_martingale(seed, mu0):
     for j in range(p.grid.n):
         assert float(mass @ p.beliefs[j]) == pytest.approx(mu0, abs=1e-9)
         if j < p.grid.n - 1:
-            mass = times_kernel(mass, p.kernels[j])
+            mass = times_kernel(mass, kernel(p, j))
 
 
 def _assert_same_tree(got, want):
@@ -209,26 +210,40 @@ def test_tree_builders_refuse_arguments_of_the_wrong_type(build):
 
 
 def test_levels_are_views_of_the_flat_arrays():
-    """beliefs[j], kernels[j] and parent_map[j] read the process's flat
-    arrays without a copy; negative indices and slices work per level."""
+    """beliefs[j] and kernels[j], the two views rqbench's tracer reads, read
+    the flat arrays of a tree and of a refinement without a copy: a list of
+    every level's nodes, and a tuple of every kernel's rows of the block
+    with indptr made local, whose bytes are the block's data and indices
+    plus one indptr entry per row and one per kernel."""
     tree = binomial_tree(0.6, GRID)
     parent = np.concatenate([np.arange(j + 1) for j in range(GRID.n)])
-    ref = DiscreteLearningProcess(GRID, tree.first, tree.belief, tree.indptr,
-                                  tree.indices, tree.data, tree.root_dist,
-                                  tree.mu0, parent)
-    assert ref.belief is tree.belief and ref.data is tree.data
-    for j in range(GRID.n):
-        assert np.shares_memory(ref.beliefs[j], tree.belief)
-        assert np.shares_memory(ref.parent_map[j], ref.parent)
-    for j in range(GRID.n - 1):
-        k = ref.kernels[j]
-        assert np.shares_memory(k.data, ref.data)
-        assert np.shares_memory(k.indices, ref.indices)
-        assert np.array_equal(k.toarray(), tree.kernels[j].toarray())
-    assert ref.beliefs[-1].tolist() == tree.beliefs[GRID.n - 1].tolist()
-    assert [b.size for b in ref.beliefs[1:3]] == [2, 3]
-    with pytest.raises(IndexError):
-        ref.kernels[GRID.n - 1]
+    same = DiscreteLearningProcess(GRID, tree.first, tree.belief, tree.indptr,
+                                   tree.indices, tree.data, tree.root_dist,
+                                   tree.mu0, parent)
+    assert same.belief is tree.belief and same.data is tree.data
+    assert same.beliefs[-1].tolist() == tree.belief[tree.first[-2]:].tolist()
+    assert [b.size for b in same.beliefs[1:3]] == [2, 3]
+    ref = refine_process(tree, BinaryExperiment(0.8, 0.3, (0, 3)))
+    for p in (same, ref):
+        n = p.grid.n
+        assert type(p.beliefs) is list and type(p.kernels) is tuple
+        for b, want in zip(p.beliefs, by_level(p.belief, p.first), strict=True):
+            assert np.shares_memory(b, p.belief)
+            assert b.tobytes() == want.tobytes()
+        assert sum(len(b) for b in p.beliefs) == p.belief.size
+        for j, k in enumerate(p.kernels):
+            assert np.shares_memory(k.data, p.data)
+            assert np.shares_memory(k.indices, p.indices)
+            want = kernel(p, j)
+            assert k.shape == want.shape
+            for f in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(k, f), getattr(want, f))
+        assert len(p.kernels) == n - 1
+        assert sum(k.data.nbytes + k.indices.nbytes + k.indptr.nbytes
+                   for k in p.kernels) == p.data.nbytes + p.indices.nbytes \
+            + p.indptr.itemsize * (p.first[n - 1] + n - 1)
+        with pytest.raises(IndexError):
+            p.kernels[n - 1]
 
 
 def test_parent_map_must_match_the_levels_node_for_node():
@@ -294,14 +309,15 @@ def test_flat_input_is_rebuilt_as_stored_and_corruption_is_refused(data):
     parent = np.zeros(p.belief.size, dtype=np.intp) if p.parent is None \
         else p.parent
     q = _rebuild(p, parent=parent)
-    for a, b in zip((*q.beliefs, *q.parent_map),
+    for a, b in zip((*q.beliefs, *by_level(q.parent, q.first)),
                     (*p.beliefs, *np.split(parent, p.first[1:-1])),
                     strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     for a, b in zip(q.kernels, p.kernels, strict=True):
         assert a.shape == b.shape
-        for f in ("indptr", "indices", "data", "_rows"):
+        for f in ("indptr", "indices", "data"):
             assert getattr(a, f).tobytes() == getattr(b, f).tobytes()
+    assert q.rows.tobytes() == p.rows.tobytes()
     order = ["drop", "swap", "shift", "float"]
     for field, base, moves in [("first", p.first, order),
                                ("indptr", p.indptr, order),
@@ -355,7 +371,7 @@ def test_binomial_tree_past_float_odds():
         warnings.simplefilter("error", RuntimeWarning)
         p = binomial_tree(0.6, grid, 0.7, 0.3)
         sol = solve_stopping(p, quadratic_pair(1.0, 1.0, 1.0)[0], Zero())
-    assert all(np.isfinite(v).all() for v in sol.values)
+    assert np.isfinite(sol.node_value).all()
     assert p.beliefs[-1][-1] == 1.0 and p.beliefs[-1][0] < 1.0
     for j in range(800):
         u = np.arange(j + 1)
@@ -371,11 +387,12 @@ def test_binomial_tree_past_float_odds():
     lambda g: binomial_tree(0.6, g), lambda g: random_tree(0.6, g, 3)],
     ids=["binomial", "random"])
 def test_validated_kernels_keep_their_row_ids(monkeypatch, make, chunk):
-    """Validation builds each entry's row for its checks and leaves it on the
-    kernel, so row_ids() builds nothing; with CHUNK at 5 entries it does so
-    over many runs of levels."""
+    """Validation builds each entry's row for its checks and keeps it in
+    `rows`, local to the entry's level, for backward and forward to read;
+    with CHUNK at 5 entries it does so over many runs of levels."""
     monkeypatch.setattr(processes, "CHUNK", chunk)
-    for k in make(LevelGrid(1.0, 7)).kernels:
-        want = np.repeat(np.arange(k.shape[0]), np.diff(k.indptr))
-        assert k._rows is not None
-        assert k._rows.dtype == want.dtype and np.array_equal(k._rows, want)
+    p = make(LevelGrid(1.0, 7))
+    want = np.concatenate([
+        np.repeat(np.arange(r1 - r0), np.diff(p.indptr[r0:r1 + 1]))
+        for r0, r1 in zip(p.first[:-2], p.first[1:-1])])
+    assert p.rows.dtype == want.dtype and np.array_equal(p.rows, want)

@@ -18,8 +18,8 @@ from robustquota.adversary import indifference_G
 from robustquota.stopping import backward, forward
 
 from badnews_tree import bad_news_tree
-from level_reference import (backward_by_levels, forward_by_levels,
-                             solve_stopping_by_levels)
+from level_reference import (backward_by_levels, by_level, forward_by_levels,
+                             kernel, solve_stopping_by_levels)
 
 
 def test_no_learning_under_robust_mechanism_binds():
@@ -230,8 +230,10 @@ def test_solve_stopping_matches_per_level_reference_bitwise(
     sol = solve_stopping(proc, agent, m, forced)
     values, stop_set, belief, mass, idx, root, part = \
         solve_stopping_by_levels(proc, agent, m, forced if forced is None
-                                 else np.split(forced, proc.first[1:-1]))
-    for got, want in [(sol.values, values), (sol.stop_set, stop_set),
+                                 else by_level(forced, proc.first))
+    first = proc.first[:sol.end + 2]
+    for got, want in [(by_level(sol.node_value, first), values),
+                      (by_level(sol.node_stop, first), stop_set),
                       ((sol.joint_belief, sol.joint_mass, sol.joint_index),
                        (belief, mass, idx))]:
         for a, b in zip(got, want, strict=True):
@@ -268,14 +270,16 @@ def _simulate_by_paths(proc, sol, n_paths, seed):
     turn, as scalar draws from one `Generator(Philox(key=seed))`, and
     searches the dense row CDF at every step."""
     root_cdf = np.cumsum(proc.root_dist)
-    kernel_cdfs = [np.cumsum(k.toarray(), axis=1) for k in proc.kernels]
+    kernel_cdfs = [np.cumsum(kernel(proc, j).toarray(), axis=1)
+                   for j in range(proc.grid.n - 1)]
+    stops = by_level(sol.node_stop, proc.first[:sol.end + 2])
     rng = np.random.Generator(np.random.Philox(key=seed))
     counts = {}
     for _ in range(n_paths):
         u = iter([rng.random() for _ in range(sol.end + 1)])
         node = int(np.searchsorted(root_cdf, next(u)))
         j = 0
-        while not sol.stop_set[j][node]:
+        while not stops[j][node]:
             node = int(np.searchsorted(kernel_cdfs[j][node], next(u)))
             j += 1
         key = (float(proc.grid.points[j]), float(proc.beliefs[j][node]))
