@@ -242,7 +242,7 @@ def refine_process(tree: DiscreteLearningProcess,
         data[o0:o1] /= rs[rows]
 
     # a block per run of levels and signal count
-    for j0, j1 in level_runs(sizes + np.append(nnz, 0)):
+    for j0, j1 in level_runs(np.cumsum(sizes + np.append(nnz, 0)).tolist()):
         cuts = [j0, *(np.flatnonzero(fires[j0 + 1:j1]) + j0 + 1).tolist(), j1]
         for c0, c1 in zip(cuts, cuts[1:]):
             block(c0, c1)
@@ -289,7 +289,7 @@ def evaluate_adaptive(policy: AdaptivePolicy, agent_proc: DiscreteLearningProces
         # time
         sizes = np.diff(first)
         forced = np.empty(first[-1], dtype=bool)
-        for j0, j1 in level_runs(sizes):
+        for j0, j1 in level_runs(first[1:].tolist()):
             planner = parent[first[j0]:first[j1]] \
                 + np.repeat(t_first[j0:j1], sizes[j0:j1])
             forced[first[j0]:first[j1]] = policy.node_stop[planner]

@@ -32,14 +32,14 @@ CHUNK = 1 << 16
 Kernel = namedtuple("Kernel", "indptr indices data shape")
 
 
-def level_runs(sizes):
+def level_runs(ends):
     """Runs [j0, j1) of consecutive levels whose sizes add up to at most
-    CHUNK, or a single level that alone holds more."""
-    ends = np.cumsum(sizes)
+    CHUNK, or a single level that alone holds more; `ends` lists the size of
+    levels 0..j together for each level j."""
     j0 = 0
     while j0 < len(ends):
         base = ends[j0 - 1] if j0 else 0
-        j1 = max(j0 + 1, int(np.searchsorted(ends, base + CHUNK, side="right")))
+        j1 = max(j0 + 1, bisect_right(ends, base + CHUNK))
         yield j0, j1
         j0 = j1
 
@@ -130,7 +130,7 @@ class DiscreteLearningProcess:
         self.rows = np.empty(self.data.size, dtype=np.intp)
         at = self.indptr[first[:n]]             # first entry of each kernel
         nnz = at[1:] - at[:-1]
-        for j0, j1 in level_runs(nnz):
+        for j0, j1 in level_runs(at[1:].tolist()):
             self._validate_run(j0, j1, nnz[j0:j1])
 
     def _validate_run(self, j0, j1, nnz):

@@ -1,9 +1,12 @@
 """The layered-DAG stopping engine (backward induction and forward stopped
 mass), the agent's optimal stopping problem, principal evaluation, and seeded
 path simulation.  Everything reads the process's flat arrays whole but the
-inductions and the path walk, which step level by level, each level one
-sparse product on its rows of the kernel block, O(nnz); a solution's values
-and stops are flat over the nodes, as the process's beliefs are."""
+inductions and the path walk, which step level by level.  A level of an
+induction carries only its recursion, one sparse product on its rows of the
+kernel block, O(nnz): `backward` compares for its stops after its loop, and
+`forward` zeroes the weights of stopping rows once per run of levels and
+sums its weighted total after its loop.  A solution's values and stops are
+flat over the nodes, as the process's beliefs are."""
 
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -26,29 +29,35 @@ def backward(proc: DiscreteLearningProcess, end: int, stop_payoff, forced=None,
     A node stops when its stop payoff beats the expected value of the next
     level by more than tie_eps, so ties go to continuing.  `forced` (a
     boolean per node) stops nodes regardless of the comparison and values
-    them at the stop payoff.  The last level is a forced stop.  Each level
-    is one gather, multiply and bincount on its rows of the kernel block.
-    Returns the flat (values, stop) arrays.
+    them at the stop payoff.  The last level is a forced stop.  A level
+    carries only the recursion: its continuation, one gather, multiply and
+    bincount on its rows of the kernel block, -inf at forced nodes, and its
+    values, the larger of stop payoff and continuation.  The continuations
+    are kept in one flat array and the stops are one comparison against
+    them after the loop.  Returns the flat (values, stop) arrays.
     """
     first = proc.first[:end + 2]
     at = proc.indptr[first[:-1]].tolist()      # first entry of each level
     first = first.tolist()
     rows, data, indices = proc.rows, proc.data, proc.indices
     values = np.empty(first[end + 1])
-    stop = np.ones(values.size, dtype=bool)
     values[first[end]:] = stop_payoff[first[end]:]
+    cont = np.empty(first[end])                 # the continuations
     for j in range(end - 1, -1, -1):
         r0, r1, r2 = first[j:j + 3]
         e = slice(at[j], at[j + 1])
-        s = stop_payoff[r0:r1]
-        cont = np.bincount(rows[e], weights=data[e] * values[r1:r2][indices[e]],
-                           minlength=r1 - r0)
-        np.greater(s, cont + tie_eps, out=stop[r0:r1])
-        np.maximum(s, cont, out=values[r0:r1])
+        c = np.bincount(rows[e], weights=data[e] * values[r1:r2][indices[e]],
+                        minlength=r1 - r0)
         if forced is not None:
-            f = forced[r0:r1]
-            stop[r0:r1] |= f
-            np.copyto(values[r0:r1], s, where=f)
+            c[forced[r0:r1]] = -np.inf
+        np.maximum(stop_payoff[r0:r1], c, out=values[r0:r1])
+        cont[r0:r1] = c
+    cont += tie_eps
+    stop = np.empty(values.size, dtype=bool)
+    np.greater(stop_payoff[:first[end]], cont, out=stop[:first[end]])
+    stop[first[end]:] = True
+    if forced is not None:
+        stop |= forced[:values.size]     # also at a -inf or NaN stop payoff
     return values, stop
 
 
@@ -57,26 +66,45 @@ def forward(proc: DiscreteLearningProcess, end: int, stop, weight=None):
     nodes), a flat array like `stop`, pushed from the root distribution
     through the kernels.  With a flat `weight` it also returns the sum over
     the levels, in turn, of each level's stopped mass times weight, summed
-    over its stopping nodes."""
+    over its stopping nodes.
+
+    Before each run of levels (`processes.level_runs` over their entries),
+    the kernel weights of the rows that stop are set to zero, so a level
+    carries only the push: one gather, multiply and bincount.  The weighted
+    total is summed after the loop, each level's terms on their own."""
     first = proc.first[:end + 2]
-    at = proc.indptr[first[:-1]].tolist()      # first entry of each level
-    first = first.tolist()
-    rows, data, indices = proc.rows, proc.data, proc.indices
+    indptr, rows, data, indices = proc.indptr, proc.rows, proc.data, proc.indices
+    at = indptr[first[:-1]]                     # first entry of each level
+    go = ~stop
     stopped = np.empty(stop.size)       # the mass reaching each node, ...
-    total = 0
     mass = proc.root_dist
-    for j in range(end + 1):
-        r0, r1 = first[j], first[j + 1]
-        st = stop[r0:r1]
-        stopped[r0:r1] = mass
-        if weight is not None:
-            total += float((mass[st] * weight[r0:r1][st]).sum())
-        if j < end:
-            e = slice(at[j], at[j + 1])
-            mass = np.bincount(indices[e], weights=np.where(st, 0.0, mass)[rows[e]]
-                               * data[e], minlength=first[j + 2] - r1)
-    stopped[~stop] = 0.0                # ... zero where it continues
-    return stopped if weight is None else (stopped, total)
+    f, a = first.tolist(), at.tolist()
+    for j0, j1 in processes.level_runs(a[1:]):
+        r0, r1, e0, e1 = f[j0], f[j1], a[j0], a[j1]
+        # the run's kernel weights, zero in the rows that stop
+        moves = data[e0:e1] * go[r0:r1].repeat(indptr[r0 + 1:r1 + 1]
+                                               - indptr[r0:r1])
+        masses = []
+        for j in range(j0, j1):
+            masses.append(mass)
+            e = slice(a[j], a[j + 1])
+            mass = np.bincount(indices[e], weights=mass[rows[e]]
+                               * moves[a[j] - e0:a[j + 1] - e0],
+                               minlength=f[j + 2] - f[j + 1])
+        np.concatenate(masses, out=stopped[r0:r1])
+    stopped[f[end]:] = mass
+    stopped[go] = 0.0                   # ... zero where it continues
+    if weight is None:
+        return stopped
+    # each level's products over its stopping nodes, contiguous and in node
+    # order, summed alone and then in level order
+    idx = np.flatnonzero(stop)
+    terms = stopped[idx] * weight[idx]
+    ends = idx.searchsorted(first[1:]).tolist()
+    total = 0.0
+    for t0, t1 in zip([0] + ends, ends):
+        total += float(terms[t0:t1].sum())
+    return stopped, total
 
 
 def node_payoff(proc: DiscreteLearningProcess, end: int, x1, x0):

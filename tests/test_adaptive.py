@@ -230,8 +230,8 @@ def test_refinement_over_several_level_runs_matches_loop_reference(
     its levels at offsets; they still equal the loop reference bitwise."""
     runs = []
 
-    def recorded(sizes):
-        for run in processes.level_runs(sizes):
+    def recorded(ends):
+        for run in processes.level_runs(ends):
             runs.append(run)
             yield run
 
@@ -359,6 +359,29 @@ def test_adaptive_quota_and_evaluation_match_per_level_reference_bitwise(
             evaluate_by_levels(stop_set, lam, ref, agent, principal)
 
 
+@pytest.mark.parametrize("n", [101, 151])
+@pytest.mark.parametrize("mu0", [0.55, 0.7])
+@pytest.mark.parametrize("pair", [quadratic_pair(1.0, 1.0, 1.0),
+                                  cara_pair(1.0, 3.0)],
+                         ids=["quadratic", "cara"])
+def test_adaptive_quota_and_evaluation_match_reference_bitwise_at_trees_sizes(
+        n, mu0, pair):
+    """As the property above, on binomial trees of the benchmark's sizes:
+    levels of up to n stopping nodes, whose weighted sums for the tax run
+    through numpy's unrolled and blocked pairwise summation, and
+    refinements with one and two signal levels."""
+    agent, principal = pair
+    tree = binomial_tree(mu0, LevelGrid(2.0, n), 0.7, 0.3)
+    pol = solve_adaptive_quota(tree, agent, principal)
+    stop_set, lam, value = adaptive_quota_by_levels(tree, agent, principal)
+    assert pol.node_stop.tobytes() == np.concatenate(stop_set).tobytes()
+    assert (pol.lambda_adaptive, pol.value) == (lam, value)
+    for levels in ((n // 2,), (n // 4, 3 * n // 4)):
+        ref = refine_process(tree, BinaryExperiment(0.7, 0.3, levels))
+        assert evaluate_adaptive(pol, ref, agent, principal) == \
+            evaluate_by_levels(stop_set, lam, ref, agent, principal)
+
+
 def test_evaluate_refuses_a_parent_map_off_the_tree():
     tree = binomial_tree(0.6, GRID)
     pol = solve_adaptive_quota(tree, AGENT, PRINCIPAL)
@@ -399,11 +422,12 @@ def test_declining_agent_leaves_principal_outside_option():
 
 def test_adaptive_pipeline_at_1001_levels_within_memory_budget():
     """The n=1001 binomial tree, its planner DP and one two-signal refinement
-    (1.19 M agent nodes) with its evaluation peak at 141.3 MB under
+    (1.19 M agent nodes) with its evaluation peak at 149.6 MB under
     tracemalloc with the levels stored flat (dense kernels would take 2.7 GB
     for the tree and 18 GB for the refinement); the evaluation sets the
-    peak, and building the refinement, whose validation keeps each entry's
-    row, peaks at 120.8 MB.  The budget leaves about 25% headroom."""
+    peak, backward's continuations (one float per agent node) included,
+    and building the refinement, whose validation keeps each entry's row,
+    peaks at 120.5 MB.  The budget leaves about 20% headroom."""
     grid = LevelGrid(2.0, 1001)
     tracemalloc.start()
     try:
