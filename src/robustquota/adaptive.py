@@ -1,7 +1,8 @@
 """Adaptive quotas on principal belief trees: DP stopping rule, the adaptive
 fixed tax, and evaluation against agent processes that refine the tree.
 Refined processes are written straight into flat arrays, in O(nnz), and
-the planner's stops are one flat mask over the tree's nodes."""
+the planner's stops are one flat mask over the tree's nodes.  The tax sums
+`stopping.forward`'s stopped mass; a refinement shares the tree's grid."""
 
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -31,7 +32,6 @@ class AdaptivePolicy:
     node_stop: np.ndarray = field(repr=False)
     lambda_adaptive: float
     value: float
-    mu0: float
 
 
 def solve_adaptive_quota(tree: DiscreteLearningProcess, agent: PayoffSpec,
@@ -56,9 +56,16 @@ def solve_adaptive_quota(tree: DiscreteLearningProcess, agent: PayoffSpec,
 
     values, stop = backward(tree, end, surplus, tie_eps=0.0)
     value = float(tree.root_dist @ values[:tree.first[1]])
-    # lambda = E[U at stopping] - U(mu0, 0)
-    _, exp_u = forward(tree, end, stop, U)
-    return AdaptivePolicy(tree, stop, exp_u - outside, value, mu0)
+    # lambda = E[U at stopping] - U(mu0, 0): each level's products over its
+    # stopping nodes summed alone, then in level order
+    stopped = forward(tree, end, stop)
+    idx = np.flatnonzero(stop)
+    terms = stopped[idx] * U[idx]
+    ends = idx.searchsorted(tree.first[1:]).tolist()
+    exp_u = 0.0
+    for t0, t1 in zip([0] + ends, ends):
+        exp_u += float(terms[t0:t1].sum())
+    return AdaptivePolicy(tree, stop, exp_u - outside, value)
 
 
 @dataclass(frozen=True)
@@ -269,8 +276,7 @@ def evaluate_adaptive(policy: AdaptivePolicy, agent_proc: DiscreteLearningProces
     planner node stops is a forced stop.  The agent's ties within 1e-9 go
     to continuing, and it participates unless it loses more than 1e-9."""
     tree = policy.tree
-    grid = agent_proc.grid
-    if grid.n != tree.grid.n or abs(grid.l_max - tree.grid.l_max) > 1e-12:
+    if agent_proc.grid != tree.grid:
         raise AlignmentError("agent process and planner tree use different grids")
     first, t_first = agent_proc.first, tree.first
     parent = agent_proc.parent
@@ -294,6 +300,6 @@ def evaluate_adaptive(policy: AdaptivePolicy, agent_proc: DiscreteLearningProces
                 + np.repeat(t_first[j0:j1], sizes[j0:j1])
             forced[first[j0]:first[j1]] = policy.node_stop[planner]
 
-    m = FixedTaxHardQuota(policy.lambda_adaptive, grid.l_max)
+    m = FixedTaxHardQuota(policy.lambda_adaptive, tree.grid.l_max)
     sol = solve_stopping(agent_proc, agent, m, forced)
     return principal_value(sol, principal, m)

@@ -472,8 +472,7 @@ class GapResult:
     delta: float
     guarantee: float
     worst_value: float
-    route: str                  # "badnews_lp" or "tree_oracle"
-    premise_ok: bool
+    route: str      # "badnews_lp", or "tree_oracle" where the premise fails
 
 
 def payoff_gap(m: Mechanism, agent: PayoffSpec, principal: PayoffSpec,
@@ -487,7 +486,7 @@ def payoff_gap(m: Mechanism, agent: PayoffSpec, principal: PayoffSpec,
     lp = solve_badnews_lp(agent, principal, m, grid, mu0)
     if lp.premise_ok:
         return GapResult(guarantee - lp.value, guarantee, lp.value,
-                         "badnews_lp", True)
+                         "badnews_lp")
     # earlier-stopping premise failed (never with one allowed level, where
     # both one-shot levels are 0): bound via the small tree oracle
     end = lp.bn.end
@@ -497,4 +496,4 @@ def payoff_gap(m: Mechanism, agent: PayoffSpec, principal: PayoffSpec,
     beliefs = sorted({0.0, *(float(lam[i]) for i in idx)})
     oracle = tree_oracle_worst_case(agent, principal, m, small, beliefs, mu0)
     worst = min(lp.value, oracle.value)
-    return GapResult(guarantee - worst, guarantee, worst, "tree_oracle", False)
+    return GapResult(guarantee - worst, guarantee, worst, "tree_oracle")

@@ -22,7 +22,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, RobustQuotaError
 from .grid import LevelGrid
 from .processes import binomial_tree, no_learning
-from .robust import compute_joint_robust, compute_robust
+from .robust import compute_joint_robust
 from .adaptive import evaluate_adaptive, random_experiment, refine_process, \
     solve_adaptive_quota
 
@@ -72,11 +72,8 @@ def cmd_check(cfg: RunConfig, args) -> int:
 
 
 def cmd_robust(cfg: RunConfig, args) -> int:
-    if cfg.ambiguity:
-        result = compute_joint_robust(cfg.ambiguity, cfg.principal, cfg.mu0,
-                                      cfg.grid)
-    else:
-        result = compute_robust(cfg.agent, cfg.principal, cfg.mu0, cfg.grid)
+    result = compute_joint_robust(cfg.ambiguity, cfg.principal, cfg.mu0,
+                                  cfg.grid)
     mech = result.mechanism.to_dict()
     _write_json(_outpath(args, "mechanism.json"), mech)
     _write_csv(_outpath(args, "surplus.csv"), ["level", "surplus"],
@@ -108,12 +105,10 @@ def cmd_worstcase(cfg: RunConfig, args) -> int:
 
 
 def cmd_gap(cfg: RunConfig, args) -> int:
-    mechanisms = cfg.mechanisms or (cfg.mechanism,)
-    l_maxes = cfg.sweep_l_max or (cfg.grid.l_max,)
     rows = []
-    for l_max in l_maxes:
+    for l_max in cfg.sweep_l_max:
         grid = LevelGrid(l_max, cfg.grid.n)
-        for i, m in enumerate(mechanisms):
+        for i, m in enumerate(cfg.mechanisms):
             gap = payoff_gap(m, cfg.agent, cfg.principal, grid, cfg.mu0)
             rows.append((m.json_name, i, l_max, gap.delta,
                          gap.guarantee, gap.worst_value, gap.route))
@@ -127,10 +122,9 @@ def cmd_gap(cfg: RunConfig, args) -> int:
 def cmd_adaptive(cfg: RunConfig, args) -> int:
     # a missing seed is a usage error before any file is written
     seed = cfg.require_seed("adaptive")
-    tree_spec = cfg.tree or {"type": "no_learning"}
-    if tree_spec["type"] == "binomial":
-        tree = binomial_tree(cfg.mu0, cfg.grid, tree_spec["p_good"],
-                             tree_spec["p_bad"])
+    if cfg.tree["type"] == "binomial":
+        tree = binomial_tree(cfg.mu0, cfg.grid, cfg.tree["p_good"],
+                             cfg.tree["p_bad"])
     else:
         tree = no_learning(cfg.mu0, cfg.grid)
     policy = solve_adaptive_quota(tree, cfg.agent, cfg.principal)

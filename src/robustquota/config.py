@@ -21,7 +21,9 @@ Schema (all nesting literal; unknown keys are rejected):
 
 <payoff> is {"family": <family>, ...} and <mechanism> is {"type": <type>,
 ...}, the JSON form to_dict writes from the name and keys each class
-declares (json_name, json_keys); `_from_json` reads it.
+declares (json_name, json_keys); `_from_json` reads it.  `parse_config`
+fills every default: ambiguity [agent], tree no_learning, mechanisms
+[mechanism], sweep [grid.l_max] and 50 refinements.
 """
 
 import dataclasses
@@ -51,12 +53,12 @@ class RunConfig:
     mechanism: Mechanism
     grid: LevelGrid
     mu0: float
-    seed: Optional[int] = None
-    ambiguity: Optional[tuple] = None          # tuple of agent PayoffSpec
-    tree: Optional[dict] = None
-    mechanisms: Optional[tuple] = None
-    sweep_l_max: Optional[tuple] = None
-    n_refinements: int = 50
+    seed: Optional[int]
+    ambiguity: tuple            # of agent PayoffSpec
+    tree: dict
+    mechanisms: tuple
+    sweep_l_max: tuple
+    n_refinements: int
 
     def require_seed(self, command: str) -> int:
         if self.seed is None:
@@ -193,28 +195,28 @@ def _parse(raw: dict) -> RunConfig:
         if "mechanism" in raw else Zero()
     ambiguity = tuple(payoff(x, "'ambiguity' entry")
                       for x in _list(raw, "ambiguity")) \
-        if "ambiguity" in raw else None
+        if "ambiguity" in raw else (agent,)
     mechanisms = tuple(mechanism(x, "'mechanisms' entry")
                        for x in _list(raw, "mechanisms")) \
-        if "mechanisms" in raw else None
+        if "mechanisms" in raw else (mech,)
 
     seed = raw.get("seed")
     if seed is not None and type(seed) is not int:     # a bool is refused
         raise DomainError("'seed' must be an integer")
 
     tree = raw.get("tree")
-    if tree is not None:
-        _check_keys(tree, {"type", "p_good", "p_bad"}, "'tree'")
-        if _require(tree, "type", "'tree'") not in ("no_learning", "binomial"):
-            raise DomainError(f"unknown tree type {tree['type']!r}")
-        p_good = _number(tree.get("p_good", 0.6), "tree.p_good")
-        p_bad = _number(tree.get("p_bad", 0.4), "tree.p_bad")
-        if not 0.0 < p_bad < p_good < 1.0:
-            raise DomainError(f"tree needs 0 < p_bad < p_good < 1, got "
-                              f"p_good={p_good}, p_bad={p_bad}")
-        tree = {"type": tree["type"], "p_good": p_good, "p_bad": p_bad}
+    tree = {"type": "no_learning"} if tree is None else tree
+    _check_keys(tree, {"type", "p_good", "p_bad"}, "'tree'")
+    if _require(tree, "type", "'tree'") not in ("no_learning", "binomial"):
+        raise DomainError(f"unknown tree type {tree['type']!r}")
+    p_good = _number(tree.get("p_good", 0.6), "tree.p_good")
+    p_bad = _number(tree.get("p_bad", 0.4), "tree.p_bad")
+    if not 0.0 < p_bad < p_good < 1.0:
+        raise DomainError(f"tree needs 0 < p_bad < p_good < 1, got "
+                          f"p_good={p_good}, p_bad={p_bad}")
+    tree = {"type": tree["type"], "p_good": p_good, "p_bad": p_bad}
 
-    sweep = None
+    sweep = (grid.l_max,)
     if "sweep" in raw:
         _check_keys(raw["sweep"], {"l_max"}, "'sweep'")
         sweep = _require(raw["sweep"], "l_max", "'sweep'")

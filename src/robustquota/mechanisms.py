@@ -3,7 +3,8 @@
 A positive phi is a tax.  A hard quota bounds development from above, so the
 levels a mechanism prohibits (conceptually an infinite tax) are a suffix of
 the grid: `tax_profile` returns phi on the allowed prefix only, and its
-length is the quota.
+length is the quota.  A quota allows the grid points at or below its level,
+by one rule, `_allowed`, for a fixed quota and a table's last allowed level.
 """
 
 import math
@@ -14,6 +15,14 @@ import numpy as np
 from .errors import DomainError, EmptyMechanismError, is_real
 from .grid import LevelGrid
 from .payoffs import PayoffSpec
+
+
+def _allowed(grid: LevelGrid, top: float) -> int:
+    """The number of grid points at or below the level `top`, within 4 ulps
+    of it: the computed point 0.30000000000000004 of a step of 0.1 meets a
+    quota of 0.3."""
+    top = float(top)
+    return int(grid.points.searchsorted(top + 4.0 * math.ulp(top), "right"))
 
 
 class Mechanism:
@@ -62,11 +71,7 @@ class FixedTaxHardQuota(Mechanism):
             raise DomainError("quota must be nonnegative")
 
     def tax_profile(self, grid):
-        # the grid points at or below the quota, within 4 ulps of it: the
-        # computed point 0.30000000000000004 of a step of 0.1 meets quota 0.3
-        q = float(self.quota)
-        k = grid.points.searchsorted(q + 4.0 * math.ulp(q), "right")
-        return np.array([float(self.lam)]).repeat(k)
+        return np.array([float(self.lam)]).repeat(_allowed(grid, self.quota))
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,10 @@ class TabulatedMechanism(Mechanism):
     """Arbitrary per-level transfers; math.inf entries mark prohibited levels.
 
     The prohibited set must be upward-closed (once prohibited, always
-    prohibited), matching the quota semantics of the model.
+    prohibited), matching the quota semantics of the model.  On any grid,
+    as a `Tabulated` payoff is, phi interpolates the table's finite points
+    linearly, and the prohibited suffix is a quota at the last allowed
+    level; on the table's own grid this is the finite prefix, bitwise.
     """
 
     grid: LevelGrid
@@ -134,10 +142,12 @@ class TabulatedMechanism(Mechanism):
         object.__setattr__(self, "values", tuple(v))
 
     def tax_profile(self, grid):
-        if grid.n != self.grid.n or grid.l_max != self.grid.l_max:
-            raise DomainError("tabulated mechanism evaluated on a different grid")
         v = np.asarray(self.values)
-        return v[np.isfinite(v)]
+        v = v[np.isfinite(v)]
+        if not v.size:
+            return v                            # every level prohibited
+        at = self.grid.points[:v.size]
+        return np.interp(grid.points[:_allowed(grid, at[-1])], at, v)
 
     def to_dict(self):
         """The JSON form, a prohibited level's entry written "inf"."""

@@ -63,7 +63,6 @@ def compute_joint_robust(ambiguity: Sequence[PayoffSpec],
 class GuaranteeReport:
     guarantee: float
     min_value: float
-    abs_gap: float
     per_agent: tuple      # (lp_value, oracle_value) per agent payoff
 
     @property
@@ -94,5 +93,4 @@ def verify_guarantee(result: RobustMechanismResult,
                                             result.mu0).value
         worst = min(worst, oracle_val, lp.value)
         per.append((lp.value, oracle_val))
-    return GuaranteeReport(result.guarantee, float(worst),
-                           float(abs(worst - result.guarantee)), tuple(per))
+    return GuaranteeReport(result.guarantee, float(worst), tuple(per))

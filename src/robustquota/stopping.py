@@ -5,8 +5,8 @@ inductions and the path walk, which step level by level.  A level of an
 induction carries only its recursion, one sparse product on its rows of the
 kernel block, O(nnz): `backward` compares for its stops after its loop, and
 `forward` zeroes the weights of stopping rows once per run of levels and
-sums its weighted total after its loop.  A solution's values and stops are
-flat over the nodes, as the process's beliefs are."""
+returns the stopped mass alone, which its callers weigh.  A solution's
+values and stops are flat over the nodes, as the process's beliefs are."""
 
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -61,17 +61,14 @@ def backward(proc: DiscreteLearningProcess, end: int, stop_payoff, forced=None,
     return values, stop
 
 
-def forward(proc: DiscreteLearningProcess, end: int, stop, weight=None):
+def forward(proc: DiscreteLearningProcess, end: int, stop):
     """Mass that stops at each node of levels 0..end (zero at continuing
     nodes), a flat array like `stop`, pushed from the root distribution
-    through the kernels.  With a flat `weight` it also returns the sum over
-    the levels, in turn, of each level's stopped mass times weight, summed
-    over its stopping nodes.
+    through the kernels.
 
     Before each run of levels (`processes.level_runs` over their entries),
     the kernel weights of the rows that stop are set to zero, so a level
-    carries only the push: one gather, multiply and bincount.  The weighted
-    total is summed after the loop, each level's terms on their own."""
+    carries only the push: one gather, multiply and bincount."""
     first = proc.first[:end + 2]
     indptr, rows, data, indices = proc.indptr, proc.rows, proc.data, proc.indices
     at = indptr[first[:-1]]                     # first entry of each level
@@ -94,17 +91,7 @@ def forward(proc: DiscreteLearningProcess, end: int, stop, weight=None):
         np.concatenate(masses, out=stopped[r0:r1])
     stopped[f[end]:] = mass
     stopped[go] = 0.0                   # ... zero where it continues
-    if weight is None:
-        return stopped
-    # each level's products over its stopping nodes, contiguous and in node
-    # order, summed alone and then in level order
-    idx = np.flatnonzero(stop)
-    terms = stopped[idx] * weight[idx]
-    ends = idx.searchsorted(first[1:]).tolist()
-    total = 0.0
-    for t0, t1 in zip([0] + ends, ends):
-        total += float(terms[t0:t1].sum())
-    return stopped, total
+    return stopped
 
 
 def node_payoff(proc: DiscreteLearningProcess, end: int, x1, x0):
@@ -143,7 +130,6 @@ class StoppingSolution:
     root_value: float
     outside_option: float
     participation: bool
-    mu0: float
 
 
 def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
@@ -184,7 +170,7 @@ def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
 
     return StoppingSolution(proc, end, values, stop, joint_belief,
                             grid.points[joint_index], joint_mass, joint_index,
-                            root_value, outside, participation, proc.mu0)
+                            root_value, outside, participation)
 
 
 def principal_value(sol: StoppingSolution, principal: PayoffSpec, m: Mechanism) -> float:
@@ -193,7 +179,7 @@ def principal_value(sol: StoppingSolution, principal: PayoffSpec, m: Mechanism) 
     prohibits raises UnreachableLevelError."""
     grid = sol.proc.grid
     if not sol.participation:
-        return float(principal.indirect(sol.mu0, 0.0))
+        return float(principal.indirect(sol.proc.mu0, 0.0))
     p1, p0 = adjusted_profiles(principal, m, "principal", grid)
     idx = sol.joint_index
     if idx.max() >= len(p1):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -111,11 +112,14 @@ def test_refinements_never_undercut_dp(subtests=None):
 
 
 def test_mismatched_grid_rejected():
+    """Any grid that is not the tree's LevelGrid is refused, one whose l_max
+    is an ulp off included."""
     tree = binomial_tree(0.6, GRID)
     pol = solve_adaptive_quota(tree, AGENT, PRINCIPAL)
-    other = binomial_tree(0.6, LevelGrid(2.0, 5))
-    with pytest.raises(AlignmentError):
-        evaluate_adaptive(pol, other, AGENT, PRINCIPAL)
+    for grid in (LevelGrid(2.0, 5), LevelGrid(math.nextafter(2.0, 3.0), 9)):
+        other = binomial_tree(0.6, grid)
+        with pytest.raises(AlignmentError):
+            evaluate_adaptive(pol, other, AGENT, PRINCIPAL)
 
 
 _SIGNAL_PROB = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99))

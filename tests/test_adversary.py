@@ -334,6 +334,20 @@ def test_payoff_gap_oracle_meets_the_same_quota(monkeypatch):
     assert len(m.tax_profile(small)) == small.n
 
 
+def test_payoff_gap_of_a_premise_failing_table_is_the_fixed_quota_gap():
+    """A table that equals FixedTaxHardQuota(0.07, 0.52) on its grid has the
+    fixed mechanism's gap, bitwise, also where the premise fails and the
+    oracle attacks it on a 4-point grid of its own."""
+    agent, principal = cara_pair(0.76, 2.07)
+    grid = LevelGrid(2.0, 101)
+    fixed = FixedTaxHardQuota(0.07, 0.52)
+    k = len(fixed.tax_profile(grid))
+    table = TabulatedMechanism(grid, (0.07,) * k + (np.inf,) * (grid.n - k))
+    gap = payoff_gap(table, agent, principal, grid, 0.42)
+    assert gap.route == "tree_oracle"
+    assert gap == payoff_gap(fixed, agent, principal, grid, 0.42)
+
+
 def test_payoff_gap_positive_for_laissez_faire():
     agent, principal = quadratic_pair(1.0, 1.0, 1.0)
     grid = LevelGrid(4.0, 201)

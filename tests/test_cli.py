@@ -232,3 +232,31 @@ def test_tabulated_quota_config_matches_fixed_tax_quota(tmp_path):
     assert [r[0] for r in gap[0][1:]] == ["tabulated"]
     assert [r[0] for r in gap[1][1:]] == ["fixed_tax_hard_quota"]
     assert [r[1:] for r in gap[0]] == [r[1:] for r in gap[1]]
+
+
+@pytest.mark.parametrize("argv,extra", [
+    (["--grid-n", "81"], {}),
+    ([], {"sweep": {"l_max": [2.0, 4.0]}}),
+], ids=["grid_n_81", "sweep"])
+def test_tabulated_quota_config_on_other_grids(tmp_path, argv, extra):
+    """The shipped table read on grids other than its own, by --grid-n or a
+    sweep, gives bitwise the outputs of FixedTaxHardQuota(0.1, 0.5), but for
+    gap.csv's mechanism-name column."""
+    shipped = Path(__file__).resolve().parents[1] / "configs" / \
+        "tabulated_quota.json"
+    raw = {**json.loads(shipped.read_text()), **extra}
+    cfgs = {"tabulated": _write(tmp_path, raw, "tabulated.json"),
+            "fixed": _write(tmp_path, {**raw, "mechanism": {
+                "type": "fixed_tax_hard_quota", "lambda": 0.1,
+                "quota": 0.5}}, "fixed.json")}
+    for name, cfg in cfgs.items():
+        for cmd in ("worstcase", "gap"):
+            assert main(["--config", cfg, "--out", str(tmp_path / name),
+                         *argv, cmd]) == 0
+    for f in ("worstcase.csv", "worstcase_value.json"):
+        assert (tmp_path / "tabulated" / f).read_bytes() == \
+            (tmp_path / "fixed" / f).read_bytes()
+    gap = [list(csv.reader((tmp_path / name / "gap.csv").read_text()
+                           .splitlines())) for name in cfgs]
+    assert {r[0] for r in gap[0][1:]} == {"tabulated"}
+    assert [r[1:] for r in gap[0]] == [r[1:] for r in gap[1]]

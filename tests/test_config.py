@@ -32,6 +32,17 @@ def test_minimal_config_parses_with_defaults():
     assert cfg.n_refinements == 50
 
 
+def test_optional_lists_and_tree_get_filled_defaults():
+    """Without ambiguity, mechanisms, sweep or tree, the config holds the
+    values each command would use: the agent, the mechanism, the grid's
+    l_max and a no-learning tree."""
+    cfg = parse_config(_cfg(mechanism={"type": "linear", "beta_tax": 0.5}))
+    assert cfg.ambiguity == (cfg.agent,)
+    assert cfg.mechanisms == (cfg.mechanism,)
+    assert cfg.sweep_l_max == (cfg.grid.l_max,) == (2.0,)
+    assert cfg.tree == {"type": "no_learning", "p_good": 0.6, "p_bad": 0.4}
+
+
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(_cfg(bogus=1))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustquota import (CARA, DomainError, Exponential, FixedTaxHardQuota,
                          LevelGrid, Linear, Mechanism, TabulatedMechanism,
@@ -44,6 +46,42 @@ def test_tabulated_prohibited_must_be_upward_closed():
         TabulatedMechanism(g, (0.0, math.inf, 0.0, math.inf))
     m = TabulatedMechanism(g, (0.0, 0.5, math.inf, math.inf))
     assert m.tax_profile(g).tolist() == [0.0, 0.5]
+
+
+@pytest.mark.parametrize("n", [21, 41, 81, 401])
+def test_tabulated_quota_on_other_grids_is_the_fixed_quota(n):
+    """The shipped table, phi = 0.1 through level 0.5 on LevelGrid(2.0, 41),
+    read on another grid is FixedTaxHardQuota(0.1, 0.5) there, bitwise."""
+    table = TabulatedMechanism(LevelGrid(2.0, 41),
+                               (0.1,) * 11 + (math.inf,) * 30)
+    g = LevelGrid(2.0, n)
+    assert table.tax_profile(g).tobytes() == \
+        FixedTaxHardQuota(0.1, 0.5).tax_profile(g).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(own=st.tuples(st.floats(0.1, 10.0), st.integers(2, 60)),
+       other=st.tuples(st.floats(0.1, 10.0), st.integers(2, 200)),
+       data=st.data())
+def test_tabulated_profile_on_any_grid(own, other, data):
+    """A table with a prohibited suffix: on its own grid its profile is the
+    finite prefix, bitwise; on another grid the allowed points are exactly
+    those at or below its last allowed level, and phi lies between the
+    table's finite values."""
+    grid = LevelGrid(*own)
+    k = data.draw(st.integers(1, grid.n - 1), label="allowed")
+    phi = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k),
+                    label="phi")
+    table = TabulatedMechanism(grid, (*phi, *[math.inf] * (grid.n - k)))
+    assert table.tax_profile(grid).tobytes() == np.array(phi).tobytes()
+
+    g = LevelGrid(*other)
+    prof = table.tax_profile(g)
+    top = grid.points[k - 1]
+    m = len(prof)
+    assert m >= 1 and g.points[m - 1] <= top + 4.0 * math.ulp(top)
+    assert m == g.n or g.points[m] > top
+    assert min(phi) <= prof.min() and prof.max() <= max(phi)
 
 
 def test_adjusted_profiles_sides():

@@ -128,4 +128,4 @@ def test_verify_guarantee_report():
     rep = verify_guarantee(rob, agent, principal, grid)
     assert rep.ok
     assert rep.min_value >= rob.guarantee - 1e-8
-    assert rep.abs_gap <= 1e-6
+    assert abs(rep.min_value - rep.guarantee) <= 1e-6
