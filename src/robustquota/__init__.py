@@ -7,7 +7,7 @@ mechanisms (static and adaptive), and payoff-gap experiments.
 
 from .adaptive import (AdaptivePolicy, BinaryExperiment, evaluate_adaptive,
                        refine_process, solve_adaptive_quota)
-from .adversary import (BadNewsLPResult, GapResult, OracleResult, payoff_gap,
+from .adversary import (BadNewsLPResult, OracleResult,
                         principal_prefers_earlier, solve_badnews_lp,
                         tree_oracle_worst_case)
 from .badnews import BadNewsProcess, obedience_slacks
@@ -31,8 +31,9 @@ from .payoffs import (CARA, CRRA, PayoffSpec, Quadratic, Tabulated, cara_pair,
 from .processes import (DiscreteLearningProcess, binomial_tree,
                         full_revelation, no_learning, random_tree,
                         single_split)
-from .robust import (GuaranteeReport, RobustMechanismResult,
-                     compute_joint_robust, compute_robust, verify_guarantee)
+from .robust import (GapResult, GuaranteeReport, RobustMechanismResult,
+                     compute_joint_robust, compute_robust, payoff_gap,
+                     verify_guarantee)
 from .simplex import SimplexResult, solve_lp
 from .stopping import (StoppingSolution, principal_value, simulate,
                        solve_stopping)

@@ -264,13 +264,12 @@ _CRITERIA = [
 ]
 
 
-def run_acceptance(indices=None, printer=print) -> List[CriterionResult]:
+def run_acceptance(indices=None) -> List[CriterionResult]:
     results = []
     for idx, name, fn in _CRITERIA:
         if indices is not None and idx not in indices:
             continue
         res = _run(idx, name, fn)
-        if printer is not None:
-            printer(res.line())
+        print(res.line())
         results.append(res)
     return results

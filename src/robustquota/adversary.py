@@ -1,7 +1,9 @@
-"""Worst-case learning: the bad-news LP with its dual certificate, the
-binding-obedience construction, the tree oracle (one obedience LP over the
-histories of a small belief tree), and payoff gaps."""
+"""Worst-case learning: the bad-news LP, whose construction and HiGHS
+answers pass one certification step (dual certificate and obedience), the
+binding-obedience construction, and the tree oracle (one obedience LP over
+the histories of a small belief tree)."""
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -118,20 +120,9 @@ def _binding_construction(a0: np.ndarray, b: np.ndarray, mu0: float,
     return g
 
 
-def _obedient_construction(a1: np.ndarray, a0: np.ndarray, b: np.ndarray,
-                           mu0: float, a0_max: float,
-                           scale: float) -> Optional[np.ndarray]:
-    """The binding-obedience increments, or None where the construction
-    fails or breaks obedience by more than 1e-8 of the payoff scale."""
-    g = _binding_construction(a0, b, mu0, a0_max)
-    if g is not None and obedience_slacks(g, a1, a0, mu0).min() >= -1e-8 * scale:
-        return g
-    return None
-
-
 def _support_start(g: np.ndarray) -> int:
     """First level carrying arrival mass (the last level when none does)."""
-    pos = (g > 1e-15).nonzero()[0]
+    pos = (g > 1e-12).nonzero()[0]
     return int(pos[0]) if pos.size else len(g) - 1
 
 
@@ -171,6 +162,17 @@ def _certified_gap(value: float, y: np.ndarray, t: float, c: np.ndarray,
     if y.min() < -1e-9 * np.abs(y).max() or (r < -1e-9 * size).any():
         return None
     return value - float(mu0 * p1_end + (1.0 - mu0) * t - y @ b)
+
+
+def _obedience(g: np.ndarray, a1: np.ndarray, a0: np.ndarray, b: np.ndarray,
+               mu0: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Obedience slacks of g, each row's size of terms in quarters (as in
+    _certified_gap), and the rows that break obedience by 1e-9 of it."""
+    slacks = obedience_slacks(g, a1, a0, mu0)
+    a0_4 = np.abs(a0) / 4
+    size = (np.abs(b) / 4 + (a0_4 * g)[::-1].cumsum()[::-1]
+            + a0_4 * g[::-1].cumsum()[::-1])
+    return slacks, size, slacks / 4 < -1e-9 * size
 
 
 def _sparse_lp(c: np.ndarray, a0: np.ndarray, a1: np.ndarray, b: np.ndarray,
@@ -227,14 +229,14 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
 
     Certify-first and O(n): an obedience row that no g >= 0 satisfies
     raises InfeasibleLPError naming its level.  Otherwise the process with
-    binding obedience is built from marginal ratios (_step_ratios), checked
-    obedient, and proved optimal with the complementary-slackness dual,
-    itself a ratio (dual feasible, relative gap <= 1e-9).  Where that proof
-    fails the LP is solved in sparse cumulative form with HiGHS.  Every
-    result is certified: a solution that breaks an obedience row by more
-    than 1e-9 of the row's terms, or a HiGHS solution whose multipliers are
-    not dual feasible, raises ConditionViolatedError.  The result carries
-    that certificate, and premise_ok is read from the same profiles.
+    binding obedience is built from marginal ratios (_step_ratios) with its
+    complementary-slackness dual, itself a ratio, and kept where it passes
+    the certification step below with relative gap <= 1e-9.  Elsewhere the
+    LP is solved in sparse cumulative form with HiGHS, whose answer must pass
+    the same step or raise ConditionViolatedError.  The step: clip g and
+    rescale it to 1-mu0, certify the multipliers' gap (dual feasible), and
+    hold every obedience row to 1e-9 of its terms.  The result carries that
+    certificate, and premise_ok is read from the same profiles.
     """
     if not (is_real(mu0) and 0.0 < mu0 < 1.0):
         raise DomainError("worst-case search needs an interior prior")
@@ -242,13 +244,6 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     premise_ok = _prefers_earlier((a1, a0), (p1, p0), grid)
     a0_max = float(np.abs(a0).max())
     scale = max(1.0, a0_max, float(np.abs(a1).max()))
-
-    def finish(g):
-        g = np.maximum(g, 0.0)
-        total = g.sum()
-        if total > 0:
-            g *= (1.0 - mu0) / total
-        return g, _value(g, mu0, p1, c), _support_start(g)
 
     # row j fails for every g >= 0 when b_j < 0 and the stop rule at belief
     # 0 stays at j: the agent at belief 1 prefers level j to the end
@@ -262,36 +257,41 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
             "there to the last allowed level, and no later level pays "
             "more at belief 0", most_binding=j)
 
-    route, iters, gap = "construction", 0, None
-    g = _obedient_construction(a1, a0, b, mu0, a0_max, scale)
-    if g is not None:
-        g, value, jbar = finish(g)
-        y, t = _exact_dual(c, a0, jbar, a0_max)
-        gap = _certified_gap(value, y, t, c, a0, b, mu0, p1[-1])
-    if gap is None or abs(gap) > 1e-9 * max(1.0, abs(value)):
-        route = "highs"
-        g, y, t, iters = _sparse_lp(c, a0, a1, b, mu0)
-        g, value, jbar = finish(g)
+    def certify(g, dual):
+        # the step of the docstring, with multipliers dual(jbar) at the
+        # support start; only HiGHS's refusals leave, so they name HiGHS
+        g = np.maximum(g, 0.0)
+        total = g.sum()
+        if total > 0:
+            g *= (1.0 - mu0) / total
+        value, jbar = _value(g, mu0, p1, c), _support_start(g)
+        y, t = dual(jbar)
         gap = _certified_gap(value, y, t, c, a0, b, mu0, p1[-1])
         if gap is None:
             raise ConditionViolatedError(
                 "HiGHS multipliers are not dual feasible; the LP value is not "
                 "certified at this payoff range")
+        slacks, size, bad = _obedience(g, a1, a0, b, mu0)
+        if bad.any():
+            j = int(bad.argmax())
+            raise ConditionViolatedError(
+                f"highs solution violates obedience at level index {j} by "
+                f"{-slacks[j]:.3g}, beyond 1e-9 of its terms "
+                f"({4 * float(size[j]):.3g}); the "
+                "value is not trustworthy at this payoff range")
+        return g, value, jbar, y, t, gap, slacks
 
-    slacks = obedience_slacks(g, a1, a0, mu0)
-    # each row to 1e-9 of the size of its terms, in quarters, as in
-    # _certified_gap
-    a0_4 = np.abs(a0) / 4
-    size = (np.abs(b) / 4 + (a0_4 * g)[::-1].cumsum()[::-1]
-            + a0_4 * g[::-1].cumsum()[::-1])
-    bad = slacks / 4 < -1e-9 * size
-    if bad.any():
-        j = int(bad.argmax())
-        raise ConditionViolatedError(
-            f"{route} solution violates obedience at level index {j} by "
-            f"{-slacks[j]:.3g}, beyond 1e-9 of its terms "
-            f"({4 * float(size[j]):.3g}); the "
-            "value is not trustworthy at this payoff range")
+    route, iters, cert = "construction", 0, None
+    g = _binding_construction(a0, b, mu0, a0_max)
+    if g is not None:
+        with suppress(ConditionViolatedError):
+            cert = certify(g, lambda j: _exact_dual(c, a0, j, a0_max))
+    # kept where its gap (cert[5]) is within 1e-9 of its value (cert[1])
+    if cert is None or abs(cert[5]) > 1e-9 * max(1.0, abs(cert[1])):
+        route = "highs"
+        g, y, t, iters = _sparse_lp(c, a0, a1, b, mu0)
+        cert = certify(g, lambda j: (y, t))
+    g, value, jbar, y, t, gap, slacks = cert
     binding = (np.abs(slacks) <= 1e-7 * scale).nonzero()[0]
     carrying = g > 1e-12
     comp = float(np.abs(slacks[carrying]).max()) if carrying.any() else 0.0
@@ -333,20 +333,18 @@ def indifference_G(agent: PayoffSpec, m: Mechanism, grid: LevelGrid,
     Where rows j and j+1 bind, the mass still to arrive above level j is a
     marginal ratio of the agent's payoff steps; the level just above the
     highest row where it reaches 1-mu0 is L_low.  Falls back to the LP when
-    an increment goes negative or the result is disobedient.
+    an increment goes negative or a row breaks obedience by more than 1e-9
+    of its terms; the construction itself is not certified optimal.
     """
     if not (is_real(mu0) and 0.0 < mu0 < 1.0):
         raise DomainError("construction needs an interior prior")
     _, a1, a0, _, _, _, b = _lp_data(agent, principal, m, grid, mu0)
-    a0_max = float(np.abs(a0).max())
-    g = _obedient_construction(a1, a0, b, mu0, a0_max,
-                               max(1.0, a0_max, float(np.abs(a1).max())))
-    if g is None:
-        bn = solve_badnews_lp(agent, principal, m, grid, mu0).bn
-    else:
-        bn = BadNewsProcess(grid, g, mu0)
+    g = _binding_construction(a0, b, mu0, float(np.abs(a0).max()))
+    fallback = g is None or _obedience(g, a1, a0, b, mu0)[2].any()
+    bn = (solve_badnews_lp(agent, principal, m, grid, mu0).bn if fallback
+          else BadNewsProcess(grid, g, mu0))
     jbar = _support_start(bn.g)
-    return IndifferenceResult(bn, float(grid.points[jbar]), jbar, g is None)
+    return IndifferenceResult(bn, float(grid.points[jbar]), jbar, fallback)
 
 
 def dual_certificate(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
@@ -465,35 +463,3 @@ def tree_oracle_worst_case(agent: PayoffSpec, principal: PayoffSpec, m: Mechanis
     rows = tuple((float(small_grid.points[lj]), float(B[bi]), float(mass[lj, bi]))
                  for lj, bi in zip(*(mass > 1e-12).nonzero()))
     return OracleResult(res.fun, rows, 1)
-
-
-@dataclass(frozen=True)
-class GapResult:
-    delta: float
-    guarantee: float
-    worst_value: float
-    route: str      # "badnews_lp", or "tree_oracle" where the premise fails
-
-
-def payoff_gap(m: Mechanism, agent: PayoffSpec, principal: PayoffSpec,
-               grid: LevelGrid, mu0: float) -> GapResult:
-    """Delta(phi) = ADV guarantee minus the worst-case value of mechanism m.
-    Without the earlier-stopping premise the tree oracle also attacks m, on 0
-    and three of the LP's continuation beliefs, on at most 4 levels spanning
-    [0, last allowed level] so that its agent meets the same quota."""
-    from .robust import compute_robust
-    guarantee = compute_robust(agent, principal, mu0, grid).guarantee
-    lp = solve_badnews_lp(agent, principal, m, grid, mu0)
-    if lp.premise_ok:
-        return GapResult(guarantee - lp.value, guarantee, lp.value,
-                         "badnews_lp")
-    # earlier-stopping premise failed (never with one allowed level, where
-    # both one-shot levels are 0): bound via the small tree oracle
-    end = lp.bn.end
-    small = LevelGrid(float(grid.points[end]), min(end + 1, 4))
-    lam = lp.bn.cont_belief()
-    idx = np.linspace(0, len(lam) - 1, 3).astype(int)
-    beliefs = sorted({0.0, *(float(lam[i]) for i in idx)})
-    oracle = tree_oracle_worst_case(agent, principal, m, small, beliefs, mu0)
-    worst = min(lp.value, oracle.value)
-    return GapResult(guarantee - worst, guarantee, worst, "tree_oracle")

@@ -15,14 +15,14 @@ from dataclasses import replace
 import numpy as np
 
 from .acceptance import run_acceptance
-from .adversary import payoff_gap, solve_badnews_lp
+from .adversary import solve_badnews_lp
 from .checks import check_assumptions, pseudo_inverse_beliefs, \
     risk_ratio_condition
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, RobustQuotaError
 from .grid import LevelGrid
 from .processes import binomial_tree, no_learning
-from .robust import compute_joint_robust
+from .robust import compute_joint_robust, payoff_gap
 from .adaptive import evaluate_adaptive, random_experiment, refine_process, \
     solve_adaptive_quota
 

@@ -1,4 +1,5 @@
-"""Learning-robust fixed-tax / hard-quota mechanisms and their guarantee."""
+"""Learning-robust fixed-tax / hard-quota mechanisms, and both attacks that
+add the tree oracle to the bad-news LP: verify_guarantee and payoff_gap."""
 
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -8,7 +9,7 @@ import numpy as np
 from .adversary import solve_badnews_lp, tree_oracle_worst_case
 from .errors import DomainError, is_real
 from .grid import LevelGrid
-from .mechanisms import FixedTaxHardQuota
+from .mechanisms import FixedTaxHardQuota, Mechanism
 from .payoffs import PayoffSpec
 
 
@@ -94,3 +95,34 @@ def verify_guarantee(result: RobustMechanismResult,
         worst = min(worst, oracle_val, lp.value)
         per.append((lp.value, oracle_val))
     return GuaranteeReport(result.guarantee, float(worst), tuple(per))
+
+
+@dataclass(frozen=True)
+class GapResult:
+    delta: float
+    guarantee: float
+    worst_value: float
+    route: str      # "badnews_lp", or "tree_oracle" where the premise fails
+
+
+def payoff_gap(m: Mechanism, agent: PayoffSpec, principal: PayoffSpec,
+               grid: LevelGrid, mu0: float) -> GapResult:
+    """Delta(phi) = ADV guarantee minus the worst-case value of mechanism m.
+    Without the earlier-stopping premise the tree oracle also attacks m, on 0
+    and three of the LP's continuation beliefs, on at most 4 levels spanning
+    [0, last allowed level] so that its agent meets the same quota."""
+    guarantee = compute_robust(agent, principal, mu0, grid).guarantee
+    lp = solve_badnews_lp(agent, principal, m, grid, mu0)
+    if lp.premise_ok:
+        return GapResult(guarantee - lp.value, guarantee, lp.value,
+                         "badnews_lp")
+    # earlier-stopping premise failed (never with one allowed level, where
+    # both one-shot levels are 0): bound via the small tree oracle
+    end = lp.bn.end
+    small = LevelGrid(float(grid.points[end]), min(end + 1, 4))
+    lam = lp.bn.cont_belief()
+    idx = np.linspace(0, len(lam) - 1, 3).astype(int)
+    beliefs = sorted({0.0, *(float(lam[i]) for i in idx)})
+    oracle = tree_oracle_worst_case(agent, principal, m, small, beliefs, mu0)
+    worst = min(lp.value, oracle.value)
+    return GapResult(guarantee - worst, guarantee, worst, "tree_oracle")

@@ -15,12 +15,13 @@ from robustquota import (CARA, CRRA, BudgetExceededError,
                          RobustQuotaError, Tabulated, TabulatedMechanism, Zero,
                          cara_pair, compute_joint_robust, compute_robust,
                          quadratic_pair, verify_guarantee)
-from robustquota import adversary
-from robustquota.adversary import (badnews_value, indifference_G, payoff_gap,
+from robustquota import adversary, robust
+from robustquota.adversary import (badnews_value, indifference_G,
                                    principal_prefers_earlier, solve_badnews_lp,
                                    stop_rule_at_zero, tree_oracle_worst_case)
 from robustquota.badnews import BadNewsProcess
 from robustquota.mechanisms import adjusted_profiles
+from robustquota.robust import payoff_gap
 from robustquota.simplex import solve_lp
 
 
@@ -99,7 +100,7 @@ def _lp_instances(draw):
 
 def _force_highs(monkeypatch):
     """Send solve_badnews_lp past the construction to its HiGHS route."""
-    monkeypatch.setattr(adversary, "_obedient_construction",
+    monkeypatch.setattr(adversary, "_binding_construction",
                         lambda *args: None)
 
 
@@ -319,13 +320,13 @@ def test_payoff_gap_oracle_meets_the_same_quota(monkeypatch):
     m = FixedTaxHardQuota(0.07, 0.52)
     grid = LevelGrid(2.0, 101)
     oracle_grids = []
-    oracle = adversary.tree_oracle_worst_case
+    oracle = robust.tree_oracle_worst_case
 
     def spy(agent, principal, m, small_grid, beliefs, mu0):
         oracle_grids.append(small_grid)
         return oracle(agent, principal, m, small_grid, beliefs, mu0)
 
-    monkeypatch.setattr(adversary, "tree_oracle_worst_case", spy)
+    monkeypatch.setattr(robust, "tree_oracle_worst_case", spy)
     gap = payoff_gap(m, agent, principal, grid, 0.42)
     assert gap.route == "tree_oracle"
     end = solve_badnews_lp(agent, principal, m, grid, 0.42).bn.end
@@ -987,6 +988,77 @@ def test_premise_reads_the_solve_profiles(instance):
     except RobustQuotaError:
         return
     assert lp.premise_ok == principal_prefers_earlier(*instance[:4])
+
+
+@st.composite
+def _census_instances(draw):
+    """A drawn bad-news LP over CARA, CRRA and quadratic pairs with
+    parameters in [0.3, 3], l_max in {1, 2, 4, 8}, n <= 161 and a prior in
+    [0.1, 0.9], under Zero, Linear, a quota, Exponential or the robust
+    mechanism."""
+    family = draw(st.sampled_from(["cara", "crra", "quadratic"]))
+    param = st.floats(0.3, 3.0)
+    if family == "quadratic":
+        agent, principal = quadratic_pair(*(draw(param) for _ in range(3)))
+    elif family == "cara":
+        agent, principal = CARA(draw(param)), CARA(draw(param))
+    else:
+        gamma = param.filter(lambda x: x != 1.0)
+        agent, principal = CRRA(draw(gamma)), CRRA(draw(gamma))
+    l_max = draw(st.sampled_from([1.0, 2.0, 4.0, 8.0]))
+    grid = LevelGrid(l_max, draw(st.integers(3, 161)))
+    mu0 = draw(st.floats(0.1, 0.9))
+    kind = draw(st.sampled_from(["zero", "linear", "quota", "exponential",
+                                 "robust"]))
+    if kind == "robust":
+        m = compute_robust(agent, principal, mu0, grid).mechanism
+    else:
+        m = {"zero": st.just(Zero()),
+             "linear": st.builds(Linear, st.floats(-0.5, 0.5)),
+             "quota": st.builds(FixedTaxHardQuota, st.floats(-1.0, 1.0),
+                                st.floats(0.0, l_max)),
+             "exponential": st.builds(Exponential, st.floats(-1.0, 1.0))}
+        m = draw(m[kind])
+    return agent, principal, m, grid, mu0
+
+
+def _obeys_dense(g, a1, a0, mu0):
+    """Reference: every obedience row of g, summed term by term, holds to
+    1e-9 of the sum of its terms' magnitudes."""
+    gaps = np.triu(a0[:, None] - a0[None, :]) * g
+    terms = (np.abs(mu0 * (a1[-1] - a1))
+             + np.triu(np.abs(a0)[:, None] + np.abs(a0)[None, :]) @ g)
+    return bool((mu0 * (a1[-1] - a1) - gaps.sum(axis=1)
+                 >= -1e-9 * terms).all())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_census_instances())
+def test_every_worst_case_answer_carries_its_certificate(instance):
+    """solve_badnews_lp refuses with a typed error, or its answer
+    re-verifies from the LP data: the multipliers give back the gap, every
+    obedience row holds, and the construction's gap is within 1e-9 of its
+    value.  indifference_G's construction, where it reports no fallback,
+    meets the same obedience rule."""
+    agent, principal, m, grid, mu0 = instance
+    _, a1, a0, p1, _, c, b = adversary._lp_data(*instance)
+    try:
+        lp = solve_badnews_lp(*instance)
+    except (ConditionViolatedError, InfeasibleLPError):
+        pass
+    else:
+        y, t = lp.multipliers
+        assert adversary._certified_gap(lp.value, y, t, c, a0, b, mu0,
+                                        p1[-1]) == lp.gap
+        assert _obeys_dense(lp.bn.g, a1, a0, mu0)
+        if lp.route == "construction":
+            assert abs(lp.gap) <= 1e-9 * max(1.0, abs(lp.value))
+    try:
+        ind = indifference_G(agent, m, grid, mu0, principal)
+    except (ConditionViolatedError, InfeasibleLPError):
+        return
+    if not ind.used_lp_fallback:
+        assert _obeys_dense(ind.bn.g, a1, a0, mu0)
 
 
 def _doomed_rows_suffix_max(a0, b):

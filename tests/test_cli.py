@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from robustquota import LevelGrid, compute_robust, quadratic_pair
 from robustquota.adversary import solve_badnews_lp
 from robustquota.cli import main
 from robustquota.config import load_config
@@ -166,6 +167,42 @@ def test_adaptive_requires_seed(tmp_path):
                  "11", "adaptive"]) == 0
     payload = json.loads((tmp_path / "o" / "adaptive_value.json").read_text())
     assert payload["min_refinement_value"] >= payload["value"] - 1e-8
+
+
+def test_worstcase_refusal_exits_1_and_writes_nothing(tmp_path, capsys):
+    """No bad-news process is obedient under phi = exp(l): the agent at
+    belief 1 prefers level index 99 to the last one.  The typed refusal is
+    an exit code 1 and a message, with no file written."""
+    raw = json.loads(json.dumps(CARA_SWAPPED))
+    raw["payoff"]["agent"]["gamma"], raw["payoff"]["principal"]["gamma"] = \
+        1.0, 3.0
+    raw["mechanism"] = {"type": "exponential", "eta": 1.0}
+    raw["grid"]["n"] = 101
+    out = tmp_path / "o"
+    assert main(["--config", _write(tmp_path, raw), "--out", str(out),
+                 "worstcase"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: infeasible bad-news LP: obedience fails at level index 99")
+    assert not out.exists()
+
+
+def test_adaptive_without_tree_is_the_static_mechanism(tmp_path):
+    """With no tree the config learns nothing, and the adaptive quota is
+    the robust mechanism: its value is the guarantee and its tax is
+    lambda*, bitwise."""
+    raw = {**QUAD, "seed": 5, "refinements": {"count": 3}}
+    cfg = _write(tmp_path, raw)
+    for cmd in ("robust", "adaptive"):
+        assert main(["--config", cfg, "--out", str(tmp_path / cmd),
+                     cmd]) == 0
+    adaptive = json.loads((tmp_path / "adaptive" /
+                           "adaptive_value.json").read_text())
+    mech = json.loads((tmp_path / "robust" / "mechanism.json").read_text())
+    rob = compute_robust(*quadratic_pair(1.0, 1.0, 1.0), 0.6,
+                         LevelGrid(2.0, 201))
+    assert adaptive["value"] == rob.guarantee == 0.09999999999999992
+    assert adaptive["lambda"] == mech["lambda"] == rob.lambda_star \
+        == 0.09999999999999998
 
 
 def test_worstcase_solves_the_lp_once(tmp_path, monkeypatch):
