@@ -1,7 +1,8 @@
 """Worst-case learning: the bad-news LP, whose construction and HiGHS
-answers pass one certification step (dual certificate and obedience), the
-binding-obedience construction, and the tree oracle (one obedience LP over
-the histories of a small belief tree)."""
+answers pass one certification step (dual certificate and obedience; the
+certificate also tells whether the value is the worst case over all
+learning processes), the binding-obedience construction, and the tree
+oracle (one obedience LP over the histories of a small belief tree)."""
 
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -54,6 +55,12 @@ class BadNewsLPResult:
     bn: BadNewsProcess
     value: float
     premise_ok: bool            # False => bound valid within the bad-news class only
+    #: whether the multipliers below also certify the value as the minimum
+    #: over every obedient learning process on the grid (see
+    #: _certified_gap), participation aside: the dual bound then bounds all
+    #: of them.  Where False the value is the minimum over bad-news
+    #: processes only
+    all_processes: bool
     iterations: int
     #: "construction" (certified binding-obedience process) or "highs"
     #: (sparse LP, where the construction is not certified)
@@ -145,23 +152,65 @@ def _exact_dual(c: np.ndarray, a0: np.ndarray, jbar: int,
 
 
 def _certified_gap(value: float, y: np.ndarray, t: float, c: np.ndarray,
-                   a0: np.ndarray, b: np.ndarray, mu0: float,
-                   p1_end: float) -> Optional[float]:
+                   b: np.ndarray, mu0: float, a1: np.ndarray, a0: np.ndarray,
+                   p1: np.ndarray, p0: np.ndarray
+                   ) -> Optional[Tuple[float, bool]]:
     """Primal value minus the dual objective of multipliers (y, t) of the
-    obedience rows and the mass row, or None unless they are dual feasible:
-    y >= 0 and every reduced cost r_k = c_k - t + sum_{j<=k} y_j (a0_j - a0_k)
-    >= 0, each to 1e-9 of the size of the terms it is computed from (payoffs
-    that span e^48 leave rounding noise far above any absolute tolerance).
-    Both sides are taken in quarters, which is exact, so that the sums stay
-    finite where the payoffs are."""
+    obedience rows and the mass row, and whether they certify that value
+    over all learning processes; None unless they are dual feasible: y >= 0
+    and every reduced cost r_k = c_k - t + sum_{j<=k} y_j (a0_j - a0_k) >= 0.
+
+    All processes: the recommendation-form LP (Myerson 1986; Makris & Renou
+    2023) over the mass x_theta,j stopping at level j in state theta, with
+    two mass rows, a continue-obedience row per level and stop obedience
+    relaxed to the next level: the posterior at a stop at j lies in
+    [lo_j, hi_j], where U^phi(mu, l_j) >= U^phi(mu, l_j+1) ([0, 1] at the
+    last allowed level).  The bad-news process is feasible there, so (y, t)
+    with alpha1 setting r1_end = 0 certify its value as the minimum when
+    mu r1_j + (1 - mu) r0_j >= 0 at both ends of every [lo_j, hi_j], with
+    r1_j = p1_j - alpha1 + sum_{i<j} y_i (a1_i - a1_j) and r0_j likewise
+    from p0 and t: Farkas's lemma on each level's two columns then gives a
+    stop-row multiplier, and the dual objective is unchanged.  The interval
+    holds every belief at which stopping at j beats all later levels, so
+    this is sound for any payoffs, and exact where they are single-peaked.
+
+    Each test holds to 1e-9 of the size of the terms it is computed from
+    (payoffs that span e^48 leave rounding noise far above any absolute
+    tolerance).  Both sides are taken in quarters, which is exact, so that
+    the sums stay finite where the payoffs are."""
     y4 = y / 4
-    ya0 = y4 * a0
-    r = c / 4 - t / 4 + ya0.cumsum() - a0 * y4.cumsum()
-    size = (np.abs(c) / 4 + abs(t) / 4 + np.abs(ya0).cumsum()
-            + np.abs(a0) * np.abs(y4).cumsum())
+    Y4, Z4 = y4.cumsum(), np.abs(y4).cumsum()
+    ya0, ya1 = y4 * a0, y4 * a1
+    # sum_{j<=k} y_j (a0_j - a0_k) / 4 as a cumsum less a product, and
+    # its size likewise
+    cs0, ay0 = ya0.cumsum(), a0 * Y4
+    zs0, az0 = np.abs(ya0).cumsum(), np.abs(a0) * Z4
+    r = c / 4 - t / 4 + cs0 - ay0
+    size = np.abs(c) / 4 + abs(t) / 4 + zs0 + az0
     if y.min() < -1e-9 * np.abs(y).max() or (r < -1e-9 * size).any():
         return None
-    return value - float(mu0 * p1_end + (1.0 - mu0) * t - y @ b)
+    gap = value - float(mu0 * p1[-1] + (1.0 - mu0) * t - y @ b)
+    # r0 and r1 plus their tolerance, in quarters; alpha1 / 4 is the end
+    # entry of s1, taken off with its size z1[-1]
+    q0, q1 = p0 / 4, p1 / 4
+    R0 = (q0 - t / 4 + cs0 - ay0
+          + 1e-9 * (np.abs(q0) + abs(t) / 4 + zs0 + az0))
+    s1 = q1 + ya1.cumsum() - a1 * Y4
+    z1 = np.abs(q1) + np.abs(ya1).cumsum() + np.abs(a1) * Z4
+    R1 = s1 + 1e-9 * z1 + (1e-9 * z1[-1] - s1[-1])
+    # the ends of [lo_j, hi_j] for j < end: mu = 0 where a0 does not rise
+    # on the step, mu = 1 where a1 does not, and where exactly one rises
+    # the belief |e0| / (|e0| + |e1|) at which the step pays nothing,
+    # tested times |e0| + |e1| > 0 (an overflow to inf keeps its sign, and a
+    # NaN fails); where both rise the interval is empty.  At the end r1 = 0,
+    # and r0 is the bad-news reduced cost held above (c_end = p0_end)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e0, e1 = a0[1:] - a0[:-1], a1[1:] - a1[:-1]
+        mid = np.abs(e0) * R1[:-1] + np.abs(e1) * R0[:-1] >= 0.0
+    up0, up1 = e0 > 0.0, e1 > 0.0
+    ok = ((up0 | (R0[:-1] >= 0.0)) & (up1 | (R1[:-1] >= 0.0))
+          & ((up0 == up1) | mid))
+    return gap, bool(ok.all())
 
 
 def _obedience(g: np.ndarray, a1: np.ndarray, a0: np.ndarray, b: np.ndarray,
@@ -236,7 +285,8 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     the same step or raise ConditionViolatedError.  The step: clip g and
     rescale it to 1-mu0, certify the multipliers' gap (dual feasible), and
     hold every obedience row to 1e-9 of its terms.  The result carries that
-    certificate, and premise_ok is read from the same profiles.
+    certificate, whether it covers all learning processes
+    (all_processes), and premise_ok, read from the same profiles.
     """
     if not (is_real(mu0) and 0.0 < mu0 < 1.0):
         raise DomainError("worst-case search needs an interior prior")
@@ -266,8 +316,8 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
             g *= (1.0 - mu0) / total
         value, jbar = _value(g, mu0, p1, c), _support_start(g)
         y, t = dual(jbar)
-        gap = _certified_gap(value, y, t, c, a0, b, mu0, p1[-1])
-        if gap is None:
+        checked = _certified_gap(value, y, t, c, b, mu0, a1, a0, p1, p0)
+        if checked is None:
             raise ConditionViolatedError(
                 "HiGHS multipliers are not dual feasible; the LP value is not "
                 "certified at this payoff range")
@@ -279,7 +329,7 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
                 f"{-slacks[j]:.3g}, beyond 1e-9 of its terms "
                 f"({4 * float(size[j]):.3g}); the "
                 "value is not trustworthy at this payoff range")
-        return g, value, jbar, y, t, gap, slacks
+        return (g, value, jbar, y, t, *checked, slacks)
 
     route, iters, cert = "construction", 0, None
     g = _binding_construction(a0, b, mu0, a0_max)
@@ -291,12 +341,12 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
         route = "highs"
         g, y, t, iters = _sparse_lp(c, a0, a1, b, mu0)
         cert = certify(g, lambda j: (y, t))
-    g, value, jbar, y, t, gap, slacks = cert
+    g, value, jbar, y, t, gap, all_processes, slacks = cert
     binding = (np.abs(slacks) <= 1e-7 * scale).nonzero()[0]
     carrying = g > 1e-12
     comp = float(np.abs(slacks[carrying]).max()) if carrying.any() else 0.0
     return BadNewsLPResult(BadNewsProcess(grid, g, mu0), value, premise_ok,
-                           iters, route, float(gap), jbar,
+                           all_processes, iters, route, float(gap), jbar,
                            float(grid.points[jbar]), float(-(y @ b)), comp,
                            binding, (y, float(t)))
 

@@ -1,5 +1,8 @@
-"""Learning-robust fixed-tax / hard-quota mechanisms, and both attacks that
-add the tree oracle to the bad-news LP: verify_guarantee and payoff_gap."""
+"""Learning-robust fixed-tax / hard-quota mechanisms, and both attacks on a
+mechanism: verify_guarantee, which adds the tree oracle to the bad-news LP
+only for agents whose LP value is not certified over all learning
+processes, and payoff_gap, which adds it where the earlier-stopping premise
+fails."""
 
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -64,7 +67,10 @@ def compute_joint_robust(ambiguity: Sequence[PayoffSpec],
 class GuaranteeReport:
     guarantee: float
     min_value: float
-    per_agent: tuple      # (lp_value, oracle_value) per agent payoff
+    #: (lp_value, oracle_value) per agent payoff; oracle_value is None where
+    #: the LP's certificate covers every learning process on the grid
+    #: (BadNewsLPResult.all_processes), so no oracle ran
+    per_agent: tuple
 
     @property
     def ok(self) -> bool:
@@ -74,26 +80,28 @@ class GuaranteeReport:
 def verify_guarantee(result: RobustMechanismResult,
                      agents: Union[PayoffSpec, Sequence[PayoffSpec]],
                      principal: PayoffSpec, grid: LevelGrid) -> GuaranteeReport:
-    """Attack the constructed mechanism with the bad-news LP and, on a small
-    grid, the exhaustive tree oracle; report the worst value found.  No
-    agent payoff to attack with raises DomainError."""
+    """Attack the constructed mechanism with the bad-news LP and, for each
+    agent whose LP value is not certified over all learning processes, the
+    exhaustive tree oracle on a small grid; report the worst value found.
+    No agent payoff to attack with raises DomainError."""
     agents = (agents,) if isinstance(agents, PayoffSpec) else tuple(agents)
     if not agents:
         raise DomainError("no agent payoff to verify the guarantee against")
     m = result.mechanism
     per = []
-    worst = np.inf
     for a in agents:
         lp = solve_badnews_lp(a, principal, m, grid, result.mu0)
-        # the small grid must contain the quota level, otherwise the
-        # prohibition set it induces is a different mechanism entirely
-        top = result.L_star if result.L_star > 0.0 else grid.l_max
-        small = LevelGrid(top, min(grid.n, 4))
-        beliefs = sorted({0.0, result.mu0, (1.0 + result.mu0) / 2, 1.0})
-        oracle_val = tree_oracle_worst_case(a, principal, m, small, beliefs,
-                                            result.mu0).value
-        worst = min(worst, oracle_val, lp.value)
+        oracle_val = None
+        if not lp.all_processes:
+            # the small grid must contain the quota level, otherwise the
+            # prohibition set it induces is a different mechanism entirely
+            top = result.L_star if result.L_star > 0.0 else grid.l_max
+            small = LevelGrid(top, min(grid.n, 4))
+            beliefs = sorted({0.0, result.mu0, (1.0 + result.mu0) / 2, 1.0})
+            oracle_val = tree_oracle_worst_case(a, principal, m, small,
+                                                beliefs, result.mu0).value
         per.append((lp.value, oracle_val))
+    worst = min(v for pair in per for v in pair if v is not None)
     return GuaranteeReport(result.guarantee, float(worst), tuple(per))
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from robustquota import (CARA, CRRA, BudgetExceededError,
                          ConditionViolatedError, DomainError, Exponential,
@@ -20,6 +21,7 @@ from robustquota.adversary import (badnews_value, indifference_G,
                                    principal_prefers_earlier, solve_badnews_lp,
                                    stop_rule_at_zero, tree_oracle_worst_case)
 from robustquota.badnews import BadNewsProcess
+from robustquota.checks import check_assumptions
 from robustquota.mechanisms import adjusted_profiles
 from robustquota.robust import payoff_gap
 from robustquota.simplex import solve_lp
@@ -81,21 +83,27 @@ def _dual_loop(c, a0, jbar):
 
 
 @st.composite
-def _lp_instances(draw):
+def _lp_instances(draw, l_maxes=(2.0, 4.0, 8.0, 16.0), n_max=401,
+                  mu0=st.floats(0.2, 0.8), robust=False):
     """A drawn bad-news LP: (agent, principal, m, grid, mu0) over quadratic
-    and CARA pairs under Zero, Linear or a quota."""
+    and CARA pairs under Zero, Linear or a quota, and with robust also the
+    pair's robust mechanism."""
     family = draw(st.sampled_from(["quadratic", "cara"]))
     params = draw(st.tuples(*[st.floats(0.5, 3.0)] * 3))
     if family == "quadratic":
         agent, principal = quadratic_pair(params[0], params[1], params[2] - 0.5)
     else:
         agent, principal = cara_pair(params[0], params[1])
-    l_max = draw(st.sampled_from([2.0, 4.0, 8.0, 16.0]))
-    m = draw(st.one_of(st.just(Zero()), st.builds(Linear, st.floats(0.0, 0.1)),
-                       st.builds(FixedTaxHardQuota, st.just(0.0),
-                                 st.floats(0.2 * l_max, l_max))))
-    grid = LevelGrid(l_max, draw(st.integers(3, 401)))
-    return agent, principal, m, grid, draw(st.floats(0.2, 0.8))
+    l_max = draw(st.sampled_from(l_maxes))
+    grid = LevelGrid(l_max, draw(st.integers(3, n_max)))
+    prior = draw(mu0)
+    mechs = [st.just(Zero()), st.builds(Linear, st.floats(0.0, 0.1)),
+             st.builds(FixedTaxHardQuota, st.just(0.0),
+                       st.floats(0.2 * l_max, l_max))]
+    if robust:
+        mechs.append(st.builds(lambda: compute_robust(agent, principal, prior,
+                                                      grid).mechanism))
+    return agent, principal, draw(st.one_of(*mechs)), grid, prior
 
 
 def _force_highs(monkeypatch):
@@ -182,11 +190,18 @@ def test_indifference_matches_cara_closed_form_G():
 
 
 @pytest.mark.parametrize("mu0", [0.4, 0.5, 0.6])
-def test_weak_duality_always(mu0):
-    agent, principal = cara_pair(1.0, 3.0)
-    grid = LevelGrid(2.0, 301)
-    lp = solve_badnews_lp(agent, principal, Zero(), grid, mu0)
-    assert lp.dual_bound <= lp.value + 1e-7 * abs(lp.value)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_weak_duality_always(mu0, data):
+    """The certified dual bound never exceeds the value it certifies, on
+    drawn pairs and mechanisms; an instance solve_badnews_lp refuses has
+    no bound to check."""
+    instance = data.draw(_lp_instances(mu0=st.just(mu0), robust=True))
+    try:
+        lp = solve_badnews_lp(*instance)
+    except (ConditionViolatedError, InfeasibleLPError):
+        return
+    assert lp.dual_bound <= lp.value + 1e-9 * max(1.0, abs(lp.value))
 
 
 def test_dual_tight_when_support_reaches_zero():
@@ -937,16 +952,16 @@ def test_infeasible_top_row_refused_exactly(gammas, l_max, n, mu0, beta):
     with pytest.raises(InfeasibleLPError, match="obedience fails") as exc:
         solve_badnews_lp(agent, principal, Linear(beta), grid, mu0)
     assert exc.value.most_binding == n - 2
-    _, a1, a0, p1, _, c, b = adversary._lp_data(agent, principal,
-                                                Linear(beta), grid, mu0)
+    _, a1, a0, p1, p0, c, b = adversary._lp_data(agent, principal,
+                                                 Linear(beta), grid, mu0)
     try:
         g, y, t, _ = adversary._sparse_lp(c, a0, a1, b, mu0)
     except InfeasibleLPError:
         return
     g = np.clip(g, 0.0, None)
     value = float(mu0 * p1[-1] + c @ g * (1.0 - mu0) / g.sum())
-    assert adversary._certified_gap(value, y, t, c, a0, b, mu0,
-                                    p1[-1]) is None
+    assert adversary._certified_gap(value, y, t, c, b, mu0, a1, a0, p1,
+                                    p0) is None
 
 
 @st.composite
@@ -991,10 +1006,10 @@ def test_premise_reads_the_solve_profiles(instance):
 
 
 @st.composite
-def _census_instances(draw):
+def _census_instances(draw, l_maxes=(1.0, 2.0, 4.0, 8.0), n_max=161):
     """A drawn bad-news LP over CARA, CRRA and quadratic pairs with
-    parameters in [0.3, 3], l_max in {1, 2, 4, 8}, n <= 161 and a prior in
-    [0.1, 0.9], under Zero, Linear, a quota, Exponential or the robust
+    parameters in [0.3, 3], l_max in l_maxes, 3 <= n <= n_max and a prior
+    in [0.1, 0.9], under Zero, Linear, a quota, Exponential or the robust
     mechanism."""
     family = draw(st.sampled_from(["cara", "crra", "quadratic"]))
     param = st.floats(0.3, 3.0)
@@ -1005,8 +1020,8 @@ def _census_instances(draw):
     else:
         gamma = param.filter(lambda x: x != 1.0)
         agent, principal = CRRA(draw(gamma)), CRRA(draw(gamma))
-    l_max = draw(st.sampled_from([1.0, 2.0, 4.0, 8.0]))
-    grid = LevelGrid(l_max, draw(st.integers(3, 161)))
+    l_max = draw(st.sampled_from(l_maxes))
+    grid = LevelGrid(l_max, draw(st.integers(3, n_max)))
     mu0 = draw(st.floats(0.1, 0.9))
     kind = draw(st.sampled_from(["zero", "linear", "quota", "exponential",
                                  "robust"]))
@@ -1041,15 +1056,15 @@ def test_every_worst_case_answer_carries_its_certificate(instance):
     value.  indifference_G's construction, where it reports no fallback,
     meets the same obedience rule."""
     agent, principal, m, grid, mu0 = instance
-    _, a1, a0, p1, _, c, b = adversary._lp_data(*instance)
+    _, a1, a0, p1, p0, c, b = adversary._lp_data(*instance)
     try:
         lp = solve_badnews_lp(*instance)
     except (ConditionViolatedError, InfeasibleLPError):
         pass
     else:
         y, t = lp.multipliers
-        assert adversary._certified_gap(lp.value, y, t, c, a0, b, mu0,
-                                        p1[-1]) == lp.gap
+        assert adversary._certified_gap(lp.value, y, t, c, b, mu0, a1, a0,
+                                        p1, p0) == (lp.gap, lp.all_processes)
         assert _obeys_dense(lp.bn.g, a1, a0, mu0)
         if lp.route == "construction":
             assert abs(lp.gap) <= 1e-9 * max(1.0, abs(lp.value))
@@ -1089,3 +1104,118 @@ def test_doomed_row_refusal_matches_suffix_max(profiles, mu0):
     except ConditionViolatedError:
         refused = None
     assert refused == (int(ref[-1]) if ref.size else None)
+
+
+def _all_process_lp(agent, principal, m, grid, mu0):
+    """Reference: the worst case over every obedient learning process on
+    the grid, as the dense recommendation-form LP solved by HiGHS.  Mass
+    x_theta,j stops at level j in state theta; the rows are the two state
+    masses, continue obedience at each level, and stop obedience against
+    every later allowed level.  Agent rows are divided by the agent's
+    payoff scale and the objective by the principal's, which leaves the
+    argmin unchanged.  Returns the value and the principal's scale."""
+    a1, a0 = adjusted_profiles(agent, m, "agent", grid)
+    p1, p0 = adjusted_profiles(principal, m, "principal", grid)
+    n = len(a1)
+    a = np.stack((a1, a0)) / max(1.0, np.abs(a1).max(), np.abs(a0).max())
+    scale = max(1.0, float(np.abs(p1).max()), float(np.abs(p0).max()))
+    D = a[:, None, :] - a[:, :, None]        # D[theta, j, t] = a_t - a_j
+    later = np.triu(np.ones((n, n), dtype=bool), 1)
+    cont = -np.concatenate((D[0] * later, D[1] * later), axis=1)[:-1]
+    j, k = later.nonzero()
+    stop = np.zeros((len(j), 2 * n))
+    stop[np.arange(len(j)), j] = D[0, j, k]
+    stop[np.arange(len(j)), n + j] = D[1, j, k]
+    rows = np.concatenate((cont, stop))
+    mass = np.kron(np.eye(2), np.ones(n))
+    res = linprog(np.concatenate((p1, p0)) / scale,
+                  A_ub=rows if len(rows) else None,
+                  b_ub=np.zeros(len(rows)) if len(rows) else None,
+                  A_eq=mass, b_eq=[mu0, 1.0 - mu0], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return res.fun * scale, scale
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_lp_instances(l_maxes=(1.0, 2.0, 4.0), n_max=40, robust=True))
+def test_all_processes_is_sound_against_the_dense_reference(instance):
+    """The bad-news process is one of all processes, so the dense
+    all-process LP is never above the bad-news value; where
+    `all_processes` holds it is not below it either."""
+    try:
+        lp = solve_badnews_lp(*instance)
+    except (ConditionViolatedError, InfeasibleLPError):
+        return
+    ref, scale = _all_process_lp(*instance)
+    assert ref <= lp.value + 1e-9 * scale
+    if lp.all_processes:
+        assert ref >= lp.value - 1e-9 * scale
+
+
+@pytest.mark.parametrize("pair, mech, mu0, certified", [
+    (quadratic_pair(1.0, 1.0, 1.0), Zero(), 0.6, True),
+    (cara_pair(1.0, 3.0), Zero(), 0.5, True),
+    # the premise fails, and some process does worse than every bad-news
+    # process
+    (cara_pair(3.0, 1.5), "robust", 0.7, False)])
+def test_all_processes_on_known_instances(pair, mech, mu0, certified):
+    grid = LevelGrid(2.0, 11)
+    if mech == "robust":
+        mech = compute_robust(*pair, mu0, grid).mechanism
+    lp = solve_badnews_lp(*pair, mech, grid, mu0)
+    assert lp.all_processes is certified
+    ref, scale = _all_process_lp(*pair, mech, grid, mu0)
+    assert (ref >= lp.value - 1e-9 * scale) is certified
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_lp_instances(l_maxes=(1.0, 2.0, 4.0), n_max=4, robust=True),
+       st.floats(0.05, 0.95))
+def test_oracle_never_below_a_certified_value(instance, belief):
+    """On a grid of at most 4 levels the tree oracle, an independent
+    solver over history-dependent processes, finds nothing below a value
+    certified over all processes."""
+    agent, principal, m, grid, mu0 = instance
+    try:
+        lp = solve_badnews_lp(*instance)
+    except (ConditionViolatedError, InfeasibleLPError):
+        return
+    if not lp.all_processes:
+        return
+    beliefs = {0.0, mu0, belief, (1.0 + mu0) / 2, 1.0}
+    try:
+        oracle = tree_oracle_worst_case(agent, principal, m, grid, beliefs,
+                                        mu0)
+    except (ConditionViolatedError, InfeasibleLPError):
+        return
+    p1, p0 = adjusted_profiles(principal, m, "principal", grid)
+    scale = max(1.0, float(np.abs(p1).max()), float(np.abs(p0).max()))
+    assert oracle.value >= lp.value - 1e-9 * scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_census_instances(l_maxes=(1.0, 2.0, 4.0, 8.0, 16.0), n_max=401),
+       st.floats(0.05, 0.95))
+def test_worst_case_calls_return_or_raise_typed_errors(instance, belief):
+    """Every public worst-case call, the assumption checks and the tree
+    oracle answer or refuse with a class from errors.py, with no
+    RuntimeWarning, out to payoffs of e^48 (CARA at l_max 16), where the
+    all-process check sums y a1 and compares payoff steps."""
+    agent, principal, m, grid, mu0 = instance
+    small = LevelGrid(grid.l_max, min(grid.n, 4))
+    calls = (
+        lambda: solve_badnews_lp(*instance),
+        lambda: verify_guarantee(compute_robust(agent, principal, mu0, grid),
+                                 agent, principal, grid),
+        lambda: payoff_gap(m, agent, principal, grid, mu0),
+        lambda: check_assumptions(agent, principal, grid),
+        lambda: tree_oracle_worst_case(agent, principal, m, small,
+                                       {0.0, belief, mu0, 1.0}, mu0))
+    for call in calls:
+        try:
+            call()
+        except RobustQuotaError:
+            pass

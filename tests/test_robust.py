@@ -4,7 +4,8 @@ from scipy.optimize import minimize_scalar
 
 from robustquota import (CARA, DomainError, LevelGrid, Quadratic, Tabulated,
                          Zero, cara_pair, compute_joint_robust, compute_robust,
-                         quadratic_pair, verify_guarantee)
+                         quadratic_pair, solve_badnews_lp, verify_guarantee)
+from robustquota import robust
 from robustquota.robust import surplus_curve
 
 
@@ -129,3 +130,37 @@ def test_verify_guarantee_report():
     assert rep.ok
     assert rep.min_value >= rob.guarantee - 1e-8
     assert abs(rep.min_value - rep.guarantee) <= 1e-6
+
+
+def test_verify_guarantee_skips_the_oracle_where_certified(monkeypatch):
+    """The LP's certificate covers every learning process here, so no
+    oracle runs and the report holds the LP value alone."""
+    def refuse(*args):
+        raise AssertionError("the tree oracle ran on a certified instance")
+
+    monkeypatch.setattr(robust, "tree_oracle_worst_case", refuse)
+    agent, principal = quadratic_pair(1.0, 1.0, 1.0)
+    grid = LevelGrid(2.0, 101)
+    rob = compute_robust(agent, principal, 0.6, grid)
+    rep = verify_guarantee(rob, agent, principal, grid)
+    assert rep.ok
+    ((lp_value, oracle_value),) = rep.per_agent
+    assert oracle_value is None
+    assert rep.min_value == lp_value
+
+
+def test_verify_guarantee_runs_the_oracle_where_uncertified():
+    """The earlier-stopping premise fails and the LP is not certified over
+    all processes, so the 4-level oracle still attacks, and its value,
+    below the LP's, is the report's worst value."""
+    agent, principal = cara_pair(3.0, 1.5)
+    grid = LevelGrid(2.0, 11)
+    rob = compute_robust(agent, principal, 0.7, grid)
+    lp = solve_badnews_lp(agent, principal, rob.mechanism, grid, 0.7)
+    assert not lp.premise_ok and not lp.all_processes
+    rep = verify_guarantee(rob, agent, principal, grid)
+    ((lp_value, oracle_value),) = rep.per_agent
+    assert lp_value == lp.value
+    assert oracle_value == pytest.approx(-0.870336, abs=1e-6)
+    assert rep.min_value == oracle_value
+    assert not rep.ok
