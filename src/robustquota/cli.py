@@ -96,10 +96,12 @@ def cmd_worstcase(cfg: RunConfig, args) -> int:
     _write_csv(_outpath(args, "worstcase.csv"),
                ["level", "G", "cont_belief", "binding", "mu_hat_U", "mu_hat_V"],
                rows)
-    payload = {"value": lp.value, "premise_ok": lp.premise_ok,
-               "route": lp.route, "lbar": lp.lbar, "dual": lp.certificate()}
+    premise_ok = lp.premise_ok
+    payload = {"value": lp.value, "premise_ok": premise_ok,
+               "all_processes": lp.all_processes, "route": lp.route,
+               "lbar": lp.lbar, "dual": lp.certificate()}
     _write_json(_outpath(args, "worstcase_value.json"), payload)
-    print(json.dumps({"value": lp.value, "premise_ok": lp.premise_ok},
+    print(json.dumps({"value": lp.value, "premise_ok": premise_ok},
                      sort_keys=True))
     return 0
 

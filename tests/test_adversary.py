@@ -960,8 +960,7 @@ def test_infeasible_top_row_refused_exactly(gammas, l_max, n, mu0, beta):
         return
     g = np.clip(g, 0.0, None)
     value = float(mu0 * p1[-1] + c @ g * (1.0 - mu0) / g.sum())
-    assert adversary._certified_gap(value, y, t, c, b, mu0, a1, a0, p1,
-                                    p0) is None
+    assert adversary._certified_gap(value, y, t, c, b, mu0, a0, p1) is None
 
 
 @st.composite
@@ -1051,10 +1050,10 @@ def _obeys_dense(g, a1, a0, mu0):
 @given(_census_instances())
 def test_every_worst_case_answer_carries_its_certificate(instance):
     """solve_badnews_lp refuses with a typed error, or its answer
-    re-verifies from the LP data: the multipliers give back the gap, every
-    obedience row holds, and the construction's gap is within 1e-9 of its
-    value.  indifference_G's construction, where it reports no fallback,
-    meets the same obedience rule."""
+    re-verifies from the LP data: the multipliers give back the gap and the
+    all-process flag, every obedience row holds, and the construction's gap
+    is within 1e-9 of its value.  indifference_G's construction, where it
+    reports no fallback, meets the same obedience rule."""
     agent, principal, m, grid, mu0 = instance
     _, a1, a0, p1, p0, c, b = adversary._lp_data(*instance)
     try:
@@ -1063,8 +1062,10 @@ def test_every_worst_case_answer_carries_its_certificate(instance):
         pass
     else:
         y, t = lp.multipliers
-        assert adversary._certified_gap(lp.value, y, t, c, b, mu0, a1, a0,
-                                        p1, p0) == (lp.gap, lp.all_processes)
+        assert adversary._certified_gap(lp.value, y, t, c, b, mu0, a0,
+                                        p1) == lp.gap
+        assert adversary._all_processes(y, t, a1, a0, p1,
+                                        p0) == lp.all_processes
         assert _obeys_dense(lp.bn.g, a1, a0, mu0)
         if lp.route == "construction":
             assert abs(lp.gap) <= 1e-9 * max(1.0, abs(lp.value))
@@ -1170,6 +1171,101 @@ def test_all_processes_on_known_instances(pair, mech, mu0, certified):
     assert (ref >= lp.value - 1e-9 * scale) is certified
 
 
+def _eager_certificate(value, y, t, c, b, mu0, a1, a0, p1, p0):
+    """Reference: the certification step in one pass, the all-process
+    check sharing the gap's prefix sums; (gap, all_processes), or None
+    unless (y, t) are dual feasible."""
+    y4 = y / 4
+    Y4, Z4 = y4.cumsum(), np.abs(y4).cumsum()
+    ya0, ya1 = y4 * a0, y4 * a1
+    cs0, ay0 = ya0.cumsum(), a0 * Y4
+    zs0, az0 = np.abs(ya0).cumsum(), np.abs(a0) * Z4
+    r = c / 4 - t / 4 + cs0 - ay0
+    size = np.abs(c) / 4 + abs(t) / 4 + zs0 + az0
+    if y.min() < -1e-9 * np.abs(y).max() or (r < -1e-9 * size).any():
+        return None
+    gap = value - float(mu0 * p1[-1] + (1.0 - mu0) * t - y @ b)
+    q0, q1 = p0 / 4, p1 / 4
+    R0 = (q0 - t / 4 + cs0 - ay0
+          + 1e-9 * (np.abs(q0) + abs(t) / 4 + zs0 + az0))
+    s1 = q1 + ya1.cumsum() - a1 * Y4
+    z1 = np.abs(q1) + np.abs(ya1).cumsum() + np.abs(a1) * Z4
+    R1 = s1 + 1e-9 * z1 + (1e-9 * z1[-1] - s1[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        e0, e1 = a0[1:] - a0[:-1], a1[1:] - a1[:-1]
+        mid = np.abs(e0) * R1[:-1] + np.abs(e1) * R0[:-1] >= 0.0
+    up0, up1 = e0 > 0.0, e1 > 0.0
+    ok = ((up0 | (R0[:-1] >= 0.0)) & (up1 | (R1[:-1] >= 0.0))
+          & ((up0 == up1) | mid))
+    return gap, bool(ok.all())
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_census_instances())
+def test_diagnostics_read_on_access_match_the_eager_ones(instance):
+    """premise_ok, read from the result, is the public premise check, and
+    all_processes is the flag of the eager certification step; a second
+    read gives the same answer."""
+    agent, principal, m, grid, mu0 = instance
+    try:
+        lp = solve_badnews_lp(*instance)
+    except (ConditionViolatedError, InfeasibleLPError):
+        return
+    _, a1, a0, p1, p0, c, b = adversary._lp_data(*instance)
+    y, t = lp.multipliers
+    ref = _eager_certificate(lp.value, y, t, c, b, mu0, a1, a0, p1, p0)
+    assert ref == (lp.gap, lp.all_processes)
+    assert lp.premise_ok == principal_prefers_earlier(agent, principal, m,
+                                                      grid)
+    assert lp.premise_ok is lp.premise_ok
+    assert lp.all_processes is lp.all_processes
+
+
+def test_diagnostics_are_computed_only_when_read(monkeypatch):
+    """solve_badnews_lp computes neither diagnostic; reading premise_ok
+    runs the premise check once, and verify_guarantee, which reads only
+    all_processes, never runs it."""
+    calls = {"premise": 0, "all": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(adversary, "_prefers_earlier",
+                        counted("premise", adversary._prefers_earlier))
+    monkeypatch.setattr(adversary, "_all_processes",
+                        counted("all", adversary._all_processes))
+    agent, principal = quadratic_pair(1.0, 1.0, 1.0)
+    grid = LevelGrid(2.0, 41)
+    lp = solve_badnews_lp(agent, principal, Zero(), grid, 0.6)
+    assert calls == {"premise": 0, "all": 0}
+    assert lp.premise_ok
+    assert calls == {"premise": 1, "all": 0}
+    assert lp.all_processes
+    assert calls == {"premise": 1, "all": 1}
+    rob = compute_robust(agent, principal, 0.6, grid)
+    verify_guarantee(rob, agent, principal, grid)
+    assert calls == {"premise": 1, "all": 2}
+
+
+def test_premise_is_not_a_certificate():
+    """The earlier-stopping premise makes bad news the worst case only for
+    single-peaked payoffs: here it holds, the payoffs are not single-peaked,
+    and some learning process gives the principal less than every bad-news
+    process, which all_processes reports."""
+    agent, principal = CRRA(1.80997), CRRA(0.872995)
+    grid, mu0 = LevelGrid(4.0, 33), 0.89248
+    lp = solve_badnews_lp(agent, principal, Zero(), grid, mu0)
+    assert lp.premise_ok and not lp.all_processes
+    assert lp.route == "highs"
+    assert lp.value == pytest.approx(1.21660, abs=1e-5)
+    ref, _ = _all_process_lp(agent, principal, Zero(), grid, mu0)
+    assert ref == pytest.approx(0.95189, abs=1e-5)
+    assert not check_assumptions(agent, principal, grid).single_peaked
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(_lp_instances(l_maxes=(1.0, 2.0, 4.0), n_max=4, robust=True),
        st.floats(0.05, 0.95))
@@ -1206,8 +1302,12 @@ def test_worst_case_calls_return_or_raise_typed_errors(instance, belief):
     all-process check sums y a1 and compares payoff steps."""
     agent, principal, m, grid, mu0 = instance
     small = LevelGrid(grid.l_max, min(grid.n, 4))
+    def solve():
+        lp = solve_badnews_lp(*instance)
+        return lp.premise_ok, lp.all_processes
+
     calls = (
-        lambda: solve_badnews_lp(*instance),
+        solve,
         lambda: verify_guarantee(compute_robust(agent, principal, mu0, grid),
                                  agent, principal, grid),
         lambda: payoff_gap(m, agent, principal, grid, mu0),

@@ -111,6 +111,21 @@ def test_worstcase_outputs(tmp_path):
     assert payload["premise_ok"]
 
 
+def test_worstcase_records_all_processes(tmp_path, capsys):
+    """worstcase_value.json records the all-process certificate next to
+    the premise; the printed line keeps the value and the premise only."""
+    cfg = _write(tmp_path, QUAD)
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "worstcase"]) == 0
+    payload = json.loads((out / "worstcase_value.json").read_text())
+    c = load_config(cfg)
+    lp = solve_badnews_lp(c.agent, c.principal, c.mechanism, c.grid, c.mu0)
+    assert payload["all_processes"] is lp.all_processes is True
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == {"value": payload["value"],
+                       "premise_ok": payload["premise_ok"]}
+
+
 @pytest.mark.parametrize("raw, route", [
     (QUAD, "construction"),
     ({"payoff": {"agent": {"family": "cara", "gamma": 2.0},
