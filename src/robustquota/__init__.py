@@ -31,7 +31,7 @@ from .payoffs import (CARA, CRRA, PayoffSpec, Quadratic, Tabulated, cara_pair,
 from .processes import (DiscreteLearningProcess, binomial_tree,
                         full_revelation, no_learning, random_tree,
                         single_split)
-from .robust import (GapResult, GuaranteeReport, RobustMechanismResult,
+from .robust import (GuaranteeReport, RobustMechanismResult,
                      compute_joint_robust, compute_robust, payoff_gap,
                      verify_guarantee)
 from .simplex import SimplexResult, solve_lp

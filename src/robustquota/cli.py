@@ -113,7 +113,7 @@ def cmd_gap(cfg: RunConfig, args) -> int:
         for i, m in enumerate(cfg.mechanisms):
             gap = payoff_gap(m, cfg.agent, cfg.principal, grid, cfg.mu0)
             rows.append((m.json_name, i, l_max, gap.delta,
-                         gap.guarantee, gap.worst_value, gap.route))
+                         gap.guarantee, gap.min_value, gap.route))
     _write_csv(_outpath(args, "gap.csv"),
                ["mechanism", "index", "l_max", "delta", "guarantee",
                 "worst_value", "route"], rows)

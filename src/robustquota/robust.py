@@ -1,8 +1,8 @@
-"""Learning-robust fixed-tax / hard-quota mechanisms, and both attacks on a
-mechanism: verify_guarantee, which adds the tree oracle to the bad-news LP
-only for agents whose LP value is not certified over all learning
-processes, and payoff_gap, which adds it where the earlier-stopping premise
-fails."""
+"""Learning-robust fixed-tax / hard-quota mechanisms, and the one attack on
+a mechanism: the bad-news LP, plus the tree oracle for agents whose LP value
+is not certified over all learning processes.  verify_guarantee runs it on
+the robust mechanism and payoff_gap on any mechanism; both return a
+GuaranteeReport."""
 
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -76,61 +76,57 @@ class GuaranteeReport:
     def ok(self) -> bool:
         return self.min_value >= self.guarantee - 1e-8
 
+    @property
+    def delta(self) -> float:
+        """The gap Delta(phi): the robust guarantee minus the worst value."""
+        return self.guarantee - self.min_value
+
+    @property
+    def route(self) -> str:
+        """Which attack gave the report: "tree_oracle" where the oracle ran
+        for some agent, else "badnews_lp"."""
+        ran = any(o is not None for _, o in self.per_agent)
+        return "tree_oracle" if ran else "badnews_lp"
+
+
+def _attack(m: Mechanism, guarantee: float, agents: Sequence[PayoffSpec],
+            principal: PayoffSpec, grid: LevelGrid,
+            mu0: float) -> GuaranteeReport:
+    """Attack m for each agent with the bad-news LP and, where its value is
+    not certified over all learning processes, with the exhaustive tree
+    oracle on at most 4 levels spanning [0, m's last allowed level], so its
+    agent meets the same quota, and beliefs {0, mu0, (1 + mu0)/2, 1}.  With
+    one allowed level there is no step to test and the LP is certified."""
+    per = []
+    for a in agents:
+        lp = solve_badnews_lp(a, principal, m, grid, mu0)
+        oracle_val = None
+        if not lp.all_processes:
+            small = LevelGrid(float(grid.points[lp.bn.end]), min(grid.n, 4))
+            beliefs = sorted({0.0, mu0, (1.0 + mu0) / 2, 1.0})
+            oracle_val = tree_oracle_worst_case(a, principal, m, small,
+                                                beliefs, mu0).value
+        per.append((lp.value, oracle_val))
+    worst = min(v for pair in per for v in pair if v is not None)
+    return GuaranteeReport(guarantee, float(worst), tuple(per))
+
 
 def verify_guarantee(result: RobustMechanismResult,
                      agents: Union[PayoffSpec, Sequence[PayoffSpec]],
                      principal: PayoffSpec, grid: LevelGrid) -> GuaranteeReport:
-    """Attack the constructed mechanism with the bad-news LP and, for each
-    agent whose LP value is not certified over all learning processes, the
-    exhaustive tree oracle on a small grid; report the worst value found.
-    No agent payoff to attack with raises DomainError."""
+    """Attack the constructed mechanism (_attack) and hold the worst value
+    found against its guarantee.  No agent payoff to attack with raises
+    DomainError."""
     agents = (agents,) if isinstance(agents, PayoffSpec) else tuple(agents)
     if not agents:
         raise DomainError("no agent payoff to verify the guarantee against")
-    m = result.mechanism
-    per = []
-    for a in agents:
-        lp = solve_badnews_lp(a, principal, m, grid, result.mu0)
-        oracle_val = None
-        if not lp.all_processes:
-            # the small grid must contain the quota level, otherwise the
-            # prohibition set it induces is a different mechanism entirely
-            top = result.L_star if result.L_star > 0.0 else grid.l_max
-            small = LevelGrid(top, min(grid.n, 4))
-            beliefs = sorted({0.0, result.mu0, (1.0 + result.mu0) / 2, 1.0})
-            oracle_val = tree_oracle_worst_case(a, principal, m, small,
-                                                beliefs, result.mu0).value
-        per.append((lp.value, oracle_val))
-    worst = min(v for pair in per for v in pair if v is not None)
-    return GuaranteeReport(result.guarantee, float(worst), tuple(per))
-
-
-@dataclass(frozen=True)
-class GapResult:
-    delta: float
-    guarantee: float
-    worst_value: float
-    route: str      # "badnews_lp", or "tree_oracle" where the premise fails
+    return _attack(result.mechanism, result.guarantee, agents, principal,
+                   grid, result.mu0)
 
 
 def payoff_gap(m: Mechanism, agent: PayoffSpec, principal: PayoffSpec,
-               grid: LevelGrid, mu0: float) -> GapResult:
-    """Delta(phi) = ADV guarantee minus the worst-case value of mechanism m.
-    Without the earlier-stopping premise the tree oracle also attacks m, on 0
-    and three of the LP's continuation beliefs, on at most 4 levels spanning
-    [0, last allowed level] so that its agent meets the same quota."""
+               grid: LevelGrid, mu0: float) -> GuaranteeReport:
+    """The attack on any mechanism m, held against the robust guarantee
+    for the same instance; the report's delta is Delta(phi)."""
     guarantee = compute_robust(agent, principal, mu0, grid).guarantee
-    lp = solve_badnews_lp(agent, principal, m, grid, mu0)
-    if lp.premise_ok:
-        return GapResult(guarantee - lp.value, guarantee, lp.value,
-                         "badnews_lp")
-    # earlier-stopping premise failed (never with one allowed level, where
-    # both one-shot levels are 0): bound via the small tree oracle
-    end = lp.bn.end
-    small = LevelGrid(float(grid.points[end]), min(end + 1, 4))
-    lam = lp.bn.cont_belief()
-    idx = np.linspace(0, len(lam) - 1, 3).astype(int)
-    beliefs = sorted({0.0, *(float(lam[i]) for i in idx)})
-    oracle = tree_oracle_worst_case(agent, principal, m, small, beliefs, mu0)
-    worst = min(lp.value, oracle.value)
-    return GapResult(guarantee - worst, guarantee, worst, "tree_oracle")
+    return _attack(m, guarantee, (agent,), principal, grid, mu0)

@@ -328,12 +328,20 @@ def test_payoff_gap_zero_for_robust_mechanism():
 
 
 def test_payoff_gap_oracle_meets_the_same_quota(monkeypatch):
-    """Where the premise fails, the oracle attacks m on a grid that ends at
-    m's last allowed level, so its agent stops where the LP's must; on
-    [0, l_max] with 4 points, quota 0.52 let it develop to 2/3."""
+    """Where the LP is not certified over all processes, the oracle attacks
+    m on a grid that ends at m's last allowed level, so its agent stops
+    where the LP's must; on [0, l_max] with 4 points, quota 0.65 would
+    allow level 0 alone.  Where the LP is certified, as at quota 0.52 with
+    the premise failing, no oracle runs and the LP value is the answer."""
     agent, principal = cara_pair(0.76, 2.07)
-    m = FixedTaxHardQuota(0.07, 0.52)
     grid = LevelGrid(2.0, 101)
+    certified = payoff_gap(FixedTaxHardQuota(0.07, 0.52), agent, principal,
+                           grid, 0.42)
+    assert certified.route == "badnews_lp"
+    assert certified.min_value == -1.1765461265960713
+
+    agent, principal = cara_pair(2.89, 1.21)
+    m = FixedTaxHardQuota(0.04, 0.65)
     oracle_grids = []
     oracle = robust.tree_oracle_worst_case
 
@@ -342,26 +350,26 @@ def test_payoff_gap_oracle_meets_the_same_quota(monkeypatch):
         return oracle(agent, principal, m, small_grid, beliefs, mu0)
 
     monkeypatch.setattr(robust, "tree_oracle_worst_case", spy)
-    gap = payoff_gap(m, agent, principal, grid, 0.42)
+    gap = payoff_gap(m, agent, principal, grid, 0.59)
     assert gap.route == "tree_oracle"
-    end = solve_badnews_lp(agent, principal, m, grid, 0.42).bn.end
+    end = solve_badnews_lp(agent, principal, m, grid, 0.59).bn.end
     (small,) = oracle_grids
     assert small.n == 4 and small.l_max == grid.points[end]
     assert len(m.tax_profile(small)) == small.n
 
 
 def test_payoff_gap_of_a_premise_failing_table_is_the_fixed_quota_gap():
-    """A table that equals FixedTaxHardQuota(0.07, 0.52) on its grid has the
-    fixed mechanism's gap, bitwise, also where the premise fails and the
-    oracle attacks it on a 4-point grid of its own."""
-    agent, principal = cara_pair(0.76, 2.07)
+    """A table that equals FixedTaxHardQuota(0.04, 0.65) on its grid has the
+    fixed mechanism's gap, bitwise, also where the premise fails, the LP is
+    not certified and the oracle attacks it on a 4-point grid of its own."""
+    agent, principal = cara_pair(2.89, 1.21)
     grid = LevelGrid(2.0, 101)
-    fixed = FixedTaxHardQuota(0.07, 0.52)
+    fixed = FixedTaxHardQuota(0.04, 0.65)
     k = len(fixed.tax_profile(grid))
-    table = TabulatedMechanism(grid, (0.07,) * k + (np.inf,) * (grid.n - k))
-    gap = payoff_gap(table, agent, principal, grid, 0.42)
+    table = TabulatedMechanism(grid, (0.04,) * k + (np.inf,) * (grid.n - k))
+    gap = payoff_gap(table, agent, principal, grid, 0.59)
     assert gap.route == "tree_oracle"
-    assert gap == payoff_gap(fixed, agent, principal, grid, 0.42)
+    assert gap == payoff_gap(fixed, agent, principal, grid, 0.59)
 
 
 def test_payoff_gap_positive_for_laissez_faire():
@@ -842,18 +850,24 @@ def test_pattern_lp_drives_artificials_out_on_large_entries():
     assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize("gammas, l_max, n, mu0", [
-    ((2.1415767355128166, 2.7108936317166408), 0.01, 186, 0.844033641210119),
-    ((2.840702633155025, 2.97752713587353), 64.0, 434, 0.8082261214166006)],
+@pytest.mark.parametrize("call", [
+    lambda: payoff_gap(Zero(), CRRA(2.1415767355128166),
+                       CRRA(2.7108936317166408), LevelGrid(0.01, 186),
+                       0.844033641210119),
+    # payoff_gap answers this instance from its certified LP, so the oracle
+    # LP is called directly
+    lambda: tree_oracle_worst_case(
+        CRRA(2.840702633155025), CRRA(2.97752713587353), Zero(),
+        LevelGrid(64.0, 4), [0.0, 0.8082261214166006, 0.9999971230258643, 1.0],
+        0.8082261214166006)],
     ids=["empty_harris_set", "unbounded_verdict"])
-def test_oracle_lp_past_float64_is_a_typed_refusal(gammas, l_max, n, mu0):
+def test_oracle_lp_past_float64_is_a_typed_refusal(call):
     """CRRA floors the bad-state wealth 1/l at 1e-9, so these oracle LPs
     span entries from O(1) to 1e16: the ratio test once found no row (a
     bare ValueError) and the simplex once called the LP unbounded, though
     its mass rows bound it."""
     with pytest.raises(ConditionViolatedError):
-        payoff_gap(Zero(), CRRA(gammas[0]), CRRA(gammas[1]),
-                   LevelGrid(l_max, n), mu0)
+        call()
 
 
 def _route_and_value(instance):

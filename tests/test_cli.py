@@ -169,6 +169,21 @@ def test_gap_sweep_rows(tmp_path):
     assert len(rows) == 5   # header + 2 mechanisms x 2 horizons
 
 
+def test_gap_on_an_uncertified_config_takes_the_oracle_route(tmp_path):
+    """The shipped cara_uncertified config's bad-news LP value is not
+    certified over all learning processes, so gap's row comes from the tree
+    oracle."""
+    shipped = Path(__file__).resolve().parents[1] / "configs" / \
+        "cara_uncertified.json"
+    out = tmp_path / "o"
+    assert main(["--config", str(shipped), "--out", str(out), "gap"]) == 0
+    rows = (out / "gap.csv").read_text().splitlines()
+    assert rows == [
+        "mechanism,index,l_max,delta,guarantee,worst_value,route",
+        "linear,0,1,0.057996822668503256,-0.94200317733149674,-1,"
+        "tree_oracle"]
+
+
 def test_adaptive_requires_seed(tmp_path):
     raw = json.loads(json.dumps(QUAD))
     raw["grid"]["n"] = 9

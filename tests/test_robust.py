@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from robustquota import (CARA, DomainError, LevelGrid, Quadratic, Tabulated,
-                         Zero, cara_pair, compute_joint_robust, compute_robust,
-                         quadratic_pair, solve_badnews_lp, verify_guarantee)
+from robustquota import (CARA, CRRA, DomainError, FixedTaxHardQuota, LevelGrid,
+                         Linear, Quadratic, RobustQuotaError, Tabulated, Zero,
+                         cara_pair, compute_joint_robust, compute_robust,
+                         payoff_gap, quadratic_pair, solve_badnews_lp,
+                         verify_guarantee)
 from robustquota import robust
 from robustquota.robust import surplus_curve
 
@@ -164,3 +168,81 @@ def test_verify_guarantee_runs_the_oracle_where_uncertified():
     assert oracle_value == pytest.approx(-0.870336, abs=1e-6)
     assert rep.min_value == oracle_value
     assert not rep.ok
+
+
+def _no_oracle(*args):
+    raise AssertionError("the tree oracle ran on a certified instance")
+
+
+def test_payoff_gap_reads_the_certificate_not_the_premise(monkeypatch):
+    """The earlier-stopping premise fails, but the LP is certified over all
+    learning processes, so no oracle runs and the LP value is the answer."""
+    monkeypatch.setattr(robust, "tree_oracle_worst_case", _no_oracle)
+    agent, principal = quadratic_pair(1.0, 1.0, 1.0)
+    grid = LevelGrid(2.0, 401)
+    lp = solve_badnews_lp(agent, principal, Linear(0.02), grid, 0.6)
+    assert not lp.premise_ok and lp.all_processes
+    gap = payoff_gap(Linear(0.02), agent, principal, grid, 0.6)
+    assert gap.route == "badnews_lp"
+    assert gap.per_agent == ((lp.value, None),)
+    assert gap.min_value == lp.value
+    assert gap.delta == gap.guarantee - lp.value
+
+
+def test_payoff_gap_attacks_where_the_premise_holds_uncertified():
+    """The premise holds but the payoffs are not single-peaked and the LP is
+    not certified over all processes, so the oracle attacks too and finds
+    a process worth less than every bad-news one."""
+    agent, principal = CRRA(1.80997), CRRA(0.872995)
+    grid, mu0 = LevelGrid(4.0, 33), 0.89248
+    lp = solve_badnews_lp(agent, principal, Zero(), grid, mu0)
+    assert lp.premise_ok and not lp.all_processes
+    gap = payoff_gap(Zero(), agent, principal, grid, mu0)
+    assert gap.route == "tree_oracle"
+    assert gap.per_agent == ((1.2165990224976837, 1.2161719753831581),)
+    assert gap.min_value == 1.2161719753831581
+
+
+def test_one_allowed_level_never_reaches_the_oracle(monkeypatch):
+    """With level 0 allowed alone there is no step to test, so the LP is
+    certified and the one allowed level's value is the answer, for any
+    mechanism and for the robust one at L_star 0."""
+    monkeypatch.setattr(robust, "tree_oracle_worst_case", _no_oracle)
+    agent, principal = quadratic_pair(1.0, 1.0, 1.0)
+    grid = LevelGrid(2.0, 101)
+    gap = payoff_gap(FixedTaxHardQuota(0.05, 0.0), agent, principal, grid,
+                     0.6)
+    assert gap.per_agent == ((0.05, None),)
+    rob = compute_robust(agent, principal, 0.3, grid)
+    assert rob.L_star == 0.0
+    rep = verify_guarantee(rob, agent, principal, grid)
+    assert rep.per_agent == ((0.0, None),)
+    assert rep.ok
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(pair=st.one_of(
+           st.tuples(*[st.floats(0.5, 2.0)] * 3).map(
+               lambda p: quadratic_pair(*p)),
+           st.tuples(*[st.floats(0.5, 3.0)] * 2).map(lambda p: cara_pair(*p))),
+       l_max=st.sampled_from([1.0, 2.0, 4.0]), n=st.integers(3, 199),
+       mu0=st.floats(0.2, 0.8))
+# test_verify_guarantee_runs_the_oracle_where_uncertified's instance
+@example(pair=cara_pair(3.0, 1.5), l_max=2.0, n=11, mu0=0.7)
+def test_payoff_gap_of_the_robust_mechanism_is_its_guarantee_check(
+        pair, l_max, n, mu0):
+    """One attack: on the robust mechanism payoff_gap and verify_guarantee
+    report the same guarantee, worst value and per-agent values, bitwise,
+    or refuse with the same error class."""
+    agent, principal = pair
+    grid = LevelGrid(l_max, n)
+    rob = compute_robust(agent, principal, mu0, grid)
+    try:
+        rep = verify_guarantee(rob, agent, principal, grid)
+    except RobustQuotaError as e:
+        with pytest.raises(type(e)):
+            payoff_gap(rob.mechanism, agent, principal, grid, mu0)
+        return
+    gap = payoff_gap(rob.mechanism, agent, principal, grid, mu0)
+    assert (gap.guarantee, gap.min_value, gap.per_agent) == \
+        (rep.guarantee, rep.min_value, rep.per_agent)
