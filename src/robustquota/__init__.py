@@ -14,8 +14,7 @@ from .badnews import BadNewsProcess, obedience_slacks
 from .checks import (AssumptionReport, RatioReport, check_assumptions,
                      one_shot_levels, pseudo_inverse_beliefs,
                      risk_ratio_condition)
-from .config import (RunConfig, load_config, mechanism_from_dict,
-                     parse_config, payoff_from_dict)
+from .config import RunConfig, load_config, parse_config
 from .errors import (AlignmentError, BudgetExceededError,
                      ConditionViolatedError, ConfigError,
                      DegenerateDerivativeError, DomainError,
@@ -29,8 +28,7 @@ from .mechanisms import (Exponential, FixedTaxHardQuota, Linear, Mechanism,
 from .payoffs import (CARA, CRRA, PayoffSpec, Quadratic, Tabulated, cara_pair,
                       quadratic_pair)
 from .processes import (DiscreteLearningProcess, binomial_tree,
-                        full_revelation, no_learning, random_tree,
-                        single_split)
+                        no_learning, random_tree, single_split)
 from .robust import (GuaranteeReport, RobustMechanismResult,
                      compute_joint_robust, compute_robust, payoff_gap,
                      verify_guarantee)

@@ -389,8 +389,6 @@ def badnews_value(bn: BadNewsProcess, agent: PayoffSpec, principal: PayoffSpec,
 @dataclass(frozen=True)
 class IndifferenceResult:
     bn: BadNewsProcess
-    lbar: float                 # support start L_low
-    lbar_index: int
     used_lp_fallback: bool
 
 
@@ -411,8 +409,7 @@ def indifference_G(agent: PayoffSpec, m: Mechanism, grid: LevelGrid,
     fallback = g is None or _obedience(g, a1, a0, b, mu0)[2].any()
     bn = (solve_badnews_lp(agent, principal, m, grid, mu0).bn if fallback
           else BadNewsProcess(grid, g, mu0))
-    jbar = _support_start(bn.g)
-    return IndifferenceResult(bn, float(grid.points[jbar]), jbar, fallback)
+    return IndifferenceResult(bn, fallback)
 
 
 def dual_certificate(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .acceptance import run_acceptance
+from .acceptance import _CRITERIA, run_acceptance
 from .adversary import solve_badnews_lp
 from .checks import check_assumptions, pseudo_inverse_beliefs, \
     risk_ratio_condition
@@ -176,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_parser(name)
     acc = sub.add_parser("accept")
     acc.add_argument("--criteria", type=int, nargs="*",
+                     choices=[idx for idx, _, _ in _CRITERIA],
                      help="subset of criteria indices to run (default all)")
     return ap
 

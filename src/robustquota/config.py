@@ -7,7 +7,7 @@ Schema (all nesting literal; unknown keys are rejected):
       "mechanism":   <mechanism>,                  # optional, default zero
       "grid":        {"l_max": float > 0, "n": int >= 2},
       "prior":       {"mu0": float in [0, 1]},
-      "seed":        int,                          # required by stochastic cmds
+      "seed":        int >= 0,                     # required by stochastic cmds
       "ambiguity":   [<payoff>, ...],              # optional, non-empty
       "tree":        {"type": "no_learning" | "binomial",
                       "p_good": float, "p_bad": float},      # optional,
@@ -64,6 +64,8 @@ class RunConfig:
         if self.seed is None:
             raise ConfigError(f"'{command}' draws random samples: the config "
                               "must set an integer 'seed'")
+        if self.seed < 0:
+            raise ConfigError("'seed' must be a nonnegative integer")
         return self.seed
 
 
@@ -97,8 +99,7 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def _from_json(d, tag: str, kinds: dict, grid: Optional[LevelGrid],
-               where: str):
+def _from_json(d, tag: str, kinds: dict, grid: LevelGrid, where: str):
     """The object of the class in `kinds` that d's `tag` names, read by its
     declared json_keys: no other key, each a finite number or, for a tuple
     field (a table), a list of them with "inf" read as math.inf.  A key
@@ -125,20 +126,8 @@ def _from_json(d, tag: str, kinds: dict, grid: Optional[LevelGrid],
                                _number(x, f"{where}: {key} entry")
                                for x in value)
     if "grid" in fields:
-        if grid is None:
-            raise DomainError(f"{where} needs the grid its table is on")
         args["grid"] = grid
     return cls(**args)
-
-
-def payoff_from_dict(d: dict, grid: LevelGrid = None) -> PayoffSpec:
-    """A payoff spec from its JSON form; a table needs its grid."""
-    return _from_json(d, "family", _PAYOFFS, grid, "payoff spec")
-
-
-def mechanism_from_dict(d: dict, grid: LevelGrid = None) -> Mechanism:
-    """A mechanism from its JSON form; a table needs its grid."""
-    return _from_json(d, "type", _MECHANISMS, grid, "mechanism spec")
 
 
 def _list(raw: dict, key: str) -> list:

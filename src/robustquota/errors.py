@@ -21,7 +21,8 @@ class EmptyMechanismError(RobustQuotaError):
 
 
 class DegenerateDerivativeError(RobustQuotaError):
-    """A finite-difference denominator vanished where a ratio is needed."""
+    """The agent's bad-state payoff does not fall on a level step, so the
+    marginal ratio on that step is undefined."""
 
 
 class ConditionViolatedError(RobustQuotaError):

@@ -32,7 +32,7 @@ class PayoffSpec:
 
     A family's JSON form is {"family": json_name, key: value, ...}, with
     json_keys mapping each key to the field holding it; `to_dict` writes it
-    and `config.payoff_from_dict` reads it.
+    and `config.parse_config` reads it.
     """
 
     json_name = None

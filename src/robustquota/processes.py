@@ -82,7 +82,7 @@ class DiscreteLearningProcess:
     def beliefs(self) -> list:
         """Level j's node beliefs as a view of `belief`, a list over the
         levels.  Kept only for rqbench's tracer, which counts a
-        refinement's nodes; goes with ROADMAP item 1."""
+        refinement's nodes; goes with ROADMAP item 2."""
         return np.split(self.belief, self.first[1:-1])
 
     @property
@@ -90,7 +90,7 @@ class DiscreteLearningProcess:
         """Kernel j, from level j to level j + 1, as a `Kernel` of its rows
         of the block (`indices` and `data` views, `indptr` made local), a
         tuple over levels 0..n-2.  Kept only for rqbench's tracer, which
-        sums their bytes; goes with ROADMAP item 1."""
+        sums their bytes; goes with ROADMAP item 2."""
         first = self.first.tolist()
         at = self.indptr[self.first[:-1]].tolist()
         return tuple(Kernel(self.indptr[r0:r1 + 1] - e0, self.indices[e0:e1],
@@ -190,13 +190,6 @@ def _fixed_support(grid: LevelGrid, support, root_dist,
 def no_learning(mu0: float, grid: LevelGrid) -> DiscreteLearningProcess:
     """Constant martingale: one node with belief mu0 at every level."""
     return _fixed_support(grid, [mu0], [1.0], mu0)
-
-
-def full_revelation(mu0: float, grid: LevelGrid) -> DiscreteLearningProcess:
-    """The state is learned at level 0; beliefs are 0 or 1 forever after."""
-    if not is_real(mu0):
-        raise DomainError(f"prior must be a real number, got {mu0!r}")
-    return _fixed_support(grid, [0.0, 1.0], [1.0 - mu0, mu0], mu0)
 
 
 def single_split(mu0: float, grid: LevelGrid, lo: float, hi: float) -> DiscreteLearningProcess:

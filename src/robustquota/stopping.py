@@ -128,7 +128,6 @@ class StoppingSolution:
     joint_mass: np.ndarray
     joint_index: np.ndarray
     root_value: float
-    outside_option: float
     participation: bool
 
 
@@ -155,8 +154,7 @@ def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
     values, stop = backward(proc, end, node_payoff(proc, end, a1, a0), forced,
                             tie_eps=1e-9)
     root_value = float(proc.root_dist @ values[:proc.first[1]])
-    outside = float(agent.indirect(proc.mu0, 0.0))
-    participation = root_value >= outside - 1e-9
+    participation = root_value >= float(agent.indirect(proc.mu0, 0.0)) - 1e-9
 
     # atoms in (level, node) order: the nodes of levels 0..end back to back
     stopped = forward(proc, end, stop)
@@ -170,7 +168,7 @@ def solve_stopping(proc: DiscreteLearningProcess, agent: PayoffSpec,
 
     return StoppingSolution(proc, end, values, stop, joint_belief,
                             grid.points[joint_index], joint_mass, joint_index,
-                            root_value, outside, participation)
+                            root_value, participation)
 
 
 def principal_value(sol: StoppingSolution, principal: PayoffSpec, m: Mechanism) -> float:

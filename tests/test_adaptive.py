@@ -11,7 +11,8 @@ from robustquota import (AlignmentError, BinaryExperiment, DomainError,
                          FixedTaxHardQuota, LevelGrid, adaptive, binomial_tree,
                          cara_pair, compute_robust, evaluate_adaptive,
                          no_learning, processes, quadratic_pair, random_tree,
-                         refine_process, solve_adaptive_quota, solve_stopping)
+                         refine_process, single_split, solve_adaptive_quota,
+                         solve_stopping)
 from robustquota.adaptive import random_experiment
 
 from level_reference import (adaptive_quota_by_levels, backward_by_levels,
@@ -41,8 +42,7 @@ def test_dp_value_dominates_static():
 
 
 def test_full_revelation_tree_decouples():
-    from robustquota import full_revelation
-    tree = full_revelation(0.6, GRID)
+    tree = single_split(0.6, GRID, 0.0, 1.0)
     pol = solve_adaptive_quota(tree, AGENT, PRINCIPAL)
     # good branch: maximize U(1,.) + V(1,.) = 2l (monotone) -> stop at l_max;
     # bad branch: U(0,.) + V(0,.) - U(mu0, 0) peaks at 0

@@ -193,6 +193,10 @@ def test_adaptive_requires_seed(tmp_path):
                  "adaptive"]) == 2
     # refused before any file is written
     assert not (tmp_path / "o").exists()
+    # numpy takes no negative seed: refused the same way
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--seed",
+                 "-3", "adaptive"]) == 2
+    assert not (tmp_path / "o").exists()
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--seed",
                  "11", "adaptive"]) == 0
     payload = json.loads((tmp_path / "o" / "adaptive_value.json").read_text())
@@ -273,6 +277,17 @@ def test_accept_subset(tmp_path, capsys):
     assert rc == 0
     text = (out / "acceptance.txt").read_text()
     assert "PASS" in text and "\n" == text[-1]
+
+
+def test_accept_refuses_an_unknown_criterion(capsys):
+    """A criterion index the battery does not have is a usage error, not a
+    run of no criteria that passes."""
+    with pytest.raises(SystemExit) as e:
+        main(["accept", "--criteria", "9", "0"])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert "invalid choice: 9" in err
+    assert "PASS" not in out and "FAIL" not in out
 
 
 def test_tabulated_quota_config_matches_fixed_tax_quota(tmp_path):

@@ -230,6 +230,8 @@ def test_require_seed():
     with pytest.raises(ConfigError, match="seed"):
         cfg.require_seed("adaptive")
     assert parse_config(_cfg(seed=7)).require_seed("adaptive") == 7
+    with pytest.raises(ConfigError, match="'seed' must be a nonnegative"):
+        parse_config(_cfg(seed=-1)).require_seed("adaptive")
 
 
 @pytest.mark.parametrize("value", [{"gap": "small"}, {}],

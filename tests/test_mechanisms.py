@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustquota import (CARA, DomainError, Exponential, FixedTaxHardQuota,
-                         LevelGrid, Linear, Mechanism, TabulatedMechanism,
-                         Zero, adjusted_profiles, mechanism_from_dict,
-                         no_learning, parse_config, payoff_from_dict,
-                         solve_stopping)
+from robustquota import (CARA, ConfigError, DomainError, Exponential,
+                         FixedTaxHardQuota, LevelGrid, Linear, Mechanism,
+                         TabulatedMechanism, Zero, adjusted_profiles,
+                         no_learning, parse_config, solve_stopping)
+
+
+def _config(grid, agent=CARA(1.0).to_dict(), **extra):
+    """A minimal run configuration on `grid`, read by parse_config."""
+    return parse_config({"payoff": {"agent": agent,
+                                    "principal": CARA(2.0).to_dict()},
+                         "grid": {"l_max": grid.l_max, "n": grid.n},
+                         "prior": {"mu0": 0.5}, **extra})
 
 
 def test_quota_prohibits_strictly_beyond():
@@ -126,13 +133,13 @@ def test_malformed_user_profile_raises(profile):
 
 def test_dict_roundtrip_with_inf():
     """Every mechanism type, a table with a prohibited level included, comes
-    back equal from its JSON form, read by mechanism_from_dict and, as text,
-    by parse_config; the form holds plain floats and strings only."""
+    back equal from its JSON form, read as text by parse_config; the form
+    holds plain floats and strings only."""
     g = LevelGrid(1.0, 3)
     m = TabulatedMechanism(g, (0.0, 1.0, math.inf))
     assert m.to_dict()["phi"] == [0.0, 1.0, "inf"]
-    assert mechanism_from_dict(m.to_dict(), g).tax_profile(g).tolist() == \
-        [0.0, 1.0]
+    assert _config(g, mechanism=m.to_dict()).mechanism.tax_profile(g) \
+        .tolist() == [0.0, 1.0]
     for spec in (Zero(), FixedTaxHardQuota(0.2, 0.5), Linear(1.0),
                  Exponential(0.5), m,
                  TabulatedMechanism(g, (np.float64(0.1), 0.25, 0.5))):
@@ -140,44 +147,45 @@ def test_dict_roundtrip_with_inf():
         assert all(type(v) in (str, float) or type(v) is list
                    and all(type(x) in (str, float) for x in v)
                    for v in d.values())
-        assert mechanism_from_dict(d, g) == spec
-        cfg = parse_config(json.loads(json.dumps(
-            {"payoff": {"agent": CARA(1.0).to_dict(),
-                        "principal": CARA(2.0).to_dict()},
-             "grid": {"l_max": g.l_max, "n": g.n}, "prior": {"mu0": 0.5},
-             "mechanism": d})))
-        assert cfg.mechanism == spec
+        assert _config(g, mechanism=json.loads(json.dumps(d))).mechanism \
+            == spec
 
 
-@pytest.mark.parametrize("build,spec,match", [
-    (payoff_from_dict, {"family": "cara"},
-     r"missing required key 'gamma' in payoff spec \(family 'cara'\)"),
-    (mechanism_from_dict, {"type": "linear"},
-     r"missing required key 'beta_tax' in mechanism spec \(type 'linear'\)"),
-    (payoff_from_dict, {"family": "cara", "gamma": "x"},
-     r"payoff spec \(family 'cara'\): gamma must be a finite number"),
+@pytest.mark.parametrize("section,spec,match", [
+    ("agent", {"family": "cara"},
+     r"missing required key 'gamma' in payoff.agent \(family 'cara'\)"),
+    ("mechanism", {"type": "linear"},
+     r"missing required key 'beta_tax' in 'mechanism' \(type 'linear'\)"),
+    ("agent", {"family": "cara", "gamma": "x"},
+     r"payoff.agent \(family 'cara'\): gamma must be a finite number"),
 ], ids=["payoff-missing-key", "mechanism-missing-key", "payoff-non-number"])
-def test_malformed_spec_dict_is_a_domain_error(build, spec, match):
-    with pytest.raises(DomainError, match=match):
-        build(spec)
+def test_malformed_spec_dict_is_a_config_error(section, spec, match):
+    with pytest.raises(ConfigError, match=match):
+        _config(LevelGrid(1.0, 3), **{section: spec})
 
 
-@pytest.mark.parametrize("build", [
-    lambda: Linear("x"), lambda: Exponential(None),
-    lambda: FixedTaxHardQuota("x", 0.5), lambda: FixedTaxHardQuota(0.1, "x"),
-    lambda: FixedTaxHardQuota(True, 0.5),
-    lambda: TabulatedMechanism(LevelGrid(1.0, 3), ("x", 1.0, 2.0)),
-    lambda: TabulatedMechanism(LevelGrid(1.0, 3), (True, 1.0, 2.0)),
-    lambda: TabulatedMechanism(LevelGrid(1.0, 3), 2.0),
-    lambda: mechanism_from_dict({"type": "tabulated", "phi": [True, 1, 2]},
-                                LevelGrid(1.0, 3)),
-    lambda: mechanism_from_dict({"type": "tabulated", "phi": ["x", 1, 2]},
-                                LevelGrid(1.0, 3)),
-    lambda: mechanism_from_dict({"type": "fixed_tax_hard_quota",
-                                 "lambda": "x", "quota": 0.5})],
+@pytest.mark.parametrize("build,error", [
+    (lambda: Linear("x"), DomainError), (lambda: Exponential(None), DomainError),
+    (lambda: FixedTaxHardQuota("x", 0.5), DomainError),
+    (lambda: FixedTaxHardQuota(0.1, "x"), DomainError),
+    (lambda: FixedTaxHardQuota(True, 0.5), DomainError),
+    (lambda: TabulatedMechanism(LevelGrid(1.0, 3), ("x", 1.0, 2.0)),
+     DomainError),
+    (lambda: TabulatedMechanism(LevelGrid(1.0, 3), (True, 1.0, 2.0)),
+     DomainError),
+    (lambda: TabulatedMechanism(LevelGrid(1.0, 3), 2.0), DomainError),
+    # a spec is read by parse_config, which reports the refusal as a
+    # ConfigError
+    (lambda: _config(LevelGrid(1.0, 3), mechanism={
+        "type": "tabulated", "phi": [True, 1, 2]}), ConfigError),
+    (lambda: _config(LevelGrid(1.0, 3), mechanism={
+        "type": "tabulated", "phi": ["x", 1, 2]}), ConfigError),
+    (lambda: _config(LevelGrid(1.0, 3), mechanism={
+        "type": "fixed_tax_hard_quota", "lambda": "x", "quota": 0.5}),
+     ConfigError)],
     ids=["linear", "exponential", "quota_tax", "quota_level", "bool_tax",
          "tabulated", "tabulated_bool", "tabulated_scalar",
          "tabulated_bool_spec", "tabulated_spec", "quota_spec"])
-def test_mechanism_parameters_are_checked_when_built(build):
-    with pytest.raises(DomainError):
+def test_mechanism_parameters_are_checked_when_built(build, error):
+    with pytest.raises(error):
         build()

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustquota import (CARA, CRRA, DomainError, LevelGrid, Quadratic,
-                         Tabulated, Zero, compute_robust, parse_config,
-                         payoff_from_dict, quadratic_pair, solve_badnews_lp)
+from robustquota import (CARA, CRRA, ConfigError, DomainError, LevelGrid,
+                         Quadratic, Tabulated, Zero, compute_robust,
+                         parse_config, quadratic_pair, solve_badnews_lp)
 
 
 def test_quadratic_closed_form():
@@ -75,13 +75,11 @@ _G5 = LevelGrid(1.0, 5)
     Quadratic(1.0, 2.0, 0.5), CARA(1.5), CRRA(2.0),
     Tabulated(_G5, tuple(_G5.points), (0, -0.25, np.float64(-0.5), -1, -2))])
 def test_dict_roundtrip(spec):
-    """Every payoff family comes back equal from its JSON form, read by
-    payoff_from_dict and, as text, by parse_config; the form holds plain
-    floats and strings only."""
+    """Every payoff family comes back equal from its JSON form, read as text
+    by parse_config; the form holds plain floats and strings only."""
     d = spec.to_dict()
     assert all(type(v) in (str, float) or type(v) is list
                and all(type(x) is float for x in v) for v in d.values())
-    assert payoff_from_dict(d, _G5) == spec
     cfg = parse_config(json.loads(json.dumps(
         {"payoff": {"agent": d, "principal": d},
          "grid": {"l_max": _G5.l_max, "n": _G5.n}, "prior": {"mu0": 0.5}})))
@@ -89,12 +87,22 @@ def test_dict_roundtrip(spec):
 
 
 def test_tabulated_roundtrip_needs_grid():
+    """A table's JSON form holds no grid: parse_config reads it on the
+    config's grid, and refuses it on a grid of another size."""
     g = LevelGrid(1.0, 5)
     t = Tabulated(g, tuple(g.points), tuple(-g.points))
-    with pytest.raises(DomainError):
-        payoff_from_dict(t.to_dict())
-    again = payoff_from_dict(t.to_dict(), g)
-    assert np.allclose(again.u1(g.points), g.points)
+    assert "grid" not in t.to_dict()
+
+    def read(grid):
+        return parse_config({"payoff": {"agent": t.to_dict(),
+                                        "principal": CARA(1.0).to_dict()},
+                             "grid": {"l_max": grid.l_max, "n": grid.n},
+                             "prior": {"mu0": 0.5}}).agent
+
+    with pytest.raises(ConfigError, match="length must equal grid size"):
+        read(LevelGrid(1.0, 4))
+    again = read(g)
+    assert again == t and np.allclose(again.u1(g.points), g.points)
 
 
 @given(mu=st.floats(0.0, 1.0), l=st.floats(0.0, 2.0),

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from robustquota import (BinaryExperiment, DiscreteLearningProcess,
                          DomainError, LevelGrid, Zero, binomial_tree,
-                         full_revelation, no_learning, quadratic_pair,
-                         random_tree, refine_process, single_split,
-                         solve_stopping)
+                         no_learning, quadratic_pair, random_tree,
+                         refine_process, single_split, solve_stopping)
 from robustquota import processes
 
 from level_reference import (by_level, csr, flat_process, kernel,
@@ -59,7 +58,7 @@ def test_no_learning_is_constant():
 
 
 def test_full_revelation_root_weights():
-    p = full_revelation(0.3, GRID)
+    p = single_split(0.3, GRID, 0.0, 1.0)
     assert np.allclose(p.root_dist, [0.7, 0.3])
     assert np.allclose(p.beliefs[0], [0.0, 1.0])
 
@@ -189,7 +188,7 @@ def test_random_tree_refuses_bad_arguments(mu0, max_beliefs):
     lambda: binomial_tree(True, GRID),
     lambda: binomial_tree("0.6", GRID),
     lambda: no_learning("0.6", GRID),
-    lambda: full_revelation("0.6", GRID),
+    lambda: single_split("0.6", GRID, 0.0, 1.0),
     lambda: single_split(0.6, GRID, "0.2", 0.8),
     lambda: DiscreteLearningProcess(GRID, np.arange(GRID.n + 1),
                                     np.full(GRID.n, 0.6),

@@ -9,9 +9,9 @@ from robustquota import (CARA, BinaryExperiment, DomainError,
                          EmptyMechanismError, FixedTaxHardQuota, LevelGrid,
                          TabulatedMechanism, UnreachableLevelError, Zero,
                          adjusted_profiles, binomial_tree, cara_pair,
-                         compute_robust, full_revelation, no_learning,
-                         one_shot_levels, principal_value, quadratic_pair,
-                         random_tree, refine_process, simulate, single_split,
+                         compute_robust, no_learning, one_shot_levels,
+                         principal_value, quadratic_pair, random_tree,
+                         refine_process, simulate, single_split,
                          solve_stopping)
 from robustquota import processes
 from robustquota.adversary import indifference_G
@@ -39,7 +39,7 @@ def test_no_learning_under_robust_mechanism_binds():
 def test_full_revelation_branches_decouple():
     agent, principal = cara_pair(1.0, 3.0)
     grid = LevelGrid(2.0, 101)
-    sol = solve_stopping(full_revelation(0.6, grid), agent, Zero())
+    sol = solve_stopping(single_split(0.6, grid, 0.0, 1.0), agent, Zero())
     stops = dict(zip(sol.joint_belief, sol.joint_level))
     assert [stops[1.0], stops[0.0]] == one_shot_levels(agent, [1.0, 0.0],
                                                        grid).tolist()
@@ -331,7 +331,7 @@ def test_draw_above_row_total_raises_without_reading_next_row():
     """Row 0 of the first kernel holds only half its mass: a draw above 0.5
     must raise, not step into row 1's column."""
     grid = LevelGrid(1.0, 3)
-    proc = full_revelation(0.6, grid)
+    proc = single_split(0.6, grid, 0.0, 1.0)
     sol = solve_stopping(proc, CARA(1.0), Zero())
     sol = replace(sol, end=2, node_stop=np.array([False, False, False, False,
                                                   True, True]))
