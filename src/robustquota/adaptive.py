@@ -146,8 +146,8 @@ def refine_process(tree: DiscreteLearningProcess,
     numbered i * (m_j + 1) + w; beliefs combine the planner posterior with
     the signal likelihood ratio, and kernels reweight the planner's
     transitions by the agent's sharper belief (Bayes-consistent, so the
-    martingale property is preserved).  `parent` records i per agent node
-    for quota alignment.
+    martingale property is preserved).  This layout is the alignment
+    `evaluate_adaptive` reads.
 
     Each planner edge i -> i' gives one agent entry per signal count w, to
     w, or a pair of entries, to w and w + 1, on a step where a signal fires
@@ -163,10 +163,7 @@ def refine_process(tree: DiscreteLearningProcess,
     t_first, t_ptr = tree.first, tree.indptr
     t_sizes = np.diff(t_first)
     if not experiment.informative:
-        ident = np.arange(t_first[n]) - np.repeat(t_first[:n], t_sizes)
-        return DiscreteLearningProcess(tree.grid, t_first, tree.belief, t_ptr,
-                                       tree.indices, tree.data, tree.root_dist,
-                                       tree.mu0, ident)
+        return tree
     p, q = experiment.p_given_good, experiment.p_given_bad
     fires = np.isin(np.arange(n), experiment.levels)
     m_at = np.cumsum(fires)                 # signals observed by level j
@@ -179,22 +176,18 @@ def refine_process(tree: DiscreteLearningProcess,
     e_first = np.zeros(n, dtype=np.intp)    # first entry of each kernel
     np.cumsum(nnz, out=e_first[1:])
     belief = np.empty(first[n])
-    parent = np.empty(first[n], dtype=np.intp)
     indptr = np.zeros(first[n - 1] + 1, dtype=np.intp)
     indices = np.empty(e_first[-1], dtype=np.intp)
     data = np.empty(e_first[-1])
 
     def block(j0, j1):
-        """Beliefs, parent map and outgoing kernel rows of the agent nodes of
-        levels j0..j1-1, where the agent has seen the same m signals, written
-        in place in one array pass whose temporaries go on return."""
+        """Beliefs and outgoing kernel rows of the agent nodes of levels
+        j0..j1-1, where the agent has seen the same m signals, written in
+        place in one array pass whose temporaries go on return."""
         m = int(m_at[j0])
         t0, t1 = t_first[j0], t_first[j1]
         post = belief[first[j0]:first[j1]]
         _posteriors(tree.belief[t0:t1], m, p, q, post.reshape(-1, m + 1))
-        t_local = np.arange(t1 - t0) - np.repeat(t_first[j0:j1] - t0,
-                                                 t_sizes[j0:j1])
-        parent[first[j0]:first[j1]] = np.repeat(t_local, m + 1)
         j_end = min(j1, n - 1)
         if j_end == j0:
             return                              # the last level has no kernel
@@ -263,7 +256,7 @@ def refine_process(tree: DiscreteLearningProcess,
         root = tree.root_dist.copy()
     try:
         return DiscreteLearningProcess(tree.grid, first, belief, indptr,
-                                       indices, data, root, tree.mu0, parent)
+                                       indices, data, root, tree.mu0)
     except DomainError as e:
         raise NotARefinementError(f"refinement is not Bayes-consistent: {e}")
 
@@ -274,32 +267,26 @@ def evaluate_adaptive(policy: AdaptivePolicy, agent_proc: DiscreteLearningProces
     mechanism: the static problem of `solve_stopping` and `principal_value`
     under a flat tax lambda with no quota, where each agent node whose
     planner node stops is a forced stop.  The agent's ties within 1e-9 go
-    to continuing, and it participates unless it loses more than 1e-9."""
+    to continuing, and it participates unless it loses more than 1e-9.
+
+    Planner nodes are read from `refine_process`'s layout: at level j each
+    planner node owns s_j consecutive agent nodes, in planner order.  So
+    any process on the tree's grid and prior whose levels are whole
+    multiples of the tree's is accepted; against a `no_learning` planner
+    every node of a level stops where the planner stops."""
     tree = policy.tree
     if agent_proc.grid != tree.grid:
         raise AlignmentError("agent process and planner tree use different grids")
-    first, t_first = agent_proc.first, tree.first
-    parent = agent_proc.parent
-    if parent is None:
-        if not np.array_equal(first, t_first):
-            raise AlignmentError("agent process lacks a parent map onto the tree")
-        forced = policy.node_stop
-    else:
-        t_sizes = np.diff(t_first)
-        bad = (np.maximum.reduceat(parent, first[:-1]) >= t_sizes) \
-            | (np.minimum.reduceat(parent, first[:-1]) < 0)
-        if bad.any():
-            raise AlignmentError(f"parent map at level {int(np.argmax(bad))} "
-                                 f"is inconsistent")
-        # the planner's stops through the parent map, a run of levels at a
-        # time
-        sizes = np.diff(first)
-        forced = np.empty(first[-1], dtype=bool)
-        for j0, j1 in level_runs(first[1:].tolist()):
-            planner = parent[first[j0]:first[j1]] \
-                + np.repeat(t_first[j0:j1], sizes[j0:j1])
-            forced[first[j0]:first[j1]] = policy.node_stop[planner]
-
+    if agent_proc.mu0 != tree.mu0:
+        raise AlignmentError(f"agent process has prior {agent_proc.mu0}, the "
+                             f"planner tree {tree.mu0}")
+    t_sizes = np.diff(tree.first)
+    s, rem = np.divmod(np.diff(agent_proc.first), t_sizes)
+    bad = (rem != 0) | (s == 0)
+    if bad.any():
+        raise AlignmentError(f"agent level {int(np.argmax(bad))} is not a "
+                             f"whole multiple of the planner's level")
+    forced = policy.node_stop.repeat(s.repeat(t_sizes))
     m = FixedTaxHardQuota(policy.lambda_adaptive, tree.grid.l_max)
     sol = solve_stopping(agent_proc, agent, m, forced)
     return principal_value(sol, principal, m)

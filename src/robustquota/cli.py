@@ -51,7 +51,10 @@ def _write_json(path: str, obj):
 
 def _outpath(args, name: str) -> str:
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out {out}: {e.strerror or e}") from None
     return os.path.join(out, name)
 
 
@@ -184,6 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out} exists and is not a directory")
         if args.command == "accept":
             return cmd_accept(args)
         if not args.config:

@@ -34,7 +34,9 @@ class NotARefinementError(RobustQuotaError):
 
 
 class AlignmentError(RobustQuotaError):
-    """An agent process is not node-aligned with the principal tree it should refine."""
+    """An agent process is not node-aligned with the principal tree it should
+    refine: a level whose size is not a whole multiple of the tree's, another
+    grid or another prior."""
 
 
 class BudgetExceededError(RobustQuotaError):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyMechanismError, is_real
 from .grid import LevelGrid
-from .payoffs import PayoffSpec
+from .payoffs import PayoffSpec, _finite
 
 
 def _allowed(grid: LevelGrid, top: float) -> int:
@@ -64,9 +64,9 @@ class FixedTaxHardQuota(Mechanism):
     json_keys = {"lambda": "lam", "quota": "quota"}
 
     def __post_init__(self):
-        if not (is_real(self.lam) and is_real(self.quota)):
-            raise DomainError(f"tax and quota must be numbers, got "
-                              f"{self.lam!r}, {self.quota!r}")
+        _finite("tax", self.lam)
+        if not is_real(self.quota):
+            raise DomainError(f"quota must be a number, got {self.quota!r}")
         if not self.quota >= 0:
             raise DomainError("quota must be nonnegative")
 
@@ -83,11 +83,12 @@ class Linear(Mechanism):
     json_keys = {"beta_tax": "beta_tax"}
 
     def __post_init__(self):
-        if not is_real(self.beta_tax):
-            raise DomainError(f"beta_tax must be a number, got {self.beta_tax!r}")
+        _finite("beta_tax", self.beta_tax)
 
     def tax_profile(self, grid):
-        return self.beta_tax * grid.points
+        # an overflow gives inf, which adjusted_profiles refuses
+        with np.errstate(over="ignore"):
+            return self.beta_tax * grid.points
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,12 @@ class Exponential(Mechanism):
     json_keys = {"eta": "eta"}
 
     def __post_init__(self):
-        if not is_real(self.eta):
-            raise DomainError(f"eta must be a number, got {self.eta!r}")
+        _finite("eta", self.eta)
 
     def tax_profile(self, grid):
-        return np.exp(self.eta * grid.points)
+        # an overflow gives inf, which adjusted_profiles refuses
+        with np.errstate(over="ignore"):
+            return np.exp(self.eta * grid.points)
 
 
 @dataclass(frozen=True)

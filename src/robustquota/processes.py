@@ -57,16 +57,14 @@ class DiscreteLearningProcess:
     """A learning process in its stored form (see the module docstring):
     the levels' starts `first`, the node beliefs `belief`, the kernel block
     `indptr`, `indices`, `data`, the root distribution over level 0 and the
-    prior mu0.  `parent` optionally maps each node to its node, local to the
-    level, in a coarser process that this one refines (used by the adaptive
-    module).  The arrays are kept without a copy where their dtype fits,
+    prior mu0.  The arrays are kept without a copy where their dtype fits,
     and validated."""
 
     __slots__ = ("grid", "mu0", "root_dist", "first", "belief", "indptr",
-                 "indices", "data", "rows", "parent")
+                 "indices", "data", "rows")
 
     def __init__(self, grid: LevelGrid, first, belief, indptr, indices, data,
-                 root_dist, mu0: float, parent=None):
+                 root_dist, mu0: float):
         self.grid = grid
         self.mu0 = mu0
         self.first = _index_array(first, "first")
@@ -75,7 +73,6 @@ class DiscreteLearningProcess:
         self.indices = _index_array(indices, "kernel indices")
         self.data = np.asarray(data, dtype=float)
         self.root_dist = np.asarray(root_dist, dtype=float)
-        self.parent = None if parent is None else _index_array(parent, "parent")
         self._validate()
 
     @property
@@ -105,8 +102,6 @@ class DiscreteLearningProcess:
                 or (first[1:] < first[:-1]).any():
             raise DomainError("first must hold the start of each level and the "
                               "node count, from 0 and never decreasing")
-        if self.parent is not None and self.parent.shape != self.belief.shape:
-            raise DomainError("parent must have one entry per node")
         if not is_real(self.mu0):
             raise DomainError(f"prior must be a real number, got {self.mu0!r}")
         if not 0.0 <= self.mu0 <= 1.0:

@@ -2,8 +2,9 @@
 `CSRKernel` at a time, backward and forward induction level by level, and
 the agent's problem, the adaptive quota and its evaluation built on them,
 as the package computed them before its processes were stored flat;
-`flat_process`, which stores a process given level by level; and
-`by_level` and `kernel`, which read one level back out of the flat arrays."""
+`flat_process`, which stores a process given level by level; `by_level`
+and `kernel`, which read one level back out of the flat arrays; and
+`planner_nodes`, which expands a refinement's layout level by level."""
 
 import numpy as np
 
@@ -37,9 +38,18 @@ class CSRKernel:
 
 
 def by_level(flat, first):
-    """Per-level views of a flat node array (node values, stops or parents):
-    level j is flat[first[j]:first[j+1]]."""
+    """Per-level views of a flat node array (node values or stops): level j
+    is flat[first[j]:first[j+1]]."""
     return np.split(flat, first[1:-1])
+
+
+def planner_nodes(agent_proc, t_sizes):
+    """Each agent node's planner node, local to its level, a list over the
+    levels, read from the layout `refine_process` writes: at level j, where
+    the planner has t_sizes[j] nodes, each planner node owns the same number
+    of consecutive agent nodes, in planner order."""
+    return [np.arange(a) // (a // t)
+            for a, t in zip(np.diff(agent_proc.first).tolist(), t_sizes)]
 
 
 def kernel(proc, j):
@@ -152,11 +162,11 @@ def adaptive_quota_by_levels(tree, agent, principal):
 
 def evaluate_by_levels(stop_set, lam, agent_proc, agent, principal):
     """The adaptive quota's value against `agent_proc`, level by level: the
-    planner's per-level `stop_set` forced through the parent map under a
-    flat tax `lam`, valued as `principal_value` values it."""
+    planner's per-level `stop_set` forced through the refinement's layout
+    under a flat tax `lam`, valued as `principal_value` values it."""
     grid = agent_proc.grid
-    parent = by_level(agent_proc.parent, agent_proc.first)
-    forced = [np.asarray(stop_set[j])[parent[j]] for j in range(grid.n)]
+    planner = planner_nodes(agent_proc, [len(st) for st in stop_set])
+    forced = [np.asarray(stop_set[j])[planner[j]] for j in range(grid.n)]
     m = FixedTaxHardQuota(lam, grid.l_max)
     *_, belief, mass, idx, _, participation = solve_stopping_by_levels(
         agent_proc, agent, m, forced)

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from robustquota import (AlignmentError, BinaryExperiment, DomainError,
                          FixedTaxHardQuota, LevelGrid, adaptive, binomial_tree,
                          cara_pair, compute_robust, evaluate_adaptive,
-                         no_learning, processes, quadratic_pair, random_tree,
-                         refine_process, single_split, solve_adaptive_quota,
-                         solve_stopping)
+                         no_learning, principal_value, processes,
+                         quadratic_pair, random_tree, refine_process,
+                         single_split, solve_adaptive_quota, solve_stopping)
 from robustquota.adaptive import random_experiment
 
 from level_reference import (adaptive_quota_by_levels, backward_by_levels,
                              by_level, evaluate_by_levels, forward_by_levels,
-                             kernel, times_kernel)
+                             kernel, planner_nodes, times_kernel)
 
 AGENT, PRINCIPAL = quadratic_pair(1.0, 1.0, 1.0)
 GRID = LevelGrid(2.0, 9)
@@ -62,20 +62,17 @@ def test_evaluate_on_tree_itself_matches_dp():
 def test_uninformative_experiment_returns_tree():
     tree = binomial_tree(0.6, GRID)
     ref = refine_process(tree, BinaryExperiment(0.5, 0.5, (1, 2)))
-    for a, b in zip(ref.beliefs, tree.beliefs):
-        assert np.array_equal(a, b)
-    assert ref.parent is not None
+    assert ref is tree
 
 
 def test_refinement_is_valid_and_aligned():
+    """Constructor validation enforces the martingale; each planner node of
+    level j owns m_j + 1 agent nodes, m_j the signals seen by level j."""
     tree = binomial_tree(0.6, GRID)
     ref = refine_process(tree, BinaryExperiment(0.8, 0.3, (0, 3)))
-    # constructor validation enforces the martingale; check alignment shape
-    parent = by_level(ref.parent, ref.first)
-    assert len(parent) == GRID.n
-    for j in range(GRID.n):
-        assert len(parent[j]) == len(ref.beliefs[j])
-        assert parent[j].max() < len(tree.beliefs[j])
+    m_at = np.cumsum(np.isin(np.arange(GRID.n), (0, 3)))
+    assert np.diff(ref.first).tolist() == \
+        (np.diff(tree.first) * (m_at + 1)).tolist()
 
 
 def test_full_revelation_experiment_reveals_state():
@@ -139,7 +136,7 @@ def test_refinement_projects_onto_tree(seed, n, mu0, p, q, levels):
     tree = random_tree(mu0, grid, seed)
     ref = refine_process(tree, BinaryExperiment(p, q, tuple(l % n for l in levels)))
     tree_mass, ref_mass = tree.root_dist, ref.root_dist
-    parent = by_level(ref.parent, ref.first)
+    parent = planner_nodes(ref, np.diff(tree.first))
     for j in range(n):
         if j:
             tree_mass = times_kernel(tree_mass, kernel(tree, j - 1))
@@ -220,7 +217,7 @@ def test_refinement_matches_loop_reference_bitwise(make_tree, p, q, levels):
     got_kernels = [kernel(ref, j).toarray() for j in range(ref.grid.n - 1)]
     for got, want in [(ref.beliefs, beliefs), (got_kernels, kernels),
                       ((ref.root_dist,), (root,)),
-                      (by_level(ref.parent, ref.first), parent)]:
+                      (planner_nodes(ref, np.diff(tree.first)), parent)]:
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -269,11 +266,11 @@ def test_refinement_refuses_signal_levels_past_the_tree(levels):
 
 def _loop_evaluate(policy, agent_proc, agent, principal):
     """Per-level reference for evaluate_adaptive: the agent's stop payoffs
-    U(mu, l) - lambda, the planner's stops forced through the parent map,
-    the participation test against U(mu0, 0) and the principal's value
-    summed level by level."""
+    U(mu, l) - lambda, the planner's stops forced through the refinement's
+    layout, the participation test against U(mu0, 0) and the principal's
+    value summed level by level."""
     grid = agent_proc.grid
-    parent = by_level(agent_proc.parent, agent_proc.first)
+    parent = planner_nodes(agent_proc, np.diff(policy.tree.first))
     planner_stops = by_level(policy.node_stop, policy.tree.first)
     mu0 = agent_proc.mu0
     lam = policy.lambda_adaptive
@@ -386,18 +383,39 @@ def test_adaptive_quota_and_evaluation_match_reference_bitwise_at_trees_sizes(
             evaluate_by_levels(stop_set, lam, ref, agent, principal)
 
 
-def test_evaluate_refuses_a_parent_map_off_the_tree():
-    tree = binomial_tree(0.6, GRID)
+def test_evaluate_refuses_a_level_that_is_not_a_whole_multiple():
+    """A single split has 2 nodes at level 2, where the binomial planner has
+    3: no layout puts each planner node over the same number of them."""
+    pol = solve_adaptive_quota(binomial_tree(0.6, GRID), AGENT, PRINCIPAL)
+    with pytest.raises(AlignmentError, match="agent level 2 "):
+        evaluate_adaptive(pol, single_split(0.6, GRID, 0.2, 0.9), AGENT,
+                          PRINCIPAL)
+
+
+def test_evaluate_refuses_a_process_with_another_prior():
+    """A tree on the same grid from another prior, or a refinement of it,
+    is not aligned with the planner's tree, whatever its level sizes."""
+    pol = solve_adaptive_quota(binomial_tree(0.6, GRID), AGENT, PRINCIPAL)
+    other = binomial_tree(0.3, GRID)
+    for proc in (other,
+                 refine_process(other, BinaryExperiment(0.8, 0.3, (2,)))):
+        with pytest.raises(AlignmentError, match="prior"):
+            evaluate_adaptive(pol, proc, AGENT, PRINCIPAL)
+
+
+def test_no_learning_planner_forces_every_node_of_a_level():
+    """Against a one-node-per-level planner each agent level is a whole
+    multiple of the planner's, so a binomial agent is accepted, and every
+    node of a level is forced to stop where the planner stops."""
+    tree = no_learning(0.6, GRID)
     pol = solve_adaptive_quota(tree, AGENT, PRINCIPAL)
-    ref = refine_process(tree, BinaryExperiment(0.8, 0.3, (0, 3)))
-    for shift in (1, -1):
-        parent = ref.parent.copy()
-        parent[:ref.first[1]] += shift * (len(tree.beliefs[0]) + 1)
-        bad = processes.DiscreteLearningProcess(
-            ref.grid, ref.first, ref.belief, ref.indptr, ref.indices, ref.data,
-            ref.root_dist, ref.mu0, parent)
-        with pytest.raises(AlignmentError, match="level 0 is inconsistent"):
-            evaluate_adaptive(pol, bad, AGENT, PRINCIPAL)
+    assert pol.node_stop.any() and not pol.node_stop.all()
+    agent_proc = binomial_tree(0.6, GRID)
+    forced = pol.node_stop.repeat(np.diff(agent_proc.first))
+    m = FixedTaxHardQuota(pol.lambda_adaptive, GRID.l_max)
+    want = principal_value(solve_stopping(agent_proc, AGENT, m, forced),
+                           PRINCIPAL, m)
+    assert evaluate_adaptive(pol, agent_proc, AGENT, PRINCIPAL) == want
 
 
 def test_declining_agent_leaves_principal_outside_option():
@@ -409,7 +427,8 @@ def test_declining_agent_leaves_principal_outside_option():
     outside = PRINCIPAL.indirect(0.6, 0.0)
     assert evaluate_adaptive(pol, ref, AGENT, PRINCIPAL) != outside
     forced = np.concatenate([s[p] for s, p in zip(
-        by_level(pol.node_stop, tree.first), by_level(ref.parent, ref.first))])
+        by_level(pol.node_stop, tree.first),
+        planner_nodes(ref, np.diff(tree.first)))])
     lam = pol.lambda_adaptive
     while True:
         lam += 0.05
@@ -426,12 +445,12 @@ def test_declining_agent_leaves_principal_outside_option():
 
 def test_adaptive_pipeline_at_1001_levels_within_memory_budget():
     """The n=1001 binomial tree, its planner DP and one two-signal refinement
-    (1.19 M agent nodes) with its evaluation peak at 149.6 MB under
+    (1.19 M agent nodes) with its evaluation peak at 139.8 MB under
     tracemalloc with the levels stored flat (dense kernels would take 2.7 GB
     for the tree and 18 GB for the refinement); the evaluation sets the
     peak, backward's continuations (one float per agent node) included,
     and building the refinement, whose validation keeps each entry's row,
-    peaks at 120.5 MB.  The budget leaves about 20% headroom."""
+    peaks at 111.0 MB.  The budget leaves about 30% headroom."""
     grid = LevelGrid(2.0, 1001)
     tracemalloc.start()
     try:

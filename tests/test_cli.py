@@ -220,6 +220,38 @@ def test_worstcase_refusal_exits_1_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_worstcase_on_overflowing_transfers_exits_1(tmp_path, capsys):
+    """exp(400 l) overflows on the grid: the refusal is a typed error and
+    exit code 1, not a RuntimeWarning."""
+    raw = {**QUAD, "mechanism": {"type": "exponential", "eta": 400}}
+    assert main(["--config", _write(tmp_path, raw), "--out",
+                 str(tmp_path / "o"), "worstcase"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tax profile must be")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("under,command", [
+    (False, "robust"), (False, "accept"), (True, "robust")],
+    ids=["robust", "accept", "robust-under-a-file"])
+def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, under,
+                                             command):
+    """An --out that names an existing file is refused before the command
+    runs, and one under a file when its directory is made: exit 2, and no
+    acceptance criterion is run."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if under else taken
+    argv = ["accept"] if command == "accept" \
+        else ["--config", _write(tmp_path, QUAD), command]
+    assert main(["--out", str(out), *argv]) == 2
+    stdout, err = capsys.readouterr()
+    assert err.startswith(f"config error: --out {out}")
+    assert "PASS" not in stdout and "FAIL" not in stdout
+    assert taken.read_text() == ""
+
+
 def test_adaptive_without_tree_is_the_static_mechanism(tmp_path):
     """With no tree the config learns nothing, and the adaptive quota is
     the robust mechanism: its value is the guarantee and its tax is

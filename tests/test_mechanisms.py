@@ -166,7 +166,10 @@ def test_malformed_spec_dict_is_a_config_error(section, spec, match):
 
 @pytest.mark.parametrize("build,error", [
     (lambda: Linear("x"), DomainError), (lambda: Exponential(None), DomainError),
+    (lambda: Linear(math.inf), DomainError),
+    (lambda: Exponential(math.nan), DomainError),
     (lambda: FixedTaxHardQuota("x", 0.5), DomainError),
+    (lambda: FixedTaxHardQuota(math.inf, 0.5), DomainError),
     (lambda: FixedTaxHardQuota(0.1, "x"), DomainError),
     (lambda: FixedTaxHardQuota(True, 0.5), DomainError),
     (lambda: TabulatedMechanism(LevelGrid(1.0, 3), ("x", 1.0, 2.0)),
@@ -183,9 +186,22 @@ def test_malformed_spec_dict_is_a_config_error(section, spec, match):
     (lambda: _config(LevelGrid(1.0, 3), mechanism={
         "type": "fixed_tax_hard_quota", "lambda": "x", "quota": 0.5}),
      ConfigError)],
-    ids=["linear", "exponential", "quota_tax", "quota_level", "bool_tax",
+    ids=["linear", "exponential", "linear_inf", "exponential_nan",
+         "quota_tax", "quota_tax_inf", "quota_level", "bool_tax",
          "tabulated", "tabulated_bool", "tabulated_scalar",
          "tabulated_bool_spec", "tabulated_spec", "quota_spec"])
 def test_mechanism_parameters_are_checked_when_built(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m", [Exponential(400.0), Exponential(358.045),
+                               Linear(1e308)],
+                         ids=["exp-400", "exp-358", "linear-1e308"])
+def test_overflowing_transfers_are_a_domain_error(m):
+    """Transfers past the float range on a grid to 2 (exp(400 l) past
+    l = 1.78): the profile holds inf, which the one profile check refuses,
+    with no RuntimeWarning."""
+    with pytest.raises(DomainError, match="finite numbers"):
+        adjusted_profiles(CARA(1.0), m, "agent", LevelGrid(2.0, 11))

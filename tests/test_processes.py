@@ -215,10 +215,9 @@ def test_levels_are_views_of_the_flat_arrays():
     with indptr made local, whose bytes are the block's data and indices
     plus one indptr entry per row and one per kernel."""
     tree = binomial_tree(0.6, GRID)
-    parent = np.concatenate([np.arange(j + 1) for j in range(GRID.n)])
     same = DiscreteLearningProcess(GRID, tree.first, tree.belief, tree.indptr,
                                    tree.indices, tree.data, tree.root_dist,
-                                   tree.mu0, parent)
+                                   tree.mu0)
     assert same.belief is tree.belief and same.data is tree.data
     assert same.beliefs[-1].tolist() == tree.belief[tree.first[-2]:].tolist()
     assert [b.size for b in same.beliefs[1:3]] == [2, 3]
@@ -245,19 +244,11 @@ def test_levels_are_views_of_the_flat_arrays():
             p.kernels[n - 1]
 
 
-def test_parent_map_must_match_the_levels_node_for_node():
-    tree = binomial_tree(0.6, GRID)
-    with pytest.raises(DomainError, match="one entry per node"):
-        DiscreteLearningProcess(GRID, tree.first, tree.belief, tree.indptr,
-                                tree.indices, tree.data, tree.root_dist,
-                                tree.mu0, np.zeros(GRID.n, dtype=int))
-
-
 def _rebuild(p, **change):
     """p built again from its stored arrays, those named in `change`
     replaced."""
     args = {k: getattr(p, k) for k in ("first", "belief", "indptr", "indices",
-                                       "data", "root_dist", "mu0", "parent")}
+                                       "data", "root_dist", "mu0")}
     return DiscreteLearningProcess(p.grid, **{**args, **change})
 
 
@@ -276,18 +267,16 @@ def _tree(draw):
 
 
 @st.composite
-def _corrupted(draw, a, moves):
+def _corrupted(draw, a):
     """A copy of the integer array `a` with one entry dropped, two unequal
     entries swapped, an entry moved past its right neighbour (or the last
-    one up by 1), one entry appended, or its values as floats."""
-    how = draw(st.sampled_from(moves))
+    one up by 1), or its values as floats."""
+    how = draw(st.sampled_from(["drop", "swap", "shift", "float"]))
     if how == "float":
         return a.astype(float)
     a, k = a.copy(), draw(st.integers(0, a.size - 1))
     if how == "drop":
         return np.delete(a, k)
-    if how == "append":
-        return np.append(a, a[k])
     if how == "swap":
         j = draw(st.sampled_from(np.flatnonzero(a != a[k]).tolist()))
         a[[k, j]] = a[[j, k]]
@@ -302,28 +291,20 @@ def test_flat_input_is_rebuilt_as_stored_and_corruption_is_refused(data):
     """A tree or refinement built again from its own flat arrays has the
     same level views, bitwise; with `first` or the kernel `indptr` corrupted
     (an entry dropped, swapped, moved past its neighbour, or a float dtype),
-    or `parent` of the wrong length or dtype, it raises DomainError, never
-    an IndexError or a bare ValueError."""
+    it raises DomainError, never an IndexError or a bare ValueError."""
     p = data.draw(_tree())
-    parent = np.zeros(p.belief.size, dtype=np.intp) if p.parent is None \
-        else p.parent
-    q = _rebuild(p, parent=parent)
-    for a, b in zip((*q.beliefs, *by_level(q.parent, q.first)),
-                    (*p.beliefs, *np.split(parent, p.first[1:-1])),
-                    strict=True):
+    q = _rebuild(p)
+    for a, b in zip(q.beliefs, p.beliefs, strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     for a, b in zip(q.kernels, p.kernels, strict=True):
         assert a.shape == b.shape
         for f in ("indptr", "indices", "data"):
             assert getattr(a, f).tobytes() == getattr(b, f).tobytes()
     assert q.rows.tobytes() == p.rows.tobytes()
-    order = ["drop", "swap", "shift", "float"]
-    for field, base, moves in [("first", p.first, order),
-                               ("indptr", p.indptr, order),
-                               ("parent", parent, ["drop", "append", "float"])]:
-        bad = data.draw(_corrupted(base, moves), label=field)
+    for field in ("first", "indptr"):
+        bad = data.draw(_corrupted(getattr(p, field)), label=field)
         with pytest.raises(DomainError):
-            _rebuild(p, **{"parent": parent, field: bad})
+            _rebuild(p, **{field: bad})
 
 
 @st.composite
