@@ -13,7 +13,7 @@ from .errors import (AlignmentError, DomainError, NotARefinementError, is_int,
                      is_real)
 from .mechanisms import FixedTaxHardQuota
 from .payoffs import PayoffSpec
-from .processes import DiscreteLearningProcess, level_runs
+from .processes import DiscreteLearningProcess, _posterior, level_runs
 from .stopping import (backward, forward, node_payoff, principal_value,
                        solve_stopping)
 
@@ -100,8 +100,9 @@ class BinaryExperiment:
 
 def random_experiment(rng: np.random.Generator, n: int) -> BinaryExperiment:
     """Seeded stress-test experiment on an n-level grid: signal accuracies
-    drawn from [0.05, 0.95] at least 0.05 apart (else q is nudged up), on 1
-    to min(4, n) - 1 distinct levels."""
+    p and q drawn from [0.05, 0.95], q moved up by 0.1 and capped at 0.95
+    where the two are less than 0.05 apart (so after the cap they can still
+    be), on 1 to min(4, n) - 1 distinct levels."""
     p = float(rng.uniform(0.05, 0.95))
     q = float(rng.uniform(0.05, 0.95))
     if abs(p - q) < 0.05:
@@ -110,41 +111,14 @@ def random_experiment(rng: np.random.Generator, n: int) -> BinaryExperiment:
     return BinaryExperiment(p, q, tuple(int(l) for l in levels))
 
 
-def _posteriors(b, m, p, q, out):
-    """Beliefs b after w up-signals out of m, for w = 0..m, into column w of
-    `out`: Bayes' rule in odds form with the factors p^w (1-p)^(m-w) and
-    q^w (1-q)^(m-w), where P(up | theta=1) = p and P(up | theta=0) = q.
-
-    A signal history impossible under theta = 0 sends the belief to 1, and
-    one impossible under theta = 1 to 0, also where b has rounded to 0 or 1;
-    otherwise beliefs 0 and 1 stay fixed.
-    """
-    with np.errstate(divide="ignore"):
-        prior_odds = b / (1.0 - b)
-    fixed = (b <= 0.0) | (b >= 1.0)
-    for w in range(m + 1):
-        pw, pmw = p ** w, (1 - p) ** (m - w)
-        den = q ** w * (1 - q) ** (m - w)
-        if pw * pmw == 0.0:
-            out[:, w] = b if den == 0.0 else 0.0
-        elif den == 0.0:
-            out[:, w] = 1.0
-        else:
-            with np.errstate(invalid="ignore", over="ignore"):
-                num = prior_odds * pw * pmw
-                odds = num / den
-                post = np.where(num == 0.0, 0.0,
-                                np.where(np.isfinite(odds), odds / (1.0 + odds), 1.0))
-            out[:, w] = np.where(fixed, b, post)
-
-
 def refine_process(tree: DiscreteLearningProcess,
                    experiment: BinaryExperiment) -> DiscreteLearningProcess:
     """Agent process that observes the planner's tree plus an extra signal.
 
     Agent nodes at level j are pairs (planner node i, up-signal count w),
-    numbered i * (m_j + 1) + w; beliefs combine the planner posterior with
-    the signal likelihood ratio, and kernels reweight the planner's
+    numbered i * (m_j + 1) + w; beliefs update the planner posterior by the
+    signal's log-likelihood ratio (`processes._posterior`, the update
+    `binomial_tree` makes), and kernels reweight the planner's
     transitions by the agent's sharper belief (Bayes-consistent, so the
     martingale property is preserved).  This layout is the alignment
     `evaluate_adaptive` reads.
@@ -187,7 +161,9 @@ def refine_process(tree: DiscreteLearningProcess,
         m = int(m_at[j0])
         t0, t1 = t_first[j0], t_first[j1]
         post = belief[first[j0]:first[j1]]
-        _posteriors(tree.belief[t0:t1], m, p, q, post.reshape(-1, m + 1))
+        # signal counts down the rows, so each row is one contiguous pass
+        post.reshape(-1, m + 1)[:] = _posterior(
+            tree.belief[t0:t1], np.arange(m + 1)[:, None], m, p, q).T
         j_end = min(j1, n - 1)
         if j_end == j0:
             return                              # the last level has no kernel

@@ -187,8 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise ConfigError(f"--out {args.out} exists and is not a directory")
+        # --out is made in its nearest existing ancestor, which must be a
+        # directory: checked, and nothing made, before any command runs
+        at = os.path.abspath(args.out or ".")
+        while not os.path.exists(at):
+            at = os.path.dirname(at)
+        if not os.path.isdir(at):
+            raise ConfigError(f"--out {args.out}: {at} is not a directory")
         if args.command == "accept":
             return cmd_accept(args)
         if not args.config:

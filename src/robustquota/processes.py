@@ -79,7 +79,7 @@ class DiscreteLearningProcess:
     def beliefs(self) -> list:
         """Level j's node beliefs as a view of `belief`, a list over the
         levels.  Kept only for rqbench's tracer, which counts a
-        refinement's nodes; goes with ROADMAP item 2."""
+        refinement's nodes, until the benchmark change (ROADMAP item 5)."""
         return np.split(self.belief, self.first[1:-1])
 
     @property
@@ -87,7 +87,7 @@ class DiscreteLearningProcess:
         """Kernel j, from level j to level j + 1, as a `Kernel` of its rows
         of the block (`indices` and `data` views, `indptr` made local), a
         tuple over levels 0..n-2.  Kept only for rqbench's tracer, which
-        sums their bytes; goes with ROADMAP item 2."""
+        sums their bytes, until the benchmark change (ROADMAP item 5)."""
         first = self.first.tolist()
         at = self.indptr[self.first[:-1]].tolist()
         return tuple(Kernel(self.indptr[r0:r1 + 1] - e0, self.indices[e0:e1],
@@ -199,6 +199,33 @@ def single_split(mu0: float, grid: LevelGrid, lo: float, hi: float) -> DiscreteL
     return _fixed_support(grid, [lo, hi], [p_lo, 1.0 - p_lo], mu0)
 
 
+def _posterior(b, w, m, p, q):
+    """Belief b after w up-signals out of m, elementwise, where P(up |
+    theta=1) = p and P(up | theta=0) = q: the odds b/(1-b) exp(w log(p/q) +
+    (m-w) log((1-p)/(1-q))), and belief 1.0 where they overflow.  A history
+    impossible under one state (decided exactly: an up-signal where its
+    probability is 0, a down-signal where it is 1) sends the belief to the
+    other state, also from b = 0 or 1; one impossible under both keeps b,
+    and otherwise beliefs 0 and 1 stay fixed."""
+    b, down = np.asarray(b, dtype=float), m - w
+    # impossible where P(up) = 0 after an up-signal, where it is 1 after a
+    # down-signal; a scalar False where P(up) is neither
+    never1, never0 = ((w if x == 0.0 else down if x == 1.0 else 0) > 0
+                      for x in (p, q))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a log ratio past the float range stands at +-max and a NaN one
+        # (p == q in {0, 1}) at 0: times a count of 0 either adds 0, and
+        # times any other count it overflows, as the odds should, or is
+        # a count of an impossible history, decided above
+        up, dn = np.nan_to_num(np.log(np.divide([p, 1 - p], [q, 1 - q])))
+        odds = b / (1.0 - b) * np.exp(w * up + down * dn)
+        post = np.divide(odds, 1.0 + odds, out=np.ones_like(odds),
+                         where=odds < np.inf)
+    np.copyto(post, b, where=(b <= 0.0) | (b >= 1.0) | (never0 & never1))
+    np.copyto(post, never0, where=never0 != never1)
+    return post
+
+
 def binomial_tree(mu0: float, grid: LevelGrid, p_good: float = 0.6,
                   p_bad: float = 0.4) -> DiscreteLearningProcess:
     """Recombining binary-signal tree: each step emits a signal with
@@ -216,15 +243,7 @@ def binomial_tree(mu0: float, grid: LevelGrid, p_good: float = 0.6,
     first = np.arange(n + 1) * np.arange(1, n + 2) // 2   # level j starts here
     level = np.repeat(np.arange(n), np.arange(1, n + 1))
     u = np.arange(first[n]) - first[level]
-    # posterior from u up-signals out of j, via log-likelihoods
-    log_lr = (u * np.log(p_good / p_bad)
-              + (level - u) * np.log((1 - p_good) / (1 - p_bad)))
-    # odds past the float range give belief 1.0, as does any finite odds
-    # above e^37 once rounded
-    with np.errstate(over="ignore"):
-        odds = mu0 / (1.0 - mu0) * np.exp(log_lr)
-    belief = np.divide(odds, 1.0 + odds, out=np.ones_like(odds),
-                       where=odds < np.inf)
+    belief = _posterior(mu0, u, level, p_good, p_bad)   # u up-signals of j
 
     mu = belief[:first[n - 1]]
     p_up = mu * p_good + (1.0 - mu) * p_bad

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robustquota import (AlignmentError, BinaryExperiment, DomainError,
@@ -155,20 +155,20 @@ def _refine_by_loops(tree, p, q, levels):
     m_at = np.cumsum([j in levels for j in range(n)])
 
     def belief(b, w, m):
-        den = q ** w * (1 - q) ** (m - w)
+        never1 = (p == 0.0 and w > 0) or (p == 1.0 and w < m)
+        never0 = (q == 0.0 and w > 0) or (q == 1.0 and w < m)
         # a history impossible under one state settles the belief, also
         # where b is 0 or 1
-        if (p ** w * (1 - p) ** (m - w) == 0.0) != (den == 0.0):
-            return 1.0 if den == 0.0 else 0.0
-        if b <= 0.0 or b >= 1.0:
+        if never1 != never0:
+            return 1.0 if never0 else 0.0
+        if never1 or b <= 0.0 or b >= 1.0:
             return b
-        num = b / (1.0 - b) * p ** w * (1 - p) ** (m - w)
-        if den == 0.0:
-            return b if num == 0.0 else 1.0
-        if num == 0.0:
-            return 0.0
-        odds = num / den
-        return odds / (1.0 + odds) if np.isfinite(odds) else 1.0
+        # the log-likelihood ratio, each signal kind counted where it occurs
+        log_lr = ((w * np.log(p / q) if w else 0.0)
+                  + ((m - w) * np.log((1 - p) / (1 - q)) if m > w else 0.0))
+        with np.errstate(over="ignore"):
+            odds = b / (1.0 - b) * np.exp(log_lr)
+        return odds / (1.0 + odds) if odds < np.inf else 1.0
 
     beliefs = [np.array([belief(float(b), w, int(m)) for b in bl
                          for w in range(m + 1)])
@@ -262,6 +262,36 @@ def test_refinement_refuses_signal_levels_past_the_tree(levels):
     for p, q in ((0.7, 0.3), (0.5, 0.5)):
         with pytest.raises(DomainError, match="past the last level 5"):
             refine_process(tree, BinaryExperiment(p, q, levels))
+
+
+def _refined_no_learning_is_binomial(n, mu0, p, q, rel):
+    """A no-learning tree refined by a (p, q) signal on arrival at every
+    level past 0 is the binomial tree: the beliefs bitwise, and the
+    no-learning planner's value against either agent within `rel`."""
+    grid = LevelGrid(2.0, n)
+    tree = no_learning(mu0, grid)
+    ref = refine_process(tree, BinaryExperiment(p, q, range(1, n)))
+    binomial = binomial_tree(mu0, grid, p, q)
+    assert ref.belief.tobytes() == binomial.belief.tobytes()
+    pol = solve_adaptive_quota(tree, AGENT, PRINCIPAL)
+    assert evaluate_adaptive(pol, ref, AGENT, PRINCIPAL) == pytest.approx(
+        evaluate_adaptive(pol, binomial, AGENT, PRINCIPAL), rel=rel, abs=0)
+
+
+_INTERIOR = st.floats(0.001, 0.999)
+
+
+@given(n=st.integers(2, 80), mu0=_INTERIOR, p=_INTERIOR, q=_INTERIOR)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_refined_no_learning_tree_is_the_binomial_tree(n, mu0, p, q):
+    assume(abs(p - q) > 1e-15)      # closer, the experiment is uninformative
+    _refined_no_learning_is_binomial(n, mu0, max(p, q), min(p, q), 1e-13)
+
+
+def test_refined_no_learning_tree_is_the_binomial_tree_at_1001_levels():
+    """Past about 600 signals the raw likelihood powers underflowed, and
+    this refinement was refused at level 928."""
+    _refined_no_learning_is_binomial(1001, 0.6, 0.7, 0.3, 1e-12)
 
 
 def _loop_evaluate(policy, agent_proc, agent, principal):

@@ -233,13 +233,12 @@ def test_worstcase_on_overflowing_transfers_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("under,command", [
-    (False, "robust"), (False, "accept"), (True, "robust")],
-    ids=["robust", "accept", "robust-under-a-file"])
+    (False, "robust"), (False, "accept"), (True, "robust"), (True, "accept")],
+    ids=["robust", "accept", "robust-under-a-file", "accept-under-a-file"])
 def test_out_naming_a_file_is_a_config_error(tmp_path, capsys, under,
                                              command):
-    """An --out that names an existing file is refused before the command
-    runs, and one under a file when its directory is made: exit 2, and no
-    acceptance criterion is run."""
+    """An --out that names an existing file, or lies under one, is refused
+    before the command runs: exit 2, and no acceptance criterion is run."""
     taken = tmp_path / "taken"
     taken.write_text("")
     out = taken / "sub" if under else taken

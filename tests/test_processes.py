@@ -361,6 +361,81 @@ def test_binomial_tree_past_float_odds():
         assert p.beliefs[j].tobytes() == (odds / (1.0 + odds)).tobytes()
 
 
+def _bayes_masses(b, w, m, p, q):
+    """Bayes' rule on the floats' exact values, in integers: the prior mass
+    of each state times the likelihood of w up-signals out of m there,
+    (theta = 1, theta = 0), over one common denominator, so the posterior
+    is the first over their sum.  Integers, not Fractions, keep the draws
+    at m = 2000 fast: no gcd is taken."""
+    (bn, bd), (pn, pd), (qn, qd) = (float(x).as_integer_ratio()
+                                    for x in (b, p, q))
+    return (bn * pn ** w * (pd - pn) ** (m - w) * qd ** m,
+            (bd - bn) * qn ** w * (qd - qn) ** (m - w) * pd ** m)
+
+
+def _relative_error(got, b, w, m, p, q):
+    one, zero = _bayes_masses(b, w, m, p, q)
+    gn, gd = float(got).as_integer_ratio()
+    return abs(gn * (one + zero) - gd * one) / (gd * one)
+
+
+def test_posterior_matches_exact_bayes_within_2_m_eps():
+    """Against exact rational Bayes for up to 2000 signals: wherever the
+    exact belief lies in [1e-6, 1 - 1e-6] the log-likelihood update is
+    within 2 m eps of it, relative.  Each draw takes w near the count that
+    balances the prior odds, so most exact beliefs land there."""
+    rng = np.random.default_rng(36)
+    eps, checked = np.finfo(float).eps, 0
+    for _ in range(300):
+        p, q, b = rng.uniform(0.02, 0.98, size=3).tolist()
+        m = int(rng.integers(1, 2001))
+        up, dn = np.log(p / q), np.log((1 - p) / (1 - q))
+        even = -(np.log(b / (1 - b)) + m * dn) / (up - dn)
+        w = int(np.clip(round(even) + rng.integers(-4, 5), 0, m))
+        one, zero = _bayes_masses(b, w, m, p, q)
+        if 1e-6 <= one / (one + zero) <= 1 - 1e-6:
+            checked += 1
+            got = processes._posterior(b, w, m, p, q)
+            assert _relative_error(got, b, w, m, p, q) <= 2 * m * eps, \
+                (b, w, m, p, q)
+    assert checked >= 250
+
+
+def test_posterior_keeps_its_accuracy_past_600_signals():
+    """The raw powers p^w (1-p)^(m-w) underflow here and returned the prior
+    0.6; the exact belief is 1.0e-30."""
+    got = processes._posterior(0.6, 459, 1000, 0.7, 0.3)
+    assert got == pytest.approx(1.0e-30, rel=1e-2)
+    assert _relative_error(got, 0.6, 459, 1000, 0.7, 0.3) \
+        <= 2 * 1000 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("p,q", [(1.0, 0.0), (0.0, 1.0), (1.0, 0.3),
+                                 (0.3, 1.0), (0.0, 0.3), (0.3, 0.0),
+                                 (0.0, 0.0), (1.0, 1.0), (0.3, 5e-324)])
+def test_posterior_is_exact_on_conclusive_histories(p, q):
+    """A history with zero likelihood in one state, taken exactly, sends the
+    belief to the other state, also from a prior of 0 or 1; one with zero
+    likelihood in both keeps the prior; priors 0 and 1 otherwise stay.
+    Every other history is within 2 m eps of exact Bayes, also where p/q
+    is past the float range."""
+    m = 4
+    for b in (0.0, 0.6, 1.0):
+        got = processes._posterior(b, np.arange(m + 1), m, p, q)
+        for w in range(m + 1):
+            lik1, lik0 = _bayes_masses(1.0, w, m, p, q)[0], \
+                _bayes_masses(0.0, w, m, p, q)[1]
+            if lik1 == 0 or lik0 == 0:
+                want = b if lik1 == lik0 else float(lik0 == 0)
+            elif b in (0.0, 1.0):
+                want = b
+            else:
+                assert _relative_error(got[w], b, w, m, p, q) \
+                    <= 2 * m * np.finfo(float).eps
+                continue
+            assert got[w] == want, (b, w)
+
+
 
 @pytest.mark.parametrize("chunk", [1 << 16, 5])
 @pytest.mark.parametrize("make", [
