@@ -13,6 +13,7 @@ from .errors import (AlignmentError, DomainError, NotARefinementError, is_int,
                      is_real)
 from .mechanisms import FixedTaxHardQuota
 from .payoffs import PayoffSpec
+from . import processes
 from .processes import DiscreteLearningProcess, _posterior, level_runs
 from .stopping import (backward, forward, node_payoff, principal_value,
                        solve_stopping)
@@ -125,9 +126,11 @@ def refine_process(tree: DiscreteLearningProcess,
 
     Each planner edge i -> i' gives one agent entry per signal count w, to
     w, or a pair of entries, to w and w + 1, on a step where a signal fires
-    on arrival.  The refinement is written straight into its flat arrays, in
-    one array pass per block of levels that share a run and a signal count,
-    and each row is renormalised by the sum of its entries in column order.
+    on arrival.  The refinement is written straight into its flat arrays,
+    per block of levels that share a run and a signal count m: the beliefs
+    in one array pass, the kernel rows in one pass per count w over the
+    block's planner edges (several counts a pass where the edges are few),
+    each row renormalised by the sum of its entries in column order.
     A signal level past the tree's last level raises DomainError.
     """
     n = tree.grid.n
@@ -156,66 +159,68 @@ def refine_process(tree: DiscreteLearningProcess,
 
     def block(j0, j1):
         """Beliefs and outgoing kernel rows of the agent nodes of levels
-        j0..j1-1, where the agent has seen the same m signals, written in
-        place in one array pass whose temporaries go on return."""
+        j0..j1-1, where the agent has seen the same m signals, in place."""
         m = int(m_at[j0])
         t0, t1 = t_first[j0], t_first[j1]
-        post = belief[first[j0]:first[j1]]
+        post = belief[first[j0]:first[j1]].reshape(-1, m + 1)
         # signal counts down the rows, so each row is one contiguous pass
-        post.reshape(-1, m + 1)[:] = _posterior(
-            tree.belief[t0:t1], np.arange(m + 1)[:, None], m, p, q).T
-        j_end = min(j1, n - 1)
-        if j_end == j0:
-            return                              # the last level has no kernel
+        post[:] = _posterior(tree.belief[t0:t1], np.arange(m + 1)[:, None],
+                             m, p, q).T
+        j_end = min(j1, n - 1)                  # the last level has no kernel
+        # the step into a level where a signal fires gives two entries per
+        # planner edge and signal count w, to w and w + 1, every other one
+        j_pair = max(j0, j_end - fires[j_end])
+        for ja, jb, c in ((j0, j_pair, 1), (j_pair, j_end, 2)):
+            if ja < jb:
+                edges(ja, jb, c, post[t_first[ja] - t0:])
 
-        # the planner edges out of levels j0..j_end-1: their probabilities
+    def edges(j0, j1, c, post):
+        """Kernel rows of the agent nodes of levels j0..j1-1, in place, c
+        entries per planner edge and signal count; `post` holds the beliefs
+        of their planner nodes (rows) with each count (columns)."""
+        m = post.shape[1] - 1
+        t0, t1 = t_first[j0], t_first[j1]
+        # the planner edges out of levels j0..j1-1: their probabilities
         # given each state, zero off the support, and the agent column of
         # signal count 0 at their heads
-        t_end = t_first[j_end]
-        e0, e1 = t_ptr[t0], t_ptr[t_end]
+        e0, e1 = t_ptr[t0], t_ptr[t1]
         nxt, base = tree.indices[e0:e1], tree.data[e0:e1]
-        t_deg = np.diff(t_ptr[t0:t_end + 1])
-        b = np.repeat(tree.belief[t0:t_end], t_deg)
-        bn = tree.belief[nxt + np.repeat(t_first[j0 + 1:j_end + 1],
-                                         t_nnz[j0:j_end])]
+        t_deg = t_ptr[t0 + 1:t1 + 1] - t_ptr[t0:t1]
+        b = np.repeat(tree.belief[t0:t1], t_deg)
+        bn = tree.belief[nxt + np.repeat(t_first[j0 + 1:j1 + 1],
+                                         t_nnz[j0:j1])]
         with np.errstate(divide="ignore", invalid="ignore"):
             k1 = np.where(base > 0, np.where(b > 0, base * (bn / b), base), 0.0)
             k0 = np.where(base > 0,
                           np.where(b < 1, base * ((1 - bn) / (1 - b)), base), 0.0)
-        col0 = nxt * np.repeat(s[j0 + 1:j_end + 1], t_nnz[j0:j_end])
+        col0 = nxt * np.repeat(s[j0 + 1:j1 + 1], t_nnz[j0:j1])
 
-        # one agent edge per agent row (i, w) and planner edge i -> i': row
-        # (i, w) holds the agent edges from (m + 1) tp_i + w deg_i on, where
-        # tp_i is the first planner edge out of i
-        tp = t_ptr[t0:t_end] - e0
-        w = np.tile(np.arange(m + 1), t_end - t0)
-        deg = np.repeat(t_deg, m + 1)
-        edge = np.arange((m + 1) * (e1 - e0)) - np.repeat(
-            np.repeat(m * tp, m + 1) + w * deg, deg)
-        mu = np.repeat(post[:deg.size], deg)
-        pr1 = mu * k1[edge]                     # joint with theta = 1
-        pr0 = (1 - mu) * k0[edge]
-        col = col0[edge] + np.repeat(w, deg)
-        # an entry per agent edge, or a pair, to w and w + 1, on the step
-        # into a level where a signal fires
-        j_pair = j_end - 1 if fires[j_end] else j_end
-        x = (m + 1) * (t_ptr[t_first[j_pair]] - e0)
-        o0, o_pair, o1 = e_first[j0], e_first[j_pair], e_first[j_end]
-        np.add(pr1[:x], pr0[:x], out=data[o0:o_pair])
-        indices[o0:o_pair] = col[:x]
-        pair = data[o_pair:o1].reshape(-1, 2)
-        pair[:, 0] = pr1[x:] * (1 - p) + pr0[x:] * (1 - q)
-        pair[:, 1] = pr1[x:] * p + pr0[x:] * q
-        indices[o_pair:o1].reshape(-1, 2)[:] = col[x:, None] + (0, 1)
-        row_nnz = deg.copy()
-        row_nnz[(t_first[j_pair] - t0) * (m + 1):] *= 2
-        indptr[first[j0] + 1:first[j_end] + 1] = o0 + np.cumsum(row_nnz)
-        # rows sum to 1 analytically; renormalise away float drift
-        rows = np.repeat(np.arange(deg.size), row_nnz)
-        rs = np.bincount(rows, weights=data[o0:o1], minlength=deg.size)
-        if np.any(rs <= 1e-12):
-            raise NotARefinementError("refinement produced an empty kernel row")
-        data[o0:o1] /= rs[rows]
+        # agent row (i, w) holds the c entries of each planner edge e out of
+        # i from o0 + c (e + m tp_i + w deg_i) on, tp_i the first edge out of
+        # i.  A pass takes n_w signal counts: a quarter run's entries (about
+        # 30 numpy calls a pass), or one count where that holds more.  Each
+        # entry's row sum is a bin of its pass, summed in column order
+        o0, t = e_first[j0], t1 - t0
+        indptr[first[j0] + 1:first[j1] + 1] = o0 + (c * t_deg).repeat(
+            m + 1).cumsum()
+        n_w = min(m + 1, max(1, processes.CHUNK // 4 // (c * (e1 - e0))))
+        row = np.arange(t).repeat(t_deg)
+        at, deg = np.arange(e1 - e0) + m * (t_ptr[t0:t1] - e0)[row], t_deg[row]
+        bins = (np.arange(n_w)[:, None] * t + row).repeat(c)
+        for w0 in range(0, m + 1, n_w):
+            w = np.arange(w0, min(w0 + n_w, m + 1))[:, None]
+            mu = post[:t, w0:w0 + n_w].T.repeat(t_deg, axis=1)
+            pr1, pr0 = mu * k1, (1 - mu) * k0   # joint with theta = 1, 0
+            joint = pr1 + pr0 if c == 1 else np.stack(
+                (pr1 * (1 - p) + pr0 * (1 - q), pr1 * p + pr0 * q), axis=-1)
+            # rows sum to 1 analytically; renormalise away float drift
+            rs = np.bincount(bins[:joint.size], weights=joint.ravel(),
+                             minlength=w.size * t)
+            if (rs <= 1e-12).any():
+                raise NotARefinementError("refinement produced an empty kernel row")
+            pos = (c * (at + w * deg))[..., None] + np.arange(o0, o0 + c)
+            data[pos.ravel()] = joint.ravel() / rs[bins[:joint.size]]
+            indices[pos] = (col0 + w)[..., None] + np.arange(c)
 
     # a block per run of levels and signal count
     for j0, j1 in level_runs(np.cumsum(sizes + np.append(nnz, 0)).tolist()):

@@ -165,15 +165,16 @@ def _exact_dual(c: np.ndarray, a0: np.ndarray, jbar: int,
     return y, float(c[jbar])
 
 
-def _reduced(x: np.ndarray, t: float, y: np.ndarray, a: np.ndarray
+def _reduced(x: np.ndarray, t, y: np.ndarray, a: np.ndarray
              ) -> Tuple[np.ndarray, np.ndarray]:
     """The reduced costs x_k - t + sum_{j<=k} y_j (a_j - a_k) and the sizes
     of their terms, in quarters (exact, and finite where the payoffs are),
-    each sum a cumsum less a product."""
+    each sum a cumsum less a product; rows of x, t and a stacked share one
+    set of y's prefix sums."""
     y4 = y / 4
     ya = y4 * a
-    return (x / 4 - t / 4 + ya.cumsum() - a * y4.cumsum(),
-            np.abs(x) / 4 + abs(t) / 4 + np.abs(ya).cumsum()
+    return (x / 4 - t / 4 + ya.cumsum(-1) - a * y4.cumsum(),
+            np.abs(x) / 4 + abs(t) / 4 + np.abs(ya).cumsum(-1)
             + np.abs(a) * np.abs(y4).cumsum())
 
 
@@ -213,9 +214,9 @@ def _all_processes(y: np.ndarray, t: float, a1: np.ndarray, a0: np.ndarray,
     1e-9 of its terms, in quarters, as in _certified_gap."""
     # r0 and r1 plus their tolerance, in quarters; alpha1 / 4 is the end
     # entry of s1, taken off with its size z1[-1]
-    r0, z0 = _reduced(p0, t, y, a0)
+    (r0, s1), (z0, z1) = _reduced(np.stack([p0, p1]), np.array([[t], [0.0]]),
+                                  y, np.stack([a0, a1]))
     R0 = r0 + 1e-9 * z0
-    s1, z1 = _reduced(p1, 0.0, y, a1)
     R1 = s1 + 1e-9 * z1 + (1e-9 * z1[-1] - s1[-1])
     # the ends of [lo_j, hi_j] for j < end: mu = 0 where a0 does not rise
     # on the step, mu = 1 where a1 does not, and where exactly one rises

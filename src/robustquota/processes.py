@@ -23,9 +23,9 @@ from .errors import DomainError, is_int, is_real
 from .grid import LevelGrid
 
 #: entries (or rows) handled by one array pass over a run of levels (or
-#: rows): few numpy calls per run, and temporaries of a few MB however large
-#: the tree
-CHUNK = 1 << 16
+#: rows): 128 KB per float temporary, so the allocator reuses a pass's pages
+#: from run to run; below 1 << 13 numpy's fixed cost per call shows
+CHUNK = 1 << 14
 
 #: one level's kernel in CSR form: row i holds data[indptr[i]:indptr[i+1]]
 #: in columns indices[indptr[i]:indptr[i+1]], increasing within the row
@@ -150,12 +150,16 @@ class DiscreteLearningProcess:
         bad = (cols < 0) | (heads >= first[j0 + 2:j1 + 2].repeat(nnz))
         if bad.any():
             raise DomainError(f"kernel {level(bad, nnz_ends)} has wrong shape")
-        bad = (cols[1:] <= cols[:-1]) & (rows[1:] == rows[:-1])
+        # a column at or below its left neighbour, cleared at row starts (two
+        # spare flags take those at the run's end and, as index -1, its start)
+        bad = np.zeros(cols.size + 1, dtype=bool)
+        np.less_equal(cols[1:], cols[:-1], out=bad[:-2])
+        bad[indptr[r0 + 1:r1 + 1] - (e0 + 1)] = False
         if bad.any():
             raise DomainError(f"kernel {level(bad, nnz_ends)} columns must "
                               "increase within each row")
-        bad = ~(data >= -1e-12)
-        if bad.any():
+        if not (data >= -1e-12).all():
+            bad = ~(data >= -1e-12)
             raise DomainError(f"kernel {level(bad, nnz_ends)} has negative entries")
         row_sums = np.bincount(rows, weights=data, minlength=r1 - r0)
         bad = ~(np.abs(row_sums - 1.0) <= 1e-12)
