@@ -13,7 +13,6 @@ from .errors import (AlignmentError, DomainError, NotARefinementError, is_int,
                      is_real)
 from .mechanisms import FixedTaxHardQuota
 from .payoffs import PayoffSpec
-from . import processes
 from .processes import DiscreteLearningProcess, _posterior, level_runs
 from .stopping import (backward, forward, node_payoff, principal_value,
                        solve_stopping)
@@ -127,10 +126,10 @@ def refine_process(tree: DiscreteLearningProcess,
     Each planner edge i -> i' gives one agent entry per signal count w, to
     w, or a pair of entries, to w and w + 1, on a step where a signal fires
     on arrival.  The refinement is written straight into its flat arrays,
-    per block of levels that share a run and a signal count m: the beliefs
-    in one array pass, the kernel rows in one pass per count w over the
-    block's planner edges (several counts a pass where the edges are few),
-    each row renormalised by the sum of its entries in column order.
+    per run of levels: the beliefs in one pass per block of levels with one
+    signal count m, then the kernel rows in one pass over all m + 1 counts
+    per block with one m and one entry count c, each row renormalised by
+    the sum of its entries in column order.
     A signal level past the tree's last level raises DomainError.
     """
     n = tree.grid.n
@@ -157,28 +156,11 @@ def refine_process(tree: DiscreteLearningProcess,
     indices = np.empty(e_first[-1], dtype=np.intp)
     data = np.empty(e_first[-1])
 
-    def block(j0, j1):
-        """Beliefs and outgoing kernel rows of the agent nodes of levels
-        j0..j1-1, where the agent has seen the same m signals, in place."""
+    def block(j0, j1, c):
+        """Kernel rows of the agent nodes of levels j0..j1-1, where the agent
+        has seen the same m signals, in place, c entries per planner edge
+        and signal count w: to w, and to w + 1 where c = 2."""
         m = int(m_at[j0])
-        t0, t1 = t_first[j0], t_first[j1]
-        post = belief[first[j0]:first[j1]].reshape(-1, m + 1)
-        # signal counts down the rows, so each row is one contiguous pass
-        post[:] = _posterior(tree.belief[t0:t1], np.arange(m + 1)[:, None],
-                             m, p, q).T
-        j_end = min(j1, n - 1)                  # the last level has no kernel
-        # the step into a level where a signal fires gives two entries per
-        # planner edge and signal count w, to w and w + 1, every other one
-        j_pair = max(j0, j_end - fires[j_end])
-        for ja, jb, c in ((j0, j_pair, 1), (j_pair, j_end, 2)):
-            if ja < jb:
-                edges(ja, jb, c, post[t_first[ja] - t0:])
-
-    def edges(j0, j1, c, post):
-        """Kernel rows of the agent nodes of levels j0..j1-1, in place, c
-        entries per planner edge and signal count; `post` holds the beliefs
-        of their planner nodes (rows) with each count (columns)."""
-        m = post.shape[1] - 1
         t0, t1 = t_first[j0], t_first[j1]
         # the planner edges out of levels j0..j1-1: their probabilities
         # given each state, zero off the support, and the agent column of
@@ -197,36 +179,46 @@ def refine_process(tree: DiscreteLearningProcess,
 
         # agent row (i, w) holds the c entries of each planner edge e out of
         # i from o0 + c (e + m tp_i + w deg_i) on, tp_i the first edge out of
-        # i.  A pass takes n_w signal counts: a quarter run's entries (about
-        # 30 numpy calls a pass), or one count where that holds more.  Each
-        # entry's row sum is a bin of its pass, summed in column order
+        # i.  Each entry's row sum is a bin, summed in column order
         o0, t = e_first[j0], t1 - t0
         indptr[first[j0] + 1:first[j1] + 1] = o0 + (c * t_deg).repeat(
             m + 1).cumsum()
-        n_w = min(m + 1, max(1, processes.CHUNK // 4 // (c * (e1 - e0))))
         row = np.arange(t).repeat(t_deg)
         at, deg = np.arange(e1 - e0) + m * (t_ptr[t0:t1] - e0)[row], t_deg[row]
-        bins = (np.arange(n_w)[:, None] * t + row).repeat(c)
-        for w0 in range(0, m + 1, n_w):
-            w = np.arange(w0, min(w0 + n_w, m + 1))[:, None]
-            mu = post[:t, w0:w0 + n_w].T.repeat(t_deg, axis=1)
-            pr1, pr0 = mu * k1, (1 - mu) * k0   # joint with theta = 1, 0
-            joint = pr1 + pr0 if c == 1 else np.stack(
-                (pr1 * (1 - p) + pr0 * (1 - q), pr1 * p + pr0 * q), axis=-1)
-            # rows sum to 1 analytically; renormalise away float drift
-            rs = np.bincount(bins[:joint.size], weights=joint.ravel(),
-                             minlength=w.size * t)
-            if (rs <= 1e-12).any():
-                raise NotARefinementError("refinement produced an empty kernel row")
-            pos = (c * (at + w * deg))[..., None] + np.arange(o0, o0 + c)
-            data[pos.ravel()] = joint.ravel() / rs[bins[:joint.size]]
-            indices[pos] = (col0 + w)[..., None] + np.arange(c)
+        w = np.arange(m + 1)[:, None]
+        bins = (w * t + row).repeat(c)
+        post = belief[first[j0]:first[j1]].reshape(-1, m + 1)
+        mu = post.T.repeat(t_deg, axis=1)
+        pr1, pr0 = mu * k1, (1 - mu) * k0       # joint with theta = 1, 0
+        joint = pr1 + pr0 if c == 1 else np.stack(
+            (pr1 * (1 - p) + pr0 * (1 - q), pr1 * p + pr0 * q), axis=-1)
+        # rows sum to 1 analytically; renormalise away float drift
+        rs = np.bincount(bins, weights=joint.ravel(), minlength=(m + 1) * t)
+        if (rs <= 1e-12).any():
+            raise NotARefinementError("refinement produced an empty kernel row")
+        pos = (c * (at + w * deg))[..., None] + np.arange(o0, o0 + c)
+        data[pos.ravel()] = joint.ravel() / rs[bins]
+        indices[pos] = (col0 + w)[..., None] + np.arange(c)
 
-    # a block per run of levels and signal count
+    # per run of levels, the beliefs a block of one signal count m at a
+    # time, then the kernel rows a block of one m and one entry count c at a
+    # time: a kernel block starts at a signal level, where m grows, and on
+    # the step into one, where c is 2; the last level has no kernel
+    new_k = fires[:-1] | fires[1:]
     for j0, j1 in level_runs(np.cumsum(sizes + np.append(nnz, 0)).tolist()):
         cuts = [j0, *(np.flatnonzero(fires[j0 + 1:j1]) + j0 + 1).tolist(), j1]
         for c0, c1 in zip(cuts, cuts[1:]):
-            block(c0, c1)
+            m = int(m_at[c0])
+            # signal counts down the rows, so each row is one contiguous pass
+            belief[first[c0]:first[c1]].reshape(-1, m + 1)[:] = _posterior(
+                tree.belief[t_first[c0]:t_first[c1]],
+                np.arange(m + 1)[:, None], m, p, q).T
+        j_end = min(j1, n - 1)
+        cuts = [j0, *(np.flatnonzero(new_k[j0 + 1:j_end]) + j0 + 1).tolist(),
+                j_end]
+        for c0, c1 in zip(cuts, cuts[1:]):
+            if c0 < c1:
+                block(c0, c1, 1 + int(fires[c0 + 1]))
 
     if fires[0]:
         b = tree.belief[:t_first[1]]

@@ -22,9 +22,9 @@ import numpy as np
 from .errors import DomainError, is_int, is_real
 from .grid import LevelGrid
 
-#: entries (or rows) handled by one array pass over a run of levels (or
-#: rows): 128 KB per float temporary, so the allocator reuses a pass's pages
-#: from run to run; below 1 << 13 numpy's fixed cost per call shows
+#: entries handled by one array pass over a run of levels: 128 KB per float
+#: temporary, so the allocator reuses a pass's pages from run to run; below
+#: 1 << 13 numpy's fixed cost per call shows
 CHUNK = 1 << 14
 
 #: one level's kernel in CSR form: row i holds data[indptr[i]:indptr[i+1]]
@@ -78,15 +78,15 @@ class DiscreteLearningProcess:
     @property
     def beliefs(self) -> list:
         """Level j's node beliefs as a view of `belief`, a list over the
-        levels.  Kept only for rqbench's tracer, which counts a
-        refinement's nodes, until the benchmark change (ROADMAP item 5)."""
+        levels.  Read only by rqbench's tracer, which counts a refinement's
+        nodes, until the benchmark change (ROADMAP item 5)."""
         return np.split(self.belief, self.first[1:-1])
 
     @property
     def kernels(self) -> tuple:
         """Kernel j, from level j to level j + 1, as a `Kernel` of its rows
         of the block (`indices` and `data` views, `indptr` made local), a
-        tuple over levels 0..n-2.  Kept only for rqbench's tracer, which
+        tuple over levels 0..n-2.  Read only by rqbench's tracer, which
         sums their bytes, until the benchmark change (ROADMAP item 5)."""
         first = self.first.tolist()
         at = self.indptr[self.first[:-1]].tolist()

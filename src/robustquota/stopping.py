@@ -199,11 +199,11 @@ def simulate(proc: DiscreteLearningProcess, sol: StoppingSolution, n_paths: int,
     on how paths are scheduled either.  All paths of a block are walked
     together one level at a time; a step goes to the first stored column
     whose running row sum reaches the draw, the running sums of the rows of
-    levels 0..end-1 taken together before the walk.  A draw above the row's
-    total raises DomainError, as do a seed outside [0, 2**64), an n_paths
-    that is not an integer >= 1 and a `sol` whose stop sets do not fit
-    `proc`'s supports.  Returns aggregated (stop_level, stop_belief, mass)
-    arrays.
+    levels 0..end-1 taken before the walk, one pass per entry position over
+    all of them.  A draw above the row's total raises DomainError, as do a
+    seed outside [0, 2**64), an n_paths that is not an integer >= 1 and a
+    `sol` whose stop sets do not fit `proc`'s supports.  Returns aggregated
+    (stop_level, stop_belief, mass) arrays.
     """
     if not is_int(seed) or not 0 <= int(seed) < 2 ** 64:
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
@@ -219,16 +219,14 @@ def simulate(proc: DiscreteLearningProcess, sol: StoppingSolution, n_paths: int,
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     root_cdf = np.cumsum(proc.root_dist)
     # each entry's running sum over its row, in stored order: the row's CDF
-    # at its stored columns, for the rows of levels 0..end-1, a pass per
-    # entry position over a chunk of rows at a time
+    # at its stored columns, for the rows of levels 0..end-1, one pass per
+    # entry position over all of them
     n_rows = first[end]
     deg = indptr[1:n_rows + 1] - indptr[:n_rows]
     cdf = proc.data[:indptr[n_rows]].copy()
-    for r0 in range(0, n_rows, processes.CHUNK):
-        d = deg[r0:r0 + processes.CHUNK]
-        for t in range(1, int(d.max())):
-            at = indptr[r0:r0 + d.size][d > t] + t
-            cdf[at] += cdf[at - 1]
+    for t in range(1, int(deg.max(initial=0))):
+        at = indptr[:n_rows][deg > t] + t
+        cdf[at] += cdf[at - 1]
     # a step reads its row's CDF padded on the right with the row total, to
     # the widest row of its level
     width = np.maximum.reduceat(deg, first[:end]) if end else deg

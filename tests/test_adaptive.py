@@ -81,8 +81,9 @@ def test_refinement_is_valid_and_aligned():
 def test_full_revelation_experiment_reveals_state():
     tree = no_learning(0.6, GRID)
     ref = refine_process(tree, BinaryExperiment(1.0, 0.0, (0,)))
-    assert sorted(ref.beliefs[0].tolist()) == [0.0, 1.0]
-    assert float(ref.root_dist @ ref.beliefs[0]) == pytest.approx(0.6)
+    root = ref.belief[:ref.first[1]]
+    assert sorted(root.tolist()) == [0.0, 1.0]
+    assert float(ref.root_dist @ root) == pytest.approx(0.6)
 
 
 def test_conclusive_signal_wins_where_belief_rounds_to_one():
@@ -91,9 +92,9 @@ def test_conclusive_signal_wins_where_belief_rounds_to_one():
     0 there, so the refinement stays a martingale at every depth."""
     for n in (47, 60, 101):
         tree = binomial_tree(0.6, LevelGrid(2.0, n), 0.7, 0.3)
-        assert tree.beliefs[44].max() == 1.0
+        assert by_level(tree.belief, tree.first)[44].max() == 1.0
         ref = refine_process(tree, BinaryExperiment(1.0, 0.0, (1,)))
-        assert all(np.isin(b, (0.0, 1.0)).all() for b in ref.beliefs[1:])
+        assert np.isin(ref.belief[ref.first[1]:], (0.0, 1.0)).all()
 
 
 def test_refinements_never_undercut_dp(subtests=None):
@@ -156,6 +157,7 @@ def _refine_by_loops(tree, p, q, levels):
     one kernel entry per (node, signal count, successor)."""
     n = tree.grid.n
     m_at = np.cumsum([j in levels for j in range(n)])
+    t_beliefs = by_level(tree.belief, tree.first)
 
     def belief(b, w, m):
         never1 = (p == 0.0 and w > 0) or (p == 1.0 and w < m)
@@ -175,10 +177,10 @@ def _refine_by_loops(tree, p, q, levels):
 
     beliefs = [np.array([belief(float(b), w, int(m)) for b in bl
                          for w in range(m + 1)])
-               for bl, m in zip(tree.beliefs, m_at)]
+               for bl, m in zip(t_beliefs, m_at)]
     root = tree.root_dist.copy()
     if 0 in levels:
-        pr_up = tree.beliefs[0] * p + (1 - tree.beliefs[0]) * q
+        pr_up = t_beliefs[0] * p + (1 - t_beliefs[0]) * q
         root = np.ravel([(r * (1 - u), r * u)
                          for r, u in zip(tree.root_dist, pr_up)])
     kernels = []
@@ -186,11 +188,11 @@ def _refine_by_loops(tree, p, q, levels):
         s, sn = m_at[j] + 1, m_at[j + 1] + 1
         K = np.zeros((len(beliefs[j]), len(beliefs[j + 1])))
         base = kernel(tree, j).toarray()
-        for i, b in enumerate(tree.beliefs[j]):
+        for i, b in enumerate(t_beliefs[j]):
             for w in range(s):
                 mu = beliefs[j][i * s + w]
                 for ip in np.nonzero(base[i] > 0)[0]:
-                    bp = float(tree.beliefs[j + 1][ip])
+                    bp = float(t_beliefs[j + 1][ip])
                     k1 = base[i, ip] * (bp / b) if b > 0 else base[i, ip]
                     k0 = base[i, ip] * ((1 - bp) / (1 - b)) if b < 1 else base[i, ip]
                     pr1, pr0 = mu * k1, (1 - mu) * k0
@@ -202,7 +204,7 @@ def _refine_by_loops(tree, p, q, levels):
         # each row is renormalised by the left-to-right sum of its nonzeros
         kernels.append(K / np.array([sum(r[r != 0]) for r in K])[:, None])
     parent = [np.repeat(np.arange(len(bl)), m + 1)
-              for bl, m in zip(tree.beliefs, m_at)]
+              for bl, m in zip(t_beliefs, m_at)]
     return beliefs, kernels, root, parent
 
 
@@ -218,7 +220,8 @@ def test_refinement_matches_loop_reference_bitwise(make_tree, p, q, levels):
     ref = refine_process(tree, BinaryExperiment(p, q, levels))
     beliefs, kernels, root, parent = _refine_by_loops(tree, p, q, levels)
     got_kernels = [kernel(ref, j).toarray() for j in range(ref.grid.n - 1)]
-    for got, want in [(ref.beliefs, beliefs), (got_kernels, kernels),
+    for got, want in [(by_level(ref.belief, ref.first), beliefs),
+                      (got_kernels, kernels),
                       ((ref.root_dist,), (root,)),
                       (planner_nodes(ref, np.diff(tree.first)), parent)]:
         for a, b in zip(got, want, strict=True):
@@ -351,10 +354,10 @@ def test_tree_layer_does_not_depend_on_chunk(kind, n, mu0, seed, every):
 def test_refinement_temporaries_stay_under_1_5_mb(n):
     """A two-signal refinement of the benchmark's largest tree (n=151) and
     of the n=1001 tree holds at most 1.5 MB beyond its result while it is
-    built and validated: each pass over a signal count's planner edges or
-    over a run of levels is bounded, however large the tree (0.61 and 0.72
-    MB measured; 1.80 and 2.25 MB when a pass took every count of a block
-    and runs held 64K entries)."""
+    built and validated: each pass, over a block of levels of one signal
+    count and one entry count or over a run of levels, is bounded by the
+    run, however large the tree (0.68 and 0.72 MB measured; 1.80 and 2.25
+    MB when runs held 64K entries)."""
     tree = binomial_tree(0.6, LevelGrid(2.0, n))
     experiment = BinaryExperiment(0.7, 0.3, (n // 4, 3 * n // 4))
     tracemalloc.start()
@@ -372,16 +375,21 @@ def test_refinement_temporaries_stay_under_1_5_mb(n):
 @pytest.mark.xfail(strict=True, raises=NotARefinementError,
                    reason="planner beliefs near 1 keep too few digits of "
                           "1 - b; see ROADMAP")
-def test_signal_dense_refinement_of_a_binomial_tree_at_42_levels():
+@pytest.mark.parametrize("n", [42, 201])
+def test_signal_dense_refinement_of_a_binomial_tree_from_42_levels(n):
     """A binomial tree refined by the same signal at every level past 0 is
     refused for n >= 42 ("martingale violated at level 40"): at its node of
     belief 1 - 6.0e-8 there, the planner's own kernel given theta = 0 sums
     to 1 + 1.2e-9 on the stored floats, and the agent's sharper belief
-    turns that into a drift of 2.9e-10.  A fix shows up as an unexpected
-    pass."""
-    grid = LevelGrid(2.0, 42)
+    turns that into a drift of 2.9e-10.  At n = 201 it is refused before
+    validation ("empty kernel row"): at level 167 a planner node of belief
+    1 - 1.1e-16 has both successors at belief 1.0, so its kernel given
+    theta = 0 is all zeros, and the row of the agent who saw 167 down
+    signals there sums to its belief, 3.5e-14.  A fix shows up as an
+    unexpected pass."""
+    grid = LevelGrid(2.0, n)
     refine_process(binomial_tree(0.6, grid, 0.6, 0.4),
-                   BinaryExperiment(0.6, 0.4, range(1, 42)))
+                   BinaryExperiment(0.6, 0.4, range(1, n)))
 
 
 @pytest.mark.parametrize("p,q,levels", [
@@ -447,8 +455,9 @@ def _loop_evaluate(policy, agent_proc, agent, principal):
     p1, p0 = principal.u1(grid.points), principal.u0(grid.points)
     outside = float(mu0 * a1[0] + (1.0 - mu0) * a0[0])
 
+    beliefs = by_level(agent_proc.belief, agent_proc.first)
     stop_u = [mu * a1[j] + (1.0 - mu) * a0[j] - lam
-              for j, mu in enumerate(agent_proc.beliefs)]
+              for j, mu in enumerate(beliefs)]
     forced = [planner_stops[j][parent[j]] for j in range(grid.n)]
     values, stops = backward_by_levels(agent_proc, stop_u, forced, tie_eps=1e-9)
     if float(agent_proc.root_dist @ values[0]) < outside - 1e-9:
@@ -456,7 +465,7 @@ def _loop_evaluate(policy, agent_proc, agent, principal):
     total = 0.0
     for j, (mass, st) in enumerate(zip(forward_by_levels(agent_proc, stops),
                                        stops)):
-        mu = agent_proc.beliefs[j][st]
+        mu = beliefs[j][st]
         total += float((mass[st] * (mu * p1[j] + (1.0 - mu) * p0[j] + lam)).sum())
     return total
 

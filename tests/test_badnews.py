@@ -10,7 +10,7 @@ from robustquota import (BadNewsProcess, DomainError, EmptyMechanismError,
 from robustquota.adversary import badnews_value, indifference_G
 
 from badnews_tree import bad_news_tree
-from level_reference import kernel, times_kernel
+from level_reference import by_level, kernel, times_kernel
 
 GRID = LevelGrid(2.0, 41)
 
@@ -55,8 +55,8 @@ def test_to_process_reproduces_beliefs_and_mass():
     bn = _uniform_bn()
     proc = bad_news_tree(bn)
     lam = bn.cont_belief()
-    for j in range(GRID.n):
-        assert proc.beliefs[j][1] == pytest.approx(lam[j])
+    for j, b in enumerate(by_level(proc.belief, proc.first)):
+        assert b[1] == pytest.approx(lam[j])
     # surviving mass after j steps equals 1 - G_j
     mass = proc.root_dist.copy()
     for j in range(GRID.n - 1):

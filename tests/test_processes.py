@@ -54,18 +54,18 @@ def _dense_random_tree(mu0, grid, seed, max_beliefs=4):
 
 def test_no_learning_is_constant():
     p = no_learning(0.6, GRID)
-    assert all(b.tolist() == [0.6] for b in p.beliefs)
+    assert all(b.tolist() == [0.6] for b in by_level(p.belief, p.first))
 
 
 def test_full_revelation_root_weights():
     p = single_split(0.3, GRID, 0.0, 1.0)
     assert np.allclose(p.root_dist, [0.7, 0.3])
-    assert np.allclose(p.beliefs[0], [0.0, 1.0])
+    assert np.allclose(p.belief[:p.first[1]], [0.0, 1.0])
 
 
 def test_single_split_weights_average_to_prior():
     p = single_split(0.6, GRID, 0.2, 0.8)
-    assert float(p.root_dist @ p.beliefs[0]) == pytest.approx(0.6)
+    assert float(p.root_dist @ p.belief[:p.first[1]]) == pytest.approx(0.6)
 
 
 def test_single_split_must_straddle():
@@ -76,8 +76,9 @@ def test_single_split_must_straddle():
 def test_binomial_beliefs_follow_bayes():
     p = binomial_tree(0.5, GRID, p_good=0.7, p_bad=0.3)
     # one up-signal out of one: posterior odds multiply by 7/3
-    assert p.beliefs[1][1] == pytest.approx(0.7)
-    assert p.beliefs[1][0] == pytest.approx(0.3)
+    level1 = by_level(p.belief, p.first)[1]
+    assert level1[1] == pytest.approx(0.7)
+    assert level1[0] == pytest.approx(0.3)
 
 
 def test_martingale_violation_rejected():
@@ -109,20 +110,23 @@ def test_random_tree_is_valid_martingale(seed, mu0):
     """The constructor's own validation enforces row sums, the martingale
     property, and the root mean; any seed must pass it."""
     p = random_tree(mu0, LevelGrid(1.0, 6), seed, max_beliefs=4)
-    assert all(len(b) <= 4 for b in p.beliefs)
+    beliefs = by_level(p.belief, p.first)
+    assert all(len(b) <= 4 for b in beliefs)
     # iterated expectation: mean belief stays at the prior at every level
     mass = p.root_dist.copy()
     for j in range(p.grid.n):
-        assert float(mass @ p.beliefs[j]) == pytest.approx(mu0, abs=1e-9)
+        assert float(mass @ beliefs[j]) == pytest.approx(mu0, abs=1e-9)
         if j < p.grid.n - 1:
             mass = times_kernel(mass, kernel(p, j))
 
 
 def _assert_same_tree(got, want):
     """Beliefs bitwise, kernels as equal CSR arrays with no stored zero."""
-    for a, b in zip(got.beliefs, want.beliefs, strict=True):
+    for a, b in zip(by_level(got.belief, got.first),
+                    by_level(want.belief, want.first), strict=True):
         assert a.tobytes() == b.tobytes()
-    for a, b in zip(got.kernels, want.kernels, strict=True):
+    for j in range(want.grid.n - 1):
+        a, b = kernel(got, j), kernel(want, j)
         assert a.shape == b.shape
         for f in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(a, f), getattr(b, f))
@@ -294,9 +298,11 @@ def test_flat_input_is_rebuilt_as_stored_and_corruption_is_refused(data):
     it raises DomainError, never an IndexError or a bare ValueError."""
     p = data.draw(_tree())
     q = _rebuild(p)
-    for a, b in zip(q.beliefs, p.beliefs, strict=True):
+    for a, b in zip(by_level(q.belief, q.first), by_level(p.belief, p.first),
+                    strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    for a, b in zip(q.kernels, p.kernels, strict=True):
+    for j in range(p.grid.n - 1):
+        a, b = kernel(q, j), kernel(p, j)
         assert a.shape == b.shape
         for f in ("indptr", "indices", "data"):
             assert getattr(a, f).tobytes() == getattr(b, f).tobytes()
@@ -352,13 +358,14 @@ def test_binomial_tree_past_float_odds():
         p = binomial_tree(0.6, grid, 0.7, 0.3)
         sol = solve_stopping(p, quadratic_pair(1.0, 1.0, 1.0)[0], Zero())
     assert np.isfinite(sol.node_value).all()
-    assert p.beliefs[-1][-1] == 1.0 and p.beliefs[-1][0] < 1.0
+    beliefs = by_level(p.belief, p.first)
+    assert beliefs[-1][-1] == 1.0 and beliefs[-1][0] < 1.0
     for j in range(800):
         u = np.arange(j + 1)
         # plain Bayes odds, which overflow from level ~838
         odds = 0.6 / (1.0 - 0.6) * np.exp(
             u * np.log(0.7 / 0.3) + (j - u) * np.log((1 - 0.7) / (1 - 0.3)))
-        assert p.beliefs[j].tobytes() == (odds / (1.0 + odds)).tobytes()
+        assert beliefs[j].tobytes() == (odds / (1.0 + odds)).tobytes()
 
 
 def _bayes_masses(b, w, m, p, q):

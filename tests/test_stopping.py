@@ -282,7 +282,8 @@ def _simulate_by_paths(proc, sol, n_paths, seed):
         while not stops[j][node]:
             node = int(np.searchsorted(kernel_cdfs[j][node], next(u)))
             j += 1
-        key = (float(proc.grid.points[j]), float(proc.beliefs[j][node]))
+        key = (float(proc.grid.points[j]),
+               float(proc.belief[proc.first[j] + node]))
         counts[key] = counts.get(key, 0) + 1
     keys = sorted(counts)
     return (np.array([k[0] for k in keys]), np.array([k[1] for k in keys]),
@@ -310,12 +311,10 @@ def test_simulate_matches_path_by_path_walk_bitwise(make):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def test_simulate_over_several_row_chunks_matches_path_by_path_walk(
-        monkeypatch):
-    """With CHUNK at 7 rows the running row sums are taken over many chunks
-    of rows, of a refinement whose rows hold 1 to 4 entries; the walk still
-    equals the path-by-path reference bitwise."""
-    monkeypatch.setattr(processes, "CHUNK", 7)
+def test_simulate_on_rows_of_1_to_4_entries_matches_path_by_path_walk():
+    """The running row sums of a refinement whose rows hold 1 to 4 entries
+    are taken a pass per entry position over the rows that still have one;
+    the walk still equals the path-by-path reference bitwise."""
     grid = LevelGrid(2.0, 15)
     for tree in (binomial_tree(0.6, grid, 0.7, 0.3), random_tree(0.6, grid, 5)):
         proc = refine_process(tree, BinaryExperiment(0.8, 0.3, (0, 4, 9)))
@@ -335,7 +334,7 @@ def test_draw_above_row_total_raises_without_reading_next_row():
     sol = solve_stopping(proc, CARA(1.0), Zero())
     sol = replace(sol, end=2, node_stop=np.array([False, False, False, False,
                                                   True, True]))
-    assert proc.kernels[0].data.tolist() == [1.0, 1.0]
+    assert kernel(proc, 0).data.tolist() == [1.0, 1.0]
     proc.data[0] = 0.5          # the block's first entry: row 0 of kernel 0
     with pytest.raises(DomainError, match="kernel 0 row"):
         simulate(proc, sol, 50, seed=3)
