@@ -46,13 +46,11 @@ def solve_adaptive_quota(tree: DiscreteLearningProcess, agent: PayoffSpec,
     grid = tree.grid
     end = grid.n - 1
     mu0 = tree.mu0
-    a1 = agent.u1(grid.points)
-    a0 = agent.u0(grid.points)
+    a1, a0 = agent.profile(grid.points)
     outside = float(mu0 * a1[0] + (1.0 - mu0) * a0[0])
     U = node_payoff(tree, end, a1, a0)
     surplus = U - outside
-    surplus += node_payoff(tree, end, principal.u1(grid.points),
-                           principal.u0(grid.points))
+    surplus += node_payoff(tree, end, *principal.profile(grid.points))
 
     values, stop = backward(tree, end, surplus, tie_eps=0.0)
     value = float(tree.root_dist @ values[:tree.first[1]])

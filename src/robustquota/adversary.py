@@ -6,12 +6,13 @@ oracle (one obedience LP over the histories of a small belief tree)."""
 
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .badnews import BadNewsProcess, obedience_slacks
-from .checks import _step_ratios, one_shot_intervals
+from .badnews import BadNewsProcess, _slacks
+from .checks import _step_ratios, _steps, one_shot_intervals
 from .errors import (BudgetExceededError, ConditionViolatedError, DomainError,
                      InfeasibleLPError, UnboundedLPError, is_real)
 from .grid import LevelGrid
@@ -114,12 +115,13 @@ def _lp_data(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     return stop, a1, a0, p1, p0, p0[stop], mu0 * (a1[-1] - a1)
 
 
-def _binding_construction(a0: np.ndarray, b: np.ndarray, mu0: float,
-                          a0_max: float) -> Optional[np.ndarray]:
+def _binding_construction(b: np.ndarray, mu0: float, step: np.ndarray,
+                          flat: np.ndarray) -> Optional[np.ndarray]:
     """Arrival increments with obedience binding from the top level down.
 
     Where rows j and j+1 bind, the mass still to arrive above level j is the
-    ratio M_j = (b_j - b_{j+1}) / (a0_j - a0_{j+1}) (M_end = 0).  The
+    ratio M_j = (b_j - b_{j+1}) / (a0_j - a0_{j+1}) (M_end = 0), on a0's
+    falls `step` and flat steps `flat` (checks._steps).  The
     support start L_low lies just above the highest row with M_j >= 1-mu0
     (at level 0 when there is none) and takes the rest of the mass 1-mu0.
     Above it the mass can only grow going down, so the increments are the
@@ -128,14 +130,13 @@ def _binding_construction(a0: np.ndarray, b: np.ndarray, mu0: float,
     that maximum by more than 1e-9 of the mass 1-mu0 (a negative increment).
     """
     target = 1.0 - mu0
-    M, flat = _step_ratios(b, a0, a0_max)
-    M = np.concatenate((M, [0.0]))
+    M = np.concatenate((_step_ratios(b, step), [0.0]))
     rows = ((M[:-1] >= target) | flat).nonzero()[0]
     s = int(rows[-1]) + 1 if rows.size else 0
     top = np.maximum.accumulate(M[s:][::-1])[::-1]
     if (s and flat[s - 1]) or (M[s:] < top - 1e-9 * target).any():
         return None
-    g = np.zeros(len(a0))
+    g = np.zeros(len(b))
     g[s + 1:] = top[:-1] - top[1:]
     g[s] = target - g.sum()
     return g
@@ -147,8 +148,8 @@ def _support_start(g: np.ndarray) -> int:
     return int(pos[0]) if pos.size else len(g) - 1
 
 
-def _exact_dual(c: np.ndarray, a0: np.ndarray, jbar: int,
-                a0_max: float) -> Tuple[np.ndarray, float]:
+def _exact_dual(c: np.ndarray, step: np.ndarray, jbar: int
+                ) -> Tuple[np.ndarray, float]:
     """Multipliers (y, t) of the obedience rows and the mass row that are
     complementary to a process whose support starts at jbar and whose rows
     jbar..end bind.
@@ -157,10 +158,12 @@ def _exact_dual(c: np.ndarray, a0: np.ndarray, jbar: int,
     reduced cost r_k = c_k - t + sum_{j<=k} y_j (a0_j - a0_k) vanishes on
     every level k >= jbar exactly when the running multiplier is the ratio
     Lambda_k = sum_{j<=k} y_j = (c_k - c_{k+1}) / (a0_k - a0_{k+1}) for
-    k = jbar..end-1, so y is the difference of Lambda.
+    k = jbar..end-1, so y is the difference of Lambda.  `step` holds a0's
+    falls (checks._steps); the construction's support starts above every
+    flat one, so none from jbar on is zero.
     """
-    lam = _step_ratios(c[jbar:], a0[jbar:], a0_max)[0]
-    y = np.zeros(len(a0))
+    lam = (c[jbar:-1] - c[jbar + 1:]) / step[jbar:]
+    y = np.zeros(len(c))
     y[jbar:-1] = lam - np.concatenate(([0.0], lam[:-1]))
     return y, float(c[jbar])
 
@@ -233,14 +236,14 @@ def _all_processes(y: np.ndarray, t: float, a1: np.ndarray, a0: np.ndarray,
     return bool(ok.all())
 
 
-def _obedience(g: np.ndarray, a1: np.ndarray, a0: np.ndarray, b: np.ndarray,
-               mu0: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _obedience(g: np.ndarray, a0: np.ndarray, b: np.ndarray
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Obedience slacks of g, each row's size of terms in quarters (as in
     _certified_gap), and the rows that break obedience by 1e-9 of it."""
-    slacks = obedience_slacks(g, a1, a0, mu0)
+    slacks, mass_above = _slacks(g, a0, b)
     a0_4 = np.abs(a0) / 4
     size = (np.abs(b) / 4 + (a0_4 * g)[::-1].cumsum()[::-1]
-            + a0_4 * g[::-1].cumsum()[::-1])
+            + a0_4 * mass_above)
     return slacks, size, slacks / 4 < -1e-9 * size
 
 
@@ -340,7 +343,7 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
             raise ConditionViolatedError(
                 "HiGHS multipliers are not dual feasible; the LP value is not "
                 "certified at this payoff range")
-        slacks, size, bad = _obedience(g, a1, a0, b, mu0)
+        slacks, size, bad = _obedience(g, a0, b)
         if bad.any():
             j = int(bad.argmax())
             raise ConditionViolatedError(
@@ -351,10 +354,11 @@ def solve_badnews_lp(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
         return g, value, jbar, y, t, gap, slacks
 
     route, iters, cert = "construction", 0, None
-    g = _binding_construction(a0, b, mu0, a0_max)
+    step, flat = _steps(a0, a0_max)
+    g = _binding_construction(b, mu0, step, flat)
     if g is not None:
         with suppress(ConditionViolatedError):
-            cert = certify(g, lambda j: _exact_dual(c, a0, j, a0_max))
+            cert = certify(g, lambda j: _exact_dual(c, step, j))
     # kept where its gap (cert[5]) is within 1e-9 of its value (cert[1])
     if cert is None or abs(cert[5]) > 1e-9 * max(1.0, abs(cert[1])):
         route = "highs"
@@ -405,9 +409,9 @@ def indifference_G(agent: PayoffSpec, m: Mechanism, grid: LevelGrid,
     """
     if not (is_real(mu0) and 0.0 < mu0 < 1.0):
         raise DomainError("construction needs an interior prior")
-    _, a1, a0, _, _, _, b = _lp_data(agent, principal, m, grid, mu0)
-    g = _binding_construction(a0, b, mu0, float(np.abs(a0).max()))
-    fallback = g is None or _obedience(g, a1, a0, b, mu0)[2].any()
+    _, _, a0, _, _, _, b = _lp_data(agent, principal, m, grid, mu0)
+    g = _binding_construction(b, mu0, *_steps(a0, float(np.abs(a0).max())))
+    fallback = g is None or _obedience(g, a0, b)[2].any()
     bn = (solve_badnews_lp(agent, principal, m, grid, mu0).bn if fallback
           else BadNewsProcess(grid, g, mu0))
     return IndifferenceResult(bn, fallback)
@@ -418,6 +422,38 @@ def dual_certificate(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     """solve_badnews_lp under its older name, which the rqbench workloads
     call; the result carries the certificate."""
     return solve_badnews_lp(agent, principal, m, grid, mu0)
+
+
+@lru_cache(maxsize=None)
+def _histories(end: int, nb: int, pinned: tuple):
+    """The histories (b_0, ..., b_L), L = 0..end, over nb support points, of
+    which those in `pinned` are 0 or 1, in order of level and then code sum_i
+    b_i nb^(L-i), less those that move off a pinned belief once there
+    (tree_oracle_worst_case gives them neither a variable nor a row).  Per
+    history its level, last belief b_L and first b_0; per continuing one its
+    level j and belief b_j; and per (continuing h, history k) whether k is
+    below h, and k's belief one level after h.  These depend on the sizes
+    and the pinned points alone, so each is built once; the arrays are
+    read-only."""
+    # history h's ancestor at level i <= L has code anc[h, i] = code //
+    # nb^(L-i), last digit b_i
+    level = np.arange(end + 1).repeat(nb ** np.arange(1, end + 2))
+    code = np.concatenate([np.arange(nb ** (j + 1)) for j in range(end + 1)])
+    up = level[:, None] - np.arange(end + 1)
+    anc = code[:, None] // (nb ** np.arange(end + 1))[np.maximum(up, 0)]
+    digit = anc % nb
+    leaves = ((up[:, :-1] > 0) & np.array(pinned)[digit[:, :-1]]
+              & (digit[:, 1:] != digit[:, :-1]))
+    live = ~leaves.any(axis=1)
+    level, code, anc, digit = level[live], code[live], anc[live], digit[live]
+    cont = level < end
+    j, p = level[cont], code[cont]
+    # k is below h when its ancestor at h's level is h
+    below = (level > j[:, None]) & (anc.T[j] == p[:, None])
+    out = (level, code % nb, digit[:, 0], j, p % nb, below, digit.T[j + 1])
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -490,33 +526,19 @@ def tree_oracle_worst_case(agent: PayoffSpec, principal: PayoffSpec, m: Mechanis
     later = np.maximum.accumulate(U[:0:-1], axis=0)[::-1]  # max of U[j + 1:]
     stop_ok = np.concatenate((U[:-1] >= later - 1e-12 * scale, [[True] * nb]))
 
-    # history (b_0, ..., b_L) has code sum_i b_i nb^(L-i); its ancestor at
-    # level i <= L has code anc[., i] = code // nb^(L-i), last digit b_i
-    level = np.arange(end + 1).repeat(nb ** np.arange(1, end + 2))
-    code = np.concatenate([np.arange(nb ** (j + 1)) for j in range(end + 1)])
-    up = level[:, None] - np.arange(end + 1)
-    anc = code[:, None] // (nb ** np.arange(end + 1))[np.maximum(up, 0)]
-    digit = anc % nb
-    # a history that moves off belief 0 or 1 once there has its mass forced
-    # to zero (see above) and gets no variable or row
-    leaves = ((up[:, :-1] > 0) & ((B == 0) | (B == 1))[digit[:, :-1]]
-              & (digit[:, 1:] != digit[:, :-1]))
-    live = ~leaves.any(axis=1)
-    cols = stop_ok[level, code % nb] & live
-    L, q = level[cols], code[cols]
-    u, v = U[L, q % nb], V[L, q % nb]
-    cont = (level < end) & live
-    j, p = level[cont], code[cont]
-    # (continuing h, stop k): k is below h when its ancestor at h's level is h
-    below = (L > j[:, None]) & (anc[cols].T[j] == p[:, None])
-    b_next = B[digit[cols].T[j + 1]]
-    mart = np.where(below, b_next - B[p % nb, None], 0.0)
-    obey = np.where(below, U[j, p % nb, None] - u, 0.0)  # <= 0: continuing pays
+    level, last, first, j, jb, below, nxt = _histories(
+        end, nb, tuple(((B == 0) | (B == 1)).tolist()))
+    cols = stop_ok[level, last]
+    L, b = level[cols], last[cols]
+    u, v = U[L, b], V[L, b]
+    below = below[:, cols]
+    mart = np.where(below, B[nxt[:, cols]] - B[jb, None], 0.0)
+    obey = np.where(below, U[j, jb, None] - u, 0.0)  # <= 0: continuing pays
 
-    A_eq = np.concatenate(([[1.0] * len(q), B[anc[cols, 0]]], mart))
-    b_eq = np.concatenate(([1.0, mu0], np.zeros(len(p))))
+    A_eq = np.concatenate(([[1.0] * len(L), B[first[cols]]], mart))
+    b_eq = np.concatenate(([1.0, mu0], np.zeros(len(j))))
     A_ub = np.concatenate((obey, -u[None]))
-    b_ub = np.concatenate((np.zeros(len(p)), [-outside]))
+    b_ub = np.concatenate((np.zeros(len(j)), [-outside]))
     try:
         res = solve_lp(v, A_ub, b_ub, A_eq, b_eq)
     except UnboundedLPError:        # s >= 0 with total mass 1 bounds it
@@ -524,8 +546,8 @@ def tree_oracle_worst_case(agent: PayoffSpec, principal: PayoffSpec, m: Mechanis
             "the oracle LP is bounded by its mass rows, but the simplex "
             "found it unbounded") from None
 
-    mass = np.zeros((end + 1, nb))
-    np.add.at(mass, (L, q % nb), res.x)
+    mass = np.bincount(L * nb + b, weights=res.x,
+                       minlength=(end + 1) * nb).reshape(end + 1, nb)
     rows = tuple((float(small_grid.points[lj]), float(B[bi]), float(mass[lj, bi]))
                  for lj, bi in zip(*(mass > 1e-12).nonzero()))
     return OracleResult(res.fun, rows, 1)

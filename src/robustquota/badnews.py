@@ -72,8 +72,12 @@ def obedience_slacks(g: np.ndarray, a1: np.ndarray, a0: np.ndarray,
             - sum_{k>=j} (U^phi(0,l_j) - U^phi(0,l_k)) g_k  >= 0
     computed with reverse cumulative sums, O(n).
     """
+    return _slacks(g, a0, mu0 * (a1[-1] - a1))[0]
+
+
+def _slacks(g: np.ndarray, a0: np.ndarray, b: np.ndarray) -> tuple:
+    """obedience_slacks on the right-hand sides b_j = mu0 (U^phi(1,l_end) -
+    U^phi(1,l_j)), and the mass at or above each level, sum_{k>=j} g_k."""
     mass_above = g[::-1].cumsum()[::-1]             # sum_{k>=j} g_k
     weighted = (a0 * g)[::-1].cumsum()[::-1]        # sum_{k>=j} U0_k g_k
-    lhs = mu0 * (a1[-1] - a1)
-    rhs = a0 * mass_above - weighted
-    return lhs - rhs
+    return b - (a0 * mass_above - weighted), mass_above

@@ -272,24 +272,30 @@ class RatioReport:
         return asdict(self)
 
 
-def _step_ratios(x: np.ndarray, a0: np.ndarray, a0_max: float) -> tuple:
-    """The marginal ratio (x_j - x_j+1) / (a0_j - a0_j+1) of a profile x over
-    the agent's bad-state profile a0 on each step, and the mask of the flat
-    steps, where a0 falls by at most 1e-15 max(1, a0_max): read no ratio."""
+def _steps(a0: np.ndarray, a0_max: float) -> tuple:
+    """The fall a0_j - a0_j+1 of the agent's bad-state profile a0 on each
+    step, and the mask of the flat steps, where it falls by at most
+    1e-15 max(1, a0_max): read no ratio on them."""
     step = a0[:-1] - a0[1:]
-    flat = step <= 1e-15 * max(1.0, a0_max)
+    return step, step <= 1e-15 * max(1.0, a0_max)
+
+
+def _step_ratios(x: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The marginal ratio (x_j - x_j+1) / step_j of a profile x over a0's
+    falls (_steps) on each step."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (x[:-1] - x[1:]) / step, flat
+        return (x[:-1] - x[1:]) / step
 
 
 def risk_ratio_condition(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
                          grid: LevelGrid) -> RatioReport:
     """Check that the bad-state marginal-payoff ratio r is nondecreasing.
 
-    r = |_step_ratios(V^phi(0,.), U^phi(0,.))| on the allowed levels, whose
-    running value is the bad-news dual's multiplier Lambda; families singular
-    at the origin skip the first step.  The witness is (l_k+1, r_k+1 - r_k)
-    at the first fall beyond 1e-9 max(1, max r).  A flat step raises
+    r = |_step_ratios(V^phi(0,.), step)| on the allowed levels, step the
+    falls of U^phi(0,.) (_steps), whose running value is the bad-news dual's
+    multiplier Lambda; families singular at the origin skip the first step.
+    The witness is (l_k+1, r_k+1 - r_k) at the first fall beyond
+    1e-9 max(1, max r).  A flat step raises
     DegenerateDerivativeError, and levels that leave no step DomainError.
     """
     _, a0 = adjusted_profiles(agent, m, "agent", grid)
@@ -297,7 +303,8 @@ def risk_ratio_condition(agent: PayoffSpec, principal: PayoffSpec, m: Mechanism,
     start = 1 if (agent.singular_at_zero or principal.singular_at_zero) else 0
     if len(a0) < start + 2:
         raise DomainError("no step of the allowed levels to read the ratio on")
-    r, flat = _step_ratios(p0[start:], a0[start:], np.abs(a0[start:]).max())
+    step, flat = _steps(a0[start:], np.abs(a0[start:]).max())
+    r = _step_ratios(p0[start:], step)
     ends = grid.points[start + 1:len(a0)]   # the level each step ends at
     if flat.any():
         raise DegenerateDerivativeError("agent bad-state payoff does not fall "

@@ -23,7 +23,17 @@ class LevelGrid:
             raise DomainError(f"grid needs at least 2 points, got n={self.n}")
         if not (is_real(self.l_max) and 0 < self.l_max < np.inf):
             raise DomainError(f"l_max must be positive and finite, got {self.l_max!r}")
-        pts = np.linspace(0.0, float(self.l_max), self.n)
+        # np.linspace's points without its per-call cost: the counts times
+        # the step, the last point l_max; linspace itself where the step
+        # underflows to 0
+        l_max = float(self.l_max)
+        step = l_max / (self.n - 1)
+        if step:
+            pts = np.arange(self.n, dtype=float)
+            pts *= step
+            pts[-1] = l_max
+        else:
+            pts = np.linspace(0.0, l_max, self.n)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

@@ -176,7 +176,7 @@ def adjusted_profiles(p: PayoffSpec, m: Mechanism, side: str, grid: LevelGrid):
                           f"{grid.n} finite numbers")
     if len(phi) == 0:
         raise EmptyMechanismError("all levels prohibited")
-    pts = grid.points[:len(phi)]
+    u1, u0 = p.profile(grid.points[:len(phi)])
     if side == "agent":
-        return p.u1(pts) - phi, p.u0(pts) - phi
-    return p.u1(pts) + phi, p.u0(pts) + phi
+        return u1 - phi, u0 - phi
+    return u1 + phi, u0 + phi

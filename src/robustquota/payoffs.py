@@ -22,13 +22,14 @@ def _finite(what: str, *xs):
 
 
 @np.errstate(over="raise", invalid="raise")    # cheaper per call than `with`
-def _trapping(f, *args):
-    """f(*args), trapping overflow and invalid operations."""
-    return f(*args)
+def _trapping(u, l):
+    """(u(1, l), u(0, l)), trapping overflow and invalid operations."""
+    return u(1, l), u(0, l)
 
 
 class PayoffSpec:
-    """Base class; subclasses implement u(theta, l) vectorized over l.
+    """Base class; subclasses implement u(theta, l) vectorized over l, and
+    `profile(l)` is the single evaluation entry point: both states at once.
 
     A family's JSON form is {"family": json_name, key: value, ...}, with
     json_keys mapping each key to the field holding it; `to_dict` writes it
@@ -45,32 +46,36 @@ class PayoffSpec:
     def u(self, theta: int, l):
         raise NotImplementedError
 
-    def u1(self, levels: np.ndarray) -> np.ndarray:
-        return np.asarray(self._finite_u(1, levels), dtype=float)
-
-    def u0(self, levels: np.ndarray) -> np.ndarray:
-        return np.asarray(self._finite_u(0, levels), dtype=float)
+    def profile(self, l):
+        """(u(1, l), u(0, l)) as float arrays, through which every payoff is
+        evaluated, both states under one trap for overflow and invalid
+        operations.  Where it springs, each state is checked on its own,
+        state 1 first: one that overflows or is not a number raises
+        DomainError at its first such level."""
+        try:
+            u1, u0 = _trapping(self.u, l)
+        except FloatingPointError:
+            u1, u0 = self._finite_u(1, l), self._finite_u(0, l)
+        return np.asarray(u1, dtype=float), np.asarray(u0, dtype=float)
 
     def indirect(self, mu: float, l):
         """U(mu, l) = mu u(1,l) + (1-mu) u(0,l)."""
-        return mu * self._finite_u(1, l) + (1.0 - mu) * self._finite_u(0, l)
+        u1, u0 = self.profile(l)
+        return mu * u1 + (1.0 - mu) * u0
 
     def _finite_u(self, theta: int, l):
-        """u(theta, l), through which every payoff is evaluated: one that
-        overflows or is not a number raises DomainError at its first such
-        level."""
-        try:
-            return _trapping(self.u, theta, l)
-        except FloatingPointError:
-            with np.errstate(all="ignore"):
-                v = self.u(theta, l)
-            bad = ~np.isfinite(v)
-            if not bad.any():       # a step overflowed, the result did not
-                return v
-            at = np.broadcast_to(l, bad.shape)[bad].flat[0]
-            raise DomainError(f"{self!r}: u({theta}, l) is not finite at "
-                              f"level {at:g}; the family needs "
-                              f"{self.finite_where}") from None
+        """u(theta, l) when it is finite at every level, though a step on the
+        way may have overflowed; DomainError at its first level where it
+        is not."""
+        with np.errstate(all="ignore"):
+            v = self.u(theta, l)
+        bad = ~np.isfinite(v)
+        if not bad.any():
+            return v
+        at = np.broadcast_to(l, bad.shape)[bad].flat[0]
+        raise DomainError(f"{self!r}: u({theta}, l) is not finite at "
+                          f"level {at:g}; the family needs "
+                          f"{self.finite_where}") from None
 
     def to_dict(self) -> dict:
         """The JSON form, every number a plain float."""

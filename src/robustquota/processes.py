@@ -27,6 +27,8 @@ from .grid import LevelGrid
 #: 1 << 13 numpy's fixed cost per call shows
 CHUNK = 1 << 14
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 #: one level's kernel in CSR form: row i holds data[indptr[i]:indptr[i+1]]
 #: in columns indices[indptr[i]:indptr[i+1]], increasing within the row
 Kernel = namedtuple("Kernel", "indptr indices data shape")
@@ -203,6 +205,7 @@ def single_split(mu0: float, grid: LevelGrid, lo: float, hi: float) -> DiscreteL
     return _fixed_support(grid, [lo, hi], [p_lo, 1.0 - p_lo], mu0)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _posterior(b, w, m, p, q):
     """Belief b after w up-signals out of m, elementwise, where P(up |
     theta=1) = p and P(up | theta=0) = q: the odds b/(1-b) exp(w log(p/q) +
@@ -216,15 +219,14 @@ def _posterior(b, w, m, p, q):
     # down-signal; a scalar False where P(up) is neither
     never1, never0 = ((w if x == 0.0 else down if x == 1.0 else 0) > 0
                       for x in (p, q))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # a log ratio past the float range stands at +-max and a NaN one
-        # (p == q in {0, 1}) at 0: times a count of 0 either adds 0, and
-        # times any other count it overflows, as the odds should, or is
-        # a count of an impossible history, decided above
-        up, dn = np.nan_to_num(np.log(np.divide([p, 1 - p], [q, 1 - q])))
-        odds = b / (1.0 - b) * np.exp(w * up + down * dn)
-        post = np.divide(odds, 1.0 + odds, out=np.ones_like(odds),
-                         where=odds < np.inf)
+    # a log ratio past the float range stands at +-max and a NaN one
+    # (p == q in {0, 1}) at 0: times a count of 0 either adds 0, and times
+    # any other count it overflows, as the odds should, or is a count of
+    # an impossible history, decided above
+    up, dn = (0.0 if r != r else min(max(r, -_FLOAT_MAX), _FLOAT_MAX)
+              for r in np.log(np.divide([p, 1 - p], [q, 1 - q])).tolist())
+    odds = b / (1.0 - b) * np.exp(w * up + down * dn)
+    post = np.where(odds < np.inf, odds / (1.0 + odds), 1.0)
     np.copyto(post, b, where=(b <= 0.0) | (b >= 1.0) | (never0 & never1))
     np.copyto(post, never0, where=never0 != never1)
     return post

@@ -29,9 +29,10 @@ class RobustMechanismResult:
 def surplus_curve(agent: PayoffSpec, principal: PayoffSpec, mu0: float,
                   grid: LevelGrid) -> np.ndarray:
     """Joint surplus S(l) = [U(mu0, l) - U(mu0, 0)] + V(mu0, l) on the grid."""
-    l = grid.points
-    U = mu0 * agent.u1(l) + (1.0 - mu0) * agent.u0(l)
-    V = mu0 * principal.u1(l) + (1.0 - mu0) * principal.u0(l)
+    a1, a0 = agent.profile(grid.points)
+    p1, p0 = principal.profile(grid.points)
+    U = mu0 * a1 + (1.0 - mu0) * a0
+    V = mu0 * p1 + (1.0 - mu0) * p0
     return (U - U[0]) + V
 
 

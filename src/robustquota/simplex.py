@@ -51,20 +51,23 @@ _RESIDUAL_TOL = 1e-9
 
 
 def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
+    pivot = T[row]
+    pivot /= pivot[col]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
     rows = colvals.nonzero()[0]
-    T[rows] -= colvals[rows, None] * T[row]
+    T[rows] -= colvals[rows, None] * pivot
     # re-orthogonalize the pivot column exactly
     T[:, col] = 0.0
-    T[row, col] = 1.0
+    pivot[col] = 1.0
     basis[row] = col
 
 
 def _run(T, basis, n_cols_active, max_iter):
     """Drive the tableau to optimality.  Objective row is T[-1], right-hand
-    side T[:, -1]; active (eligible) columns are 0..n_cols_active-1."""
+    side T[:, -1]; active (eligible) columns are 0..n_cols_active-1.  A
+    largest or smallest entry is read at its argmax or argmin, which costs
+    a fraction of a ufunc reduction on arrays this small."""
     n_iter = degen = 0
     m = T.shape[0] - 1
     red, rhs, ratios = T[-1, :n_cols_active], T[:m, -1], np.empty(m)
@@ -81,30 +84,33 @@ def _run(T, basis, n_cols_active, max_iter):
             col = neg[0]
         colvec = T[:m, col]
         # entries far below the column's largest are rounding noise
-        pos = colvec > max(_PIVOT_TOL,
-                           _REL_PIVOT_TOL * np.maximum.reduce(np.abs(colvec)))
-        if not np.logical_or.reduce(pos):
+        size = np.abs(colvec)
+        pos = colvec > max(_PIVOT_TOL, _REL_PIVOT_TOL * size[size.argmax()])
+        at = pos.nonzero()[0]
+        if not at.size:
             raise UnboundedLPError("objective unbounded below")
-        ratios.fill(np.inf)
         if degen < _DEGEN_STREAK:
             # Harris: the largest pivot among rows whose step stays within
-            # the feasibility tolerance of the shortest one
-            np.divide(rhs + _FEAS_TOL, colvec, out=ratios, where=pos)
-            theta = np.minimum.reduce(ratios)
-            cand = (pos & (rhs <= theta * colvec)).nonzero()[0]
+            # the feasibility tolerance of the shortest one, on the rows
+            # `at` where the column is positive
+            piv, lim = colvec[at], rhs[at]
+            steps = (lim + _FEAS_TOL) / piv
+            theta = steps[steps.argmin()]
+            cand = (lim <= theta * piv).nonzero()[0]
             if not cand.size:       # theta * colvec rounded below rhs
                 raise ConditionViolatedError(
                     "Harris ratio test found no leaving row")
-            row = cand[colvec[cand].argmax()]
+            row = at[cand[piv[cand].argmax()]]
         else:
+            ratios.fill(np.inf)
             np.divide(rhs, colvec, out=ratios, where=pos)
-            cand = (ratios <= np.minimum.reduce(ratios) + 1e-15).nonzero()[0]
+            cand = (ratios <= ratios[ratios.argmin()] + 1e-15).nonzero()[0]
             # Bland tie-break: leave the smallest basis index
             row = cand[basis[cand].argmin()]
         # a step never goes backwards: a row below zero within the
         # tolerance leaves at zero
-        T[row, -1] = max(T[row, -1], 0.0)
-        degen = degen + 1 if T[row, -1] / colvec[row] <= _FEAS_TOL else 0
+        lead = rhs[row] = max(rhs[row], 0.0)
+        degen = degen + 1 if lead / colvec[row] <= _FEAS_TOL else 0
         _pivot(T, basis, row, col)
         n_iter += 1
         if n_iter > max_iter:
@@ -112,21 +118,23 @@ def _run(T, basis, n_cols_active, max_iter):
                 f"simplex iteration limit {max_iter} exceeded")
 
 
+def _block(A, b, n):
+    """Constraint rows A and bounds b as float arrays, (0, n) and (0,)
+    where there are none."""
+    if A is None or not len(A):
+        return np.zeros((0, n)), np.zeros(0)
+    A = np.array(A, dtype=float, ndmin=2)
+    b = np.array(b, dtype=float, ndmin=1)
+    if len(b) != len(A):
+        raise ValueError(f"{len(A)} constraint rows but {len(b)} bounds")
+    return A, b
+
+
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> SimplexResult:
     c = np.asarray(c, dtype=float)
     n = c.size
-
-    def block(A, b):
-        if A is None or not len(A):
-            return np.zeros((0, n)), np.zeros(0)
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        b = np.atleast_1d(np.asarray(b, dtype=float))
-        if len(b) != len(A):
-            raise ValueError(f"{len(A)} constraint rows but {len(b)} bounds")
-        return A, b
-
-    A_ub, b_ub = block(A_ub, b_ub)
-    A_eq, b_eq = block(A_eq, b_eq)
+    A_ub, b_ub = _block(A_ub, b_ub, n)
+    A_eq, b_eq = _block(A_eq, b_eq, n)
     n_slack, m = len(b_ub), len(b_ub) + len(b_eq)
     if m == 0:
         raise InfeasibleLPError("no constraints")
@@ -135,20 +143,25 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> SimplexResult:
     # are negated, so the slack coefficient is -1 on negated <= rows (they
     # became >=); those and the equality rows need an artificial
     A, b = np.concatenate((A_ub, A_eq)), np.concatenate((b_ub, b_eq))
-    T = np.zeros((m + 1, n + n_slack + 1))
+    width = n + n_slack + 1
+    T = np.zeros((m + 1, width))
     T[:m, :n], T[:m, -1], T[-1, :n] = A, b, c
-    if not np.logical_and.reduce(np.isfinite(T), axis=None):
+    finite = np.isfinite(T).reshape(-1)
+    if not finite[finite.argmin()]:
         raise DomainError("LP data must be finite")
-    sign = np.where(T[:m, -1] < 0, -1.0, 1.0)
+    art = T[:m, -1] < 0
+    sign = np.where(art, -1.0, 1.0)
     T[:m, :n] *= sign[:, None]
     T[:m, -1] *= sign
-    T[np.arange(n_slack), n + np.arange(n_slack)] = sign[:n_slack]
-    art_rows = ((sign < 0) | (np.arange(m) >= n_slack)).nonzero()[0]
+    # the slack diagonal, T[i, n + i], as a strided view of the flat tableau
+    T.reshape(-1)[n:n + n_slack * (width + 1):width + 1] = sign[:n_slack]
+    art[n_slack:] = True
+    art_rows = art.nonzero()[0]
     n_art, n_active = art_rows.size, n + n_slack
 
     # starting basis: plain slack where possible, artificial otherwise
-    basis = n + np.arange(m)
-    basis[art_rows] = n_active + np.arange(n_art)
+    basis = np.arange(n, n + m)
+    basis[art_rows] = np.arange(n_active, n_active + n_art)
     max_iter = _PIVOTS_PER_SIZE * (m + n_active + n_art)
 
     total_iters = 0
@@ -172,8 +185,9 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> SimplexResult:
 
     # phase 2 objective: c less each basic row with nonzero cost times that
     # cost, subtracted in row order
-    cost = np.concatenate((c, np.zeros(n_slack + n_art + 1)))
-    T[-1] = cost[:n_active + 1]
+    cost = np.zeros(n_active + n_art + 1)
+    cost[:n] = c
+    T[-1] = cost[:width]
     priced = cost[basis].nonzero()[0]
     T[-1] = np.subtract.reduce(np.concatenate(
         (T[-1:], cost[basis[priced], None] * T[priced])))

@@ -147,8 +147,8 @@ def adaptive_quota_by_levels(tree, agent, principal):
     """The planner's DP level by level: (stop_set, lambda, value)."""
     grid = tree.grid
     mu0 = tree.mu0
-    a1, a0 = agent.u1(grid.points), agent.u0(grid.points)
-    p1, p0 = principal.u1(grid.points), principal.u0(grid.points)
+    a1, a0 = agent.profile(grid.points)
+    p1, p0 = principal.profile(grid.points)
     outside = float(mu0 * a1[0] + (1.0 - mu0) * a0[0])
     beliefs = by_level(tree.belief, tree.first)
     U = [mu * a1[j] + (1.0 - mu) * a0[j] for j, mu in enumerate(beliefs)]

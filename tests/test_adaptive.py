@@ -451,8 +451,8 @@ def _loop_evaluate(policy, agent_proc, agent, principal):
     planner_stops = by_level(policy.node_stop, policy.tree.first)
     mu0 = agent_proc.mu0
     lam = policy.lambda_adaptive
-    a1, a0 = agent.u1(grid.points), agent.u0(grid.points)
-    p1, p0 = principal.u1(grid.points), principal.u0(grid.points)
+    a1, a0 = agent.profile(grid.points)
+    p1, p0 = principal.profile(grid.points)
     outside = float(mu0 * a1[0] + (1.0 - mu0) * a0[0])
 
     beliefs = by_level(agent_proc.belief, agent_proc.first)

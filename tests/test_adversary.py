@@ -21,7 +21,7 @@ from robustquota.adversary import (badnews_value, indifference_G,
                                    principal_prefers_earlier, solve_badnews_lp,
                                    stop_rule_at_zero, tree_oracle_worst_case)
 from robustquota.badnews import BadNewsProcess
-from robustquota.checks import check_assumptions
+from robustquota.checks import _steps, check_assumptions
 from robustquota.mechanisms import adjusted_profiles
 from robustquota.robust import payoff_gap
 from robustquota.simplex import solve_lp
@@ -537,8 +537,8 @@ def test_dual_certificate_at_zero_payoff_below_support():
     plain = solve_badnews_lp(agent, principal, Zero(), grid, 0.8)
     jbar = plain.lbar_index
     assert jbar > 0
-    u0 = agent.u0(grid.points)
-    shifted = Tabulated(grid, tuple(agent.u1(grid.points)), tuple(u0 - u0[jbar]))
+    u1, u0 = agent.profile(grid.points)
+    shifted = Tabulated(grid, tuple(u1), tuple(u0 - u0[jbar]))
     lp = solve_badnews_lp(shifted, principal, Zero(), grid, 0.8)
     assert lp.lbar == plain.lbar
     assert lp.value == pytest.approx(plain.value, rel=1e-12)
@@ -890,13 +890,15 @@ def test_closed_forms_match_loop_reference(instance):
     agent, principal, m, grid, mu0 = instance
     _, _, a0, _, _, c, b = adversary._lp_data(agent, principal, m, grid, mu0)
     ref, clipped = _binding_loop(a0, b, mu0)
-    got = adversary._binding_construction(a0, b, mu0, np.abs(a0).max())
+    step, flat = _steps(a0, np.abs(a0).max())
+    got = adversary._binding_construction(b, mu0, step, flat)
     if got is not None:
         assert got.sum() == pytest.approx(1.0 - mu0, abs=1e-15)
     if clipped:
         route, value = _route_and_value(instance)
         with mock.patch.object(adversary, "_binding_construction",
-                               lambda *args: _binding_loop(*args[:3])[0]):
+                               lambda b, mu0, *steps:
+                               _binding_loop(a0, b, mu0)[0]):
             ref_route, ref_value = _route_and_value(instance)
         assert route == ref_route
         assert abs(value - ref_value) <= 1e-11 * max(1.0, abs(ref_value))
@@ -906,8 +908,7 @@ def test_closed_forms_match_loop_reference(instance):
         return
     assert np.abs(got - ref).max() <= 1e-12 * (1.0 - mu0)
     jbar = adversary._support_start(got)
-    (y, t), (y_ref, t_ref) = (adversary._exact_dual(c, a0, jbar,
-                                                    np.abs(a0).max()),
+    (y, t), (y_ref, t_ref) = (adversary._exact_dual(c, step, jbar),
                               _dual_loop(c, a0, jbar))
     assert t == t_ref
     lam, lam_ref = np.cumsum(y), np.cumsum(y_ref)
@@ -922,7 +923,7 @@ def test_continuation_belief_is_step_indifference(instance):
     -da0_j / (da1_j - da0_j)."""
     agent, principal, m, grid, mu0 = instance
     _, a1, a0, _, _, _, b = adversary._lp_data(agent, principal, m, grid, mu0)
-    g = adversary._binding_construction(a0, b, mu0, np.abs(a0).max())
+    g = adversary._binding_construction(b, mu0, *_steps(a0, np.abs(a0).max()))
     assume(g is not None)
     s = adversary._support_start(g)
     lam = BadNewsProcess(grid, g, mu0).cont_belief()
@@ -938,12 +939,11 @@ def test_construction_refuses_negative_mass_at_large_payoff_scale():
     # b makes every row bind for these increments
     b = np.triu(a0[:, None] - a0[None, :]) @ g
     assert 1e-4 < 1e-9 * np.abs(a0).max()
-    assert adversary._binding_construction(a0, b, 0.5,
-                                           np.abs(a0).max()) is None
+    steps = _steps(a0, np.abs(a0).max())
+    assert adversary._binding_construction(b, 0.5, *steps) is None
     ok = np.array([0.2, 0.1, 0.1, 0.05, 0.0, 0.05])
     b = np.triu(a0[:, None] - a0[None, :]) @ ok
-    assert np.allclose(adversary._binding_construction(a0, b, 0.5,
-                                                       np.abs(a0).max()), ok,
+    assert np.allclose(adversary._binding_construction(b, 0.5, *steps), ok,
                        atol=1e-12)
 
 

@@ -317,7 +317,8 @@ def _single_peaked_violation(p, grid, mus):
     (belief, level) where U rises onto the level after having fallen, by
     more than tol = 1e-9 max(1, max |U|)."""
     pts = grid.points
-    vals = np.outer(mus, p.u1(pts)) + np.outer(1.0 - mus, p.u0(pts))
+    u1, u0 = p.profile(pts)
+    vals = np.outer(mus, u1) + np.outer(1.0 - mus, u0)
     tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
     d = np.diff(vals, axis=1)
     fall_before = np.zeros(d.shape, dtype=bool)
@@ -331,7 +332,7 @@ def _assert_single_peaked_witness(p, grid, witness):
     falling at a lower one."""
     mu, level = witness
     pts = grid.points
-    u1, u0 = p.u1(pts), p.u0(pts)
+    u1, u0 = p.profile(pts)
     tol = 1e-9 * max(1.0, np.abs(u1).max(), np.abs(u0).max())
     d = np.diff(mu * u1 + (1.0 - mu) * u0)
     k = int(np.flatnonzero(pts == level)[0]) - 1

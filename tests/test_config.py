@@ -154,7 +154,7 @@ def test_tabulated_specs_with_prohibited_levels_parse():
                               "u0": [0.0, -1.0, -2.5]}
     cfg = parse_config(raw)
     assert cfg.mechanism.tax_profile(cfg.grid).tolist() == [0.0, 0.5]
-    assert cfg.agent.u0(cfg.grid.points).tolist() == [0.0, -1.0, -2.5]
+    assert cfg.agent.profile(cfg.grid.points)[1].tolist() == [0.0, -1.0, -2.5]
 
 
 @pytest.mark.parametrize("mu0", ["0.6", True, None, [0.6]])

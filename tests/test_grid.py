@@ -53,3 +53,13 @@ def test_belief_grid_refuses_what_level_grid_refuses(n):
     is not a bare TypeError, and 2.5 is not truncated to 2 points."""
     with pytest.raises(DomainError):
         belief_grid(n)
+
+
+@pytest.mark.parametrize("l_max", [1.0, 2.0, 0.3, 7.1, 16.0, 3, 1e-300,
+                                   1e300, 5e-324])
+def test_points_are_linspace_bitwise(l_max):
+    """The points are np.linspace(0, l_max, n), byte for byte; at
+    LevelGrid(5e-324, 3) the step l_max / (n - 1) underflows to 0."""
+    for n in [*range(2, 70), 101, 255, 401, 801, 1001, 2001, 10001]:
+        assert (LevelGrid(l_max, n).points.tobytes()
+                == np.linspace(0.0, l_max, n).tobytes()), n

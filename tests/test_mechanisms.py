@@ -97,11 +97,13 @@ def test_adjusted_profiles_sides():
     m = Linear(1.0)
     a1, a0 = adjusted_profiles(p, m, "agent", g)
     v1, v0 = adjusted_profiles(p, m, "principal", g)
-    assert np.allclose(a1, p.u1(g.points) - g.points)
-    assert np.allclose(v1, p.u1(g.points) + g.points)
+    u1 = p.profile(g.points)[0]
+    assert np.allclose(a1, u1 - g.points)
+    assert np.allclose(v1, u1 + g.points)
     # a quota's profiles cover the allowed levels only
     q1, q0 = adjusted_profiles(p, FixedTaxHardQuota(0.1, 0.5), "agent", g)
-    assert np.array_equal(q0, p.u0(g.points[:2]) - 0.1) and len(q1) == 2
+    assert len(q1) == 2
+    assert np.array_equal(q0, p.profile(g.points[:2])[1] - 0.1)
 
 
 class _UserMechanism(Mechanism):

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustquota import (CARA, CRRA, ConfigError, DomainError, LevelGrid,
-                         Quadratic, Tabulated, Zero, compute_robust,
-                         parse_config, quadratic_pair, solve_badnews_lp)
+                         PayoffSpec, Quadratic, Tabulated, Zero,
+                         compute_robust, parse_config, quadratic_pair,
+                         solve_badnews_lp)
+from robustquota.mechanisms import adjusted_profiles
 
 
 def test_quadratic_closed_form():
@@ -102,7 +105,7 @@ def test_tabulated_roundtrip_needs_grid():
     with pytest.raises(ConfigError, match="length must equal grid size"):
         read(LevelGrid(1.0, 4))
     again = read(g)
-    assert again == t and np.allclose(again.u1(g.points), g.points)
+    assert again == t and np.allclose(again.profile(g.points)[0], g.points)
 
 
 @given(mu=st.floats(0.0, 1.0), l=st.floats(0.0, 2.0),
@@ -114,9 +117,9 @@ def test_indirect_is_affine_in_shift(mu, l, c):
     Both sides use tabulated payoffs so off-grid interpolation cancels."""
     g = LevelGrid(2.0, 5)
     cara = CARA(1.0)
-    base = Tabulated(g, tuple(cara.u1(g.points)), tuple(cara.u0(g.points)))
-    shifted = Tabulated(g, tuple(cara.u1(g.points) + c),
-                        tuple(cara.u0(g.points) + c))
+    u1, u0 = cara.profile(g.points)
+    base = Tabulated(g, tuple(u1), tuple(u0))
+    shifted = Tabulated(g, tuple(u1 + c), tuple(u0 + c))
     assert shifted.indirect(mu, l) == pytest.approx(base.indirect(mu, l) + c,
                                                    abs=1e-12)
 
@@ -133,4 +136,59 @@ def test_payoff_overflow_is_a_domain_error():
         with pytest.raises(DomainError, match="CARA.*not finite at level"):
             compute_robust(CARA(5.34), CARA(2.91), 0.67, LevelGrid(400, 209))
     # the last level below the bound still evaluates
-    assert np.isfinite(CARA(3).u0(np.array([236.0]))).all()
+    assert np.isfinite(CARA(3).profile(np.array([236.0]))[1]).all()
+
+
+@dataclass(frozen=True)
+class _Steep(PayoffSpec):
+    """u(theta, l) = l, but -exp(800 l), which overflows past l = 0.887, in
+    the state `steep` (in both with "both"); with steep None, 1 / exp(800 l)
+    in both states, whose step overflows there while the quotient is a
+    finite 0."""
+
+    steep: object = None
+    finite_where = "l <= 0.887"
+
+    def u(self, theta, l):
+        l = np.asarray(l, dtype=float)
+        if self.steep is None:
+            return 1.0 / np.exp(800.0 * l)
+        return -np.exp(800.0 * l) if self.steep in (theta, "both") else l
+
+
+@pytest.mark.parametrize("steep, named", [(1, 1), (0, 0), ("both", 1)])
+def test_profile_names_the_state_that_overflows(steep, named):
+    """Both states are evaluated under one trap; where it springs, each is
+    checked on its own, state 1 first, and the DomainError names the state
+    and the first level where it is not finite, as the per-state check
+    always has."""
+    g = LevelGrid(2.0, 5)
+    msg = (rf"_Steep\(steep={steep!r}\): u\({named}, l\) is not finite at "
+           r"level 1; the family needs l <= 0.887$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (lambda: _Steep(steep).profile(g.points),
+                         lambda: _Steep(steep).indirect(0.5, g.points),
+                         lambda: adjusted_profiles(_Steep(steep), Zero(),
+                                                   "agent", g)):
+            with pytest.raises(DomainError, match=msg):
+                evaluate()
+        # below the overflow both states evaluate
+        u1, u0 = _Steep(steep).profile(g.points[:2])
+        assert np.isfinite(u1).all() and np.isfinite(u0).all()
+
+
+def test_profile_keeps_a_result_whose_step_overflowed():
+    """An overflow on the way to a finite payoff is not an error: both
+    states come back as evaluated with the overflow ignored, and no
+    warning escapes."""
+    g = LevelGrid(2.0, 5)
+    with np.errstate(all="ignore"):
+        want = 1.0 / np.exp(800.0 * g.points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u1, u0 = _Steep().profile(g.points)
+        mixed = _Steep().indirect(0.25, g.points)
+    assert u1.tobytes() == want.tobytes() and u0.tobytes() == want.tobytes()
+    assert mixed.tobytes() == (0.25 * want + 0.75 * want).tobytes()
+    assert (u1[2:] == 0.0).all()

@@ -51,8 +51,8 @@ def test_guarantee_matches_1d_optimizer():
 def test_translation_invariance():
     agent, principal = cara_pair(1.0, 3.0)
     grid = LevelGrid(2.0, 501)
-    shifted = Tabulated(grid, tuple(agent.u1(grid.points) + 3.7),
-                        tuple(agent.u0(grid.points) + 3.7))
+    u1, u0 = agent.profile(grid.points)
+    shifted = Tabulated(grid, tuple(u1 + 3.7), tuple(u0 + 3.7))
     a = compute_robust(agent, principal, 0.6, grid)
     b = compute_robust(shifted, principal, 0.6, grid)
     assert a.L_star == b.L_star
